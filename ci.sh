@@ -31,6 +31,15 @@ CF_BENCH_SAMPLES=1 cargo bench --offline -p chainsformer-bench \
     --bench tensor_ops --bench tensor_kernels --bench serve_throughput \
     --bench kg_retrieval --bench kg_mutate >/dev/null
 
+echo "== cfbench build + unit tests (offline) =="
+# The repository's benchmark is a cargo package of its own that links
+# cf-serve, cf-load and the model crates by path, outside the workspace.
+# Building and testing it here turns a change to an API it uses into a CI
+# failure instead of a silently broken benchmark.
+CFBENCH=crates/bench/src/bin/cfbench/Cargo.toml
+cargo build --release --offline --manifest-path "$CFBENCH"
+cargo test -q --offline --manifest-path "$CFBENCH"
+
 echo "== zero-allocation gate (offline) =="
 # The buffer pool's steady-state contract on the real model: after warm-up,
 # a train step (tape forward + loss + backward + Adam) and a served predict

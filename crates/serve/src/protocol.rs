@@ -296,11 +296,18 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// parser recurses once per level, so without a limit one request line of
+/// open brackets would overflow the connection thread's stack and abort the
+/// whole server.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a complete JSON document (trailing non-whitespace is an error).
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -314,6 +321,8 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -338,8 +347,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -416,13 +439,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (requests are valid UTF-8:
-                    // they arrived through a &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape in one
+                    // piece. Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -623,6 +649,32 @@ mod tests {
             let err = parse_command(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err:?} missing {needle:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // One line of half a million open brackets used to abort the server.
+        for open in ["[", "{\"k\":"] {
+            let line = open.repeat(500_000);
+            assert!(parse_json(&line).is_err());
+            assert!(parse_command(&line).is_err());
+        }
+    }
+
+    #[test]
+    fn line_sized_strings_parse_in_one_pass() {
+        // Each character used to re-validate the rest of the input, which
+        // took minutes for a string the size of the line cap.
+        let half = "é".repeat(1 << 18);
+        let v = parse_json(&format!("\"{half}\\n{half}\"")).unwrap();
+        assert_eq!(v, Json::Str(format!("{half}\n{half}")));
     }
 
     #[test]

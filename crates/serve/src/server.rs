@@ -18,6 +18,10 @@ use std::time::Duration;
 /// connection know where it ends).
 pub const METRICS_COMMAND: &str = "GET /metrics";
 
+/// The longest request line the server accepts, newline excluded. A longer
+/// line is answered with a parse error and skipped through its newline.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Set by the signal handler; polled by the accept loop.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
@@ -99,27 +103,80 @@ fn handle_connection(
     stream: TcpStream,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    // Every reply leaves in one write, and with Nagle's algorithm off it
+    // leaves at once instead of waiting on the client's delayed ACK of the
+    // previous segment (DESIGN.md §9.4).
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
+    let mut line = Vec::new();
+    let mut reply = String::new();
+    loop {
+        let request = match read_capped_line(&mut reader, &mut line)? {
+            Line::Eof => return Ok(()),
+            Line::TooLong => Err(format!("parse: line longer than {MAX_LINE_BYTES} bytes")),
+            Line::Fits => std::str::from_utf8(&line)
+                .map(str::trim)
+                .map_err(|e| format!("parse: invalid utf-8 at byte {}", e.valid_up_to())),
+        };
+        if request == Ok("") {
             continue;
         }
         if shutdown.load(Ordering::SeqCst) || SIGNALLED.load(Ordering::SeqCst) {
             return Ok(());
         }
-        if line == METRICS_COMMAND {
-            write!(writer, "{}\n", engine.metrics_text())?;
-            writer.flush()?;
-            continue;
+        reply.clear();
+        match request {
+            // The block ends in a newline; the terminator below adds the
+            // blank line that closes it.
+            Ok(METRICS_COMMAND) => reply.push_str(&engine.metrics_text()),
+            Ok(text) => reply.push_str(&answer(engine, text)),
+            Err(e) => {
+                engine.metrics().errors.fetch_add(1, Ordering::Relaxed);
+                reply.push_str(&protocol::err_response(None, &e));
+            }
         }
-        let response = answer(engine, line);
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
+        reply.push('\n');
+        writer.write_all(reply.as_bytes())?;
     }
-    Ok(())
+}
+
+/// What [`read_capped_line`] found.
+enum Line {
+    /// The peer closed the connection with no partial line pending.
+    Eof,
+    /// A line of at most [`MAX_LINE_BYTES`] bytes, now in the buffer.
+    Fits,
+    /// A longer line, read through its newline and discarded.
+    TooLong,
+}
+
+/// Reads one line into `buf`, without its `\n`. A line over
+/// [`MAX_LINE_BYTES`] is consumed a bounded chunk at a time and dropped, so
+/// a peer that never sends a newline cannot grow the buffer.
+fn read_capped_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Line> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    let n = reader.by_ref().take(cap).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        return Ok(Line::Fits);
+    }
+    if n <= MAX_LINE_BYTES {
+        // The stream's last line, ended by EOF rather than `\n`.
+        return Ok(Line::Fits);
+    }
+    while buf.last() != Some(&b'\n') {
+        buf.clear();
+        if reader.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+            break;
+        }
+    }
+    buf.clear();
+    Ok(Line::TooLong)
 }
 
 /// Handles one request line end to end, always producing a response line.
@@ -216,21 +273,106 @@ mod tests {
         (addr, shutdown, entity, attrs)
     }
 
-    fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
-        writeln!(stream, "{line}").expect("write");
+    /// Sends `line` and its newline in one write, as a client should.
+    fn send(stream: &mut TcpStream, line: &str) {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+    }
+
+    fn read_reply(stream: &TcpStream) -> String {
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut out = String::new();
         reader.read_line(&mut out).expect("read");
         out.trim().to_string()
     }
 
-    #[test]
-    fn serves_queries_metrics_and_errors_over_tcp() {
-        let (addr, shutdown, entity, attrs) = start(EngineConfig::default());
-        let mut stream = TcpStream::connect(addr).expect("connect");
+    fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
+        send(stream, line);
+        read_reply(stream)
+    }
+
+    fn connect(addr: std::net::SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
+        stream
+    }
+
+    #[test]
+    fn every_reply_arrives_in_one_read() {
+        let (addr, shutdown, entity, attrs) = start(EngineConfig::default());
+        let mut stream = connect(addr);
+        let query = format!(r#"{{"entity":"{entity}","attr":"{}","id":1}}"#, attrs[0]);
+        let mut buf = vec![0u8; 1 << 18];
+        // A reply written in two pieces shows up as a read that stops short
+        // of its terminator: Nagle's algorithm holds the second piece until
+        // the client ACKs the first, and the client delays that ACK.
+        for round in 0..50 {
+            for (req, end) in [
+                (query.as_str(), "\n"),
+                ("not json", "\n"),
+                (METRICS_COMMAND, "\n\n"),
+            ] {
+                send(&mut stream, req);
+                let n = stream.read(&mut buf).expect("read");
+                let got = String::from_utf8_lossy(&buf[..n]);
+                assert!(
+                    got.ends_with(end),
+                    "round {round}: the reply to {req:?} arrived in pieces: {got:?}"
+                );
+            }
+        }
+        shutdown.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn invalid_utf8_answers_a_parse_error_and_keeps_serving() {
+        let (addr, shutdown, entity, attrs) = start(EngineConfig::default());
+        let mut stream = connect(addr);
+        stream.write_all(b"\xff\xfe\n").expect("write");
+        let resp = read_reply(&stream);
+        assert!(
+            resp.starts_with(r#"{"id":null,"ok":false,"error":"parse: invalid utf-8"#),
+            "{resp}"
+        );
+        let resp = roundtrip(
+            &mut stream,
+            &format!(r#"{{"entity":"{entity}","attr":"{}","id":2}}"#, attrs[0]),
+        );
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        shutdown.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn lines_over_the_cap_answer_a_parse_error_and_keep_serving() {
+        let (addr, shutdown, entity, attrs) = start(EngineConfig::default());
+        let mut stream = connect(addr);
+        let query = format!(r#"{{"entity":"{entity}","attr":"{}","id":3}}"#, attrs[0]);
+        // A line of exactly the cap is served...
+        let padded = query.clone() + &" ".repeat(MAX_LINE_BYTES - query.len());
+        let resp = roundtrip(&mut stream, &padded);
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        // ...one byte more is skipped through its newline with an error.
+        send(&mut stream, &"x".repeat(MAX_LINE_BYTES + 1));
+        let resp = read_reply(&stream);
+        assert_eq!(
+            resp,
+            format!(
+                r#"{{"id":null,"ok":false,"error":"parse: line longer than {MAX_LINE_BYTES} bytes"}}"#
+            )
+        );
+        let resp = roundtrip(&mut stream, &query);
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        assert!(resp.contains("\"id\":3"), "{resp}");
+        shutdown.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn serves_queries_metrics_and_errors_over_tcp() {
+        let (addr, shutdown, entity, attrs) = start(EngineConfig::default());
+        let mut stream = connect(addr);
 
         // 1. A valid query answers ok:true with a finite value.
         let req = format!(r#"{{"entity":"{entity}","attr":"{}","id":1}}"#, attrs[0]);
@@ -253,7 +395,7 @@ mod tests {
         assert!(resp.contains("unknown entity"), "{resp}");
 
         // 4. Metrics scrape: text block terminated by an empty line.
-        writeln!(stream, "{METRICS_COMMAND}").expect("write");
+        send(&mut stream, METRICS_COMMAND);
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut lines = Vec::new();
         loop {
@@ -295,10 +437,7 @@ mod tests {
         let flag = Arc::clone(&shutdown);
         std::thread::spawn(move || run(engine, listener, flag).expect("server"));
 
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
+        let mut stream = connect(addr);
 
         // A valid checkpoint swaps in and acknowledges with the echoed id.
         let resp = roundtrip(
@@ -325,7 +464,7 @@ mod tests {
         assert!(resp.contains("\"ok\":true"), "{resp}");
 
         // Both outcomes are visible on the metrics scrape.
-        writeln!(stream, "{METRICS_COMMAND}").expect("write");
+        send(&mut stream, METRICS_COMMAND);
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut text = String::new();
         loop {
@@ -346,10 +485,7 @@ mod tests {
     #[test]
     fn mutate_admin_request_applies_and_rejects_over_tcp() {
         let (addr, shutdown, entity, attrs) = start(EngineConfig::default());
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
+        let mut stream = connect(addr);
 
         // Cache a prediction, then mutate its entity's neighborhood.
         let req = format!(r#"{{"entity":"{entity}","attr":"{}","id":1}}"#, attrs[0]);
@@ -403,7 +539,7 @@ mod tests {
         assert!(resp.contains("\"ok\":false"), "{resp}");
         assert!(resp.contains("not in the serving vocabulary"), "{resp}");
 
-        writeln!(stream, "{METRICS_COMMAND}").expect("write");
+        send(&mut stream, METRICS_COMMAND);
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut text = String::new();
         loop {
@@ -429,10 +565,7 @@ mod tests {
             queue_cap: 0,
             ..EngineConfig::default()
         });
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
+        let mut stream = connect(addr);
         let req = format!(r#"{{"entity":"{entity}","attr":"{}","id":5}}"#, attrs[0]);
         let resp = roundtrip(&mut stream, &req);
         assert!(resp.contains("\"ok\":false"), "{resp}");
