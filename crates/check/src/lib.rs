@@ -50,8 +50,10 @@
 pub mod fault;
 pub mod runner;
 pub mod strategy;
+pub mod tempdir;
 
 pub use strategy::{vec, Strategy};
+pub use tempdir::TempDir;
 
 /// Per-property configuration, normally set through
 /// `#![config(cases = N)]` in [`property!`].

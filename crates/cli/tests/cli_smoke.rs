@@ -1,21 +1,16 @@
 //! End-to-end smoke test of the `cfkg` workflow: generate → stats → train →
 //! eval → predict, all through the public command functions.
 
+use cf_check::TempDir;
 use std::process::Command;
 
 fn cfkg() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cfkg"))
 }
 
-fn out_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cfkg_smoke_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn full_cli_workflow() {
-    let dir = out_dir();
+    let dir = TempDir::new("cfkg_smoke");
     let triples = dir.join("yago15k_sim_triples.tsv");
     let numerics = dir.join("yago15k_sim_numerics.tsv");
     let ckpt = dir.join("model.ckpt");
@@ -31,7 +26,7 @@ fn full_cli_workflow() {
             "--seed",
             "3",
         ])
-        .args(["--out", dir.to_str().unwrap()])
+        .args(["--out", dir.path().to_str().unwrap()])
         .output()
         .expect("run generate");
     assert!(
@@ -111,8 +106,6 @@ fn full_cli_workflow() {
         stdout.contains("birth of person_0"),
         "unexpected predict output: {stdout}"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -130,7 +123,7 @@ fn help_prints_usage() {
 
 #[test]
 fn mismatched_architecture_fails_cleanly() {
-    let dir = out_dir();
+    let dir = TempDir::new("cfkg_smoke");
     let triples = dir.join("yago15k_sim_triples.tsv");
     let numerics = dir.join("yago15k_sim_numerics.tsv");
     let ckpt = dir.join("model.ckpt");
@@ -144,7 +137,7 @@ fn mismatched_architecture_fails_cleanly() {
             "--seed",
             "4"
         ])
-        .args(["--out", dir.to_str().unwrap()])
+        .args(["--out", dir.path().to_str().unwrap()])
         .status()
         .unwrap()
         .success());
@@ -170,5 +163,4 @@ fn mismatched_architecture_fails_cleanly() {
         .expect("run eval");
     assert!(!st.status.success(), "architecture mismatch must fail");
     assert!(String::from_utf8_lossy(&st.stderr).contains("mismatch"));
-    std::fs::remove_dir_all(&dir).ok();
 }

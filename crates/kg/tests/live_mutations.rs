@@ -13,18 +13,12 @@
 //!   written.
 
 use cf_check::fault::{append_crash_states, crash_states, FaultMode, FaultyWriter};
+use cf_check::TempDir;
 use cf_kg::{
     graph_fingerprint, read_store, recover_file, write_store, GraphStore, GraphView, JournalWriter,
     KnowledgeGraph, Mutation, OverlayGraph, StoreError,
 };
 use std::io::Write;
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cf_live_mut_{}_{name}", std::process::id()));
-    p
-}
 
 /// A small canonical base graph: three entities, one relation, two
 /// attributes, enough structure for every mutation kind to hit both the
@@ -85,11 +79,10 @@ fn mutation_batch() -> Vec<Mutation> {
 fn store_bytes_after(muts: &[Mutation]) -> Vec<u8> {
     let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
     overlay.apply_all(muts);
-    let path = tmp("truth.cfkg");
+    let dir = TempDir::new("live_mut");
+    let path = dir.join("truth.cfkg");
     overlay.compact_to(&path).expect("compact");
-    let bytes = std::fs::read(&path).expect("read store");
-    std::fs::remove_file(&path).ok();
-    bytes
+    std::fs::read(&path).expect("read store")
 }
 
 /// The full journal image for `muts`: magic + one framed record each.
@@ -104,8 +97,8 @@ fn journal_bytes(muts: &[Mutation]) -> Vec<u8> {
 #[test]
 fn double_replay_is_idempotent_bitwise() {
     let muts = mutation_batch();
-    let path = tmp("idem.cfj");
-    std::fs::remove_file(&path).ok();
+    let dir = TempDir::new("live_mut");
+    let path = dir.join("idem.cfj");
     {
         let (mut w, rec) = JournalWriter::open(&path).expect("open fresh");
         assert!(rec.mutations.is_empty() && rec.dropped.is_none());
@@ -123,14 +116,11 @@ fn double_replay_is_idempotent_bitwise() {
         let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
         overlay.apply_all(&rec.mutations);
         overlay.apply_all(&rec.mutations); // crashed between compact and truncate
-        let p = tmp("idem.cfkg");
+        let p = dir.join("idem.cfkg");
         overlay.compact_to(&p).expect("compact");
-        let b = std::fs::read(&p).expect("read");
-        std::fs::remove_file(&p).ok();
-        b
+        std::fs::read(&p).expect("read")
     };
     assert_eq!(once, twice, "replaying a journal twice changed the store");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -142,7 +132,8 @@ fn torn_tail_truncated_at_every_byte_offset() {
     for m in &muts {
         boundaries.push(boundaries.last().unwrap() + cf_kg::journal::encode_record(m).len());
     }
-    let path = tmp("torn.cfj");
+    let dir = TempDir::new("live_mut");
+    let path = dir.join("torn.cfj");
     for cut in 0..=full.len() {
         std::fs::write(&path, &full[..cut]).expect("write cut");
         // Recovery by open: torn tail physically truncated, prefix kept.
@@ -180,7 +171,6 @@ fn torn_tail_truncated_at_every_byte_offset() {
             Mutation::AddEntity { name: "eve".into() }
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -193,6 +183,7 @@ fn every_append_crash_state_recovers_old_or_new_store() {
     let truth: Vec<Vec<u8>> = (0..=muts.len())
         .map(|k| store_bytes_after(&muts[..k]))
         .collect();
+    let dir = TempDir::new("live_mut");
     for k in 0..muts.len() {
         let committed = journal_bytes(&muts[..k]);
         let record = cf_kg::journal::encode_record(&muts[k]);
@@ -208,10 +199,9 @@ fn every_append_crash_state_recovers_old_or_new_store() {
             );
             let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
             overlay.apply_all(&rec.mutations);
-            let p = tmp("oon.cfkg");
+            let p = dir.join("oon.cfkg");
             overlay.compact_to(&p).expect("compact");
             let got = std::fs::read(&p).expect("read");
-            std::fs::remove_file(&p).ok();
             assert_eq!(
                 got, truth[applied],
                 "record {k}, {}: store is neither old nor new",
@@ -321,10 +311,10 @@ fn overlay_view_matches_compacted_store_row_for_row() {
     let muts = mutation_batch();
     let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
     overlay.apply_all(&muts);
-    let path = tmp("rows.cfkg");
+    let dir = TempDir::new("live_mut");
+    let path = dir.join("rows.cfkg");
     overlay.compact_to(&path).expect("compact");
     let compacted = read_store(&path).expect("read back");
-    std::fs::remove_file(&path).ok();
 
     assert_eq!(overlay.num_entities(), GraphView::num_entities(&compacted));
     assert_eq!(
@@ -373,17 +363,17 @@ fn compaction_rename_crash_states_leave_old_or_new_store() {
     let old_bytes = store_bytes_after(&[]);
     let new_bytes = store_bytes_after(&mutation_batch());
     assert_ne!(old_bytes, new_bytes);
-    let path = tmp("rename.cfkg");
+    let dir = TempDir::new("live_mut");
+    let path = dir.join("rename.cfkg");
     for state in crash_states(Some(&old_bytes), &new_bytes) {
         match &state.path_bytes {
             Some(bytes) => {
                 std::fs::write(&path, bytes).expect("write state");
                 let g = read_store(&path)
                     .unwrap_or_else(|e| panic!("{}: store unreadable: {e}", state.label));
-                let round = tmp("rename_rt.cfkg");
+                let round = dir.join("rename_rt.cfkg");
                 write_store(&g, &round).expect("rewrite");
                 let got = std::fs::read(&round).expect("read");
-                std::fs::remove_file(&round).ok();
                 assert!(
                     got == old_bytes || got == new_bytes,
                     "{}: neither old nor new",
@@ -393,5 +383,4 @@ fn compaction_rename_crash_states_leave_old_or_new_store() {
             None => {} // file absent: the pre-first-save state
         }
     }
-    std::fs::remove_file(&path).ok();
 }

@@ -15,20 +15,23 @@
 //!
 //! `InferCtx` does not approximate the taped forward — it *is* the taped
 //! forward. Every op either calls the very same kernel ([`Tensor::matmul`],
-//! [`Tensor::bmm`], `softmax_row`, `layer_norm_rows`, `gelu_fwd`,
+//! [`Tensor::bmm`], `softmax_row`, `layer_norm_rows`, `gelu_in_place`, `tanh`,
 //! `attn_probs_forward`/`attn_merge_forward`) or repeats the same elementwise
 //! expression in the same evaluation order, so a model evaluated through
-//! `InferCtx` produces bit-identical outputs to the taped graph. The
+//! `InferCtx` produces bit-identical outputs to the taped graph. The one
+//! fused op is [`Forward::linear`]: `InferCtx` reads the weight and bias in
+//! place and adds the bias into the GEMM's own output buffer, which is the
+//! composed path's `matmul_into` then `add_bias_rows` minus its copies. The
 //! equivalence tests below and the model-shape test in `chainsformer` pin
 //! this.
 
 use crate::ops::attn::{attn_merge_forward, attn_probs_forward};
-use crate::ops::elementwise::gelu_fwd;
+use crate::ops::elementwise::{add_bias_rows, gelu_in_place, tanh};
 use crate::ops::reduce::{layer_norm_rows, softmax_row};
 use crate::params::{ParamId, ParamStore};
 use crate::shape::Shape;
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_into, Tensor};
 
 /// The forward-only op set shared by [`Tape`] (training) and [`InferCtx`]
 /// (serving). Layer `forward` methods are generic over this trait, so one
@@ -103,6 +106,34 @@ pub trait Forward {
         scale: f32,
         add_mask: Option<&Tensor>,
     ) -> Var;
+
+    /// Affine map `x W + b` over the last dimension of `x` (any rank; the
+    /// leading dimensions are rows), with `W: [in, out]` and `b: [out]`.
+    ///
+    /// The default body is the composed graph — param, reshape to rows,
+    /// matmul, param, add_bias, reshape back — so [`Tape`] records its usual
+    /// nodes and gradients, and [`crate::quant::QuantInferCtx`] still sees
+    /// the weight `param` its int8 `matmul` routing keys on. [`InferCtx`]
+    /// overrides it with a copy-free version that yields the same bits.
+    fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: Option<ParamId>) -> Var {
+        let shape = *self.value(x).shape();
+        let flat = if shape.rank() == 2 {
+            x
+        } else {
+            self.reshape(x, [shape.leading(), shape.last_dim()].into())
+        };
+        let wv = self.param(ps, w);
+        let mut y = self.matmul(flat, wv);
+        if let Some(b) = b {
+            let bv = self.param(ps, b);
+            y = self.add_bias(y, bv);
+        }
+        if shape.rank() != 2 {
+            let out_dim = self.value(y).shape().last_dim();
+            y = self.reshape(y, shape.with_last(out_dim));
+        }
+        y
+    }
 }
 
 /// A reusable forward arena: a [`Forward`] context that can be cleared and
@@ -348,12 +379,13 @@ impl Forward for InferCtx {
     }
 
     fn gelu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(gelu_fwd);
+        let mut value = self.value(a).clone();
+        gelu_in_place(value.data_mut());
         self.push(value)
     }
 
     fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let value = self.value(a).map(tanh);
         self.push(value)
     }
 
@@ -539,12 +571,45 @@ impl Forward for InferCtx {
         let merged = attn_merge_forward(&probs, self.value(v).data(), bsz, seq, d, heads);
         self.push(Tensor::new([bsz, seq, d], merged))
     }
+
+    /// The composed `linear` without its copies: no parameter clones, no
+    /// reshape copies, no clone-then-add bias pass. The GEMM accumulates
+    /// into a zeroed buffer and the bias is then added into that buffer
+    /// row by row — the same `matmul_into` and `add_bias_rows` calls, in the
+    /// same order, as the default body, so the bits are identical.
+    fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: Option<ParamId>) -> Var {
+        let xv = self.value(x);
+        let shape = *xv.shape();
+        let wv = ps.get(w);
+        let (k, n) = wv.shape().as_matrix();
+        assert_eq!(
+            shape.last_dim(),
+            k,
+            "linear: input last dim {} != weight rows {k}",
+            shape.last_dim()
+        );
+        let rows = shape.leading();
+        let mut out = crate::pool::take_f32_zeroed(rows * n);
+        matmul_into(xv.data(), wv.data(), &mut out, rows, k, n);
+        if let Some(b) = b {
+            let bv = ps.get(b);
+            assert_eq!(
+                bv.shape().numel(),
+                n,
+                "add_bias: bias length {} != last dim {n}",
+                bv.numel()
+            );
+            add_bias_rows(&mut out, bv.data(), rows, n);
+        }
+        self.push(Tensor::new(shape.with_last(n), out))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::{Activation, KeyMask, Mlp, MultiHeadAttention, TransformerEncoder};
+    use crate::nn::{Activation, KeyMask, Linear, Mlp, MultiHeadAttention, TransformerEncoder};
+    use crate::quant::{QuantInferCtx, QuantizedParamStore};
     use cf_rand::rngs::StdRng;
     use cf_rand::{Rng, SeedableRng};
 
@@ -564,10 +629,14 @@ mod tests {
         m1: Tensor,
         m2: Tensor,
         mask: Tensor,
+        /// Holds `m2` as the `[4, 5]` weight `lw` and a `[5]` bias `lb`.
+        ps: ParamStore,
+        lw: ParamId,
+        lb: ParamId,
     }
 
-    /// Runs every trait op once and collects each output's raw data.
-    fn drive(f: &mut dyn Forward, inp: &Inputs) -> Vec<Vec<f32>> {
+    /// Runs every trait op once and collects each output's shape and bits.
+    fn drive(f: &mut dyn Forward, inp: &Inputs) -> Vec<(Shape, Vec<u32>)> {
         let a = f.leaf(inp.a3.clone());
         let b = f.constant(inp.b3.clone());
         let bi = f.leaf(inp.bias.clone());
@@ -595,13 +664,22 @@ mod tests {
             f.softmax_last(a),
             f.layer_norm_last(a, 1e-5),
             f.fused_attention(a, b, a, 2, 0.5, Some(&inp.mask)),
+            f.linear(&inp.ps, x1, inp.lw, Some(inp.lb)),
+            f.linear(&inp.ps, x1, inp.lw, None),
+            f.linear(&inp.ps, a, inp.lw, Some(inp.lb)),
+            f.linear(&inp.ps, a, inp.lw, None),
         ];
         let r = f.reshape(a, Shape::from([2, 4, 3]));
         vars.push(f.bmm(a, r));
         let r0 = f.row(x1, 0);
         let r3 = f.row(x1, 3);
         vars.push(f.stack_rows(&[r0, r3]));
-        vars.iter().map(|&v| f.value(v).data().to_vec()).collect()
+        vars.iter()
+            .map(|&v| {
+                let t = f.value(v);
+                (*t.shape(), t.data().iter().map(|x| x.to_bits()).collect())
+            })
+            .collect()
     }
 
     /// Every op available on both contexts, driven with the same inputs,
@@ -609,14 +687,21 @@ mod tests {
     #[test]
     fn op_by_op_bitwise_equivalence() {
         let mut rng = StdRng::seed_from_u64(17);
+        let m2 = rand_tensor(&[4, 5], &mut rng);
+        let mut ps = ParamStore::new();
+        let lw = ps.add("lin.w", m2.clone());
+        let lb = ps.add("lin.b", rand_tensor(&[5], &mut rng));
         let inputs = Inputs {
             a3: rand_tensor(&[2, 3, 4], &mut rng),
             b3: rand_tensor(&[2, 3, 4], &mut rng),
             bias: rand_tensor(&[4], &mut rng),
             w: rand_tensor(&[6], &mut rng),
             m1: rand_tensor(&[6, 4], &mut rng),
-            m2: rand_tensor(&[4, 5], &mut rng),
+            m2,
             mask: rand_tensor(&[2, 3, 3], &mut rng),
+            ps,
+            lw,
+            lb,
         };
         let taped = drive(&mut Tape::new(), &inputs);
         let tape_free = drive(&mut InferCtx::new(), &inputs);
@@ -626,13 +711,16 @@ mod tests {
         }
     }
 
-    /// A 2-layer Transformer encoder + MLP head — the ChainsFormer encoder
-    /// composition — evaluated on both contexts, compared bitwise.
+    /// A 2-layer Transformer encoder, a bias-free projection and an MLP
+    /// head — the ChainsFormer encoder composition, with `linear` on rank-3
+    /// and rank-2 inputs, with and without a bias — evaluated on both
+    /// contexts, compared bitwise.
     #[test]
     fn transformer_stack_bitwise_equivalence() {
         let mut rng = StdRng::seed_from_u64(17);
         let mut ps = ParamStore::new();
         let enc = TransformerEncoder::new(&mut ps, "enc", 16, 4, 2, 32, &mut rng);
+        let proj = Linear::new_no_bias(&mut ps, "proj", 16, 16, &mut rng);
         let head = Mlp::new(&mut ps, "head", &[16, 16, 1], Activation::Gelu, &mut rng);
         let x = rand_tensor(&[3, 5, 16], &mut rng);
         let key_mask = vec![
@@ -644,6 +732,7 @@ mod tests {
         let mut tape = Tape::new();
         let xv = Forward::leaf(&mut tape, x.clone());
         let h = enc.forward(&mut tape, &ps, xv, Some(KeyMask::Rows(&key_mask)));
+        let h = proj.forward(&mut tape, &ps, h);
         let flat = Forward::reshape(&mut tape, h, Shape::from([15, 16]));
         let y = head.forward(&mut tape, &ps, flat);
         let taped = Forward::value(&tape, y).data().to_vec();
@@ -651,9 +740,42 @@ mod tests {
         let mut ctx = InferCtx::new();
         let xv = ctx.leaf(x);
         let h = enc.forward(&mut ctx, &ps, xv, Some(KeyMask::Rows(&key_mask)));
+        let h = proj.forward(&mut ctx, &ps, h);
         let flat = ctx.reshape(h, Shape::from([15, 16]));
         let y = head.forward(&mut ctx, &ps, flat);
         assert_eq!(ctx.value(y).data(), taped.as_slice());
+    }
+
+    /// `QuantInferCtx` keeps the composed `linear`, so an eligible weight
+    /// still takes `matmul_quantized` and never reaches `InferCtx`'s f32
+    /// override: the output is exactly the int8 product plus the bias.
+    #[test]
+    fn quant_ctx_linear_stays_on_the_int8_kernel() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut ps = ParamStore::new();
+        let lin = Linear::new(&mut ps, "q", 16, 16, &mut rng);
+        let b = lin.b.expect("Linear::new has a bias");
+        *ps.get_mut(b) = rand_tensor(&[16], &mut rng);
+        let q = std::sync::Arc::new(QuantizedParamStore::from_store(&ps));
+        let x = rand_tensor(&[2, 3, 16], &mut rng);
+
+        let mut want = q
+            .entry(lin.w.index())
+            .expect("a [16, 16] weight is eligible")
+            .matmul_quantized(&x.reshape([6, 16]));
+        crate::ops::elementwise::add_bias_rows(want.data_mut(), ps.get(b).data(), 6, 16);
+
+        let mut qctx = QuantInferCtx::new();
+        qctx.set_weights(q);
+        let xv = qctx.leaf(x.clone());
+        let y = lin.forward(&mut qctx, &ps, xv);
+        assert_eq!(qctx.value(y).shape().as_batch_matrix(), (2, 3, 16));
+        assert_eq!(qctx.value(y).data(), want.data());
+
+        let mut fctx = InferCtx::new();
+        let xv = fctx.leaf(x);
+        let y32 = lin.forward(&mut fctx, &ps, xv);
+        assert_ne!(fctx.value(y32).data(), want.data(), "f32 path taken");
     }
 
     /// Padding keys out via the additive mask must not change the unpadded

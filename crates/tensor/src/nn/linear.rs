@@ -76,34 +76,18 @@ impl Linear {
         self.out_dim
     }
 
-    /// Applies `x W + b` over the last dimension. Generic over the evaluation
-    /// context: a [`Tape`](crate::tape::Tape) for training or an
+    /// Applies `x W + b` over the last dimension through
+    /// [`Forward::linear`]. Generic over the evaluation context: a
+    /// [`Tape`](crate::tape::Tape) for training or an
     /// [`InferCtx`](crate::infer::InferCtx) for the tape-free serving path.
     pub fn forward<F: Forward>(&self, t: &mut F, ps: &ParamStore, x: Var) -> Var {
-        let shape = t.value(x).shape().clone();
+        let d = t.value(x).shape().last_dim();
         assert_eq!(
-            shape.last_dim(),
-            self.in_dim,
-            "Linear: input last dim {} != {}",
-            shape.last_dim(),
+            d, self.in_dim,
+            "Linear: input last dim {d} != {}",
             self.in_dim
         );
-        let rows = shape.leading();
-        let flat = if shape.rank() == 2 {
-            x
-        } else {
-            t.reshape(x, [rows, self.in_dim].into())
-        };
-        let w = t.param(ps, self.w);
-        let mut y = t.matmul(flat, w);
-        if let Some(b) = self.b {
-            let bv = t.param(ps, b);
-            y = t.add_bias(y, bv);
-        }
-        if shape.rank() != 2 {
-            y = t.reshape(y, shape.with_last(self.out_dim));
-        }
-        y
+        t.linear(ps, x, self.w, self.b)
     }
 }
 

@@ -458,7 +458,9 @@ impl QuantizedParamStore {
 /// the f32 implementations) plus a per-`Var` tag recording which arena slots
 /// hold parameters with a quantized twin. `matmul(a, b)` consults the tag of
 /// `b`: tagged weights run [`QuantizedTensor::matmul_quantized`], everything
-/// else falls through to the f32 kernel.
+/// else falls through to the f32 kernel. It keeps [`Forward::linear`]'s
+/// default composed body rather than `InferCtx`'s fused override, so a
+/// `Linear` weight still arrives through `param` and gets its tag.
 #[derive(Default)]
 pub struct QuantInferCtx {
     inner: InferCtx,
