@@ -7,12 +7,18 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== cargo build --release (offline) =="
-# --workspace: the root manifest is also a package, so a bare build would
-# skip members like crates/cli (cfkg) and the bench binaries.
+# --workspace selects what the root manifest's default-members already do
+# (every crate, including crates/cli and the bench binaries); it stays
+# explicit so the gate does not depend on that list.
 cargo build --release --offline --workspace
 
 echo "== cargo test (offline) =="
 cargo test -q --workspace --offline
+
+echo "== cargo test at 8 test threads (offline) =="
+# More test threads than this host has cores: tests that share a temp
+# path or other process-wide state race here even on a 1- or 2-core host.
+RUST_TEST_THREADS=8 cargo test -q --workspace --offline
 
 echo "== quantized accuracy gate (offline, release) =="
 # The int8 serving path is accuracy-gated, not assumed: per-attribute MAE
@@ -46,8 +52,9 @@ echo "== zero-allocation gate (offline) =="
 # (warm InferCtx forward, f32 and quantized int8) must perform exactly 0
 # heap allocations. The gate binary runs under a counting global allocator
 # and starts with a 2-epoch toy training run, so "training still converges
-# with recycled buffers" is covered on the way to the counters. See
-# DESIGN.md §10 and §15.
+# with recycled buffers" is covered on the way to the counters. It also
+# holds each walk retrieval to one allocation per retrieved chain plus
+# four. See DESIGN.md §9.3, §10 and §15.
 ./target/release/alloc_gate
 
 echo "== serve smoke (offline) =="

@@ -17,10 +17,17 @@
 //!    `--quantize int8` serving path (DESIGN.md §15). Quantizing the store
 //!    itself allocates once at load/reload time and is outside the loop.
 //!
+//! Retrieval is not zero-allocation — its output is fresh chains — but it
+//! has a budget of its own:
+//!
+//! 4. per **walk retrieval** — a single [`retrieve`] call at
+//!    [`RetrievalConfig::paper`] may allocate at most once per retrieved
+//!    chain plus four times for its buffers (DESIGN.md §9.3).
+//!
 //! Runs a 2-epoch toy training first so the gate also covers "training still
 //! converges end to end with the pool on". Exits non-zero on any violation.
 
-use cf_chains::Query;
+use cf_chains::{retrieve, Query, RetrievalConfig};
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::Split;
 use cf_rand::rngs::StdRng;
@@ -160,7 +167,37 @@ fn main() {
         jobs.len()
     );
 
+    // --- Gate 4: allocations per walk retrieval -----------------------------
+    // One `rels` vector per kept multi-hop chain, plus the output vector,
+    // the dedup table, the path and the relation scratch.
+    const RETRIEVE_BUFFERS: u64 = 4;
+    const RETRIEVE_CALLS: usize = 32;
+    let paper = RetrievalConfig::paper();
+    let (mut total_allocs, mut total_retrieved, mut worst_excess) = (0u64, 0u64, 0u64);
+    for t in split.train.iter().take(RETRIEVE_CALLS) {
+        let query = Query {
+            entity: t.entity,
+            attr: t.attr,
+        };
+        let (toc, delta) = measure(|| retrieve(&visible, query, &paper, &mut rng));
+        total_allocs += delta.allocs;
+        total_retrieved += toc.len() as u64;
+        worst_excess = worst_excess.max(delta.allocs.saturating_sub(toc.len() as u64));
+    }
+    println!(
+        "walk retrieval: {total_allocs} allocs for {total_retrieved} retrieved chains over \
+         {RETRIEVE_CALLS} calls at num_walks {}; worst call: retrieved + {worst_excess}",
+        paper.num_walks
+    );
+
     let mut failed = false;
+    if worst_excess > RETRIEVE_BUFFERS {
+        eprintln!(
+            "FAIL: a walk retrieval allocated retrieved + {worst_excess} times \
+             (want at most retrieved + {RETRIEVE_BUFFERS})"
+        );
+        failed = true;
+    }
     if train_allocs != 0 {
         eprintln!("FAIL: train step allocated at steady state ({train_allocs}/step, want 0)");
         failed = true;
@@ -179,6 +216,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "alloc gate: PASS (0 steady-state allocations per train step and per served predict, f32 and int8)"
+        "alloc gate: PASS (0 steady-state allocations per train step and per served predict, \
+         f32 and int8; walk retrieval within retrieved + {RETRIEVE_BUFFERS})"
     );
 }

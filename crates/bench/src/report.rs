@@ -365,6 +365,7 @@ pub fn fmt_err(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_check::TempDir;
 
     #[test]
     fn csv_round_trips_simple_rows() {
@@ -428,12 +429,11 @@ mod tests {
 
     #[test]
     fn write_json_creates_file() {
-        let dir = std::env::temp_dir().join("cf_bench_test_json");
+        let dir = TempDir::new("bench_test_json");
         let mut t = Table::new("t", &["a"]);
         t.row(vec!["1".into()]);
-        let path = write_json(&t, &dir, "unit").unwrap();
+        let path = write_json(&t, dir.path(), "unit").unwrap();
         assert!(path.exists());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -464,15 +464,15 @@ mod tests {
 
     #[test]
     fn write_json_merged_keeps_rows_from_other_arms() {
-        let dir = std::env::temp_dir().join(format!("cf_bench_merge_{}", std::process::id()));
+        let dir = TempDir::new("bench_merge");
         // First run: the expensive arm writes its rows.
         let mut big = Table::new("t", &["scale", "metric", "value"]);
         big.row(vec!["1m".into(), "p99".into(), "500".into()]);
-        write_json_merged(&big, &dir, "unit_merge", 2).unwrap();
+        write_json_merged(&big, dir.path(), "unit_merge", 2).unwrap();
         // Second run: only the small arm runs; it must not clobber "1m".
         let mut small = Table::new("t", &["scale", "metric", "value"]);
         small.row(vec!["15k".into(), "p99".into(), "20".into()]);
-        let path = write_json_merged(&small, &dir, "unit_merge", 2).unwrap();
+        let path = write_json_merged(&small, dir.path(), "unit_merge", 2).unwrap();
         let merged = parse_table_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(merged.rows.len(), 2);
         assert!(merged.rows.iter().any(|r| r[0] == "1m" && r[2] == "500"));
@@ -480,54 +480,44 @@ mod tests {
         // Third run: small arm again with a new value replaces its row in place.
         let mut rerun = Table::new("t", &["scale", "metric", "value"]);
         rerun.row(vec!["15k".into(), "p99".into(), "25".into()]);
-        write_json_merged(&rerun, &dir, "unit_merge", 2).unwrap();
+        write_json_merged(&rerun, dir.path(), "unit_merge", 2).unwrap();
         let merged = parse_table_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(merged.rows.len(), 2);
         assert!(merged.rows.iter().any(|r| r[0] == "15k" && r[2] == "25"));
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]
     fn write_json_merged_replaces_on_schema_change() {
-        let dir =
-            std::env::temp_dir().join(format!("cf_bench_merge_schema_{}", std::process::id()));
+        let dir = TempDir::new("bench_merge_schema");
         let mut old = Table::new("t", &["a", "b"]);
         old.row(vec!["1".into(), "2".into()]);
-        write_json_merged(&old, &dir, "unit_schema", 1).unwrap();
+        write_json_merged(&old, dir.path(), "unit_schema", 1).unwrap();
         let mut new = Table::new("t", &["a", "b", "c"]);
         new.row(vec!["1".into(), "2".into(), "3".into()]);
-        let path = write_json_merged(&new, &dir, "unit_schema", 1).unwrap();
+        let path = write_json_merged(&new, dir.path(), "unit_schema", 1).unwrap();
         let got = parse_table_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(got.headers, vec!["a", "b", "c"]);
         assert_eq!(got.rows.len(), 1);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]
     fn write_json_merged_replaces_corrupt_file() {
-        let dir =
-            std::env::temp_dir().join(format!("cf_bench_merge_corrupt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("bench_merge_corrupt");
         let path = dir.join("unit_corrupt.json");
         std::fs::write(&path, b"{ truncated garba").unwrap();
         let mut t = Table::new("t", &["a"]);
         t.row(vec!["1".into()]);
-        write_json_merged(&t, &dir, "unit_corrupt", 1).unwrap();
+        write_json_merged(&t, dir.path(), "unit_corrupt", 1).unwrap();
         let got = parse_table_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(got.rows, vec![vec!["1".to_string()]]);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]
     fn write_csv_creates_file() {
-        let dir = std::env::temp_dir().join("cf_bench_test");
+        let dir = TempDir::new("bench_test");
         let mut t = Table::new("t", &["a"]);
         t.row(vec!["1".into()]);
-        let path = write_csv(&t, &dir, "unit").unwrap();
+        let path = write_csv(&t, dir.path(), "unit").unwrap();
         assert!(path.exists());
-        std::fs::remove_file(path).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //! (§IV-B, Eq. 6).
 
 use crate::chain::{ChainInstance, ChainVocab, Query, RaChain};
-use cf_kg::{ChainIndexView, DirRel, EntityId, GraphView};
+use cf_kg::{AttributeId, ChainIndexView, DirRel, EntityId, GraphView};
 use cf_rand::seq::SliceRandom;
 use cf_rand::Rng;
 
@@ -81,6 +81,10 @@ impl TreeOfChains {
 /// node that carries numeric facts. Walks never revisit a node (cycle
 /// removal) and the query's own `(entity, attr)` fact is never used as
 /// evidence.
+///
+/// The walk buffers are reused across attempts and the emitted chains are
+/// their own dedup set, so a call allocates once per kept multi-hop chain
+/// plus four buffers (DESIGN.md §9.3).
 pub fn retrieve(
     graph: &impl GraphView,
     query: Query,
@@ -88,7 +92,7 @@ pub fn retrieve(
     rng: &mut impl Rng,
 ) -> TreeOfChains {
     let mut chains = Vec::with_capacity(cfg.num_walks);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = Emitted::with_capacity(cfg.num_walks);
     let max_attempts = cfg.num_walks * cfg.max_attempts_factor;
     let mut attempts = 0;
 
@@ -98,27 +102,17 @@ pub fn retrieve(
             if f.attr == query.attr {
                 continue;
             }
-            let chain = RaChain {
-                known_attr: f.attr,
-                rels: Vec::new(),
-                query_attr: query.attr,
-            };
-            if seen.insert((chain.clone(), query.entity)) {
-                chains.push(ChainInstance {
-                    chain,
-                    source: query.entity,
-                    value: f.value,
-                });
-            }
+            seen.push_new(&mut chains, query, f.attr, &[], query.entity, f.value);
         }
     }
 
     let mut path: Vec<EntityId> = Vec::with_capacity(cfg.max_hops + 1);
+    let mut rels: Vec<DirRel> = Vec::with_capacity(cfg.max_hops);
     while chains.len() < cfg.num_walks && attempts < max_attempts {
         attempts += 1;
         path.clear();
         path.push(query.entity);
-        let mut rels = Vec::with_capacity(cfg.max_hops);
+        rels.clear();
         let mut current = query.entity;
         let target_hops = rng.gen_range(1..=cfg.max_hops);
         for _ in 0..target_hops {
@@ -150,24 +144,103 @@ pub fn retrieve(
             if current == query.entity && f.attr == query.attr {
                 continue;
             }
-            let chain = RaChain {
-                known_attr: f.attr,
-                rels: rels.clone(),
-                query_attr: query.attr,
-            };
-            if seen.insert((chain.clone(), current)) {
-                chains.push(ChainInstance {
-                    chain,
-                    source: current,
-                    value: f.value,
-                });
-                if chains.len() >= cfg.num_walks {
-                    break;
-                }
+            if seen.push_new(&mut chains, query, f.attr, &rels, current, f.value)
+                && chains.len() >= cfg.num_walks
+            {
+                break;
             }
         }
     }
     TreeOfChains { query, chains }
+}
+
+/// The set of `(chain, source)` pairs [`retrieve`] has emitted, kept as an
+/// open-addressing table of indices into the emitted chains themselves:
+/// a probe hashes the candidate and compares it with `chains[i]` in place,
+/// so nothing is cloned to test membership and the check is exact. Every
+/// chain of one call shares `query_attr`, so `(known_attr, rels, source)`
+/// is the whole key.
+struct Emitted {
+    /// Power-of-two many slots, each [`Emitted::EMPTY`] or an index into
+    /// the chains; at most half are filled.
+    slots: Vec<u32>,
+}
+
+impl Emitted {
+    const EMPTY: u32 = u32::MAX;
+
+    /// A table that holds `expected` chains without growing.
+    fn with_capacity(expected: usize) -> Self {
+        Emitted {
+            slots: vec![Self::EMPTY; (2 * expected).max(16).next_power_of_two()],
+        }
+    }
+
+    /// Appends the chain `(known_attr, rels, query.attr)` grounded at
+    /// `source` to `chains` unless that pair is already there. Returns
+    /// whether it was appended; only then is `rels` copied.
+    fn push_new(
+        &mut self,
+        chains: &mut Vec<ChainInstance>,
+        query: Query,
+        known_attr: AttributeId,
+        rels: &[DirRel],
+        source: EntityId,
+        value: f64,
+    ) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut slot = key_hash(known_attr, rels, source) as usize & mask;
+        while self.slots[slot] != Self::EMPTY {
+            let c = &chains[self.slots[slot] as usize];
+            if c.source == source && c.chain.known_attr == known_attr && c.chain.rels == rels {
+                return false;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = u32::try_from(chains.len())
+            .ok()
+            .filter(|&i| i != Self::EMPTY)
+            .expect("fewer than 2^32 - 1 chains");
+        chains.push(ChainInstance {
+            chain: RaChain {
+                known_attr,
+                rels: rels.to_vec(),
+                query_attr: query.attr,
+            },
+            source,
+            value,
+        });
+        if 2 * chains.len() > self.slots.len() {
+            self.grow(chains);
+        }
+        true
+    }
+
+    /// Doubles the table and re-inserts every chain.
+    fn grow(&mut self, chains: &[ChainInstance]) {
+        self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for (i, c) in chains.iter().enumerate() {
+            let mut slot = key_hash(c.chain.known_attr, &c.chain.rels, c.source) as usize & mask;
+            while self.slots[slot] != Self::EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = i as u32;
+        }
+    }
+}
+
+/// Multiply-xorshift hash of a `(known_attr, rels, source)` key. Fixed, so
+/// the probe sequence (and with it the cost of a call) does not vary from
+/// process to process; it never affects which chains are emitted.
+fn key_hash(known_attr: AttributeId, rels: &[DirRel], source: EntityId) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = (u64::from(source.0) << 32) | u64::from(known_attr.0);
+    for dr in rels {
+        h = (h ^ (h >> 29)).wrapping_mul(K) ^ dr.token() as u64;
+    }
+    h = (h ^ (h >> 32)).wrapping_mul(K);
+    h ^ (h >> 29)
 }
 
 /// Index-backed retrieval: builds the Tree of Chains from the precomputed

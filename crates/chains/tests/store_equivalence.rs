@@ -7,6 +7,7 @@
 use cf_chains::{
     enumerate_chains, retrieve, retrieve_indexed, Query, RetrievalConfig, TreeOfChains,
 };
+use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::{
     build_chain_index, read_store, write_index, write_store, ChainIndexView, IndexParams,
@@ -15,10 +16,11 @@ use cf_kg::{
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cf_chains_eq_{}_{}", std::process::id(), name));
-    p
+/// A fresh directory (removed on drop) and a file path inside it.
+fn tmp(name: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new("chains_eq");
+    let p = dir.join(name);
+    (dir, p)
 }
 
 fn sample_graph() -> KnowledgeGraph {
@@ -59,7 +61,7 @@ fn assert_trees_identical(a: &TreeOfChains, b: &TreeOfChains, what: &str) {
 #[test]
 fn retrieve_is_bitwise_identical_over_heap_and_mmap() {
     let g = sample_graph();
-    let path = tmp("heap_vs_mmap.cfkg");
+    let (_dir, path) = tmp("heap_vs_mmap.cfkg");
     write_store(&g, &path).unwrap();
     let heap = read_store(&path).unwrap();
     let mapped = MappedGraph::open(&path).unwrap();
@@ -76,14 +78,13 @@ fn retrieve_is_bitwise_identical_over_heap_and_mmap() {
         let toc_orig = retrieve(&g, q, &cfg, &mut StdRng::seed_from_u64(seed));
         assert_trees_identical(&toc_orig, &toc_heap, "original vs reloaded");
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn retrieve_indexed_is_bitwise_identical_over_built_and_mmapped_index() {
     let g = sample_graph();
     let ix = build_chain_index(&g, IndexParams::default());
-    let path = tmp("index_eq.cfci");
+    let (_dir, path) = tmp("index_eq.cfci");
     write_index(&ix, &path).unwrap();
     let mapped = MappedChainIndex::open(&path).unwrap();
     mapped.check_matches(&g).unwrap();
@@ -94,7 +95,6 @@ fn retrieve_indexed_is_bitwise_identical_over_built_and_mmapped_index() {
         let t_mapped = retrieve_indexed(&mapped, q, &cfg, &mut StdRng::seed_from_u64(seed));
         assert_trees_identical(&t_built, &t_mapped, "built vs mmapped index");
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -197,24 +197,38 @@ impl ChainFilter {
     }
 
     /// Builds the Enhanced ToC `T_q^k`: the `k` most relevant chains
-    /// (Eq. 10). For `Random`, a uniform sample of size `k`.
+    /// (Eq. 10), best first, ties in retrieval order. For `Random`, a
+    /// uniform sample of size `k`. Only the kept chains are cloned.
     pub fn select_top_k(&self, toc: &TreeOfChains, k: usize, rng: &mut impl Rng) -> TreeOfChains {
-        let mut chains = toc.chains.clone();
-        match self.space {
+        let kept = |i: usize| toc.chains[i].clone();
+        let chains = match self.space {
             FilterSpace::Random => {
-                chains.shuffle(rng);
-                chains.truncate(k);
+                let mut order: Vec<usize> = (0..toc.chains.len()).collect();
+                order.shuffle(rng);
+                order.into_iter().take(k).map(kept).collect()
             }
             _ => {
-                let mut scored: Vec<(f64, ChainInstance)> = chains
-                    .into_iter()
-                    .map(|c| (self.score(&c, toc.query), c))
+                let mut scored: Vec<(f64, usize)> = toc
+                    .chains
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| (self.score(c, toc.query), i))
                     .collect();
-                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
-                scored.truncate(k);
-                chains = scored.into_iter().map(|(_, c)| c).collect();
+                // Score, then retrieval index: a total order, so the unstable
+                // selection and sort give exactly a stable sort by score.
+                let by_score = |a: &(f64, usize), b: &(f64, usize)| {
+                    a.0.partial_cmp(&b.0)
+                        .expect("finite scores")
+                        .then(a.1.cmp(&b.1))
+                };
+                if k < scored.len() {
+                    scored.select_nth_unstable_by(k, by_score);
+                    scored.truncate(k);
+                }
+                scored.sort_unstable_by(by_score);
+                scored.into_iter().map(|(_, i)| kept(i)).collect()
             }
-        }
+        };
         TreeOfChains {
             query: toc.query,
             chains,
@@ -393,6 +407,83 @@ mod tests {
         let v = f.log0_token(0, 20);
         assert_eq!(v.len(), 20);
         assert!(v[8..].iter().all(|&x| x == 0.0));
+    }
+
+    /// The selection as first written: clone every chain, stable-sort by
+    /// score, truncate. `select_top_k` must match it chain for chain.
+    fn select_top_k_reference(
+        f: &ChainFilter,
+        toc: &TreeOfChains,
+        k: usize,
+        rng: &mut impl Rng,
+    ) -> TreeOfChains {
+        let mut chains = toc.chains.clone();
+        match f.space {
+            FilterSpace::Random => {
+                chains.shuffle(rng);
+                chains.truncate(k);
+            }
+            _ => {
+                let mut scored: Vec<(f64, ChainInstance)> = chains
+                    .into_iter()
+                    .map(|c| (f.score(&c, toc.query), c))
+                    .collect();
+                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+                scored.truncate(k);
+                chains = scored.into_iter().map(|(_, c)| c).collect();
+            }
+        }
+        TreeOfChains {
+            query: toc.query,
+            chains,
+        }
+    }
+
+    #[test]
+    fn top_k_matches_reference_selection_in_every_space() {
+        use cf_rand::SnapshotRng;
+        for space in [
+            FilterSpace::Hyperbolic,
+            FilterSpace::Euclidean,
+            FilterSpace::Random,
+        ] {
+            let (g, f, mut rng) = setup(space);
+            let mut ties = 0;
+            for (qi, fact) in g.numerics().iter().step_by(97).take(12).enumerate() {
+                let query = Query {
+                    entity: fact.entity,
+                    attr: fact.attr,
+                };
+                let cfg = RetrievalConfig {
+                    num_walks: 96,
+                    ..Default::default()
+                };
+                let toc = retrieve(&g, query, &cfg, &mut rng);
+                let n = toc.len();
+                let scores: Vec<f64> = toc.chains.iter().map(|c| f.score(c, query)).collect();
+                ties += (0..n)
+                    .filter(|&i| scores[i + 1..].contains(&scores[i]))
+                    .count();
+                for k in [0, 1, 3, n / 2, n.saturating_sub(1), n, n + 5] {
+                    let seed = (qi * 1000 + k) as u64;
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = StdRng::seed_from_u64(seed);
+                    let got = f.select_top_k(&toc, k, &mut a);
+                    let want = select_top_k_reference(&f, &toc, k, &mut b);
+                    assert_eq!(got.query, want.query);
+                    assert_eq!(got.chains.len(), want.chains.len(), "{space:?} k={k}");
+                    for (x, y) in got.chains.iter().zip(&want.chains) {
+                        assert_eq!(x.chain, y.chain, "{space:?} k={k}");
+                        assert_eq!(x.source, y.source, "{space:?} k={k}");
+                        assert_eq!(x.value.to_bits(), y.value.to_bits(), "{space:?} k={k}");
+                    }
+                    assert_eq!(a.state_words(), b.state_words(), "{space:?} k={k}");
+                }
+            }
+            if space != FilterSpace::Random {
+                assert!(ties > 0, "{space:?}: no tied scores exercised");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! pure storage operation: it can never change an answer.
 
 use cf_chains::Query;
+use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::{read_store, GraphStore, GraphView, Mutation, OverlayGraph, Split};
 use cf_rand::rngs::StdRng;
@@ -42,13 +43,10 @@ fn overlay_and_compacted_store_predict_identically_at_every_width() {
     let mut overlay = OverlayGraph::new(GraphStore::Heap(visible.clone()));
     overlay.apply_all(&muts);
 
-    let store_path = std::env::temp_dir().join(format!(
-        "cf_overlay_eq_{}_compacted.cfkg",
-        std::process::id()
-    ));
+    let dir = TempDir::new("overlay_eq");
+    let store_path = dir.join("compacted.cfkg");
     overlay.compact_to(&store_path).expect("compact");
     let compacted = read_store(&store_path).expect("read compacted");
-    std::fs::remove_file(&store_path).ok();
 
     let probe = overlay.entity_by_name("overlay_probe").expect("added");
     let mut queries: Vec<Query> = split

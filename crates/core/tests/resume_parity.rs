@@ -7,6 +7,7 @@
 //! byte-for-byte what `kill -9` leaves behind (the ci.sh smoke test does
 //! the real kill).
 
+use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::Split;
 use cf_rand::rngs::StdRng;
@@ -35,10 +36,11 @@ fn setup(
     (visible, split, model, rng)
 }
 
-fn tmp_ckpt(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cf_resume_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("train.ckpt")
+/// A fresh directory (removed on drop) and the checkpoint path inside it.
+fn tmp_ckpt(tag: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new(&format!("resume_{tag}"));
+    let ckpt = dir.join("train.ckpt");
+    (dir, ckpt)
 }
 
 fn assert_params_bitwise_equal(a: &cf_tensor::ParamStore, b: &cf_tensor::ParamStore) {
@@ -57,7 +59,7 @@ fn assert_params_bitwise_equal(a: &cf_tensor::ParamStore, b: &cf_tensor::ParamSt
 #[test]
 fn crash_and_resume_matches_uninterrupted_run_bitwise() {
     let cfg = cfg(5);
-    let ckpt = tmp_ckpt("parity");
+    let (_dir, ckpt) = tmp_ckpt("parity");
 
     // Control: 5 epochs straight through, no checkpointing at all (proves
     // checkpoint writes themselves don't perturb the trajectory).
@@ -120,13 +122,11 @@ fn crash_and_resume_matches_uninterrupted_run_bitwise() {
     }
     assert_eq!(control_result.best_epoch, second.best_epoch);
     assert_params_bitwise_equal(&control.params, &resumed.params);
-
-    std::fs::remove_dir_all(ckpt.parent().unwrap()).unwrap();
 }
 
 #[test]
 fn resume_refuses_config_mismatch_and_finished_runs() {
-    let ckpt = tmp_ckpt("refuse");
+    let (_dir, ckpt) = tmp_ckpt("refuse");
     let cfg5 = cfg(3);
     let (visible, split, mut model, mut rng) = setup(&cfg5, 7);
     Trainer::new(&mut model, &visible)
@@ -184,8 +184,6 @@ fn resume_refuses_config_mismatch_and_finished_runs() {
         )
         .unwrap_err();
     assert!(matches!(err, TrainError::NotResumable), "{err}");
-
-    std::fs::remove_dir_all(ckpt.parent().unwrap()).unwrap();
 }
 
 #[test]
@@ -193,7 +191,7 @@ fn interrupt_flag_stops_training_and_ships_best_params() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let ckpt = tmp_ckpt("interrupt");
+    let (_dir, ckpt) = tmp_ckpt("interrupt");
     let cfg = cfg(4);
     let (visible, split, mut model, mut rng) = setup(&cfg, 11);
     // Raised before training starts: the first batch check trips, so zero
@@ -217,6 +215,4 @@ fn interrupt_flag_stops_training_and_ships_best_params() {
     let (_, _, mut fresh, _) = setup(&cfg, 11);
     fresh.load_params_from(&ckpt).unwrap();
     assert_params_bitwise_equal(&model.params, &fresh.params);
-
-    std::fs::remove_dir_all(ckpt.parent().unwrap()).unwrap();
 }

@@ -559,17 +559,11 @@ mod tests {
         assert_eq!(g1.relation_names, g2.relation_names);
         assert_eq!(g1.triples, g2.triples);
         assert_eq!(g1.numerics, g2.numerics);
-        let tmp = |n: &str| {
-            let mut p = std::env::temp_dir();
-            p.push(format!("cfkg_canon_{}_{n}", std::process::id()));
-            p
-        };
-        let (p1, p2) = (tmp("a"), tmp("b"));
+        let dir = cf_check::TempDir::new("kg_canon");
+        let (p1, p2) = (dir.join("a"), dir.join("b"));
         crate::write_store(&g1, &p1).unwrap();
         crate::write_store(&g2, &p2).unwrap();
         let same = std::fs::read(&p1).unwrap() == std::fs::read(&p2).unwrap();
-        let _ = std::fs::remove_file(&p1);
-        let _ = std::fs::remove_file(&p2);
         assert!(same, "canonicalized stores differ");
     }
 

@@ -649,13 +649,15 @@ pub fn build_default_index(g: &KnowledgeGraph) -> ChainIndex {
 mod tests {
     use super::*;
     use crate::synth::{yago15k_sim, SynthScale};
+    use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cfkg_index_{}_{}.cfi", std::process::id(), name));
-        p
+    /// A fresh directory (removed on drop) and a file path inside it.
+    fn tmp(name: &str) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("kg_index");
+        let p = dir.join(format!("{name}.cfi"));
+        (dir, p)
     }
 
     fn sample_graph() -> KnowledgeGraph {
@@ -723,8 +725,8 @@ mod tests {
         assert_eq!(ix1.offsets, ix4.offsets);
         assert_eq!(ix1.entries, ix4.entries);
         // And the serialized files are bitwise identical.
-        let p1 = tmp("t1");
-        let p4 = tmp("t4");
+        let (_p1_dir, p1) = tmp("t1");
+        let (_p4_dir, p4) = tmp("t4");
         write_index(&ix1, &p1).unwrap();
         write_index(&ix4, &p4).unwrap();
         assert_eq!(
@@ -732,15 +734,13 @@ mod tests {
             std::fs::read(&p4).unwrap(),
             "index bytes differ across build widths"
         );
-        std::fs::remove_file(&p1).unwrap();
-        std::fs::remove_file(&p4).unwrap();
     }
 
     #[test]
     fn mapped_index_matches_built() {
         let g = sample_graph();
         let ix = build_default_index(&g);
-        let p = tmp("mapped");
+        let (_dir, p) = tmp("mapped");
         write_index(&ix, &p).unwrap();
         let m = MappedChainIndex::open(&p).unwrap();
         assert_eq!(m.num_entities(), ix.num_entities());
@@ -751,28 +751,26 @@ mod tests {
             assert_eq!(ix.entries_of(e), m.entries_of(e));
         }
         m.check_matches(&g).unwrap();
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn fingerprint_mismatch_is_rejected() {
         let g = sample_graph();
         let ix = build_default_index(&g);
-        let p = tmp("fpr");
+        let (_dir, p) = tmp("fpr");
         write_index(&ix, &p).unwrap();
         let m = MappedChainIndex::open(&p).unwrap();
         let mut other = KnowledgeGraph::new();
         other.add_entity("x");
         other.build_index();
         assert!(m.check_matches(&other).is_err());
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn index_corruption_is_detected() {
         let g = sample_graph();
         let ix = build_default_index(&g);
-        let p = tmp("corrupt");
+        let (_dir, p) = tmp("corrupt");
         write_index(&ix, &p).unwrap();
         let clean = std::fs::read(&p).unwrap();
         let step = (clean.len() / 61).max(1);
@@ -785,7 +783,6 @@ mod tests {
                 "corruption at {off} not detected"
             );
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

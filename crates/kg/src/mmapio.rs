@@ -214,53 +214,51 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_check::TempDir;
     use std::io::Write;
 
-    fn tmpfile(name: &str, contents: &[u8]) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cfkg_mmapio_{}_{}", std::process::id(), name));
+    /// A file holding `contents` in a fresh directory (removed on drop).
+    fn tmpfile(name: &str, contents: &[u8]) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("kg_mmapio");
+        let p = dir.join(name);
         let mut f = File::create(&p).unwrap();
         f.write_all(contents).unwrap();
-        p
+        (dir, p)
     }
 
     #[test]
     fn maps_file_contents() {
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let p = tmpfile("contents", &data);
+        let (_dir, p) = tmpfile("contents", &data);
         let m = Mmap::open(&p).unwrap();
         assert_eq!(&m[..], &data[..]);
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         assert!(m.is_kernel_mapped());
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn base_pointer_is_8_aligned() {
-        let p = tmpfile("align", &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let (_dir, p) = tmpfile("align", &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
         let m = Mmap::open(&p).unwrap();
         assert_eq!(m.bytes().as_ptr() as usize % 8, 0);
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn empty_file_maps_empty() {
-        let p = tmpfile("empty", b"");
+        let (_dir, p) = tmpfile("empty", b"");
         let m = Mmap::open(&p).unwrap();
         assert!(m.bytes().is_empty());
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn heap_fallback_matches() {
         let data = b"heap fallback must see identical bytes".to_vec();
-        let p = tmpfile("heap", &data);
+        let (_dir, p) = tmpfile("heap", &data);
         let f = File::open(&p).unwrap();
         let m = Mmap::read_heap(f, data.len()).unwrap();
         assert_eq!(&m[..], &data[..]);
         assert!(!m.is_kernel_mapped());
         assert_eq!(m.bytes().as_ptr() as usize % 8, 0);
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

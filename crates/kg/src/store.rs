@@ -1630,13 +1630,15 @@ mod tests {
     use super::*;
     use crate::ids::DirRel;
     use crate::synth::{yago15k_sim, SynthScale};
+    use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cfkg_store_{}_{}.cfkg", std::process::id(), name));
-        p
+    /// A fresh directory (removed on drop) and a file path inside it.
+    fn tmp(name: &str) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("kg_store");
+        let p = dir.join(format!("{name}.cfkg"));
+        (dir, p)
     }
 
     fn sample_graph() -> KnowledgeGraph {
@@ -1819,7 +1821,7 @@ mod tests {
     #[test]
     fn round_trip_owned() {
         let g = sample_graph();
-        let p = tmp("roundtrip");
+        let (_dir, p) = tmp("roundtrip");
         write_store(&g, &p).unwrap();
         let g2 = read_store(&p).unwrap();
         assert_eq!(g.num_entities(), g2.num_entities());
@@ -1830,28 +1832,25 @@ mod tests {
             assert_eq!(g.numerics_of(e), g2.numerics_of(e));
             assert_eq!(g.entity_name(e), g2.entity_name(e));
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn rewrite_is_byte_identical() {
         let g = sample_graph();
-        let p1 = tmp("bytes1");
-        let p2 = tmp("bytes2");
+        let (_p1_dir, p1) = tmp("bytes1");
+        let (_p2_dir, p2) = tmp("bytes2");
         write_store(&g, &p1).unwrap();
         let g2 = read_store(&p1).unwrap();
         write_store(&g2, &p2).unwrap();
         let b1 = std::fs::read(&p1).unwrap();
         let b2 = std::fs::read(&p2).unwrap();
         assert_eq!(b1, b2, "load→rewrite must be byte-identical");
-        std::fs::remove_file(&p1).unwrap();
-        std::fs::remove_file(&p2).unwrap();
     }
 
     #[test]
     fn mapped_view_matches_heap() {
         let g = sample_graph();
-        let p = tmp("mapped");
+        let (_dir, p) = tmp("mapped");
         write_store(&g, &p).unwrap();
         let m = MappedGraph::open(&p).unwrap();
         assert_eq!(GraphView::num_entities(&g), m.num_entities());
@@ -1878,14 +1877,13 @@ mod tests {
                 GraphView::dir_rel_name(&m, DirRel::forward(r))
             );
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn unindexed_graph_is_rejected() {
         let mut g = KnowledgeGraph::new();
         g.add_entity("x");
-        let p = tmp("unindexed");
+        let (_dir, p) = tmp("unindexed");
         match write_store(&g, &p) {
             Err(StoreError::NotIndexed) => {}
             other => panic!("expected NotIndexed, got {other:?}"),
@@ -1895,7 +1893,7 @@ mod tests {
     #[test]
     fn every_section_corruption_is_a_typed_error() {
         let g = sample_graph();
-        let p = tmp("corrupt");
+        let (_dir, p) = tmp("corrupt");
         write_store(&g, &p).unwrap();
         let clean = std::fs::read(&p).unwrap();
         // Flip one byte at a spread of offsets covering every section; each
@@ -1915,13 +1913,12 @@ mod tests {
             std::fs::write(&p, &clean[..cut]).unwrap();
             assert!(MappedGraph::open(&p).is_err(), "truncation at {cut}");
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn corruption_error_names_the_section() {
         let g = sample_graph();
-        let p = tmp("named");
+        let (_dir, p) = tmp("named");
         write_store(&g, &p).unwrap();
         let mut bad = std::fs::read(&p).unwrap();
         // Offset 24 sits inside the counts body (first section starts at 8,
@@ -1932,19 +1929,17 @@ mod tests {
             Err(StoreError::BadCrc { section }) => assert_eq!(section, "counts"),
             other => panic!("expected BadCrc(counts), got {other:?}"),
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn empty_graph_round_trips() {
         let mut g = KnowledgeGraph::new();
         g.build_index();
-        let p = tmp("empty");
+        let (_dir, p) = tmp("empty");
         write_store(&g, &p).unwrap();
         let m = MappedGraph::open(&p).unwrap();
         assert_eq!(m.num_entities(), 0);
         let g2 = read_store(&p).unwrap();
         assert_eq!(g2.num_entities(), 0);
-        std::fs::remove_file(&p).unwrap();
     }
 }

@@ -1,5 +1,6 @@
 //! Ignored-by-default breakdown of MappedGraph::open cost (run manually:
 //! `cargo test -p cf-kg --release --test open_cost -- --ignored --nocapture`).
+use cf_check::TempDir;
 use cf_kg::synth::{large_sim, LargeScale};
 use cf_kg::{write_store, MappedGraph};
 use cf_rand::rngs::StdRng;
@@ -11,7 +12,8 @@ use std::time::Instant;
 fn open_cost_breakdown() {
     let scale = LargeScale::million();
     let g = large_sim(scale, &mut StdRng::seed_from_u64(7));
-    let path = std::env::temp_dir().join(format!("cfkg_opencost_{}", std::process::id()));
+    let dir = TempDir::new("kg_opencost");
+    let path = dir.join("million.cfkg");
     write_store(&g, &path).unwrap();
     let bytes = std::fs::metadata(&path).unwrap().len();
     // warm cache
@@ -50,5 +52,4 @@ fn open_cost_breakdown() {
         );
         drop(m);
     }
-    std::fs::remove_file(&path).unwrap();
 }

@@ -7,6 +7,7 @@
 //! order, timing-dependent `micros` stripped): anything that differs —
 //! a value bit, a fallback flag, a retrieved count — fails the diff.
 
+use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::{GraphView, KnowledgeGraph, Split};
 use cf_load::{build_plan, canonical_dump, render_events, run_tcp, PlanConfig};
@@ -39,8 +40,7 @@ fn fixture() -> (KnowledgeGraph, ChainsFormer, ChainsFormer) {
 #[test]
 fn responses_are_byte_identical_at_shard_counts_1_2_4_across_reload() {
     let (visible, model_a, model_b) = fixture();
-    let dir = std::env::temp_dir().join(format!("cf_shard_det_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("shard_det");
     let b_ckpt = dir.join("b.ckpt");
     model_b.save_params_to(&b_ckpt).unwrap();
 
@@ -101,5 +101,4 @@ fn responses_are_byte_identical_at_shard_counts_1_2_4_across_reload() {
         assert_eq!(a, a1, "pre-reload responses diverge at {shards} shards");
         assert_eq!(b, b1, "post-reload responses diverge at {shards} shards");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

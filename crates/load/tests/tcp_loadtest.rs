@@ -4,6 +4,7 @@
 //! (Reload requests re-validate the same checkpoint; the swap is
 //! idempotent, so answers never depend on how many reloads preceded them.)
 
+use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::{GraphView, Split};
 use cf_load::{build_plan, canonical_dump, render_events, run_tcp, PlanConfig};
@@ -23,8 +24,7 @@ fn identical_plans_give_identical_dumps_and_reports() {
     let visible = split.visible_graph(&g);
     let model = ChainsFormer::new(&visible, &split.train, ChainsFormerConfig::tiny(), &mut rng);
 
-    let dir = std::env::temp_dir().join(format!("cf_tcp_load_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("tcp_load");
     let ckpt = dir.join("same.ckpt");
     model.save_params_to(&ckpt).unwrap();
 
@@ -96,5 +96,4 @@ fn identical_plans_give_identical_dumps_and_reports() {
 
     shutdown.store(true, Ordering::SeqCst);
     server.join().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }

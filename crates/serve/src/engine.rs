@@ -1106,6 +1106,7 @@ fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut Wo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_check::TempDir;
     use cf_kg::synth::{yago15k_sim, SynthScale};
     use cf_kg::Split;
     use chainsformer::ChainsFormerConfig;
@@ -1283,8 +1284,7 @@ mod tests {
                 .flat_map(|(_, _, t)| t.data().iter().map(|x| x.to_bits()))
                 .collect()
         }
-        let dir = std::env::temp_dir().join(format!("cf_reload_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("reload");
 
         let mut rng = StdRng::seed_from_u64(17);
         let g = yago15k_sim(SynthScale::small(), &mut rng);
@@ -1380,7 +1380,6 @@ mod tests {
             "{text}"
         );
         e.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1473,8 +1472,7 @@ mod tests {
         // After a hot reload the int8 twins must be rebuilt from the new
         // parameters: reloading the same checkpoint back must restore the
         // original quantized answers bitwise.
-        let dir = std::env::temp_dir().join(format!("cf_qreload_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("qreload");
         let (e, queries) = engine(EngineConfig {
             shards: 2,
             cache_cap: 0,
@@ -1511,7 +1509,6 @@ mod tests {
             .collect();
         assert_eq!(baseline, restored, "requantization is not reproducible");
         e.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A mutation batch exercising every op: a numeric upsert on a served
@@ -1661,8 +1658,7 @@ mod tests {
 
     #[test]
     fn journal_attach_replays_mutations_bitwise() {
-        let dir = std::env::temp_dir().join(format!("cf_engine_journal_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("engine_journal");
         let journal = dir.join("live.cfj");
 
         let (e, queries) = engine(EngineConfig::default());
@@ -1708,7 +1704,6 @@ mod tests {
             .collect();
         assert_eq!(want, got, "compacted store changed served bits");
         e3.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -244,6 +244,7 @@ fn answer(engine: &Engine, line: &str) -> String {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use cf_check::TempDir;
     use cf_kg::synth::{yago15k_sim, SynthScale};
     use cf_kg::Split;
     use cf_rand::rngs::StdRng;
@@ -416,8 +417,7 @@ mod tests {
 
     #[test]
     fn reload_admin_request_swaps_and_rejects_over_tcp() {
-        let dir = std::env::temp_dir().join(format!("cf_srv_reload_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("srv_reload");
         let mut rng = StdRng::seed_from_u64(17);
         let g = yago15k_sim(SynthScale::small(), &mut rng);
         let split = Split::paper_811(&g, &mut rng);
@@ -479,7 +479,6 @@ mod tests {
         assert!(text.contains("cf_serve_reloads_rejected_total 1"), "{text}");
 
         shutdown.store(true, Ordering::SeqCst);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1089,12 +1089,7 @@ mod tests {
 
     #[test]
     fn atomic_save_round_trips_and_cleans_tmp() {
-        let dir = std::env::temp_dir().join(format!(
-            "cf_ckpt_test_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cf_check::TempDir::new("ckpt_test");
         let path = dir.join("model.ckpt");
         let src = store();
         let state = train_state(&src);
@@ -1111,6 +1106,5 @@ mod tests {
         std::fs::write(tmp_path(&path), b"torn garbage").unwrap();
         save_checkpoint_atomic(&src, None, &path).unwrap();
         assert!(!tmp_path(&path).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,6 +11,7 @@
 //!    errors with bounded allocation — never a panic, never an OOM abort.
 
 use cf_check::fault::{crash_states, FaultMode, FaultyWriter};
+use cf_check::TempDir;
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, RngCore, SeedableRng};
 use cf_tensor::{
@@ -58,12 +59,6 @@ fn params_bits(ps: &ParamStore) -> Vec<u32> {
         .collect()
 }
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("cf_crash_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
 #[test]
 fn save_survives_write_faults_at_every_offset() {
     let src = store(1.0);
@@ -109,7 +104,7 @@ fn atomic_protocol_always_recovers_old_or_new() {
     let old_bits = params_bits(&old_store);
     let new_bits = params_bits(&new_store);
 
-    let dir = tmp_dir("old_or_new");
+    let dir = TempDir::new("crash_old_or_new");
     let path = dir.join("model.ckpt");
     let tmp = dir.join("model.ckpt.tmp");
 
@@ -150,7 +145,6 @@ fn atomic_protocol_always_recovers_old_or_new() {
         load_checkpoint(&mut after, std::io::BufReader::new(f)).unwrap();
         assert_eq!(params_bits(&after), new_bits, "{}", cs.label);
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
