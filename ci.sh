@@ -54,7 +54,8 @@ echo "== zero-allocation gate (offline) =="
 # and starts with a 2-epoch toy training run, so "training still converges
 # with recycled buffers" is covered on the way to the counters. It also
 # holds each walk retrieval to one allocation per retrieved chain plus
-# four. See DESIGN.md §9.3, §10 and §15.
+# four, and each filter pre-training epoch to eight allocations. See
+# DESIGN.md §6.2, §9.3, §10 and §15.
 ./target/release/alloc_gate
 
 echo "== serve smoke (offline) =="

@@ -24,14 +24,22 @@
 //!    [`RetrievalConfig::paper`] may allocate at most once per retrieved
 //!    chain plus four times for its buffers (DESIGN.md §9.3).
 //!
+//! Model construction pre-trains the Hyperbolic Filter, and its epochs have
+//! a fixed budget whatever the pair count:
+//!
+//! 5. per **filter pre-training epoch** — one
+//!    [`PoincareEmbeddings::train_epoch`] call at the filter's table size
+//!    may allocate at most 8 times (DESIGN.md §6.2, §10.2).
+//!
 //! Runs a 2-epoch toy training first so the gate also covers "training still
 //! converges end to end with the pool on". Exits non-zero on any violation.
 
-use cf_chains::{retrieve, Query, RetrievalConfig};
+use cf_chains::{retrieve, ChainVocab, Query, RetrievalConfig};
+use cf_hyperbolic::PoincareEmbeddings;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::Split;
 use cf_rand::rngs::StdRng;
-use cf_rand::SeedableRng;
+use cf_rand::{Rng, SeedableRng};
 use cf_tensor::optim::{clip_global_norm, Adam};
 use cf_tensor::{Forward, InferCtx, QuantInferCtx, QuantizedParamStore, Tape, Tensor};
 use chainsformer::{ChainsFormer, ChainsFormerConfig, Trainer};
@@ -190,7 +198,40 @@ fn main() {
         paper.num_walks
     );
 
+    // --- Gate 5: allocations per filter pre-training epoch -----------------
+    // The candidate, sum, softmax and two gradient buffers, allocated once
+    // per call; the budget leaves room for three more.
+    const EPOCH_ALLOCS: u64 = 8;
+    let vocab = ChainVocab::for_graph(&visible);
+    let tokens = vocab.num_rel_tokens() + vocab.num_attributes();
+    let mut emb = PoincareEmbeddings::new(tokens, cfg.filter_dim, &mut rng);
+    let mut epoch_allocs = Vec::new();
+    for num_pairs in [1, 64, 4096] {
+        let pairs: Vec<(usize, usize)> = (0..num_pairs)
+            .map(|_| (rng.gen_range(0..tokens), rng.gen_range(0..tokens)))
+            .collect();
+        // `ChainFilter::fit`'s negatives and learning rate.
+        let (_, delta) = measure(|| emb.train_epoch(&pairs, 5, 0.05, &mut rng));
+        epoch_allocs.push((num_pairs, delta.allocs));
+    }
+    let worst_epoch = epoch_allocs.iter().map(|&(_, a)| a).max().unwrap_or(0);
+    println!(
+        "filter pre-training: allocs per epoch over {tokens} tokens, by pair count: {}",
+        epoch_allocs
+            .iter()
+            .map(|(p, a)| format!("{p} pairs {a}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+
     let mut failed = false;
+    if worst_epoch > EPOCH_ALLOCS {
+        eprintln!(
+            "FAIL: a filter pre-training epoch allocated {worst_epoch} times \
+             (want at most {EPOCH_ALLOCS})"
+        );
+        failed = true;
+    }
     if worst_excess > RETRIEVE_BUFFERS {
         eprintln!(
             "FAIL: a walk retrieval allocated retrieved + {worst_excess} times \
@@ -217,6 +258,7 @@ fn main() {
     }
     println!(
         "alloc gate: PASS (0 steady-state allocations per train step and per served predict, \
-         f32 and int8; walk retrieval within retrieved + {RETRIEVE_BUFFERS})"
+         f32 and int8; walk retrieval within retrieved + {RETRIEVE_BUFFERS}; \
+         filter epochs within {EPOCH_ALLOCS})"
     );
 }

@@ -57,12 +57,16 @@ pub fn generate(args: &Args) -> CmdResult {
     write_triples(&graph, std::fs::File::create(&triples_path)?)?;
     write_numerics(&graph, std::fs::File::create(&numerics_path)?)?;
     let s = dataset_stats(&graph);
-    println!(
+    outln!(
         "generated {name}: {} entities, {} relations, {} attributes, {} triples, {} numeric facts",
-        s.entities, s.relations, s.attributes, s.relational_triples, s.numeric_triples
+        s.entities,
+        s.relations,
+        s.attributes,
+        s.relational_triples,
+        s.numeric_triples
     );
-    println!("  {}", triples_path.display());
-    println!("  {}", numerics_path.display());
+    outln!("  {}", triples_path.display());
+    outln!("  {}", numerics_path.display());
     Ok(())
 }
 
@@ -84,18 +88,30 @@ fn load_graph(args: &Args) -> Result<KnowledgeGraph, Box<dyn Error>> {
 pub fn stats(args: &Args) -> CmdResult {
     let graph = load_graph(args)?;
     let s = dataset_stats(&graph);
-    println!(
+    outln!(
         "entities {}  relations {}  attributes {}  triples {}  numeric facts {}",
-        s.entities, s.relations, s.attributes, s.relational_triples, s.numeric_triples
+        s.entities,
+        s.relations,
+        s.attributes,
+        s.relational_triples,
+        s.numeric_triples
     );
-    println!(
+    outln!(
         "{:<20} {:>7} {:>14} {:>14} {:>14}",
-        "attribute", "count", "min", "max", "mean"
+        "attribute",
+        "count",
+        "min",
+        "max",
+        "mean"
     );
     for a in attribute_stats(&graph) {
-        println!(
+        outln!(
             "{:<20} {:>7} {:>14.3} {:>14.3} {:>14.3}",
-            a.name, a.count, a.min, a.max, a.mean
+            a.name,
+            a.count,
+            a.min,
+            a.max,
+            a.mean
         );
     }
     Ok(())
@@ -136,7 +152,7 @@ pub fn train(args: &Args) -> CmdResult {
     let ckpt = args.require("ckpt")?.to_string();
     let resume = args.switch("resume");
     let (visible, split, mut model, mut rng) = setup(args)?;
-    println!(
+    outln!(
         "{} on {} queries ({} validation) for up to {} epochs …",
         if resume { "resuming" } else { "training" },
         split.train.len(),
@@ -167,23 +183,26 @@ pub fn train(args: &Args) -> CmdResult {
     let result = Trainer::new(&mut model, &visible).train_opts(&split, &mut rng, &opts)?;
     for e in &result.epochs {
         match e.valid_mae {
-            Some(v) => println!(
+            Some(v) => outln!(
                 "epoch {:>3}  loss {:.4}  valid MAE {:.4}",
-                e.epoch, e.train_loss, v
+                e.epoch,
+                e.train_loss,
+                v
             ),
-            None => println!("epoch {:>3}  loss {:.4}", e.epoch, e.train_loss),
+            None => outln!("epoch {:>3}  loss {:.4}", e.epoch, e.train_loss),
         }
     }
     if result.interrupted {
-        println!("interrupted — best checkpoint saved durably to {ckpt}");
+        outln!("interrupted — best checkpoint saved durably to {ckpt}");
         return Ok(());
     }
     let report = evaluate_model(&model, &visible, &split.test, &mut rng);
-    println!(
+    outln!(
         "test normalized MAE {:.4}, RMSE {:.4}",
-        report.norm_mae, report.norm_rmse
+        report.norm_mae,
+        report.norm_rmse
     );
-    println!("saved checkpoint to {ckpt}");
+    outln!("saved checkpoint to {ckpt}");
     Ok(())
 }
 
@@ -200,12 +219,15 @@ fn load_model(
 pub fn eval(args: &Args) -> CmdResult {
     let (visible, split, model, mut rng) = load_model(args)?;
     let report = evaluate_model(&model, &visible, &split.test, &mut rng);
-    println!(
+    outln!(
         "{:<20} {:>10} {:>10} {:>7}",
-        "attribute", "MAE", "RMSE", "n"
+        "attribute",
+        "MAE",
+        "RMSE",
+        "n"
     );
     for (attr, e) in &report.per_attribute {
-        println!(
+        outln!(
             "{:<20} {:>10.3} {:>10.3} {:>7}",
             visible.attribute_name(cf_kg::AttributeId(*attr)),
             e.mae,
@@ -213,9 +235,10 @@ pub fn eval(args: &Args) -> CmdResult {
             e.count
         );
     }
-    println!(
+    outln!(
         "\nAverage* MAE {:.4}   RMSE {:.4}",
-        report.norm_mae, report.norm_rmse
+        report.norm_mae,
+        report.norm_rmse
     );
     Ok(())
 }
@@ -287,16 +310,16 @@ pub fn predict(args: &Args) -> CmdResult {
             predict_with_retries(&engine, Query { entity, attr }, retries, &mut backoff_rng)
                 .map_err(Box::new)?;
         if retried > 0 {
-            println!("(shed {retried} time(s), answered on retry)");
+            outln!("(shed {retried} time(s), answered on retry)");
         }
         let graph = engine.graph();
         let detail = served.detail;
-        println!("{attr_name} of {entity_name}: {:.4}", detail.value);
+        outln!("{attr_name} of {entity_name}: {:.4}", detail.value);
         if detail.used_fallback {
-            println!("(no evidence chains retrievable — training-mean fallback)");
+            outln!("(no evidence chains retrievable — training-mean fallback)");
             continue;
         }
-        println!(
+        outln!(
             "retrieved {} chains, {} after filtering; top evidence:",
             detail.retrieved,
             detail.chains.len()
@@ -304,7 +327,7 @@ pub fn predict(args: &Args) -> CmdResult {
         let mut chains = detail.chains;
         chains.sort_by(|a, b| b.weight.partial_cmp(&a.weight).expect("finite"));
         for c in chains.iter().take(8) {
-            println!(
+            outln!(
                 "  ω={:.3}  {}  via {}  (n_p={:.2}, n̂={:.2})",
                 c.weight,
                 c.chain.render(&*graph),
@@ -332,9 +355,10 @@ pub fn compact(args: &Args) -> CmdResult {
     let mut overlay = cf_kg::OverlayGraph::new(graph.into());
     let rec = cf_kg::recover_file(journal)?;
     if let Some(d) = &rec.dropped {
-        println!(
+        outln!(
             "journal: dropped torn tail at record {} ({} bytes)",
-            d.record, d.bytes
+            d.record,
+            d.bytes
         );
     }
     let mut changed = 0usize;
@@ -344,13 +368,13 @@ pub fn compact(args: &Args) -> CmdResult {
         }
     }
     overlay.compact_to(out)?;
-    println!(
+    outln!(
         "compacted {} journaled mutation(s) ({} effective) into {}",
         rec.mutations.len(),
         changed,
         out
     );
-    println!("  {} ({} bytes)", out, std::fs::metadata(out)?.len());
+    outln!("  {} ({} bytes)", out, std::fs::metadata(out)?.len());
     Ok(())
 }
 
@@ -399,12 +423,12 @@ pub fn serve(args: &Args) -> CmdResult {
         // mark their neighborhoods stale, which bypasses the index.
         let replayed = engine.attach_journal(&jpath, compact_to.map(|p| (p, compact_every)))?;
         if replayed > 0 {
-            println!("journal {jpath}: replayed {replayed} mutation(s)");
+            outln!("journal {jpath}: replayed {replayed} mutation(s)");
         } else {
-            println!("journal {jpath}: clean");
+            outln!("journal {jpath}: clean");
         }
     }
-    println!(
+    outln!(
         "serving with {} shard(s), {} worker(s) each, {} inference",
         engine.shards(),
         args.get_parse("workers", 1usize, "integer")?.max(1),
@@ -413,9 +437,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))?;
     let addr = listener.local_addr()?;
     // Scripts parse this line to learn the ephemeral port (--port 0).
-    println!("listening on {addr}");
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
+    outln!("listening on {addr}");
     let shutdown = Arc::new(AtomicBool::new(false));
     cf_serve::install_signals();
     cf_serve::shutdown_on_stdin_close(Arc::clone(&shutdown));
@@ -424,7 +446,7 @@ pub fn serve(args: &Args) -> CmdResult {
     // joins the workers (idle connections may keep theirs briefly; exit
     // proceeds regardless).
     drop(engine);
-    println!("shutdown complete");
+    outln!("shutdown complete");
     Ok(())
 }
 
@@ -469,7 +491,7 @@ pub fn loadtest(args: &Args) -> CmdResult {
         &plan_cfg,
     );
     let events = cf_load::render_events(&plan, &graph, deadline_ms, reload_path);
-    println!(
+    outln!(
         "loadtest {addr}: {} events ({} warmup) at {:.0}/s {:?} over {} conns, zipf {}",
         events.len(),
         plan_cfg.warmup,
@@ -484,10 +506,10 @@ pub fn loadtest(args: &Args) -> CmdResult {
         ..cf_load::RetryPolicy::none()
     };
     let outcome = cf_load::run_tcp_with(&addr, &events, conns, retry)?;
-    println!("{}", outcome.report.render());
+    outln!("{}", outcome.report.render());
     if let Some(dump) = args.get("dump") {
         std::fs::write(dump, cf_load::canonical_dump(&outcome.responses))?;
-        println!("canonical responses → {dump}");
+        outln!("canonical responses → {dump}");
     }
     Ok(())
 }
@@ -520,7 +542,7 @@ pub fn gen(args: &Args) -> CmdResult {
     // store ingested from the emitted TSVs (CI cmp's the two).
     graph.canonicalize();
     let s = dataset_stats(&graph);
-    println!(
+    outln!(
         "generated large_sim in {:.2}s: {} entities, {} relations, {} attributes, {} triples, {} numeric facts",
         t0.elapsed().as_secs_f64(),
         s.entities, s.relations, s.attributes, s.relational_triples, s.numeric_triples
@@ -538,13 +560,13 @@ pub fn gen(args: &Args) -> CmdResult {
             &graph,
             std::io::BufWriter::new(std::fs::File::create(&numerics_path)?),
         )?;
-        println!("  {}", triples_path.display());
-        println!("  {}", numerics_path.display());
+        outln!("  {}", triples_path.display());
+        outln!("  {}", numerics_path.display());
     }
     if let Some(store) = args.get("store") {
         let t = std::time::Instant::now();
         write_store(&graph, store)?;
-        println!(
+        outln!(
             "  {} ({} bytes, {:.2}s)",
             store,
             std::fs::metadata(store)?.len(),
@@ -570,7 +592,7 @@ pub fn ingest(args: &Args) -> CmdResult {
     let t1 = std::time::Instant::now();
     write_store(&graph, out)?;
     let s = dataset_stats(&graph);
-    println!(
+    outln!(
         "ingested {} entities / {} triples / {} numeric facts (parse {:.2}s, write {:.2}s)",
         s.entities,
         s.relational_triples,
@@ -578,7 +600,7 @@ pub fn ingest(args: &Args) -> CmdResult {
         parse_s,
         t1.elapsed().as_secs_f64()
     );
-    println!("  {} ({} bytes)", out, std::fs::metadata(out)?.len());
+    outln!("  {} ({} bytes)", out, std::fs::metadata(out)?.len());
     Ok(())
 }
 
@@ -612,13 +634,13 @@ pub fn index(args: &Args) -> CmdResult {
     let ix = build_chain_index(&graph, params);
     let build_s = t0.elapsed().as_secs_f64();
     write_index(&ix, out)?;
-    println!(
+    outln!(
         "indexed {} entities: {} chain entries in {:.2}s ({} threads)",
         ix.num_entities(),
         ix.total_entries(),
         build_s,
         cf_tensor::pool::threads(),
     );
-    println!("  {} ({} bytes)", out, std::fs::metadata(out)?.len());
+    outln!("  {} ({} bytes)", out, std::fs::metadata(out)?.len());
     Ok(())
 }

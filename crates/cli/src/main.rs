@@ -23,10 +23,42 @@
 //! identical at every thread count, so the flag never has to match between
 //! train and resume, or between machines.
 
+/// `println!` for report output that ends quietly when stdout closes.
+///
+/// Rust ignores SIGPIPE, so a write to a pipe whose reader has gone
+/// (`cfkg stats … | head -1`) fails with `BrokenPipe`, and `println!` turns
+/// that into a panic. Through [`print_out`] the first such failure ends the
+/// output instead: later lines are dropped and the command runs on to its
+/// usual exit. SIGPIPE stays ignored, so `serve` and `loadtest` still see a
+/// closed socket as an error rather than being killed by it.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
 
 use args::Args;
+use std::io::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Writes `text` to stdout and flushes it, unless stdout has closed.
+fn print_out(text: std::fmt::Arguments) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(text).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed)
+        }
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 const USAGE: &str = "\
 cfkg — chain-based numerical reasoning on knowledge graphs (ChainsFormer)
@@ -109,7 +141,7 @@ COMMANDS
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
-        print!("{USAGE}");
+        print_out(format_args!("{USAGE}"));
         return;
     }
     let args = match Args::parse(&argv) {

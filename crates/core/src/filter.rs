@@ -250,7 +250,7 @@ impl ChainFilter {
 }
 
 /// Euclidean analogue of the Poincaré pair training (negative-sampling
-/// softmax over distances, plain SGD).
+/// softmax over distances, plain SGD). Buffers are allocated once per call.
 fn train_euclidean(
     table: &mut [Vec<f64>],
     pairs: &[(usize, usize)],
@@ -263,9 +263,12 @@ fn train_euclidean(
         return;
     }
     let n = table.len();
+    let mut cands = Vec::with_capacity(negatives + 1);
+    let mut dists = Vec::with_capacity(negatives + 1);
+    let mut exps = Vec::with_capacity(negatives + 1);
     for _ in 0..epochs {
         for &(u, v) in pairs {
-            let mut cands = Vec::with_capacity(negatives + 1);
+            cands.clear();
             cands.push(v);
             for _ in 0..negatives {
                 let mut c = rng.gen_range(0..n);
@@ -274,12 +277,15 @@ fn train_euclidean(
                 }
                 cands.push(c);
             }
-            let dists: Vec<f64> = cands
-                .iter()
-                .map(|&c| euclidean_distance(&table[u], &table[c]))
-                .collect();
+            dists.clear();
+            dists.extend(
+                cands
+                    .iter()
+                    .map(|&c| euclidean_distance(&table[u], &table[c])),
+            );
             let dmin = dists.iter().cloned().fold(f64::INFINITY, f64::min);
-            let exps: Vec<f64> = dists.iter().map(|&d| (-(d - dmin)).exp()).collect();
+            exps.clear();
+            exps.extend(dists.iter().map(|&d| (-(d - dmin)).exp()));
             let z: f64 = exps.iter().sum();
             for (j, &c) in cands.iter().enumerate() {
                 let p = exps[j] / z;
@@ -483,6 +489,149 @@ mod tests {
             if space != FilterSpace::Random {
                 assert!(ties > 0, "{space:?}: no tied scores exercised");
             }
+        }
+    }
+
+    /// `train_euclidean` as first written: fresh candidate, distance and
+    /// exponential vectors per pair step.
+    fn train_euclidean_reference(
+        table: &mut [Vec<f64>],
+        pairs: &[(usize, usize)],
+        epochs: usize,
+        negatives: usize,
+        lr: f64,
+        rng: &mut impl Rng,
+    ) {
+        if table.is_empty() || pairs.is_empty() {
+            return;
+        }
+        let n = table.len();
+        for _ in 0..epochs {
+            for &(u, v) in pairs {
+                let mut cands = Vec::with_capacity(negatives + 1);
+                cands.push(v);
+                for _ in 0..negatives {
+                    let mut c = rng.gen_range(0..n);
+                    if c == v {
+                        c = (c + 1) % n;
+                    }
+                    cands.push(c);
+                }
+                let dists: Vec<f64> = cands
+                    .iter()
+                    .map(|&c| euclidean_distance(&table[u], &table[c]))
+                    .collect();
+                let dmin = dists.iter().cloned().fold(f64::INFINITY, f64::min);
+                let exps: Vec<f64> = dists.iter().map(|&d| (-(d - dmin)).exp()).collect();
+                let z: f64 = exps.iter().sum();
+                for (j, &c) in cands.iter().enumerate() {
+                    let p = exps[j] / z;
+                    let coef = if j == 0 { 1.0 - p } else { -p };
+                    let d = dists[j].max(1e-9);
+                    for i in 0..table[u].len() {
+                        let dir = (table[u][i] - table[c][i]) / d;
+                        let g = coef * dir;
+                        table[u][i] -= lr * g;
+                        table[c][i] += lr * g;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `PoincareEmbeddings::train` as first written, over a plain table: the
+    /// burn-in schedule and the epoch body, through the public distance,
+    /// gradient and step functions (pinned to their first-written formulas
+    /// in cf-hyperbolic).
+    fn train_poincare_reference(
+        table: &mut [Vec<f64>],
+        pairs: &[(usize, usize)],
+        epochs: usize,
+        negatives: usize,
+        lr: f64,
+        rng: &mut impl Rng,
+    ) {
+        use cf_hyperbolic::{distance_grad_x, rsgd_step, PoincareBall};
+        let ball = PoincareBall::default();
+        let burn_in = (epochs / 10).max(1);
+        for epoch in 0..epochs {
+            let lr = if epoch < burn_in { lr / 10.0 } else { lr };
+            for &(u, v) in pairs {
+                let mut cands = Vec::with_capacity(negatives + 1);
+                cands.push(v);
+                for _ in 0..negatives {
+                    let mut n = rng.gen_range(0..table.len());
+                    if n == v {
+                        n = (n + 1) % table.len();
+                    }
+                    cands.push(n);
+                }
+                let dists: Vec<f64> = cands
+                    .iter()
+                    .map(|&c| ball.distance_arcosh(&table[u], &table[c]))
+                    .collect();
+                let smax = dists.iter().cloned().fold(f64::INFINITY, f64::min);
+                let exps: Vec<f64> = dists.iter().map(|&d| (-(d - smax)).exp()).collect();
+                let z: f64 = exps.iter().sum();
+                let probs: Vec<f64> = exps.iter().map(|&e| e / z).collect();
+                let mut grad_u = vec![0.0; table[u].len()];
+                for (j, &cand) in cands.iter().enumerate() {
+                    let coef = if j == 0 { 1.0 - probs[j] } else { -probs[j] };
+                    if coef.abs() < 1e-12 {
+                        continue;
+                    }
+                    let gu = distance_grad_x(&table[u], &table[cand]);
+                    for (acc, g) in grad_u.iter_mut().zip(&gu) {
+                        *acc += coef * g;
+                    }
+                    let gv = distance_grad_x(&table[cand], &table[u]);
+                    let scaled: Vec<f64> = gv.iter().map(|&g| coef * g).collect();
+                    rsgd_step(&ball, &mut table[cand], &scaled, lr);
+                }
+                rsgd_step(&ball, &mut table[u], &grad_u, lr);
+            }
+        }
+    }
+
+    #[test]
+    fn fit_matches_reference_training_in_both_trained_spaces() {
+        use cf_rand::SnapshotRng;
+        let (dim, epochs) = (16, 12);
+        for space in [FilterSpace::Hyperbolic, FilterSpace::Euclidean] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let g = yago15k_sim(SynthScale::small(), &mut rng);
+            let mut ref_rng = rng.clone();
+            let f = ChainFilter::fit(&g, space, dim, 0.5, epochs, &mut rng);
+
+            let vocab = ChainVocab::for_graph(&g);
+            let size = vocab.num_rel_tokens() + vocab.num_attributes();
+            let pairs = cooccurrence_pairs(&g, &vocab, 512, 3, &mut ref_rng);
+            let (got, want): (Vec<&[f64]>, Vec<Vec<f64>>) = match space {
+                FilterSpace::Hyperbolic => {
+                    let init = PoincareEmbeddings::new(size, dim, &mut ref_rng);
+                    let mut table: Vec<Vec<f64>> =
+                        (0..size).map(|i| init.point(i).to_vec()).collect();
+                    train_poincare_reference(&mut table, &pairs, epochs, 5, 0.05, &mut ref_rng);
+                    let emb = f.hyper.as_ref().expect("hyperbolic table");
+                    ((0..size).map(|i| emb.point(i)).collect(), table)
+                }
+                _ => {
+                    let mut table: Vec<Vec<f64>> = (0..size)
+                        .map(|_| (0..dim).map(|_| ref_rng.gen_range(-0.01..0.01)).collect())
+                        .collect();
+                    train_euclidean_reference(&mut table, &pairs, epochs, 5, 0.05, &mut ref_rng);
+                    let eucl = f.eucl.as_ref().expect("euclidean table");
+                    (eucl.iter().map(Vec::as_slice).collect(), table)
+                }
+            };
+            assert!(pairs.len() > 100, "{space:?}: only {} pairs", pairs.len());
+            assert_eq!(got.len(), want.len(), "{space:?}");
+            for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                let yb: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(xb, yb, "{space:?}: token {i} differs");
+            }
+            assert_eq!(rng.state_words(), ref_rng.state_words(), "{space:?}");
         }
     }
 

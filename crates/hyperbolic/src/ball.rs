@@ -87,12 +87,8 @@ impl PoincareBall {
             (self.c - 1.0).abs() < 1e-12,
             "arcosh form is the c = 1 special case"
         );
-        let x2 = dot(x, x);
-        let y2 = dot(y, y);
-        let diff2: f64 = x.iter().zip(y).map(|(&a, &b)| (a - b) * (a - b)).sum();
-        let denom = ((1.0 - x2) * (1.0 - y2)).max(1e-15);
-        let arg = 1.0 + 2.0 * diff2 / denom;
-        arg.max(1.0).acosh()
+        let s = pair_sums(x, y);
+        arcosh_from_sums(dot(x, x), s.y2, s.diff2)
     }
 
     /// Exponential map at the origin: tangent vector → ball point.
@@ -149,6 +145,42 @@ pub fn euclidean_distance(x: &[f64], y: &[f64]) -> f64 {
 
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
+}
+
+/// The sums a distance or its gradient reads about a second point `y`,
+/// given `x`.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct PairSums {
+    /// `‖y‖²`.
+    pub y2: f64,
+    /// `‖x − y‖²`.
+    pub diff2: f64,
+    /// `x · y`.
+    pub xy: f64,
+}
+
+/// [`PairSums`] in one pass. Each sum starts at `-0.0` and runs left to
+/// right, as `Iterator::sum` in [`dot`] does, so each equals its own
+/// separate pass bit for bit.
+pub(crate) fn pair_sums(x: &[f64], y: &[f64]) -> PairSums {
+    let mut s = PairSums {
+        y2: -0.0,
+        diff2: -0.0,
+        xy: -0.0,
+    };
+    for (&a, &b) in x.iter().zip(y) {
+        s.y2 += b * b;
+        s.diff2 += (a - b) * (a - b);
+        s.xy += a * b;
+    }
+    s
+}
+
+/// Eq. 3 from its sums: `arcosh(1 + 2‖x − y‖² / ((1 − ‖x‖²)(1 − ‖y‖²)))`.
+pub(crate) fn arcosh_from_sums(x2: f64, y2: f64, diff2: f64) -> f64 {
+    let denom = ((1.0 - x2) * (1.0 - y2)).max(1e-15);
+    let arg = 1.0 + 2.0 * diff2 / denom;
+    arg.max(1.0).acosh()
 }
 
 #[cfg(test)]
