@@ -6,6 +6,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== one CPU-feature probe =="
+# crates/tensor/src/simd.rs holds the workspace's only CPUID probe, shared
+# by simd_hot! and the CRC folds; a second probe would let two dispatchers
+# disagree about the host.
+PROBES="$(grep -rl --exclude-dir=target 'is_x86_feature_detected!' crates \
+    | grep -vx 'crates/tensor/src/simd.rs' || true)"
+[ -z "$PROBES" ] \
+    || { echo "is_x86_feature_detected! outside crates/tensor/src/simd.rs:"; \
+         echo "$PROBES"; exit 1; }
+
 echo "== cargo build --release (offline) =="
 # --workspace selects what the root manifest's default-members already do
 # (every crate, including crates/cli and the bench binaries); it stays

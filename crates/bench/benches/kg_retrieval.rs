@@ -5,6 +5,9 @@
 //!   cast — no parse, no per-edge allocation) versus re-parsing the TSV
 //!   twins and versus the owned heap load (`read_store`); the two sides of
 //!   the headline ratio are each the median of three runs;
+//! - the same open with each CRC fold the host has pinned
+//!   (`mmap_open_crc_{zmm,xmm,table}_s`, interleaved, median of three):
+//!   the evidence that the wider folds earn their code;
 //! - chain-index build time at 1 and 4 pool threads, with the output bytes
 //!   asserted identical (the fixed-shard determinism contract);
 //! - retrieval latency per query, walk-per-query (`retrieve`, Eq. 6's
@@ -27,6 +30,7 @@ use cf_kg::{
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
+use cf_tensor::simd;
 use chainsformer_bench::report::{write_json_merged, Table};
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -158,6 +162,30 @@ fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize
     let mapped = mapped.unwrap();
     push("mmap_open_s", mmap_open_s, "s");
     push("mmap_vs_tsv_parse_speedup", tsv_parse_s / mmap_open_s, "x");
+    let detected = simd::tiers();
+    let folds: Vec<(u8, &str)> = [
+        (simd::CRC_ZMM, "zmm"),
+        (simd::CRC_XMM, "xmm"),
+        (simd::CRC_TABLE, "table"),
+    ]
+    .into_iter()
+    .filter(|&(crc, _)| crc <= detected.crc)
+    .collect();
+    let mut fold_s = vec![Vec::new(); folds.len()];
+    for _ in 0..3 {
+        for (&(crc, _), times) in folds.iter().zip(&mut fold_s) {
+            simd::pin(Some(simd::Tiers { crc, ..detected }));
+            let t = Instant::now();
+            let opened = MappedGraph::open(&store_path).unwrap();
+            times.push(secs(t));
+            drop(opened);
+        }
+    }
+    simd::pin(None);
+    for ((_, name), mut times) in folds.into_iter().zip(fold_s) {
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        push(&format!("mmap_open_crc_{name}_s"), times[1], "s");
+    }
 
     // --- chain index build: 1 vs 4 threads, bytes must match ---
     push("index_fanout", params.fanout as f64, "n");

@@ -216,10 +216,10 @@ impl ChainsFormer {
         cf_tensor::save_params_atomic(&self.params, path)
     }
 
-    /// Loads parameters saved by [`Self::save_params_to`] (CFT2) or by
-    /// older releases (CFT1) into this model; any training state in the
-    /// file is validated and discarded. Fails (without corrupting the
-    /// model) on any corruption or name/shape mismatch.
+    /// Loads a CFT2 checkpoint written by [`Self::save_params_to`] or by
+    /// training into this model; any training state in the file is
+    /// validated and discarded. Fails (without corrupting the model) on any
+    /// corruption or name/shape mismatch.
     pub fn load_params_from(
         &mut self,
         path: impl AsRef<std::path::Path>,
@@ -228,7 +228,8 @@ impl ChainsFormer {
         cf_tensor::load_params(&mut self.params, std::io::BufReader::new(f))
     }
 
-    /// Full inference for one query, with the reasoning trace.
+    /// Full inference for one query, with the reasoning trace: a one-job
+    /// [`Self::predict_batch_with_chains`] on the tape-free path.
     pub fn predict(
         &self,
         graph: &impl GraphView,
@@ -236,39 +237,9 @@ impl ChainsFormer {
         rng: &mut impl Rng,
     ) -> PredictionDetail {
         let (toc, retrieved) = self.gather_chains(graph, query, rng);
-        if toc.is_empty() {
-            return PredictionDetail {
-                query,
-                value: self.fallback_value(query),
-                used_fallback: true,
-                retrieved,
-                chains: Vec::new(),
-            };
-        }
-        let mut tape = Tape::new();
-        let out = self.forward(&mut tape, &toc.chains, query);
-        let value = tape.value(out.prediction).item() as f64;
-        let weights = tape.value(out.weights).data();
-        let chain_preds = tape.value(out.chain_predictions).data();
-        let chains = toc
-            .chains
-            .iter()
-            .zip(weights.iter().zip(chain_preds))
-            .map(|(ci, (&weight, &prediction))| ExplainedChain {
-                chain: ci.chain.clone(),
-                source: ci.source,
-                known_value: ci.value,
-                weight,
-                prediction,
-            })
-            .collect();
-        PredictionDetail {
-            query,
-            value,
-            used_fallback: false,
-            retrieved,
-            chains,
-        }
+        self.predict_batch_with_chains(&[(query, &toc.chains, retrieved)])
+            .pop()
+            .expect("one job, one prediction")
     }
 
     /// Batched inference for several queries on the tape-free path.

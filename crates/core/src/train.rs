@@ -91,7 +91,7 @@ pub enum TrainError {
         found: u64,
     },
     /// `resume` was requested but the checkpoint carries no training state
-    /// (a finished params-only artifact, or legacy CFT1).
+    /// (a finished params-only artifact).
     NotResumable,
 }
 
@@ -107,7 +107,7 @@ impl std::fmt::Display for TrainError {
             ),
             TrainError::NotResumable => write!(
                 f,
-                "checkpoint has no training state (finished or legacy artifact) — \
+                "checkpoint has no training state (a finished params-only artifact) — \
                  it can be served, not resumed"
             ),
         }

@@ -31,7 +31,7 @@
 use crate::graph::KnowledgeGraph;
 use crate::ids::{AttributeId, DirRel, EntityId};
 use crate::mmapio::Mmap;
-use crate::store::{atomic_write, cast_u64s, walk_sections, SectionWriter, StoreError};
+use crate::store::{cast_u64s, walk_sections, SectionWriter, StoreError};
 use crate::view::GraphView;
 use std::ops::Range;
 use std::path::Path;
@@ -359,7 +359,7 @@ pub fn write_index(ix: &ChainIndex, path: impl AsRef<Path>) -> Result<(), StoreE
     if n > MAX_ENTITIES || total > MAX_ENTRIES {
         return Err(StoreError::TooLarge { section: "params" });
     }
-    atomic_write(path, |w| {
+    cf_tensor::write_atomic(path, |w| {
         w.write_all(&INDEX_MAGIC)?;
         let mut crcs = Vec::with_capacity(3);
 
@@ -783,6 +783,36 @@ mod tests {
                 "corruption at {off} not detected"
             );
         }
+    }
+
+    /// Each atomic write stages in `<target>.tmp`: a store and an index
+    /// sharing a stem never share a temporary, a user's `<stem>.tmp` is
+    /// left alone, and a stale torn temporary is replaced.
+    #[test]
+    fn atomic_writes_stage_in_a_tmp_of_their_own() {
+        let g = sample_graph();
+        let dir = TempDir::new("kg_atomic");
+        std::fs::write(dir.join("g.tmp"), b"user data").unwrap();
+        std::fs::write(dir.join("g.cfkg.tmp"), b"torn").unwrap();
+        crate::store::write_store(&g, dir.join("g.cfkg")).unwrap();
+        let params = IndexParams {
+            max_hops: 1,
+            fanout: 4,
+            per_entity_cap: 8,
+        };
+        write_index(&build_chain_index(&g, params), dir.join("g.cfci")).unwrap();
+        assert_eq!(std::fs::read(dir.join("g.tmp")).unwrap(), b"user data");
+        crate::store::read_store(dir.join("g.cfkg")).unwrap();
+        MappedChainIndex::open(dir.join("g.cfci"))
+            .unwrap()
+            .check_matches(&g)
+            .unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["g.cfci", "g.cfkg", "g.tmp"], "a tmp file was left");
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! journal stays valid across compactions even though compaction may grow
 //! the id space of the base store.
 
-use crate::store::{crc32, StoreError};
+use crate::store::StoreError;
+use cf_tensor::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;

@@ -44,6 +44,7 @@ use crate::graph::{AttrFact, AttrOwner, Edge, KnowledgeGraph};
 use crate::ids::{AttributeId, EntityId, RelationId};
 use crate::mmapio::Mmap;
 use crate::view::GraphView;
+use cf_tensor::crc::{crc32, Crc};
 use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
@@ -173,279 +174,6 @@ impl From<std::io::Error> for StoreError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (slicing-by-8)
-// ---------------------------------------------------------------------------
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[j - 1][i];
-            t[j][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-}
-
-static CRC_T: [[u32; 256]; 8] = crc_tables();
-
-/// Incremental CRC32 (IEEE, poly 0xEDB88320 — same stream as the CFT2
-/// checkpoint CRC), processing 8 bytes per step.
-#[derive(Clone, Copy)]
-pub(crate) struct Crc(u32);
-
-impl Crc {
-    pub(crate) fn new() -> Self {
-        Crc(!0)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if bytes.len() >= clmul::MIN_LEN {
-            match clmul::tier() {
-                // SAFETY: the matching feature set was checked at runtime.
-                clmul::Tier::Zmm => {
-                    self.0 = unsafe { clmul::update_x512(self.0, bytes) };
-                    return;
-                }
-                clmul::Tier::Xmm => {
-                    self.0 = unsafe { clmul::update_x128(self.0, bytes) };
-                    return;
-                }
-                clmul::Tier::Table => {}
-            }
-        }
-        self.0 = table_update(self.0, bytes);
-    }
-
-    pub(crate) fn finish(self) -> u32 {
-        !self.0
-    }
-}
-
-/// Table-driven (slicing-by-8) CRC state transition — the portable path and
-/// the reference the PCLMULQDQ path must match bit for bit.
-fn table_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ crc;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        crc = CRC_T[7][(lo & 0xFF) as usize]
-            ^ CRC_T[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_T[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_T[4][(lo >> 24) as usize]
-            ^ CRC_T[3][(hi & 0xFF) as usize]
-            ^ CRC_T[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_T[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_T[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC_T[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
-}
-
-/// Carry-less-multiply CRC folding (x86_64 PCLMULQDQ), ~10× the table path.
-///
-/// Same polynomial, same stream, bitwise-identical result — this is purely a
-/// throughput lever for `MappedGraph::open`, which must CRC every section of
-/// a multi-hundred-MB store before the zero-copy casts are allowed.
-///
-/// Scheme (the reflected variant of Intel's CRC folding): four 128-bit
-/// accumulators sweep the input 64 bytes per step; each step multiplies an
-/// accumulator by `x^512 mod P` (carry-less) and XORs in the next 16 input
-/// bytes, which preserves the value of the whole stream mod P. Because the
-/// register holds bit-reflected polynomials, the low 64-bit half carries the
-/// *high*-degree coefficients and folds by `x^(512+64)`, the high half by
-/// `x^512`. The final <64-byte tail and the 64 accumulator bytes go through
-/// the table path — no Barrett reduction needed, and the init/finish XORs
-/// stay exactly where the table path puts them.
-#[cfg(target_arch = "x86_64")]
-mod clmul {
-    use std::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    /// Below this, table overhead beats the SIMD setup.
-    pub(super) const MIN_LEN: usize = 256;
-
-    /// `x^n mod P` (P = 0x1_04C1_1DB7), coefficients of degree 31..0.
-    const fn xn_mod_p(n: u32) -> u32 {
-        let mut r: u32 = 1;
-        let mut i = 0;
-        while i < n {
-            let hi = r & 0x8000_0000;
-            r <<= 1;
-            if hi != 0 {
-                r ^= 0x04C1_1DB7;
-            }
-            i += 1;
-        }
-        r
-    }
-
-    /// Folding constant in PCLMULQDQ form: bit-reflected and shifted left
-    /// one. In reflected bit order `rev128(clmul(u, v)) = rev64(u)·rev64(v)·x`
-    /// and `rev64(rk(n)) = (x^n mod P)·x^31`, so multiplying by `rk(n)`
-    /// advances a reflected half-register by `x^(n+32)` (mod P) — the +32 is
-    /// why the constants below are 32 less than the fold distance.
-    const fn rk(n: u32) -> i64 {
-        ((xn_mod_p(n).reverse_bits() as u64) << 1) as i64
-    }
-
-    /// xmm path: eight accumulators sweep 128 bytes per step, so each folds
-    /// across 1024 bits: the low half advances by x^(1024+64), the high by
-    /// x^1024.
-    const RK_LO: i64 = rk(1024 + 64 - 32);
-    const RK_HI: i64 = rk(1024 - 32);
-
-    /// zmm path: four 512-bit accumulators sweep 256 bytes per step; each
-    /// 128-bit lane folds across 2048 bits.
-    const ZK_LO: i64 = rk(2048 + 64 - 32);
-    const ZK_HI: i64 = rk(2048 - 32);
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    pub(super) enum Tier {
-        Zmm,
-        Xmm,
-        Table,
-    }
-
-    /// 0 = unknown, then Tier as u8 + 1.
-    static DETECTED: AtomicU8 = AtomicU8::new(0);
-
-    pub(super) fn tier() -> Tier {
-        match DETECTED.load(Ordering::Relaxed) {
-            1 => Tier::Zmm,
-            2 => Tier::Xmm,
-            3 => Tier::Table,
-            _ => {
-                let t = if std::arch::is_x86_feature_detected!("vpclmulqdq")
-                    && std::arch::is_x86_feature_detected!("avx512f")
-                {
-                    Tier::Zmm
-                } else if std::arch::is_x86_feature_detected!("pclmulqdq")
-                    && std::arch::is_x86_feature_detected!("sse2")
-                {
-                    Tier::Xmm
-                } else {
-                    Tier::Table
-                };
-                DETECTED.store(t as u8 + 1, Ordering::Relaxed);
-                t
-            }
-        }
-    }
-
-    /// CRC state transition over `bytes` (len ≥ 128), bitwise identical to
-    /// [`super::table_update`].
-    ///
-    /// # Safety
-    /// Caller must ensure pclmulqdq and sse2 are available.
-    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    pub(super) unsafe fn update_x128(state: u32, bytes: &[u8]) -> u32 {
-        debug_assert!(bytes.len() >= MIN_LEN);
-        let k = _mm_set_epi64x(RK_HI, RK_LO);
-        let p = bytes.as_ptr();
-        // First 128 bytes; the running state XORs into the first 4 stream
-        // bytes (exactly where the table recurrence applies it). The fixed
-        // 0..8 loops fully unroll and the array lives in xmm registers.
-        let mut x = [_mm_setzero_si128(); 8];
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = _mm_loadu_si128(p.add(16 * i) as *const __m128i);
-        }
-        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
-        let mut off = 128usize;
-        while off + 128 <= bytes.len() {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = _mm_xor_si128(
-                    _mm_xor_si128(
-                        _mm_clmulepi64_si128(*xi, k, 0x00),
-                        _mm_clmulepi64_si128(*xi, k, 0x11),
-                    ),
-                    _mm_loadu_si128(p.add(off + 16 * i) as *const __m128i),
-                );
-            }
-            off += 128;
-        }
-        // The accumulators are stream-equivalent to 128 literal bytes in
-        // front of the unread tail; finish both through the table.
-        let mut acc = [0u8; 128];
-        for (i, xi) in x.iter().enumerate() {
-            _mm_storeu_si128(acc.as_mut_ptr().add(16 * i) as *mut __m128i, *xi);
-        }
-        let s = super::table_update(0, &acc);
-        super::table_update(s, &bytes[off..])
-    }
-
-    /// Same contract as [`update_x128`], but VPCLMULQDQ on 512-bit vectors:
-    /// each instruction runs four independent 64×64 carry-less multiplies,
-    /// one per 128-bit lane.
-    ///
-    /// # Safety
-    /// Caller must ensure vpclmulqdq and avx512f are available.
-    #[target_feature(enable = "vpclmulqdq", enable = "avx512f")]
-    pub(super) unsafe fn update_x512(state: u32, bytes: &[u8]) -> u32 {
-        debug_assert!(bytes.len() >= MIN_LEN);
-        // Per-128-lane constant pair [lo = ZK_LO, hi = ZK_HI].
-        let k = _mm512_set4_epi64(ZK_HI, ZK_LO, ZK_HI, ZK_LO);
-        let p = bytes.as_ptr();
-        let mut z = [_mm512_setzero_si512(); 4];
-        for (i, zi) in z.iter_mut().enumerate() {
-            *zi = _mm512_loadu_si512(p.add(64 * i) as *const _);
-        }
-        z[0] = _mm512_xor_si512(
-            z[0],
-            _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)),
-        );
-        let mut off = 256usize;
-        while off + 256 <= bytes.len() {
-            for (i, zi) in z.iter_mut().enumerate() {
-                *zi = _mm512_xor_si512(
-                    _mm512_xor_si512(
-                        _mm512_clmulepi64_epi128(*zi, k, 0x00),
-                        _mm512_clmulepi64_epi128(*zi, k, 0x11),
-                    ),
-                    _mm512_loadu_si512(p.add(off + 64 * i) as *const _),
-                );
-            }
-            off += 256;
-        }
-        let mut acc = [0u8; 256];
-        for (i, zi) in z.iter().enumerate() {
-            _mm512_storeu_si512(acc.as_mut_ptr().add(64 * i) as *mut _, *zi);
-        }
-        let s = super::table_update(0, &acc);
-        super::table_update(s, &bytes[off..])
-    }
-}
-
-/// One-shot CRC32 of `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc::new();
-    c.update(bytes);
-    c.finish()
-}
-
-// ---------------------------------------------------------------------------
 // section writer
 // ---------------------------------------------------------------------------
 
@@ -537,31 +265,6 @@ pub(crate) fn write_end<W: Write>(w: &mut W, crcs: &[u32]) -> std::io::Result<()
     }
     w.write_all(&crc.finish().to_le_bytes())?;
     w.write_all(&0u32.to_le_bytes())?;
-    Ok(())
-}
-
-/// Atomically replaces `path` with the bytes produced by `write`: stream to
-/// a sibling tmp file, fsync it, rename over `path`, fsync the directory
-/// (CFT2's old-or-new-never-garbage discipline).
-pub(crate) fn atomic_write(
-    path: &Path,
-    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = path.with_extension("tmp");
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        write(&mut w)?;
-        let file = w.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = dir {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
     Ok(())
 }
 
@@ -787,7 +490,7 @@ pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), Sto
     if !g.indexed {
         return Err(StoreError::NotIndexed);
     }
-    atomic_write(path, |w| {
+    cf_tensor::write_atomic(path, |w| {
         w.write_all(&STORE_MAGIC)?;
         let mut crcs = Vec::with_capacity(9);
 
@@ -923,90 +626,7 @@ fn corrupt(section: &'static str, what: impl Into<String>) -> StoreError {
     }
 }
 
-/// Widest vector ISA usable for the structural scan folds, detected once.
-/// Separate from [`clmul::Tier`]: CRC folding needs carry-less multiply,
-/// the scans only need wide integer max/compare/shift.
-#[cfg(target_arch = "x86_64")]
-mod wide {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub(super) enum Level {
-        Avx512,
-        Avx2,
-        Baseline,
-    }
-
-    /// 0 = unknown, then Level as u8 + 1.
-    static DETECTED: AtomicU8 = AtomicU8::new(0);
-
-    pub(super) fn level() -> Level {
-        match DETECTED.load(Ordering::Relaxed) {
-            1 => Level::Avx512,
-            2 => Level::Avx2,
-            3 => Level::Baseline,
-            _ => {
-                let l = if std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-                    && std::arch::is_x86_feature_detected!("avx512dq")
-                {
-                    Level::Avx512
-                } else if std::arch::is_x86_feature_detected!("avx2") {
-                    Level::Avx2
-                } else {
-                    Level::Baseline
-                };
-                DETECTED.store(l as u8 + 1, Ordering::Relaxed);
-                l
-            }
-        }
-    }
-
-    /// Pin the dispatch level (tests only — used to run every available
-    /// tier against the same reference results).
-    #[cfg(test)]
-    pub(super) fn force(l: Level) {
-        DETECTED.store(l as u8 + 1, Ordering::Relaxed);
-    }
-}
-
-/// Compiles a portable branchless fold three times — baseline, AVX2 and
-/// AVX-512 codegen — and dispatches to the widest ISA the CPU has. The body
-/// is identical in every variant; only the registers LLVM autovectorizes
-/// with differ, so results are bitwise the same while 512-bit machines scan
-/// roughly twice as fast as baseline x86-64 codegen.
-macro_rules! wide_dispatch {
-    ($(#[$attr:meta])* fn $name:ident($arg:ident: $ty:ty) -> $ret:ty { $($body:tt)* }) => {
-        $(#[$attr])*
-        fn $name($arg: $ty) -> $ret {
-            #[inline(always)]
-            fn body($arg: $ty) -> $ret {
-                $($body)*
-            }
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-                unsafe fn v512($arg: $ty) -> $ret {
-                    body($arg)
-                }
-                #[target_feature(enable = "avx2")]
-                unsafe fn v256($arg: $ty) -> $ret {
-                    body($arg)
-                }
-                // SAFETY: `level()` only reports a tier after detecting the
-                // features the corresponding wrapper enables.
-                match wide::level() {
-                    wide::Level::Avx512 => return unsafe { v512($arg) },
-                    wide::Level::Avx2 => return unsafe { v256($arg) },
-                    wide::Level::Baseline => {}
-                }
-            }
-            body($arg)
-        }
-    };
-}
-
-wide_dispatch! {
+cf_tensor::simd_hot! {
     /// Branchless monotonicity fold: true if any adjacent pair decreases.
     /// No per-element early exit, so the loop vectorizes.
     fn non_monotone_u64(vals: &[u64]) -> bool {
@@ -1035,7 +655,7 @@ fn check_offsets(offsets: &[u64], total: u64, section: &'static str) -> Result<(
     Ok(())
 }
 
-wide_dispatch! {
+cf_tensor::simd_hot! {
     /// Max over a u32 slice (no early exit needed — we compare once).
     fn max_u32(s: &[u32]) -> u32 {
         s.iter().fold(0, |m, &x| m.max(x))
@@ -1057,7 +677,7 @@ fn check_max_id(
     Ok(())
 }
 
-wide_dispatch! {
+cf_tensor::simd_hot! {
     /// All-ones-exponent fold over raw f64 bits (true = some non-finite value).
     fn fold_non_finite(bits: &[u64]) -> bool {
         bits.iter()
@@ -1165,7 +785,7 @@ fn verify_crc(
     Ok(())
 }
 
-wide_dispatch! {
+cf_tensor::simd_hot! {
 /// Branchless scan of interleaved `[id u32 | pad][f64 bits]` pairs (the
 /// AttrFact / AttrOwner wire layout): returns the max id and whether any
 /// value word has an all-ones exponent. One pass, no per-element branches.
@@ -1195,7 +815,7 @@ fn scan_id_value_pairs(raw: &[u64]) -> (u32, bool) {
 }
 }
 
-wide_dispatch! {
+cf_tensor::simd_hot! {
 /// Branchless 3-lane max over raw edge words `[rel, dir, tail]*` — four
 /// edges (12 words) per step so the stride-3 reductions are not serialized
 /// on one accumulator per field. `raw.len()` must be a multiple of 3.
@@ -1633,6 +1253,7 @@ mod tests {
     use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
+    use cf_tensor::simd;
 
     /// A fresh directory (removed on drop) and a file path inside it.
     fn tmp(name: &str) -> (TempDir, std::path::PathBuf) {
@@ -1646,83 +1267,7 @@ mod tests {
         yago15k_sim(SynthScale::small(), &mut rng)
     }
 
-    #[test]
-    fn crc_matches_bytewise_reference() {
-        fn reference(bytes: &[u8]) -> u32 {
-            let mut crc = !0u32;
-            for &b in bytes {
-                crc ^= b as u32;
-                for _ in 0..8 {
-                    crc = if crc & 1 != 0 {
-                        0xEDB8_8320 ^ (crc >> 1)
-                    } else {
-                        crc >> 1
-                    };
-                }
-            }
-            !crc
-        }
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 1000] {
-            let data: Vec<u8> = (0..len as u32).map(|i| (i * 37 + 11) as u8).collect();
-            assert_eq!(crc32(&data), reference(&data), "len {len}");
-        }
-    }
-
-    /// The PCLMULQDQ fold must agree with the table path on every length
-    /// around its thresholds, at every start alignment, and under arbitrary
-    /// streaming splits (state handoff mid-buffer). On hosts without
-    /// pclmulqdq both sides take the table path and this degrades to a
-    /// self-consistency check.
-    #[test]
-    fn crc_simd_matches_table_path() {
-        let mut data = vec![0u8; 5000];
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for b in data.iter_mut() {
-            // xorshift so the buffer exercises all byte values
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *b = x as u8;
-        }
-        for start in [0usize, 1, 3, 7, 8, 15] {
-            for len in [
-                0usize, 1, 63, 64, 127, 128, 129, 255, 256, 257, 320, 1024, 4096,
-            ] {
-                let slice = &data[start..start + len];
-                let mut c = Crc::new();
-                c.update(slice);
-                assert_eq!(
-                    c.finish(),
-                    !table_update(!0, slice),
-                    "start {start} len {len}"
-                );
-                // Exercise every SIMD tier the host has, not just the one
-                // Crc::update dispatches to (zmm hosts also have xmm).
-                #[cfg(target_arch = "x86_64")]
-                if len >= clmul::MIN_LEN {
-                    let want = table_update(0x5A5A_5A5A, slice);
-                    if clmul::tier() == clmul::Tier::Zmm {
-                        let got = unsafe { clmul::update_x512(0x5A5A_5A5A, slice) };
-                        assert_eq!(got, want, "zmm start {start} len {len}");
-                    }
-                    if clmul::tier() != clmul::Tier::Table {
-                        let got = unsafe { clmul::update_x128(0x5A5A_5A5A, slice) };
-                        assert_eq!(got, want, "xmm start {start} len {len}");
-                    }
-                }
-            }
-        }
-        // Streaming: splitting the buffer anywhere must not change the CRC.
-        let whole = crc32(&data);
-        for split in [1usize, 64, 100, 255, 256, 300, 2048, 4999] {
-            let mut c = Crc::new();
-            c.update(&data[..split]);
-            c.update(&data[split..]);
-            assert_eq!(c.finish(), whole, "split {split}");
-        }
-    }
-
-    /// Every `wide_dispatch!` tier the host supports must agree with plain
+    /// Every `simd_hot!` tier the host supports must agree with plain
     /// iterator reference implementations, at lengths around each fold's
     /// unroll width and with the extremum in every position class.
     #[test]
@@ -1741,26 +1286,9 @@ mod tests {
             .flat_map(|w| [*w as u32, (*w >> 32) as u32])
             .collect();
 
-        #[cfg(target_arch = "x86_64")]
-        let levels: Vec<wide::Level> = {
-            let detected = wide::level();
-            let mut ls = vec![wide::Level::Baseline];
-            if detected != wide::Level::Baseline {
-                ls.push(wide::Level::Avx2);
-            }
-            if detected == wide::Level::Avx512 {
-                ls.push(wide::Level::Avx512);
-            }
-            ls
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let levels = [()];
-
-        for level in levels {
-            #[cfg(target_arch = "x86_64")]
-            wide::force(level);
-            #[cfg(not(target_arch = "x86_64"))]
-            let () = level;
+        let detected = simd::tiers();
+        for vector in simd::BASELINE..=detected.vector {
+            simd::pin(Some(simd::Tiers { vector, ..detected }));
             for len in [0usize, 1, 2, 3, 7, 8, 9, 12, 24, 36, 95, 96, 97, 1024, 1536] {
                 let w = &words[..len];
                 let u = &u32s[..len.min(u32s.len())];
@@ -1797,25 +1325,7 @@ mod tests {
                 assert!(non_monotone_u64(&v), "inversion at {pos}");
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        wide::force(wide::level());
-    }
-
-    #[test]
-    #[ignore = "manual throughput probe"]
-    fn crc_throughput_probe() {
-        let data = vec![0xA5u8; 64 << 20];
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let c = crc32(&data);
-            let s = t.elapsed().as_secs_f64();
-            println!(
-                "crc32 of {} MB: {:.1} ms ({:.2} GB/s, crc {c:08x})",
-                data.len() >> 20,
-                s * 1e3,
-                data.len() as f64 / s / 1e9
-            );
-        }
+        simd::pin(None);
     }
 
     #[test]

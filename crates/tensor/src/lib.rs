@@ -19,8 +19,10 @@
 //! - [`optim`] — Adam (paper default) and SGD with global-norm clipping;
 //! - [`pool`] — thread-local size-bucketed buffer pool behind every tensor
 //!   and scratch allocation (zero steady-state heap traffic per step);
-//! - `simd` (internal) — runtime AVX2/AVX-512 dispatch for the hot kernels,
+//! - [`simd`] — the one CPU-feature probe and the `simd_hot!` AVX2/AVX-512
+//!   dispatch for the hot kernels (cf-kg's store scans included),
 //!   bitwise-identical across tiers because no fast-math is ever enabled;
+//! - [`crc`] — the CRC32 behind every checkpoint and graph-store section;
 //! - [`gradcheck`] — finite-difference gradient checking used across tests.
 //!
 //! ## Example
@@ -43,6 +45,7 @@
 //! assert!(ps.all_finite());
 //! ```
 
+pub mod crc;
 pub mod gradcheck;
 pub mod infer;
 pub mod init;
@@ -54,20 +57,21 @@ pub mod pool;
 pub mod quant;
 pub mod serialize;
 pub mod shape;
-pub(crate) mod simd;
+pub mod simd;
 pub mod tape;
 pub mod tensor;
 #[cfg(test)]
 mod test_alloc;
 
+pub use crc::crc32;
 pub use infer::{Forward, ForwardArena, InferCtx};
 pub use init::Init;
 pub use optim::AdamSnapshot;
 pub use params::{ParamId, ParamStore};
 pub use quant::{QuantInferCtx, QuantizedParamStore, QuantizedTensor};
 pub use serialize::{
-    crc32, load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, save_params,
-    save_params_atomic, CheckpointError, TrainState,
+    load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, save_params_atomic,
+    write_atomic, CheckpointError, TrainState,
 };
 pub use shape::Shape;
 pub use tape::{GradStore, Tape, Var};

@@ -292,7 +292,7 @@ pub(crate) fn attn_dv(
     });
 }
 
-crate::simd::simd_hot! {
+crate::simd_hot! {
 
 /// [`attn_probs_forward`] over batches `b0..b1`; `probs` is that batch
 /// band's contiguous `[(b1-b0)·H, T, T]` block.

@@ -271,7 +271,7 @@ impl Tape {
     }
 }
 
-crate::simd::simd_hot! {
+crate::simd_hot! {
 
 /// Row-broadcast add in place: `data[r, :] += bias`.
 pub(crate) fn add_bias_rows(data: &mut [f32], bias: &[f32], rows: usize, d: usize) {

@@ -99,7 +99,7 @@ impl Tape {
     }
 }
 
-crate::simd::simd_hot! {
+crate::simd_hot! {
 
 /// In-place row-wise layer normalization of `data` viewed as `[rows, d]`;
 /// returns the per-row `1/σ` the backward rule needs. Shared with the

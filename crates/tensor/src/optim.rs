@@ -170,7 +170,7 @@ fn adam_update_slice(
     }
 }
 
-crate::simd::simd_hot! {
+crate::simd_hot! {
 
 /// One contiguous chunk of an Adam update: every lane is an independent
 /// exactly-rounded chain, so this vectorizes fully.

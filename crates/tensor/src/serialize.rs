@@ -1,43 +1,40 @@
-//! Checkpointing: small self-describing binary formats for
+//! Checkpointing: a small self-describing binary format for
 //! [`crate::params::ParamStore`] and full training state (no external
 //! serialization crates needed).
 //!
-//! Two on-disk formats exist (all integers little-endian):
-//!
-//! **CFT1** (legacy, params only) — still read, no longer written:
-//! ```text
-//! magic "CFT1" | u32 n_params
-//! per param: u32 name_len | name bytes | u32 rank | u32 dims… | f32 data…
-//! ```
-//!
-//! **CFT2** (current) — sectioned, CRC-checked, optionally carrying the
-//! full training state for bitwise resume:
+//! **CFT2** is sectioned, CRC-checked, and optionally carries the full
+//! training state for bitwise resume (all integers little-endian):
 //! ```text
 //! magic "CFT2"
 //! section*: u8 tag | u64 body_len | body | u32 crc32(body)
 //! end:      u8 0xFF | u32 crc32(concatenated section CRCs)
+//! params body: u32 n_params, then per param
+//!              u32 name_len | name bytes | u32 rank | u32 dims… | f32 data…
 //! ```
-//! Section tags: `0x01` params (CFT1 body), `0x02` Adam moments + step,
-//! `0x03` RNG state words, `0x04` train cursor (epoch / best / patience),
-//! `0x05` config fingerprint, `0x06` best-validation params (CFT1 body).
+//! Section tags: `0x01` params, `0x02` Adam moments + step, `0x03` RNG
+//! state words, `0x04` train cursor (epoch / best / patience), `0x05`
+//! config fingerprint, `0x06` best-validation params (params body). Any
+//! other magic, the retired params-only CFT1 included, is
+//! [`CheckpointError::BadMagic`].
 //! The params section is mandatory; the five state sections are all
 //! present or all absent. Every section is integrity-checked before
 //! anything is committed to the receiving store, so a corrupt checkpoint
 //! is rejected with a typed error naming the failed section and the store
 //! is left untouched.
 //!
-//! Durability: [`save_checkpoint_atomic`] writes `<path>.tmp`, fsyncs the
-//! file, renames it over `path` and fsyncs the parent directory — a crash
-//! at any byte offset leaves either the old or the new checkpoint on
-//! disk, never a torn one.
+//! Durability: [`save_checkpoint_atomic`] goes through [`write_atomic`],
+//! which writes `<path>.tmp`, fsyncs the file, renames it over `path` and
+//! fsyncs the parent directory — a crash at any byte offset leaves either
+//! the old or the new checkpoint on disk, never a torn one. cf-kg's CFKG1
+//! and CFCI1 writers use the same helper.
 
+use crate::crc::crc32;
 use crate::optim::AdamSnapshot;
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC1: &[u8; 4] = b"CFT1";
 const MAGIC2: &[u8; 4] = b"CFT2";
 
 const TAG_PARAMS: u8 = 0x01;
@@ -103,42 +100,6 @@ impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE, polynomial 0xEDB88320) — in-tree, table-driven.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE 802.3) of a byte slice — the integrity check behind every
-/// CFT2 section.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +242,7 @@ fn read_shape(b: &mut Body<'_>, what: &str) -> Result<(Vec<usize>, usize), Check
 }
 
 // ---------------------------------------------------------------------------
-// Params body (shared by CFT1, the CFT2 params section and best-params).
+// Params body (shared by the params and best-params sections).
 // ---------------------------------------------------------------------------
 
 fn write_params_body(store: &ParamStore, out: &mut Vec<u8>) {
@@ -432,20 +393,10 @@ fn write_train_body(state: &TrainState, out: &mut Vec<u8>) {
 // Public save/load entry points.
 // ---------------------------------------------------------------------------
 
-/// Writes a legacy CFT1 (params-only, no checksums) stream. Kept for
-/// format-compatibility tests; new code should use [`save_checkpoint`] or
-/// [`save_checkpoint_atomic`], which write CRC-protected CFT2.
-pub fn save_params(store: &ParamStore, mut w: impl Write) -> io::Result<()> {
-    w.write_all(MAGIC1)?;
-    let mut body = Vec::new();
-    write_params_body(store, &mut body);
-    w.write_all(&body)
-}
-
-/// Loads a params-only view of a checkpoint (CFT1 or CFT2) into an
+/// Loads a params-only view of a CFT2 checkpoint into an
 /// *identically structured* store: parameter count, names, and shapes must
 /// match (the architecture is reconstructed from configuration, not from
-/// the checkpoint). Any training state in a CFT2 stream is validated and
+/// the checkpoint). Any training state in the stream is validated and
 /// discarded.
 pub fn load_params(store: &mut ParamStore, r: impl Read) -> Result<(), CheckpointError> {
     load_checkpoint(store, r).map(|_| ())
@@ -526,7 +477,7 @@ fn read_body(r: &mut impl Read, len: u64) -> Result<Vec<u8>, CheckpointError> {
     Ok(buf)
 }
 
-/// Loads a checkpoint (CFT1 or CFT2) into an identically structured store
+/// Loads a CFT2 checkpoint into an identically structured store
 /// and returns its training state, if the stream carries one.
 ///
 /// All-or-nothing: every section is read and validated (CRCs, footer,
@@ -538,9 +489,6 @@ pub fn load_checkpoint(
 ) -> Result<Option<TrainState>, CheckpointError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
-    if &magic == MAGIC1 {
-        return load_cft1(store, r).map(|()| None);
-    }
     if &magic != MAGIC2 {
         return Err(CheckpointError::BadMagic);
     }
@@ -675,82 +623,6 @@ pub fn load_checkpoint(
     Ok(state)
 }
 
-/// The legacy CFT1 streaming reader (magic already consumed).
-fn load_cft1(store: &mut ParamStore, mut r: impl Read) -> Result<(), CheckpointError> {
-    let n = read_u32(&mut r)? as usize;
-    if n != store.len() {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint has {n} params, store has {}",
-            store.len()
-        )));
-    }
-    // Read into staging first so a mismatch never leaves the store half
-    // overwritten.
-    let mut staged: Vec<Tensor> = Vec::with_capacity(n);
-    for (id, name, tensor) in store.iter() {
-        let _ = id;
-        let name_len = read_u32(&mut r)? as usize;
-        if name_len > MAX_NAME_LEN {
-            return Err(CheckpointError::Corrupt(format!(
-                "absurd name length {name_len}"
-            )));
-        }
-        let mut name_buf = vec![0u8; name_len];
-        r.read_exact(&mut name_buf)?;
-        let ck_name = String::from_utf8(name_buf)
-            .map_err(|_| CheckpointError::Corrupt("non-utf8 parameter name".into()))?;
-        if ck_name != name {
-            return Err(CheckpointError::Mismatch(format!(
-                "expected param {name:?}, found {ck_name:?}"
-            )));
-        }
-        let rank = read_u32(&mut r)? as usize;
-        // Guard before the allocation below: a corrupt rank would otherwise
-        // drive `Vec::with_capacity` into a multi-GB request and abort the
-        // process instead of surfacing a typed error.
-        if rank > MAX_RANK {
-            return Err(CheckpointError::Corrupt(format!(
-                "param {name:?}: absurd rank {rank} (max {MAX_RANK})"
-            )));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let d = read_u32(&mut r)? as usize;
-            if d > MAX_DIM {
-                return Err(CheckpointError::Corrupt(format!(
-                    "param {name:?}: absurd dimension {d}"
-                )));
-            }
-            dims.push(d);
-        }
-        if dims.as_slice() != tensor.shape().dims() {
-            return Err(CheckpointError::Mismatch(format!(
-                "param {name:?}: checkpoint shape {dims:?} vs store {:?}",
-                tensor.shape().dims()
-            )));
-        }
-        let numel: usize = dims.iter().product::<usize>().max(1);
-        let numel = if dims.is_empty() { 1 } else { numel };
-        let mut data = Vec::with_capacity(numel);
-        let mut buf = [0u8; 4];
-        for _ in 0..numel {
-            r.read_exact(&mut buf)?;
-            data.push(f32::from_le_bytes(buf));
-        }
-        staged.push(Tensor::new(dims, data));
-    }
-    for (i, t) in staged.into_iter().enumerate() {
-        *store.get_mut(crate::params::ParamId(i)) = t;
-    }
-    Ok(())
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, CheckpointError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
 // ---------------------------------------------------------------------------
 // Atomic durable writes.
 // ---------------------------------------------------------------------------
@@ -764,23 +636,22 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes a CFT2 checkpoint durably and atomically: the stream goes to
-/// `<path>.tmp`, is fsynced, renamed over `path`, and the parent directory
-/// is fsynced so the rename itself survives a power cut. A crash at any
-/// byte offset leaves either the old checkpoint or the new one at `path`,
-/// never a torn file; on error the temporary is removed and `path` is
-/// untouched.
-pub fn save_checkpoint_atomic(
-    store: &ParamStore,
-    state: Option<&TrainState>,
+/// Replaces `path` durably and atomically with the bytes `write` streams:
+/// they go to `<path>.tmp`, which is fsynced and renamed over `path`, and
+/// the parent directory is fsynced so the rename itself survives a power
+/// cut. A crash at any byte offset leaves either the old file or the new
+/// one at `path`, never a torn one; on error the temporary is removed and
+/// `path` is untouched. The one durable write behind CFT2 checkpoints and
+/// cf-kg's CFKG1 stores and CFCI1 indexes.
+pub fn write_atomic<E: From<io::Error>>(
     path: impl AsRef<Path>,
-) -> io::Result<()> {
+    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> Result<(), E>,
+) -> Result<(), E> {
     let path = path.as_ref();
     let tmp = tmp_path(path);
-    let result = (|| {
-        let f = std::fs::File::create(&tmp)?;
-        let mut w = io::BufWriter::new(f);
-        save_checkpoint(store, state, &mut w)?;
+    let result: Result<(), E> = (|| {
+        let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        write(&mut w)?;
         w.flush()?;
         w.get_ref().sync_all()?;
         std::fs::rename(&tmp, path)?;
@@ -797,8 +668,16 @@ pub fn save_checkpoint_atomic(
     result
 }
 
-/// Params-only [`save_checkpoint_atomic`] — the durable replacement for
-/// writing a bare `save_params` stream straight to its final path.
+/// Writes a CFT2 checkpoint to `path` through [`write_atomic`].
+pub fn save_checkpoint_atomic(
+    store: &ParamStore,
+    state: Option<&TrainState>,
+    path: impl AsRef<Path>,
+) -> io::Result<()> {
+    write_atomic(path, |w| save_checkpoint(store, state, w))
+}
+
+/// Params-only [`save_checkpoint_atomic`].
 pub fn save_params_atomic(store: &ParamStore, path: impl AsRef<Path>) -> io::Result<()> {
     save_checkpoint_atomic(store, None, path)
 }
@@ -815,6 +694,32 @@ mod tests {
         );
         ps.add("b", Tensor::vector(&[7.0, -1.5]));
         ps
+    }
+
+    /// A params-only CFT2 stream of `ps`.
+    fn params_only(ps: &ParamStore) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_checkpoint(ps, None, &mut buf).unwrap();
+        buf
+    }
+
+    /// Offset of the params body in a params-only stream: magic, tag, length.
+    const BODY: usize = 4 + 1 + 8;
+    /// Offsets of param "a"'s fields in a params-only stream of `store()`:
+    /// the body opens with n_params(4), then name_len(4), "a"(1), rank(4).
+    const NAME_LEN: usize = BODY + 4;
+    const RANK: usize = BODY + 9;
+    const DIM0: usize = RANK + 4;
+
+    /// Re-seals a params-only stream after a test edited a body field in
+    /// place: recomputes the section CRC and the footer, so the edit reaches
+    /// the body parser and its caps instead of failing a CRC first.
+    fn reseal(buf: &mut [u8]) {
+        let crc_at = buf.len() - 9; // body crc(4), end tag(1), footer(4)
+        let crc = crc32(&buf[BODY..crc_at]).to_le_bytes();
+        buf[crc_at..crc_at + 4].copy_from_slice(&crc);
+        let n = buf.len();
+        buf[n - 4..].copy_from_slice(&crc32(&crc).to_le_bytes());
     }
 
     fn assert_stores_equal(a: &ParamStore, b: &ParamStore) {
@@ -843,17 +748,9 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_vector() {
-        // The canonical IEEE 802.3 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn round_trip_preserves_everything() {
         let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
+        let buf = params_only(&src);
         let mut dst = store();
         // Perturb destination to prove data actually loads.
         dst.get_mut(crate::params::ParamId(0)).data_mut()[0] = 99.0;
@@ -909,10 +806,18 @@ mod tests {
     }
 
     #[test]
+    fn rejects_retired_cft1_magic() {
+        // A CFT1 stream was the magic followed by a bare params body.
+        let full = params_only(&store());
+        let mut cft1 = b"CFT1".to_vec();
+        cft1.extend_from_slice(&full[BODY..full.len() - 9]);
+        let err = load_params(&mut store(), &cft1[..]).unwrap_err();
+        assert!(matches!(err, CheckpointError::BadMagic), "{err}");
+    }
+
+    #[test]
     fn rejects_shape_mismatch_without_corrupting() {
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
+        let buf = params_only(&store());
         let mut other = ParamStore::new();
         other.add("a", Tensor::zeros([2, 3]));
         other.add("b", Tensor::zeros([3])); // wrong shape
@@ -942,9 +847,7 @@ mod tests {
 
     #[test]
     fn rejects_name_mismatch() {
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
+        let buf = params_only(&store());
         let mut other = ParamStore::new();
         other.add("a", Tensor::zeros([2, 3]));
         other.add("c", Tensor::zeros([2]));
@@ -954,68 +857,60 @@ mod tests {
 
     #[test]
     fn rejects_truncated_stream() {
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
+        let mut buf = params_only(&store());
         buf.truncate(buf.len() - 3);
         let mut dst = store();
         assert!(load_params(&mut dst, &buf[..]).is_err());
     }
 
-    /// Byte offset of param "a"'s rank field in a CFT1 checkpoint of
-    /// `store()`: magic(4) + n(4) + name_len(4) + "a"(1).
-    const RANK_OFFSET: usize = 13;
+    /// Loads `buf` with `value` written at `at` (re-sealed) and returns the
+    /// error.
+    fn load_edited(mut buf: Vec<u8>, at: usize, value: u32) -> CheckpointError {
+        buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut buf);
+        load_params(&mut store(), &buf[..]).unwrap_err()
+    }
 
     #[test]
     fn rejects_absurd_rank_with_typed_error_not_oom() {
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
-        // Corrupt the rank field into a huge value; before the guard this
-        // drove Vec::with_capacity into a multi-GB allocation.
-        buf[RANK_OFFSET..RANK_OFFSET + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut dst = store();
-        let err = load_params(&mut dst, &buf[..]).unwrap_err();
+        // Before the cap a huge rank drove Vec::with_capacity into a
+        // multi-GB allocation.
+        let err = load_edited(params_only(&store()), RANK, u32::MAX);
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("absurd rank"), "{err}");
     }
 
     #[test]
     fn rejects_absurd_name_len_and_dims_with_typed_errors() {
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
-        // name_len field of param "a" sits right after magic + n_params.
-        let mut bad = buf.clone();
-        bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = load_params(&mut store(), &bad[..]).unwrap_err();
+        let buf = params_only(&store());
+        let err = load_edited(buf.clone(), NAME_LEN, u32::MAX);
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("absurd name length"), "{err}");
         // A single dimension beyond MAX_DIM is Corrupt, not an allocation.
-        let mut bad = buf;
-        bad[RANK_OFFSET + 4..RANK_OFFSET + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = load_params(&mut store(), &bad[..]).unwrap_err();
+        let err = load_edited(buf.clone(), DIM0, u32::MAX);
         assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("absurd dimension"), "{err}");
+        // Two in-cap dimensions whose product passes MAX_NUMEL.
+        let mut wide = buf;
+        wide[DIM0..DIM0 + 4].copy_from_slice(&(MAX_DIM as u32).to_le_bytes());
+        let err = load_edited(wide, DIM0 + 4, MAX_DIM as u32);
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("element count overflow"), "{err}");
     }
 
     #[test]
     fn rejects_garbage_dims_as_mismatch() {
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
         // Keep rank=2 but overwrite the first dim of "a" with garbage.
-        buf[RANK_OFFSET + 4..RANK_OFFSET + 8].copy_from_slice(&0xDEAD_u32.to_le_bytes());
-        let mut dst = store();
-        let err = load_params(&mut dst, &buf[..]).unwrap_err();
+        let err = load_edited(params_only(&store()), DIM0, 0xDEAD);
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
     }
 
     #[test]
     fn rejects_truncation_at_every_prefix() {
-        // No prefix of a valid CFT1 checkpoint may panic; every one must
-        // yield a typed error (truncations land on Io, the final full
-        // length on Ok).
-        let src = store();
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
+        // No prefix of a valid params-only checkpoint may panic: the loader
+        // reads every section before parsing any, so each cut is an Io
+        // error (the full length alone loads).
+        let buf = params_only(&store());
         for cut in 0..buf.len() {
             let mut dst = store();
             let err = load_params(&mut dst, &buf[..cut]).unwrap_err();
@@ -1079,8 +974,7 @@ mod tests {
     fn scalar_params_round_trip() {
         let mut src = ParamStore::new();
         src.add("s", Tensor::scalar(3.5));
-        let mut buf = Vec::new();
-        save_params(&src, &mut buf).unwrap();
+        let buf = params_only(&src);
         let mut dst = ParamStore::new();
         dst.add("s", Tensor::scalar(0.0));
         load_params(&mut dst, &buf[..]).unwrap();

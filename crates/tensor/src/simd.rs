@@ -1,12 +1,14 @@
-//! Runtime-dispatched wide-vector compilation of the hot numeric kernels.
+//! Runtime-dispatched wide-vector compilation of the hot numeric kernels,
+//! and the workspace's one CPU-feature probe.
 //!
 //! The workspace builds for baseline `x86-64` (SSE2, 4 f32 lanes) so the
 //! binaries stay portable. The hot loops, however, are memory-bandwidth and
 //! port-width bound: on an AVX2 (8-lane) or AVX-512 (16-lane) machine the
-//! baseline codegen leaves most of the vector unit idle. [`simd_hot!`]
+//! baseline codegen leaves most of the vector unit idle. [`simd_hot!`](crate::simd_hot)
 //! closes that gap without a second build: it compiles the *same* function
 //! body once per feature tier behind `#[target_feature]`, and a cached
-//! one-time CPUID probe picks the widest tier the host supports.
+//! one-time CPUID probe ([`tiers`]) picks the widest tier the host supports.
+//! The same probe picks the carry-less-multiply fold of [`crate::crc`].
 //!
 //! # Why this cannot change results
 //!
@@ -29,24 +31,46 @@
 //! kernels on whatever host executes them, so any codegen deviation would
 //! trip the bitwise asserts immediately.
 
-/// Baseline tier: whatever the crate was compiled for (SSE2 on x86-64).
-pub(crate) const BASELINE: u8 = 0;
-/// AVX2 tier: 8-lane f32 vectors.
-pub(crate) const AVX2: u8 = 1;
-/// AVX-512 tier: 16-lane f32 vectors (F/VL/DQ/BW, the f32-relevant subset).
-pub(crate) const AVX512: u8 = 2;
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The widest tier this CPU supports; probed once, then cached.
+/// Baseline tier: whatever the crate was compiled for (SSE2 on x86-64).
+pub const BASELINE: u8 = 0;
+/// AVX2 tier: 8-lane f32 vectors.
+pub const AVX2: u8 = 1;
+/// AVX-512 tier: 16-lane f32 vectors (F/VL/DQ/BW, the f32-relevant subset).
+pub const AVX512: u8 = 2;
+
+/// CRC fold tier: the slicing-by-8 table (see [`crate::crc`]).
+pub const CRC_TABLE: u8 = 0;
+/// CRC fold tier: PCLMULQDQ over eight 128-bit accumulators.
+pub const CRC_XMM: u8 = 1;
+/// CRC fold tier: VPCLMULQDQ over four 512-bit accumulators.
+pub const CRC_ZMM: u8 = 2;
+
+/// What the one CPU probe selects: the vector tier [`simd_hot!`](crate::simd_hot)
+/// dispatches on and the CRC fold [`crate::crc`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tiers {
+    /// [`BASELINE`], [`AVX2`] or [`AVX512`].
+    pub vector: u8,
+    /// [`CRC_TABLE`], [`CRC_XMM`] or [`CRC_ZMM`].
+    pub crc: u8,
+}
+
+/// The tiers in force, packed `vector | crc << 4`; `UNPROBED` until the
+/// first [`tiers`] call. It publishes no other data, so every access is
+/// `Relaxed`.
+static TIERS: AtomicU8 = AtomicU8::new(UNPROBED);
+const UNPROBED: u8 = u8::MAX;
+
+fn pack(t: Tiers) -> u8 {
+    t.vector | t.crc << 4
+}
+
+/// The widest tiers this CPU supports, straight from CPUID.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn level() -> u8 {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    const UNPROBED: u8 = u8::MAX;
-    static LEVEL: AtomicU8 = AtomicU8::new(UNPROBED);
-    let cached = LEVEL.load(Ordering::Relaxed);
-    if cached != UNPROBED {
-        return cached;
-    }
-    let detected = if std::arch::is_x86_feature_detected!("avx512f")
+fn probe() -> Tiers {
+    let vector = if std::arch::is_x86_feature_detected!("avx512f")
         && std::arch::is_x86_feature_detected!("avx512vl")
         && std::arch::is_x86_feature_detected!("avx512dq")
         && std::arch::is_x86_feature_detected!("avx512bw")
@@ -57,21 +81,74 @@ pub(crate) fn level() -> u8 {
     } else {
         BASELINE
     };
-    LEVEL.store(detected, Ordering::Relaxed);
-    detected
+    let crc = if std::arch::is_x86_feature_detected!("vpclmulqdq")
+        && std::arch::is_x86_feature_detected!("avx512f")
+    {
+        CRC_ZMM
+    } else if std::arch::is_x86_feature_detected!("pclmulqdq") {
+        CRC_XMM
+    } else {
+        CRC_TABLE
+    };
+    Tiers { vector, crc }
 }
 
-/// Non-x86 hosts always run the baseline tier.
+/// Non-x86 hosts always run the portable tiers.
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn level() -> u8 {
-    BASELINE
+fn probe() -> Tiers {
+    Tiers {
+        vector: BASELINE,
+        crc: CRC_TABLE,
+    }
+}
+
+/// The tiers in force: probed once, then cached (or as [`pin`]ned).
+pub fn tiers() -> Tiers {
+    let mut packed = TIERS.load(Ordering::Relaxed);
+    if packed == UNPROBED {
+        // A concurrent pin wins over this lazy probe.
+        let probed = pack(probe());
+        packed =
+            match TIERS.compare_exchange(UNPROBED, probed, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => probed,
+                Err(current) => current,
+            };
+    }
+    Tiers {
+        vector: packed & 0xF,
+        crc: packed >> 4,
+    }
+}
+
+/// The vector tier in force — what [`simd_hot!`](crate::simd_hot) dispatches on.
+pub fn level() -> u8 {
+    tiers().vector
+}
+
+/// Pins the dispatch tiers, or with `None` restores the probed ones. Tests
+/// and benches use it to run every tier the host has on the same input;
+/// every tier computes the same bits, so a pin only changes speed.
+///
+/// # Panics
+/// If a pinned tier exceeds what the CPU supports.
+#[doc(hidden)]
+pub fn pin(pinned: Option<Tiers>) {
+    let probed = probe();
+    let t = pinned.unwrap_or(probed);
+    assert!(
+        t.vector <= probed.vector && t.crc <= probed.crc,
+        "pinned {t:?} exceeds the probed {probed:?}"
+    );
+    TIERS.store(pack(t), Ordering::Relaxed);
 }
 
 /// Compiles each function body three times — baseline, AVX2, AVX-512 — and
 /// dispatches on [`level()`]. The body is emitted as an `#[inline(always)]`
 /// inner function, so helpers it calls must themselves be `#[inline]`-able
 /// for the wide tiers to reach them; anything that stays out-of-line simply
-/// runs baseline code, which is bit-identical (see module docs).
+/// runs baseline code, which is bit-identical (see module docs). The
+/// workspace's only dispatch macro: cf-kg's store scans use it too.
+#[macro_export]
 macro_rules! simd_hot {
     ($( $(#[$meta:meta])* $vis:vis fn $name:ident( $($arg:ident : $ty:ty),* $(,)? ) $(-> $ret:ty)? $body:block )*) => {$(
         $(#[$meta])*
@@ -89,7 +166,8 @@ macro_rules! simd_hot {
                     baseline($($arg),*)
                 }
                 // SAFETY: `level()` only reports a tier after probing that
-                // this CPU supports every feature the tier enables.
+                // this CPU supports every feature the tier enables, and
+                // `pin` refuses any tier above the probed one.
                 match $crate::simd::level() {
                     $crate::simd::AVX512 => return unsafe { avx512($($arg),*) },
                     $crate::simd::AVX2 => return unsafe { avx2($($arg),*) },
@@ -100,7 +178,6 @@ macro_rules! simd_hot {
         }
     )*};
 }
-pub(crate) use simd_hot;
 
 /// Element count above which the element-wise helpers fan contiguous chunks
 /// out across the thread pool. Every lane is an independent one-op chain, so
@@ -186,6 +263,7 @@ mod tests {
         let l = level();
         assert!(l == BASELINE || l == AVX2 || l == AVX512);
         assert_eq!(l, level(), "probe must be stable");
+        assert!(tiers().crc <= CRC_ZMM);
     }
 
     #[test]

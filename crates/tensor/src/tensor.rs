@@ -530,7 +530,7 @@ pub(crate) fn par_batches(batches: usize, flops: usize, f: impl Fn(usize) + Sync
     }
 }
 
-crate::simd::simd_hot! {
+crate::simd_hot! {
 
 /// Register-tiled micro-kernel sweep over row panels `ip0..ip1`, writing
 /// output rows `ip0*MR .. min(ip1*MR, m)`. `out_rows` is exactly that row

@@ -15,7 +15,7 @@ use cf_check::TempDir;
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, RngCore, SeedableRng};
 use cf_tensor::{
-    load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, AdamSnapshot,
+    crc32, load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, AdamSnapshot,
     CheckpointError, ParamStore, Tensor, TrainState,
 };
 
@@ -51,6 +51,20 @@ fn encode(ps: &ParamStore, tag: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     save_checkpoint(ps, Some(&state_for(ps, tag)), &mut buf).unwrap();
     buf
+}
+
+/// A params-only CFT2 stream around a hand-built params `body`, sealed with
+/// valid section and footer CRCs so the body reaches its parser's caps.
+fn sealed_params(body: &[u8]) -> Vec<u8> {
+    let crc = crc32(body).to_le_bytes();
+    let mut b = b"CFT2".to_vec();
+    b.push(0x01);
+    b.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    b.extend_from_slice(body);
+    b.extend_from_slice(&crc);
+    b.push(0xFF);
+    b.extend_from_slice(&crc32(&crc).to_le_bytes());
+    b
 }
 
 fn params_bits(ps: &ParamStore) -> Vec<u32> {
@@ -158,10 +172,8 @@ fn fuzzed_garbage_headers_never_panic_or_overallocate() {
         // Half the cases get a valid magic so parsing reaches the length
         // fields — the satellite's actual attack surface: u32/u64 counts
         // trusted before sanity checks used to drive Vec::with_capacity.
-        match case % 4 {
-            0 if len >= 4 => buf[..4].copy_from_slice(b"CFT1"),
-            1 if len >= 4 => buf[..4].copy_from_slice(b"CFT2"),
-            _ => {}
+        if case % 4 < 2 && len >= 4 {
+            buf[..4].copy_from_slice(b"CFT2");
         }
         let mut dst = store(3.0);
         if load_checkpoint(&mut dst, &buf[..]).is_err() {
@@ -180,16 +192,14 @@ fn adversarial_length_fields_fail_fast_not_oom() {
     // (multi-GB) — run under a memory limit these would abort, not error.
     let mut dst = store(0.0);
 
-    // CFT1 claiming u32::MAX params.
-    let mut b = b"CFT1".to_vec();
-    b.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert!(load_params(&mut dst, &b[..]).is_err());
+    // A params body claiming u32::MAX params.
+    let err = load_params(&mut dst, &sealed_params(&u32::MAX.to_le_bytes())[..]).unwrap_err();
+    assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
 
-    // CFT1 with a 4 GiB name length.
-    let mut b = b"CFT1".to_vec();
-    b.extend_from_slice(&3u32.to_le_bytes());
-    b.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = load_params(&mut dst, &b[..]).unwrap_err();
+    // A params body with a 4 GiB name length.
+    let mut body = 3u32.to_le_bytes().to_vec();
+    body.extend_from_slice(&u32::MAX.to_le_bytes());
+    let err = load_params(&mut dst, &sealed_params(&body)[..]).unwrap_err();
     assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
 
     // CFT2 section announcing a body far beyond the section cap.
