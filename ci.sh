@@ -22,6 +22,20 @@ echo "== cargo build --release (offline) =="
 # explicit so the gate does not depend on that list.
 cargo build --release --offline --workspace
 
+# Scratch space for the gates below; removed on exit.
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "== Figure 2 pin (offline) =="
+# The Figure 2 chain counts (cf_chains::exact_chain_count on the shared
+# simple-path walk) are a pure function of the seeded twins, so the binary
+# must reproduce the checked-in CSV byte for byte. The kg_store gate's cmp
+# steps pin the chain index that the same walk builds.
+CF_SCALE=default CF_SEED=7 CF_OUT="$SMOKE_DIR/fig2" \
+    ./target/release/fig2_chain_explosion >/dev/null
+cmp "$SMOKE_DIR/fig2/fig2_chain_explosion.csv" results/fig2_chain_explosion.csv \
+    || { echo "fig2 pin: counts differ from results/fig2_chain_explosion.csv"; exit 1; }
+
 echo "== cargo test (offline) =="
 cargo test -q --workspace --offline
 
@@ -74,8 +88,6 @@ echo "== serve smoke (offline) =="
 # malformed request (must get a structured error, not a dropped
 # connection), a metrics scrape, overload shedding, and a clean SIGTERM
 # shutdown with exit 0.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 CFKG=./target/release/cfkg
 "$CFKG" generate --dataset yago --scale small --seed 3 --out "$SMOKE_DIR" >/dev/null
 SMOKE_FLAGS=(--triples "$SMOKE_DIR/yago15k_sim_triples.tsv" \

@@ -1,51 +1,33 @@
 //! Chain counting for Figure 2: the number of logic chains connected to a
 //! query explodes with reasoning depth.
 
-use cf_kg::{EntityId, GraphView, KnowledgeGraph};
+use cf_kg::{for_each_simple_path, EntityId, GraphView, KnowledgeGraph};
 use cf_rand::Rng;
+use std::ops::ControlFlow;
 
-/// Exact number of logic chains of exactly `hops` relation steps rooted at
+/// Exact number of logic chains of 1 to `hops` relation steps rooted at
 /// `entity`: simple paths (no node revisits) whose endpoint carries at least
 /// one numeric fact, counted once per (path, fact) pair — the same
 /// definition the retrieval samples from.
 ///
-/// DFS cost grows exponentially; `cap` bounds the count (returns
+/// The walk's cost grows exponentially; `cap` bounds the count (returns
 /// `min(count, cap)`), letting callers fall back to sampling estimates.
 pub fn exact_chain_count(g: &impl GraphView, entity: EntityId, hops: usize, cap: u64) -> u64 {
-    let mut visited = vec![false; g.num_entities()];
-    visited[entity.0 as usize] = true;
+    if cap == 0 {
+        return 0;
+    }
     let mut count = 0u64;
-    dfs(g, entity, hops, &mut visited, &mut count, cap);
+    for_each_simple_path(g, entity, hops, usize::MAX, |_, to| {
+        count = count
+            .saturating_add(g.numerics_of(to).len() as u64)
+            .min(cap);
+        if count == cap {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
     count
-}
-
-fn dfs(
-    g: &impl GraphView,
-    at: EntityId,
-    remaining: usize,
-    visited: &mut [bool],
-    count: &mut u64,
-    cap: u64,
-) {
-    if *count >= cap {
-        return;
-    }
-    if remaining == 0 {
-        return;
-    }
-    for edge in g.neighbors(at) {
-        let next = edge.to;
-        if visited[next.0 as usize] {
-            continue;
-        }
-        *count = (*count + g.numerics_of(next).len() as u64).min(cap);
-        if *count >= cap {
-            return;
-        }
-        visited[next.0 as usize] = true;
-        dfs(g, next, remaining - 1, visited, count, cap);
-        visited[next.0 as usize] = false;
-    }
 }
 
 /// Chains of *up to* `hops` steps (what Figure 2 plots per hop count).
@@ -86,11 +68,55 @@ pub fn mean_chain_count(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cf_kg::synth::{yago15k_sim, SynthScale};
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
+    use std::collections::HashSet;
+
+    /// [`exact_chain_count`] as first written, with a depth-first search
+    /// of its own that marks the nodes on the current path in `visited`.
+    pub(crate) fn exact_chain_count_reference(
+        g: &impl GraphView,
+        entity: EntityId,
+        hops: usize,
+        cap: u64,
+    ) -> u64 {
+        let mut visited = HashSet::from([entity]);
+        let mut count = 0u64;
+        descend(g, entity, hops, &mut visited, &mut count, cap);
+        count
+    }
+
+    fn descend(
+        g: &impl GraphView,
+        at: EntityId,
+        remaining: usize,
+        visited: &mut HashSet<EntityId>,
+        count: &mut u64,
+        cap: u64,
+    ) {
+        if *count >= cap {
+            return;
+        }
+        if remaining == 0 {
+            return;
+        }
+        for edge in g.neighbors(at) {
+            let next = edge.to;
+            if visited.contains(&next) {
+                continue;
+            }
+            *count = (*count + g.numerics_of(next).len() as u64).min(cap);
+            if *count >= cap {
+                return;
+            }
+            visited.insert(next);
+            descend(g, next, remaining - 1, visited, count, cap);
+            visited.remove(&next);
+        }
+    }
 
     /// Path graph a-b-c with facts everywhere: from a, 1 hop reaches b
     /// (1 fact), 2 hops adds c (1 fact).

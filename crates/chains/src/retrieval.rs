@@ -141,9 +141,6 @@ pub fn retrieve(
                 continue;
             }
             let f = *facts.choose(rng).expect("non-empty");
-            if current == query.entity && f.attr == query.attr {
-                continue;
-            }
             if seen.push_new(&mut chains, query, f.attr, &rels, current, f.value)
                 && chains.len() >= cfg.num_walks
             {
@@ -154,13 +151,13 @@ pub fn retrieve(
     TreeOfChains { query, chains }
 }
 
-/// The set of `(chain, source)` pairs [`retrieve`] has emitted, kept as an
-/// open-addressing table of indices into the emitted chains themselves:
-/// a probe hashes the candidate and compares it with `chains[i]` in place,
-/// so nothing is cloned to test membership and the check is exact. Every
-/// chain of one call shares `query_attr`, so `(known_attr, rels, source)`
-/// is the whole key.
-struct Emitted {
+/// The set of `(chain, source)` pairs a call of [`retrieve`] or
+/// [`crate::enumerate_chains`] has emitted, kept as an open-addressing table
+/// of indices into the emitted chains themselves: a probe hashes the
+/// candidate and compares it with `chains[i]` in place, so nothing is cloned
+/// to test membership and the check is exact. Every chain of one call
+/// shares `query_attr`, so `(known_attr, rels, source)` is the whole key.
+pub(crate) struct Emitted {
     /// Power-of-two many slots, each [`Emitted::EMPTY`] or an index into
     /// the chains; at most half are filled.
     slots: Vec<u32>,
@@ -170,7 +167,7 @@ impl Emitted {
     const EMPTY: u32 = u32::MAX;
 
     /// A table that holds `expected` chains without growing.
-    fn with_capacity(expected: usize) -> Self {
+    pub(crate) fn with_capacity(expected: usize) -> Self {
         Emitted {
             slots: vec![Self::EMPTY; (2 * expected).max(16).next_power_of_two()],
         }
@@ -179,7 +176,7 @@ impl Emitted {
     /// Appends the chain `(known_attr, rels, query.attr)` grounded at
     /// `source` to `chains` unless that pair is already there. Returns
     /// whether it was appended; only then is `rels` copied.
-    fn push_new(
+    pub(crate) fn push_new(
         &mut self,
         chains: &mut Vec<ChainInstance>,
         query: Query,

@@ -31,9 +31,10 @@
 use crate::graph::KnowledgeGraph;
 use crate::ids::{AttributeId, DirRel, EntityId};
 use crate::mmapio::Mmap;
+use crate::paths::for_each_simple_path;
 use crate::store::{cast_u64s, walk_sections, SectionWriter, StoreError};
 use crate::view::GraphView;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::path::Path;
 
 /// File magic for the chain index.
@@ -104,8 +105,8 @@ impl ChainEntry {
 pub struct IndexParams {
     /// Maximum path depth (≤ 3, the paper's walk length).
     pub max_hops: u32,
-    /// Per-node branch cap during the DFS: only the first `fanout` non-cycle
-    /// edges (adjacency order) are expanded at each node.
+    /// Per-node branch cap during the walk: only the first `fanout`
+    /// non-cycle edges (adjacency order) are expanded at each node.
     pub fanout: u32,
     /// Cap on entries kept per entity, applied after canonical sort (shorter
     /// chains survive first).
@@ -204,10 +205,11 @@ impl ChainIndexView for ChainIndex {
 // build
 // ---------------------------------------------------------------------------
 
-/// Depth-first enumeration of simple paths from `e`, bounded by
-/// `params.max_hops` and `params.fanout`, pushing one entry per numeric fact
-/// at every visited node. Purely sequential per entity — determinism comes
-/// from fixed adjacency order.
+/// The index row of `e`: its own numeric facts as 0-hop entries, then one
+/// entry per numeric fact at the end of every simple path of
+/// [`for_each_simple_path`] under `params.max_hops` and `params.fanout`;
+/// sorted, deduped and capped. A pure function of graph, entity and
+/// parameters — determinism comes from fixed adjacency order.
 fn collect_entity(
     g: &impl GraphView,
     e: EntityId,
@@ -215,8 +217,8 @@ fn collect_entity(
     scratch: &mut Vec<ChainEntry>,
 ) {
     scratch.clear();
-    // Raw enumeration is bounded: if a hub's DFS overflows this guard we
-    // stop expanding (canonical sort below then keeps the shortest chains).
+    // Raw enumeration is bounded: once a hub's walk reaches this guard it
+    // stops (canonical sort below then keeps the shortest chains).
     let scratch_cap = (params.per_entity_cap as usize)
         .saturating_mul(16)
         .max(1024);
@@ -229,55 +231,34 @@ fn collect_entity(
             value: f.value,
         });
     }
-    let mut path = [e; 4];
-    let mut toks = [NO_TOKEN; 3];
-    dfs(g, e, 0, &mut path, &mut toks, params, scratch_cap, scratch);
+    if scratch.len() < scratch_cap {
+        let (max_hops, fanout) = (params.max_hops as usize, params.fanout as usize);
+        for_each_simple_path(g, e, max_hops, fanout, |rels, to| {
+            let mut rel_tokens = [NO_TOKEN; 3];
+            for (t, dr) in rel_tokens.iter_mut().zip(rels) {
+                *t = dr.token() as u32;
+            }
+            for f in g.numerics_of(to) {
+                scratch.push(ChainEntry {
+                    source: to,
+                    attr: f.attr,
+                    hops: rels.len() as u32,
+                    rel_tokens,
+                    value: f.value,
+                });
+            }
+            if scratch.len() >= scratch_cap {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+    }
     // Canonicalize: sort (hops first, so the cap keeps short chains), dedup
     // exact duplicates reached via different intermediate nodes, cap.
     scratch.sort_unstable_by_key(|c| c.sort_key());
     scratch.dedup_by(|a, b| a.sort_key() == b.sort_key());
     scratch.truncate(params.per_entity_cap as usize);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    g: &impl GraphView,
-    at: EntityId,
-    depth: u32,
-    path: &mut [EntityId; 4],
-    toks: &mut [u32; 3],
-    params: &IndexParams,
-    scratch_cap: usize,
-    out: &mut Vec<ChainEntry>,
-) {
-    if depth >= params.max_hops || out.len() >= scratch_cap {
-        return;
-    }
-    let d = depth as usize;
-    let mut taken = 0u32;
-    for edge in g.neighbors(at) {
-        if taken >= params.fanout || out.len() >= scratch_cap {
-            break;
-        }
-        if path[..=d].contains(&edge.to) {
-            continue;
-        }
-        taken += 1;
-        toks[d] = edge.dr.token() as u32;
-        path[d + 1] = edge.to;
-        let mut rt = [NO_TOKEN; 3];
-        rt[..=d].copy_from_slice(&toks[..=d]);
-        for f in g.numerics_of(edge.to) {
-            out.push(ChainEntry {
-                source: edge.to,
-                attr: f.attr,
-                hops: depth + 1,
-                rel_tokens: rt,
-                value: f.value,
-            });
-        }
-        dfs(g, edge.to, depth + 1, path, toks, params, scratch_cap, out);
-    }
 }
 
 /// Builds the chain index for `g`, in parallel on the global thread pool.
@@ -648,10 +629,192 @@ pub fn build_default_index(g: &KnowledgeGraph) -> ChainIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::RelationId;
     use crate::synth::{yago15k_sim, SynthScale};
+    use cf_check::prelude::*;
     use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
+
+    /// [`collect_entity`] as first written, with a depth-first search of
+    /// its own. Returns whether the raw-enumeration guard was reached.
+    fn collect_entity_reference(
+        g: &impl GraphView,
+        e: EntityId,
+        params: &IndexParams,
+        scratch: &mut Vec<ChainEntry>,
+    ) -> bool {
+        scratch.clear();
+        let scratch_cap = (params.per_entity_cap as usize)
+            .saturating_mul(16)
+            .max(1024);
+        for f in g.numerics_of(e) {
+            scratch.push(ChainEntry {
+                source: e,
+                attr: f.attr,
+                hops: 0,
+                rel_tokens: [NO_TOKEN; 3],
+                value: f.value,
+            });
+        }
+        let mut path = [e; 4];
+        let mut toks = [NO_TOKEN; 3];
+        descend(g, e, 0, &mut path, &mut toks, params, scratch_cap, scratch);
+        let guarded = scratch.len() >= scratch_cap;
+        scratch.sort_unstable_by_key(|c| c.sort_key());
+        scratch.dedup_by(|a, b| a.sort_key() == b.sort_key());
+        scratch.truncate(params.per_entity_cap as usize);
+        guarded
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn descend(
+        g: &impl GraphView,
+        at: EntityId,
+        depth: u32,
+        path: &mut [EntityId; 4],
+        toks: &mut [u32; 3],
+        params: &IndexParams,
+        scratch_cap: usize,
+        out: &mut Vec<ChainEntry>,
+    ) {
+        if depth >= params.max_hops || out.len() >= scratch_cap {
+            return;
+        }
+        let d = depth as usize;
+        let mut taken = 0u32;
+        for edge in g.neighbors(at) {
+            if taken >= params.fanout || out.len() >= scratch_cap {
+                break;
+            }
+            if path[..=d].contains(&edge.to) {
+                continue;
+            }
+            taken += 1;
+            toks[d] = edge.dr.token() as u32;
+            path[d + 1] = edge.to;
+            let mut rt = [NO_TOKEN; 3];
+            rt[..=d].copy_from_slice(&toks[..=d]);
+            for f in g.numerics_of(edge.to) {
+                out.push(ChainEntry {
+                    source: edge.to,
+                    attr: f.attr,
+                    hops: depth + 1,
+                    rel_tokens: rt,
+                    value: f.value,
+                });
+            }
+            descend(g, edge.to, depth + 1, path, toks, params, scratch_cap, out);
+        }
+    }
+
+    /// A multigraph over `n` entities: edge `(h, t, r)` is the triple
+    /// `(h, r, t)` — self-loops and parallel edges included — and entity `i`
+    /// carries the `(attribute, value)` facts `facts[i]`, attributes
+    /// possibly repeated.
+    fn multigraph(
+        n: usize,
+        edges: &[(usize, usize, usize)],
+        facts: &[Vec<(usize, u8)>],
+    ) -> KnowledgeGraph {
+        let mut g = KnowledgeGraph::new();
+        for i in 0..n {
+            g.add_entity(format!("e{i}"));
+        }
+        for r in 0..2 {
+            g.add_relation_type(format!("r{r}"));
+        }
+        for a in 0..3 {
+            g.add_attribute_type(format!("a{a}"));
+        }
+        for &(h, t, r) in edges {
+            g.add_triple(EntityId(h as u32), RelationId(r as u32), EntityId(t as u32));
+        }
+        for (i, fs) in facts.iter().enumerate() {
+            for &(a, v) in fs {
+                g.add_numeric(
+                    EntityId(i as u32),
+                    AttributeId(a as u32),
+                    f64::from(v) / 2.0,
+                );
+            }
+        }
+        g.build_index();
+        g
+    }
+
+    /// An entity whose own facts already reach the raw-enumeration guard
+    /// is not walked at all, as before.
+    #[test]
+    fn own_facts_at_the_guard_skip_the_walk() {
+        let g = multigraph(2, &[(0, 1, 0)], &[vec![(0, 1); 1024], vec![(1, 2)]]);
+        let params = IndexParams {
+            max_hops: 1,
+            fanout: 1,
+            per_entity_cap: 64,
+        };
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        collect_entity(&g, EntityId(0), &params, &mut got);
+        assert!(collect_entity_reference(
+            &g,
+            EntityId(0),
+            &params,
+            &mut want
+        ));
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 1, "only the deduped own fact: {got:?}");
+    }
+
+    /// `collect_entity` on the shared walk is the depth-first search it
+    /// replaced, entry for entry and bit for bit, for every entity of
+    /// random multigraphs at every depth up to 3, fan-outs from 1 to
+    /// unbounded and entry caps from 0 up — including rows whose walk the
+    /// raw-enumeration guard stops early.
+    #[test]
+    fn collect_entity_matches_reference() {
+        const N: usize = 10;
+        let guard_stops = std::cell::Cell::new(0u32);
+        let strategy = (
+            vec((0..N, 0..N, 0usize..2), 0..150),
+            vec(vec((0usize..3, 0u8..4), 0..=5), N),
+        );
+        cf_check::runner::run(
+            concat!(module_path!(), "::collect_entity_matches_reference"),
+            Config::with_cases(24),
+            strategy,
+            |(edges, facts)| {
+                let g = multigraph(N, &edges, &facts);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for max_hops in 0..=3 {
+                    for fanout in [1, 2, 3, 5, u32::MAX] {
+                        for per_entity_cap in [0, 1, 8, 64, 4096] {
+                            let params = IndexParams {
+                                max_hops,
+                                fanout,
+                                per_entity_cap,
+                            };
+                            for e in GraphView::entities(&g) {
+                                collect_entity(&g, e, &params, &mut got);
+                                if collect_entity_reference(&g, e, &params, &mut want) {
+                                    guard_stops.set(guard_stops.get() + 1);
+                                }
+                                let key = ChainEntry::sort_key;
+                                check_assert!(
+                                    got.iter().map(key).eq(want.iter().map(key)),
+                                    "row of {e:?} differs under {params:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            guard_stops.get() > 0,
+            "the raw-enumeration guard never stopped a walk"
+        );
+    }
 
     /// A fresh directory (removed on drop) and a file path inside it.
     fn tmp(name: &str) -> (TempDir, std::path::PathBuf) {

@@ -33,10 +33,10 @@ pub mod metrics;
 pub mod mmapio;
 pub mod norm;
 pub mod overlay;
+mod paths;
 pub mod split;
 pub mod stats;
 pub mod store;
-pub mod subgraph;
 pub mod synth;
 pub mod view;
 
@@ -51,7 +51,7 @@ pub use journal::{recover_file, validate_mutation, JournalWriter, Mutation, Reco
 pub use metrics::{Prediction, RegressionReport};
 pub use norm::MinMaxNormalizer;
 pub use overlay::{ApplyOutcome, OverlayGraph};
+pub use paths::for_each_simple_path;
 pub use split::Split;
 pub use store::{read_store, write_store, MappedGraph, StoreError};
-pub use subgraph::{induced_subgraph, k_hop_entities, k_hop_subgraph};
 pub use view::{GraphStore, GraphView};
