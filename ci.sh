@@ -114,6 +114,12 @@ done
 SERVE_ADDR="$(sed -n 's/^listening on //p' "$SMOKE_DIR/serve.log" | head -1)"
 SERVE_PORT="${SERVE_ADDR##*:}"
 [ -n "$SERVE_PORT" ] || { echo "serve smoke: no listening line"; exit 1; }
+# The served model is the one `cfkg train` wrote, filter and normalizer
+# included: the start-up line names its checkpoint and reports no fit.
+grep -q "^start-up ms: store open [0-9.]*, split [0-9.]*, model load [0-9.]* (from $SMOKE_DIR/model.ckpt, no fit)" \
+    "$SMOKE_DIR/serve.log" \
+    || { echo "serve smoke: model not loaded from its checkpoint:"; \
+         cat "$SMOKE_DIR/serve.log"; exit 1; }
 
 exec 3<>"/dev/tcp/127.0.0.1/$SERVE_PORT"
 printf '%s\n' '{"entity":"person_0","attr":"birth","id":1}' >&3

@@ -151,6 +151,11 @@ impl ChainVocab {
         2 * self.num_relations + self.num_attributes + 1
     }
 
+    /// Number of relation types in the vocabulary.
+    pub fn num_relations(&self) -> usize {
+        self.num_relations
+    }
+
     /// Number of directed-relation tokens (the hyperbolic table covers
     /// these plus attributes).
     pub fn num_rel_tokens(&self) -> usize {

@@ -18,6 +18,7 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Instant;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -131,14 +132,21 @@ fn config_from(args: &Args) -> Result<ChainsFormerConfig, Box<dyn Error>> {
     Ok(cfg)
 }
 
-/// Builds graph/split/model deterministically from the shared flags, so a
-/// checkpoint saved by `train` lines up bit-for-bit in `eval`/`predict`.
+/// The `--seed` 8:1:1 split of `graph`: its visible graph, the split, and
+/// the RNG where the split leaves it. `train` fits and trains on it; `eval`,
+/// `predict` and `serve` answer over it, so all of them see the same graph.
+fn split_graph(graph: &KnowledgeGraph, seed: u64) -> (KnowledgeGraph, Split, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let split = Split::paper_811(graph, &mut rng);
+    (split.visible_graph(graph), split, rng)
+}
+
+/// Builds graph/split/model deterministically from the shared flags and
+/// fits a fresh model (`train`).
 fn setup(args: &Args) -> Result<(KnowledgeGraph, Split, ChainsFormer, StdRng), Box<dyn Error>> {
     let cfg = config_from(args)?;
     let graph = load_graph(args)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let split = Split::paper_811(&graph, &mut rng);
-    let visible = split.visible_graph(&graph);
+    let (visible, split, mut rng) = split_graph(&graph, cfg.seed);
     let model = ChainsFormer::new(&visible, &split.train, cfg, &mut rng);
     Ok((visible, split, model, rng))
 }
@@ -206,18 +214,61 @@ pub fn train(args: &Args) -> CmdResult {
     Ok(())
 }
 
-fn load_model(
-    args: &Args,
-) -> Result<(KnowledgeGraph, Split, ChainsFormer, StdRng), Box<dyn Error>> {
-    let ckpt = args.require("ckpt")?.to_string();
-    let (visible, split, mut model, rng) = setup(args)?;
-    model.load_params_from(&ckpt)?;
-    Ok((visible, split, model, rng))
+/// What [`load_model`] built, and the milliseconds each phase took.
+struct Loaded {
+    visible: KnowledgeGraph,
+    split: Split,
+    model: ChainsFormer,
+    /// The RNG where the split left it.
+    rng: StdRng,
+    store_ms: f64,
+    split_ms: f64,
+    model_ms: f64,
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Opens the graph, splits it under `--seed`, and loads the `--ckpt` model
+/// (parameters and `model` section) for the flags' architecture, checked
+/// against the flags and the visible graph's vocabulary. Nothing is
+/// fitted: a checkpoint without the section, or one that disagrees, is a
+/// typed error.
+fn load_model(args: &Args) -> Result<Loaded, Box<dyn Error>> {
+    let cfg = config_from(args)?;
+    let ckpt = args.require("ckpt")?;
+    let t = Instant::now();
+    let graph = load_graph(args)?;
+    let store_ms = ms_since(t);
+    let t = Instant::now();
+    let (visible, split, rng) = split_graph(&graph, cfg.seed);
+    // Only the visible graph is served: free the full one before the model
+    // file is read.
+    drop(graph);
+    let split_ms = ms_since(t);
+    let t = Instant::now();
+    let model = ChainsFormer::load(ckpt, cfg, &visible)?;
+    Ok(Loaded {
+        visible,
+        split,
+        model,
+        rng,
+        store_ms,
+        split_ms,
+        model_ms: ms_since(t),
+    })
 }
 
 /// `cfkg eval`: evaluate a checkpoint on the test split.
 pub fn eval(args: &Args) -> CmdResult {
-    let (visible, split, model, mut rng) = load_model(args)?;
+    let Loaded {
+        visible,
+        split,
+        model,
+        mut rng,
+        ..
+    } = load_model(args)?;
     let report = evaluate_model(&model, &visible, &split.test, &mut rng);
     outln!(
         "{:<20} {:>10} {:>10} {:>7}",
@@ -280,7 +331,7 @@ pub fn predict(args: &Args) -> CmdResult {
     let seed: u64 = args.get_parse("seed", 7, "integer")?;
     let retries: u32 = args.get_parse("retries", 0u32, "integer")?;
     let quantize: QuantMode = args.get_parse("quantize", QuantMode::F32, "f32|int8")?;
-    let (visible, _split, model, _rng) = load_model(args)?;
+    let Loaded { visible, model, .. } = load_model(args)?;
     let engine = Engine::new(
         model,
         visible,
@@ -395,7 +446,9 @@ pub fn serve(args: &Args) -> CmdResult {
         seed: args.get_parse("seed", 7, "integer")?,
         quantize: args.get_parse("quantize", QuantMode::F32, "f32|int8")?,
     };
-    let (visible, _split, model, _rng) = load_model(args)?;
+    let loaded = load_model(args)?;
+    let (visible, model) = (loaded.visible, loaded.model);
+    let t = Instant::now();
     let index = match args.get("index") {
         Some(path) => {
             let ix = ChainIndexStore::from(MappedChainIndex::open(path)?);
@@ -406,6 +459,7 @@ pub fn serve(args: &Args) -> CmdResult {
         }
         None => None,
     };
+    let index_ms = ms_since(t);
     let quantize = cfg.quantize;
     let journal = args.get("journal").map(str::to_string);
     let compact_to = args.get("compact-to").map(PathBuf::from);
@@ -416,7 +470,10 @@ pub fn serve(args: &Args) -> CmdResult {
     if compact_to.is_some() != (compact_every > 0) {
         return Err("--compact-to FILE and --compact-every N (> 0) must be given together".into());
     }
+    let t = Instant::now();
     let engine = Arc::new(Engine::new_with_index(model, visible, index, cfg));
+    let engine_ms = ms_since(t);
+    let t = Instant::now();
     if let Some(jpath) = journal {
         // Attached after the index check above: the index pairs with the
         // pristine base store; journaled mutations land in the overlay and
@@ -428,6 +485,19 @@ pub fn serve(args: &Args) -> CmdResult {
             outln!("journal {jpath}: clean");
         }
     }
+    // One line per start, before `listening on`: where the start-up time
+    // went, and that the model came from its checkpoint, not a fit.
+    outln!(
+        "start-up ms: store open {:.1}, split {:.1}, model load {:.1} (from {}, no fit), \
+         index open {:.1}, engine start {:.1}, journal replay {:.1}",
+        loaded.store_ms,
+        loaded.split_ms,
+        loaded.model_ms,
+        args.require("ckpt")?,
+        index_ms,
+        engine_ms,
+        ms_since(t)
+    );
     outln!(
         "serving with {} shard(s), {} worker(s) each, {} inference",
         engine.shards(),

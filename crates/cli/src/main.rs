@@ -15,8 +15,10 @@
 //!
 //! Graphs are MMKG-style TSV (`head<TAB>rel<TAB>tail`,
 //! `entity<TAB>attr<TAB>value`); checkpoints use `cf_tensor::serialize`.
-//! Train/eval/predict must share `--seed` so the 8:1:1 split and the model
-//! architecture line up with the checkpoint.
+//! A checkpoint holds the whole trained model, the fitted filter,
+//! normalizer and fallback means included, so eval/predict/serve fit
+//! nothing. They must be given the training `--seed` (the served graph is
+//! that seed's 8:1:1 split) and architecture flags; a mismatch is an error.
 //!
 //! Every command accepts `--threads N` (or the `CF_THREADS` env var) to run
 //! the numeric kernels on an in-tree thread pool. Results are bitwise
@@ -89,7 +91,8 @@ COMMANDS
   stats      print Table-I/II statistics for a graph
              --triples FILE --numerics FILE   (or --store FILE)
   train      train ChainsFormer, checkpointing durably every epoch
-             (SIGINT stops gracefully and still saves the best model)
+             (SIGINT stops gracefully and still saves the best model);
+             the checkpoint is the whole model, fitted filter included
              --triples FILE --numerics FILE (or --store FILE) --ckpt FILE
              [--resume (continue a killed run bit-for-bit from --ckpt)]
              [--epochs N] [--dim N] [--layers N] [--walks N] [--top-k N]

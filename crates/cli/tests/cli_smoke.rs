@@ -164,3 +164,105 @@ fn mismatched_architecture_fails_cleanly() {
     assert!(!st.status.success(), "architecture mismatch must fail");
     assert!(String::from_utf8_lossy(&st.stderr).contains("mismatch"));
 }
+
+/// `ckpt` with its `model` section removed and the CFT2 footer re-sealed:
+/// a params-only checkpoint, as written before the section existed.
+fn strip_model_section(ckpt: &[u8]) -> Vec<u8> {
+    let mut out = ckpt[..4].to_vec();
+    let mut crcs = Vec::new();
+    let mut at = 4;
+    while ckpt[at] != 0xFF {
+        let len = u64::from_le_bytes(ckpt[at + 1..at + 9].try_into().unwrap()) as usize;
+        let end = at + 9 + len + 4;
+        if ckpt[at] != 0x07 {
+            out.extend_from_slice(&ckpt[at..end]);
+            crcs.extend_from_slice(&ckpt[end - 4..end]);
+        }
+        at = end;
+    }
+    out.push(0xFF);
+    out.extend_from_slice(&cf_tensor::crc32(&crcs).to_le_bytes());
+    out
+}
+
+#[test]
+fn model_file_errors_are_typed_and_name_the_section() {
+    let dir = TempDir::new("cfkg_model_file");
+    let yago = dir.join("yago");
+    let fb = dir.join("fb");
+    for (dataset, out) in [("yago", &yago), ("fb", &fb)] {
+        assert!(cfkg()
+            .args(["generate", "--dataset", dataset, "--scale", "small"])
+            .args(["--seed", "4", "--out", out.to_str().unwrap()])
+            .status()
+            .unwrap()
+            .success());
+    }
+    let graph = |dir: &std::path::Path, name: &str| -> Vec<String> {
+        vec![
+            "--triples".into(),
+            dir.join(format!("{name}_triples.tsv"))
+                .display()
+                .to_string(),
+            "--numerics".into(),
+            dir.join(format!("{name}_numerics.tsv"))
+                .display()
+                .to_string(),
+        ]
+    };
+    let yago_graph = graph(&yago, "yago15k_sim");
+    let fb_graph = graph(&fb, "fb15k237_sim");
+    let model = [
+        "--dim", "16", "--layers", "1", "--walks", "32", "--top-k", "8",
+    ];
+    let ckpt = dir.join("model.ckpt");
+    assert!(cfkg()
+        .arg("train")
+        .args(&yago_graph)
+        .args([
+            "--ckpt",
+            ckpt.to_str().unwrap(),
+            "--epochs",
+            "1",
+            "--seed",
+            "4"
+        ])
+        .args(model)
+        .status()
+        .unwrap()
+        .success());
+    let bare = dir.join("bare.ckpt");
+    std::fs::write(&bare, strip_model_section(&std::fs::read(&ckpt).unwrap())).unwrap();
+
+    let cases = [
+        // No model section.
+        (
+            &yago_graph,
+            &bare,
+            "4",
+            "checkpoint has no \"model\" section",
+        ),
+        // The section disagrees with the flags: trained under --seed 4.
+        (&yago_graph, &ckpt, "5", "fitted under seed 4"),
+        // The section disagrees with the graph's vocabulary.
+        (&fb_graph, &ckpt, "4", "the graph has"),
+    ];
+    for (graph, file, seed, want) in cases {
+        for cmd in [
+            vec!["eval"],
+            vec!["predict", "--entity", "person_0", "--attr", "birth"],
+            vec!["serve", "--port", "0"],
+        ] {
+            let st = cfkg()
+                .args(&cmd)
+                .args(graph)
+                .args(["--ckpt", file.to_str().unwrap(), "--seed", seed])
+                .args(model)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&st.stderr);
+            assert_eq!(st.status.code(), Some(1), "{cmd:?} {want}: {stderr}");
+            assert!(stderr.contains(want), "{cmd:?}: {stderr}");
+        }
+    }
+}

@@ -160,6 +160,58 @@ impl ChainFilter {
         &self.vocab
     }
 
+    /// λ of Eq. 9.
+    pub(crate) fn lambda(&self) -> f64 {
+        self.lambda
+    }
+
+    /// The fitted table, one row per `[directed relations ‖ attributes]`
+    /// token; empty for `Random`.
+    pub(crate) fn rows(&self) -> Vec<&[f64]> {
+        match (&self.hyper, &self.eucl) {
+            (Some(h), _) => (0..h.len()).map(|i| h.point(i)).collect(),
+            (None, Some(t)) => t.iter().map(Vec::as_slice).collect(),
+            (None, None) => Vec::new(),
+        }
+    }
+
+    /// A filter over an already fitted table: the inverse of [`Self::rows`].
+    pub(crate) fn from_rows(
+        space: FilterSpace,
+        vocab: ChainVocab,
+        dim: usize,
+        lambda: f64,
+        rows: Vec<Vec<f64>>,
+    ) -> Self {
+        let (hyper, eucl) = match space {
+            FilterSpace::Hyperbolic => (Some(PoincareEmbeddings::from_points(dim, rows)), None),
+            FilterSpace::Euclidean => (None, Some(rows)),
+            FilterSpace::Random => (None, None),
+        };
+        ChainFilter {
+            space,
+            vocab,
+            lambda,
+            hyper,
+            eucl,
+            dim,
+        }
+    }
+
+    /// True when `other` has the same space, vocabulary, dimension, λ and
+    /// table, bit for bit, so it keeps exactly the chains this filter keeps.
+    pub fn same_bits(&self, other: &ChainFilter) -> bool {
+        let (a, b) = (self.rows(), other.rows());
+        self.space == other.space
+            && self.vocab == other.vocab
+            && self.dim == other.dim
+            && self.lambda.to_bits() == other.lambda.to_bits()
+            && a.len() == b.len()
+            && a.iter().zip(&b).all(|(x, y)| {
+                x.len() == y.len() && x.iter().zip(*y).all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+    }
+
     /// The hyperbolic affinity score `s_c^H` (Eq. 9); *lower is more
     /// relevant*. Returns 0 for `Random` (scores unused there).
     pub fn score(&self, chain: &ChainInstance, query: Query) -> f64 {

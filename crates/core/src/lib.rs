@@ -40,6 +40,7 @@ pub mod config;
 pub mod encoder;
 pub mod explain;
 pub mod filter;
+mod fitted;
 pub mod model;
 pub mod quality;
 pub mod reasoner;

@@ -4,13 +4,15 @@
 use crate::config::ChainsFormerConfig;
 use crate::encoder::ChainEncoder;
 use crate::filter::ChainFilter;
+use crate::fitted::Fitted;
 use crate::quality::ChainQualityTracker;
 use crate::reasoner::{NumericalReasoner, ReasonerOutput};
 use cf_chains::{
     retrieve, retrieve_indexed, ChainInstance, ChainVocab, Query, RaChain, TreeOfChains,
 };
 use cf_kg::{ChainIndexView, GraphView, KnowledgeGraph, MinMaxNormalizer, NumTriple};
-use cf_rand::Rng;
+use cf_rand::rngs::StdRng;
+use cf_rand::{Rng, SeedableRng};
 use cf_tensor::{Forward, ForwardArena, InferCtx, ParamStore, Tape, Var};
 
 /// One explained evidence chain in a prediction.
@@ -46,7 +48,8 @@ pub struct PredictionDetail {
 
 /// The ChainsFormer model. Construction pre-trains (and freezes) the filter
 /// embeddings; the encoder/reasoner parameters live in [`Self::params`] and
-/// are trained by [`crate::train::Trainer`].
+/// are trained by [`crate::train::Trainer`]. A checkpoint holds both halves,
+/// so [`Self::load`] rebuilds the trained model without fitting anything.
 ///
 /// `Clone` exists for multi-replica serving: each `cf-serve` shard owns a
 /// full clone (its own `ParamStore`), so shards never contend on parameter
@@ -57,13 +60,11 @@ pub struct ChainsFormer {
     pub cfg: ChainsFormerConfig,
     /// Learnable parameters (encoder + reasoner).
     pub params: ParamStore,
-    filter: ChainFilter,
     encoder: ChainEncoder,
     reasoner: NumericalReasoner,
-    vocab: ChainVocab,
-    norm: MinMaxNormalizer,
-    /// Per-attribute training mean, the fallback for evidence-free queries.
-    fallback: Vec<f64>,
+    /// Vocabulary, filter, normalizer and fallback means: what the model
+    /// derives from its graph, stored in the checkpoint's `model` section.
+    fitted: Fitted,
     /// Chain-quality prior (populated by the trainer when
     /// `cfg.chain_quality` is on; see [`crate::quality`]).
     pub quality: Option<ChainQualityTracker>,
@@ -106,29 +107,100 @@ impl ChainsFormer {
         ChainsFormer {
             cfg,
             params,
-            filter,
             encoder,
             reasoner,
-            vocab,
-            norm,
-            fallback,
+            fitted: Fitted {
+                vocab,
+                filter,
+                norm,
+                fallback,
+            },
             quality: None,
         }
     }
 
+    /// Loads the whole model a checkpoint holds — its parameters and its
+    /// `model` section — for serving over `graph`, with no filter fit and
+    /// no pass over training facts. The architecture comes from `cfg` and
+    /// the graph's vocabulary; the section must agree with both, and the
+    /// parameters must match the architecture's names and shapes. A
+    /// checkpoint without the section is [`CheckpointError::Missing`]; one
+    /// that disagrees is [`CheckpointError::Mismatch`].
+    ///
+    /// [`CheckpointError::Missing`]: cf_tensor::CheckpointError::Missing
+    /// [`CheckpointError::Mismatch`]: cf_tensor::CheckpointError::Mismatch
+    pub fn load(
+        path: impl AsRef<std::path::Path>,
+        cfg: ChainsFormerConfig,
+        graph: &impl GraphView,
+    ) -> Result<Self, cf_tensor::CheckpointError> {
+        cfg.validate().expect("invalid configuration");
+        let vocab = ChainVocab::for_graph(graph);
+        let (fitted, ck) = read_model(path.as_ref(), &cfg, vocab)?;
+        // The layout the file's parameters must fit. Its initial values are
+        // all replaced by the file's.
+        let mut layout = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let encoder = ChainEncoder::new(&mut layout, &cfg, vocab, None, &mut rng);
+        let reasoner = NumericalReasoner::new(&mut layout, &cfg, &mut rng);
+        let (params, _) = ck.decode(layout)?;
+        Ok(ChainsFormer {
+            cfg,
+            params,
+            encoder,
+            reasoner,
+            fitted,
+            quality: None,
+        })
+    }
+
+    /// This model's architecture with the whole model a checkpoint holds
+    /// (parameters and `model` section), validated against this model's
+    /// configuration and vocabulary. `self` is untouched; hot reload swaps
+    /// the result in.
+    pub fn reloaded(
+        &self,
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<Self, cf_tensor::CheckpointError> {
+        self.read_file(path.as_ref()).map(|(model, _)| model)
+    }
+
+    /// [`Self::reloaded`] plus the file's training state, if it has one.
+    pub(crate) fn read_file(
+        &self,
+        path: &std::path::Path,
+    ) -> Result<(Self, Option<cf_tensor::TrainState>), cf_tensor::CheckpointError> {
+        let (fitted, ck) = read_model(path, &self.cfg, self.fitted.vocab)?;
+        let (params, state) = ck.decode(self.params.clone())?;
+        let model = ChainsFormer {
+            cfg: self.cfg.clone(),
+            params,
+            encoder: self.encoder.clone(),
+            reasoner: self.reasoner.clone(),
+            fitted,
+            quality: self.quality.clone(),
+        };
+        Ok((model, state))
+    }
+
+    /// The CFT2 `model` section body for this model.
+    pub(crate) fn model_section(&self) -> Vec<u8> {
+        self.fitted.encode(self.cfg.seed)
+    }
+
     /// The chain token vocabulary.
     pub fn vocab(&self) -> &ChainVocab {
-        &self.vocab
+        &self.fitted.vocab
     }
 
     /// Min-max normalizer fitted on the training triples.
     pub fn normalizer(&self) -> &MinMaxNormalizer {
-        &self.norm
+        &self.fitted.norm
     }
 
     /// The (frozen) chain filter.
     pub fn filter(&self) -> &ChainFilter {
-        &self.filter
+        &self.fitted.filter
     }
 
     /// Retrieval + setting restriction + filter: produces the Enhanced ToC
@@ -144,7 +216,7 @@ impl ChainsFormer {
         if !self.cfg.setting.multi_attribute {
             toc.chains.retain(|c| c.chain.known_attr == query.attr);
         }
-        let mut selected = self.filter.select_top_k(&toc, self.cfg.top_k, rng);
+        let mut selected = self.fitted.filter.select_top_k(&toc, self.cfg.top_k, rng);
         if self.cfg.chain_quality {
             if let Some(q) = &self.quality {
                 selected.chains = q.prune(selected.chains, self.cfg.quality_prune_factor);
@@ -168,7 +240,7 @@ impl ChainsFormer {
         if !self.cfg.setting.multi_attribute {
             toc.chains.retain(|c| c.chain.known_attr == query.attr);
         }
-        let mut selected = self.filter.select_top_k(&toc, self.cfg.top_k, rng);
+        let mut selected = self.fitted.filter.select_top_k(&toc, self.cfg.top_k, rng);
         if self.cfg.chain_quality {
             if let Some(q) = &self.quality {
                 selected.chains = q.prune(selected.chains, self.cfg.quality_prune_factor);
@@ -188,44 +260,52 @@ impl ChainsFormer {
         query: Query,
     ) -> ReasonerOutput {
         let e_tilde = self.encoder.forward(ctx, &self.params, chains);
-        self.reasoner
-            .forward(ctx, &self.params, e_tilde, chains, &self.norm, query.attr)
+        self.reasoner.forward(
+            ctx,
+            &self.params,
+            e_tilde,
+            chains,
+            &self.fitted.norm,
+            query.attr,
+        )
     }
 
     /// Normalizes a raw-unit prediction var to the query attribute's [0, 1]
     /// training scale (Eq. 23) on the tape.
     pub fn normalize_on_tape(&self, tape: &mut Tape, pred: Var, query: Query) -> Var {
-        let min = self.norm.min(query.attr) as f32;
-        let range = self.norm.range(query.attr) as f32;
+        let min = self.fitted.norm.min(query.attr) as f32;
+        let range = self.fitted.norm.range(query.attr) as f32;
         let shifted = tape.add_scalar(pred, -min);
         tape.mul_scalar(shifted, 1.0 / range)
     }
 
     /// The train-mean fallback for a query attribute.
     pub fn fallback_value(&self, query: Query) -> f64 {
-        self.fallback[query.attr.0 as usize]
+        self.fitted.fallback[query.attr.0 as usize]
     }
 
-    /// Saves the trained parameters to `path` as a CRC-protected CFT2
-    /// checkpoint, written atomically and durably (tmp + fsync + rename;
-    /// see [`cf_tensor::serialize`]) — a crash mid-save leaves the previous
-    /// file intact, never a torn one. The architecture itself is
-    /// reconstructed from configuration — rebuild the model with the same
-    /// config, graph and seed, then [`Self::load_params_from`].
+    /// Saves the whole model to `path` as a CRC-protected CFT2 checkpoint:
+    /// the trained parameters and the `model` section (filter table,
+    /// normalizer, fallback means, vocabulary sizes). Written atomically
+    /// and durably (tmp + fsync + rename; see [`cf_tensor::serialize`]) — a
+    /// crash mid-save leaves the previous file intact, never a torn one.
+    /// [`Self::load`] rebuilds the model from it.
     pub fn save_params_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        cf_tensor::save_params_atomic(&self.params, path)
+        cf_tensor::save_checkpoint_atomic(&self.params, Some(&self.model_section()), None, path)
     }
 
-    /// Loads a CFT2 checkpoint written by [`Self::save_params_to`] or by
-    /// training into this model; any training state in the file is
-    /// validated and discarded. Fails (without corrupting the model) on any
-    /// corruption or name/shape mismatch.
+    /// Installs the whole model a checkpoint written by
+    /// [`Self::save_params_to`] or by training holds: its parameters and
+    /// its `model` section together. Any training state in the file is
+    /// validated and discarded. Fails (without changing the model) on any
+    /// corruption, on a missing `model` section, and on a name/shape or
+    /// section mismatch.
     pub fn load_params_from(
         &mut self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), cf_tensor::CheckpointError> {
-        let f = std::fs::File::open(path).map_err(cf_tensor::CheckpointError::Io)?;
-        cf_tensor::load_params(&mut self.params, std::io::BufReader::new(f))
+        *self = self.reloaded(path)?;
+        Ok(())
     }
 
     /// Full inference for one query, with the reasoning trace: a one-job
@@ -319,9 +399,14 @@ impl ChainsFormer {
                 let mut idx = cf_tensor::pool::ScratchUsize::with_capacity(chains.len());
                 idx.extend(start..start + chains.len());
                 let e_q = ctx.select_rows(e_all.expect("non-empty batch"), &idx);
-                let out =
-                    self.reasoner
-                        .forward(ctx, &self.params, e_q, chains, &self.norm, query.attr);
+                let out = self.reasoner.forward(
+                    ctx,
+                    &self.params,
+                    e_q,
+                    chains,
+                    &self.fitted.norm,
+                    query.attr,
+                );
                 let value = ctx.value(out.prediction).item() as f64;
                 let weights = ctx.value(out.weights).data();
                 let chain_preds = ctx.value(out.chain_predictions).data();
@@ -346,6 +431,22 @@ impl ChainsFormer {
             })
             .collect()
     }
+}
+
+/// Reads a checkpoint's framing and its `model` section, checked against
+/// `cfg` and `vocab`; the parameters are left for the caller to decode
+/// against its layout.
+fn read_model(
+    path: &std::path::Path,
+    cfg: &ChainsFormerConfig,
+    vocab: ChainVocab,
+) -> Result<(Fitted, cf_tensor::Checkpoint), cf_tensor::CheckpointError> {
+    let f = std::fs::File::open(path)?;
+    let ck = cf_tensor::Checkpoint::read(std::io::BufReader::new(f))?;
+    let body = ck
+        .model()
+        .ok_or(cf_tensor::CheckpointError::Missing { section: "model" })?;
+    Ok((Fitted::decode(body, cfg, vocab)?, ck))
 }
 
 /// One query's resolved evidence for

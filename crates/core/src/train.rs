@@ -132,10 +132,11 @@ impl From<CheckpointError> for TrainError {
 /// makes [`Trainer::train_opts`] behave exactly like [`Trainer::train`].
 #[derive(Clone, Debug, Default)]
 pub struct TrainOptions {
-    /// When set, a full CFT2 checkpoint (params + optimizer + RNG + cursor)
-    /// is written atomically here at every epoch boundary, and a final
-    /// params-only checkpoint of the shipped (best-validation) model
-    /// replaces it when the run finishes.
+    /// When set, a full CFT2 checkpoint (params, model section, optimizer,
+    /// RNG and cursor) is written atomically here at every epoch boundary,
+    /// and a final checkpoint of the shipped (best-validation) model, its
+    /// params and model section without training state, replaces it when
+    /// the run finishes.
     pub checkpoint_path: Option<PathBuf>,
     /// Resume from `checkpoint_path` instead of starting at epoch 0. The
     /// checkpoint must carry training state and match the live config's
@@ -206,16 +207,15 @@ impl<'a> Trainer<'a> {
                 .checkpoint_path
                 .as_deref()
                 .expect("TrainOptions::resume requires checkpoint_path");
-            let f = std::fs::File::open(path)?;
-            let state =
-                cf_tensor::load_checkpoint(&mut self.model.params, std::io::BufReader::new(f))?
-                    .ok_or(TrainError::NotResumable)?;
+            let (model, state) = self.model.read_file(path)?;
+            let state = state.ok_or(TrainError::NotResumable)?;
             if state.config_fingerprint != fingerprint {
                 return Err(TrainError::ConfigMismatch {
                     expected: fingerprint,
                     found: state.config_fingerprint,
                 });
             }
+            *self.model = model;
             opt.restore(state.adam);
             rng.restore_state_words(state.rng);
             start_epoch = state.next_epoch as usize;
@@ -226,6 +226,10 @@ impl<'a> Trainer<'a> {
                 .map(|(e, v)| (e as usize, v));
             best_params = state.best_params;
         }
+
+        // The fitted half of the model is frozen: every checkpoint of the
+        // run carries the same `model` section.
+        let section = self.model.model_section();
 
         // Data-parallel scaffolding, hoisted across the whole run: the flat
         // parameter layout for per-shard gradient images, the shard buffers
@@ -456,7 +460,12 @@ impl<'a> Trainer<'a> {
                     config_fingerprint: fingerprint,
                     best_params: best_params.clone(),
                 };
-                cf_tensor::save_checkpoint_atomic(&self.model.params, Some(&state), path)?;
+                cf_tensor::save_checkpoint_atomic(
+                    &self.model.params,
+                    Some(&section),
+                    Some(&state),
+                    path,
+                )?;
             }
 
             if out_of_patience {
@@ -481,11 +490,11 @@ impl<'a> Trainer<'a> {
             self.model.params = bp;
         }
         // Replace the resumable epoch-boundary checkpoint with the finished
-        // artifact: params only, durably written. Resuming a finished run is
+        // artifact: params and model section, durably written. Resuming a finished run is
         // rejected with `TrainError::NotResumable` rather than silently
         // retraining from a non-boundary state.
         if let Some(path) = &opts.checkpoint_path {
-            cf_tensor::save_params_atomic(&self.model.params, path)?;
+            cf_tensor::save_checkpoint_atomic(&self.model.params, Some(&section), None, path)?;
         }
         Ok(TrainResult {
             epochs,

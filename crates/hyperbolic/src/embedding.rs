@@ -29,6 +29,20 @@ impl PoincareEmbeddings {
         }
     }
 
+    /// A table of already-trained points of dimension `dim` on the default
+    /// ball, e.g. read back from a checkpoint.
+    pub fn from_points(dim: usize, points: Vec<Vec<f64>>) -> Self {
+        assert!(
+            points.iter().all(|p| p.len() == dim),
+            "every point has dimension {dim}"
+        );
+        PoincareEmbeddings {
+            ball: PoincareBall::default(),
+            dim,
+            points,
+        }
+    }
+
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.points.len()

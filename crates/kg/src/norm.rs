@@ -37,6 +37,17 @@ impl MinMaxNormalizer {
         MinMaxNormalizer { mins, maxs }
     }
 
+    /// A normalizer with the given per-attribute bounds, e.g. read back from
+    /// a checkpoint. Every range must be positive.
+    pub fn from_bounds(mins: Vec<f64>, maxs: Vec<f64>) -> Self {
+        assert_eq!(mins.len(), maxs.len(), "one bound pair per attribute");
+        assert!(
+            mins.iter().zip(&maxs).all(|(lo, hi)| hi - lo > 0.0),
+            "every range is positive"
+        );
+        MinMaxNormalizer { mins, maxs }
+    }
+
     /// Training minimum of an attribute.
     pub fn min(&self, a: AttributeId) -> f64 {
         self.mins[a.0 as usize]

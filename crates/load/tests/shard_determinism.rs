@@ -1,7 +1,9 @@
 //! The routing invariant, end to end over TCP: a fixed query stream gets
 //! byte-identical responses from servers running 1, 2, and 4 shards — and
 //! stays identical across a mid-stream coordinated hot-reload, because
-//! every shard swaps to the same checkpoint all-or-nothing.
+//! every shard swaps to the same checkpoint all-or-nothing. The reloaded
+//! file was fitted under another seed, so the reload swaps the filter too,
+//! and the servers then answer exactly as a fresh one over that file.
 //!
 //! Responses are compared through [`cf_load::canonical_dump`] (event-id
 //! order, timing-dependent `micros` stripped): anything that differs —
@@ -18,6 +20,23 @@ use chainsformer::{ChainsFormer, ChainsFormerConfig};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Runs `run` against `engine` served over TCP on an ephemeral port, then
+/// stops the server.
+fn serve<T>(engine: &Arc<Engine>, run: impl FnOnce(&str) -> T) -> T {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = {
+        let engine = Arc::clone(engine);
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || cf_serve::run(engine, listener, shutdown).unwrap())
+    };
+    let out = run(&addr);
+    shutdown.store(true, Ordering::SeqCst);
+    server.join().unwrap();
+    out
+}
 
 fn fixture() -> (KnowledgeGraph, ChainsFormer, ChainsFormer) {
     let mut rng = StdRng::seed_from_u64(17);
@@ -69,31 +88,23 @@ fn responses_are_byte_identical_at_shard_counts_1_2_4_across_reload() {
             },
         ));
         assert_eq!(engine.shards(), shards);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let server = {
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || cf_serve::run(engine, listener, shutdown).unwrap())
-        };
 
-        // Phase A on the original weights, a coordinated reload to B (the
+        // Phase A on the original model, a coordinated reload to B (the
         // same admin path `{"reload": …}` reaches), then the *same* plan
         // again: identical ids make the two phases directly comparable.
-        let phase_a = run_tcp(&addr, &events, 4).unwrap();
-        assert_eq!(phase_a.report.ok, events.len() as u64, "phase A had errors");
-        engine.reload(&b_ckpt).expect("coordinated reload");
-        let phase_b = run_tcp(&addr, &events, 4).unwrap();
-        assert_eq!(phase_b.report.ok, events.len() as u64, "phase B had errors");
-
-        let a = canonical_dump(&phase_a.responses);
-        let b = canonical_dump(&phase_b.responses);
+        let (a, b) = serve(&engine, |addr| {
+            let phase_a = run_tcp(addr, &events, 4).unwrap();
+            assert_eq!(phase_a.report.ok, events.len() as u64, "phase A had errors");
+            engine.reload(&b_ckpt).expect("coordinated reload");
+            let phase_b = run_tcp(addr, &events, 4).unwrap();
+            assert_eq!(phase_b.report.ok, events.len() as u64, "phase B had errors");
+            (
+                canonical_dump(&phase_a.responses),
+                canonical_dump(&phase_b.responses),
+            )
+        });
         assert_ne!(a, b, "reload to fresh weights must change answers");
         dumps.push((shards, a, b));
-
-        shutdown.store(true, Ordering::SeqCst);
-        server.join().unwrap();
     }
 
     let (_, a1, b1) = &dumps[0];
@@ -101,4 +112,18 @@ fn responses_are_byte_identical_at_shard_counts_1_2_4_across_reload() {
         assert_eq!(a, a1, "pre-reload responses diverge at {shards} shards");
         assert_eq!(b, b1, "post-reload responses diverge at {shards} shards");
     }
+
+    // A server started on B's file answers as the reloaded ones did.
+    let fresh = Arc::new(Engine::new(
+        ChainsFormer::load(&b_ckpt, ChainsFormerConfig::tiny(), &visible).unwrap(),
+        visible.clone(),
+        EngineConfig::default(),
+    ));
+    let b_fresh = serve(&fresh, |addr| {
+        canonical_dump(&run_tcp(addr, &events, 4).unwrap().responses)
+    });
+    assert_eq!(
+        &b_fresh, b1,
+        "reloaded servers differ from a fresh one on B"
+    );
 }

@@ -86,6 +86,11 @@ impl ChainCache {
         before - self.map.len()
     }
 
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.map.len()

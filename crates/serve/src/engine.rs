@@ -183,8 +183,8 @@ struct QueueState {
 struct Shard {
     /// This shard's model replica. Workers hold the read lock for the
     /// duration of a batch; [`Engine::reload`] takes the write lock only
-    /// for the final parameter swap, after the new checkpoint has been
-    /// fully validated.
+    /// for the final model swap, after the new checkpoint has been fully
+    /// validated.
     model: RwLock<ChainsFormer>,
     /// Int8 twin of this replica's weight matrices (`None` in f32 mode).
     /// Written only while the shard's `model` write lock is held ([`
@@ -802,54 +802,59 @@ impl Engine {
         self.shared.shards[i].model.read().expect("model poisoned")
     }
 
-    /// Hot-swaps every shard's learnable parameters from a checkpoint file
-    /// without restarting the engine or dropping queued work.
+    /// Hot-swaps every shard's model for the whole model a checkpoint file
+    /// holds, its parameters and its `model` section together, without
+    /// restarting the engine or dropping queued work.
     ///
     /// The reload is **all-or-nothing across shards**: the checkpoint's
-    /// magic, per-section CRCs, and every parameter name and shape are
-    /// validated *once*, off the request path, into a staged clone of a
-    /// live [`ParamStore`] — workers keep answering under their read locks
-    /// the whole time. Only after the entire file has been accepted are
+    /// magic, per-section CRCs, every parameter name and shape, and the
+    /// `model` section (present, and matching the served configuration and
+    /// vocabulary) are validated *once*, off the request path, into a
+    /// staged model — workers keep answering under their read locks the
+    /// whole time. Only after the entire file has been accepted are
     /// per-shard copies staged and swapped in, shard by shard, under each
     /// shard's brief write lock (between that shard's batches, never
     /// mid-forward). Every failure mode lives in the validation phase,
-    /// before the first swap; on any error the staged clone is dropped and
-    /// all replicas keep their previous parameters — rollback is implicit
-    /// and no shard can be left on a different generation than its peers.
+    /// before the first swap; on any error the staged model is dropped and
+    /// all replicas keep their previous model — rollback is implicit and no
+    /// shard can be left on a different generation than its peers.
     ///
-    /// Shard caches stay valid across a reload: retrieval uses the frozen
-    /// filter embeddings and per-query RNG, not the swapped parameters, so
-    /// cached chains are exactly what a fresh retrieval would produce.
+    /// Cached chains are the filter's top-k, so a shard's cache is emptied
+    /// under the same write lock when the new filter differs from the old
+    /// one in any bit. A reload that keeps the filter (new weights from the
+    /// same fit) keeps the caches: retrieval reads the filter and the
+    /// per-query RNG, not the swapped parameters.
     ///
     /// Counted in `cf_serve_reloads_ok_total` / `cf_serve_reloads_rejected_total`
     /// and the shard-labeled `cf_serve_shard_reloads_*` counters.
-    ///
-    /// [`ParamStore`]: cf_tensor::ParamStore
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<(), cf_tensor::CheckpointError> {
         let result = (|| {
-            let mut staged = self.shared.shards[0]
+            let staged = self.shared.shards[0]
                 .model
                 .read()
                 .expect("model poisoned")
-                .params
-                .clone();
-            let f = std::fs::File::open(path).map_err(cf_tensor::CheckpointError::Io)?;
-            cf_tensor::load_params(&mut staged, std::io::BufReader::new(f))?;
+                .reloaded(path)?;
             // Validation is complete: nothing below this line can fail.
             // Stage one copy per shard up front, then swap them in; the
             // last shard takes `staged` itself.
             let n = self.shared.shards.len();
-            let mut copies: Vec<cf_tensor::ParamStore> = (1..n).map(|_| staged.clone()).collect();
+            let mut copies: Vec<ChainsFormer> = (1..n).map(|_| staged.clone()).collect();
             copies.push(staged);
             let quantize = self.shared.cfg.quantize == QuantMode::Int8;
-            for (shard, params) in self.shared.shards.iter().zip(copies) {
+            for (shard, replica) in self.shared.shards.iter().zip(copies) {
                 // Quantize the staged replica before taking the write lock
                 // (packing is the expensive part); swap the int8 twin while
                 // the lock is held so workers never see params from one
                 // generation paired with quantized weights from another.
-                let quant = quantize.then(|| Arc::new(QuantizedParamStore::from_store(&params)));
+                let quant =
+                    quantize.then(|| Arc::new(QuantizedParamStore::from_store(&replica.params)));
                 let mut model = shard.model.write().expect("model poisoned");
-                model.params = params;
+                // Batches insert into the cache under the model read lock,
+                // so none can cache the old filter's chains after this.
+                if !model.filter().same_bits(replica.filter()) {
+                    shard.cache.lock().expect("cache poisoned").clear();
+                }
+                *model = replica;
                 *shard.quant.lock().expect("quant poisoned") = quant;
             }
             Ok(())
@@ -1341,25 +1346,47 @@ mod tests {
             );
         }
 
-        // A truncated checkpoint is rejected and every shard stays on B —
-        // no shard can land on a different generation than its peers.
+        // Damaged checkpoints are rejected and every shard stays on B, its
+        // parameters and its filter — no shard can land on a different
+        // generation than its peers. The damage: a truncated file, a
+        // flipped byte in the model section's body, and a file with no
+        // model section at all.
         let full = std::fs::read(&b_ckpt).unwrap();
-        let bad_ckpt = dir.join("bad.ckpt");
-        std::fs::write(&bad_ckpt, &full[..full.len() / 2]).unwrap();
-        e.reload(&bad_ckpt)
-            .expect_err("truncated checkpoint accepted");
-        for s in 0..e.shards() {
-            assert_eq!(
-                param_bits(&e.model_of_shard(s).params),
-                b_bits,
-                "rejected reload tainted shard {s}"
-            );
+        let truncated = full[..full.len() / 2].to_vec();
+        let mut bad_section = full.clone();
+        // magic(4) + params tag(1) + params len(8) + body + crc(4), then the
+        // model section's tag(1) and len(8).
+        let params_len = u64::from_le_bytes(full[5..13].try_into().unwrap()) as usize;
+        bad_section[4 + 13 + params_len + 4 + 9 + 16] ^= 0xFF;
+        let mut bare = Vec::new();
+        cf_tensor::save_checkpoint(&model_b.params, None, None, &mut bare).unwrap();
+        let b_filter = model_b.filter().clone();
+        for (name, bytes, section) in [
+            ("truncated", truncated, None),
+            ("corrupt section", bad_section, Some("model")),
+            ("no section", bare, Some("model")),
+        ] {
+            let bad_ckpt = dir.join("bad.ckpt");
+            std::fs::write(&bad_ckpt, bytes).unwrap();
+            let err = e.reload(&bad_ckpt).expect_err(name);
+            if let Some(section) = section {
+                assert!(err.to_string().contains(section), "{name}: {err}");
+            }
+            for s in 0..e.shards() {
+                let model = e.model_of_shard(s);
+                assert_eq!(
+                    param_bits(&model.params),
+                    b_bits,
+                    "{name}: rejected reload tainted shard {s}"
+                );
+                assert!(model.filter().same_bits(&b_filter), "{name}: shard {s}");
+            }
         }
         e.reload(dir.join("missing.ckpt"))
             .expect_err("missing file accepted");
 
-        // Reloading A back restores the original served answers bitwise —
-        // through the shard caches, which stay valid across reloads.
+        // Reloading A back restores the original served answers bitwise:
+        // A's filter comes back with its weights.
         e.reload(&a_ckpt).expect("original checkpoint accepted");
         for (&q, &want) in queries.iter().zip(&baseline) {
             let served = e.predict(q).expect("post-reload predict");
@@ -1367,19 +1394,86 @@ mod tests {
         }
 
         assert_eq!(e.metrics().reloads_ok.load(Ordering::Relaxed), 2);
-        assert_eq!(e.metrics().reloads_rejected.load(Ordering::Relaxed), 2);
+        assert_eq!(e.metrics().reloads_rejected.load(Ordering::Relaxed), 4);
         let text = e.metrics_text();
         assert!(text.contains("cf_serve_reloads_ok_total 2"), "{text}");
-        assert!(text.contains("cf_serve_reloads_rejected_total 2"), "{text}");
+        assert!(text.contains("cf_serve_reloads_rejected_total 4"), "{text}");
         assert!(
             text.contains("cf_serve_shard_reloads_ok_total{shard=\"1\"} 2"),
             "{text}"
         );
         assert!(
-            text.contains("cf_serve_shard_reloads_rejected_total{shard=\"0\"} 2"),
+            text.contains("cf_serve_shard_reloads_rejected_total{shard=\"0\"} 4"),
             "{text}"
         );
         e.shutdown();
+    }
+
+    #[test]
+    fn reload_serves_what_a_fresh_engine_over_the_file_serves() {
+        // B was fitted under another RNG seed, so its filter differs from
+        // A's: cached chains (A's top-k) must not survive the reload.
+        let dir = TempDir::new("reload_whole");
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = yago15k_sim(SynthScale::small(), &mut rng);
+        let split = Split::paper_811(&g, &mut rng);
+        let visible = split.visible_graph(&g);
+        let cfg = ChainsFormerConfig::tiny();
+        let model_a = ChainsFormer::new(&visible, &split.train, cfg.clone(), &mut rng);
+        let model_b = ChainsFormer::new(
+            &visible,
+            &split.train,
+            cfg.clone(),
+            &mut StdRng::seed_from_u64(9001),
+        );
+        assert!(!model_a.filter().same_bits(model_b.filter()));
+        let b_ckpt = dir.join("b.ckpt");
+        model_b.save_params_to(&b_ckpt).unwrap();
+        let queries: Vec<Query> = split
+            .test
+            .iter()
+            .chain(&split.train)
+            .take(24)
+            .map(|t| Query {
+                entity: t.entity,
+                attr: t.attr,
+            })
+            .collect();
+        // Per query: the value's bits, the retrieved count and the chains.
+        type Answer = (u64, usize, Vec<(cf_chains::RaChain, cf_kg::EntityId)>);
+        let answers = |e: &Engine| -> Vec<Answer> {
+            queries
+                .iter()
+                .map(|&q| {
+                    let d = e.predict(q).expect("predict").detail;
+                    let chains = d
+                        .chains
+                        .iter()
+                        .map(|c| (c.chain.clone(), c.source))
+                        .collect();
+                    (d.value.to_bits(), d.retrieved, chains)
+                })
+                .collect()
+        };
+        for shards in [1usize, 4] {
+            let engine_cfg = EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            };
+            let e = Engine::new(model_a.clone(), visible.clone(), engine_cfg.clone());
+            let before = answers(&e); // warms every shard's cache with A's chains
+            e.reload(&b_ckpt).expect("reload B");
+            let after = answers(&e);
+            let fresh = Engine::new(
+                ChainsFormer::load(&b_ckpt, cfg.clone(), &visible).expect("load B"),
+                visible.clone(),
+                engine_cfg,
+            );
+            assert_eq!(after, answers(&fresh), "{shards} shard(s)");
+            assert_ne!(after, before, "{shards} shard(s): reload changed nothing");
+            e.shutdown();
+            fresh.shutdown();
+        }
     }
 
     #[test]

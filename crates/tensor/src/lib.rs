@@ -70,8 +70,8 @@ pub use optim::AdamSnapshot;
 pub use params::{ParamId, ParamStore};
 pub use quant::{QuantInferCtx, QuantizedParamStore, QuantizedTensor};
 pub use serialize::{
-    load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, save_params_atomic,
-    write_atomic, CheckpointError, TrainState,
+    load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, write_atomic,
+    Checkpoint, CheckpointError, SectionReader, TrainState,
 };
 pub use shape::Shape;
 pub use tape::{GradStore, Tape, Var};

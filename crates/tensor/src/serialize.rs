@@ -13,14 +13,17 @@
 //! ```
 //! Section tags: `0x01` params, `0x02` Adam moments + step, `0x03` RNG
 //! state words, `0x04` train cursor (epoch / best / patience), `0x05`
-//! config fingerprint, `0x06` best-validation params (params body). Any
-//! other magic, the retired params-only CFT1 included, is
+//! config fingerprint, `0x06` best-validation params (params body), `0x07`
+//! model. Any other magic, the retired params-only CFT1 included, is
 //! [`CheckpointError::BadMagic`].
 //! The params section is mandatory; the five state sections are all
-//! present or all absent. Every section is integrity-checked before
-//! anything is committed to the receiving store, so a corrupt checkpoint
-//! is rejected with a typed error naming the failed section and the store
-//! is left untouched.
+//! present or all absent. The model section is opaque here: the model crate
+//! encodes and decodes its body (what the model derives from its graph),
+//! and this module carries it under the same length cap and CRC as every
+//! other section. Every section is integrity-checked before anything is
+//! committed to the receiving store, so a corrupt checkpoint is rejected
+//! with a typed error naming the failed section and the store is left
+//! untouched.
 //!
 //! Durability: [`save_checkpoint_atomic`] goes through [`write_atomic`],
 //! which writes `<path>.tmp`, fsyncs the file, renames it over `path` and
@@ -43,6 +46,7 @@ const TAG_RNG: u8 = 0x03;
 const TAG_TRAIN: u8 = 0x04;
 const TAG_CONFIG: u8 = 0x05;
 const TAG_BEST: u8 = 0x06;
+const TAG_MODEL: u8 = 0x07;
 const TAG_END: u8 = 0xFF;
 
 /// No tensor in the model family comes close to this rank; anything larger
@@ -75,6 +79,11 @@ pub enum CheckpointError {
         /// Which section failed its integrity check.
         section: &'static str,
     },
+    /// A section the reader needs is absent from the stream.
+    Missing {
+        /// Which section is missing.
+        section: &'static str,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -89,6 +98,9 @@ impl std::fmt::Display for CheckpointError {
                     f,
                     "corrupt checkpoint: section {section:?} failed its CRC check"
                 )
+            }
+            CheckpointError::Missing { section } => {
+                write!(f, "checkpoint has no {section:?} section")
             }
         }
     }
@@ -145,16 +157,19 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Bounded cursor over a fully-read section body. Every overrun is a
-/// typed `Corrupt` naming the section, never a panic.
-struct Body<'a> {
+/// typed `Corrupt` naming the section, never a panic, and every read checks
+/// its length against the bytes actually present before it allocates. The
+/// model crate decodes the opaque model section with it.
+pub struct SectionReader<'a> {
     buf: &'a [u8],
     pos: usize,
     section: &'static str,
 }
 
-impl<'a> Body<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Body {
+impl<'a> SectionReader<'a> {
+    /// A reader over `buf`, the body of the section named `section`.
+    pub fn new(buf: &'a [u8], section: &'static str) -> Self {
+        SectionReader {
             buf,
             pos: 0,
             section,
@@ -176,32 +191,49 @@ impl<'a> Body<'a> {
         }
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// Takes `n` elements of `size` bytes, checking the count against the
+    /// bytes left before anything is allocated.
+    fn elements(&mut self, n: usize, size: usize) -> Result<&'a [u8], CheckpointError> {
+        let bytes = n
+            .checked_mul(size)
+            .ok_or_else(|| self.corrupt("element count overflow"))?;
+        self.take(bytes)
+    }
+
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
-        let raw = self.take(n.checked_mul(4).ok_or_else(|| {
-            CheckpointError::Corrupt(format!(
-                "section {:?}: element count overflow",
-                self.section
-            ))
-        })?)?;
-        Ok(raw
+        Ok(self
+            .elements(n, 4)?
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
             .collect())
     }
 
-    fn finish(self) -> Result<(), CheckpointError> {
+    /// Reads `n` little-endian `f64`s, bit for bit.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
+        Ok(self
+            .elements(n, 8)?
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
+            .collect())
+    }
+
+    /// Succeeds only when the whole body was read.
+    pub fn finish(self) -> Result<(), CheckpointError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -213,14 +245,18 @@ impl<'a> Body<'a> {
         }
     }
 
-    fn corrupt(&self, msg: impl std::fmt::Display) -> CheckpointError {
+    /// A `Corrupt` error naming this reader's section.
+    pub fn corrupt(&self, msg: impl std::fmt::Display) -> CheckpointError {
         CheckpointError::Corrupt(format!("section {:?}: {msg}", self.section))
     }
 }
 
 /// Reads and validates a shape header (`u32 rank | u32 dims…`) against the
 /// caps, returning the dims and their checked element count.
-fn read_shape(b: &mut Body<'_>, what: &str) -> Result<(Vec<usize>, usize), CheckpointError> {
+fn read_shape(
+    b: &mut SectionReader<'_>,
+    what: &str,
+) -> Result<(Vec<usize>, usize), CheckpointError> {
     let rank = b.u32()? as usize;
     if rank > MAX_RANK {
         return Err(b.corrupt(format!("{what}: absurd rank {rank} (max {MAX_RANK})")));
@@ -264,7 +300,10 @@ fn write_params_body(store: &ParamStore, out: &mut Vec<u8>) {
 
 /// Parses a params body into `store`, staging first so a mismatch never
 /// leaves it half overwritten. Names and shapes must match the store.
-fn read_params_body(store: &mut ParamStore, b: &mut Body<'_>) -> Result<(), CheckpointError> {
+fn read_params_body(
+    store: &mut ParamStore,
+    b: &mut SectionReader<'_>,
+) -> Result<(), CheckpointError> {
     let n = b.u32()? as usize;
     if n > MAX_PARAMS {
         return Err(b.corrupt(format!("absurd parameter count {n}")));
@@ -335,7 +374,10 @@ fn write_adam_body(snap: &AdamSnapshot, n_params: usize, out: &mut Vec<u8>) {
     }
 }
 
-fn read_adam_body(store: &ParamStore, b: &mut Body<'_>) -> Result<AdamSnapshot, CheckpointError> {
+fn read_adam_body(
+    store: &ParamStore,
+    b: &mut SectionReader<'_>,
+) -> Result<AdamSnapshot, CheckpointError> {
     let step = b.u64()?;
     let n = b.u32()? as usize;
     if n != store.len() {
@@ -396,17 +438,19 @@ fn write_train_body(state: &TrainState, out: &mut Vec<u8>) {
 /// Loads a params-only view of a CFT2 checkpoint into an
 /// *identically structured* store: parameter count, names, and shapes must
 /// match (the architecture is reconstructed from configuration, not from
-/// the checkpoint). Any training state in the stream is validated and
-/// discarded.
+/// the checkpoint). Any training state or model section in the stream is
+/// validated and discarded.
 pub fn load_params(store: &mut ParamStore, r: impl Read) -> Result<(), CheckpointError> {
     load_checkpoint(store, r).map(|_| ())
 }
 
-/// Writes a CFT2 checkpoint: parameters plus, when `state` is given, the
-/// full training state needed for bitwise resume. Every section carries a
-/// CRC32 and the stream ends with a footer checksum.
+/// Writes a CFT2 checkpoint: parameters, the opaque `model` section body
+/// when given, and, when `state` is given, the full training state needed
+/// for bitwise resume. Every section carries a CRC32 and the stream ends
+/// with a footer checksum.
 pub fn save_checkpoint(
     store: &ParamStore,
+    model: Option<&[u8]>,
     state: Option<&TrainState>,
     mut w: impl Write,
 ) -> io::Result<()> {
@@ -414,6 +458,9 @@ pub fn save_checkpoint(
     let mut body = Vec::new();
     write_params_body(store, &mut body);
     sections.push((TAG_PARAMS, body));
+    if let Some(model) = model {
+        sections.push((TAG_MODEL, model.to_vec()));
+    }
     if let Some(state) = state {
         let mut adam = Vec::new();
         write_adam_body(&state.adam, store.len(), &mut adam);
@@ -458,13 +505,14 @@ fn section_name(tag: u8) -> &'static str {
         TAG_TRAIN => "train",
         TAG_CONFIG => "config",
         TAG_BEST => "best_params",
+        TAG_MODEL => "model",
         _ => "unknown",
     }
 }
 
 /// Reads `len` bytes in bounded chunks, so a corrupt length field cannot
 /// reserve gigabytes up front — memory grows only as data actually arrives.
-fn read_body(r: &mut impl Read, len: u64) -> Result<Vec<u8>, CheckpointError> {
+fn read_body(r: &mut impl Read, len: u64) -> io::Result<Vec<u8>> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 65536];
     let mut remaining = len as usize;
@@ -477,149 +525,196 @@ fn read_body(r: &mut impl Read, len: u64) -> Result<Vec<u8>, CheckpointError> {
     Ok(buf)
 }
 
+/// A CFT2 stream read whole, with its framing verified: the magic, every
+/// section's length cap and CRC32, the footer, and that no tag is unknown
+/// or repeated. No body is parsed yet, so a caller can inspect the model
+/// section before it builds the store the params must fit.
+pub struct Checkpoint {
+    sections: Vec<(u8, Vec<u8>)>,
+}
+
+impl Checkpoint {
+    /// Reads and verifies the framing of a whole CFT2 stream. A stream that
+    /// ends early is an `Io` error naming the section it ended in.
+    pub fn read(mut r: impl Read) -> Result<Self, CheckpointError> {
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC2 {
+            return Err(CheckpointError::BadMagic);
+        }
+        let mut sections: Vec<(u8, Vec<u8>)> = Vec::new();
+        let mut crc_trail = Vec::new();
+        let mut last = "magic";
+        loop {
+            let mut tag = [0u8; 1];
+            r.read_exact(&mut tag)
+                .map_err(|e| ended_in(e, &format!("after section {last:?}")))?;
+            let tag = tag[0];
+            if tag == TAG_END {
+                let mut footer = [0u8; 4];
+                r.read_exact(&mut footer)
+                    .map_err(|e| ended_in(e, "in the footer"))?;
+                if u32::from_le_bytes(footer) != crc32(&crc_trail) {
+                    return Err(CheckpointError::BadCrc { section: "footer" });
+                }
+                return Ok(Checkpoint { sections });
+            }
+            let name = section_name(tag);
+            if name == "unknown" {
+                return Err(CheckpointError::Corrupt(format!(
+                    "unknown section tag 0x{tag:02x} after section {last:?}"
+                )));
+            }
+            if sections.iter().any(|(t, _)| *t == tag) {
+                return Err(CheckpointError::Corrupt(format!(
+                    "duplicate section {name:?}"
+                )));
+            }
+            let within = |e| ended_in(e, &format!("in section {name:?}"));
+            let mut len = [0u8; 8];
+            r.read_exact(&mut len).map_err(within)?;
+            let len = u64::from_le_bytes(len);
+            if len > MAX_SECTION_LEN {
+                return Err(CheckpointError::Corrupt(format!(
+                    "section {name:?}: absurd length {len}"
+                )));
+            }
+            let body = read_body(&mut r, len).map_err(within)?;
+            let mut crc = [0u8; 4];
+            r.read_exact(&mut crc).map_err(within)?;
+            if u32::from_le_bytes(crc) != crc32(&body) {
+                return Err(CheckpointError::BadCrc { section: name });
+            }
+            crc_trail.extend_from_slice(&crc);
+            sections.push((tag, body));
+            last = name;
+        }
+    }
+
+    fn get(&self, tag: u8) -> Option<&[u8]> {
+        self.sections
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .map(|(_, b)| b.as_slice())
+    }
+
+    /// The model section's body, if the stream carries one. It is opaque
+    /// here; the model crate decodes it.
+    pub fn model(&self) -> Option<&[u8]> {
+        self.get(TAG_MODEL)
+    }
+
+    /// Parses the params section, and the training state when the stream
+    /// carries one, into `layout`: the file must match its parameter count,
+    /// names and shapes. Returns `layout` holding the file's parameters.
+    pub fn decode(
+        &self,
+        layout: ParamStore,
+    ) -> Result<(ParamStore, Option<TrainState>), CheckpointError> {
+        let params_body = self
+            .get(TAG_PARAMS)
+            .ok_or(CheckpointError::Missing { section: "params" })?;
+        let mut staged = layout;
+        let mut b = SectionReader::new(params_body, "params");
+        read_params_body(&mut staged, &mut b)?;
+        b.finish()?;
+
+        let state_tags = [TAG_ADAM, TAG_RNG, TAG_TRAIN, TAG_CONFIG];
+        let present = state_tags
+            .iter()
+            .filter(|&&t| self.get(t).is_some())
+            .count();
+        let state = match present {
+            0 => {
+                if self.get(TAG_BEST).is_some() {
+                    return Err(CheckpointError::Corrupt(
+                        "best_params section without training state".into(),
+                    ));
+                }
+                None
+            }
+            4 => {
+                let mut b = SectionReader::new(self.get(TAG_ADAM).expect("present"), "adam");
+                let adam = read_adam_body(&staged, &mut b)?;
+                b.finish()?;
+
+                let mut b = SectionReader::new(self.get(TAG_RNG).expect("present"), "rng");
+                let rng = [b.u64()?, b.u64()?, b.u64()?, b.u64()?];
+                b.finish()?;
+
+                let mut b = SectionReader::new(self.get(TAG_TRAIN).expect("present"), "train");
+                let next_epoch = b.u64()?;
+                let bad_epochs = b.u64()?;
+                let has_best = b.u8()?;
+                if has_best > 1 {
+                    return Err(b.corrupt(format!("bad best-present flag {has_best}")));
+                }
+                let best_epoch_raw = b.u64()?;
+                let best_val_raw = b.u64()?;
+                b.finish()?;
+                let (best_epoch, best_val) = if has_best == 1 {
+                    (Some(best_epoch_raw), Some(f64::from_bits(best_val_raw)))
+                } else {
+                    (None, None)
+                };
+
+                let mut b = SectionReader::new(self.get(TAG_CONFIG).expect("present"), "config");
+                let config_fingerprint = b.u64()?;
+                b.finish()?;
+
+                let best_params = match self.get(TAG_BEST) {
+                    Some(body) => {
+                        let mut best = staged.clone();
+                        let mut b = SectionReader::new(body, "best_params");
+                        read_params_body(&mut best, &mut b)?;
+                        b.finish()?;
+                        Some(best)
+                    }
+                    None => None,
+                };
+
+                Some(TrainState {
+                    adam,
+                    rng,
+                    next_epoch,
+                    bad_epochs,
+                    best_epoch,
+                    best_val,
+                    config_fingerprint,
+                    best_params,
+                })
+            }
+            _ => {
+                return Err(CheckpointError::Corrupt(
+                    "incomplete training state (adam/rng/train/config must all be present)".into(),
+                ))
+            }
+        };
+        Ok((staged, state))
+    }
+}
+
+/// An early end of stream, reported as `Io` with the place it happened.
+fn ended_in(e: io::Error, place: &str) -> CheckpointError {
+    CheckpointError::Io(io::Error::new(
+        e.kind(),
+        format!("stream ends {place}: {e}"),
+    ))
+}
+
 /// Loads a CFT2 checkpoint into an identically structured store
 /// and returns its training state, if the stream carries one.
 ///
 /// All-or-nothing: every section is read and validated (CRCs, footer,
 /// names, shapes) before anything is committed, so a rejected checkpoint
-/// leaves the store untouched.
+/// leaves the store untouched. A model section is validated as framing
+/// only and discarded.
 pub fn load_checkpoint(
     store: &mut ParamStore,
-    mut r: impl Read,
+    r: impl Read,
 ) -> Result<Option<TrainState>, CheckpointError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC2 {
-        return Err(CheckpointError::BadMagic);
-    }
-
-    // Collect every section, CRC-checked, before parsing any of them.
-    let mut bodies: Vec<(u8, Vec<u8>)> = Vec::new();
-    let mut crc_trail = Vec::new();
-    loop {
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let tag = tag[0];
-        if tag == TAG_END {
-            let mut footer = [0u8; 4];
-            r.read_exact(&mut footer)?;
-            if u32::from_le_bytes(footer) != crc32(&crc_trail) {
-                return Err(CheckpointError::BadCrc { section: "footer" });
-            }
-            break;
-        }
-        if section_name(tag) == "unknown" {
-            return Err(CheckpointError::Corrupt(format!(
-                "unknown section tag 0x{tag:02x}"
-            )));
-        }
-        if bodies.iter().any(|(t, _)| *t == tag) {
-            return Err(CheckpointError::Corrupt(format!(
-                "duplicate section {:?}",
-                section_name(tag)
-            )));
-        }
-        let mut len = [0u8; 8];
-        r.read_exact(&mut len)?;
-        let len = u64::from_le_bytes(len);
-        if len > MAX_SECTION_LEN {
-            return Err(CheckpointError::Corrupt(format!(
-                "section {:?}: absurd length {len}",
-                section_name(tag)
-            )));
-        }
-        let body = read_body(&mut r, len)?;
-        let mut crc = [0u8; 4];
-        r.read_exact(&mut crc)?;
-        if u32::from_le_bytes(crc) != crc32(&body) {
-            return Err(CheckpointError::BadCrc {
-                section: section_name(tag),
-            });
-        }
-        crc_trail.extend_from_slice(&crc);
-        bodies.push((tag, body));
-    }
-
-    let get = |tag: u8| bodies.iter().find(|(t, _)| *t == tag).map(|(_, b)| b);
-    let params_body =
-        get(TAG_PARAMS).ok_or_else(|| CheckpointError::Corrupt("missing params section".into()))?;
-
-    // Stage everything; commit only after every section parsed cleanly.
-    let mut staged = store.clone();
-    let mut b = Body::new(params_body, "params");
-    read_params_body(&mut staged, &mut b)?;
-    b.finish()?;
-
-    let state_tags = [TAG_ADAM, TAG_RNG, TAG_TRAIN, TAG_CONFIG];
-    let present = state_tags.iter().filter(|&&t| get(t).is_some()).count();
-    let state = match present {
-        0 => {
-            if get(TAG_BEST).is_some() {
-                return Err(CheckpointError::Corrupt(
-                    "best_params section without training state".into(),
-                ));
-            }
-            None
-        }
-        4 => {
-            let mut b = Body::new(get(TAG_ADAM).expect("present"), "adam");
-            let adam = read_adam_body(&staged, &mut b)?;
-            b.finish()?;
-
-            let mut b = Body::new(get(TAG_RNG).expect("present"), "rng");
-            let rng = [b.u64()?, b.u64()?, b.u64()?, b.u64()?];
-            b.finish()?;
-
-            let mut b = Body::new(get(TAG_TRAIN).expect("present"), "train");
-            let next_epoch = b.u64()?;
-            let bad_epochs = b.u64()?;
-            let has_best = b.u8()?;
-            if has_best > 1 {
-                return Err(b.corrupt(format!("bad best-present flag {has_best}")));
-            }
-            let best_epoch_raw = b.u64()?;
-            let best_val_raw = b.u64()?;
-            b.finish()?;
-            let (best_epoch, best_val) = if has_best == 1 {
-                (Some(best_epoch_raw), Some(f64::from_bits(best_val_raw)))
-            } else {
-                (None, None)
-            };
-
-            let mut b = Body::new(get(TAG_CONFIG).expect("present"), "config");
-            let config_fingerprint = b.u64()?;
-            b.finish()?;
-
-            let best_params = match get(TAG_BEST) {
-                Some(body) => {
-                    let mut best = staged.clone();
-                    let mut b = Body::new(body, "best_params");
-                    read_params_body(&mut best, &mut b)?;
-                    b.finish()?;
-                    Some(best)
-                }
-                None => None,
-            };
-
-            Some(TrainState {
-                adam,
-                rng,
-                next_epoch,
-                bad_epochs,
-                best_epoch,
-                best_val,
-                config_fingerprint,
-                best_params,
-            })
-        }
-        _ => {
-            return Err(CheckpointError::Corrupt(
-                "incomplete training state (adam/rng/train/config must all be present)".into(),
-            ))
-        }
-    };
-
-    *store = staged;
+    let (params, state) = Checkpoint::read(r)?.decode(store.clone())?;
+    *store = params;
     Ok(state)
 }
 
@@ -671,15 +766,11 @@ pub fn write_atomic<E: From<io::Error>>(
 /// Writes a CFT2 checkpoint to `path` through [`write_atomic`].
 pub fn save_checkpoint_atomic(
     store: &ParamStore,
+    model: Option<&[u8]>,
     state: Option<&TrainState>,
     path: impl AsRef<Path>,
 ) -> io::Result<()> {
-    write_atomic(path, |w| save_checkpoint(store, state, w))
-}
-
-/// Params-only [`save_checkpoint_atomic`].
-pub fn save_params_atomic(store: &ParamStore, path: impl AsRef<Path>) -> io::Result<()> {
-    save_checkpoint_atomic(store, None, path)
+    write_atomic(path, |w| save_checkpoint(store, model, state, w))
 }
 
 #[cfg(test)]
@@ -699,7 +790,7 @@ mod tests {
     /// A params-only CFT2 stream of `ps`.
     fn params_only(ps: &ParamStore) -> Vec<u8> {
         let mut buf = Vec::new();
-        save_checkpoint(ps, None, &mut buf).unwrap();
+        save_checkpoint(ps, None, None, &mut buf).unwrap();
         buf
     }
 
@@ -762,7 +853,7 @@ mod tests {
     fn cft2_params_only_round_trips() {
         let src = store();
         let mut buf = Vec::new();
-        save_checkpoint(&src, None, &mut buf).unwrap();
+        save_checkpoint(&src, None, None, &mut buf).unwrap();
         assert_eq!(&buf[..4], b"CFT2");
         let mut dst = store();
         dst.get_mut(crate::params::ParamId(0)).data_mut()[0] = 99.0;
@@ -776,7 +867,7 @@ mod tests {
         let src = store();
         let state = train_state(&src);
         let mut buf = Vec::new();
-        save_checkpoint(&src, Some(&state), &mut buf).unwrap();
+        save_checkpoint(&src, None, Some(&state), &mut buf).unwrap();
 
         let mut dst = store();
         dst.get_mut(crate::params::ParamId(1)).data_mut()[0] = -100.0;
@@ -835,7 +926,7 @@ mod tests {
         let src = store();
         let state = train_state(&src);
         let mut buf = Vec::new();
-        save_checkpoint(&src, Some(&state), &mut buf).unwrap();
+        save_checkpoint(&src, None, Some(&state), &mut buf).unwrap();
         let mut other = ParamStore::new();
         other.add("a", Tensor::ones([2, 3]));
         other.add("b", Tensor::zeros([3])); // wrong shape
@@ -926,7 +1017,7 @@ mod tests {
         let src = store();
         let state = train_state(&src);
         let mut buf = Vec::new();
-        save_checkpoint(&src, Some(&state), &mut buf).unwrap();
+        save_checkpoint(&src, None, Some(&state), &mut buf).unwrap();
         for cut in 0..buf.len() {
             let mut dst = store();
             let err = load_checkpoint(&mut dst, &buf[..cut]).unwrap_err();
@@ -955,7 +1046,7 @@ mod tests {
         let src = store();
         let state = train_state(&src);
         let mut buf = Vec::new();
-        save_checkpoint(&src, Some(&state), &mut buf).unwrap();
+        save_checkpoint(&src, None, Some(&state), &mut buf).unwrap();
         for pos in 0..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0xFF;
@@ -987,7 +1078,7 @@ mod tests {
         let path = dir.join("model.ckpt");
         let src = store();
         let state = train_state(&src);
-        save_checkpoint_atomic(&src, Some(&state), &path).unwrap();
+        save_checkpoint_atomic(&src, None, Some(&state), &path).unwrap();
         assert!(!tmp_path(&path).exists(), "tmp file left behind");
         let mut dst = store();
         let f = std::fs::File::open(&path).unwrap();
@@ -998,7 +1089,7 @@ mod tests {
         assert_eq!(loaded.next_epoch, state.next_epoch);
         // A stale tmp from a previous crash must not block the next save.
         std::fs::write(tmp_path(&path), b"torn garbage").unwrap();
-        save_checkpoint_atomic(&src, None, &path).unwrap();
+        save_checkpoint_atomic(&src, None, None, &path).unwrap();
         assert!(!tmp_path(&path).exists());
     }
 }

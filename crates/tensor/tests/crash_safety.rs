@@ -9,6 +9,9 @@
 //!    exactly the new ones;
 //! 3. garbage and adversarial headers (fuzzed with cf-rand) produce typed
 //!    errors with bounded allocation — never a panic, never an OOM abort.
+//!
+//! The checkpoints carry every section kind, the opaque `model` section
+//! included; the last three tests aim the matrices at that section.
 
 use cf_check::fault::{crash_states, FaultMode, FaultyWriter};
 use cf_check::TempDir;
@@ -16,8 +19,48 @@ use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, RngCore, SeedableRng};
 use cf_tensor::{
     crc32, load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, AdamSnapshot,
-    CheckpointError, ParamStore, Tensor, TrainState,
+    Checkpoint, CheckpointError, ParamStore, Tensor, TrainState,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// [`System`] plus the largest single request made on each thread, so a
+/// test can show that no length field drove an allocation.
+struct LargestAlloc;
+
+// SAFETY: defers every allocation verbatim to `System`; the bookkeeping is
+// an allocation-free `Cell` update (`try_with`, so use during TLS setup or
+// teardown is simply not recorded).
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(layout.size())));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(new_size)));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// Runs `f` and returns the largest single allocation it made on this
+/// thread.
+fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 fn store(fill: f32) -> ParamStore {
     let mut ps = ParamStore::new();
@@ -47,10 +90,30 @@ fn state_for(ps: &ParamStore, tag: u64) -> TrainState {
     }
 }
 
+/// An opaque model-section body; cf-tensor never looks inside it.
+fn model_body(tag: u64) -> Vec<u8> {
+    (0..200u64).map(|i| (i * 31 + tag) as u8).collect()
+}
+
 fn encode(ps: &ParamStore, tag: u64) -> Vec<u8> {
     let mut buf = Vec::new();
-    save_checkpoint(ps, Some(&state_for(ps, tag)), &mut buf).unwrap();
+    save_checkpoint(
+        ps,
+        Some(&model_body(tag)),
+        Some(&state_for(ps, tag)),
+        &mut buf,
+    )
+    .unwrap();
     buf
+}
+
+/// Byte range of the model section in `encode(ps, _)`: from its tag byte
+/// to the end of its CRC. It follows the magic and the params section.
+fn model_range(ps: &ParamStore) -> std::ops::Range<usize> {
+    let mut params_only = Vec::new();
+    save_checkpoint(ps, None, None, &mut params_only).unwrap();
+    let start = params_only.len() - 5; // end tag(1) + footer(4)
+    start..start + 1 + 8 + model_body(0).len() + 4
 }
 
 /// A params-only CFT2 stream around a hand-built params `body`, sealed with
@@ -80,15 +143,25 @@ fn save_survives_write_faults_at_every_offset() {
     for cut in 0..full.len() {
         // Loud failure: the save must surface the io error, not panic.
         let mut w = FaultyWriter::new(Vec::new(), cut, FaultMode::Error);
-        let err = save_checkpoint(&src, Some(&state_for(&src, 9)), &mut w)
-            .expect_err("budgeted writer must fail the save");
+        let err = save_checkpoint(
+            &src,
+            Some(&model_body(9)),
+            Some(&state_for(&src, 9)),
+            &mut w,
+        )
+        .expect_err("budgeted writer must fail the save");
         assert_eq!(err.kind(), std::io::ErrorKind::Other, "cut {cut}");
 
         // Silent truncation: save "succeeds", but what's on disk is a bare
         // prefix — the loader must reject it with a typed error.
         let mut w = FaultyWriter::new(Vec::new(), cut, FaultMode::Truncate);
-        save_checkpoint(&src, Some(&state_for(&src, 9)), &mut w)
-            .expect("truncate mode reports success");
+        save_checkpoint(
+            &src,
+            Some(&model_body(9)),
+            Some(&state_for(&src, 9)),
+            &mut w,
+        )
+        .expect("truncate mode reports success");
         let survived = w.into_inner();
         assert_eq!(&survived[..], &full[..cut], "prefix property violated");
         let mut dst = store(0.0);
@@ -147,7 +220,7 @@ fn atomic_protocol_always_recovers_old_or_new() {
         );
 
         // And the next save must clobber the stale tmp and land cleanly.
-        save_checkpoint_atomic(&new_store, None, &path)
+        save_checkpoint_atomic(&new_store, Some(&model_body(2)), None, &path)
             .unwrap_or_else(|e| panic!("{}: post-crash save failed: {e}", cs.label));
         assert!(
             !tmp.exists(),
@@ -217,4 +290,105 @@ fn adversarial_length_fields_fail_fast_not_oom() {
     b.extend_from_slice(&[0u8; 64]);
     let err = load_checkpoint(&mut dst, &b[..]).unwrap_err();
     assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+}
+
+/// The receiving store, the load's error, and that error's text.
+fn load_into_fresh(buf: &[u8]) -> (Vec<u32>, CheckpointError) {
+    let mut dst = store(0.0);
+    let err = load_checkpoint(&mut dst, buf).expect_err("damaged stream accepted");
+    (params_bits(&dst), err)
+}
+
+#[test]
+fn model_section_round_trips_as_opaque_bytes() {
+    let src = store(1.5);
+    let ck = Checkpoint::read(&encode(&src, 4)[..]).unwrap();
+    assert_eq!(ck.model(), Some(&model_body(4)[..]));
+    let (params, state) = ck.decode(store(0.0)).unwrap();
+    assert_eq!(params_bits(&params), params_bits(&src));
+    assert_eq!(state.expect("state").next_epoch, 4);
+}
+
+#[test]
+fn truncation_inside_the_model_section_names_it() {
+    let src = store(1.0);
+    let full = encode(&src, 5);
+    let range = model_range(&src);
+    let untouched = params_bits(&store(0.0));
+    // Every cut from just past the section's tag byte to just past its CRC
+    // ends the stream inside (or right after) the model section.
+    for cut in range.start + 1..=range.end {
+        let (bits, err) = load_into_fresh(&full[..cut]);
+        assert!(matches!(err, CheckpointError::Io(_)), "cut {cut}: {err}");
+        assert!(err.to_string().contains("\"model\""), "cut {cut}: {err}");
+        assert_eq!(bits, untouched, "cut {cut}: store was tainted");
+    }
+}
+
+#[test]
+fn byte_flips_in_the_model_section_are_typed_errors_naming_it() {
+    let src = store(1.0);
+    let full = encode(&src, 6);
+    let range = model_range(&src);
+    let untouched = params_bits(&store(0.0));
+    for pos in range.clone() {
+        let mut bad = full.clone();
+        bad[pos] ^= 0xFF;
+        let (bits, err) = load_into_fresh(&bad);
+        assert_eq!(bits, untouched, "flip at {pos}: store was tainted");
+        if pos == range.start {
+            // The tag byte itself: no longer a known section.
+            assert!(
+                err.to_string().contains("unknown section tag"),
+                "flip at {pos}: {err}"
+            );
+        } else {
+            // Length, body or CRC: an absurd length, a short read, or a CRC
+            // failure — each naming the section.
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Io(_)
+                        | CheckpointError::Corrupt(_)
+                        | CheckpointError::BadCrc { section: "model" }
+                ),
+                "flip at {pos}: {err}"
+            );
+            assert!(
+                err.to_string().contains("\"model\""),
+                "flip at {pos}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn hostile_model_section_lengths_fail_fast() {
+    let src = store(1.0);
+    let full = encode(&src, 7);
+    let start = model_range(&src).start;
+    let untouched = params_bits(&store(0.0));
+    let with_len = |len: u64, tail: &[u8]| {
+        let mut b = full[..start].to_vec();
+        b.push(0x07);
+        b.extend_from_slice(&len.to_le_bytes());
+        b.extend_from_slice(tail);
+        b
+    };
+    // A length past the section cap, and an in-cap 1 GiB claim with 64
+    // bytes behind it: neither may allocate what it claims.
+    for (stream, absurd) in [
+        (with_len(u64::MAX, &[]), true),
+        (with_len(1 << 30, &[0u8; 64]), false),
+    ] {
+        let ((bits, err), largest) = largest_alloc(|| load_into_fresh(&stream));
+        assert_eq!(bits, untouched, "store was tainted");
+        assert!(err.to_string().contains("\"model\""), "{err}");
+        if absurd {
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        } else {
+            assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        }
+        assert!(largest < 1 << 20, "a {largest}-byte allocation for {err}");
+    }
 }

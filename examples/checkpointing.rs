@@ -1,4 +1,4 @@
-//! Train once, save the parameters, reload into a fresh process-equivalent
+//! Train once, save the model, load it into a fresh process-equivalent
 //! model and keep serving predictions — plus the chain-quality pruning
 //! extension in action.
 //!
@@ -40,14 +40,14 @@ fn main() {
     model.save_params_to(&path).expect("save checkpoint");
     println!("saved checkpoint to {}", path.display());
 
-    // Reload into a freshly constructed (untrained) model. Architecture is
-    // rebuilt from the same config/graph/seed; only the weights load.
+    // Load as a fresh process would. The served graph is rebuilt from the
+    // same graph and seed; the file brings the weights and what training
+    // fitted (filter, normalizer, fallback means), so nothing is re-fitted.
     let mut rng2 = cf_rand::rngs::StdRng::seed_from_u64(21);
     let graph2 = yago15k_sim(SynthScale::small(), &mut rng2);
     let split2 = Split::paper_811(&graph2, &mut rng2);
     let visible2 = split2.visible_graph(&graph2);
-    let mut served = ChainsFormer::new(&visible2, &split2.train, cfg, &mut rng2);
-    served.load_params_from(&path).expect("load checkpoint");
+    let served = ChainsFormer::load(&path, cfg, &visible2).expect("load checkpoint");
     std::fs::remove_file(&path).ok();
 
     // Same query, same RNG stream → same answer from the reloaded model.
