@@ -46,7 +46,7 @@ RUST_TEST_THREADS=8 cargo test -q --workspace --offline
 
 echo "== quantized accuracy gate (offline, release) =="
 # The int8 serving path is accuracy-gated, not assumed: per-attribute MAE
-# drift of QuantInferCtx vs the f32 path must stay under the pinned
+# drift of the int8 InferCtx vs the f32 path must stay under the pinned
 # threshold on the simulated twins (DESIGN.md §15). Run it in release so
 # the gate exercises the same SIMD dispatch tiers production serving uses.
 cargo test -q --release --offline -p chainsformer --test quant_accuracy
@@ -333,7 +333,10 @@ echo "== shard-matrix gate (offline) =="
 # the unlabeled global names. The matrix runs once per quantize mode
 # (DESIGN.md §15): int8 serving is integer math under the hood, so its
 # responses must be exactly as shard-count-invariant as f32's, and the
-# scraped metrics must report the active mode.
+# scraped metrics must report the active mode. Every loadtest mixes in a
+# hot reload each 40 requests, so the one-time validate, pack and swap of
+# the engine's one model (and int8 twin) runs at every cell of the matrix
+# and must not move a response byte (DESIGN.md §14.3).
 SHARD_DIR="$SMOKE_DIR/shards"
 mkdir -p "$SHARD_DIR"
 for QZ in f32 int8; do
@@ -357,6 +360,7 @@ for QZ in f32 int8; do
         --triples "$SMOKE_DIR/yago15k_sim_triples.tsv" \
         --numerics "$SMOKE_DIR/yago15k_sim_numerics.tsv" \
         --rate 500 --requests 120 --warmup 20 --conns 4 --seed 5 \
+        --reload "$SMOKE_DIR/reload.ckpt" --reload-every 40 \
         --dump "$SHARD_DIR/responses_${QZ}_$SH.dump" > "$SHARD_DIR/load_${QZ}_$SH.log" \
         || { echo "shard matrix: loadtest failed at $QZ/$SH shards"; exit 1; }
     grep -q 'shed 0 ' "$SHARD_DIR/load_${QZ}_$SH.log" \

@@ -133,11 +133,6 @@ impl TransE {
         &self.relations[r.0 as usize]
     }
 
-    /// Raw-index relation access (covers extra relations).
-    pub fn relation_raw(&self, i: usize) -> &[f64] {
-        &self.relations[i]
-    }
-
     /// Total entities in the table (graph + extras).
     pub fn num_entities(&self) -> usize {
         self.entities.len()

@@ -94,14 +94,12 @@ fn arm_config(arm: &str) -> EngineConfig {
             max_batch: 1,
             max_wait_us: 0,
             cache_cap: 0,
-            workers: 1,
             ..EngineConfig::default()
         },
         "micro_batch" => EngineConfig {
             max_batch: 8,
             max_wait_us: 2000,
             cache_cap: 4096,
-            workers: 1,
             ..EngineConfig::default()
         },
         other => unreachable!("unknown arm {other}"),

@@ -12,8 +12,8 @@
 //!    pre-resolved chains, exactly what a warm `cf-serve` worker runs per
 //!    batch (result materialization into `PredictionDetail`s clones chains
 //!    for the explanation payload and is likewise out of scope);
-//! 3. per **quantized served predict** — the same forward through
-//!    [`QuantInferCtx`] with an int8 [`QuantizedParamStore`], the
+//! 3. per **quantized served predict** — the same forward on an
+//!    [`InferCtx`] with an int8 [`QuantizedParamStore`] attached, the
 //!    `--quantize int8` serving path (DESIGN.md §15). Quantizing the store
 //!    itself allocates once at load/reload time and is outside the loop.
 //!
@@ -41,7 +41,7 @@ use cf_kg::Split;
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
 use cf_tensor::optim::{clip_global_norm, Adam};
-use cf_tensor::{Forward, InferCtx, QuantInferCtx, QuantizedParamStore, Tape, Tensor};
+use cf_tensor::{Forward, InferCtx, QuantizedParamStore, Tape, Tensor};
 use chainsformer::{ChainsFormer, ChainsFormerConfig, Trainer};
 use chainsformer_bench::alloc::{measure, CountingAlloc};
 use std::sync::Arc;
@@ -152,9 +152,9 @@ fn main() {
 
     // --- Gate 3: steady-state allocations per quantized served predict ----
     let quant = Arc::new(QuantizedParamStore::from_store(&model.params));
-    let mut qctx = QuantInferCtx::new();
+    let mut qctx = InferCtx::new();
     qctx.set_weights(quant);
-    let quant_forward = |qctx: &mut QuantInferCtx| {
+    let quant_forward = |qctx: &mut InferCtx| {
         qctx.clear();
         for &(query, chains) in &jobs {
             let out = model.forward(qctx, chains, query);

@@ -336,7 +336,6 @@ pub fn predict(args: &Args) -> CmdResult {
         model,
         visible,
         EngineConfig {
-            workers: 1,
             seed,
             quantize,
             ..EngineConfig::default()
@@ -437,10 +436,10 @@ pub fn serve(args: &Args) -> CmdResult {
         max_batch: args.get_parse("max-batch", 8, "integer")?,
         max_wait_us: args.get_parse("max-wait-us", 2000, "integer")?,
         queue_cap: args.get_parse("queue-cap", 256, "integer")?,
-        workers: args.get_parse("workers", 1, "integer")?,
-        // 0 = auto: one model replica per numeric-pool thread. Responses
-        // are bitwise identical at every shard count (entity-hash routing
-        // + per-query retrieval RNG), so this is purely a throughput knob.
+        // 0 = auto: one shard (queue, cache, worker) per numeric-pool
+        // thread. Responses are bitwise identical at every shard count
+        // (entity-hash routing + per-query retrieval RNG), so this is
+        // purely a throughput knob.
         shards: args.get_parse("shards", 0, "integer")?,
         cache_cap: args.get_parse("cache-cap", 4096, "integer")?,
         seed: args.get_parse("seed", 7, "integer")?,
@@ -499,9 +498,8 @@ pub fn serve(args: &Args) -> CmdResult {
         ms_since(t)
     );
     outln!(
-        "serving with {} shard(s), {} worker(s) each, {} inference",
+        "serving with {} shard(s), {} inference",
         engine.shards(),
-        args.get_parse("workers", 1usize, "integer")?.max(1),
         quantize
     );
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))?;

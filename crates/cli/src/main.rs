@@ -114,12 +114,12 @@ COMMANDS
              --triples FILE --numerics FILE (or --store FILE) --ckpt FILE
              [--index FILE (serve retrieval from a chain index)]
              [--port N (0 = ephemeral)] [--max-batch N] [--max-wait-us N]
-             [--queue-cap N] [--workers N (per shard)]
-             [--shards N (model replicas; 0 = one per pool thread;
+             [--queue-cap N]
+             [--shards N (queues and caches; 0 = one per pool thread;
               responses are bitwise identical at every N)]
              [--cache-cap N (per shard)] [--seed N]
-             [--quantize f32|int8 (int8: per-shard int8 weight twins,
-              rebuilt on hot-reload; responses stay deterministic)]
+             [--quantize f32|int8 (int8: one int8 weight twin, rebuilt on
+              hot-reload; responses stay deterministic)]
              [--journal FILE (CFJ1 crash-safe mutation journal: {\"mutate\":…}
               requests are fsynced before visible and replayed on restart)]
              [--compact-to FILE --compact-every N (fold the journal into a

@@ -13,7 +13,7 @@ use cf_chains::{
 use cf_kg::{ChainIndexView, GraphView, KnowledgeGraph, MinMaxNormalizer, NumTriple};
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
-use cf_tensor::{Forward, ForwardArena, InferCtx, ParamStore, Tape, Var};
+use cf_tensor::{Forward, InferCtx, ParamStore, Tape, Var};
 
 /// One explained evidence chain in a prediction.
 #[derive(Clone, Debug)]
@@ -51,9 +51,8 @@ pub struct PredictionDetail {
 /// are trained by [`crate::train::Trainer`]. A checkpoint holds both halves,
 /// so [`Self::load`] rebuilds the trained model without fitting anything.
 ///
-/// `Clone` exists for multi-replica serving: each `cf-serve` shard owns a
-/// full clone (its own `ParamStore`), so shards never contend on parameter
-/// reads and hot-reload can swap them one shard at a time.
+/// `Clone` copies the whole model, parameters included; a `cf-serve`
+/// engine holds one model for all its shards and never clones it.
 #[derive(Clone)]
 pub struct ChainsFormer {
     /// The configuration the model was built with.
@@ -211,18 +210,8 @@ impl ChainsFormer {
         query: Query,
         rng: &mut impl Rng,
     ) -> (TreeOfChains, usize) {
-        let mut toc = retrieve(graph, query, &self.cfg.retrieval(), rng);
-        let retrieved = toc.len();
-        if !self.cfg.setting.multi_attribute {
-            toc.chains.retain(|c| c.chain.known_attr == query.attr);
-        }
-        let mut selected = self.fitted.filter.select_top_k(&toc, self.cfg.top_k, rng);
-        if self.cfg.chain_quality {
-            if let Some(q) = &self.quality {
-                selected.chains = q.prune(selected.chains, self.cfg.quality_prune_factor);
-            }
-        }
-        (selected, retrieved)
+        let toc = retrieve(graph, query, &self.cfg.retrieval(), rng);
+        self.select_chains(toc, query, rng)
     }
 
     /// [`Self::gather_chains`] over a precomputed chain index instead of
@@ -235,7 +224,19 @@ impl ChainsFormer {
         query: Query,
         rng: &mut impl Rng,
     ) -> (TreeOfChains, usize) {
-        let mut toc = retrieve_indexed(index, query, &self.cfg.retrieval(), rng);
+        let toc = retrieve_indexed(index, query, &self.cfg.retrieval(), rng);
+        self.select_chains(toc, query, rng)
+    }
+
+    /// The step after retrieval: the setting restriction, the filter's
+    /// top-k and quality pruning. Returns the kept chains and how many were
+    /// retrieved.
+    fn select_chains(
+        &self,
+        mut toc: TreeOfChains,
+        query: Query,
+        rng: &mut impl Rng,
+    ) -> (TreeOfChains, usize) {
         let retrieved = toc.len();
         if !self.cfg.setting.multi_attribute {
             toc.chains.retain(|c| c.chain.known_attr == query.attr);
@@ -361,15 +362,15 @@ impl ChainsFormer {
     }
 
     /// [`Self::predict_batch_with_chains`] running on a caller-owned
-    /// forward arena — an [`InferCtx`] for the f32 path or a
-    /// [`cf_tensor::QuantInferCtx`] for int8 serving. The context is cleared
-    /// on entry; its value arena (and, through the tensor buffer pool, every
-    /// op's scratch) is reused across calls, so a warm worker serves
-    /// predictions without touching the heap in the model forward.
-    pub fn predict_batch_with_chains_in<C: ForwardArena>(
+    /// [`InferCtx`]: f32, or int8 when the context has this model's
+    /// quantized weights attached ([`InferCtx::set_weights`]). The context
+    /// is cleared on entry; its value arena (and, through the tensor buffer
+    /// pool, every op's scratch) is reused across calls, so a warm worker
+    /// serves predictions without touching the heap in the model forward.
+    pub fn predict_batch_with_chains_in(
         &self,
         jobs: &[ResolvedQuery<'_>],
-        ctx: &mut C,
+        ctx: &mut InferCtx,
     ) -> Vec<PredictionDetail> {
         ctx.clear();
         let mut all_chains: Vec<ChainInstance> = Vec::new();

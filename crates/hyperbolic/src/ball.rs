@@ -127,11 +127,6 @@ impl PoincareBall {
         }
         acc
     }
-
-    /// The conformal factor `λ_x = 2 / (1 - c‖x‖²)`, used by Riemannian SGD.
-    pub fn conformal_factor(&self, x: &[f64]) -> f64 {
-        2.0 / (1.0 - self.c * dot(x, x)).max(1e-15)
-    }
 }
 
 /// Plain Euclidean distance, used by the Figure-7 "Euclidean space" filter arm.

@@ -108,11 +108,6 @@ impl OverlayGraph {
         self.mutations_applied
     }
 
-    /// True when the overlay holds any change over the base.
-    pub fn is_dirty(&self) -> bool {
-        self.mutations_applied > 0
-    }
-
     fn entity_map(&mut self) -> &mut HashMap<String, u32> {
         if self.entity_ids.is_none() {
             let mut map = HashMap::with_capacity(self.base_entities + self.added_entities.len());

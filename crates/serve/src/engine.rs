@@ -1,7 +1,7 @@
-//! The inference engine: N worker shards, each owning a full model replica
-//! (its own [`ParamStore`]), a bounded micro-batching queue, and a private
-//! LRU chain cache — plus entity-hash routing, latency-aware admission
-//! control, and hot-reload coordinated across all shards.
+//! The inference engine: N worker shards, each with a bounded
+//! micro-batching queue, one worker and a private LRU chain cache, all
+//! reading one model (and, in int8 mode, its one int8 twin) — plus
+//! entity-hash routing, latency-aware admission control, and hot reload.
 //!
 //! Requests enter through [`Engine::submit`] (or the synchronous
 //! [`Engine::predict`]) and are routed to `shard_of(entity, shards)`: the
@@ -21,8 +21,6 @@
 //! deadline — see [`admit`]. Shedding at the door beats queueing collapse:
 //! under open-loop overload the client gets `overloaded` now instead of a
 //! reply that was doomed to miss its deadline after an unbounded wait.
-//!
-//! [`ParamStore`]: cf_tensor::ParamStore
 
 use crate::cache::{CachedChains, ChainCache};
 use crate::metrics::Metrics;
@@ -33,7 +31,7 @@ use cf_kg::{
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
-use cf_tensor::{QuantInferCtx, QuantizedParamStore};
+use cf_tensor::{InferCtx, QuantizedParamStore};
 use chainsformer::{ChainsFormer, PredictionDetail, ResolvedQuery};
 use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -45,9 +43,9 @@ use std::time::{Duration, Instant};
 /// Numeric mode the shard workers run linear layers in.
 ///
 /// `Int8` packs every eligible weight matrix to per-tensor symmetric int8
-/// once per replica (at engine construction and again at hot-reload swap
-/// time); activations are quantized per batch and accumulation stays i32 →
-/// f32, so attention softmax and the numeric heads keep full precision.
+/// once per engine (at construction and again at each hot reload);
+/// activations are quantized per batch and accumulation stays i32 → f32,
+/// so attention softmax and the numeric heads keep full precision.
 /// Accuracy drift vs `F32` is pinned by `crates/core/tests/quant_accuracy.rs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QuantMode {
@@ -91,11 +89,10 @@ pub struct EngineConfig {
     /// Per-shard queue bound; submissions beyond it are shed with
     /// [`ServeError::Overloaded`]. `0` sheds everything (useful in tests).
     pub queue_cap: usize,
-    /// Worker threads *per shard*.
-    pub workers: usize,
-    /// Number of model-replica shards. `0` means auto: the numeric thread
-    /// pool's width (`cf_tensor::pool::threads()`), i.e. one replica per
-    /// core under the default pool sizing.
+    /// Number of shards, each a queue, a cache and one worker thread over
+    /// the engine's one model. `0` means auto: the numeric thread pool's
+    /// width (`cf_tensor::pool::threads()`), i.e. one worker per core under
+    /// the default pool sizing.
     pub shards: usize,
     /// Per-shard chain-cache capacity in queries (`0` disables caching).
     /// Entity-hash routing means a query only ever visits one shard, so
@@ -113,7 +110,6 @@ impl Default for EngineConfig {
             max_batch: 8,
             max_wait_us: 2000,
             queue_cap: 256,
-            workers: 1,
             shards: 1,
             cache_cap: 4096,
             seed: 7,
@@ -177,23 +173,23 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// One model replica: parameters, queue, cache. The graph and chain index
-/// are shared read-only across shards (they are immutable while serving);
-/// everything a request *mutates* is shard-private, so shards never contend.
+/// One shard: a queue, its worker's wake-up condvar, and a cache. The
+/// model, graph and chain index are shared by every shard; everything a
+/// request *mutates* is shard-private, so shards never contend.
 struct Shard {
-    /// This shard's model replica. Workers hold the read lock for the
-    /// duration of a batch; [`Engine::reload`] takes the write lock only
-    /// for the final model swap, after the new checkpoint has been fully
-    /// validated.
-    model: RwLock<ChainsFormer>,
-    /// Int8 twin of this replica's weight matrices (`None` in f32 mode).
-    /// Written only while the shard's `model` write lock is held ([`
-    /// Engine::reload`]), so a worker holding the read lock always sees a
-    /// `(params, quant)` pair from the same generation.
-    quant: Mutex<Option<Arc<QuantizedParamStore>>>,
     queue: Mutex<QueueState>,
     cond: Condvar,
     cache: Mutex<ChainCache>,
+}
+
+/// The served model and its int8 twin (`None` in f32 mode), one pair per
+/// engine. They sit behind one `RwLock`: workers hold the read lock for the
+/// duration of a batch, and [`Engine::reload`] replaces both under the
+/// write lock, so a batch always sees parameters and twin of the same
+/// generation.
+struct Served {
+    model: ChainsFormer,
+    quant: Option<Arc<QuantizedParamStore>>,
 }
 
 /// The mutable serving graph: the immutable base store wrapped in a
@@ -201,7 +197,7 @@ struct Shard {
 /// index honest after mutations.
 ///
 /// Guarded by one engine-wide `RwLock` — the same generation discipline the
-/// per-shard model locks use: workers hold the read lock across a batch's
+/// model lock uses: workers hold the read lock across a batch's
 /// chain resolution, [`Engine::mutate`] takes the write lock to apply, so
 /// every shard observes each mutation atomically (no batch can see half a
 /// mutation, and no stale chain set can be cached after the invalidation
@@ -237,6 +233,7 @@ struct CompactionPolicy {
 }
 
 struct Shared {
+    served: RwLock<Served>,
     live: RwLock<LiveGraph>,
     journal: Mutex<Option<JournalState>>,
     index: Option<ChainIndexStore>,
@@ -268,6 +265,21 @@ impl std::ops::Deref for GraphGuard<'_> {
 
     fn deref(&self) -> &OverlayGraph {
         &self.guard.overlay
+    }
+}
+
+/// Read guard over the served model, dereferencing to the
+/// [`ChainsFormer`]. While held, a concurrent [`Engine::reload`]'s swap
+/// waits.
+pub struct ModelGuard<'a> {
+    guard: RwLockReadGuard<'a, Served>,
+}
+
+impl std::ops::Deref for ModelGuard<'_> {
+    type Target = ChainsFormer;
+
+    fn deref(&self) -> &ChainsFormer {
+        &self.guard.model
     }
 }
 
@@ -448,8 +460,7 @@ fn update_ewma(cell: &AtomicU64, sample_us: u64) {
 
 impl Engine {
     /// Takes ownership of the model and (visible) graph and spawns the
-    /// shard workers. Every shard beyond the first receives a clone of the
-    /// model (its own `ParamStore`).
+    /// shard workers. Every shard reads this one model; nothing is cloned.
     pub fn new(model: ChainsFormer, graph: impl Into<GraphStore>, cfg: EngineConfig) -> Self {
         Self::new_with_index(model, graph, None, cfg)
     }
@@ -476,32 +487,18 @@ impl Engine {
         } else {
             cfg.shards
         };
-        let workers_per_shard = cfg.workers.max(1);
-        let mut shards = Vec::with_capacity(nshards);
-        // One clone per extra shard; the original model lands in the last
-        // slot so a single-shard engine never pays for a copy.
-        let mut replicas = VecDeque::with_capacity(nshards);
-        for _ in 1..nshards {
-            replicas.push_back(model.clone());
-        }
-        replicas.push_back(model);
-        for replica in replicas {
-            // Each shard quantizes its own replica: QuantizedParamStore is a
-            // pure function of the parameter bits, so all twins are bitwise
-            // identical and responses stay shard-count-invariant.
-            let quant = (cfg.quantize == QuantMode::Int8)
-                .then(|| Arc::new(QuantizedParamStore::from_store(&replica.params)));
-            shards.push(Shard {
-                model: RwLock::new(replica),
-                quant: Mutex::new(quant),
+        let shards = (0..nshards)
+            .map(|_| Shard {
                 queue: Mutex::new(QueueState {
                     jobs: VecDeque::new(),
                     shutdown: false,
                 }),
                 cond: Condvar::new(),
                 cache: Mutex::new(ChainCache::new(cfg.cache_cap)),
-            });
-        }
+            })
+            .collect();
+        let quant = (cfg.quantize == QuantMode::Int8)
+            .then(|| Arc::new(QuantizedParamStore::from_store(&model.params)));
         let cfg = EngineConfig {
             shards: nshards,
             ..cfg
@@ -509,6 +506,7 @@ impl Engine {
         let metrics = Metrics::with_shards(nshards);
         metrics.set_quantize_int8(cfg.quantize == QuantMode::Int8);
         let shared = Arc::new(Shared {
+            served: RwLock::new(Served { model, quant }),
             metrics,
             live: RwLock::new(LiveGraph {
                 overlay: OverlayGraph::new(graph),
@@ -521,21 +519,16 @@ impl Engine {
             cfg,
             shards,
         });
-        let mut handles = Vec::with_capacity(nshards * workers_per_shard);
-        for s in 0..nshards {
-            for w in 0..workers_per_shard {
+        let workers = (0..nshards)
+            .map(|s| {
                 let shared = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
-                    .name(format!("cf-serve-s{s}w{w}"))
+                std::thread::Builder::new()
+                    .name(format!("cf-serve-s{s}"))
                     .spawn(move || worker_loop(&shared, s))
-                    .expect("spawn shard worker");
-                handles.push(h);
-            }
-        }
-        Engine {
-            shared,
-            workers: handles,
-        }
+                    .expect("spawn shard worker")
+            })
+            .collect();
+        Engine { shared, workers }
     }
 
     /// The resolved shard count (after `shards: 0` auto-sizing).
@@ -658,8 +651,8 @@ impl Engine {
         }
         // Durability before visibility: a mutation the journal has not
         // fsynced must not influence any answer (lock order: journal →
-        // live.write → shard caches; workers take live.read → model.read;
-        // no path takes them in the opposite order).
+        // live.write → shard caches; workers take served.read → live.read →
+        // shard cache; no path takes them in the opposite order).
         let mut journal = self.shared.journal.lock().expect("journal poisoned");
         if let Some(js) = journal.as_mut() {
             if js.failed {
@@ -789,91 +782,57 @@ impl Engine {
         Ok(())
     }
 
-    /// Shard 0's model replica (a read guard: drops cheaply, blocks a
-    /// concurrent [`Self::reload`]'s swap of that shard while held). All
-    /// replicas carry identical parameters outside the brief window of a
-    /// coordinated reload; use [`Self::model_of_shard`] to inspect others.
-    pub fn model(&self) -> RwLockReadGuard<'_, ChainsFormer> {
-        self.model_of_shard(0)
+    /// The served model (a read guard: drops cheaply, blocks a concurrent
+    /// [`Self::reload`]'s swap while held).
+    pub fn model(&self) -> ModelGuard<'_> {
+        ModelGuard {
+            guard: self.shared.served.read().expect("model poisoned"),
+        }
     }
 
-    /// Shard `i`'s model replica.
-    pub fn model_of_shard(&self, i: usize) -> RwLockReadGuard<'_, ChainsFormer> {
-        self.shared.shards[i].model.read().expect("model poisoned")
-    }
-
-    /// Hot-swaps every shard's model for the whole model a checkpoint file
+    /// Hot-swaps the served model for the whole model a checkpoint file
     /// holds, its parameters and its `model` section together, without
     /// restarting the engine or dropping queued work.
     ///
-    /// The reload is **all-or-nothing across shards**: the checkpoint's
-    /// magic, per-section CRCs, every parameter name and shape, and the
-    /// `model` section (present, and matching the served configuration and
-    /// vocabulary) are validated *once*, off the request path, into a
-    /// staged model — workers keep answering under their read locks the
-    /// whole time. Only after the entire file has been accepted are
-    /// per-shard copies staged and swapped in, shard by shard, under each
-    /// shard's brief write lock (between that shard's batches, never
-    /// mid-forward). Every failure mode lives in the validation phase,
-    /// before the first swap; on any error the staged model is dropped and
-    /// all replicas keep their previous model — rollback is implicit and no
-    /// shard can be left on a different generation than its peers.
+    /// The reload is **all-or-nothing**: the checkpoint's magic,
+    /// per-section CRCs, every parameter name and shape, and the `model`
+    /// section (present, and matching the served configuration and
+    /// vocabulary) are validated off the request path into a staged model
+    /// while workers keep answering under their read locks. In int8 mode the
+    /// staged model's twin is packed before the lock too. Only then does the
+    /// write lock swap model and twin in, between batches, never
+    /// mid-forward. Every failure mode lives before the swap; on any error
+    /// the staged model is dropped and the old one keeps serving.
     ///
-    /// Cached chains are the filter's top-k, so a shard's cache is emptied
-    /// under the same write lock when the new filter differs from the old
-    /// one in any bit. A reload that keeps the filter (new weights from the
-    /// same fit) keeps the caches: retrieval reads the filter and the
-    /// per-query RNG, not the swapped parameters.
+    /// Cached chains are the filter's top-k, so every shard's cache is
+    /// emptied under the same write lock when the new filter differs from
+    /// the old one in any bit. A reload that keeps the filter (new weights
+    /// from the same fit) keeps the caches: retrieval reads the filter and
+    /// the per-query RNG, not the swapped parameters.
     ///
-    /// Counted in `cf_serve_reloads_ok_total` / `cf_serve_reloads_rejected_total`
-    /// and the shard-labeled `cf_serve_shard_reloads_*` counters.
+    /// Counted in `cf_serve_reloads_ok_total` / `cf_serve_reloads_rejected_total`.
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<(), cf_tensor::CheckpointError> {
         let result = (|| {
-            let staged = self.shared.shards[0]
-                .model
-                .read()
-                .expect("model poisoned")
-                .reloaded(path)?;
+            let model = self.model().reloaded(path)?;
             // Validation is complete: nothing below this line can fail.
-            // Stage one copy per shard up front, then swap them in; the
-            // last shard takes `staged` itself.
-            let n = self.shared.shards.len();
-            let mut copies: Vec<ChainsFormer> = (1..n).map(|_| staged.clone()).collect();
-            copies.push(staged);
-            let quantize = self.shared.cfg.quantize == QuantMode::Int8;
-            for (shard, replica) in self.shared.shards.iter().zip(copies) {
-                // Quantize the staged replica before taking the write lock
-                // (packing is the expensive part); swap the int8 twin while
-                // the lock is held so workers never see params from one
-                // generation paired with quantized weights from another.
-                let quant =
-                    quantize.then(|| Arc::new(QuantizedParamStore::from_store(&replica.params)));
-                let mut model = shard.model.write().expect("model poisoned");
-                // Batches insert into the cache under the model read lock,
-                // so none can cache the old filter's chains after this.
-                if !model.filter().same_bits(replica.filter()) {
+            let quant = (self.shared.cfg.quantize == QuantMode::Int8)
+                .then(|| Arc::new(QuantizedParamStore::from_store(&model.params)));
+            let mut served = self.shared.served.write().expect("model poisoned");
+            // Batches insert into the caches under the model read lock, so
+            // none can cache the old filter's chains after this.
+            if !served.model.filter().same_bits(model.filter()) {
+                for shard in &self.shared.shards {
                     shard.cache.lock().expect("cache poisoned").clear();
                 }
-                *model = replica;
-                *shard.quant.lock().expect("quant poisoned") = quant;
             }
+            *served = Served { model, quant };
             Ok(())
         })();
         let m = &self.shared.metrics;
         match &result {
-            Ok(()) => {
-                m.reloads_ok.fetch_add(1, Ordering::Relaxed);
-                for s in 0..self.shared.shards.len() {
-                    m.shard(s).reloads_ok.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                m.reloads_rejected.fetch_add(1, Ordering::Relaxed);
-                for s in 0..self.shared.shards.len() {
-                    m.shard(s).reloads_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+            Ok(()) => m.reloads_ok.fetch_add(1, Ordering::Relaxed),
+            Err(_) => m.reloads_rejected.fetch_add(1, Ordering::Relaxed),
+        };
         result
     }
 
@@ -885,16 +844,6 @@ impl Engine {
     /// Renders the metrics text block (the `GET /metrics` payload).
     pub fn metrics_text(&self) -> String {
         self.shared.metrics.render()
-    }
-
-    /// Current number of cached chain sets, summed across shards (shards
-    /// never duplicate an entry: a query routes to exactly one shard).
-    pub fn cache_len(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.cache.lock().expect("cache poisoned").len())
-            .sum()
     }
 
     /// Graceful shutdown: already-enqueued jobs are answered, new
@@ -917,21 +866,11 @@ impl Drop for Engine {
     }
 }
 
-/// A worker's reusable inference arena: the f32 context or its quantized
-/// variant, fixed for the engine's lifetime by [`EngineConfig::quantize`].
-enum WorkerCtx {
-    F32(cf_tensor::InferCtx),
-    Int8(QuantInferCtx),
-}
-
 fn worker_loop(shared: &Shared, shard_ix: usize) {
     // One inference context per worker, reused across batches: after the
     // first batch its value arena and the thread's tensor buffer pool are
     // warm, so steady-state forwards never touch the global allocator.
-    let mut ctx = match shared.cfg.quantize {
-        QuantMode::F32 => WorkerCtx::F32(cf_tensor::InferCtx::new()),
-        QuantMode::Int8 => WorkerCtx::Int8(QuantInferCtx::new()),
-    };
+    let mut ctx = InferCtx::new();
     loop {
         let batch = collect_batch(shared, shard_ix);
         if batch.is_empty() {
@@ -985,7 +924,7 @@ fn collect_batch(shared: &Shared, shard_ix: usize) -> Vec<Job> {
     batch
 }
 
-fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut WorkerCtx) {
+fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut InferCtx) {
     let m = &shared.metrics;
     let shard = &shared.shards[shard_ix];
     m.batch_size.record(batch.len() as u64);
@@ -1006,7 +945,8 @@ fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut Wo
     // One read guard for the whole batch: every job in it is answered by
     // the same model generation, and a concurrent reload's write lock
     // lands between batches, never mid-forward.
-    let model = shard.model.read().expect("model poisoned");
+    let served = shared.served.read().expect("model poisoned");
+    let model = &served.model;
     let service_start = Instant::now();
 
     // The live-graph read guard spans the whole resolve phase (cache
@@ -1071,19 +1011,14 @@ fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut Wo
         .zip(&resolved)
         .map(|(job, (c, _))| (job.query, c.chains.as_slice(), c.retrieved))
         .collect();
-    let details = match ctx {
-        WorkerCtx::F32(c) => model.predict_batch_with_chains_in(&jobs_view, c),
-        WorkerCtx::Int8(c) => {
-            // Re-adopt the shard's int8 twin every batch (an Arc clone):
-            // read under the model read lock, so a concurrent reload can
-            // never hand this batch a stale quantized generation.
-            if let Some(q) = shard.quant.lock().expect("quant poisoned").clone() {
-                c.set_weights(q);
-            }
-            model.predict_batch_with_chains_in(&jobs_view, c)
-        }
-    };
-    drop(model);
+    // The twin is attached for this batch only (an Arc clone, `None` in
+    // f32 mode), read under the model read lock: a batch never pairs
+    // parameters and twin of different generations, and an idle worker
+    // keeps no twin alive past a reload.
+    ctx.set_weights(served.quant.clone());
+    let details = model.predict_batch_with_chains_in(&jobs_view, ctx);
+    ctx.set_weights(None);
+    drop(served);
 
     // Feed admission control: per-request service time (retrieval +
     // forward, amortized over the batch) folded into this shard's EWMA.
@@ -1336,19 +1271,12 @@ mod tests {
             .map(|&q| e.predict(q).expect("baseline").detail.value.to_bits())
             .collect();
 
-        // A good reload swaps every shard to the new checkpoint.
+        // A good reload swaps the one model every shard reads.
         e.reload(&b_ckpt).expect("valid checkpoint accepted");
-        for s in 0..e.shards() {
-            assert_eq!(
-                param_bits(&e.model_of_shard(s).params),
-                b_bits,
-                "shard {s} missed the coordinated swap"
-            );
-        }
+        assert_eq!(param_bits(&e.model().params), b_bits, "missed the swap");
 
-        // Damaged checkpoints are rejected and every shard stays on B, its
-        // parameters and its filter — no shard can land on a different
-        // generation than its peers. The damage: a truncated file, a
+        // Damaged checkpoints are rejected and the engine stays on B, its
+        // parameters and its filter. The damage: a truncated file, a
         // flipped byte in the model section's body, and a file with no
         // model section at all.
         let full = std::fs::read(&b_ckpt).unwrap();
@@ -1372,15 +1300,13 @@ mod tests {
             if let Some(section) = section {
                 assert!(err.to_string().contains(section), "{name}: {err}");
             }
-            for s in 0..e.shards() {
-                let model = e.model_of_shard(s);
-                assert_eq!(
-                    param_bits(&model.params),
-                    b_bits,
-                    "{name}: rejected reload tainted shard {s}"
-                );
-                assert!(model.filter().same_bits(&b_filter), "{name}: shard {s}");
-            }
+            let model = e.model();
+            assert_eq!(
+                param_bits(&model.params),
+                b_bits,
+                "{name}: rejected reload tainted the model"
+            );
+            assert!(model.filter().same_bits(&b_filter), "{name}");
         }
         e.reload(dir.join("missing.ckpt"))
             .expect_err("missing file accepted");
@@ -1398,14 +1324,7 @@ mod tests {
         let text = e.metrics_text();
         assert!(text.contains("cf_serve_reloads_ok_total 2"), "{text}");
         assert!(text.contains("cf_serve_reloads_rejected_total 4"), "{text}");
-        assert!(
-            text.contains("cf_serve_shard_reloads_ok_total{shard=\"1\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("cf_serve_shard_reloads_rejected_total{shard=\"0\"} 4"),
-            "{text}"
-        );
+        assert!(!text.contains("cf_serve_shard_reloads"), "{text}");
         e.shutdown();
     }
 
@@ -1455,9 +1374,13 @@ mod tests {
                 })
                 .collect()
         };
-        for shards in [1usize, 4] {
+        for (quantize, shards) in [QuantMode::F32, QuantMode::Int8]
+            .into_iter()
+            .flat_map(|q| [(q, 1usize), (q, 4)])
+        {
             let engine_cfg = EngineConfig {
                 shards,
+                quantize,
                 ..EngineConfig::default()
             };
             let e = Engine::new(model_a.clone(), visible.clone(), engine_cfg.clone());
@@ -1469,8 +1392,9 @@ mod tests {
                 visible.clone(),
                 engine_cfg,
             );
-            assert_eq!(after, answers(&fresh), "{shards} shard(s)");
-            assert_ne!(after, before, "{shards} shard(s): reload changed nothing");
+            let at = format!("{quantize}, {shards} shard(s)");
+            assert_eq!(after, answers(&fresh), "{at}");
+            assert_ne!(after, before, "{at}: reload changed nothing");
             e.shutdown();
             fresh.shutdown();
         }
@@ -1504,9 +1428,9 @@ mod tests {
 
     #[test]
     fn quantized_answers_are_shard_count_invariant() {
-        // The int8 twin is a pure function of the parameter bits and every
-        // shard quantizes its own (bitwise-identical) replica, so the
-        // quantized engine keeps the f32 engine's shard-count invariance.
+        // Every shard reads the engine's one int8 twin, and the int8 kernel
+        // is row-local, so the quantized engine keeps the f32 engine's
+        // shard-count invariance.
         let mut answers: Vec<Vec<u64>> = Vec::new();
         for shards in [1usize, 4] {
             let (e, queries) = engine(EngineConfig {
@@ -1563,7 +1487,7 @@ mod tests {
 
     #[test]
     fn reload_requantizes_every_shard() {
-        // After a hot reload the int8 twins must be rebuilt from the new
+        // After a hot reload the int8 twin must be rebuilt from the new
         // parameters: reloading the same checkpoint back must restore the
         // original quantized answers bitwise.
         let dir = TempDir::new("qreload");

@@ -5,10 +5,10 @@
 //! Batched, tape-free inference serving for the ChainsFormer reproduction
 //! (DESIGN.md §9):
 //!
-//! - [`engine::Engine`] — N model-replica shards (entity-hash routed, so
+//! - [`engine::Engine`] — N shards over one model (entity-hash routed, so
 //!   responses are bitwise identical at any shard count), each with a
-//!   bounded micro-batching queue drained by worker threads, latency-aware
-//!   admission control ([`engine::admit`]), coordinated hot-reload, live
+//!   bounded micro-batching queue drained by its worker thread, latency-aware
+//!   admission control ([`engine::admit`]), all-or-nothing hot-reload, live
 //!   graph mutation ([`engine::Engine::mutate`]: CFJ1-journaled before
 //!   visible, `max_hops`-BFS cache/index invalidation, periodic
 //!   compaction), and per-query deterministic retrieval;
@@ -36,7 +36,8 @@ pub mod server;
 pub use cache::{CachedChains, ChainCache};
 pub use engine::{
     admit, dirty_entities, projected_delay_us, query_rng_seed, shard_of, Admission, Engine,
-    EngineConfig, GraphGuard, MutationOutcome, QuantMode, Reply, ServeError, ServedPrediction,
+    EngineConfig, GraphGuard, ModelGuard, MutationOutcome, QuantMode, Reply, ServeError,
+    ServedPrediction,
 };
 pub use metrics::{Histogram, Metrics};
 pub use server::{install_signals, run, shutdown_on_stdin_close, signalled, METRICS_COMMAND};

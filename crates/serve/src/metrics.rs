@@ -130,10 +130,6 @@ pub struct ShardMetrics {
     pub cache_hits: AtomicU64,
     /// Chain-cache misses in this shard's cache.
     pub cache_misses: AtomicU64,
-    /// Coordinated reloads that swapped this shard's parameters.
-    pub reloads_ok: AtomicU64,
-    /// Coordinated reloads rejected before any shard swapped.
-    pub reloads_rejected: AtomicU64,
     /// EWMA of per-request service time on this shard, microseconds
     /// (gauge, written by the shard's workers; admission control reads it).
     pub ewma_service_us: AtomicU64,
@@ -146,8 +142,6 @@ impl ShardMetrics {
             shed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            reloads_ok: AtomicU64::new(0),
-            reloads_rejected: AtomicU64::new(0),
             ewma_service_us: AtomicU64::new(0),
         }
     }
@@ -158,8 +152,6 @@ impl ShardMetrics {
             &self.shed,
             &self.cache_hits,
             &self.cache_misses,
-            &self.reloads_ok,
-            &self.reloads_rejected,
             &self.ewma_service_us,
         ] {
             a.swap(0, Ordering::AcqRel);
@@ -381,16 +373,6 @@ impl Metrics {
                 s,
                 "cf_serve_shard_cache_misses_total{{shard=\"{i}\"}} {}",
                 g(&sh.cache_misses)
-            );
-            let _ = writeln!(
-                s,
-                "cf_serve_shard_reloads_ok_total{{shard=\"{i}\"}} {}",
-                g(&sh.reloads_ok)
-            );
-            let _ = writeln!(
-                s,
-                "cf_serve_shard_reloads_rejected_total{{shard=\"{i}\"}} {}",
-                g(&sh.reloads_rejected)
             );
             let _ = writeln!(
                 s,

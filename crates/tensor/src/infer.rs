@@ -24,14 +24,25 @@
 //! composed path's `matmul_into` then `add_bias_rows` minus its copies. The
 //! equivalence tests below and the model-shape test in `chainsformer` pin
 //! this.
+//!
+//! ## Int8
+//!
+//! With a [`QuantizedParamStore`] attached ([`InferCtx::set_weights`]),
+//! `linear` runs every weight that has a packed int8 twin through
+//! [`QuantizedTensor::matmul_rows_into`](crate::quant::QuantizedTensor::matmul_rows_into)
+//! instead of `matmul_into`, then adds the bias the same way. Every other op,
+//! and every weight without a twin, stays f32; `crate::quant` has the scale
+//! scheme.
 
 use crate::ops::attn::{attn_merge_forward, attn_probs_forward};
 use crate::ops::elementwise::{add_bias_rows, gelu_in_place, tanh};
 use crate::ops::reduce::{layer_norm_rows, softmax_row};
 use crate::params::{ParamId, ParamStore};
+use crate::quant::QuantizedParamStore;
 use crate::shape::Shape;
 use crate::tape::{Tape, Var};
 use crate::tensor::{matmul_into, Tensor};
+use std::sync::Arc;
 
 /// The forward-only op set shared by [`Tape`] (training) and [`InferCtx`]
 /// (serving). Layer `forward` methods are generic over this trait, so one
@@ -112,9 +123,9 @@ pub trait Forward {
     ///
     /// The default body is the composed graph — param, reshape to rows,
     /// matmul, param, add_bias, reshape back — so [`Tape`] records its usual
-    /// nodes and gradients, and [`crate::quant::QuantInferCtx`] still sees
-    /// the weight `param` its int8 `matmul` routing keys on. [`InferCtx`]
-    /// overrides it with a copy-free version that yields the same bits.
+    /// nodes and gradients. [`InferCtx`] overrides it with a copy-free
+    /// version that yields the same bits, and that is where its int8 route
+    /// lives.
     fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: Option<ParamId>) -> Var {
         let shape = *self.value(x).shape();
         let flat = if shape.rank() == 2 {
@@ -133,23 +144,6 @@ pub trait Forward {
             y = self.reshape(y, shape.with_last(out_dim));
         }
         y
-    }
-}
-
-/// A reusable forward arena: a [`Forward`] context that can be cleared and
-/// driven again for the next request without reallocating. Implemented by
-/// [`InferCtx`] and [`crate::quant::QuantInferCtx`]; batch-serving entry
-/// points are generic over this trait so one definition serves the f32 and
-/// quantized paths.
-pub trait ForwardArena: Forward {
-    /// Drops all recorded values (invalidating outstanding handles) so the
-    /// context can be reused.
-    fn clear(&mut self);
-}
-
-impl ForwardArena for InferCtx {
-    fn clear(&mut self) {
-        InferCtx::clear(self);
     }
 }
 
@@ -253,16 +247,25 @@ impl Forward for Tape {
 /// Holds one [`Tensor`] per op output and nothing else — no backward
 /// closures, no parent bookkeeping, no `GradStore`. `Var` handles index into
 /// this arena exactly as they index into a `Tape`, so layer code is oblivious
-/// to which one it is running on.
+/// to which one it is running on. An attached [`QuantizedParamStore`] sends
+/// `linear` layers through the int8 kernel (see the module docs).
 #[derive(Default)]
 pub struct InferCtx {
     vals: Vec<Tensor>,
+    weights: Option<Arc<QuantizedParamStore>>,
 }
 
 impl InferCtx {
-    /// Creates an empty context.
+    /// Creates an empty f32 context.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Attaches the int8 twin of the `ParamStore` later `linear` calls read
+    /// (`None` detaches it: every op runs f32 again). Call between
+    /// forwards, not mid-forward.
+    pub fn set_weights(&mut self, weights: impl Into<Option<Arc<QuantizedParamStore>>>) {
+        self.weights = weights.into();
     }
 
     /// Number of recorded values.
@@ -277,7 +280,7 @@ impl InferCtx {
 
     /// Drops all recorded values (invalidating outstanding handles) so the
     /// context can be reused for the next request without reallocating the
-    /// arena itself.
+    /// arena itself. The attached int8 weights stay attached.
     pub fn clear(&mut self) {
         self.vals.clear();
     }
@@ -573,10 +576,11 @@ impl Forward for InferCtx {
     }
 
     /// The composed `linear` without its copies: no parameter clones, no
-    /// reshape copies, no clone-then-add bias pass. The GEMM accumulates
-    /// into a zeroed buffer and the bias is then added into that buffer
-    /// row by row — the same `matmul_into` and `add_bias_rows` calls, in the
-    /// same order, as the default body, so the bits are identical.
+    /// reshape copies, no clone-then-add bias pass. The GEMM writes a zeroed
+    /// buffer and the bias is then added into that buffer row by row — the
+    /// same GEMM and `add_bias_rows` calls, in the same order, as the
+    /// default body, so the bits are identical. The GEMM is the int8 one
+    /// when the weight has a twin in the attached store, else `matmul_into`.
     fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: Option<ParamId>) -> Var {
         let xv = self.value(x);
         let shape = *xv.shape();
@@ -590,7 +594,10 @@ impl Forward for InferCtx {
         );
         let rows = shape.leading();
         let mut out = crate::pool::take_f32_zeroed(rows * n);
-        matmul_into(xv.data(), wv.data(), &mut out, rows, k, n);
+        match self.weights.as_deref().and_then(|q| q.entry(w.index())) {
+            Some(qw) => qw.matmul_rows_into(xv.data(), rows, &mut out),
+            None => matmul_into(xv.data(), wv.data(), &mut out, rows, k, n),
+        }
         if let Some(b) = b {
             let bv = ps.get(b);
             assert_eq!(
@@ -609,7 +616,6 @@ impl Forward for InferCtx {
 mod tests {
     use super::*;
     use crate::nn::{Activation, KeyMask, Linear, Mlp, MultiHeadAttention, TransformerEncoder};
-    use crate::quant::{QuantInferCtx, QuantizedParamStore};
     use cf_rand::rngs::StdRng;
     use cf_rand::{Rng, SeedableRng};
 
@@ -746,9 +752,89 @@ mod tests {
         assert_eq!(ctx.value(y).data(), taped.as_slice());
     }
 
-    /// `QuantInferCtx` keeps the composed `linear`, so an eligible weight
-    /// still takes `matmul_quantized` and never reaches `InferCtx`'s f32
-    /// override: the output is exactly the int8 product plus the bias.
+    /// The int8 `linear` as the composed default body ran it before the
+    /// int8 route moved into `InferCtx::linear`: rows as a reshape copy, the
+    /// weight as a parameter copy, the int8 product as a new value when the
+    /// weight has a twin (else the f32 `matmul`), then a clone-then-add bias
+    /// and a reshape back. `ctx` has no weights attached.
+    fn composed_int8_linear(
+        ctx: &mut InferCtx,
+        ps: &ParamStore,
+        q: &QuantizedParamStore,
+        x: Var,
+        w: ParamId,
+        b: Option<ParamId>,
+    ) -> Var {
+        let shape = *ctx.value(x).shape();
+        let flat = if shape.rank() == 2 {
+            x
+        } else {
+            ctx.reshape(x, [shape.leading(), shape.last_dim()].into())
+        };
+        let wv = ctx.param(ps, w);
+        let mut y = match q.entry(w.index()) {
+            Some(qw) => {
+                let value = qw.matmul_quantized(ctx.value(flat));
+                ctx.leaf(value)
+            }
+            None => ctx.matmul(flat, wv),
+        };
+        if let Some(b) = b {
+            let bv = ctx.param(ps, b);
+            y = ctx.add_bias(y, bv);
+        }
+        if shape.rank() != 2 {
+            let out_dim = ctx.value(y).shape().last_dim();
+            y = ctx.reshape(y, shape.with_last(out_dim));
+        }
+        y
+    }
+
+    cf_check::property! {
+        #![config(cases = 96)]
+
+        /// With weights attached, `InferCtx::linear` is the composed int8
+        /// path bit for bit: rank-2 and rank-3 inputs, with and without a
+        /// bias, weights with a twin (`n ≥ 8`) and without (`n < 8`, the
+        /// `[d, 1]` heads).
+        #[test]
+        fn int8_linear_matches_the_composed_path(
+            lead in 1usize..6,
+            seq in 0usize..4,
+            k in 1usize..40,
+            n in 1usize..24,
+            with_bias in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ps = ParamStore::new();
+            let w = ps.add("w", rand_tensor(&[k, n], &mut rng));
+            let b = (with_bias == 1).then(|| ps.add("b", rand_tensor(&[n], &mut rng)));
+            let q = QuantizedParamStore::from_store(&ps);
+            cf_check::check_assert_eq!(q.entry(w.index()).is_some(), n >= 8);
+            // seq == 0: a rank-2 `[lead, k]` input; else rank-3.
+            let x = if seq == 0 {
+                rand_tensor(&[lead, k], &mut rng)
+            } else {
+                rand_tensor(&[lead, seq, k], &mut rng)
+            };
+
+            let mut plain = InferCtx::new();
+            let xv = plain.leaf(x.clone());
+            let want = composed_int8_linear(&mut plain, &ps, &q, xv, w, b);
+
+            let mut ctx = InferCtx::new();
+            ctx.set_weights(Arc::new(q));
+            let xv = ctx.leaf(x);
+            let got = ctx.linear(&ps, xv, w, b);
+            cf_check::check_assert_eq!(ctx.value(got).shape(), plain.value(want).shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            cf_check::check_assert_eq!(bits(ctx.value(got)), bits(plain.value(want)));
+        }
+    }
+
+    /// An eligible weight takes the int8 kernel: the output is exactly the
+    /// int8 product plus the bias, and differs from the f32 layer.
     #[test]
     fn quant_ctx_linear_stays_on_the_int8_kernel() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -756,7 +842,7 @@ mod tests {
         let lin = Linear::new(&mut ps, "q", 16, 16, &mut rng);
         let b = lin.b.expect("Linear::new has a bias");
         *ps.get_mut(b) = rand_tensor(&[16], &mut rng);
-        let q = std::sync::Arc::new(QuantizedParamStore::from_store(&ps));
+        let q = Arc::new(QuantizedParamStore::from_store(&ps));
         let x = rand_tensor(&[2, 3, 16], &mut rng);
 
         let mut want = q
@@ -765,7 +851,7 @@ mod tests {
             .matmul_quantized(&x.reshape([6, 16]));
         crate::ops::elementwise::add_bias_rows(want.data_mut(), ps.get(b).data(), 6, 16);
 
-        let mut qctx = QuantInferCtx::new();
+        let mut qctx = InferCtx::new();
         qctx.set_weights(q);
         let xv = qctx.leaf(x.clone());
         let y = lin.forward(&mut qctx, &ps, xv);
@@ -776,6 +862,24 @@ mod tests {
         let xv = fctx.leaf(x);
         let y32 = lin.forward(&mut fctx, &ps, xv);
         assert_ne!(fctx.value(y32).data(), want.data(), "f32 path taken");
+    }
+
+    /// A warm int8 `Linear::forward` on a rank-3 input records its output
+    /// and nothing else: no weight or bias copy, no reshape copies, no
+    /// separate bias value (the composed path records six values).
+    #[test]
+    fn warm_int8_linear_adds_one_arena_value() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut ps = ParamStore::new();
+        let lin = Linear::new(&mut ps, "q", 16, 24, &mut rng);
+        let mut ctx = InferCtx::new();
+        ctx.set_weights(Arc::new(QuantizedParamStore::from_store(&ps)));
+        let xv = ctx.leaf(rand_tensor(&[2, 3, 16], &mut rng));
+        lin.forward(&mut ctx, &ps, xv);
+        let before = ctx.len();
+        let y = lin.forward(&mut ctx, &ps, xv);
+        assert_eq!(ctx.len(), before + 1);
+        assert_eq!(ctx.value(y).shape().as_batch_matrix(), (2, 3, 24));
     }
 
     /// Padding keys out via the additive mask must not change the unpadded

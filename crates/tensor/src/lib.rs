@@ -64,7 +64,7 @@ pub mod tensor;
 mod test_alloc;
 
 pub use crc::crc32;
-pub use infer::{Forward, ForwardArena, InferCtx};
+pub use infer::{Forward, InferCtx};
 pub use init::Init;
 pub use optim::AdamSnapshot;
 pub use params::{ParamId, ParamStore};

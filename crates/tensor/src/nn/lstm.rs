@@ -40,11 +40,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden-state width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     /// Runs the recurrence and returns `[B, hidden]`: the hidden state at
     /// position `lens[b] - 1` for each sequence. `lens[b]` must be in
     /// `1..=T`.

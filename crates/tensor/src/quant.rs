@@ -1,7 +1,8 @@
 //! Int8 inference path: per-tensor symmetric quantization, an int8×int8→i32
-//! GEMM sharing the pack/register-tile machinery of [`crate::tensor`], and a
-//! [`QuantInferCtx`] that runs linear layers quantized while everything else
-//! (softmax, layer norm, attention, the numeric heads) stays in f32.
+//! GEMM sharing the pack/register-tile machinery of [`crate::tensor`], and
+//! the [`QuantizedParamStore`] whose packed weights [`InferCtx`]'s `linear`
+//! runs once the store is attached ([`InferCtx::set_weights`]); everything
+//! else (softmax, layer norm, attention, the numeric heads) stays in f32.
 //!
 //! ## Scale scheme
 //!
@@ -46,13 +47,10 @@
 //! path. |q| ≤ 127 bounds each pair product by 2·127², so `k` up to
 //! [`MAX_K`] cannot overflow the i32 accumulator.
 
-use crate::infer::{Forward, ForwardArena, InferCtx};
-use crate::params::{ParamId, ParamStore};
+use crate::infer::InferCtx;
+use crate::params::ParamStore;
 use crate::pool;
-use crate::shape::Shape;
-use crate::tape::Var;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 
 /// Register tile height (matches the f32 GEMM).
 const MR: usize = 4;
@@ -371,18 +369,34 @@ impl QuantizedTensor {
         self.scale
     }
 
-    /// `a[m,k] · W[k,n]` through the quantized kernel: dynamically quantizes
-    /// the activation with one scale per row, runs the exact i32 GEMM
-    /// against the pre-packed weight, and dequantizes the accumulator to
-    /// f32. Per-row scales keep every output row a pure function of its own
-    /// input row (see the module docs — batched serving depends on it). All
-    /// scratch is pooled — zero heap traffic in the steady state.
+    /// `a[m,k] · W[k,n]` through the quantized kernel, as a new `[m, n]`
+    /// tensor: [`Self::matmul_rows_into`] on `a`'s rows.
     pub fn matmul_quantized(&self, a: &Tensor) -> Tensor {
-        let (m, k) = a.shape().as_matrix();
-        assert_eq!(k, self.k, "quantized matmul: inner dims {k} vs {}", self.k);
+        let (m, _) = a.shape().as_matrix();
+        let mut out = pool::take_f32_zeroed(m * self.n);
+        self.matmul_rows_into(a.data(), m, &mut out);
+        Tensor::new([m, self.n], out)
+    }
+
+    /// Overwrites `out[m,n]` with `a[m,k] · W[k,n]`, reading `a` as `m`
+    /// row-major rows of `k`: dynamically quantizes each activation row
+    /// with its own scale, runs the exact i32 GEMM against the pre-packed
+    /// weight, and dequantizes the accumulator to f32. Per-row scales keep
+    /// every output row a pure function of its own input row (see the
+    /// module docs — batched serving depends on it). Taking rows as a slice
+    /// lets a rank-3 input run without a reshape copy. All scratch is
+    /// pooled — zero heap traffic in the steady state.
+    pub fn matmul_rows_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        let k = self.k;
+        assert_eq!(
+            a.len(),
+            m * k,
+            "quantized matmul: input is not {m} rows of {k}"
+        );
+        assert_eq!(out.len(), m * self.n, "quantized matmul: out size mismatch");
         let mut scales = pool::ScratchF32::with_capacity(m);
         let mut aq = pool::ScratchI16::with_capacity(m * k);
-        for row in a.data().chunks_exact(k) {
+        for row in a.chunks_exact(k) {
             let s = quantize_scale(row);
             scales.push(s);
             quantize_slice_into(row, 1.0 / s, &mut aq);
@@ -393,8 +407,6 @@ impl QuantizedTensor {
         pack_a_q8(&aq, &mut ap, m, k);
         let mut acc = pool::ScratchI32::zeroed(m * self.n);
         gemm_q8_packed(&ap, &self.packed, &mut acc, m, kp, self.n);
-        let mut out = pool::take_f32(m * self.n);
-        out.resize(m * self.n, 0.0);
         for ((orow, arow), &s) in out
             .chunks_exact_mut(self.n)
             .zip(acc.chunks_exact(self.n))
@@ -405,14 +417,13 @@ impl QuantizedTensor {
                 *o = v as f32 * combined;
             }
         }
-        Tensor::new([m, self.n], out)
     }
 }
 
 /// A [`ParamStore`] companion holding the quantized, pre-packed form of
-/// every eligible weight matrix, indexed by [`ParamId`]. Built once per
-/// checkpoint load / hot reload; immutable afterwards (shards share it via
-/// `Arc`).
+/// every eligible weight matrix, indexed by [`ParamId`](crate::ParamId).
+/// Built once per checkpoint load / hot reload; immutable afterwards (a
+/// serving engine's shards share one through `Arc`).
 pub struct QuantizedParamStore {
     entries: Vec<Option<QuantizedTensor>>,
 }
@@ -450,247 +461,16 @@ impl QuantizedParamStore {
     }
 }
 
-/// An [`InferCtx`] variant that routes weight matmuls through the int8
-/// kernel.
-///
-/// Wraps a plain `InferCtx` (every non-matmul op delegates to it verbatim,
-/// so activations, softmax, layer norm, attention and the numeric heads are
-/// the f32 implementations) plus a per-`Var` tag recording which arena slots
-/// hold parameters with a quantized twin. `matmul(a, b)` consults the tag of
-/// `b`: tagged weights run [`QuantizedTensor::matmul_quantized`], everything
-/// else falls through to the f32 kernel. It keeps [`Forward::linear`]'s
-/// default composed body rather than `InferCtx`'s fused override, so a
-/// `Linear` weight still arrives through `param` and gets its tag.
-#[derive(Default)]
-pub struct QuantInferCtx {
-    inner: InferCtx,
-    weights: Option<Arc<QuantizedParamStore>>,
-    /// Per arena slot: `ParamId::index() + 1` when the slot holds a param
-    /// with a quantized twin, `0` otherwise. Kept in lockstep with the
-    /// arena — every `Forward` op pushes exactly one value.
-    wmap: Vec<u32>,
-}
-
-impl QuantInferCtx {
-    /// An empty context with no quantized weights attached (all matmuls run
-    /// f32 until [`Self::set_weights`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches the quantized weight store subsequent `param` calls resolve
-    /// against. Call between requests, not mid-forward.
-    pub fn set_weights(&mut self, weights: Arc<QuantizedParamStore>) {
-        self.weights = Some(weights);
-    }
-
-    /// Drops all recorded values so the context can be reused (the attached
-    /// weight store is kept).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-        self.wmap.clear();
-    }
-
-    /// Number of recorded values.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing has been evaluated yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    #[inline]
-    fn track(&mut self, v: Var, tag: u32) -> Var {
-        debug_assert_eq!(v.0, self.wmap.len(), "arena/tag map out of lockstep");
-        self.wmap.push(tag);
-        v
-    }
-}
-
-impl Forward for QuantInferCtx {
-    fn value(&self, v: Var) -> &Tensor {
-        self.inner.value(v)
-    }
-
-    fn leaf(&mut self, value: Tensor) -> Var {
-        let v = self.inner.leaf(value);
-        self.track(v, 0)
-    }
-
-    fn constant(&mut self, value: Tensor) -> Var {
-        let v = self.inner.constant(value);
-        self.track(v, 0)
-    }
-
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.inner.param(store, id);
-        let tag = match &self.weights {
-            Some(q) if q.entry(id.index()).is_some() => (id.index() + 1) as u32,
-            _ => 0,
-        };
-        self.track(v, tag)
-    }
-
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.inner.add(a, b);
-        self.track(v, 0)
-    }
-
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.inner.mul(a, b);
-        self.track(v, 0)
-    }
-
-    fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.inner.add_scalar(a, c);
-        self.track(v, 0)
-    }
-
-    fn mul_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.inner.mul_scalar(a, c);
-        self.track(v, 0)
-    }
-
-    fn add_bias(&mut self, a: Var, b: Var) -> Var {
-        let v = self.inner.add_bias(a, b);
-        self.track(v, 0)
-    }
-
-    fn mul_bcast_row(&mut self, a: Var, b: Var) -> Var {
-        let v = self.inner.mul_bcast_row(a, b);
-        self.track(v, 0)
-    }
-
-    fn scale_rows(&mut self, a: Var, w: Var) -> Var {
-        let v = self.inner.scale_rows(a, w);
-        self.track(v, 0)
-    }
-
-    fn relu(&mut self, a: Var) -> Var {
-        let v = self.inner.relu(a);
-        self.track(v, 0)
-    }
-
-    fn gelu(&mut self, a: Var) -> Var {
-        let v = self.inner.gelu(a);
-        self.track(v, 0)
-    }
-
-    fn tanh(&mut self, a: Var) -> Var {
-        let v = self.inner.tanh(a);
-        self.track(v, 0)
-    }
-
-    fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.inner.sigmoid(a);
-        self.track(v, 0)
-    }
-
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let tag = self.wmap[b.0] as usize;
-        if tag != 0 {
-            let q = self
-                .weights
-                .as_ref()
-                .expect("tagged weight Var without an attached store");
-            if let Some(qt) = q.entry(tag - 1) {
-                let value = qt.matmul_quantized(self.inner.value(a));
-                let v = self.inner.leaf(value);
-                return self.track(v, 0);
-            }
-        }
-        let v = self.inner.matmul(a, b);
-        self.track(v, 0)
-    }
-
-    fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let v = self.inner.bmm(a, b);
-        self.track(v, 0)
-    }
-
-    fn reshape(&mut self, a: Var, shape: Shape) -> Var {
-        let v = self.inner.reshape(a, shape);
-        // A reshaped weight is still the same weight: the GEMM only cares
-        // about the (unchanged) rank-2 layout, so the tag propagates.
-        let tag = self.wmap[a.0];
-        let tag = if tag != 0 && self.inner.value(v).shape().rank() == 2 {
-            tag
-        } else {
-            0
-        };
-        self.track(v, tag)
-    }
-
-    fn slice_last(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let v = self.inner.slice_last(a, start, len);
-        self.track(v, 0)
-    }
-
-    fn concat_last(&mut self, parts: &[Var]) -> Var {
-        let v = self.inner.concat_last(parts);
-        self.track(v, 0)
-    }
-
-    fn select_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let v = self.inner.select_rows(a, indices);
-        self.track(v, 0)
-    }
-
-    fn stack_rows(&mut self, rows: &[Var]) -> Var {
-        let v = self.inner.stack_rows(rows);
-        self.track(v, 0)
-    }
-
-    fn row(&mut self, a: Var, i: usize) -> Var {
-        let v = self.inner.row(a, i);
-        self.track(v, 0)
-    }
-
-    fn sum_all(&mut self, a: Var) -> Var {
-        let v = self.inner.sum_all(a);
-        self.track(v, 0)
-    }
-
-    fn sum_dim1(&mut self, a: Var) -> Var {
-        let v = self.inner.sum_dim1(a);
-        self.track(v, 0)
-    }
-
-    fn softmax_last(&mut self, a: Var) -> Var {
-        let v = self.inner.softmax_last(a);
-        self.track(v, 0)
-    }
-
-    fn layer_norm_last(&mut self, a: Var, eps: f32) -> Var {
-        let v = self.inner.layer_norm_last(a, eps);
-        self.track(v, 0)
-    }
-
-    fn fused_attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        heads: usize,
-        scale: f32,
-        add_mask: Option<&Tensor>,
-    ) -> Var {
-        let out = self.inner.fused_attention(q, k, v, heads, scale, add_mask);
-        self.track(out, 0)
-    }
-}
-
-impl ForwardArena for QuantInferCtx {
-    fn clear(&mut self) {
-        QuantInferCtx::clear(self);
-    }
-}
+/// The int8 forward context is [`InferCtx`] with a [`QuantizedParamStore`]
+/// attached ([`InferCtx::set_weights`]). The name stays for the benchmark
+/// sources (`crates/bench/src/bin/cfbench`) that still spell it.
+pub type QuantInferCtx = InferCtx;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::Forward;
+    use std::sync::Arc;
 
     /// Naive triple-loop reference over the same quantized inputs.
     fn matmul_q8_ref(aq: &[i16], bq: &[i16], m: usize, k: usize, n: usize) -> Vec<i32> {
@@ -874,7 +654,7 @@ mod tests {
         let fy = mlp.forward(&mut fctx, &ps, xv);
         let f32_out = fctx.value(fy).data().to_vec();
 
-        let mut qctx = QuantInferCtx::new();
+        let mut qctx = InferCtx::new();
         qctx.set_weights(Arc::clone(&q));
         let xv = qctx.leaf(x.clone());
         let qy = mlp.forward(&mut qctx, &ps, xv);
@@ -890,8 +670,9 @@ mod tests {
         assert!(!identical, "quantized path must actually run quantized");
         assert!(max_err < 0.2, "quantization error too large: {max_err}");
 
-        // Without an attached store, the ctx is bit-identical to f32.
-        let mut plain = QuantInferCtx::new();
+        // Detaching the store makes the same ctx bit-identical to f32.
+        let mut plain = qctx;
+        plain.set_weights(None);
         let xv = plain.leaf(x);
         let py = mlp.forward(&mut plain, &ps, xv);
         assert_eq!(plain.value(py).data(), f32_out.as_slice());
@@ -906,7 +687,7 @@ mod tests {
         let mlp = Mlp::new(&mut ps, "f", &[8, 16, 16], Activation::Tanh, &mut rng);
         let q = Arc::new(QuantizedParamStore::from_store(&ps));
         let x = Tensor::new([3, 8], (0..24).map(|i| (i as f32) * 0.11 - 1.0).collect());
-        let mut ctx = QuantInferCtx::new();
+        let mut ctx = InferCtx::new();
         ctx.set_weights(q);
         let mut runs = Vec::new();
         for _ in 0..3 {

@@ -128,14 +128,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat data.
-    ///
-    /// The buffer leaves the pool's custody: dropping the returned `Vec`
-    /// frees it to the allocator.
-    pub fn into_data(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// The single value of a rank-0/1-element tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(
