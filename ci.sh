@@ -408,7 +408,9 @@ echo "== live-mutation gate (offline) =="
 # what a mid-append power cut leaves behind). On restart the journal must
 # replay — torn tail truncated, every acked mutation preserved — and keep
 # serving, including the entity that only exists in the overlay. Offline
-# compaction of both journals must then produce byte-identical stores.
+# compaction of both journals must then produce byte-identical stores. An
+# indexed arm then pins the served bytes of a chain-indexed server under
+# mutations across shard counts and a restart.
 MUT_DIR="$SMOKE_DIR/mut"
 mkdir -p "$MUT_DIR"
 MUT_FLAGS=(--store "$KG_DIR/yago.cfkg" --ckpt "$SMOKE_DIR/model.ckpt" \
@@ -521,6 +523,79 @@ for ARM in control crash; do
 done
 cmp "$MUT_DIR/control.kg" "$MUT_DIR/crash.kg" \
     || { echo "mutation gate: crash-recovered store differs from control"; exit 1; }
+
+# Indexed arm (DESIGN.md §16.3): with a chain index, the row of an entity
+# a mutation may have changed is recomputed against the live graph, so
+# answers are a function of the graph alone. Servers with --index at
+# --shards 1 and 4 take the same single-connection mutation stream (whose
+# responses must match byte for byte), then answer a query-only probe
+# stream; after a restart that replays the journal they answer it again.
+# All four probe dumps must be byte-identical, and the server must report
+# that recomputed rows answered some of them.
+IXM_FLAGS=("${MUT_FLAGS[@]}" --index "$KG_DIR/yago.cfci")
+ixm_serve() { # $1 = name, $2 = shards; sets IXM_PID and IXM_PORT
+    mkfifo "$MUT_DIR/${1}_stdin"
+    "$CFKG" serve "${IXM_FLAGS[@]}" --port 0 --shards "$2" --journal "$MUT_DIR/ix_$2.cfj" \
+        < "$MUT_DIR/${1}_stdin" > "$MUT_DIR/$1.log" 2>&1 &
+    IXM_PID=$!
+    exec 5>"$MUT_DIR/${1}_stdin"
+    for _ in $(seq 1 100); do
+        grep -q '^listening on ' "$MUT_DIR/$1.log" && break
+        sleep 0.1
+    done
+    IXM_PORT="$(sed -n 's/^listening on .*://p' "$MUT_DIR/$1.log" | head -1)"
+    [ -n "$IXM_PORT" ] || { echo "mutation gate: no listening line ($1)"; \
+                            cat "$MUT_DIR/$1.log"; exit 1; }
+}
+ixm_load() { # $1 = dump name, then loadtest flags
+    local NAME="$1"
+    shift
+    "$CFKG" loadtest --addr "127.0.0.1:$IXM_PORT" \
+        --triples "$SMOKE_DIR/yago15k_sim_triples.tsv" \
+        --numerics "$SMOKE_DIR/yago15k_sim_numerics.tsv" \
+        --rate 500 --warmup 0 --conns 1 "$@" \
+        --dump "$MUT_DIR/$NAME.dump" > "$MUT_DIR/load_$NAME.log" \
+        || { echo "mutation gate: loadtest failed ($NAME)"; exit 1; }
+    grep -q 'shed 0 ' "$MUT_DIR/load_$NAME.log" \
+        || { echo "mutation gate: requests shed ($NAME):"; \
+             cat "$MUT_DIR/load_$NAME.log"; exit 1; }
+}
+ixm_stop() {
+    kill -TERM "$IXM_PID"
+    wait "$IXM_PID" || { echo "mutation gate: indexed server exited non-zero"; exit 1; }
+    exec 5>&-
+}
+for SH in 1 4; do
+    ixm_serve "ix_$SH" "$SH"
+    ixm_load "ix_mutate_$SH" --requests 100 --seed 7 --mutate-every 10
+    grep -q 'mutations 10+0' "$MUT_DIR/load_ix_mutate_$SH.log" \
+        || { echo "mutation gate: expected 10 acked mutations (indexed, $SH shards)"; exit 1; }
+    ixm_load "ix_probe_$SH" --requests 60 --seed 9
+    exec 8<>"/dev/tcp/127.0.0.1/$IXM_PORT"
+    printf '%s\n' 'GET /metrics' >&8
+    IXM_METRICS=""
+    while read -r -t 30 LINE <&8; do
+        [ -z "$LINE" ] && break
+        IXM_METRICS+="$LINE"$'\n'
+    done
+    exec 8<&- 8>&-
+    echo "$IXM_METRICS" | grep -q '^cf_serve_index_rows_rebuilt_total [1-9]' \
+        || { echo "mutation gate: no answer from a recomputed row ($SH shards):"; \
+             echo "$IXM_METRICS"; exit 1; }
+    ixm_stop
+    ixm_serve "ix_restart_$SH" "$SH"
+    grep -q 'replayed 10 mutation(s)' "$MUT_DIR/ix_restart_$SH.log" \
+        || { echo "mutation gate: indexed restart did not replay 10 mutations ($SH shards)"; \
+             cat "$MUT_DIR/ix_restart_$SH.log"; exit 1; }
+    ixm_load "ix_probe_restart_$SH" --requests 60 --seed 9
+    ixm_stop
+done
+cmp "$MUT_DIR/ix_mutate_1.dump" "$MUT_DIR/ix_mutate_4.dump" \
+    || { echo "mutation gate: indexed mutation-stream responses differ between 1 and 4 shards"; exit 1; }
+for PROBE in ix_probe_4 ix_probe_restart_1 ix_probe_restart_4; do
+    cmp "$MUT_DIR/ix_probe_1.dump" "$MUT_DIR/$PROBE.dump" \
+        || { echo "mutation gate: indexed probe answers differ ($PROBE vs ix_probe_1)"; exit 1; }
+done
 echo "live-mutation gate: ok"
 
 echo "== cargo fmt --check =="

@@ -34,4 +34,4 @@ pub mod retrieval;
 pub use chain::{ChainInstance, ChainVocab, Query, RaChain};
 pub use count::{chain_count_by_hops, exact_chain_count, mean_chain_count};
 pub use enumerate::enumerate_chains;
-pub use retrieval::{retrieve, retrieve_indexed, RetrievalConfig, TreeOfChains};
+pub use retrieval::{retrieve, retrieve_indexed, retrieve_row, RetrievalConfig, TreeOfChains};

@@ -258,15 +258,26 @@ fn key_hash(known_attr: AttributeId, rels: &[DirRel], source: EntityId) -> u64 {
 ///
 /// The result is a deterministic function of the index bytes and the RNG
 /// stream, so heap-built and mmapped indexes yield bitwise-identical trees
-/// for the same seed.
+/// for the same seed. It is [`retrieve_row`] over the entity's stored row.
 pub fn retrieve_indexed(
     index: &impl ChainIndexView,
     query: Query,
     cfg: &RetrievalConfig,
     rng: &mut impl Rng,
 ) -> TreeOfChains {
+    retrieve_row(index.entries_of(query.entity), query, cfg, rng)
+}
+
+/// [`retrieve_indexed`] over one index row of `query.entity`, wherever the
+/// row came from: a stored index or `cf_kg::collect_entity` run against a
+/// live graph. Equal rows and RNG streams give equal trees.
+pub fn retrieve_row(
+    entries: &[cf_kg::ChainEntry],
+    query: Query,
+    cfg: &RetrievalConfig,
+    rng: &mut impl Rng,
+) -> TreeOfChains {
     let mut chains = Vec::new();
-    let entries = index.entries_of(query.entity);
 
     // Zero-hop pass: identical candidate set to `retrieve`'s first loop.
     if cfg.allow_zero_hop {

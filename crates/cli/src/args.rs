@@ -3,12 +3,17 @@
 
 use std::collections::HashMap;
 
+/// Flags every subcommand accepts.
+pub const GLOBAL_FLAGS: &[&str] = &["threads"];
+
 /// Parsed command line: subcommand + flags.
 #[derive(Debug, Clone)]
 pub struct Args {
     pub command: String,
     flags: HashMap<String, String>,
     switches: Vec<String>,
+    /// Every flag and switch name, in command-line order.
+    names: Vec<String>,
 }
 
 /// Errors produced while parsing or reading flags.
@@ -16,6 +21,11 @@ pub struct Args {
 pub enum ArgError {
     MissingCommand,
     Missing(String),
+    /// A flag the subcommand does not read.
+    Unknown {
+        flag: String,
+        command: String,
+    },
     Invalid {
         flag: String,
         value: String,
@@ -28,6 +38,9 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => write!(f, "no subcommand given"),
             ArgError::Missing(flag) => write!(f, "required flag --{flag} is missing"),
+            ArgError::Unknown { flag, command } => {
+                write!(f, "unknown flag --{flag} for `cfkg {command}`")
+            }
             ArgError::Invalid {
                 flag,
                 value,
@@ -50,6 +63,7 @@ impl Args {
         let command = it.next().ok_or(ArgError::MissingCommand)?.clone();
         let mut flags = HashMap::new();
         let mut switches = Vec::new();
+        let mut names = Vec::new();
         while let Some(tok) = it.next() {
             let Some(name) = tok.strip_prefix("--") else {
                 return Err(ArgError::Invalid {
@@ -58,6 +72,7 @@ impl Args {
                     expected: "--flag",
                 });
             };
+            names.push(name.to_string());
             match it.peek() {
                 Some(next) if !next.starts_with("--") => {
                     flags.insert(name.to_string(), it.next().expect("peeked").clone());
@@ -69,7 +84,23 @@ impl Args {
             command,
             flags,
             switches,
+            names,
         })
+    }
+
+    /// Errors on the first flag or switch, in command-line order, that is
+    /// neither in one of the `known` lists nor in [`GLOBAL_FLAGS`].
+    pub fn check_known(&self, known: &[&[&str]]) -> Result<(), ArgError> {
+        let is_known = |name: &str| {
+            GLOBAL_FLAGS.contains(&name) || known.iter().any(|list| list.contains(&name))
+        };
+        match self.names.iter().find(|name| !is_known(name)) {
+            Some(flag) => Err(ArgError::Unknown {
+                flag: flag.clone(),
+                command: self.command.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     pub fn get(&self, flag: &str) -> Option<&str> {
@@ -145,6 +176,24 @@ mod tests {
     #[test]
     fn rejects_positional_arguments() {
         assert!(Args::parse(&sv(&["x", "oops"])).is_err());
+    }
+
+    #[test]
+    fn check_known_names_the_first_unknown_flag() {
+        let a = Args::parse(&sv(&[
+            "serve",
+            "--seed",
+            "1",
+            "--shardz",
+            "2",
+            "--workers",
+            "--threads",
+            "2",
+        ]))
+        .unwrap();
+        let err = a.check_known(&[&["seed"], &["shards"]]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --shardz for `cfkg serve`");
+        assert!(a.check_known(&[&["seed", "shardz"], &["workers"]]).is_ok());
     }
 
     #[test]

@@ -20,7 +20,83 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-type CmdResult = Result<(), Box<dyn Error>>;
+pub type CmdResult = Result<(), Box<dyn Error>>;
+
+/// Lists of flag names.
+type FlagLists = &'static [&'static [&'static str]];
+
+/// A subcommand: what runs it and the flags it reads, beyond
+/// [`crate::args::GLOBAL_FLAGS`]. Any other flag is a usage error.
+pub struct Command {
+    pub run: fn(&Args) -> CmdResult,
+    pub flags: FlagLists,
+}
+
+/// Flags of [`load_graph`].
+const GRAPH: &[&str] = &["store", "triples", "numerics"];
+/// Flags of [`config_from`].
+const MODEL: &[&str] = &[
+    "epochs", "dim", "layers", "walks", "top-k", "quality", "seed",
+];
+// Flags only `index`, `predict`, `serve` and `loadtest` read.
+const INDEX: &[&str] = &[
+    "out",
+    "max-hops",
+    "fanout",
+    "per-entity-cap",
+    "seed",
+    "full",
+];
+const PREDICT: &[&str] = &["ckpt", "entity", "attr", "retries", "quantize"];
+const SERVE: &[&str] = &[
+    "ckpt",
+    "index",
+    "port",
+    "max-batch",
+    "max-wait-us",
+    "queue-cap",
+    "shards",
+    "cache-cap",
+    "quantize",
+    "journal",
+    "compact-to",
+    "compact-every",
+];
+const LOADTEST: &[&str] = &[
+    "addr",
+    "rate",
+    "requests",
+    "warmup",
+    "arrivals",
+    "zipf",
+    "conns",
+    "deadline-ms",
+    "seed",
+    "reload",
+    "reload-every",
+    "mutate-every",
+    "retries",
+    "dump",
+];
+
+/// The subcommand called `name`.
+pub fn lookup(name: &str) -> Option<Command> {
+    let (run, flags): (fn(&Args) -> CmdResult, FlagLists) = match name {
+        "generate" => (generate, &[&["dataset", "scale", "seed", "out"]]),
+        "gen" => (gen, &[&["entities", "avg-degree", "seed", "out", "store"]]),
+        "ingest" => (ingest, &[GRAPH, &["out"]]),
+        "index" => (index, &[GRAPH, INDEX]),
+        "stats" => (stats, &[GRAPH]),
+        "train" => (train, &[GRAPH, MODEL, &["ckpt", "resume"]]),
+        "eval" => (eval, &[GRAPH, MODEL, &["ckpt"]]),
+        "predict" => (predict, &[GRAPH, MODEL, PREDICT]),
+        "compact" => (compact, &[&["store", "journal", "out"]]),
+        "serve" => (serve, &[GRAPH, MODEL, SERVE]),
+        "loadtest" => (loadtest, &[GRAPH, LOADTEST]),
+        _ => return None,
+    };
+    Some(Command { run, flags })
+}
 
 fn scale_from(args: &Args) -> Result<SynthScale, ArgError> {
     match args.get("scale").unwrap_or("default") {
@@ -476,7 +552,8 @@ pub fn serve(args: &Args) -> CmdResult {
     if let Some(jpath) = journal {
         // Attached after the index check above: the index pairs with the
         // pristine base store; journaled mutations land in the overlay and
-        // mark their neighborhoods stale, which bypasses the index.
+        // mark their neighborhoods dirty, whose rows the engine then
+        // recomputes against the live graph instead of reading them.
         let replayed = engine.attach_journal(&jpath, compact_to.map(|p| (p, compact_every)))?;
         if replayed > 0 {
             outln!("journal {jpath}: replayed {replayed} mutation(s)");

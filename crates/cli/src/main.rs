@@ -71,6 +71,8 @@ GLOBAL FLAGS
   --threads N   numeric-kernel thread count (default: CF_THREADS env var,
                 else auto-detect; output is bitwise identical at any N)
 
+Any other flag a command does not list below is a usage error (exit 2).
+
 COMMANDS
   generate   write a synthetic dataset twin as TSV
              --dataset yago|fb   --scale small|default|paper   --seed N
@@ -98,13 +100,14 @@ COMMANDS
              [--epochs N] [--dim N] [--layers N] [--walks N] [--top-k N]
              [--seed N] [--quality]
   eval       evaluate a checkpoint on the held-out test split
-             --triples FILE --numerics FILE --ckpt FILE [--seed N] [flags as train]
+             --triples FILE --numerics FILE --ckpt FILE [--seed N]
+             [model flags as train]
   predict    answer queries with their reasoning chains (resident engine)
              --triples FILE --numerics FILE --ckpt FILE
              --entity NAME[,NAME…] --attr NAME [--seed N]
              [--retries N (retry shed queries with deterministic backoff)]
              [--quantize f32|int8 (int8: quantized linear layers, accuracy
-              pinned by the cargo-test gate)] [flags as train]
+              pinned by the cargo-test gate)] [model flags as train]
   compact    fold a CFJ1 mutation journal into its CFKG1 store offline
              (torn tails dropped, replay idempotent; journal left intact)
              --store FILE --journal FILE --out FILE
@@ -124,7 +127,7 @@ COMMANDS
               requests are fsynced before visible and replayed on restart)]
              [--compact-to FILE --compact-every N (fold the journal into a
               canonical store every N records; atomic tmp+fsync+rename)]
-             [flags as train]
+             [model flags as train]
   loadtest   open-loop load generator against a running serve (fixed
              arrival schedule: overload sheds instead of throttling the
              client; identical --seed ⇒ identical request stream)
@@ -154,6 +157,14 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let Some(command) = commands::lookup(&args.command) else {
+        eprintln!("error: unknown command {:?}\n\n{USAGE}", args.command);
+        std::process::exit(2);
+    };
+    if let Err(e) = args.check_known(command.flags) {
+        eprintln!("error: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    }
     // Numeric-kernel thread count: --threads beats the CF_THREADS env var,
     // which beats auto-detection. Results are bitwise identical at every
     // width, so this is purely a speed knob.
@@ -165,24 +176,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let result = match args.command.as_str() {
-        "generate" => commands::generate(&args),
-        "gen" => commands::gen(&args),
-        "ingest" => commands::ingest(&args),
-        "index" => commands::index(&args),
-        "stats" => commands::stats(&args),
-        "train" => commands::train(&args),
-        "eval" => commands::eval(&args),
-        "predict" => commands::predict(&args),
-        "compact" => commands::compact(&args),
-        "serve" => commands::serve(&args),
-        "loadtest" => commands::loadtest(&args),
-        other => {
-            eprintln!("error: unknown command {other:?}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = result {
+    if let Err(e) = (command.run)(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -266,3 +266,119 @@ fn model_file_errors_are_typed_and_name_the_section() {
         }
     }
 }
+
+/// A flag the subcommand does not read — a typo, or the retired
+/// `--workers` — is a usage error (exit 2) naming it, before any work is
+/// done. `--threads` stays a flag of every command.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = TempDir::new("cfkg_unknown_flag");
+    let missing = dir.join("missing.cfkg");
+    let missing = missing.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
+        (&["stats", "--store", missing, "--shardz", "2"], "--shardz"),
+        (
+            &[
+                "serve",
+                "--store",
+                missing,
+                "--ckpt",
+                missing,
+                "--workers",
+                "4",
+            ],
+            "--workers",
+        ),
+        (
+            &["train", "--quality", "--workers", "--resume"],
+            "--workers",
+        ),
+        (&["eval", "--store", missing, "--resume"], "--resume"),
+    ];
+    for (args, flag) in cases {
+        let st = cfkg().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&st.stderr);
+        assert_eq!(st.status.code(), Some(2), "{args:?}: {stderr}");
+        let want = format!("unknown flag {flag} for `cfkg {}`", args[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    }
+    // Known flags, global --threads included, get as far as the missing file.
+    let st = cfkg()
+        .args(["stats", "--store", missing, "--threads", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(st.status.code(), Some(1));
+    assert!(!String::from_utf8_lossy(&st.stderr).contains("unknown flag"));
+}
+
+/// `serve` refuses an index built for another graph — here the split
+/// under another `--seed` — with an error of its own: both fingerprints and
+/// the fix, not a claim that the index is corrupt.
+#[test]
+fn serve_names_an_index_built_for_another_graph() {
+    use cf_kg::ChainIndexView;
+    use cf_rand::SeedableRng;
+
+    let dir = TempDir::new("cfkg_index_pairing");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (store, ckpt, index) = (path("g.cfkg"), path("m.ckpt"), path("seed5.cfci"));
+    let model = [
+        "--dim", "16", "--layers", "1", "--walks", "32", "--top-k", "8", "--seed", "4",
+    ];
+    let run = |args: &[&str]| {
+        let st = cfkg().args(args).output().unwrap();
+        assert!(
+            st.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&st.stderr)
+        );
+    };
+    run(&[
+        "generate",
+        "--scale",
+        "small",
+        "--seed",
+        "4",
+        "--out",
+        dir.path().to_str().unwrap(),
+    ]);
+    run(&[
+        "ingest",
+        "--triples",
+        &path("yago15k_sim_triples.tsv"),
+        "--numerics",
+        &path("yago15k_sim_numerics.tsv"),
+        "--out",
+        &store,
+    ]);
+    let mut train = vec!["train", "--store", &store, "--ckpt", &ckpt, "--epochs", "1"];
+    train.extend(model);
+    run(&train);
+    run(&["index", "--store", &store, "--seed", "5", "--out", &index]);
+
+    let st = cfkg()
+        .args([
+            "serve", "--store", &store, "--index", &index, "--ckpt", &ckpt,
+        ])
+        .args(model)
+        .args(["--port", "0"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&st.stderr);
+    assert_eq!(st.status.code(), Some(1), "{stderr}");
+
+    let ix = cf_kg::MappedChainIndex::open(&index).unwrap();
+    let graph = cf_kg::read_store(&store).unwrap();
+    let split = cf_kg::Split::paper_811(&graph, &mut cf_rand::rngs::StdRng::seed_from_u64(4));
+    let served = cf_kg::graph_fingerprint(&split.visible_graph(&graph));
+    assert_ne!(ix.fingerprint(), served);
+    for want in [
+        "chain index was built for another graph".to_string(),
+        format!("index fingerprint {:016x}", ix.fingerprint()),
+        format!("graph fingerprint {served:016x}"),
+        "rebuild it with `cfkg index` for this graph".to_string(),
+    ] {
+        assert!(stderr.contains(&want), "missing {want:?}: {stderr}");
+    }
+    assert!(!stderr.contains("corrupt"), "{stderr}");
+}

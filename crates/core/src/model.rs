@@ -7,10 +7,8 @@ use crate::filter::ChainFilter;
 use crate::fitted::Fitted;
 use crate::quality::ChainQualityTracker;
 use crate::reasoner::{NumericalReasoner, ReasonerOutput};
-use cf_chains::{
-    retrieve, retrieve_indexed, ChainInstance, ChainVocab, Query, RaChain, TreeOfChains,
-};
-use cf_kg::{ChainIndexView, GraphView, KnowledgeGraph, MinMaxNormalizer, NumTriple};
+use cf_chains::{retrieve, retrieve_row, ChainInstance, ChainVocab, Query, RaChain, TreeOfChains};
+use cf_kg::{ChainEntry, ChainIndexView, GraphView, KnowledgeGraph, MinMaxNormalizer, NumTriple};
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
 use cf_tensor::{Forward, InferCtx, ParamStore, Tape, Var};
@@ -224,7 +222,19 @@ impl ChainsFormer {
         query: Query,
         rng: &mut impl Rng,
     ) -> (TreeOfChains, usize) {
-        let toc = retrieve_indexed(index, query, &self.cfg.retrieval(), rng);
+        self.gather_chains_row(index.entries_of(query.entity), query, rng)
+    }
+
+    /// [`Self::gather_chains_indexed`] over one index row of
+    /// `query.entity` (`cf_chains::retrieve_row`): a stored row, or one
+    /// `cf_kg::collect_entity` computed against a live graph.
+    pub fn gather_chains_row(
+        &self,
+        row: &[ChainEntry],
+        query: Query,
+        rng: &mut impl Rng,
+    ) -> (TreeOfChains, usize) {
+        let toc = retrieve_row(row, query, &self.cfg.retrieval(), rng);
         self.select_chains(toc, query, rng)
     }
 

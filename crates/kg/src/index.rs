@@ -156,15 +156,19 @@ pub trait ChainIndexView {
     /// Total entry count across all entities.
     fn total_entries(&self) -> usize;
 
-    /// Errors unless the index fingerprint matches `g`.
+    /// Errors with [`StoreError::IndexMismatch`] unless the index was built
+    /// for `g`: same entity count and same [`graph_fingerprint`].
     fn check_matches(&self, g: &impl GraphView) -> Result<(), StoreError>
     where
         Self: Sized,
     {
-        if self.num_entities() != g.num_entities() || self.fingerprint() != graph_fingerprint(g) {
-            return Err(StoreError::Corrupt {
-                section: "params",
-                what: "index fingerprint does not match the graph".into(),
+        let graph = graph_fingerprint(g);
+        if self.num_entities() != g.num_entities() || self.fingerprint() != graph {
+            return Err(StoreError::IndexMismatch {
+                index: self.fingerprint(),
+                index_entities: self.num_entities(),
+                graph,
+                graph_entities: g.num_entities(),
             });
         }
         Ok(())
@@ -205,12 +209,20 @@ impl ChainIndexView for ChainIndex {
 // build
 // ---------------------------------------------------------------------------
 
-/// The index row of `e`: its own numeric facts as 0-hop entries, then one
-/// entry per numeric fact at the end of every simple path of
-/// [`for_each_simple_path`] under `params.max_hops` and `params.fanout`;
-/// sorted, deduped and capped. A pure function of graph, entity and
-/// parameters — determinism comes from fixed adjacency order.
-fn collect_entity(
+/// The index row of `e`, written into `scratch` (cleared first): its own
+/// numeric facts as 0-hop entries, then one entry per numeric fact at the
+/// end of every simple path of [`for_each_simple_path`] under
+/// `params.max_hops` and `params.fanout`; sorted, deduped and capped. A pure
+/// function of graph, entity and parameters — determinism comes from fixed
+/// adjacency order.
+///
+/// [`build_chain_index`] runs it for every entity. A serving engine runs it
+/// over its live graph for an entity whose indexed row a mutation may have
+/// changed, or that was added after the build: over a graph with the same
+/// rows the result is the row a fresh build would store. `scratch` grows to
+/// at most `16 × per_entity_cap` entries (1024 at least) and is meant to be
+/// reused across calls.
+pub fn collect_entity(
     g: &impl GraphView,
     e: EntityId,
     params: &IndexParams,
@@ -926,7 +938,24 @@ mod tests {
         let mut other = KnowledgeGraph::new();
         other.add_entity("x");
         other.build_index();
-        assert!(m.check_matches(&other).is_err());
+        let err = m.check_matches(&other).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::IndexMismatch { index, graph, .. }
+                    if index == ix.fingerprint() && graph == graph_fingerprint(&other)
+            ),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        for want in [
+            format!("{:016x}", ix.fingerprint()),
+            format!("{:016x}", graph_fingerprint(&other)),
+            "rebuild it with `cfkg index`".to_string(),
+        ] {
+            assert!(msg.contains(&want), "{msg}");
+        }
+        assert!(!msg.contains("corrupt"), "{msg}");
     }
 
     #[test]

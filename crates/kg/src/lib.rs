@@ -44,8 +44,8 @@ pub use categories::{categorize, categorize_name, category_mae, AttributeCategor
 pub use graph::{AttrFact, AttrOwner, Edge, KnowledgeGraph, NumTriple, Triple};
 pub use ids::{AttributeId, Dir, DirRel, EntityId, RelationId};
 pub use index::{
-    build_chain_index, graph_fingerprint, write_index, ChainEntry, ChainIndex, ChainIndexStore,
-    ChainIndexView, IndexParams, MappedChainIndex,
+    build_chain_index, collect_entity, graph_fingerprint, write_index, ChainEntry, ChainIndex,
+    ChainIndexStore, ChainIndexView, IndexParams, MappedChainIndex,
 };
 pub use journal::{recover_file, validate_mutation, JournalWriter, Mutation, Recovery};
 pub use metrics::{Prediction, RegressionReport};

@@ -134,6 +134,20 @@ pub enum StoreError {
     },
     /// [`write_store`] was called on a graph without built indexes.
     NotIndexed,
+    /// A sound chain index built for another graph: its recorded
+    /// [`graph_fingerprint`](crate::graph_fingerprint) or entity count
+    /// differs from the graph it was paired with. Nothing is corrupt; the
+    /// fix is an index built for this graph.
+    IndexMismatch {
+        /// Fingerprint the index recorded at build time.
+        index: u64,
+        /// Entities the index covers.
+        index_entities: usize,
+        /// Fingerprint of the graph it was paired with.
+        graph: u64,
+        /// Entities of that graph.
+        graph_entities: usize,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -161,6 +175,18 @@ impl std::fmt::Display for StoreError {
                     "graph must be indexed (build_index) before writing a store"
                 )
             }
+            StoreError::IndexMismatch {
+                index,
+                index_entities,
+                graph,
+                graph_entities,
+            } => write!(
+                f,
+                "chain index was built for another graph: index fingerprint \
+                 {index:016x} over {index_entities} entities, graph fingerprint \
+                 {graph:016x} over {graph_entities} entities; rebuild it with \
+                 `cfkg index` for this graph"
+            ),
         }
     }
 }

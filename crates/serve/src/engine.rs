@@ -26,8 +26,8 @@ use crate::cache::{CachedChains, ChainCache};
 use crate::metrics::Metrics;
 use cf_chains::Query;
 use cf_kg::{
-    validate_mutation, ChainIndexStore, ChainIndexView, EntityId, GraphStore, GraphView,
-    JournalWriter, Mutation, OverlayGraph, StoreError,
+    collect_entity, validate_mutation, ChainEntry, ChainIndexStore, ChainIndexView, EntityId,
+    GraphStore, GraphView, JournalWriter, Mutation, OverlayGraph, StoreError,
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
@@ -193,8 +193,8 @@ struct Served {
 }
 
 /// The mutable serving graph: the immutable base store wrapped in a
-/// mutation overlay, plus the bookkeeping that keeps the precomputed chain
-/// index honest after mutations.
+/// mutation overlay, plus the set that tells an indexed engine which stored
+/// index rows still describe it.
 ///
 /// Guarded by one engine-wide `RwLock` — the same generation discipline the
 /// model lock uses: workers hold the read lock across a batch's
@@ -204,14 +204,24 @@ struct Served {
 /// pass ran).
 struct LiveGraph {
     overlay: OverlayGraph,
-    /// Entities whose indexed chains may no longer match the live graph:
-    /// the mutation's touched entities expanded by a `max_hops` BFS over
-    /// the live adjacency (the CSR row holds both edge directions, so this
-    /// covers entities whose chains *traverse* a touched entity). Workers
-    /// bypass the chain index for these and walk the overlay instead.
-    stale: HashSet<u32>,
+    /// Entities whose stored index row may differ from their row over the
+    /// live graph: every mutation's [`dirty_entities`] neighbourhood, kept
+    /// only when the engine has an index. On a cache miss a worker looks
+    /// up the stored row of an entity outside this set (and inside the
+    /// index), and recomputes the row of any other entity against the
+    /// overlay with [`collect_entity`]. Both sources give the same bytes,
+    /// so the set decides what a miss costs, never what it answers.
+    dirty: HashSet<u32>,
     /// Bumped once per applied mutation batch.
     generation: u64,
+}
+
+impl LiveGraph {
+    /// Whether the stored index row of `e` still equals its row over the
+    /// live graph.
+    fn row_is_stored(&self, index: &ChainIndexStore, e: EntityId) -> bool {
+        (e.0 as usize) < index.num_entities() && !self.dirty.contains(&e.0)
+    }
 }
 
 /// Durability state behind [`Engine::mutate`]: the append-only CFJ1 writer
@@ -237,8 +247,9 @@ struct Shared {
     live: RwLock<LiveGraph>,
     journal: Mutex<Option<JournalState>>,
     index: Option<ChainIndexStore>,
-    /// The served model's `max_hops` (chain-length bound): the BFS radius
-    /// for cache/index invalidation.
+    /// The invalidation radius: the served model's `max_hops`, or the
+    /// index's when that is deeper. A cached chain set or an index row of
+    /// an entity reads only the graph within this many hops of it.
     hops: usize,
     cfg: EngineConfig,
     shards: Vec<Shard>,
@@ -291,8 +302,10 @@ pub struct MutationOutcome {
     /// How many actually changed the graph (the rest were idempotent
     /// re-applies).
     pub changed: usize,
-    /// Entities marked stale for the chain index: the touched set expanded
-    /// by the `max_hops` invalidation BFS.
+    /// Entities in this batch's invalidation neighbourhood: the touched
+    /// set expanded by [`dirty_entities`] to the invalidation radius. Their
+    /// cached chain sets are dropped; an indexed engine answers them from
+    /// then on with rows recomputed against the live graph.
     pub dirty: usize,
     /// Cached chain sets dropped across all shards.
     pub invalidated: usize,
@@ -306,13 +319,14 @@ pub struct MutationOutcome {
 /// edges of a touched entity, in either direction (adjacency rows hold the
 /// forward and the inverse edge, so one BFS covers both).
 ///
-/// Soundness: a chain gathered for source `s` only visits entities
-/// reachable from `s` in ≤ `hops` steps, so a cached or indexed chain set
-/// for `s` can only be affected by a mutation touching that neighborhood —
-/// equivalently, `s` is within `hops` of a touched entity, i.e. in this
-/// set. Edges are only ever added, never removed, so running the BFS over
-/// the *post-mutation* adjacency can only widen the set (it contains every
-/// path that existed pre-mutation).
+/// Soundness: a walk or an index row (`cf_kg::collect_entity`) for source
+/// `s` reads only the rows of entities reachable from `s` in ≤ `hops`
+/// steps, where `hops` is at least the walk's and the index's depth. So a
+/// cached chain set or a stored index row for `s` can only be affected by
+/// a mutation touching that neighborhood — equivalently, `s` is within
+/// `hops` of a touched entity, i.e. in this set. Edges are only ever added,
+/// never removed, so running the BFS over the *post-mutation* adjacency can
+/// only widen the set (it contains every path that existed pre-mutation).
 pub fn dirty_entities(g: &OverlayGraph, touched: &[EntityId], hops: usize) -> HashSet<u32> {
     let mut dirty: HashSet<u32> = touched.iter().map(|e| e.0).collect();
     let mut frontier: Vec<u32> = dirty.iter().copied().collect();
@@ -468,8 +482,13 @@ impl Engine {
     /// [`Self::new`], optionally serving retrieval from a precomputed chain
     /// index (`cfkg index`). When an index is given it must have been built
     /// from (a graph bitwise-equal to) `graph`; workers then answer cache
-    /// misses by index lookup instead of random walks. The index is shared
-    /// read-only across all shards.
+    /// misses from index rows instead of random walks, and never walk. The
+    /// index is shared read-only across all shards. After mutations, an
+    /// entity whose stored row may be out of date, or that was added after
+    /// the build, is answered from its row recomputed against the live
+    /// graph (`cf_kg::collect_entity` with the index's parameters), so every
+    /// answer is the one a fresh engine over the current graph and a fresh
+    /// index of it would give.
     pub fn new_with_index(
         model: ChainsFormer,
         graph: impl Into<GraphStore>,
@@ -481,7 +500,10 @@ impl Engine {
             ix.check_matches(&graph)
                 .expect("chain index does not match the serving graph");
         }
-        let hops = model.cfg.setting.max_hops;
+        let chain_hops = model.cfg.setting.max_hops;
+        let hops = index.as_ref().map_or(chain_hops, |ix| {
+            chain_hops.max(ix.params().max_hops as usize)
+        });
         let nshards = if cfg.shards == 0 {
             cf_tensor::pool::threads().max(1)
         } else {
@@ -510,7 +532,7 @@ impl Engine {
             metrics,
             live: RwLock::new(LiveGraph {
                 overlay: OverlayGraph::new(graph),
-                stale: HashSet::new(),
+                dirty: HashSet::new(),
                 generation: 0,
             }),
             journal: Mutex::new(None),
@@ -615,9 +637,10 @@ impl Engine {
     /// Applies a batch of live-graph mutations: validate every mutation,
     /// append + fsync them to the journal (when one is attached) **before**
     /// they become visible, then apply to the overlay, mark the touched
-    /// `max_hops` neighborhood stale for the chain index, and drop every
-    /// cached chain set that could traverse a mutated entity — all under
-    /// the live write lock, so every shard observes the mutation
+    /// neighborhood ([`dirty_entities`]) dirty so an indexed engine
+    /// recomputes those rows instead of reading its stored ones, and drop
+    /// every cached chain set that could traverse a mutated entity — all
+    /// under the live write lock, so every shard observes the mutation
     /// atomically.
     ///
     /// All-or-nothing: any validation or journal error leaves the live
@@ -682,18 +705,9 @@ impl Engine {
                 }
             }
         }
-        let dirty = dirty_entities(&live.overlay, &touched, self.shared.hops);
-        live.stale.extend(dirty.iter().copied());
+        let (dirty, invalidated) = self.shared.invalidate(&mut live, &touched);
         live.generation += 1;
         let generation = live.generation;
-        let mut invalidated = 0usize;
-        for shard in &self.shared.shards {
-            invalidated += shard
-                .cache
-                .lock()
-                .expect("cache poisoned")
-                .invalidate_entities(&dirty);
-        }
         // Compaction under both locks: the canonical rewrite and the
         // journal truncation stay atomic with respect to other mutations.
         // A crash *between* the two is harmless — replaying the surviving
@@ -715,7 +729,7 @@ impl Engine {
         Ok(MutationOutcome {
             applied: muts.len(),
             changed,
-            dirty: dirty.len(),
+            dirty,
             invalidated,
             generation,
             compacted,
@@ -723,12 +737,12 @@ impl Engine {
     }
 
     /// Attaches a CFJ1 mutation journal, replaying any mutations it already
-    /// holds onto the live graph (with the same stale-marking and cache
+    /// holds onto the live graph (with the same dirty-marking and cache
     /// invalidation a fresh [`Self::mutate`] performs — the chain index was
-    /// built against the pristine base, so replayed neighborhoods must
-    /// bypass it too). A torn tail left by a crash mid-append is truncated
-    /// by [`JournalWriter::open`]; returns how many committed mutations
-    /// were replayed.
+    /// built against the pristine base, so rows in replayed neighborhoods
+    /// are recomputed against the live graph too). A torn tail left by a
+    /// crash mid-append is truncated by [`JournalWriter::open`]; returns how
+    /// many committed mutations were replayed.
     ///
     /// With `compaction = Some((path, every))`, every `every` journaled
     /// records the live graph is compacted to a canonical CFKG1 at `path`
@@ -749,15 +763,7 @@ impl Engine {
                     what: format!("record {i}: {what}"),
                 })?;
                 let touched = live.overlay.apply(mu).touched;
-                let dirty = dirty_entities(&live.overlay, &touched, self.shared.hops);
-                live.stale.extend(dirty.iter().copied());
-                for shard in &self.shared.shards {
-                    shard
-                        .cache
-                        .lock()
-                        .expect("cache poisoned")
-                        .invalidate_entities(&dirty);
-                }
+                self.shared.invalidate(&mut live, &touched);
             }
             live.generation += 1;
         }
@@ -866,17 +872,45 @@ impl Drop for Engine {
     }
 }
 
+impl Shared {
+    /// Marks the invalidation neighbourhood of `touched` (see
+    /// [`dirty_entities`]): an indexed engine adds it to the dirty set, and
+    /// every shard drops its cached chain sets. Returns the neighbourhood's
+    /// size and how many cached sets were dropped.
+    fn invalidate(&self, live: &mut LiveGraph, touched: &[EntityId]) -> (usize, usize) {
+        let dirty = dirty_entities(&live.overlay, touched, self.hops);
+        if self.index.is_some() {
+            live.dirty.extend(dirty.iter().copied());
+        }
+        let invalidated = self
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .cache
+                    .lock()
+                    .expect("cache poisoned")
+                    .invalidate_entities(&dirty)
+            })
+            .sum();
+        (dirty.len(), invalidated)
+    }
+}
+
 fn worker_loop(shared: &Shared, shard_ix: usize) {
     // One inference context per worker, reused across batches: after the
     // first batch its value arena and the thread's tensor buffer pool are
     // warm, so steady-state forwards never touch the global allocator.
     let mut ctx = InferCtx::new();
+    // The worker's one buffer for index rows recomputed against the live
+    // graph; it grows to at most 16 × `per_entity_cap` entries.
+    let mut row: Vec<ChainEntry> = Vec::new();
     loop {
         let batch = collect_batch(shared, shard_ix);
         if batch.is_empty() {
             return; // shutdown requested and the shard queue is drained
         }
-        process_batch(shared, shard_ix, batch, &mut ctx);
+        process_batch(shared, shard_ix, batch, &mut ctx, &mut row);
     }
 }
 
@@ -924,7 +958,13 @@ fn collect_batch(shared: &Shared, shard_ix: usize) -> Vec<Job> {
     batch
 }
 
-fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut InferCtx) {
+fn process_batch(
+    shared: &Shared,
+    shard_ix: usize,
+    batch: Vec<Job>,
+    ctx: &mut InferCtx,
+    row: &mut Vec<ChainEntry>,
+) {
     let m = &shared.metrics;
     let shard = &shared.shards[shard_ix];
     m.batch_size.record(batch.len() as u64);
@@ -974,21 +1014,24 @@ fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, ctx: &mut In
                     m.shard(shard_ix)
                         .cache_misses
                         .fetch_add(1, Ordering::Relaxed);
-                    let mut rng = StdRng::seed_from_u64(query_rng_seed(shared.cfg.seed, job.query));
-                    // The precomputed chain index answers only entities it
-                    // was built for whose `max_hops` neighborhood is still
-                    // pristine; mutated neighborhoods (and entities added
-                    // after the build) walk the live overlay instead. The
-                    // bypass predicate is a pure function of the query and
-                    // the mutation history — shard-count independent, so
-                    // responses stay bitwise-identical at every shard count.
-                    let ix = shared.index.as_ref().filter(|ix| {
-                        (job.query.entity.0 as usize) < ix.num_entities()
-                            && !live_graph.stale.contains(&job.query.entity.0)
-                    });
-                    let (toc, retrieved) = match ix {
-                        Some(ix) => model.gather_chains_indexed(ix, job.query, &mut rng),
-                        None => model.gather_chains(&live_graph.overlay, job.query, &mut rng),
+                    let q = job.query;
+                    let mut rng = StdRng::seed_from_u64(query_rng_seed(shared.cfg.seed, q));
+                    // An indexed engine samples the entity's index row: the
+                    // stored one while no mutation can have changed it,
+                    // else the row recomputed against the live graph. Both
+                    // are the row a fresh index of the current graph holds,
+                    // so answers are a pure function of that graph — and
+                    // shard-count independent.
+                    let (toc, retrieved) = match &shared.index {
+                        Some(ix) if live_graph.row_is_stored(ix, q.entity) => {
+                            model.gather_chains_indexed(ix, q, &mut rng)
+                        }
+                        Some(ix) => {
+                            collect_entity(&live_graph.overlay, q.entity, &ix.params(), row);
+                            m.index_rows_rebuilt.fetch_add(1, Ordering::Relaxed);
+                            model.gather_chains_row(row, q, &mut rng)
+                        }
+                        None => model.gather_chains(&live_graph.overlay, q, &mut rng),
                     };
                     let entry = Arc::new(CachedChains {
                         chains: toc.chains,
@@ -1050,6 +1093,63 @@ mod tests {
     use cf_kg::synth::{yago15k_sim, SynthScale};
     use cf_kg::Split;
     use chainsformer::ChainsFormerConfig;
+
+    /// Per query: the value's bits, the retrieved count and the chains.
+    type Answer = (u64, usize, Vec<(cf_chains::RaChain, EntityId)>);
+
+    fn answers(e: &Engine, queries: &[Query]) -> Vec<Answer> {
+        queries
+            .iter()
+            .map(|&q| {
+                let d = e.predict(q).expect("predict").detail;
+                let chains = d
+                    .chains
+                    .iter()
+                    .map(|c| (c.chain.clone(), c.source))
+                    .collect();
+                (d.value.to_bits(), d.retrieved, chains)
+            })
+            .collect()
+    }
+
+    /// The graph and model of [`engine`], with the model's chains at most
+    /// `max_hops` long: the visible graph, the model and the first eight
+    /// test queries.
+    fn fixture(max_hops: usize) -> (cf_kg::KnowledgeGraph, ChainsFormer, Vec<Query>) {
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = yago15k_sim(SynthScale::small(), &mut rng);
+        let split = Split::paper_811(&g, &mut rng);
+        let visible = split.visible_graph(&g);
+        let mut cfg = ChainsFormerConfig::tiny();
+        cfg.setting.max_hops = max_hops;
+        let model = ChainsFormer::new(&visible, &split.train, cfg, &mut rng);
+        let queries = split
+            .test
+            .iter()
+            .take(8)
+            .map(|t| Query {
+                entity: t.entity,
+                attr: t.attr,
+            })
+            .collect();
+        (visible, model, queries)
+    }
+
+    /// An engine serving `graph` with a chain index of it built under
+    /// `params`.
+    fn indexed_engine(
+        model: ChainsFormer,
+        graph: cf_kg::KnowledgeGraph,
+        params: cf_kg::IndexParams,
+        cfg: EngineConfig,
+    ) -> Engine {
+        let ix = cf_kg::build_chain_index(&graph, params);
+        Engine::new_with_index(model, graph, Some(ChainIndexStore::Built(ix)), cfg)
+    }
+
+    fn rows_rebuilt(e: &Engine) -> u64 {
+        e.metrics().index_rows_rebuilt.load(Ordering::Relaxed)
+    }
 
     fn engine(cfg: EngineConfig) -> (Engine, Vec<Query>) {
         let mut rng = StdRng::seed_from_u64(17);
@@ -1358,22 +1458,6 @@ mod tests {
                 attr: t.attr,
             })
             .collect();
-        // Per query: the value's bits, the retrieved count and the chains.
-        type Answer = (u64, usize, Vec<(cf_chains::RaChain, cf_kg::EntityId)>);
-        let answers = |e: &Engine| -> Vec<Answer> {
-            queries
-                .iter()
-                .map(|&q| {
-                    let d = e.predict(q).expect("predict").detail;
-                    let chains = d
-                        .chains
-                        .iter()
-                        .map(|c| (c.chain.clone(), c.source))
-                        .collect();
-                    (d.value.to_bits(), d.retrieved, chains)
-                })
-                .collect()
-        };
         for (quantize, shards) in [QuantMode::F32, QuantMode::Int8]
             .into_iter()
             .flat_map(|q| [(q, 1usize), (q, 4)])
@@ -1384,16 +1468,16 @@ mod tests {
                 ..EngineConfig::default()
             };
             let e = Engine::new(model_a.clone(), visible.clone(), engine_cfg.clone());
-            let before = answers(&e); // warms every shard's cache with A's chains
+            let before = answers(&e, &queries); // warms every shard's cache with A's chains
             e.reload(&b_ckpt).expect("reload B");
-            let after = answers(&e);
+            let after = answers(&e, &queries);
             let fresh = Engine::new(
                 ChainsFormer::load(&b_ckpt, cfg.clone(), &visible).expect("load B"),
                 visible.clone(),
                 engine_cfg,
             );
             let at = format!("{quantize}, {shards} shard(s)");
-            assert_eq!(after, answers(&fresh), "{at}");
+            assert_eq!(after, answers(&fresh, &queries), "{at}");
             assert_ne!(after, before, "{at}: reload changed nothing");
             e.shutdown();
             fresh.shutdown();
@@ -1724,77 +1808,228 @@ mod tests {
         e3.shutdown();
     }
 
-    #[test]
-    fn mutation_under_index_bypasses_stale_neighborhoods() {
-        // Indexed engines must not serve pre-mutation chains out of the
-        // frozen index: entities inside the dirty BFS neighborhood (and
-        // entities past the index bound, i.e. freshly added ones) bypass
-        // the index and walk the overlay instead — and the bypass
-        // predicate is a pure function of the query and mutation history,
-        // so the bits stay shard-count invariant.
-        let mut answers: Vec<Vec<u64>> = Vec::new();
-        for shards in [1usize, 4] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let g = yago15k_sim(SynthScale::small(), &mut rng);
-            let split = Split::paper_811(&g, &mut rng);
-            let visible = split.visible_graph(&g);
-            let model =
-                ChainsFormer::new(&visible, &split.train, ChainsFormerConfig::tiny(), &mut rng);
-            let queries: Vec<Query> = split
-                .test
-                .iter()
-                .take(8)
-                .map(|t| Query {
-                    entity: t.entity,
-                    attr: t.attr,
-                })
-                .collect();
-            let params = cf_kg::IndexParams {
-                max_hops: model.cfg.setting.max_hops as u32,
-                ..cf_kg::IndexParams::default()
-            };
-            let ix = cf_kg::build_chain_index(&visible, params);
-            let e = Engine::new_with_index(
-                model,
-                visible,
-                Some(ChainIndexStore::Built(ix)),
-                EngineConfig {
-                    shards,
-                    ..EngineConfig::default()
+    /// Mutation batches over names of `g`: upserts on served entities, two
+    /// entities added after any index build, edges linking them in and an
+    /// edge between two served entities. Later batches build on earlier
+    /// ones.
+    fn mutation_batches(g: &impl cf_kg::GraphView, queries: &[Query]) -> Vec<Vec<Mutation>> {
+        let entity = |i: usize| g.entity_name(queries[i].entity).to_string();
+        let attr = |i: usize| g.attribute_name(queries[i].attr).to_string();
+        let rel = |r: u32| g.relation_name(cf_kg::RelationId(r)).to_string();
+        let upsert = |entity: String, attr: String, value: f64| Mutation::UpsertNumeric {
+            entity,
+            attr,
+            value,
+        };
+        let edge = |head: String, r: u32, tail: String| Mutation::AddEdge {
+            head,
+            rel: rel(r),
+            tail,
+        };
+        vec![
+            vec![
+                upsert(entity(0), attr(1), 77.25),
+                Mutation::AddEntity {
+                    name: "mutant_0".into(),
                 },
+                edge("mutant_0".into(), 0, entity(0)),
+                upsert("mutant_0".into(), attr(0), 1234.5),
+            ],
+            vec![
+                edge(entity(1), 1, entity(2)),
+                upsert(entity(3), attr(3), -5.0),
+            ],
+            vec![
+                edge("mutant_1".into(), 0, "mutant_0".into()),
+                upsert("mutant_1".into(), attr(2), 42.0),
+                edge(entity(4), 1, "mutant_1".into()),
+            ],
+        ]
+    }
+
+    /// The acceptance bar of an indexed engine: its answers are a function
+    /// of the current graph. After mutation batches, every answer — for
+    /// entities no mutation came near, for dirty ones and for ones added
+    /// after the build — equals, bit for bit and chain for chain, the
+    /// answer of a fresh engine over the materialized graph with a freshly
+    /// built index, at shards 1 and 4, f32 and int8. The index is built one
+    /// hop deeper than the model's chains.
+    #[test]
+    fn indexed_answers_equal_a_fresh_engine_over_the_current_graph() {
+        let (visible, model, queries) = fixture(2);
+        let params = cf_kg::IndexParams {
+            max_hops: 3,
+            fanout: 8,
+            per_entity_cap: 64,
+        };
+        // The test queries plus a spread of entities across the graph.
+        let n = visible.num_entities();
+        let mut probes: Vec<Query> = queries.clone();
+        probes.extend((0..n).step_by(n / 24).map(|i| Query {
+            entity: EntityId(i as u32),
+            attr: queries[i % queries.len()].attr,
+        }));
+        for (quantize, shards) in [QuantMode::F32, QuantMode::Int8]
+            .into_iter()
+            .flat_map(|q| [(q, 1usize), (q, 4)])
+        {
+            let at = format!("{quantize}, {shards} shard(s)");
+            let cfg = EngineConfig {
+                shards,
+                quantize,
+                ..EngineConfig::default()
+            };
+            let e = indexed_engine(model.clone(), visible.clone(), params, cfg.clone());
+            answers(&e, &probes); // warm caches, so invalidation is exercised
+            let batches = mutation_batches(&*e.graph(), &queries);
+            for batch in &batches {
+                e.mutate(batch).expect("mutate");
+            }
+            let mut qs = probes.clone();
+            for name in ["mutant_0", "mutant_1"] {
+                let entity = e.graph().entity_by_name(name).expect("added");
+                qs.extend(queries.iter().take(3).map(|q| Query {
+                    entity,
+                    attr: q.attr,
+                }));
+            }
+            let got = answers(&e, &qs);
+            // Both row sources answer: some base entities from recomputed
+            // rows (beyond the added entities' distinct queries), others
+            // from stored rows.
+            let added: HashSet<(EntityId, cf_kg::AttributeId)> = qs
+                .iter()
+                .filter(|q| q.entity.0 as usize >= n)
+                .map(|q| (q.entity, q.attr))
+                .collect();
+            let rebuilt = rows_rebuilt(&e) as usize;
+            assert!(
+                rebuilt > added.len() && rebuilt < qs.len(),
+                "{at}: {rebuilt} of {} answers from recomputed rows, {} for added entities",
+                qs.len(),
+                added.len()
             );
-            let q = queries[0];
-            let before = e.predict(q).expect("before").detail;
-            let muts = mutation_batch(&*e.graph(), q);
-            e.mutate(&muts).expect("mutate indexed engine");
-            // The queried fact was upserted; if the frozen index were still
-            // consulted for this (now stale) neighborhood the old chain
-            // values would survive and the answer could not move.
-            let after = e.predict(q).expect("after").detail;
-            assert_ne!(
-                before.value.to_bits(),
-                after.value.to_bits(),
-                "stale index still serving pre-mutation chains"
-            );
-            // A freshly added entity lies past the index bound and must be
-            // answerable through the overlay walk path.
-            let new_entity = e.graph().entity_by_name("mutant_0").expect("added");
-            let mut qs = queries.clone();
-            qs.push(Query {
-                entity: new_entity,
-                attr: q.attr,
-            });
-            answers.push(
-                qs.iter()
-                    .map(|&q| e.predict(q).expect("predict").detail.value.to_bits())
-                    .collect(),
-            );
+            let current = e.graph().materialize();
             e.shutdown();
+            let fresh = indexed_engine(model.clone(), current, params, cfg);
+            assert_eq!(got, answers(&fresh, &qs), "{at}");
+            assert_eq!(rows_rebuilt(&fresh), 0, "{at}");
+            fresh.shutdown();
         }
-        assert_eq!(
-            answers[0], answers[1],
-            "index bypass broke shard-count invariance"
+    }
+
+    /// `cf_serve_index_rows_rebuilt_total` counts exactly the cache misses
+    /// answered from a recomputed row: after one mutation, one per distinct
+    /// query whose entity is in the mutation's dirty neighbourhood (the
+    /// added entity included), and nothing for the repeats the cache
+    /// answers. An engine without an index never counts.
+    #[test]
+    fn rebuilt_rows_are_counted_exactly() {
+        let (visible, model, queries) = fixture(3);
+        let indexed = indexed_engine(
+            model.clone(),
+            visible.clone(),
+            cf_kg::IndexParams::default(),
+            EngineConfig::default(),
         );
+        let plain = Engine::new(model, visible, EngineConfig::default());
+        for e in [&indexed, &plain] {
+            answers(e, &queries);
+            assert_eq!(rows_rebuilt(e), 0, "rows rebuilt before any mutation");
+            let muts = mutation_batch(&*e.graph(), queries[0]);
+            e.mutate(&muts).expect("mutate");
+        }
+        let added = indexed.graph().entity_by_name("mutant_0").expect("added");
+        let mut qs = queries.clone();
+        qs.push(Query {
+            entity: added,
+            attr: queries[0].attr,
+        });
+        let mut seen = HashSet::new();
+        qs.retain(|q| seen.insert((q.entity, q.attr)));
+        let dirty = dirty_entities(&indexed.graph(), &[queries[0].entity, added], 3);
+        let want = qs.iter().filter(|q| dirty.contains(&q.entity.0)).count();
+        assert!(
+            want >= 2 && want < qs.len(),
+            "{want} of {} queries dirty",
+            qs.len()
+        );
+        for e in [&indexed, &plain] {
+            answers(e, &qs);
+            answers(e, &qs); // cache hits: counted nowhere
+        }
+        assert_eq!(rows_rebuilt(&indexed), want as u64);
+        let text = indexed.metrics_text();
+        assert!(
+            text.contains(&format!("cf_serve_index_rows_rebuilt_total {want}\n")),
+            "{text}"
+        );
+        assert_eq!(rows_rebuilt(&plain), 0);
+        assert!(plain
+            .metrics_text()
+            .contains("cf_serve_index_rows_rebuilt_total 0\n"));
+        indexed.shutdown();
+        plain.shutdown();
+    }
+
+    /// A mutation that adds evidence moves an indexed answer: giving a
+    /// fact that one of the query's evidence chains carries — on the query
+    /// entity or a neighbour, for another attribute than the queried one —
+    /// a new value changes the prediction, and the new answer comes from a
+    /// recomputed row.
+    #[test]
+    fn mutation_adding_evidence_moves_the_indexed_answer() {
+        let (visible, model, queries) = fixture(3);
+        let e = indexed_engine(
+            model,
+            visible,
+            cf_kg::IndexParams::default(),
+            EngineConfig::default(),
+        );
+        let (q, before, fact) = queries
+            .iter()
+            .find_map(|&q| {
+                let before = e.predict(q).expect("before").detail;
+                let g = e.graph();
+                // A chain whose fact the upsert below rewrites unambiguously:
+                // not the queried fact, and the source's only fact of its
+                // attribute.
+                let c = before.chains.iter().find(|c| {
+                    let (source, attr) = (c.source, c.chain.known_attr);
+                    let facts = g.numerics_of(source).iter().filter(|f| f.attr == attr);
+                    (source != q.entity || attr != q.attr) && facts.count() == 1
+                })?;
+                let fact = (c.source, c.chain.known_attr, c.known_value);
+                Some((q, before, fact))
+            })
+            .expect("a query with evidence chains");
+        let (source, attr, old) = fact;
+        let norm = e.model().normalizer().clone();
+        let value = if old == norm.max(attr) {
+            norm.min(attr)
+        } else {
+            norm.max(attr)
+        };
+        let upsert = Mutation::UpsertNumeric {
+            entity: e.graph().entity_name(source).to_string(),
+            attr: e.graph().attribute_name(attr).to_string(),
+            value,
+        };
+        e.mutate(&[upsert]).expect("mutate");
+        let after = e.predict(q).expect("after");
+        assert!(!after.cache_hit, "pre-mutation chains served from cache");
+        assert_eq!(rows_rebuilt(&e), 1);
+        assert_ne!(
+            before.value.to_bits(),
+            after.detail.value.to_bits(),
+            "new evidence did not move the answer"
+        );
+        assert!(after
+            .detail
+            .chains
+            .iter()
+            .any(|c| c.source == source && c.chain.known_attr == attr && c.known_value == value));
+        e.shutdown();
     }
 
     #[test]

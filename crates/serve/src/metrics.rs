@@ -178,6 +178,11 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Chain-cache misses (retrieval ran).
     pub cache_misses: AtomicU64,
+    /// Cache misses an indexed engine answered from an index row
+    /// recomputed against the live graph, because a mutation may have
+    /// changed the stored row or the entity was added after the build.
+    /// Always 0 without an index.
+    pub index_rows_rebuilt: AtomicU64,
     /// Model hot-reloads that validated and swapped successfully.
     pub reloads_ok: AtomicU64,
     /// Model hot-reloads rejected (corrupt file, shape mismatch, io
@@ -218,6 +223,7 @@ impl Metrics {
             fallbacks: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            index_rows_rebuilt: AtomicU64::new(0),
             reloads_ok: AtomicU64::new(0),
             reloads_rejected: AtomicU64::new(0),
             mutations_ok: AtomicU64::new(0),
@@ -263,6 +269,7 @@ impl Metrics {
             &self.fallbacks,
             &self.cache_hits,
             &self.cache_misses,
+            &self.index_rows_rebuilt,
             &self.reloads_ok,
             &self.reloads_rejected,
             &self.mutations_ok,
@@ -307,6 +314,11 @@ impl Metrics {
         let _ = writeln!(s, "cf_serve_cache_hits_total {}", g(&self.cache_hits));
         let _ = writeln!(s, "cf_serve_cache_misses_total {}", g(&self.cache_misses));
         let _ = writeln!(s, "cf_serve_cache_hit_rate {:.4}", self.cache_hit_rate());
+        let _ = writeln!(
+            s,
+            "cf_serve_index_rows_rebuilt_total {}",
+            g(&self.index_rows_rebuilt)
+        );
         let _ = writeln!(s, "cf_serve_reloads_ok_total {}", g(&self.reloads_ok));
         let _ = writeln!(
             s,
