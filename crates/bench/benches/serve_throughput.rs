@@ -1,7 +1,6 @@
-//! Serving throughput: closed-loop clients and open-loop load against the
-//! `cf-serve` engine.
+//! Serving throughput: closed-loop clients against the `cf-serve` engine.
 //!
-//! Closed-loop arms (DESIGN.md §9.5):
+//! Arms (DESIGN.md §9.5):
 //! - `per_request` — the status-quo serving strategy: every request is
 //!   answered individually (`max_batch = 1`) with a fresh chain retrieval
 //!   (cache disabled). This is what calling `predict` per request costs.
@@ -13,43 +12,27 @@
 //! client never leaves more than one job in the queue: micro-batching only
 //! forms real batches once several clients overlap.
 //!
-//! Open-loop arms (DESIGN.md §14):
-//! - `open_loop` at shard counts 1, 2 and 4 — a full TCP server driven by
-//!   cf-load's fixed Poisson arrival schedule (zipfian entity popularity)
-//!   at an offered rate above single-shard capacity. qps here is goodput
-//!   (answered predictions per second of the measurement window), and the
-//!   latency quantiles are measured from each request's *scheduled* send
-//!   instant, so queueing delay is charged honestly.
-//! - the same open-loop setup with `--quantize int8` (DESIGN.md §15) at
-//!   shard counts 1 and 4, so the quantized serving path has f32 rows to
-//!   sit next to in `BENCH_serve.json` (`quantize` column).
-//!
-//! Host caveat: on a single-core host (CI) extra shards cannot add
-//! parallel speedup — the open-loop arms then measure the sharding
-//! machinery's overhead and the admission behavior, not scaling. The
-//! table title records the host's core count for exactly this reason.
+//! Served latency under offered load, across shard counts and with int8
+//! weights, is what cfbench (`BENCHMARK.json`) and `cfkg loadtest` measure.
 //!
 //! Set `CF_BENCH_JSON=1` to write `results/BENCH_serve.json`;
 //! `CF_BENCH_SAMPLES` scales the request count (CI smoke uses 1).
 
 use cf_chains::Query;
 use cf_kg::synth::{yago15k_sim, SynthScale};
-use cf_kg::{GraphView, Split};
+use cf_kg::Split;
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
-use cf_serve::{Engine, EngineConfig, QuantMode};
+use cf_serve::{Engine, EngineConfig};
 use chainsformer::{ChainsFormer, ChainsFormerConfig};
 use chainsformer_bench::report::{write_json_merged, Table};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 struct ArmResult {
     arm: &'static str,
     clients: usize,
-    shards: usize,
-    quantize: QuantMode,
     requests: usize,
     elapsed_ms: f64,
     qps: f64,
@@ -149,8 +132,6 @@ fn run_closed_loop(
     ArmResult {
         arm,
         clients,
-        shards: 1,
-        quantize: QuantMode::F32,
         requests,
         elapsed_ms: elapsed.as_secs_f64() * 1e3,
         qps: requests as f64 / elapsed.as_secs_f64(),
@@ -160,74 +141,6 @@ fn run_closed_loop(
         p95_us: m.latency_us.quantile(0.95),
         p99_us: m.latency_us.quantile(0.99),
     }
-}
-
-/// Runs the open-loop arm at one shard count: a real TCP server, driven by
-/// the same deterministic plan `cfkg loadtest` would send.
-fn run_open_loop(
-    shards: usize,
-    quantize: QuantMode,
-    conns: usize,
-    requests: usize,
-    warmup: usize,
-    rate_hz: f64,
-    graph: &cf_kg::KnowledgeGraph,
-    model: &ChainsFormer,
-) -> ArmResult {
-    let engine = Arc::new(Engine::new(
-        model.clone(),
-        graph.clone(),
-        EngineConfig {
-            shards,
-            quantize,
-            ..EngineConfig::default()
-        },
-    ));
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let server = {
-        let engine = Arc::clone(&engine);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || cf_serve::run(engine, listener, shutdown).expect("server"))
-    };
-
-    let plan = cf_load::build_plan(
-        GraphView::num_entities(graph),
-        GraphView::num_attributes(graph),
-        &cf_load::PlanConfig {
-            arrivals: cf_load::ArrivalProcess::Poisson,
-            rate_hz,
-            requests,
-            warmup,
-            zipf_s: 1.0,
-            reload_every: 0,
-            mutate_every: 0,
-            seed: 29,
-        },
-    );
-    let events = cf_load::render_events(&plan, graph, None, None);
-    engine.metrics().reset();
-    let outcome = cf_load::run_tcp(&addr, &events, conns).expect("loadtest run");
-    let m = engine.metrics();
-    let r = &outcome.report;
-    let result = ArmResult {
-        arm: "open_loop",
-        clients: conns,
-        shards,
-        quantize,
-        requests: r.sent as usize,
-        elapsed_ms: r.elapsed_s * 1e3,
-        qps: r.qps,
-        mean_batch: m.batch_size.mean(),
-        cache_hit_rate: m.cache_hit_rate(),
-        p50_us: r.latency.quantile(0.50),
-        p95_us: r.latency.quantile(0.95),
-        p99_us: r.latency.quantile(0.99),
-    };
-    shutdown.store(true, Ordering::SeqCst);
-    server.join().expect("server thread");
-    result
 }
 
 fn main() {
@@ -246,49 +159,6 @@ fn main() {
             results.push(r);
         }
     }
-    // Open loop: offered rate above a single shard's measured capacity, so
-    // the run probes capacity (goodput) rather than echoing the offered
-    // rate back. 1.8× the closed-loop micro-batch ceiling keeps the server
-    // saturated without drowning a 1-core CI host.
-    let capacity_hint = results
-        .iter()
-        .filter(|r| r.arm == "micro_batch")
-        .map(|r| r.qps)
-        .fold(0.0f64, f64::max);
-    let rate_hz = (capacity_hint * 1.8).max(500.0);
-    let open_requests = 150 * samples;
-    let open_warmup = 25 * samples;
-    for &shards in &[1usize, 2, 4] {
-        let r = run_open_loop(
-            shards,
-            QuantMode::F32,
-            16,
-            open_requests,
-            open_warmup,
-            rate_hz,
-            &graph,
-            &model,
-        );
-        print_arm(&r);
-        results.push(r);
-    }
-    // Quantized serving arms next to the f32 rows: same offered load, same
-    // plan, engine built with `quantize: int8` (DESIGN.md §15).
-    for &shards in &[1usize, 4] {
-        let r = run_open_loop(
-            shards,
-            QuantMode::Int8,
-            16,
-            open_requests,
-            open_warmup,
-            rate_hz,
-            &graph,
-            &model,
-        );
-        print_arm(&r);
-        results.push(r);
-    }
-
     // Headline: micro-batched vs per-request at 4 client threads.
     let qps = |arm: &str, clients: usize| {
         results
@@ -303,14 +173,10 @@ fn main() {
     if std::env::var("CF_BENCH_JSON").is_ok() {
         let cores = cf_tensor::pool::threads();
         let mut table = Table::new(
-            &format!(
-                "serving throughput: closed-loop engine arms + open-loop TCP load vs shard count ({cores}-thread host; open-loop qps is goodput at {rate_hz:.0}/s offered, latency from scheduled send)"
-            ),
+            format!("serving throughput: closed-loop engine arms ({cores}-thread host)"),
             &[
                 "arm",
                 "clients",
-                "shards",
-                "quantize",
                 "requests",
                 "elapsed_ms",
                 "qps",
@@ -325,8 +191,6 @@ fn main() {
             table.row(vec![
                 r.arm.to_string(),
                 r.clients.to_string(),
-                r.shards.to_string(),
-                r.quantize.to_string(),
                 r.requests.to_string(),
                 format!("{:.1}", r.elapsed_ms),
                 format!("{:.1}", r.qps),
@@ -340,8 +204,6 @@ fn main() {
         table.row(vec![
             "speedup_micro_vs_per_request_4_clients".into(),
             "4".into(),
-            "1".into(),
-            "f32".into(),
             String::new(),
             String::new(),
             format!("{speedup:.2}"),
@@ -353,18 +215,16 @@ fn main() {
         ]);
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         let path =
-            write_json_merged(&table, &dir, "BENCH_serve", 4).expect("write BENCH_serve.json");
+            write_json_merged(&table, &dir, "BENCH_serve", 2).expect("write BENCH_serve.json");
         println!("wrote {}", path.display());
     }
 }
 
 fn print_arm(r: &ArmResult) {
     println!(
-        "{:<12} clients={} shards={} quantize={} requests={:>5} {:>8.1} ms  {:>7.1} q/s  batch≈{} hit={:.2} p50={}us p95={}us p99={}us",
+        "{:<12} clients={} requests={:>5} {:>8.1} ms  {:>7.1} q/s  batch≈{} hit={:.2} p50={}us p95={}us p99={}us",
         r.arm,
         r.clients,
-        r.shards,
-        r.quantize,
         r.requests,
         r.elapsed_ms,
         r.qps,

@@ -606,9 +606,6 @@ pub fn serve(args: &Args) -> CmdResult {
 /// produces byte-identical `--dump` files (CI diffs them).
 pub fn loadtest(args: &Args) -> CmdResult {
     let addr = args.require("addr")?.to_string();
-    // Only names and counts are needed: the split hides facts, not
-    // entities, so the raw graph names exactly what the server resolves.
-    let graph = load_graph(args)?;
     let plan_cfg = cf_load::PlanConfig {
         arrivals: args.get("arrivals").unwrap_or("poisson").parse()?,
         rate_hz: args.get_parse("rate", 2000.0, "number")?,
@@ -619,6 +616,11 @@ pub fn loadtest(args: &Args) -> CmdResult {
         mutate_every: args.get_parse("mutate-every", 0, "integer")?,
         seed: args.get_parse("seed", 1, "integer")?,
     };
+    cf_load::check_rate(plan_cfg.rate_hz)?;
+    cf_load::check_exponent(plan_cfg.zipf_s)?;
+    // Only names and counts are needed: the split hides facts, not
+    // entities, so the raw graph names exactly what the server resolves.
+    let graph = load_graph(args)?;
     let deadline_ms = match args.get("deadline-ms") {
         None => None,
         Some(_) => Some(args.get_parse("deadline-ms", 0u64, "integer")?),
@@ -766,6 +768,7 @@ pub fn index(args: &Args) -> CmdResult {
             "integer",
         )?,
     };
+    params.check()?;
     let graph = load_graph(args)?;
     let graph = if args.switch("full") {
         graph

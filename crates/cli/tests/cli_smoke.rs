@@ -121,6 +121,48 @@ fn help_prints_usage() {
     assert!(String::from_utf8_lossy(&st.stdout).contains("USAGE"));
 }
 
+/// Out-of-range numeric flags are one `error:` line and exit 1, never a
+/// panic (exit 101). Each is rejected before any file is read.
+#[test]
+fn out_of_range_flags_are_errors_not_panics() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["index", "--out", "x.cfci", "--max-hops", "4"],
+            "max_hops must be in 1..=3, got 4",
+        ),
+        (
+            &["index", "--out", "x.cfci", "--max-hops", "0"],
+            "max_hops must be in 1..=3, got 0",
+        ),
+        (
+            &["index", "--out", "x.cfci", "--fanout", "0"],
+            "fanout must be at least 1, got 0",
+        ),
+        (
+            &["index", "--out", "x.cfci", "--per-entity-cap", "0"],
+            "per_entity_cap must be at least 1, got 0",
+        ),
+        (
+            &["train", "--ckpt", "x.ckpt", "--dim", "0"],
+            "dim must be positive, got 0",
+        ),
+        (
+            &["loadtest", "--addr", "127.0.0.1:1", "--rate", "0"],
+            "arrival rate must be positive, got 0",
+        ),
+        (
+            &["loadtest", "--addr", "127.0.0.1:1", "--zipf", "-1"],
+            "zipf exponent must be ≥ 0, got -1",
+        ),
+    ];
+    for (args, msg) in cases {
+        let out = cfkg().args(*args).output().expect("run cfkg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {msg}"), "{args:?}");
+    }
+}
+
 #[test]
 fn mismatched_architecture_fails_cleanly() {
     let dir = TempDir::new("cfkg_smoke");

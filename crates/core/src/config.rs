@@ -399,6 +399,12 @@ impl ChainsFormerConfig {
 
     /// Validates internal consistency; call before building a model.
     pub fn validate(&self) -> Result<(), String> {
+        if self.dim == 0 {
+            return Err("dim must be positive, got 0".into());
+        }
+        if self.heads == 0 {
+            return Err("heads must be positive, got 0".into());
+        }
         if self.dim % self.heads != 0 {
             return Err(format!(
                 "dim {} not divisible by heads {}",
@@ -437,6 +443,20 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    /// A zero `dim` or `heads` is an error, not a division by zero here or a
+    /// zero-width tensor later.
+    #[test]
+    fn validation_catches_zero_dim_and_heads() {
+        for (dim, heads) in [(0, 4), (16, 0), (0, 0)] {
+            let cfg = ChainsFormerConfig {
+                dim,
+                heads,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "dim {dim}, heads {heads}");
+        }
     }
 
     #[test]

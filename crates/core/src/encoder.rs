@@ -150,7 +150,7 @@ impl ChainEncoder {
         // Tokenize with padding, straight into pooled flat buffers — the
         // steady-state training loop re-enters here every step, so no
         // per-chain or per-row vectors.
-        let mut lens = pool::ScratchUsize::with_capacity(k);
+        let mut lens = pool::Scratch::<usize>::with_capacity(k);
         lens.extend(chains.iter().map(|c| c.chain.token_len()));
         let t_max = lens.iter().copied().max().expect("non-empty");
         assert!(
@@ -159,7 +159,7 @@ impl ChainEncoder {
             self.max_len
         );
         let pad = self.vocab.pad_token();
-        let mut flat_ids = pool::ScratchUsize::with_capacity(k * t_max);
+        let mut flat_ids = pool::Scratch::<usize>::with_capacity(k * t_max);
         flat_ids.resize(k * t_max, pad);
         {
             // Chains tokenize independently into disjoint pre-padded rows,
@@ -182,7 +182,7 @@ impl ChainEncoder {
         let tok = self.token_emb.forward(t, ps, &flat_ids);
         let mut x = t.reshape(tok, [k, t_max, self.dim].into());
         if let Some(pe) = &self.pos_emb {
-            let mut pos_ids = pool::ScratchUsize::with_capacity(k * t_max);
+            let mut pos_ids = pool::Scratch::<usize>::with_capacity(k * t_max);
             for _ in 0..k {
                 pos_ids.extend(0..t_max);
             }
@@ -199,7 +199,7 @@ impl ChainEncoder {
                 let h = enc.forward(t, ps, x, Some(KeyMask::PrefixLens(&lens)));
                 // e_end lives at position len-1 of each chain (Eq. 11/13).
                 let flat = t.reshape(h, [k * t_max, self.dim].into());
-                let mut idx = pool::ScratchUsize::with_capacity(k);
+                let mut idx = pool::Scratch::<usize>::with_capacity(k);
                 idx.extend(lens.iter().enumerate().map(|(i, &l)| i * t_max + l - 1));
                 t.select_rows(flat, &idx)
             }
@@ -209,14 +209,14 @@ impl ChainEncoder {
             }
             EncoderKind::MeanPool => {
                 // Masked mean of token embeddings ("w/o Chain Encoder").
-                let mut w = pool::take_f32(k * t_max);
+                let mut w = pool::take(k * t_max);
                 for &l in lens.iter() {
                     w.extend((0..t_max).map(|j| if j < l { 1.0 } else { 0.0 }));
                 }
                 let wv = t.constant(Tensor::new([k * t_max], w));
                 let masked = t.scale_rows(x, wv);
                 let summed = t.sum_dim1(masked); // [k, d]
-                let mut inv = pool::take_f32(k);
+                let mut inv = pool::take(k);
                 inv.extend(lens.iter().map(|&l| 1.0 / l as f32));
                 let invv = t.constant(Tensor::new([k], inv));
                 t.scale_rows(summed, invv)
@@ -243,7 +243,7 @@ impl ChainEncoder {
             ValueEncoding::Log => LOG_FEATURES,
             ValueEncoding::Disabled => unreachable!("guarded above"),
         };
-        let mut feats = pool::take_f32(k * feat_dim);
+        let mut feats = pool::take(k * feat_dim);
         for c in chains {
             match self.value_encoding {
                 ValueEncoding::FloatBits => float_bits_into(c.value, &mut feats),

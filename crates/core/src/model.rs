@@ -385,7 +385,7 @@ impl ChainsFormer {
         ctx.clear();
         let mut all_chains: Vec<ChainInstance> = Vec::new();
         // Per job: start row of its chains in the concatenated batch.
-        let mut starts = cf_tensor::pool::ScratchUsize::with_capacity(jobs.len());
+        let mut starts = cf_tensor::pool::Scratch::<usize>::with_capacity(jobs.len());
         for (_, chains, _) in jobs {
             starts.push(all_chains.len());
             all_chains.extend_from_slice(chains);
@@ -407,7 +407,7 @@ impl ChainsFormer {
                         chains: Vec::new(),
                     };
                 }
-                let mut idx = cf_tensor::pool::ScratchUsize::with_capacity(chains.len());
+                let mut idx = cf_tensor::pool::Scratch::<usize>::with_capacity(chains.len());
                 idx.extend(start..start + chains.len());
                 let e_q = ctx.select_rows(e_all.expect("non-empty batch"), &idx);
                 let out = self.reasoner.forward(

@@ -110,7 +110,7 @@ impl NumericalReasoner {
         let range = norm.range(query_attr) as f32;
         let min = norm.min(query_attr) as f32;
         // n_p normalized by the *known* attribute of each chain.
-        let mut n_p_data = cf_tensor::pool::take_f32(k);
+        let mut n_p_data = cf_tensor::pool::take(k);
         n_p_data.extend(
             chains
                 .iter()
@@ -157,7 +157,7 @@ impl NumericalReasoner {
         let omega = if self.chain_weighting && k > 1 {
             let tree = self.treeformer.as_ref().expect("treeformer");
             // C^(0) = chain reps + length encoding; no positional encoding.
-            let mut len_ids = cf_tensor::pool::ScratchUsize::with_capacity(k);
+            let mut len_ids = cf_tensor::pool::Scratch::<usize>::with_capacity(k);
             len_ids.extend(chains.iter().map(|c| c.chain.hops().min(self.max_hops)));
             let lens = self.len_emb.forward(t, ps, &len_ids); // [k, d]
             let c0 = t.add(e_tilde, lens);

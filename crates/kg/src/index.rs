@@ -123,6 +123,24 @@ impl Default for IndexParams {
     }
 }
 
+impl IndexParams {
+    /// The ranges an index is built and read under: `max_hops` in 1..=3,
+    /// `fanout` and `per_entity_cap` at least 1. The error names the field
+    /// and its value.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=3).contains(&self.max_hops) {
+            return Err(format!("max_hops must be in 1..=3, got {}", self.max_hops));
+        }
+        if self.fanout == 0 {
+            return Err("fanout must be at least 1, got 0".into());
+        }
+        if self.per_entity_cap == 0 {
+            return Err("per_entity_cap must be at least 1, got 0".into());
+        }
+        Ok(())
+    }
+}
+
 /// Stable fingerprint binding an index to the graph it was built from:
 /// FNV-1a over the vocabulary/fact counts and every entity's degree and
 /// fact count. O(n), no hashing of names or values — cheap enough to run at
@@ -277,13 +295,12 @@ pub fn collect_entity(
 ///
 /// Entities are split into a fixed shard count; each shard's entries are
 /// computed independently and concatenated in shard order, so the result is
-/// bitwise identical at every thread count.
+/// bitwise identical at every thread count. Panics if `params` fails
+/// [`IndexParams::check`].
 pub fn build_chain_index<G: GraphView + Sync>(g: &G, params: IndexParams) -> ChainIndex {
-    assert!(
-        (1..=3).contains(&params.max_hops),
-        "max_hops must be in 1..=3"
-    );
-    assert!(params.fanout >= 1 && params.per_entity_cap >= 1);
+    if let Err(e) = params.check() {
+        panic!("{e}");
+    }
     let n = g.num_entities();
     // A constant of the input size only — never of the thread count.
     let shards = 256.min(n.max(1));
@@ -451,19 +468,18 @@ impl MappedChainIndex {
         let n = pv[0];
         let n_attrs = pv[1];
         let n_rel_tokens = pv[2];
-        let (max_hops, fanout, cap) = (pv[3], pv[4], pv[5]);
         let fingerprint = pv[6];
         if n > MAX_ENTITIES {
             return Err(StoreError::TooLarge { section: "params" });
         }
-        if !(1..=3).contains(&max_hops)
-            || fanout == 0
-            || cap == 0
-            || fanout > u32::MAX as u64
-            || cap > u32::MAX as u64
-            || n_attrs > MAX_ENTITIES
-            || n_rel_tokens > MAX_ENTITIES
-        {
+        // A word past `u32` reads as 0, which fails the check.
+        let word = |i: usize| u32::try_from(pv[i]).unwrap_or(0);
+        let params = IndexParams {
+            max_hops: word(3),
+            fanout: word(4),
+            per_entity_cap: word(5),
+        };
+        if params.check().is_err() || n_attrs > MAX_ENTITIES || n_rel_tokens > MAX_ENTITIES {
             return Err(StoreError::Corrupt {
                 section: "params",
                 what: "parameter out of range".into(),
@@ -508,7 +524,7 @@ impl MappedChainIndex {
                 let hops = rec[1] as u32;
                 let toks = [(rec[1] >> 32) as u32, rec[2] as u32, (rec[2] >> 32) as u32];
                 let vbits = rec[3];
-                if source >= n as u64 || attr >= n_attrs || hops as u64 > max_hops {
+                if source >= n as u64 || attr >= n_attrs || hops > params.max_hops {
                     return Err(StoreError::Corrupt {
                         section: "entries",
                         what: "entry id or hop count out of range".into(),
@@ -540,11 +556,7 @@ impl MappedChainIndex {
 
         Ok(MappedChainIndex {
             mem,
-            params: IndexParams {
-                max_hops: max_hops as u32,
-                fanout: fanout as u32,
-                per_entity_cap: cap as u32,
-            },
+            params,
             fingerprint,
             n_entities: n,
             offsets: offsets_b,

@@ -33,21 +33,30 @@ impl std::str::FromStr for ArrivalProcess {
     }
 }
 
+/// `Ok` for the rates [`arrival_offsets_us`] accepts (finite and positive),
+/// else an error naming `rate_hz`.
+pub fn check_rate(rate_hz: f64) -> Result<(), String> {
+    if rate_hz.is_finite() && rate_hz > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("arrival rate must be positive, got {rate_hz}"))
+    }
+}
+
 /// Microsecond offsets (from run start) of `n` arrivals at `rate_hz`.
 /// Offsets are non-decreasing; the gap accumulator runs in f64 and is
 /// rounded once per event, so rounding error never drifts the rate.
 ///
-/// Panics if `rate_hz` is not finite and positive.
+/// Panics if `rate_hz` fails [`check_rate`].
 pub fn arrival_offsets_us(
     kind: ArrivalProcess,
     rate_hz: f64,
     n: usize,
     rng: &mut StdRng,
 ) -> Vec<u64> {
-    assert!(
-        rate_hz.is_finite() && rate_hz > 0.0,
-        "arrival rate must be positive, got {rate_hz}"
-    );
+    if let Err(e) = check_rate(rate_hz) {
+        panic!("{e}");
+    }
     let mean_gap_us = 1e6 / rate_hz;
     let mut at = 0.0f64;
     let mut out = Vec::with_capacity(n);

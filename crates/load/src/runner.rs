@@ -12,7 +12,7 @@ use crate::plan::{Event, EventKind};
 use cf_kg::GraphView;
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
-use cf_serve::protocol::{parse_json, Json};
+use cf_serve::protocol::{escape, parse_json, Json};
 use cf_serve::Histogram;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -95,19 +95,6 @@ pub fn render_events(
                     is_mutate: true,
                 });
             }
-        }
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out

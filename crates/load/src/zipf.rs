@@ -9,6 +9,16 @@
 use cf_rand::rngs::StdRng;
 use cf_rand::Rng;
 
+/// `Ok` for the exponents [`ZipfSampler::new`] accepts (finite and
+/// non-negative), else an error naming `s`.
+pub fn check_exponent(s: f64) -> Result<(), String> {
+    if s.is_finite() && s >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("zipf exponent must be ≥ 0, got {s}"))
+    }
+}
+
 /// Samples ranks `0..n` with probability ∝ `1/(rank+1)^s` by inverse-CDF
 /// lookup. Construction is O(n) and sampling is O(log n); the CDF is built
 /// once per plan, so a million-entity store costs one pass.
@@ -20,11 +30,13 @@ pub struct ZipfSampler {
 
 impl ZipfSampler {
     /// Builds the sampler over `n` ranks with exponent `s` (`s = 0` is
-    /// uniform, `s ≈ 1` is classic zipf). Panics if `n == 0` or `s` is not
-    /// finite and non-negative.
+    /// uniform, `s ≈ 1` is classic zipf). Panics if `n == 0` or `s` fails
+    /// [`check_exponent`].
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "cannot sample from an empty population");
-        assert!(s.is_finite() && s >= 0.0, "zipf exponent must be ≥ 0");
+        if let Err(e) = check_exponent(s) {
+            panic!("{e}");
+        }
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
         for k in 0..n {

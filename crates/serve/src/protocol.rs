@@ -88,38 +88,58 @@ pub enum Command {
 /// request. Errors are human-readable — the server turns them into
 /// structured `ok:false` responses.
 pub fn parse_command(line: &str) -> Result<Command, String> {
-    let v = parse_json(line)?;
-    let Json::Obj(obj) = v else {
-        return Err("request must be a JSON object".into());
-    };
+    let obj = parse_object(line)?;
     if let Some(r) = obj.get("reload") {
         let Json::Str(ckpt) = r else {
             return Err("field \"reload\" must be a string path".into());
         };
-        let id = match obj.get("id") {
-            None | Some(Json::Null) => None,
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            Some(_) => return Err("field \"id\" must be a non-negative integer".into()),
-        };
         return Ok(Command::Reload {
             ckpt: ckpt.clone(),
-            id,
+            id: field_u64(&obj, "id")?,
         });
     }
     if let Some(m) = obj.get("mutate") {
-        let id = parse_id(&obj)?;
+        let id = field_u64(&obj, "id")?;
         let muts = parse_mutations(m)?;
         return Ok(Command::Mutate { muts, id });
     }
-    parse_request(line).map(Command::Predict)
+    request_of(obj).map(Command::Predict)
 }
 
-fn parse_id(obj: &HashMap<String, Json>) -> Result<Option<u64>, String> {
-    match obj.get("id") {
+/// Parses a line that must hold one JSON object.
+fn parse_object(line: &str) -> Result<HashMap<String, Json>, String> {
+    match parse_json(line)? {
+        Json::Obj(obj) => Ok(obj),
+        _ => Err("request must be a JSON object".into()),
+    }
+}
+
+/// An optional non-negative integer field: absent or `null` is `None`.
+fn field_u64(obj: &HashMap<String, Json>, k: &str) -> Result<Option<u64>, String> {
+    match obj.get(k) {
         None | Some(Json::Null) => Ok(None),
         Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-        Some(_) => Err("field \"id\" must be a non-negative integer".into()),
+        Some(_) => Err(format!("field {k:?} must be a non-negative integer")),
     }
+}
+
+/// The prediction request a parsed line's object holds.
+fn request_of(mut obj: HashMap<String, Json>) -> Result<Request, String> {
+    let mut field_str = |k: &str| -> Result<String, String> {
+        match obj.remove(k) {
+            Some(Json::Str(s)) => Ok(s),
+            Some(_) => Err(format!("field {k:?} must be a string")),
+            None => Err(format!("missing field {k:?}")),
+        }
+    };
+    let entity = field_str("entity")?;
+    let attr = field_str("attr")?;
+    Ok(Request {
+        entity,
+        attr,
+        id: field_u64(&obj, "id")?,
+        deadline_ms: field_u64(&obj, "deadline_ms")?,
+    })
 }
 
 /// Parses the body of a `"mutate"` key: one mutation object or an array of
@@ -203,30 +223,7 @@ pub fn mutate_ok_response(id: Option<u64>, applied: usize, changed: usize) -> St
 /// Parses one request line. Returns a human-readable error for malformed
 /// input — the server turns it into a structured `ok:false` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = parse_json(line)?;
-    let Json::Obj(obj) = v else {
-        return Err("request must be a JSON object".into());
-    };
-    let field_str = |k: &str| -> Result<String, String> {
-        match obj.get(k) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            Some(_) => Err(format!("field {k:?} must be a string")),
-            None => Err(format!("missing field {k:?}")),
-        }
-    };
-    let field_u64 = |k: &str| -> Result<Option<u64>, String> {
-        match obj.get(k) {
-            None | Some(Json::Null) => Ok(None),
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-            Some(_) => Err(format!("field {k:?} must be a non-negative integer")),
-        }
-    };
-    Ok(Request {
-        entity: field_str("entity")?,
-        attr: field_str("attr")?,
-        id: field_u64("id")?,
-        deadline_ms: field_u64("deadline_ms")?,
-    })
+    request_of(parse_object(line)?)
 }
 
 /// Serializes a success response.
@@ -280,7 +277,11 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for the body of a JSON string literal: `"` and `\`, the
+/// short forms `\n`, `\r` and `\t`, and `\u00XX` for the other control
+/// characters. Error responses and load-generator request lines
+/// both render names through it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

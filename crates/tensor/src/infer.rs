@@ -14,16 +14,18 @@
 //! ## Bitwise contract
 //!
 //! `InferCtx` does not approximate the taped forward — it *is* the taped
-//! forward. Every op either calls the very same kernel ([`Tensor::matmul`],
-//! [`Tensor::bmm`], `softmax_row`, `layer_norm_rows`, `gelu_in_place`, `tanh`,
-//! `attn_probs_forward`/`attn_merge_forward`) or repeats the same elementwise
-//! expression in the same evaluation order, so a model evaluated through
-//! `InferCtx` produces bit-identical outputs to the taped graph. The one
-//! fused op is [`Forward::linear`]: `InferCtx` reads the weight and bias in
-//! place and adds the bias into the GEMM's own output buffer, which is the
-//! composed path's `matmul_into` then `add_bias_rows` minus its copies. The
-//! equivalence tests below and the model-shape test in `chainsformer` pin
-//! this.
+//! forward. Each op's value is written once, as a crate-private `*_fwd`
+//! function in its `crate::ops` module (or one `Tensor` call: `map`/`zip`
+//! with a one-operator closure, `matmul`, `bmm`, `reshape`); the `Tape`
+//! method calls it and attaches a backward rule, `InferCtx` calls it and
+//! pushes the value. What differs is only what a backward pass would need:
+//! GELU skips the taped op's `tanh` cache (both loops share `gelu_tanh`), and
+//! layer norm's `1/σ` and attention's probabilities go back to the pool at
+//! once. The one fused op is [`Forward::linear`]: `InferCtx` reads the weight
+//! and bias in place and adds the bias into the GEMM's own output buffer,
+//! which is the composed path's `matmul_into` then `add_bias_rows` minus its
+//! copies. The equivalence tests below and the model-shape test in
+//! `chainsformer` pin this.
 //!
 //! ## Int8
 //!
@@ -34,9 +36,14 @@
 //! and every weight without a twin, stays f32; `crate::quant` has the scale
 //! scheme.
 
-use crate::ops::attn::{attn_merge_forward, attn_probs_forward};
-use crate::ops::elementwise::{add_bias_rows, gelu_in_place, tanh};
-use crate::ops::reduce::{layer_norm_rows, softmax_row};
+use crate::ops::attn::fused_attention_fwd;
+use crate::ops::elementwise::{
+    add_bias_fwd, add_bias_into, gelu_in_place, mul_bcast_row_fwd, scale_rows_fwd, sigmoid, tanh,
+};
+use crate::ops::reduce::{layer_norm_last_fwd, softmax_last_fwd, sum_all_fwd, sum_dim1_fwd};
+use crate::ops::shape_ops::{
+    concat_last_fwd, row_fwd, select_rows_fwd, slice_last_fwd, stack_rows_fwd,
+};
 use crate::params::{ParamId, ParamStore};
 use crate::quant::QuantizedParamStore;
 use crate::shape::Shape;
@@ -329,51 +336,18 @@ impl Forward for InferCtx {
     }
 
     fn add_bias(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let bv = self.value(b);
-        assert_eq!(
-            bv.shape().numel(),
-            d,
-            "add_bias: bias length {} != last dim {d}",
-            bv.numel()
-        );
-        let mut out = av.clone();
-        let rows = out.shape().leading();
-        crate::ops::elementwise::add_bias_rows(out.data_mut(), bv.data(), rows, d);
-        self.push(out)
+        let value = add_bias_fwd(self.value(a), self.value(b));
+        self.push(value)
     }
 
     fn mul_bcast_row(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let bv = self.value(b);
-        assert_eq!(
-            bv.shape().numel(),
-            d,
-            "mul_bcast_row: length {} != last dim {d}",
-            bv.numel()
-        );
-        let mut out = av.clone();
-        let rows = out.shape().leading();
-        crate::ops::elementwise::mul_rows(out.data_mut(), bv.data(), rows, d);
-        self.push(out)
+        let value = mul_bcast_row_fwd(self.value(a), self.value(b));
+        self.push(value)
     }
 
     fn scale_rows(&mut self, a: Var, w: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let wv = self.value(w);
-        assert_eq!(
-            wv.numel(),
-            rows,
-            "scale_rows: weights {} != rows {rows}",
-            wv.numel()
-        );
-        let mut out = av.clone();
-        crate::ops::elementwise::scale_rows_inplace(out.data_mut(), wv.data(), rows, d);
-        self.push(out)
+        let value = scale_rows_fwd(self.value(a), self.value(w));
+        self.push(value)
     }
 
     fn relu(&mut self, a: Var) -> Var {
@@ -381,6 +355,7 @@ impl Forward for InferCtx {
         self.push(value)
     }
 
+    /// GELU without the taped op's `tanh` cache: no backward reads it.
     fn gelu(&mut self, a: Var) -> Var {
         let mut value = self.value(a).clone();
         gelu_in_place(value.data_mut());
@@ -393,7 +368,7 @@ impl Forward for InferCtx {
     }
 
     fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.value(a).map(sigmoid);
         self.push(value)
     }
 
@@ -413,119 +388,50 @@ impl Forward for InferCtx {
     }
 
     fn slice_last(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        assert!(
-            start + len <= d,
-            "slice_last [{start},{}) out of last dim {d}",
-            start + len
-        );
-        let rows = av.shape().leading();
-        let mut out = crate::pool::take_f32(rows * len);
-        for r in 0..rows {
-            out.extend_from_slice(&av.data()[r * d + start..r * d + start + len]);
-        }
-        let shape = av.shape().with_last(len);
-        self.push(Tensor::new(shape, out))
+        let value = slice_last_fwd(self.value(a), start, len);
+        self.push(value)
     }
 
     fn concat_last(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_last of zero tensors");
-        let rows = self.value(parts[0]).shape().leading();
-        let mut widths = crate::pool::ScratchUsize::with_capacity(parts.len());
-        for &p in parts {
-            widths.push(self.value(p).shape().last_dim());
-            assert_eq!(
-                self.value(p).shape().leading(),
-                rows,
-                "concat_last leading-dim mismatch"
-            );
-        }
-        let total: usize = widths.iter().sum();
-        let mut out = crate::pool::take_f32(rows * total);
-        for r in 0..rows {
-            for (&p, &w) in parts.iter().zip(widths.iter()) {
-                let v = self.value(p);
-                out.extend_from_slice(&v.data()[r * w..(r + 1) * w]);
-            }
-        }
-        let shape = self.value(parts[0]).shape().with_last(total);
-        self.push(Tensor::new(shape, out))
+        let value = concat_last_fwd(parts, |p| self.value(p));
+        self.push(value)
     }
 
     fn select_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let mut out = crate::pool::take_f32(indices.len() * d);
-        for &i in indices {
-            assert!(i < rows, "select_rows index {i} out of {rows} rows");
-            out.extend_from_slice(&av.data()[i * d..(i + 1) * d]);
-        }
-        self.push(Tensor::new([indices.len(), d], out))
+        let value = select_rows_fwd(self.value(a), indices);
+        self.push(value)
     }
 
     fn stack_rows(&mut self, rows: &[Var]) -> Var {
-        assert!(!rows.is_empty(), "stack_rows of zero vectors");
-        let d = self.value(rows[0]).numel();
-        let mut out = crate::pool::take_f32(rows.len() * d);
-        for &r in rows {
-            let v = self.value(r);
-            assert_eq!(v.numel(), d, "stack_rows length mismatch");
-            out.extend_from_slice(v.data());
-        }
-        self.push(Tensor::new([rows.len(), d], out))
+        let value = stack_rows_fwd(rows, |r| self.value(r));
+        self.push(value)
     }
 
     fn row(&mut self, a: Var, i: usize) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let mut data = crate::pool::take_f32(d);
-        data.extend_from_slice(av.row(i));
-        let value = Tensor::new([d], data);
+        let value = row_fwd(self.value(a), i);
         self.push(value)
     }
 
     fn sum_all(&mut self, a: Var) -> Var {
-        let value = Tensor::scalar(self.value(a).sum());
+        let value = sum_all_fwd(self.value(a));
         self.push(value)
     }
 
     fn sum_dim1(&mut self, a: Var) -> Var {
-        let (b, tt, d) = self.value(a).shape().as_batch_matrix();
-        let av = self.value(a);
-        let mut out = crate::pool::take_f32_zeroed(b * d);
-        for bi in 0..b {
-            for ti in 0..tt {
-                let base = (bi * tt + ti) * d;
-                for j in 0..d {
-                    out[bi * d + j] += av.data()[base + j];
-                }
-            }
-        }
-        self.push(Tensor::new([b, d], out))
+        let value = sum_dim1_fwd(self.value(a));
+        self.push(value)
     }
 
     fn softmax_last(&mut self, a: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let mut out = av.clone();
-        for r in 0..rows {
-            softmax_row(&mut out.data_mut()[r * d..(r + 1) * d]);
-        }
-        self.push(out)
+        let value = softmax_last_fwd(self.value(a));
+        self.push(value)
     }
 
     fn layer_norm_last(&mut self, a: Var, eps: f32) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let mut out = av.clone();
-        // The per-row 1/σ is backward-only state; recycle it immediately so
-        // the serve path doesn't bleed one pooled buffer per layer-norm.
-        crate::pool::recycle_f32(layer_norm_rows(out.data_mut(), rows, d, eps));
-        self.push(out)
+        // The per-row 1/σ is backward-only state: it goes back to the pool
+        // here, so the serve path doesn't bleed one buffer per layer norm.
+        let (value, _) = layer_norm_last_fwd(self.value(a), eps);
+        self.push(value)
     }
 
     fn fused_attention(
@@ -537,42 +443,17 @@ impl Forward for InferCtx {
         scale: f32,
         add_mask: Option<&Tensor>,
     ) -> Var {
-        let (bsz, seq, d) = self.value(q).shape().as_batch_matrix();
-        assert_eq!(
-            self.value(k).shape(),
-            self.value(q).shape(),
-            "fused_attention q/k shape mismatch"
-        );
-        assert_eq!(
-            self.value(v).shape(),
-            self.value(q).shape(),
-            "fused_attention q/v shape mismatch"
-        );
-        assert!(
-            heads > 0 && d % heads == 0,
-            "dim {d} not divisible by heads {heads}"
-        );
-        if let Some(m) = add_mask {
-            assert_eq!(
-                m.shape().as_batch_matrix(),
-                (bsz, seq, seq),
-                "fused_attention mask shape mismatch"
-            );
-        }
-        // Pooled scratch: the probabilities are only an intermediate here
-        // (no backward pass), so they recycle as soon as the merge is done.
-        let probs = crate::pool::ScratchF32(attn_probs_forward(
-            self.value(q).data(),
-            self.value(k).data(),
-            add_mask,
-            bsz,
-            seq,
-            d,
+        // The probabilities are only an intermediate here (no backward
+        // pass), so they go back to the pool as soon as the merge is done.
+        let (_, merged) = fused_attention_fwd(
+            self.value(q),
+            self.value(k),
+            self.value(v),
             heads,
             scale,
-        ));
-        let merged = attn_merge_forward(&probs, self.value(v).data(), bsz, seq, d, heads);
-        self.push(Tensor::new([bsz, seq, d], merged))
+            add_mask,
+        );
+        self.push(merged)
     }
 
     /// The composed `linear` without its copies: no parameter clones, no
@@ -593,20 +474,13 @@ impl Forward for InferCtx {
             shape.last_dim()
         );
         let rows = shape.leading();
-        let mut out = crate::pool::take_f32_zeroed(rows * n);
+        let mut out = crate::pool::take_zeroed(rows * n);
         match self.weights.as_deref().and_then(|q| q.entry(w.index())) {
             Some(qw) => qw.matmul_rows_into(xv.data(), rows, &mut out),
             None => matmul_into(xv.data(), wv.data(), &mut out, rows, k, n),
         }
         if let Some(b) = b {
-            let bv = ps.get(b);
-            assert_eq!(
-                bv.shape().numel(),
-                n,
-                "add_bias: bias length {} != last dim {n}",
-                bv.numel()
-            );
-            add_bias_rows(&mut out, bv.data(), rows, n);
+            add_bias_into(&mut out, ps.get(b), rows, n);
         }
         self.push(Tensor::new(shape.with_last(n), out))
     }

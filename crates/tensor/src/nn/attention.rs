@@ -55,7 +55,7 @@ impl KeyMask<'_> {
     /// The `[B, seq, seq]` additive logit mask (0 where valid, `-1e9` where
     /// not), built in pooled storage.
     fn additive(&self, b: usize, seq: usize) -> Tensor {
-        let mut data = crate::pool::take_f32_zeroed(b * seq * seq);
+        let mut data = crate::pool::take_zeroed(b * seq * seq);
         for bi in 0..b {
             for qi in 0..seq {
                 for ki in 0..seq {

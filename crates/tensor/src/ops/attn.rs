@@ -40,41 +40,16 @@ impl Tape {
         scale: f32,
         add_mask: Option<&Tensor>,
     ) -> Var {
-        let (bsz, seq, d) = self.value(q).shape().as_batch_matrix();
-        assert_eq!(
-            self.value(k).shape(),
-            self.value(q).shape(),
-            "fused_attention q/k shape mismatch"
-        );
-        assert_eq!(
-            self.value(v).shape(),
-            self.value(q).shape(),
-            "fused_attention q/v shape mismatch"
-        );
-        assert!(
-            heads > 0 && d % heads == 0,
-            "dim {d} not divisible by heads {heads}"
-        );
-        if let Some(m) = add_mask {
-            assert_eq!(
-                m.shape().as_batch_matrix(),
-                (bsz, seq, seq),
-                "fused_attention mask shape mismatch"
-            );
-        }
-        // Node 1: probs[(bi·H + h), i, j] = softmax_j(scale·⟨q_i, k_j⟩ + m_ij)
-        // over head band h of rows i, j.
-        let probs = attn_probs_forward(
-            self.value(q).data(),
-            self.value(k).data(),
-            add_mask,
-            bsz,
-            seq,
-            d,
+        let (probs, merged) = fused_attention_fwd(
+            self.value(q),
+            self.value(k),
+            self.value(v),
             heads,
             scale,
+            add_mask,
         );
-        let pnode = self.push_value(Tensor::new([bsz * heads, seq, seq], probs));
+        // Node 1: the probabilities.
+        let pnode = self.push_value(probs);
         self.set_bwd(pnode, move |g, t, grads| {
             let qv = t.value(q);
             let kv = t.value(k);
@@ -84,7 +59,7 @@ impl Tape {
             // gradient: ds = scale·(y ⊙ (g − ⟨y, g⟩)) per row, the exact
             // composition of the softmax_last and mul_scalar rules.
             let rows = bsz * heads * seq;
-            let mut ds = crate::pool::ScratchF32::zeroed(rows * seq);
+            let mut ds = crate::pool::Scratch::<f32>::zeroed(rows * seq);
             attn_dscore_rows(y.data(), g.data(), &mut ds, rows, seq, scale);
             let q_shape = *qv.shape();
             grads.accumulate_with(q, &q_shape, |dst| {
@@ -96,18 +71,8 @@ impl Tape {
             });
         });
 
-        // Node 2: merged[bi, i, h·d_h + p] = Σ_t probs[(bi·H + h), i, t]·V[t]
-        // — the per-head context vectors written straight into their packed
-        // `[B, T, d]` bands (what concat_last assembled before).
-        let merged = attn_merge_forward(
-            self.value(pnode).data(),
-            self.value(v).data(),
-            bsz,
-            seq,
-            d,
-            heads,
-        );
-        self.push_bwd(Tensor::new([bsz, seq, d], merged), move |g, t, grads| {
+        // Node 2: the merged context.
+        self.push_bwd(merged, move |g, t, grads| {
             let pv = t.value(pnode);
             let vv = t.value(v);
             let (bsz, seq, d) = vv.shape().as_batch_matrix();
@@ -152,51 +117,66 @@ fn par_ranges(n: usize, flops: usize, f: impl Fn(usize, usize) + Sync) {
     }
 }
 
-/// Forward half of the probability node: `softmax_j(scale·⟨q_i, k_j⟩ + m_ij)`
-/// per head band, producing the flat `[B·H, T, T]` buffer. Shared with the
-/// tape-free path ([`crate::infer::InferCtx`]) so both stay bitwise identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attn_probs_forward(
-    qd: &[f32],
-    kd: &[f32],
-    add_mask: Option<&Tensor>,
-    bsz: usize,
-    seq: usize,
-    d: usize,
+/// Forward values of [`Tape::fused_attention`]: the `[B·H, T, T]`
+/// probabilities and the merged `[B, T, d]` context computed from them.
+pub(crate) fn fused_attention_fwd(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
     heads: usize,
     scale: f32,
-) -> Vec<f32> {
-    let dh = d / heads;
-    let block = heads * seq * seq;
-    let mut probs = crate::pool::take_f32_zeroed(bsz * block);
+    add_mask: Option<&Tensor>,
+) -> (Tensor, Tensor) {
+    let (bsz, seq, d) = q.shape().as_batch_matrix();
+    assert_eq!(k.shape(), q.shape(), "fused_attention q/k shape mismatch");
+    assert_eq!(v.shape(), q.shape(), "fused_attention q/v shape mismatch");
+    assert!(
+        heads > 0 && d % heads == 0,
+        "dim {d} not divisible by heads {heads}"
+    );
+    if let Some(m) = add_mask {
+        assert_eq!(
+            m.shape().as_batch_matrix(),
+            (bsz, seq, seq),
+            "fused_attention mask shape mismatch"
+        );
+    }
+    // probs[(bi·H + h), i, j] = softmax_j(scale·⟨q_i, k_j⟩ + m_ij) over head
+    // band h of rows i, j.
+    let pblock = heads * seq * seq;
+    let mut probs = crate::pool::take_zeroed(bsz * pblock);
     let shared = crate::pool::SharedMut::new(&mut probs);
-    par_ranges(bsz, bsz * block * dh, |b0, b1| {
+    par_ranges(bsz, bsz * pblock * (d / heads), |b0, b1| {
         // SAFETY: batch blocks are contiguous and disjoint across slices.
-        let out = unsafe { shared.get(b0 * block, (b1 - b0) * block) };
-        attn_probs_range(qd, kd, add_mask, out, b0, b1, seq, d, heads, scale);
+        let out = unsafe { shared.get(b0 * pblock, (b1 - b0) * pblock) };
+        attn_probs_range(
+            q.data(),
+            k.data(),
+            add_mask,
+            out,
+            b0,
+            b1,
+            seq,
+            d,
+            heads,
+            scale,
+        );
     });
-    probs
-}
-
-/// Forward half of the merge node: per-head context vectors written straight
-/// into their packed `[B, T, d]` bands. Shared with the tape-free path.
-pub(crate) fn attn_merge_forward(
-    pd: &[f32],
-    vd: &[f32],
-    bsz: usize,
-    seq: usize,
-    d: usize,
-    heads: usize,
-) -> Vec<f32> {
-    let block = seq * d;
-    let mut merged = crate::pool::take_f32_zeroed(bsz * block);
+    // merged[bi, i, h·d_h + p] = Σ_t probs[(bi·H + h), i, t]·V[t] — the
+    // per-head context vectors written straight into their packed `[B, T, d]`
+    // bands (what concat_last assembled before).
+    let mblock = seq * d;
+    let mut merged = crate::pool::take_zeroed(bsz * mblock);
     let shared = crate::pool::SharedMut::new(&mut merged);
     par_ranges(bsz, bsz * seq * seq * d, |b0, b1| {
         // SAFETY: batch blocks are contiguous and disjoint across slices.
-        let out = unsafe { shared.get(b0 * block, (b1 - b0) * block) };
-        attn_merge_range(pd, vd, out, b0, b1, seq, d, heads);
+        let out = unsafe { shared.get(b0 * mblock, (b1 - b0) * mblock) };
+        attn_merge_range(&probs, v.data(), out, b0, b1, seq, d, heads);
     });
-    merged
+    (
+        Tensor::new([bsz * heads, seq, seq], probs),
+        Tensor::new([bsz, seq, d], merged),
+    )
 }
 
 /// Backward of the softmax-probability node folded with the `scale` factor:
@@ -294,8 +274,8 @@ pub(crate) fn attn_dv(
 
 crate::simd_hot! {
 
-/// [`attn_probs_forward`] over batches `b0..b1`; `probs` is that batch
-/// band's contiguous `[(b1-b0)·H, T, T]` block.
+/// The probabilities of [`fused_attention_fwd`] over batches `b0..b1`;
+/// `probs` is that batch band's contiguous `[(b1-b0)·H, T, T]` block.
 #[allow(clippy::too_many_arguments)]
 fn attn_probs_range(
     qd: &[f32],
@@ -334,8 +314,8 @@ fn attn_probs_range(
     }
 }
 
-/// [`attn_merge_forward`] over batches `b0..b1`; `merged` is that band's
-/// contiguous `[(b1-b0), T, d]` block.
+/// The merged context of [`fused_attention_fwd`] over batches `b0..b1`;
+/// `merged` is that band's contiguous `[(b1-b0), T, d]` block.
 fn attn_merge_range(
     pd: &[f32],
     vd: &[f32],

@@ -80,22 +80,11 @@ impl Tape {
 
     /// Row-broadcast add: `a[.., d] + b[d]`.
     pub fn add_bias(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let bv = self.value(b);
-        assert_eq!(
-            bv.shape().numel(),
-            d,
-            "add_bias: bias length {} != last dim {d}",
-            bv.numel()
-        );
-        let mut out = av.clone();
-        let rows = out.shape().leading();
-        add_bias_rows(out.data_mut(), bv.data(), rows, d);
+        let out = add_bias_fwd(self.value(a), self.value(b));
         self.push_bwd(out, move |g, _t, grads| {
             grads.accumulate_in_place(a, g);
             let d = g.shape().last_dim();
-            let mut db = crate::pool::take_f32_zeroed(d);
+            let mut db = crate::pool::take_zeroed(d);
             colsum_rows(g.data(), &mut db, g.shape().leading(), d);
             grads.accumulate(b, Tensor::new([d], db));
         })
@@ -103,25 +92,14 @@ impl Tape {
 
     /// Row-broadcast multiply: `a[.., d] ⊙ b[d]`.
     pub fn mul_bcast_row(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let bv = self.value(b);
-        assert_eq!(
-            bv.shape().numel(),
-            d,
-            "mul_bcast_row: length {} != last dim {d}",
-            bv.numel()
-        );
-        let mut out = av.clone();
-        let rows = out.shape().leading();
-        mul_rows(out.data_mut(), bv.data(), rows, d);
+        let out = mul_bcast_row_fwd(self.value(a), self.value(b));
         self.push_bwd(out, move |g, t, grads| {
             let d = g.shape().last_dim();
             let rows = g.shape().leading();
             let bv = t.value(b);
             let av = t.value(a);
             let mut da = g.clone();
-            let mut db = crate::pool::take_f32_zeroed(d);
+            let mut db = crate::pool::take_zeroed(d);
             mul_bcast_backward_rows(
                 da.data_mut(),
                 &mut db,
@@ -142,25 +120,14 @@ impl Tape {
     /// This is the workhorse for masking, attention-weighted sums and
     /// per-chain weighting.
     pub fn scale_rows(&mut self, a: Var, w: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let wv = self.value(w);
-        assert_eq!(
-            wv.numel(),
-            rows,
-            "scale_rows: weights {} != rows {rows}",
-            wv.numel()
-        );
-        let mut out = av.clone();
-        scale_rows_inplace(out.data_mut(), wv.data(), rows, d);
+        let out = scale_rows_fwd(self.value(a), self.value(w));
         self.push_bwd(out, move |g, t, grads| {
             let av = t.value(a);
             let wv = t.value(w);
             let d = av.shape().last_dim();
             let rows = av.shape().leading();
             let mut da = g.clone();
-            let mut dw = crate::pool::take_f32_zeroed(rows);
+            let mut dw = crate::pool::take_zeroed(rows);
             scale_rows_backward(
                 da.data_mut(),
                 &mut dw,
@@ -192,7 +159,7 @@ impl Tape {
     pub fn gelu(&mut self, a: Var) -> Var {
         let av = self.value(a);
         let mut value = av.clone();
-        let mut th = crate::pool::ScratchF32::zeroed(av.numel());
+        let mut th = crate::pool::Scratch::<f32>::zeroed(av.numel());
         gelu_forward_cached(value.data_mut(), &mut th);
         self.push_bwd(value, move |g, t, grads| {
             let av = t.value(a);
@@ -217,7 +184,7 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.value(a).map(sigmoid);
         let out = self.push_value(value);
         self.set_bwd(out, move |g, t, grads| {
             grads.accumulate(a, g.zip(t.value(out), |gi, y| gi * y * (1.0 - y)));
@@ -255,7 +222,7 @@ impl Tape {
         }
         let keep = 1.0 - p;
         let av = self.value(a);
-        let mut mask = crate::pool::take_f32(av.numel());
+        let mut mask = crate::pool::take(av.numel());
         mask.extend((0..av.numel()).map(|_| {
             if rng.gen::<f32>() < keep {
                 1.0 / keep
@@ -269,6 +236,55 @@ impl Tape {
             grads.accumulate(a, g.zip(&mask, |gi, m| gi * m));
         })
     }
+}
+
+/// Forward value of [`Tape::add_bias`]: `a` with `b` added to every row.
+pub(crate) fn add_bias_fwd(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = a.clone();
+    add_bias_into(out.data_mut(), b, a.shape().leading(), a.shape().last_dim());
+    out
+}
+
+/// Adds the bias `b` (length `d`) to every row of `data` viewed as
+/// `[rows, d]`: the bias step of [`Tape::add_bias`] and of the fused
+/// [`crate::Forward::linear`].
+pub(crate) fn add_bias_into(data: &mut [f32], b: &Tensor, rows: usize, d: usize) {
+    assert_eq!(
+        b.shape().numel(),
+        d,
+        "add_bias: bias length {} != last dim {d}",
+        b.numel()
+    );
+    add_bias_rows(data, b.data(), rows, d);
+}
+
+/// Forward value of [`Tape::mul_bcast_row`]: every row of `a` times `b`.
+pub(crate) fn mul_bcast_row_fwd(a: &Tensor, b: &Tensor) -> Tensor {
+    let d = a.shape().last_dim();
+    assert_eq!(
+        b.shape().numel(),
+        d,
+        "mul_bcast_row: length {} != last dim {d}",
+        b.numel()
+    );
+    let mut out = a.clone();
+    mul_rows(out.data_mut(), b.data(), a.shape().leading(), d);
+    out
+}
+
+/// Forward value of [`Tape::scale_rows`]: row `r` of `a` times `w[r]`.
+pub(crate) fn scale_rows_fwd(a: &Tensor, w: &Tensor) -> Tensor {
+    let d = a.shape().last_dim();
+    let rows = a.shape().leading();
+    assert_eq!(
+        w.numel(),
+        rows,
+        "scale_rows: weights {} != rows {rows}",
+        w.numel()
+    );
+    let mut out = a.clone();
+    scale_rows_inplace(out.data_mut(), w.data(), rows, d);
+    out
 }
 
 crate::simd_hot! {
@@ -406,6 +422,13 @@ pub(crate) fn tanh(x: f32) -> f32 {
         + 1.0;
     // The fit keeps |t| ≤ 1 on its own; the clamp makes that structural.
     ((x * p / q) as f32).clamp(-1.0, 1.0)
+}
+
+/// Logistic sigmoid `1 / (1 + e^-x)`: the one formula behind
+/// [`Tape::sigmoid`] and [`crate::infer::InferCtx`].
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
 }
 
 /// The `tanh` inside the GELU approximation, `tanh(√(2/π)·(x + 0.044715x³))`.

@@ -23,8 +23,7 @@ impl Tape {
             );
             total_rows += s.dim(0);
         }
-        let mut data =
-            crate::pool::take_f32(total_rows * trailing.iter().product::<usize>().max(1));
+        let mut data = crate::pool::take(total_rows * trailing.iter().product::<usize>().max(1));
         for &p in parts {
             data.extend_from_slice(self.value(p).data());
         }
@@ -32,13 +31,7 @@ impl Tape {
         dims[..first_shape.rank()].copy_from_slice(first_shape.dims());
         dims[0] = total_rows;
         let shape = crate::shape::Shape::new(&dims[..first_shape.rank()]);
-        let parts = crate::pool::ScratchUsize(parts.iter().fold(
-            crate::pool::take_usize(parts.len()),
-            |mut v, p| {
-                v.push(p.0);
-                v
-            },
-        ));
+        let parts = crate::pool::Scratch::collect(parts.iter().map(|p| p.0));
         self.push_bwd(Tensor::new(shape, data), move |g, t, grads| {
             let mut offset = 0usize;
             for &p in parts.iter() {
@@ -138,8 +131,8 @@ impl Tape {
         let av = self.value(a);
         let d = av.shape().last_dim();
         let rows = av.shape().leading();
-        let mut maxima = crate::pool::take_f32(rows);
-        let mut arg = crate::pool::ScratchUsize::with_capacity(rows);
+        let mut maxima = crate::pool::take(rows);
+        let mut arg = crate::pool::Scratch::<usize>::with_capacity(rows);
         for r in 0..rows {
             let slice = &av.data()[r * d..(r + 1) * d];
             let (i, &m) = slice

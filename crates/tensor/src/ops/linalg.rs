@@ -45,7 +45,7 @@ impl Tape {
             self.value(a).shape(),
             self.value(b).shape()
         );
-        let mut out = crate::pool::take_f32_zeroed(m * n);
+        let mut out = crate::pool::take_zeroed(m * n);
         matmul_into_at(
             self.value(a).data(),
             self.value(b).data(),
@@ -83,7 +83,7 @@ impl Tape {
             self.value(a).shape(),
             self.value(b).shape()
         );
-        let mut out = crate::pool::take_f32_zeroed(m * n);
+        let mut out = crate::pool::take_zeroed(m * n);
         matmul_into_bt(
             self.value(a).data(),
             self.value(b).data(),
@@ -171,7 +171,7 @@ impl Tape {
             self.value(a).shape(),
             self.value(b).shape()
         );
-        let mut out = crate::pool::take_f32_zeroed(bs * m * n);
+        let mut out = crate::pool::take_zeroed(bs * m * n);
         {
             let sh = SharedMut::new(&mut out);
             let (ad, bd) = (self.value(a).data(), self.value(b).data());

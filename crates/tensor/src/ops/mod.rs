@@ -12,4 +12,4 @@ mod extra;
 mod linalg;
 mod loss;
 pub(crate) mod reduce;
-mod shape_ops;
+pub(crate) mod shape_ops;

@@ -6,7 +6,7 @@ use crate::tensor::Tensor;
 impl Tape {
     /// Sum of all elements, producing a scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let value = Tensor::scalar(self.value(a).sum());
+        let value = sum_all_fwd(self.value(a));
         self.push_bwd(value, move |g, t, grads| {
             let gi = g.item();
             let a_shape = *t.value(a).shape();
@@ -27,18 +27,8 @@ impl Tape {
 
     /// Sums a rank-3 tensor over its middle dimension: `[B,T,d] -> [B,d]`.
     pub fn sum_dim1(&mut self, a: Var) -> Var {
-        let (b, tt, d) = self.value(a).shape().as_batch_matrix();
-        let av = self.value(a);
-        let mut out = crate::pool::take_f32_zeroed(b * d);
-        for bi in 0..b {
-            for ti in 0..tt {
-                let base = (bi * tt + ti) * d;
-                for j in 0..d {
-                    out[bi * d + j] += av.data()[base + j];
-                }
-            }
-        }
-        self.push_bwd(Tensor::new([b, d], out), move |g, t, grads| {
+        let out = sum_dim1_fwd(self.value(a));
+        self.push_bwd(out, move |g, t, grads| {
             let (b, tt, d) = t.value(a).shape().as_batch_matrix();
             let a_shape = *t.value(a).shape();
             grads.accumulate_with(a, &a_shape, |dst| {
@@ -54,13 +44,7 @@ impl Tape {
 
     /// Row-wise softmax over the last dimension (numerically stabilized).
     pub fn softmax_last(&mut self, a: Var) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let mut out = av.clone();
-        for r in 0..rows {
-            softmax_row(&mut out.data_mut()[r * d..(r + 1) * d]);
-        }
+        let out = softmax_last_fwd(self.value(a));
         let node = self.push_value(out);
         self.set_bwd(node, move |g, t, grads| {
             let y = t.value(node);
@@ -77,13 +61,9 @@ impl Tape {
     /// Row-wise layer normalization over the last dimension, without affine
     /// parameters (compose with [`Tape::mul_bcast_row`]/[`Tape::add_bias`]).
     pub fn layer_norm_last(&mut self, a: Var, eps: f32) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let mut out = av.clone();
         // Cache per-row statistics for the backward rule. The pooled scratch
         // is recycled when the closure is dropped on tape reset.
-        let inv_stds = crate::pool::ScratchF32(layer_norm_rows(out.data_mut(), rows, d, eps));
+        let (out, inv_stds) = layer_norm_last_fwd(self.value(a), eps);
         let node = self.push_value(out);
         self.set_bwd(node, move |g, t, grads| {
             // With y = (x - μ)/σ: dx = (g - mean(g) - y·mean(g⊙y)) / σ
@@ -99,13 +79,52 @@ impl Tape {
     }
 }
 
+/// Forward value of [`Tape::sum_all`]: the sum of every element, as a scalar.
+pub(crate) fn sum_all_fwd(a: &Tensor) -> Tensor {
+    Tensor::scalar(a.sum())
+}
+
+/// Forward value of [`Tape::sum_dim1`]: `[B, T, d]` summed over `T`, tokens
+/// ascending.
+pub(crate) fn sum_dim1_fwd(a: &Tensor) -> Tensor {
+    let (b, tt, d) = a.shape().as_batch_matrix();
+    let mut out = crate::pool::take_zeroed(b * d);
+    for bi in 0..b {
+        for ti in 0..tt {
+            let base = (bi * tt + ti) * d;
+            for j in 0..d {
+                out[bi * d + j] += a.data()[base + j];
+            }
+        }
+    }
+    Tensor::new([b, d], out)
+}
+
+/// Forward value of [`Tape::softmax_last`]: [`softmax_row`] over every row.
+pub(crate) fn softmax_last_fwd(a: &Tensor) -> Tensor {
+    let d = a.shape().last_dim();
+    let mut out = a.clone();
+    for r in 0..a.shape().leading() {
+        softmax_row(&mut out.data_mut()[r * d..(r + 1) * d]);
+    }
+    out
+}
+
+/// Forward value of [`Tape::layer_norm_last`], plus the per-row `1/σ` its
+/// backward rule reads.
+pub(crate) fn layer_norm_last_fwd(a: &Tensor, eps: f32) -> (Tensor, crate::pool::Scratch<f32>) {
+    let d = a.shape().last_dim();
+    let mut out = a.clone();
+    let inv_stds = layer_norm_rows(out.data_mut(), a.shape().leading(), d, eps);
+    (out, crate::pool::Scratch(inv_stds))
+}
+
 crate::simd_hot! {
 
 /// In-place row-wise layer normalization of `data` viewed as `[rows, d]`;
-/// returns the per-row `1/σ` the backward rule needs. Shared with the
-/// tape-free path ([`crate::infer::InferCtx`]) so both stay bitwise identical.
-pub(crate) fn layer_norm_rows(data: &mut [f32], rows: usize, d: usize, eps: f32) -> Vec<f32> {
-    let mut inv_stds = crate::pool::take_f32(rows);
+/// returns the per-row `1/σ` the backward rule needs.
+fn layer_norm_rows(data: &mut [f32], rows: usize, d: usize, eps: f32) -> Vec<f32> {
+    let mut inv_stds = crate::pool::take(rows);
     for r in 0..rows {
         let slice = &mut data[r * d..(r + 1) * d];
         let mean: f32 = slice.iter().sum::<f32>() / d as f32;

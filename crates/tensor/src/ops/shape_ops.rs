@@ -17,20 +17,8 @@ impl Tape {
 
     /// Slices `len` columns starting at `start` from the last dimension.
     pub fn slice_last(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        assert!(
-            start + len <= d,
-            "slice_last [{start},{}) out of last dim {d}",
-            start + len
-        );
-        let rows = av.shape().leading();
-        let mut out = crate::pool::take_f32(rows * len);
-        for r in 0..rows {
-            out.extend_from_slice(&av.data()[r * d + start..r * d + start + len]);
-        }
-        let shape = av.shape().with_last(len);
-        self.push_bwd(Tensor::new(shape, out), move |g, t, grads| {
+        let out = slice_last_fwd(self.value(a), start, len);
+        self.push_bwd(out, move |g, t, grads| {
             let av = t.value(a);
             let d = av.shape().last_dim();
             let rows = av.shape().leading();
@@ -47,38 +35,13 @@ impl Tape {
     /// Concatenates tensors along the last dimension. All inputs must share
     /// their leading dims.
     pub fn concat_last(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_last of zero tensors");
-        let rows = self.value(parts[0]).shape().leading();
-        let mut widths = crate::pool::ScratchUsize::with_capacity(parts.len());
-        for &p in parts {
-            widths.push(self.value(p).shape().last_dim());
-            assert_eq!(
-                self.value(p).shape().leading(),
-                rows,
-                "concat_last leading-dim mismatch"
-            );
-        }
-        let total: usize = widths.iter().sum();
-        let mut out = crate::pool::take_f32(rows * total);
-        for r in 0..rows {
-            for (&p, &w) in parts.iter().zip(widths.iter()) {
-                let v = self.value(p);
-                out.extend_from_slice(&v.data()[r * w..(r + 1) * w]);
-            }
-        }
-        let shape = self.value(parts[0]).shape().with_last(total);
+        let out = concat_last_fwd(parts, |p| self.value(p));
         // `Var` is a plain index, so the capture is a pooled index buffer
         // (recycled when the closure is dropped on tape reset).
-        let parts = crate::pool::ScratchUsize(parts.iter().fold(
-            crate::pool::take_usize(parts.len()),
-            |mut v, p| {
-                v.push(p.0);
-                v
-            },
-        ));
-        self.push_bwd(Tensor::new(shape, out), move |g, t, grads| {
+        let parts = crate::pool::Scratch::collect(parts.iter().map(|p| p.0));
+        self.push_bwd(out, move |g, t, grads| {
             let rows = t.value(Var(parts[0])).shape().leading();
-            let mut widths = crate::pool::ScratchUsize::with_capacity(parts.len());
+            let mut widths = crate::pool::Scratch::<usize>::with_capacity(parts.len());
             for &p in parts.iter() {
                 widths.push(t.value(Var(p)).shape().last_dim());
             }
@@ -102,17 +65,9 @@ impl Tape {
     /// per-sequence token selection (`a` = `[B,T,d]` viewed as `[B*T, d]`).
     /// The backward pass scatter-adds, so repeated indices are safe.
     pub fn select_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let rows = av.shape().leading();
-        let mut out = crate::pool::take_f32(indices.len() * d);
-        for &i in indices {
-            assert!(i < rows, "select_rows index {i} out of {rows} rows");
-            out.extend_from_slice(&av.data()[i * d..(i + 1) * d]);
-        }
-        let n = indices.len();
-        let indices = crate::pool::ScratchUsize::copy_of(indices);
-        self.push_bwd(Tensor::new([n, d], out), move |g, t, grads| {
+        let out = select_rows_fwd(self.value(a), indices);
+        let indices = crate::pool::Scratch::collect(indices.iter().copied());
+        self.push_bwd(out, move |g, t, grads| {
             let av = t.value(a);
             let d = av.shape().last_dim();
             let a_shape = *av.shape();
@@ -128,23 +83,9 @@ impl Tape {
 
     /// Stacks rank-1 vectors of equal length into a `[k, d]` matrix.
     pub fn stack_rows(&mut self, rows: &[Var]) -> Var {
-        assert!(!rows.is_empty(), "stack_rows of zero vectors");
-        let d = self.value(rows[0]).numel();
-        let mut out = crate::pool::take_f32(rows.len() * d);
-        for &r in rows {
-            let v = self.value(r);
-            assert_eq!(v.numel(), d, "stack_rows length mismatch");
-            out.extend_from_slice(v.data());
-        }
-        let k = rows.len();
-        let rows = crate::pool::ScratchUsize(rows.iter().fold(
-            crate::pool::take_usize(rows.len()),
-            |mut v, r| {
-                v.push(r.0);
-                v
-            },
-        ));
-        self.push_bwd(Tensor::new([k, d], out), move |g, t, grads| {
+        let out = stack_rows_fwd(rows, |r| self.value(r));
+        let rows = crate::pool::Scratch::collect(rows.iter().map(|r| r.0));
+        self.push_bwd(out, move |g, t, grads| {
             for (i, &r) in rows.iter().enumerate() {
                 let shape = *t.value(Var(r)).shape();
                 grads.accumulate_with(Var(r), &shape, |dst| dst.copy_from_slice(g.row(i)));
@@ -154,11 +95,7 @@ impl Tape {
 
     /// Extracts row `i` of `a` (viewed as `[L, d]`) as a rank-1 vector.
     pub fn row(&mut self, a: Var, i: usize) -> Var {
-        let av = self.value(a);
-        let d = av.shape().last_dim();
-        let mut data = crate::pool::take_f32(d);
-        data.extend_from_slice(av.row(i));
-        let value = Tensor::new([d], data);
+        let value = row_fwd(self.value(a), i);
         self.push_bwd(value, move |g, t, grads| {
             let av = t.value(a);
             let d = av.shape().last_dim();
@@ -168,6 +105,83 @@ impl Tape {
             });
         })
     }
+}
+
+/// Forward value of [`Tape::slice_last`]: columns `start..start + len` of
+/// every row.
+pub(crate) fn slice_last_fwd(a: &Tensor, start: usize, len: usize) -> Tensor {
+    let d = a.shape().last_dim();
+    assert!(
+        start + len <= d,
+        "slice_last [{start},{}) out of last dim {d}",
+        start + len
+    );
+    let rows = a.shape().leading();
+    let mut out = crate::pool::take(rows * len);
+    for r in 0..rows {
+        out.extend_from_slice(&a.data()[r * d + start..r * d + start + len]);
+    }
+    Tensor::new(a.shape().with_last(len), out)
+}
+
+/// Forward value of [`Tape::concat_last`]: row `r` is the parts' rows `r`
+/// side by side. `value` looks a part up in its context.
+pub(crate) fn concat_last_fwd<'a>(parts: &[Var], value: impl Fn(Var) -> &'a Tensor) -> Tensor {
+    assert!(!parts.is_empty(), "concat_last of zero tensors");
+    let rows = value(parts[0]).shape().leading();
+    let mut widths = crate::pool::Scratch::<usize>::with_capacity(parts.len());
+    for &p in parts {
+        widths.push(value(p).shape().last_dim());
+        assert_eq!(
+            value(p).shape().leading(),
+            rows,
+            "concat_last leading-dim mismatch"
+        );
+    }
+    let total: usize = widths.iter().sum();
+    let mut out = crate::pool::take(rows * total);
+    for r in 0..rows {
+        for (&p, &w) in parts.iter().zip(widths.iter()) {
+            out.extend_from_slice(&value(p).data()[r * w..(r + 1) * w]);
+        }
+    }
+    Tensor::new(value(parts[0]).shape().with_last(total), out)
+}
+
+/// Forward value of [`Tape::select_rows`]: rows `indices` of `a` (viewed as
+/// `[L, d]`), as `[indices.len(), d]`.
+pub(crate) fn select_rows_fwd(a: &Tensor, indices: &[usize]) -> Tensor {
+    let d = a.shape().last_dim();
+    let rows = a.shape().leading();
+    let mut out = crate::pool::take(indices.len() * d);
+    for &i in indices {
+        assert!(i < rows, "select_rows index {i} out of {rows} rows");
+        out.extend_from_slice(&a.data()[i * d..(i + 1) * d]);
+    }
+    Tensor::new([indices.len(), d], out)
+}
+
+/// Forward value of [`Tape::stack_rows`]: the vectors `rows` as the rows of a
+/// `[k, d]` matrix. `value` looks a vector up in its context.
+pub(crate) fn stack_rows_fwd<'a>(rows: &[Var], value: impl Fn(Var) -> &'a Tensor) -> Tensor {
+    assert!(!rows.is_empty(), "stack_rows of zero vectors");
+    let d = value(rows[0]).numel();
+    let mut out = crate::pool::take(rows.len() * d);
+    for &r in rows {
+        let v = value(r);
+        assert_eq!(v.numel(), d, "stack_rows length mismatch");
+        out.extend_from_slice(v.data());
+    }
+    Tensor::new([rows.len(), d], out)
+}
+
+/// Forward value of [`Tape::row`]: row `i` of `a` (viewed as `[L, d]`) as a
+/// rank-1 vector.
+pub(crate) fn row_fwd(a: &Tensor, i: usize) -> Tensor {
+    let d = a.shape().last_dim();
+    let mut data = crate::pool::take(d);
+    data.extend_from_slice(a.row(i));
+    Tensor::new([d], data)
 }
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //! allocations in the numeric substrate (see `DESIGN.md` §10).
 //!
 //! Recycling is bitwise-safe by construction: a pooled buffer is never
-//! observable with stale contents. [`take_zeroed`] clears and `resize(n, 0.0)`s
-//! the vector (producing exactly the bytes of `vec![0.0; n]`) and
-//! [`take_f32`] returns a zero-length vector whose contents are only ever
-//! `extend`ed with freshly computed values.
+//! observable with stale contents. [`take_zeroed`] clears and `resize(n, 0)`s
+//! the vector (producing exactly the bytes of `vec![0; n]`) and [`take`]
+//! returns a zero-length vector whose contents are only ever `extend`ed with
+//! freshly computed values.
 //!
 //! The pool is thread-local (the tape itself is `!Send`), so no locking is
 //! involved; each serve worker warms its own pool.
@@ -38,86 +38,118 @@ const MAX_PER_CLASS: usize = 4096;
 /// the way the old `matmul_into_bt` thread-local `PACK` scratch was not.
 const MAX_POOL_BYTES: usize = 64 << 20;
 
-struct Pool<T> {
-    classes: Vec<Vec<Vec<T>>>,
-    bytes: usize,
-    enabled: bool,
-    hits: u64,
-    misses: u64,
-}
-
-impl<T: Clone + Default> Pool<T> {
-    fn new() -> Self {
-        Pool {
-            classes: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
-            bytes: 0,
-            enabled: true,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Class that can serve requests of length `n`: every vector stored in
-    /// class `c` has capacity `>= 2^c`, so serving from `ceil(log2(n))`
-    /// guarantees no reallocation on `resize`/`extend` up to `n` elements.
-    fn class_for_request(n: usize) -> usize {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-
-    /// Class a vector of capacity `cap` is stored in: `floor(log2(cap))`.
-    fn class_for_capacity(cap: usize) -> usize {
-        (usize::BITS - 1 - cap.leading_zeros()) as usize
-    }
-
-    /// A vector with `len == 0` and `capacity >= n` (pooled or fresh).
-    fn take(&mut self, n: usize) -> Vec<T> {
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.enabled {
-            let class = Self::class_for_request(n);
-            if class < NUM_CLASSES {
-                if let Some(mut v) = self.classes[class].pop() {
-                    self.bytes -= v.capacity() * std::mem::size_of::<T>();
-                    self.hits += 1;
-                    v.clear();
-                    return v;
-                }
-                self.misses += 1;
-                // Allocate the full class width so the buffer lands back in
-                // `class` on recycle and serves every future request of this
-                // size without reallocating.
-                return Vec::with_capacity(n.next_power_of_two());
-            }
-        }
-        self.misses += 1;
-        Vec::with_capacity(n)
-    }
-
-    fn recycle(&mut self, v: Vec<T>) {
-        let cap = v.capacity();
-        if !self.enabled || cap == 0 {
-            return;
-        }
-        let class = Self::class_for_capacity(cap);
-        let bytes = cap * std::mem::size_of::<T>();
-        if class >= NUM_CLASSES
-            || self.classes[class].len() >= MAX_PER_CLASS
-            || self.bytes + bytes > MAX_POOL_BYTES
-        {
-            return; // over budget: let the allocator have it back
-        }
-        self.bytes += bytes;
-        self.classes[class].push(v);
-    }
-}
-
 thread_local! {
     static F32_POOL: RefCell<Pool<f32>> = RefCell::new(Pool::new());
     static USIZE_POOL: RefCell<Pool<usize>> = RefCell::new(Pool::new());
     static I16_POOL: RefCell<Pool<i16>> = RefCell::new(Pool::new());
     static I32_POOL: RefCell<Pool<i32>> = RefCell::new(Pool::new());
 }
+
+mod sealed {
+    use super::{MAX_PER_CLASS, MAX_POOL_BYTES, NUM_CLASSES};
+    use std::cell::RefCell;
+    use std::thread::LocalKey;
+
+    /// Names the thread-local pool of one element type.
+    pub trait HasPool: Sized + 'static {
+        fn pool() -> &'static LocalKey<RefCell<Pool<Self>>>;
+    }
+
+    /// One element type's per-thread free-lists.
+    pub struct Pool<T> {
+        classes: Vec<Vec<Vec<T>>>,
+        pub(super) bytes: usize,
+        pub(super) enabled: bool,
+        pub(super) hits: u64,
+        pub(super) misses: u64,
+    }
+
+    impl<T: Clone + Default> Pool<T> {
+        pub(super) fn new() -> Self {
+            Pool {
+                classes: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
+                bytes: 0,
+                enabled: true,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        /// Class that can serve requests of length `n`: every vector stored in
+        /// class `c` has capacity `>= 2^c`, so serving from `ceil(log2(n))`
+        /// guarantees no reallocation on `resize`/`extend` up to `n` elements.
+        fn class_for_request(n: usize) -> usize {
+            (usize::BITS - (n - 1).leading_zeros()) as usize
+        }
+
+        /// Class a vector of capacity `cap` is stored in: `floor(log2(cap))`.
+        fn class_for_capacity(cap: usize) -> usize {
+            (usize::BITS - 1 - cap.leading_zeros()) as usize
+        }
+
+        /// A vector with `len == 0` and `capacity >= n` (pooled or fresh).
+        pub(super) fn take(&mut self, n: usize) -> Vec<T> {
+            if n == 0 {
+                return Vec::new();
+            }
+            if self.enabled {
+                let class = Self::class_for_request(n);
+                if class < NUM_CLASSES {
+                    if let Some(mut v) = self.classes[class].pop() {
+                        self.bytes -= v.capacity() * std::mem::size_of::<T>();
+                        self.hits += 1;
+                        v.clear();
+                        return v;
+                    }
+                    self.misses += 1;
+                    // Allocate the full class width so the buffer lands back in
+                    // `class` on recycle and serves every future request of this
+                    // size without reallocating.
+                    return Vec::with_capacity(n.next_power_of_two());
+                }
+            }
+            self.misses += 1;
+            Vec::with_capacity(n)
+        }
+
+        pub(super) fn recycle(&mut self, v: Vec<T>) {
+            let cap = v.capacity();
+            if !self.enabled || cap == 0 {
+                return;
+            }
+            let class = Self::class_for_capacity(cap);
+            let bytes = cap * std::mem::size_of::<T>();
+            if class >= NUM_CLASSES
+                || self.classes[class].len() >= MAX_PER_CLASS
+                || self.bytes + bytes > MAX_POOL_BYTES
+            {
+                return; // over budget: let the allocator have it back
+            }
+            self.bytes += bytes;
+            self.classes[class].push(v);
+        }
+    }
+}
+
+use sealed::Pool;
+
+/// An element type with a thread-local pool of its own: `f32` (tensors and
+/// scratch), `usize` (indices), `i16` and `i32` (int8-GEMM panels and
+/// accumulators). Sealed: the set of pools is fixed.
+pub trait Pooled: sealed::HasPool + Copy + Default {}
+
+macro_rules! pooled {
+    ($($t:ty => $key:ident),*) => {$(
+        impl sealed::HasPool for $t {
+            fn pool() -> &'static std::thread::LocalKey<RefCell<Pool<$t>>> {
+                &$key
+            }
+        }
+        impl Pooled for $t {}
+    )*};
+}
+
+pooled!(f32 => F32_POOL, usize => USIZE_POOL, i16 => I16_POOL, i32 => I32_POOL);
 
 /// Pool hit/miss counters for one thread (used by benches and the zero-alloc
 /// gate to prove the steady state never touches the allocator).
@@ -145,26 +177,17 @@ pub fn stats() -> PoolStats {
 
 /// Resets this thread's hit/miss counters (retained buffers are kept).
 pub fn reset_stats() {
-    F32_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.hits = 0;
-        p.misses = 0;
-    });
-    USIZE_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.hits = 0;
-        p.misses = 0;
-    });
-    I16_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.hits = 0;
-        p.misses = 0;
-    });
-    I32_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.hits = 0;
-        p.misses = 0;
-    });
+    fn reset<T: Pooled>() {
+        T::pool().with(|p| {
+            let mut p = p.borrow_mut();
+            p.hits = 0;
+            p.misses = 0;
+        });
+    }
+    reset::<f32>();
+    reset::<usize>();
+    reset::<i16>();
+    reset::<i32>();
 }
 
 /// Enables or disables pooling on this thread, returning the previous state.
@@ -174,233 +197,84 @@ pub fn reset_stats() {
 /// pooled and fresh paths are bit-identical; the bench uses it for the
 /// unpooled `train_step` baseline arm.
 pub fn set_enabled(enabled: bool) -> bool {
-    let prev_f = F32_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        std::mem::replace(&mut p.enabled, enabled)
-    });
-    USIZE_POOL.with(|p| p.borrow_mut().enabled = enabled);
-    I16_POOL.with(|p| p.borrow_mut().enabled = enabled);
-    I32_POOL.with(|p| p.borrow_mut().enabled = enabled);
-    prev_f
+    fn set<T: Pooled>(enabled: bool) -> bool {
+        T::pool().with(|p| std::mem::replace(&mut p.borrow_mut().enabled, enabled))
+    }
+    let prev = set::<f32>(enabled);
+    set::<usize>(enabled);
+    set::<i16>(enabled);
+    set::<i32>(enabled);
+    prev
 }
 
-/// An empty `Vec<f32>` with capacity for at least `n` elements. Extend it
+/// An empty `Vec<T>` with capacity for at least `n` elements. Extend it
 /// with exactly the values you would have collected into a fresh vector.
-pub fn take_f32(n: usize) -> Vec<f32> {
-    F32_POOL.with(|p| p.borrow_mut().take(n))
+pub fn take<T: Pooled>(n: usize) -> Vec<T> {
+    T::pool().with(|p| p.borrow_mut().take(n))
 }
 
-/// A `Vec<f32>` of length `n` holding all zeros — bitwise identical to
-/// `vec![0.0f32; n]`.
-pub fn take_f32_zeroed(n: usize) -> Vec<f32> {
-    let mut v = take_f32(n);
-    v.resize(n, 0.0);
-    v
+/// A `Vec<T>` of length `n` holding `T::default()` (all zeros) — bitwise
+/// identical to `vec![0; n]`.
+pub fn take_zeroed<T: Pooled>(n: usize) -> Vec<T> {
+    take_filled(n, T::default())
 }
 
-/// A `Vec<f32>` of length `n` filled with `x` — bitwise `vec![x; n]`.
-pub fn take_f32_filled(n: usize, x: f32) -> Vec<f32> {
-    let mut v = take_f32(n);
+/// A `Vec<T>` of length `n` filled with `x` — bitwise `vec![x; n]`.
+pub fn take_filled<T: Pooled>(n: usize, x: T) -> Vec<T> {
+    let mut v = take(n);
     v.resize(n, x);
     v
 }
 
-/// Returns a buffer to this thread's pool. Called by `Tensor::drop`; call it
-/// directly for raw scratch vectors obtained from [`take_f32`].
-pub fn recycle_f32(v: Vec<f32>) {
+/// Returns a buffer to this thread's pool of its element type. `Tensor::drop`
+/// and [`Scratch`] call it; call it directly for raw vectors obtained from
+/// [`take`].
+pub fn recycle<T: Pooled>(v: Vec<T>) {
     // `try_with` so drops during thread teardown degrade to a plain free.
-    let _ = F32_POOL.try_with(|p| p.borrow_mut().recycle(v));
+    let _ = T::pool().try_with(|p| p.borrow_mut().recycle(v));
 }
 
-/// An empty `Vec<usize>` with capacity for at least `n` elements.
-pub fn take_usize(n: usize) -> Vec<usize> {
-    USIZE_POOL.with(|p| p.borrow_mut().take(n))
-}
-
-/// Returns an index buffer to this thread's pool.
-pub fn recycle_usize(v: Vec<usize>) {
-    let _ = USIZE_POOL.try_with(|p| p.borrow_mut().recycle(v));
-}
-
-/// RAII scratch buffer of `f32`s: recycles itself into the pool on drop.
-/// Used for kernel packing panels and backward-pass scratch that is not a
-/// [`crate::Tensor`] (tensors recycle through their own `Drop`).
+/// RAII scratch buffer: recycles itself into its element type's pool on
+/// drop. Holds kernel packing panels, backward-pass scratch that is not a
+/// [`crate::Tensor`] (tensors recycle through their own `Drop`), int8-GEMM
+/// panels and accumulators, and index lists.
 #[derive(Debug, Default)]
-pub struct ScratchF32(pub Vec<f32>);
+pub struct Scratch<T: Pooled>(pub Vec<T>);
 
-impl ScratchF32 {
+impl<T: Pooled> Scratch<T> {
     /// Empty scratch with capacity for at least `n` elements.
     pub fn with_capacity(n: usize) -> Self {
-        ScratchF32(take_f32(n))
+        Scratch(take(n))
     }
 
-    /// Zero-filled scratch of length `n` (bitwise `vec![0.0; n]`).
+    /// Zero-filled scratch of length `n` (bitwise `vec![0; n]`).
     pub fn zeroed(n: usize) -> Self {
-        ScratchF32(take_f32_zeroed(n))
+        Scratch(take_zeroed(n))
+    }
+
+    /// Pooled buffer holding `items` in order.
+    pub fn collect(items: impl ExactSizeIterator<Item = T>) -> Self {
+        let mut v = take(items.len());
+        v.extend(items);
+        Scratch(v)
     }
 }
 
-impl Drop for ScratchF32 {
+impl<T: Pooled> Drop for Scratch<T> {
     fn drop(&mut self) {
-        recycle_f32(std::mem::take(&mut self.0));
+        recycle(std::mem::take(&mut self.0));
     }
 }
 
-impl std::ops::Deref for ScratchF32 {
-    type Target = Vec<f32>;
-    fn deref(&self) -> &Vec<f32> {
+impl<T: Pooled> std::ops::Deref for Scratch<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
         &self.0
     }
 }
 
-impl std::ops::DerefMut for ScratchF32 {
-    fn deref_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.0
-    }
-}
-
-/// An empty `Vec<i16>` with capacity for at least `n` elements (quantized
-/// GEMM packing panels).
-pub fn take_i16(n: usize) -> Vec<i16> {
-    I16_POOL.with(|p| p.borrow_mut().take(n))
-}
-
-/// A `Vec<i16>` of length `n` holding all zeros — identical to
-/// `vec![0i16; n]`.
-pub fn take_i16_zeroed(n: usize) -> Vec<i16> {
-    let mut v = take_i16(n);
-    v.resize(n, 0);
-    v
-}
-
-/// Returns a quantized-panel buffer to this thread's pool.
-pub fn recycle_i16(v: Vec<i16>) {
-    let _ = I16_POOL.try_with(|p| p.borrow_mut().recycle(v));
-}
-
-/// An empty `Vec<i32>` with capacity for at least `n` elements (quantized
-/// GEMM accumulators).
-pub fn take_i32(n: usize) -> Vec<i32> {
-    I32_POOL.with(|p| p.borrow_mut().take(n))
-}
-
-/// A `Vec<i32>` of length `n` holding all zeros — identical to
-/// `vec![0i32; n]`.
-pub fn take_i32_zeroed(n: usize) -> Vec<i32> {
-    let mut v = take_i32(n);
-    v.resize(n, 0);
-    v
-}
-
-/// Returns an accumulator buffer to this thread's pool.
-pub fn recycle_i32(v: Vec<i32>) {
-    let _ = I32_POOL.try_with(|p| p.borrow_mut().recycle(v));
-}
-
-/// RAII scratch buffer of `i16`s: recycles itself into the pool on drop.
-/// Holds the quantized activation/weight packing panels of the int8 GEMM.
-#[derive(Debug, Default)]
-pub struct ScratchI16(pub Vec<i16>);
-
-impl ScratchI16 {
-    /// Empty scratch with capacity for at least `n` elements.
-    pub fn with_capacity(n: usize) -> Self {
-        ScratchI16(take_i16(n))
-    }
-
-    /// Zero-filled scratch of length `n` (identical to `vec![0i16; n]`).
-    pub fn zeroed(n: usize) -> Self {
-        ScratchI16(take_i16_zeroed(n))
-    }
-}
-
-impl Drop for ScratchI16 {
-    fn drop(&mut self) {
-        recycle_i16(std::mem::take(&mut self.0));
-    }
-}
-
-impl std::ops::Deref for ScratchI16 {
-    type Target = Vec<i16>;
-    fn deref(&self) -> &Vec<i16> {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for ScratchI16 {
-    fn deref_mut(&mut self) -> &mut Vec<i16> {
-        &mut self.0
-    }
-}
-
-/// RAII scratch buffer of `i32`s (int8-GEMM accumulator tiles).
-#[derive(Debug, Default)]
-pub struct ScratchI32(pub Vec<i32>);
-
-impl ScratchI32 {
-    /// Empty scratch with capacity for at least `n` elements.
-    pub fn with_capacity(n: usize) -> Self {
-        ScratchI32(take_i32(n))
-    }
-
-    /// Zero-filled scratch of length `n` (identical to `vec![0i32; n]`).
-    pub fn zeroed(n: usize) -> Self {
-        ScratchI32(take_i32_zeroed(n))
-    }
-}
-
-impl Drop for ScratchI32 {
-    fn drop(&mut self) {
-        recycle_i32(std::mem::take(&mut self.0));
-    }
-}
-
-impl std::ops::Deref for ScratchI32 {
-    type Target = Vec<i32>;
-    fn deref(&self) -> &Vec<i32> {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for ScratchI32 {
-    fn deref_mut(&mut self) -> &mut Vec<i32> {
-        &mut self.0
-    }
-}
-
-/// RAII scratch buffer of `usize`s (chain/row indices, argmax results, …).
-#[derive(Debug, Default)]
-pub struct ScratchUsize(pub Vec<usize>);
-
-impl ScratchUsize {
-    /// Empty scratch with capacity for at least `n` elements.
-    pub fn with_capacity(n: usize) -> Self {
-        ScratchUsize(take_usize(n))
-    }
-
-    /// Pooled copy of a slice.
-    pub fn copy_of(xs: &[usize]) -> Self {
-        let mut v = take_usize(xs.len());
-        v.extend_from_slice(xs);
-        ScratchUsize(v)
-    }
-}
-
-impl Drop for ScratchUsize {
-    fn drop(&mut self) {
-        recycle_usize(std::mem::take(&mut self.0));
-    }
-}
-
-impl std::ops::Deref for ScratchUsize {
-    type Target = Vec<usize>;
-    fn deref(&self) -> &Vec<usize> {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for ScratchUsize {
-    fn deref_mut(&mut self) -> &mut Vec<usize> {
+impl<T: Pooled> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
         &mut self.0
     }
 }
@@ -987,10 +861,10 @@ mod tests {
     fn take_zeroed_matches_fresh_vec_bitwise() {
         // Dirty the pool with a recognizable pattern, then prove a zeroed
         // take cannot observe it.
-        let mut v = take_f32(100);
+        let mut v = take::<f32>(100);
         v.resize(100, f32::NAN);
-        recycle_f32(v);
-        let z = take_f32_zeroed(100);
+        recycle(v);
+        let z = take_zeroed::<f32>(100);
         let fresh = vec![0.0f32; 100];
         assert_eq!(z.len(), fresh.len());
         for (a, b) in z.iter().zip(&fresh) {
@@ -1002,8 +876,8 @@ mod tests {
     fn steady_state_hits_after_warm_up() {
         reset_stats();
         for _ in 0..3 {
-            let v = take_f32_zeroed(1000);
-            recycle_f32(v);
+            let v = take_zeroed::<f32>(1000);
+            recycle(v);
         }
         let s = stats();
         assert!(s.hits >= 2, "expected pool hits, got {s:?}");
@@ -1014,20 +888,20 @@ mod tests {
     fn served_capacity_always_fits_request() {
         // A recycled odd-capacity vector must never be served to a request
         // it cannot hold without reallocating.
-        recycle_f32(Vec::with_capacity(100)); // class 6 (64..128)
-        let v = take_f32(100); // requests class 7
+        recycle(Vec::<f32>::with_capacity(100)); // class 6 (64..128)
+        let v = take::<f32>(100); // requests class 7
         assert!(v.capacity() >= 100);
-        let w = take_f32(65); // class 7 again; the cap-100 vec is in class 6
+        let w = take::<f32>(65); // class 7 again; the cap-100 vec is in class 6
         assert!(w.capacity() >= 65);
     }
 
     #[test]
     fn disabled_pool_allocates_fresh() {
         let prev = set_enabled(false);
-        let v = take_f32_zeroed(64);
-        recycle_f32(v);
+        let v = take_zeroed::<f32>(64);
+        recycle(v);
         reset_stats();
-        let v = take_f32_zeroed(64);
+        let v = take_zeroed::<f32>(64);
         assert_eq!(stats().hits, 0);
         drop(v);
         set_enabled(prev);
@@ -1037,11 +911,11 @@ mod tests {
     fn scratch_recycles_on_drop() {
         let prev = set_enabled(true);
         {
-            let mut s = ScratchF32::with_capacity(512);
+            let mut s = Scratch::<f32>::with_capacity(512);
             s.push(1.0);
         }
         reset_stats();
-        let s2 = ScratchF32::with_capacity(512);
+        let s2 = Scratch::<f32>::with_capacity(512);
         assert_eq!(stats().hits, 1, "scratch drop did not recycle");
         drop(s2);
         set_enabled(prev);

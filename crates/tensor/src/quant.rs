@@ -307,8 +307,8 @@ pub fn matmul_q8_into(aq: &[i16], bq: &[i16], out: &mut [i32], m: usize, k: usiz
     let kp = k.div_ceil(2);
     let mp = m.div_ceil(MR);
     let np = n.div_ceil(NR);
-    let mut ap = pool::ScratchI16::zeroed(mp * MR * 2 * kp);
-    let mut bp = pool::ScratchI16::zeroed(np * NR * 2 * kp);
+    let mut ap = pool::Scratch::<i16>::zeroed(mp * MR * 2 * kp);
+    let mut bp = pool::Scratch::<i16>::zeroed(np * NR * 2 * kp);
     pack_a_q8(aq, &mut ap, m, k);
     pack_b_q8(bq, &mut bp, k, n);
     gemm_q8_packed(&ap, &bp, out, m, kp, n);
@@ -339,7 +339,7 @@ impl QuantizedTensor {
         }
         let scale = quantize_scale(t.data());
         let recip = 1.0 / scale;
-        let mut bq = pool::ScratchI16::with_capacity(k * n);
+        let mut bq = pool::Scratch::<i16>::with_capacity(k * n);
         quantize_slice_into(t.data(), recip, &mut bq);
         let kp = k.div_ceil(2);
         let np = n.div_ceil(NR);
@@ -373,7 +373,7 @@ impl QuantizedTensor {
     /// tensor: [`Self::matmul_rows_into`] on `a`'s rows.
     pub fn matmul_quantized(&self, a: &Tensor) -> Tensor {
         let (m, _) = a.shape().as_matrix();
-        let mut out = pool::take_f32_zeroed(m * self.n);
+        let mut out = pool::take_zeroed(m * self.n);
         self.matmul_rows_into(a.data(), m, &mut out);
         Tensor::new([m, self.n], out)
     }
@@ -394,8 +394,8 @@ impl QuantizedTensor {
             "quantized matmul: input is not {m} rows of {k}"
         );
         assert_eq!(out.len(), m * self.n, "quantized matmul: out size mismatch");
-        let mut scales = pool::ScratchF32::with_capacity(m);
-        let mut aq = pool::ScratchI16::with_capacity(m * k);
+        let mut scales = pool::Scratch::<f32>::with_capacity(m);
+        let mut aq = pool::Scratch::<i16>::with_capacity(m * k);
         for row in a.chunks_exact(k) {
             let s = quantize_scale(row);
             scales.push(s);
@@ -403,9 +403,9 @@ impl QuantizedTensor {
         }
         let kp = k.div_ceil(2);
         let mp = m.div_ceil(MR);
-        let mut ap = pool::ScratchI16::zeroed(mp * MR * 2 * kp);
+        let mut ap = pool::Scratch::<i16>::zeroed(mp * MR * 2 * kp);
         pack_a_q8(&aq, &mut ap, m, k);
-        let mut acc = pool::ScratchI32::zeroed(m * self.n);
+        let mut acc = pool::Scratch::<i32>::zeroed(m * self.n);
         gemm_q8_packed(&ap, &self.packed, &mut acc, m, kp, self.n);
         for ((orow, arow), &s) in out
             .chunks_exact_mut(self.n)

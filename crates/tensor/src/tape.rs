@@ -326,7 +326,7 @@ impl GradStore {
         match &mut self.param_grads[id.index()] {
             Some(acc) => crate::simd::add_assign_slice(acc.data_mut(), data),
             slot @ None => {
-                let mut buf = crate::pool::take_f32(data.len());
+                let mut buf = crate::pool::take(data.len());
                 buf.extend_from_slice(data);
                 *slot = Some(Tensor::new(*shape, buf));
             }

@@ -21,7 +21,7 @@ pub struct Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        let mut data = pool::take_f32(self.data.len());
+        let mut data = pool::take(self.data.len());
         data.extend_from_slice(&self.data);
         Tensor {
             shape: self.shape,
@@ -32,7 +32,7 @@ impl Clone for Tensor {
 
 impl Drop for Tensor {
     fn drop(&mut self) {
-        pool::recycle_f32(std::mem::take(&mut self.data));
+        pool::recycle(std::mem::take(&mut self.data));
     }
 }
 
@@ -62,7 +62,7 @@ impl Tensor {
         let n = shape.numel();
         Tensor {
             shape,
-            data: pool::take_f32_zeroed(n),
+            data: pool::take_zeroed(n),
         }
     }
 
@@ -77,7 +77,7 @@ impl Tensor {
         let n = shape.numel();
         Tensor {
             shape,
-            data: pool::take_f32_filled(n, value),
+            data: pool::take_filled(n, value),
         }
     }
 
@@ -85,13 +85,13 @@ impl Tensor {
     pub fn scalar(value: f32) -> Self {
         Tensor {
             shape: Shape::scalar(),
-            data: pool::take_f32_filled(1, value),
+            data: pool::take_filled(1, value),
         }
     }
 
     /// A rank-1 tensor from a slice.
     pub fn vector(values: &[f32]) -> Self {
-        let mut data = pool::take_f32(values.len());
+        let mut data = pool::take(values.len());
         data.extend_from_slice(values);
         Tensor::new([values.len()], data)
     }
@@ -100,7 +100,7 @@ impl Tensor {
     pub fn matrix(rows: &[&[f32]]) -> Self {
         let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
-        let mut data = pool::take_f32(r * c);
+        let mut data = pool::take(r * c);
         for row in rows {
             assert_eq!(row.len(), c, "ragged matrix rows");
             data.extend_from_slice(row);
@@ -156,14 +156,14 @@ impl Tensor {
             "reshape {} -> {shape} changes element count",
             self.shape
         );
-        let mut data = pool::take_f32(self.data.len());
+        let mut data = pool::take(self.data.len());
         data.extend_from_slice(&self.data);
         Tensor { shape, data }
     }
 
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut data = pool::take_f32(self.data.len());
+        let mut data = pool::take(self.data.len());
         data.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
             shape: self.shape,
@@ -178,7 +178,7 @@ impl Tensor {
             "zip shape mismatch {} vs {}",
             self.shape, other.shape
         );
-        let mut data = pool::take_f32(self.data.len());
+        let mut data = pool::take(self.data.len());
         data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Tensor {
             shape: self.shape,
@@ -243,7 +243,7 @@ impl Tensor {
             "matmul inner-dim mismatch {} vs {}",
             self.shape, rhs.shape
         );
-        let mut out = pool::take_f32_zeroed(m * n);
+        let mut out = pool::take_zeroed(m * n);
         matmul_into(&self.data, &rhs.data, &mut out, m, k, n);
         Tensor::new([m, n], out)
     }
@@ -258,7 +258,7 @@ impl Tensor {
             "bmm inner-dim mismatch {} vs {}",
             self.shape, rhs.shape
         );
-        let mut out = pool::take_f32_zeroed(b * m * n);
+        let mut out = pool::take_zeroed(b * m * n);
         {
             let shared = pool::SharedMut::new(&mut out);
             par_batches(b, b * m * k * n, |i| {
@@ -280,7 +280,7 @@ impl Tensor {
     /// Rank-2 transpose (materialized).
     pub fn transpose(&self) -> Tensor {
         let (m, n) = self.shape.as_matrix();
-        let mut out = pool::take_f32_zeroed(m * n);
+        let mut out = pool::take_zeroed(m * n);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = self.data[i * n + j];
@@ -292,7 +292,7 @@ impl Tensor {
     /// Batched transpose of the last two dims `[b,m,n] -> [b,n,m]`.
     pub fn transpose_batch(&self) -> Tensor {
         let (b, m, n) = self.shape.as_batch_matrix();
-        let mut out = pool::take_f32_zeroed(b * m * n);
+        let mut out = pool::take_zeroed(b * m * n);
         for i in 0..b {
             let src = &self.data[i * m * n..(i + 1) * m * n];
             let dst = &mut out[i * m * n..(i + 1) * m * n];
@@ -482,8 +482,8 @@ fn gemm_blocked<const AT: bool, const BT: bool>(
 ) {
     let mp = m.div_ceil(MR);
     let np = n.div_ceil(NR);
-    let mut ap = pool::ScratchF32::zeroed(mp * MR * k);
-    let mut bp = pool::ScratchF32::zeroed(np * NR * k);
+    let mut ap = pool::Scratch::<f32>::zeroed(mp * MR * k);
+    let mut bp = pool::Scratch::<f32>::zeroed(np * NR * k);
     pack_a::<AT>(a, &mut ap, m, k);
     pack_b::<BT>(b, &mut bp, k, n);
     if m * k * n >= PAR_MIN_FLOPS {
@@ -688,7 +688,7 @@ pub fn matmul_into_bt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
     if use_blocked(m, k, n) {
         return gemm_blocked::<false, true>(a, b, out, m, k, n);
     }
-    let mut bt = pool::ScratchF32::zeroed(k * n);
+    let mut bt = pool::Scratch::<f32>::zeroed(k * n);
     for (j, b_row) in b.chunks_exact(k).enumerate() {
         for (p, &v) in b_row.iter().enumerate() {
             bt[p * n + j] = v;

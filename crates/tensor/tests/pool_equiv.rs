@@ -26,9 +26,9 @@ fn rand_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
 /// model shapes use, so stale-content reads cannot go unnoticed.
 fn dirty_pool() {
     for n in [1usize, 16, 64, 256, 1024, 4096, 16384] {
-        let mut v = pool::take_f32(n);
+        let mut v = pool::take(n);
         v.resize(n, f32::NAN);
-        pool::recycle_f32(v);
+        pool::recycle(v);
     }
 }
 
