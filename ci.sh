@@ -258,10 +258,10 @@ echo "thread-matrix gate: ok"
 echo "== kg_store gate (offline) =="
 # The CFKG1/CFCI1 contracts end to end through the CLI (DESIGN.md §13):
 # ingest is a pure function of the graph (byte-identical re-ingest), a
-# flipped body byte yields a typed error naming the failing section (never
-# a panic or a garbage graph), the chain index is bitwise identical at
-# every thread count, and serving retrieval from the index answers
-# queries end to end.
+# flipped body byte in a store or an index yields a typed error naming the
+# failing section (never a panic or a garbage graph), the chain index is
+# bitwise identical at every thread count, and serving retrieval from the
+# index answers queries end to end.
 KG_DIR="$SMOKE_DIR/kg"
 mkdir -p "$KG_DIR"
 "$CFKG" gen --entities 3000 --avg-degree 4 --seed 11 --out "$KG_DIR" \
@@ -322,6 +322,27 @@ exec 6<&- 6>&-
 kill -TERM "$IX_PID"
 wait "$IX_PID" || { echo "kg_store: indexed serve exited non-zero"; exit 1; }
 exec 5>&-
+# A corrupt chain index stops `serve --index` before it listens, with a
+# typed error naming the section: one byte of the last 32-byte entry
+# changes (`size - 40`: the entries body ends before the 8-byte trailer,
+# the 16-byte end marker and the 8-byte footer).
+cp "$KG_DIR/yago.cfci" "$KG_DIR/corrupt.cfci"
+IX_AT=$(( $(stat -c %s "$KG_DIR/corrupt.cfci") - 40 ))
+IX_BYTE=$(od -An -tu1 -j "$IX_AT" -N1 "$KG_DIR/corrupt.cfci" | tr -d ' ')
+printf "\\$(printf '%03o' $(( IX_BYTE ^ 0x5A )))" \
+    | dd of="$KG_DIR/corrupt.cfci" bs=1 seek="$IX_AT" conv=notrunc status=none
+if "$CFKG" serve --store "$KG_DIR/yago.cfkg" --index "$KG_DIR/corrupt.cfci" \
+    --ckpt "$SMOKE_DIR/model.ckpt" \
+    --dim 16 --layers 1 --walks 32 --top-k 8 --seed 3 --port 0 \
+    < /dev/null > "$KG_DIR/corrupt_ix.log" 2>&1; then
+    echo "kg_store: serve started on a corrupt index"; exit 1
+fi
+grep -q 'section "entries" failed its CRC32 check' "$KG_DIR/corrupt_ix.log" \
+    || { echo "kg_store: corrupt-index error does not name the section:"; \
+         cat "$KG_DIR/corrupt_ix.log"; exit 1; }
+if grep -q 'listening on' "$KG_DIR/corrupt_ix.log"; then
+    echo "kg_store: serve listened on a corrupt index"; exit 1
+fi
 echo "kg_store gate: ok"
 
 echo "== shard-matrix gate (offline) =="

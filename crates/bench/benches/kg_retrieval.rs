@@ -10,6 +10,9 @@
 //!   the evidence that the wider folds earn their code;
 //! - chain-index build time at 1 and 4 pool threads, with the output bytes
 //!   asserted identical (the fixed-shard determinism contract);
+//! - chain-index open time (`index_open_s`, median of three) and what the
+//!   open leaves resident of the index mapping (`index_open_rss_mb`, the
+//!   mapping's `/proc/self/smaps` Rss right after open, Linux only);
 //! - retrieval latency per query, walk-per-query (`retrieve`, Eq. 6's
 //!   `N_s` random walks over adjacency) versus indexed
 //!   (`retrieve_indexed`, one CSR slice + weighted sampling).
@@ -23,9 +26,10 @@
 
 use cf_chains::{retrieve, retrieve_indexed, Query, RetrievalConfig};
 use cf_kg::io::{write_numerics, write_triples, TsvLoader};
+use cf_kg::mmapio::mapping_rss_kb;
 use cf_kg::synth::{large_sim, LargeScale};
 use cf_kg::{
-    build_chain_index, read_store, write_index, write_store, ChainIndexView, GraphView,
+    build_chain_index, read_store, write_index, write_store, ChainIndexView, EntityId, GraphView,
     IndexParams, MappedChainIndex, MappedGraph,
 };
 use cf_rand::rngs::StdRng;
@@ -68,7 +72,7 @@ fn sample_queries(g: &impl GraphView, n: usize) -> Vec<Query> {
     let mut out = Vec::with_capacity(n);
     let mut e = 0usize;
     while out.len() < n && e < g.num_entities() {
-        let ent = cf_kg::EntityId(e as u32);
+        let ent = EntityId(e as u32);
         if let Some(f) = g.numerics_of(ent).first() {
             if g.degree(ent) > 0 {
                 out.push(Query {
@@ -82,6 +86,16 @@ fn sample_queries(g: &impl GraphView, n: usize) -> Vec<Query> {
     out
 }
 
+/// A row value at the precision its unit needs: counts and bytes whole,
+/// seconds to the microsecond (the 15k store opens in well under 1 ms).
+fn fmt_value(value: f64, unit: &str) -> String {
+    match unit {
+        "n" | "B" => format!("{value:.0}"),
+        "s" => format!("{value:.6}"),
+        _ => format!("{value:.3}"),
+    }
+}
+
 struct ScaleResult {
     rows: Vec<(String, f64, &'static str)>,
 }
@@ -89,7 +103,10 @@ struct ScaleResult {
 fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize) -> ScaleResult {
     let mut rows: Vec<(String, f64, &'static str)> = Vec::new();
     let mut push = |metric: &str, value: f64, unit: &'static str| {
-        println!("[{label}] {metric:<28} {value:>12.3} {unit}");
+        println!(
+            "[{label}] {metric:<28} {:>16} {unit}",
+            fmt_value(value, unit)
+        );
         rows.push((metric.to_string(), value, unit));
     };
 
@@ -214,7 +231,19 @@ fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize
         std::fs::metadata(&ix_path_1).unwrap().len() as f64,
         "B",
     );
-    let index = MappedChainIndex::open(&ix_path_1).unwrap();
+    let mut index = None;
+    let index_open_s = median3(|| {
+        let t = Instant::now();
+        index = Some(MappedChainIndex::open(&ix_path_1).unwrap());
+        secs(t)
+    });
+    let index = index.unwrap();
+    push("index_open_s", index_open_s, "s");
+    // What the open left resident of the index mapping (Linux only).
+    let at = index.entries_of(EntityId(0)).as_ptr().cast();
+    if let Some(kb) = mapping_rss_kb(at) {
+        push("index_open_rss_mb", kb as f64 / 1024.0, "MB");
+    }
     index.check_matches(&mapped).unwrap();
 
     // --- retrieval: walk-per-query vs indexed, same mmap backend ---
@@ -297,11 +326,7 @@ fn main() {
             table.row(vec![
                 label.to_string(),
                 metric,
-                if unit == "n" || unit == "B" {
-                    format!("{value:.0}")
-                } else {
-                    format!("{value:.3}")
-                },
+                fmt_value(value, unit),
                 unit.to_string(),
             ]);
         }

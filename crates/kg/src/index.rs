@@ -32,7 +32,10 @@ use crate::graph::KnowledgeGraph;
 use crate::ids::{AttributeId, DirRel, EntityId};
 use crate::mmapio::Mmap;
 use crate::paths::for_each_simple_path;
-use crate::store::{cast_u64s, walk_sections, SectionWriter, StoreError};
+use crate::store::{
+    cast_u64s, corrupt, verify_crc, walk_sections, FusedCrc, MonoScan, SectionWriter, StoreError,
+    FUSE_TILE,
+};
 use crate::view::GraphView;
 use std::ops::{ControlFlow, Range};
 use std::path::Path;
@@ -431,12 +434,63 @@ fn cast_entries(bytes: &[u8]) -> &[ChainEntry] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const ChainEntry, bytes.len() / 32) }
 }
 
+cf_tensor::simd_hot! {
+/// Branch-free fold of the entry rules over raw CFCI1 records (four `u64`
+/// words per 32-byte [`ChainEntry`]): bit `i` of the result is set when some
+/// record breaks [`ENTRY_RULES`]`[i]`. No per-record early exit, so the
+/// loop vectorizes.
+fn scan_entries(
+    raw: &[u64],
+    n_entities: u32,
+    n_attrs: u32,
+    max_hops: u32,
+    n_rel_tokens: u32,
+) -> u32 {
+    let (mut range, mut token, mut unused, mut non_finite) = (false, false, false, false);
+    for rec in raw.chunks_exact(4) {
+        let hops = rec[1] as u32;
+        range |= (rec[0] as u32 >= n_entities)
+            | ((rec[0] >> 32) as u32 >= n_attrs)
+            | (hops > max_hops);
+        let toks = [(rec[1] >> 32) as u32, rec[2] as u32, (rec[2] >> 32) as u32];
+        for (slot, t) in (0u32..).zip(toks) {
+            let used = slot < hops;
+            token |= used & (t >= n_rel_tokens);
+            unused |= !used & (t != NO_TOKEN);
+        }
+        non_finite |= (rec[3] >> 52) & 0x7FF == 0x7FF;
+    }
+    range as u32 | (token as u32) << 1 | (unused as u32) << 2 | (non_finite as u32) << 3
+}
+}
+
+/// The entry rule behind each bit of [`scan_entries`], in the order one
+/// record is checked: a file that breaks several is reported by the first.
+const ENTRY_RULES: [&str; 4] = [
+    "entry id or hop count out of range",
+    "relation token out of range",
+    "unused token slot not NO_TOKEN",
+    "non-finite value",
+];
+
 impl MappedChainIndex {
-    /// Opens and fully validates a CFCI1 file.
+    /// Opens and fully validates a CFCI1 file in one pass over its bytes,
+    /// on the CFKG1 validator: each array streams through [`FusedCrc`] in
+    /// 192 KiB tiles, the offsets with their monotonicity scan and the
+    /// entries with the [`scan_entries`] rule fold, and every verdict is
+    /// read only after its section's CRC matches. So a flipped body byte is
+    /// a `BadCrc` naming its section, and an entry that breaks a rule under
+    /// a good CRC is `Corrupt { section: "entries" }`.
+    ///
+    /// Each entries tile leaves the resident set once folded
+    /// ([`Mmap::release`]; each call also covers the tile before, so the
+    /// page two tiles share goes too). An open index then keeps only its
+    /// offsets resident, plus the rows [`ChainIndexView::entries_of`] has
+    /// read since.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedChainIndex, StoreError> {
         let mem = Mmap::open(path)?;
         let bytes = mem.bytes();
-        let sections = walk_sections(bytes, &INDEX_MAGIC, index_section_name, true)?;
+        let sections = walk_sections(bytes, &INDEX_MAGIC, index_section_name)?;
         let mut params_r = None;
         let mut offsets_r = None;
         let mut entries_r = None;
@@ -445,24 +499,28 @@ impl MappedChainIndex {
                 TAG_PARAMS => &mut params_r,
                 TAG_OFFSETS => &mut offsets_r,
                 TAG_ENTRIES => &mut entries_r,
-                _ => continue,
+                // Unknown tags are skipped, but still CRC-verified.
+                _ => {
+                    verify_crc(bytes, &s.body, s.crc, index_section_name(s.tag))?;
+                    continue;
+                }
             };
             if slot.is_some() {
                 return Err(StoreError::Duplicate {
                     section: index_section_name(s.tag),
                 });
             }
-            *slot = Some(s.body);
+            *slot = Some((s.body, s.crc));
         }
-        let params_b = params_r.ok_or(StoreError::Missing { section: "params" })?;
-        let offsets_b = offsets_r.ok_or(StoreError::Missing { section: "offsets" })?;
-        let entries_b = entries_r.ok_or(StoreError::Missing { section: "entries" })?;
+        let (params_b, params_crc) = params_r.ok_or(StoreError::Missing { section: "params" })?;
+        let (offsets_b, offsets_crc) =
+            offsets_r.ok_or(StoreError::Missing { section: "offsets" })?;
+        let (entries_b, entries_crc) =
+            entries_r.ok_or(StoreError::Missing { section: "entries" })?;
 
+        verify_crc(bytes, &params_b, params_crc, "params")?;
         if params_b.len() != 64 {
-            return Err(StoreError::Corrupt {
-                section: "params",
-                what: "expected 64-byte body".into(),
-            });
+            return Err(corrupt("params", "expected 64-byte body"));
         }
         let pv = cast_u64s(&bytes[params_b]);
         let n = pv[0];
@@ -480,78 +538,49 @@ impl MappedChainIndex {
             per_entity_cap: word(5),
         };
         if params.check().is_err() || n_attrs > MAX_ENTITIES || n_rel_tokens > MAX_ENTITIES {
-            return Err(StoreError::Corrupt {
-                section: "params",
-                what: "parameter out of range".into(),
-            });
+            return Err(corrupt("params", "parameter out of range"));
         }
         let n = n as usize;
 
         if offsets_b.len() != 8 * (n + 1) {
-            return Err(StoreError::Corrupt {
-                section: "offsets",
-                what: "body length does not match entity count".into(),
-            });
+            return Err(corrupt(
+                "offsets",
+                "body length does not match entity count",
+            ));
         }
         if entries_b.len() % 32 != 0 {
-            return Err(StoreError::Corrupt {
-                section: "entries",
-                what: "body length not a multiple of 32".into(),
-            });
+            return Err(corrupt("entries", "body length not a multiple of 32"));
         }
         let total = (entries_b.len() / 32) as u64;
         if total > MAX_ENTRIES {
             return Err(StoreError::TooLarge { section: "entries" });
         }
-        let offs = cast_u64s(&bytes[offsets_b.clone()]);
-        if offs.first() != Some(&0)
-            || offs.windows(2).any(|w| w[0] > w[1])
-            || offs.last() != Some(&total)
-        {
-            return Err(StoreError::Corrupt {
-                section: "offsets",
-                what: "offsets not monotone from 0 to the entry count".into(),
-            });
-        }
 
-        // Validate every entry: ids in range, hops ≤ max_hops, used tokens
-        // dense, unused slots NO_TOKEN, value finite.
-        {
-            let raw = cast_u64s(&bytes[entries_b.clone()]);
-            for rec in raw.chunks_exact(4) {
-                let source = rec[0] as u32 as u64;
-                let attr = rec[0] >> 32;
-                let hops = rec[1] as u32;
-                let toks = [(rec[1] >> 32) as u32, rec[2] as u32, (rec[2] >> 32) as u32];
-                let vbits = rec[3];
-                if source >= n as u64 || attr >= n_attrs || hops > params.max_hops {
-                    return Err(StoreError::Corrupt {
-                        section: "entries",
-                        what: "entry id or hop count out of range".into(),
-                    });
-                }
-                for (i, &t) in toks.iter().enumerate() {
-                    let used = (i as u32) < hops;
-                    if used && t as u64 >= n_rel_tokens {
-                        return Err(StoreError::Corrupt {
-                            section: "entries",
-                            what: "relation token out of range".into(),
-                        });
-                    }
-                    if !used && t != NO_TOKEN {
-                        return Err(StoreError::Corrupt {
-                            section: "entries",
-                            what: "unused token slot not NO_TOKEN".into(),
-                        });
-                    }
-                }
-                if (vbits >> 52) & 0x7FF == 0x7FF {
-                    return Err(StoreError::Corrupt {
-                        section: "entries",
-                        what: "non-finite value".into(),
-                    });
-                }
-            }
+        let mut fused = FusedCrc::new(bytes);
+        let mut mono = MonoScan::new();
+        fused.feed(&offsets_b, &mut |t| mono.feed(cast_u64s(t)));
+        fused.check(offsets_crc, "offsets")?;
+        mono.check(total, "offsets")?;
+
+        // Every count is at most 2^31 (checked above), so each fits a u32.
+        let (n32, attrs32, tokens32) = (n as u32, n_attrs as u32, n_rel_tokens as u32);
+        let mut fused = FusedCrc::new(bytes);
+        let mut broken = 0u32;
+        let mut behind = entries_b.start;
+        for start in entries_b.clone().step_by(FUSE_TILE) {
+            let tile = start..(start + FUSE_TILE).min(entries_b.end);
+            fused.feed(&tile, &mut |t| {
+                broken |= scan_entries(cast_u64s(t), n32, attrs32, params.max_hops, tokens32)
+            });
+            mem.release(behind..tile.end);
+            behind = start;
+        }
+        fused.check(entries_crc, "entries")?;
+        if broken != 0 {
+            return Err(corrupt(
+                "entries",
+                ENTRY_RULES[broken.trailing_zeros() as usize],
+            ));
         }
 
         Ok(MappedChainIndex {
@@ -659,6 +688,8 @@ mod tests {
     use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
+    use cf_tensor::crc::{crc32, Crc};
+    use cf_tensor::simd;
 
     /// [`collect_entity`] as first written, with a depth-first search of
     /// its own. Returns whether the raw-enumeration guard was reached.
@@ -987,6 +1018,154 @@ mod tests {
                 "corruption at {off} not detected"
             );
         }
+    }
+
+    /// Rewrites every section CRC and the footer of a CFCI1 image, so an
+    /// edit inside a body passes every checksum and reaches the checks
+    /// behind them.
+    fn reseal(file: &mut [u8]) {
+        let mut footer = Crc::new();
+        for s in walk_sections(file, &INDEX_MAGIC, index_section_name).unwrap() {
+            let crc = crc32(&file[s.body.clone()]).to_le_bytes();
+            let at = s.body.start + s.body.len().next_multiple_of(8);
+            file[at..at + 4].copy_from_slice(&crc);
+            footer.update(&crc);
+        }
+        let at = file.len() - 8;
+        file[at..at + 4].copy_from_slice(&footer.finish().to_le_bytes());
+    }
+
+    /// Every entry rule fails open on its own, under good CRCs, with its
+    /// own message: one broken field per case (source, attribute, hops, a
+    /// used token, an unused slot, the value), in an entry of the first
+    /// tile and one of the last, partial tile, at every vector tier the
+    /// host has.
+    #[test]
+    fn entry_rules_are_checked_behind_the_crc() {
+        let g = sample_graph();
+        let ix = build_default_index(&g);
+        let (_dir, p) = tmp("rules");
+        write_index(&ix, &p).unwrap();
+        let clean = std::fs::read(&p).unwrap();
+        let body = walk_sections(&clean, &INDEX_MAGIC, index_section_name)
+            .unwrap()
+            .into_iter()
+            .find(|s| s.tag == TAG_ENTRIES)
+            .unwrap()
+            .body;
+        assert!(
+            body.len() > FUSE_TILE && body.len() % FUSE_TILE != 0,
+            "{} entry bytes: no partial last tile",
+            body.len()
+        );
+        // A 1- or 2-hop entry has both a used and an unused token slot.
+        let two_slots = |k: &usize| (1..=2).contains(&ix.entries[*k].hops);
+        let last_tile = (body.len() - 1) / FUSE_TILE * FUSE_TILE / 32;
+        let picked = [
+            (0..last_tile).find(two_slots).unwrap(),
+            (last_tile..ix.entries.len()).rev().find(two_slots).unwrap(),
+        ];
+        let n = ix.num_entities() as u32;
+        let cases = |k: usize| -> [(usize, Vec<u8>, &str); 6] {
+            let hops = ix.entries[k].hops as usize;
+            let id_or_hops = "entry id or hop count out of range";
+            [
+                (0, n.to_le_bytes().to_vec(), id_or_hops),
+                (4, ix.n_attrs.to_le_bytes().to_vec(), id_or_hops),
+                (
+                    8,
+                    (ix.params.max_hops + 1).to_le_bytes().to_vec(),
+                    id_or_hops,
+                ),
+                (
+                    12,
+                    ix.n_rel_tokens.to_le_bytes().to_vec(),
+                    "relation token out of range",
+                ),
+                (
+                    12 + 4 * hops,
+                    0u32.to_le_bytes().to_vec(),
+                    "unused token slot not NO_TOKEN",
+                ),
+                (
+                    24,
+                    f64::INFINITY.to_bits().to_le_bytes().to_vec(),
+                    "non-finite value",
+                ),
+            ]
+        };
+        let detected = simd::tiers();
+        for vector in simd::BASELINE..=detected.vector {
+            simd::pin(Some(simd::Tiers { vector, ..detected }));
+            for k in picked {
+                for (at, field, want) in cases(k) {
+                    let mut bad = clean.clone();
+                    let at = body.start + 32 * k + at;
+                    bad[at..at + field.len()].copy_from_slice(&field);
+                    reseal(&mut bad);
+                    std::fs::write(&p, &bad).unwrap();
+                    match MappedChainIndex::open(&p) {
+                        Err(StoreError::Corrupt {
+                            section: "entries",
+                            what,
+                        }) if what == want => {}
+                        other => panic!(
+                            "tier {vector}, entry {k}, byte {at}: want {want:?}, got {other:?}"
+                        ),
+                    }
+                }
+            }
+            std::fs::write(&p, &clean).unwrap();
+            MappedChainIndex::open(&p).unwrap();
+        }
+        simd::pin(None);
+    }
+
+    /// An open index keeps its offsets and less than one tile of entries
+    /// resident, and reading one row faults in a few fault-around windows
+    /// (the kernel's default is 64 KiB) at most.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn open_index_stays_out_of_the_resident_set() {
+        const N: usize = 2048;
+        const ROW: usize = 256;
+        const FAULT_AROUND: u64 = 64 << 10;
+        let entry = |e: usize, j: usize| ChainEntry {
+            source: EntityId(((e + j) % N) as u32),
+            attr: AttributeId((j % 4) as u32),
+            hops: 0,
+            rel_tokens: [NO_TOKEN; 3],
+            value: j as f64,
+        };
+        let ix = ChainIndex {
+            params: IndexParams::default(),
+            fingerprint: 0,
+            n_attrs: 4,
+            n_rel_tokens: 2,
+            offsets: (0..=N).map(|e| (e * ROW) as u64).collect(),
+            entries: (0..N)
+                .flat_map(|e| (0..ROW).map(move |j| entry(e, j)))
+                .collect(),
+        };
+        let (_dir, p) = tmp("resident");
+        write_index(&ix, &p).unwrap();
+        let m = MappedChainIndex::open(&p).unwrap();
+        assert!(m.mem.len() >= 16 << 20 && m.is_kernel_mapped());
+        let rss = || crate::mmapio::mapping_rss_kb(m.mem.as_ptr()).unwrap() << 10;
+        let opened = rss();
+        assert!(
+            opened <= (m.offsets.len() + FUSE_TILE) as u64,
+            "{opened} B of a {} B index resident after open",
+            m.mem.len()
+        );
+        let e = EntityId(N as u32 / 2);
+        assert_eq!(m.entries_of(e), ix.entries_of(e));
+        let grown = rss().saturating_sub(opened);
+        assert!(
+            grown <= 4 * FAULT_AROUND,
+            "reading one {} B row made {grown} B resident",
+            ROW * 32
+        );
     }
 
     /// Each atomic write stages in `<target>.tmp`: a store and an index

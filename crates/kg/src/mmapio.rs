@@ -5,11 +5,17 @@
 //! back to reading the file into an 8-byte-aligned heap buffer, so callers
 //! get the same `&[u8]` API (just without the zero-copy page sharing).
 //!
-//! The mapping is `PROT_READ` + `MAP_PRIVATE`: the process can never write
-//! through it, and writes by other processes to already-CoW'd pages are not
-//! observed. The CFKG1 reader validates every section CRC once at open; the
-//! documented contract is that the file must not be truncated or rewritten
-//! while mapped (standard mmap caveat — see DESIGN.md §13).
+//! The mapping is `PROT_READ` + `MAP_PRIVATE` and is not populated up front:
+//! a page enters the process's resident set when it is first read (the
+//! kernel maps a small window around each faulting page from the page
+//! cache). [`Mmap::release`] drops a range from the resident set again; its
+//! bytes stay in the shared page cache, and a later read faults them back
+//! in from the file. The process can never write through the mapping, so it
+//! never holds a private copy of a page. The CFKG1 and CFCI1 readers
+//! validate every section CRC once at open; the documented contract is that
+//! the file must not be truncated or rewritten while mapped, which also
+//! covers pages faulted back in after a release (standard mmap caveat — see
+//! DESIGN.md §13.2).
 
 use std::fs::File;
 use std::io::Read;
@@ -104,6 +110,34 @@ impl Mmap {
         // buffer owned by `self.backing`, both valid for `self`'s lifetime.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
+
+    /// Drops the whole pages inside `range` from the process's resident
+    /// set (`madvise(MADV_DONTNEED)` on the page-aligned interior; a page
+    /// the range covers only in part stays). The bytes do not change: the
+    /// mapping is read-only and private, so no page was ever copied, and a
+    /// later read faults the page back in from the file. On the heap
+    /// fallback this does nothing.
+    ///
+    /// # Panics
+    /// If `range` is not inside the mapping.
+    pub fn release(&self, range: std::ops::Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "release range {range:?} outside a {}-byte mapping",
+            self.len
+        );
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if matches!(self.backing, Backing::Mapped) {
+            let start = range.start.next_multiple_of(sys::PAGE);
+            let end = range.end / sys::PAGE * sys::PAGE;
+            if start < end {
+                // SAFETY: [start, end) lies inside the live mapping; it is
+                // read-only and private, so dropping its pages loses no
+                // data and every later read sees the file's bytes again.
+                unsafe { sys::dontneed(self.ptr.add(start), end - start) };
+            }
+        }
+    }
 }
 
 impl std::ops::Deref for Mmap {
@@ -140,12 +174,12 @@ mod sys {
 
     const SYS_MMAP: usize = 9;
     const SYS_MUNMAP: usize = 11;
+    const SYS_MADVISE: usize = 28;
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
-    /// Populate page tables up front: the store reader touches every byte
-    /// immediately (per-section CRC), so eager population trades ~70K minor
-    /// faults per GB for one readahead pass inside the syscall.
-    const MAP_POPULATE: usize = 0x8000;
+    const MADV_DONTNEED: usize = 4;
+    /// The x86-64 base page size; the mapping base is aligned to it.
+    pub(super) const PAGE: usize = 4096;
 
     /// Raw 6-argument syscall.
     ///
@@ -183,17 +217,7 @@ mod sys {
         let fd = file.as_raw_fd();
         // SAFETY: addr=0 lets the kernel choose placement; fd is a live
         // file descriptor; PROT_READ|MAP_PRIVATE cannot corrupt memory.
-        let ret = unsafe {
-            syscall6(
-                SYS_MMAP,
-                0,
-                len,
-                PROT_READ,
-                MAP_PRIVATE | MAP_POPULATE,
-                fd as usize,
-                0,
-            )
-        };
+        let ret = unsafe { syscall6(SYS_MMAP, 0, len, PROT_READ, MAP_PRIVATE, fd as usize, 0) };
         // Errors are returned as -errno in [-4095, -1].
         if (-4095..0).contains(&ret) {
             Err(-ret as i32)
@@ -209,6 +233,40 @@ mod sys {
     pub(super) unsafe fn munmap(ptr: *const u8, len: usize) {
         let _ = syscall6(SYS_MUNMAP, ptr as usize, len, 0, 0, 0, 0);
     }
+
+    /// Drops the pages of `[ptr, ptr + len)` from the resident set. It can
+    /// only fail on a bad range, and a failed release changes nothing, so
+    /// the result is ignored.
+    ///
+    /// SAFETY: `ptr` must be page-aligned and `[ptr, ptr + len)` inside a
+    /// live read-only private file mapping.
+    pub(super) unsafe fn dontneed(ptr: *const u8, len: usize) {
+        let _ = syscall6(SYS_MADVISE, ptr as usize, len, MADV_DONTNEED, 0, 0, 0);
+    }
+}
+
+/// Resident kB of this process's mapping that holds `addr`: the `Rss:`
+/// line of its `/proc/self/smaps` entry, or `None` where there is no such
+/// entry (no mapping there, or not Linux). Tests and benches read it to
+/// see what a mapped file keeps resident.
+pub fn mapping_rss_kb(addr: *const u8) -> Option<u64> {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+    let addr = addr as usize;
+    let mut inside = false;
+    for line in smaps.lines() {
+        let first = line.split_whitespace().next().unwrap_or("");
+        if let Some((lo, hi)) = first.split_once('-') {
+            if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+            {
+                inside = (lo..hi).contains(&addr);
+                continue;
+            }
+        }
+        if let Some(kb) = line.strip_prefix("Rss:").filter(|_| inside) {
+            return kb.trim().trim_end_matches("kB").trim().parse().ok();
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -259,6 +317,35 @@ mod tests {
         assert_eq!(&m[..], &data[..]);
         assert!(!m.is_kernel_mapped());
         assert_eq!(m.bytes().as_ptr() as usize % 8, 0);
+    }
+
+    /// A released range reads back the same bytes; on a kernel mapping its
+    /// whole pages leave the resident set and the two partial end pages
+    /// stay. The heap fallback ignores a release.
+    #[test]
+    fn release_keeps_the_bytes() {
+        let data: Vec<u8> = (0..64 * 4096 + 123).map(|i| (i * 7 % 251) as u8).collect();
+        let (_dir, p) = tmpfile("release", &data);
+        let m = Mmap::open(&p).unwrap();
+        assert_eq!(&m[..], &data[..]);
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        let touched = mapping_rss_kb(m.as_ptr());
+        m.release(100..m.len() - 100);
+        m.release(0..0);
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        {
+            let (touched, released) = (touched.unwrap(), mapping_rss_kb(m.as_ptr()).unwrap());
+            assert!(touched >= 64 * 4, "read every page, {touched} kB resident");
+            assert!(released <= 8, "{released} kB resident after the release");
+        }
+        assert_eq!(&m[..], &data[..]);
+
+        let heap = Mmap::read_heap(File::open(&p).unwrap(), data.len()).unwrap();
+        let base = heap.as_ptr();
+        heap.release(0..heap.len());
+        assert!(!heap.is_kernel_mapped());
+        assert_eq!(heap.as_ptr(), base);
+        assert_eq!(&heap[..], &data[..]);
     }
 
     #[test]

@@ -303,9 +303,8 @@ pub(crate) struct RawSection {
     pub(crate) tag: u32,
     /// Byte range of the (unpadded) body within the file.
     pub(crate) body: Range<usize>,
-    /// The stored body CRC. Verified by the walker when `verify_bodies`,
-    /// otherwise the caller must verify it (possibly fused with its own
-    /// scan) before trusting the body.
+    /// The stored body CRC. The caller must verify it (possibly fused with
+    /// its own scan) before trusting the body.
     pub(crate) crc: u32,
 }
 
@@ -314,9 +313,9 @@ pub(crate) struct RawSection {
 /// in file order. Unknown tags are returned too (forward compat); the
 /// caller decides which tags it requires.
 ///
-/// With `verify_bodies` every section body is CRC-checked here; without it
-/// the caller takes over body verification (the store open path fuses the
-/// CRC with structural scans so the file is read once, not twice).
+/// Section bodies are not read here: the caller CRC-checks each one (the
+/// CFKG1 and CFCI1 open paths fuse the CRC with their structural scans, so
+/// the file is read once, not twice), unknown sections included.
 ///
 /// Every padding byte (header pad word, body zero-padding, trailer pad
 /// word, footer pad word) must be zero and trailing bytes after the footer
@@ -325,7 +324,6 @@ pub(crate) fn walk_sections(
     bytes: &[u8],
     magic: &[u8; 8],
     names: fn(u32) -> &'static str,
-    verify_bodies: bool,
 ) -> Result<Vec<RawSection>, StoreError> {
     if bytes.len() < 8 || &bytes[..8] != magic {
         return Err(StoreError::BadMagic);
@@ -415,11 +413,6 @@ pub(crate) fn walk_sections(
                 .try_into()
                 .unwrap(),
         );
-        if verify_bodies && crc32(&bytes[body.clone()]) != stored {
-            return Err(StoreError::BadCrc {
-                section: names(tag),
-            });
-        }
         if tpad != 0 {
             return Err(StoreError::Corrupt {
                 section: names(tag),
@@ -645,7 +638,7 @@ struct Layout {
     attr_facts: Range<usize>,
 }
 
-fn corrupt(section: &'static str, what: impl Into<String>) -> StoreError {
+pub(crate) fn corrupt(section: &'static str, what: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
         section,
         what: what.into(),
@@ -714,7 +707,7 @@ cf_tensor::simd_hot! {
 /// Tile size for fused CRC+scan passes: fits in L2 next to the CRC tables,
 /// and is divisible by every record size in the format (4, 8, 12, 16), so
 /// `chunks(FUSE_TILE)` keeps every tile record-aligned.
-const FUSE_TILE: usize = 192 << 10;
+pub(crate) const FUSE_TILE: usize = 192 << 10;
 
 /// Streams the subranges of one section body through the CRC while handing
 /// each cache-hot tile to a structural fold — open validates a big section
@@ -724,27 +717,27 @@ const FUSE_TILE: usize = 192 << 10;
 /// CRC will not match. The folds only accumulate (max/or reductions); their
 /// verdicts are checked after [`FusedCrc::check`], so a body is never
 /// trusted before its CRC is.
-struct FusedCrc<'a> {
+pub(crate) struct FusedCrc<'a> {
     bytes: &'a [u8],
     crc: Crc,
 }
 
 impl<'a> FusedCrc<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         FusedCrc {
             bytes,
             crc: Crc::new(),
         }
     }
 
-    fn feed(&mut self, sub: &Range<usize>, fold: &mut dyn FnMut(&[u8])) {
+    pub(crate) fn feed(&mut self, sub: &Range<usize>, fold: &mut dyn FnMut(&[u8])) {
         for tile in self.bytes[sub.clone()].chunks(FUSE_TILE) {
             self.crc.update(tile);
             fold(tile);
         }
     }
 
-    fn check(self, stored: u32, section: &'static str) -> Result<(), StoreError> {
+    pub(crate) fn check(self, stored: u32, section: &'static str) -> Result<(), StoreError> {
         if self.crc.finish() != stored {
             return Err(StoreError::BadCrc { section });
         }
@@ -754,14 +747,14 @@ impl<'a> FusedCrc<'a> {
 
 /// Incremental CSR-offsets validation, fed tile by tile in order; same
 /// verdicts and messages as [`check_offsets`].
-struct MonoScan {
+pub(crate) struct MonoScan {
     first: Option<u64>,
     prev: u64,
     ok: bool,
 }
 
 impl MonoScan {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MonoScan {
             first: None,
             prev: 0,
@@ -769,7 +762,7 @@ impl MonoScan {
         }
     }
 
-    fn feed(&mut self, vals: &[u64]) {
+    pub(crate) fn feed(&mut self, vals: &[u64]) {
         let Some(&v0) = vals.first() else { return };
         if self.first.is_none() {
             self.first = Some(v0);
@@ -780,7 +773,7 @@ impl MonoScan {
         self.prev = *vals.last().unwrap();
     }
 
-    fn check(&self, total: u64, section: &'static str) -> Result<(), StoreError> {
+    pub(crate) fn check(&self, total: u64, section: &'static str) -> Result<(), StoreError> {
         if self.first != Some(0) {
             return Err(corrupt(section, "offsets do not start at 0"));
         }
@@ -799,7 +792,7 @@ impl MonoScan {
 
 /// One-shot CRC verification for small sections that are validated by
 /// dedicated code (counts, name tables) rather than a fused scan.
-fn verify_crc(
+pub(crate) fn verify_crc(
     bytes: &[u8],
     body: &Range<usize>,
     stored: u32,
@@ -896,10 +889,10 @@ fn validate_str_table(
 }
 
 fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
-    // Body CRCs are NOT verified by the walker here: each known section's
-    // CRC is verified below, fused with its structural scan for the big
-    // array sections, so open reads the file once instead of twice.
-    let sections = walk_sections(bytes, &STORE_MAGIC, section_name, false)?;
+    // The walker leaves body CRCs to us: each known section's CRC is
+    // verified below, fused with its structural scan for the big array
+    // sections, so open reads the file once instead of twice.
+    let sections = walk_sections(bytes, &STORE_MAGIC, section_name)?;
     let mut found: [Option<(Range<usize>, u32)>; 10] = Default::default();
     for s in sections {
         if (1..=9).contains(&s.tag) {
