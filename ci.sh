@@ -431,7 +431,8 @@ echo "== live-mutation gate (offline) =="
 # serving, including the entity that only exists in the overlay. Offline
 # compaction of both journals must then produce byte-identical stores. An
 # indexed arm then pins the served bytes of a chain-indexed server under
-# mutations across shard counts and a restart.
+# mutations across shard counts and a restart, and an online-compaction
+# arm pins what `--compact-to/--compact-every` writes.
 MUT_DIR="$SMOKE_DIR/mut"
 mkdir -p "$MUT_DIR"
 MUT_FLAGS=(--store "$KG_DIR/yago.cfkg" --ckpt "$SMOKE_DIR/model.ckpt" \
@@ -554,19 +555,21 @@ cmp "$MUT_DIR/control.kg" "$MUT_DIR/crash.kg" \
 # All four probe dumps must be byte-identical, and the server must report
 # that recomputed rows answered some of them.
 IXM_FLAGS=("${MUT_FLAGS[@]}" --index "$KG_DIR/yago.cfci")
-ixm_serve() { # $1 = name, $2 = shards; sets IXM_PID and IXM_PORT
-    mkfifo "$MUT_DIR/${1}_stdin"
-    "$CFKG" serve "${IXM_FLAGS[@]}" --port 0 --shards "$2" --journal "$MUT_DIR/ix_$2.cfj" \
-        < "$MUT_DIR/${1}_stdin" > "$MUT_DIR/$1.log" 2>&1 &
+ixm_serve() { # $1 = name, $2 = journal, then serve flags; sets IXM_PID and IXM_PORT
+    local NAME="$1" JOURNAL="$2"
+    shift 2
+    mkfifo "$MUT_DIR/${NAME}_stdin"
+    "$CFKG" serve "${IXM_FLAGS[@]}" --port 0 --journal "$JOURNAL" "$@" \
+        < "$MUT_DIR/${NAME}_stdin" > "$MUT_DIR/$NAME.log" 2>&1 &
     IXM_PID=$!
-    exec 5>"$MUT_DIR/${1}_stdin"
+    exec 5>"$MUT_DIR/${NAME}_stdin"
     for _ in $(seq 1 100); do
-        grep -q '^listening on ' "$MUT_DIR/$1.log" && break
+        grep -q '^listening on ' "$MUT_DIR/$NAME.log" && break
         sleep 0.1
     done
-    IXM_PORT="$(sed -n 's/^listening on .*://p' "$MUT_DIR/$1.log" | head -1)"
-    [ -n "$IXM_PORT" ] || { echo "mutation gate: no listening line ($1)"; \
-                            cat "$MUT_DIR/$1.log"; exit 1; }
+    IXM_PORT="$(sed -n 's/^listening on .*://p' "$MUT_DIR/$NAME.log" | head -1)"
+    [ -n "$IXM_PORT" ] || { echo "mutation gate: no listening line ($NAME)"; \
+                            cat "$MUT_DIR/$NAME.log"; exit 1; }
 }
 ixm_load() { # $1 = dump name, then loadtest flags
     local NAME="$1"
@@ -587,7 +590,7 @@ ixm_stop() {
     exec 5>&-
 }
 for SH in 1 4; do
-    ixm_serve "ix_$SH" "$SH"
+    ixm_serve "ix_$SH" "$MUT_DIR/ix_$SH.cfj" --shards "$SH"
     ixm_load "ix_mutate_$SH" --requests 100 --seed 7 --mutate-every 10
     grep -q 'mutations 10+0' "$MUT_DIR/load_ix_mutate_$SH.log" \
         || { echo "mutation gate: expected 10 acked mutations (indexed, $SH shards)"; exit 1; }
@@ -604,7 +607,7 @@ for SH in 1 4; do
         || { echo "mutation gate: no answer from a recomputed row ($SH shards):"; \
              echo "$IXM_METRICS"; exit 1; }
     ixm_stop
-    ixm_serve "ix_restart_$SH" "$SH"
+    ixm_serve "ix_restart_$SH" "$MUT_DIR/ix_$SH.cfj" --shards "$SH"
     grep -q 'replayed 10 mutation(s)' "$MUT_DIR/ix_restart_$SH.log" \
         || { echo "mutation gate: indexed restart did not replay 10 mutations ($SH shards)"; \
              cat "$MUT_DIR/ix_restart_$SH.log"; exit 1; }
@@ -617,6 +620,30 @@ for PROBE in ix_probe_4 ix_probe_restart_1 ix_probe_restart_4; do
     cmp "$MUT_DIR/ix_probe_1.dump" "$MUT_DIR/$PROBE.dump" \
         || { echo "mutation gate: indexed probe answers differ ($PROBE vs ix_probe_1)"; exit 1; }
 done
+
+# Online-compaction arm (DESIGN.md §16.2): the same indexed servers with
+# --compact-to C --compact-every 5 fold base + overlay into C after the
+# 5th and the 10th journal record (OverlayGraph::materialize) and empty
+# the journal each time. Compaction leaves the overlay as it is, so the
+# responses equal the indexed arm's; the stores written at 1 and 4 shards
+# are byte-identical, readable, and each journal is left as its 8-byte
+# magic.
+for SH in 1 4; do
+    ixm_serve "cx_$SH" "$MUT_DIR/cx_$SH.cfj" --shards "$SH" \
+        --compact-to "$MUT_DIR/cx_$SH.cfkg" --compact-every 5
+    ixm_load "cx_mutate_$SH" --requests 100 --seed 7 --mutate-every 10
+    grep -q 'mutations 10+0' "$MUT_DIR/load_cx_mutate_$SH.log" \
+        || { echo "mutation gate: expected 10 acked mutations (compacting, $SH shards)"; exit 1; }
+    ixm_stop
+    cmp "$MUT_DIR/ix_mutate_1.dump" "$MUT_DIR/cx_mutate_$SH.dump" \
+        || { echo "mutation gate: online compaction changed a response ($SH shards)"; exit 1; }
+    "$CFKG" stats --store "$MUT_DIR/cx_$SH.cfkg" > "$MUT_DIR/cx_stats_$SH.log" \
+        || { echo "mutation gate: compacted store unreadable ($SH shards)"; exit 1; }
+    printf 'CFJ1\0\0\0\0' | cmp - "$MUT_DIR/cx_$SH.cfj" \
+        || { echo "mutation gate: journal not emptied by compaction ($SH shards)"; exit 1; }
+done
+cmp "$MUT_DIR/cx_1.cfkg" "$MUT_DIR/cx_4.cfkg" \
+    || { echo "mutation gate: online-compacted stores differ between 1 and 4 shards"; exit 1; }
 echo "live-mutation gate: ok"
 
 echo "== cargo fmt --check =="

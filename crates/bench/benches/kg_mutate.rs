@@ -10,9 +10,11 @@
 //! - **invalidate** — the `max_hops` BFS ([`cf_serve::dirty_entities`])
 //!   that computes the stale set for the chain cache and index.
 //!
-//! Plus the two batch operations: **replay** (recover the journal, apply
-//! every mutation to a fresh overlay — the restart path) and **compact**
-//! (fold the overlay into a new CFKG1 store, atomic tmp+rename).
+//! Plus the two batch operations: **replay** (load the store, recover the
+//! journal and apply every mutation to a fresh overlay — the restart path)
+//! and **compact** (fold the overlay into a new CFKG1 store, atomic
+//! tmp+rename). The overlay's base is the store loaded by `read_store`, as
+//! `cfkg serve` loads it.
 //!
 //! The 15K-entity arm always runs; the 1M-entity arm is gated behind
 //! `CF_BENCH_KG_LARGE=1` (same convention as `kg_retrieval`). Rows merge
@@ -21,7 +23,7 @@
 
 use cf_kg::journal::{recover_file, JournalWriter};
 use cf_kg::synth::{large_sim, LargeScale};
-use cf_kg::{write_store, EntityId, GraphView, MappedGraph, Mutation, OverlayGraph, RelationId};
+use cf_kg::{read_store, write_store, EntityId, GraphView, Mutation, OverlayGraph, RelationId};
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
 use cf_serve::dirty_entities;
@@ -96,10 +98,10 @@ fn run_scale(label: &str, scale: LargeScale, samples: usize) -> Vec<(String, f64
     let store_path = tmp(&format!("{label}.cfkg"));
     write_store(&g, &store_path).unwrap();
     drop(g);
-    let mapped = MappedGraph::open(&store_path).unwrap();
-    push("entities", mapped.num_entities() as f64, "n");
+    let base = read_store(&store_path).unwrap();
+    push("entities", base.num_entities() as f64, "n");
 
-    let muts = sample_mutations(&mapped, samples);
+    let muts = sample_mutations(&base, samples);
     assert!(!muts.is_empty(), "no evidence-bearing entities sampled");
     push("mutations", muts.len() as f64, "n");
     push("invalidate_hops", INVALIDATE_HOPS as f64, "n");
@@ -108,7 +110,7 @@ fn run_scale(label: &str, scale: LargeScale, samples: usize) -> Vec<(String, f64
     let journal_path = tmp(&format!("{label}.cfj"));
     let _ = std::fs::remove_file(&journal_path);
     let (mut journal, _) = JournalWriter::open(&journal_path).unwrap();
-    let mut overlay = OverlayGraph::new(mapped.into());
+    let mut overlay = OverlayGraph::new(base);
     let mut journal_us = Vec::with_capacity(muts.len());
     let mut apply_us = Vec::with_capacity(muts.len());
     let mut bfs_us = Vec::with_capacity(muts.len());
@@ -143,7 +145,7 @@ fn run_scale(label: &str, scale: LargeScale, samples: usize) -> Vec<(String, f64
     // --- restart path: recover the journal, re-apply onto a fresh base ---
     let t = Instant::now();
     let recovery = recover_file(&journal_path).unwrap();
-    let mut replayed = OverlayGraph::new(MappedGraph::open(&store_path).unwrap().into());
+    let mut replayed = OverlayGraph::new(read_store(&store_path).unwrap());
     replayed.apply_all(&recovery.mutations);
     push("replay_s", secs(t), "s");
     assert_eq!(recovery.mutations.len(), muts.len());

@@ -5,7 +5,7 @@
 //!   answered individually (`max_batch = 1`) with a fresh chain retrieval
 //!   (cache disabled). This is what calling `predict` per request costs.
 //! - `micro_batch` — the serving subsystem: micro-batching
-//!   (`max_batch = 8`, 2 ms batching window) + the LRU chain cache.
+//!   (up to `max_batch = 8` queued jobs per forward) + the LRU chain cache.
 //!
 //! Each closed-loop arm runs with 1, 2 and 4 client threads cycling a
 //! fixed pool of hot queries. Clients matter because a lone closed-loop
@@ -75,13 +75,11 @@ fn arm_config(arm: &str) -> EngineConfig {
     match arm {
         "per_request" => EngineConfig {
             max_batch: 1,
-            max_wait_us: 0,
             cache_cap: 0,
             ..EngineConfig::default()
         },
         "micro_batch" => EngineConfig {
             max_batch: 8,
-            max_wait_us: 2000,
             cache_cap: 4096,
             ..EngineConfig::default()
         },

@@ -6,8 +6,8 @@ use cf_kg::io::{write_numerics, write_triples, TsvLoader};
 use cf_kg::stats::{attribute_stats, dataset_stats};
 use cf_kg::synth::{fb15k_sim, large_sim, yago15k_sim, LargeScale, SynthScale};
 use cf_kg::{
-    build_chain_index, read_store, write_index, write_store, ChainIndexStore, ChainIndexView,
-    GraphView, IndexParams, KnowledgeGraph, MappedChainIndex, Split,
+    build_chain_index, read_store, write_index, write_store, ChainIndexView, GraphView,
+    IndexParams, KnowledgeGraph, MappedChainIndex, Split,
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
@@ -53,7 +53,6 @@ const SERVE: &[&str] = &[
     "index",
     "port",
     "max-batch",
-    "max-wait-us",
     "queue-cap",
     "shards",
     "cache-cap",
@@ -478,7 +477,7 @@ pub fn compact(args: &Args) -> CmdResult {
     let journal = args.require("journal")?;
     let out = args.require("out")?;
     let graph = read_store(store)?;
-    let mut overlay = cf_kg::OverlayGraph::new(graph.into());
+    let mut overlay = cf_kg::OverlayGraph::new(graph);
     let rec = cf_kg::recover_file(journal)?;
     if let Some(d) = &rec.dropped {
         outln!(
@@ -510,7 +509,6 @@ pub fn serve(args: &Args) -> CmdResult {
     let port: u16 = args.get_parse("port", 0, "integer")?;
     let cfg = EngineConfig {
         max_batch: args.get_parse("max-batch", 8, "integer")?,
-        max_wait_us: args.get_parse("max-wait-us", 2000, "integer")?,
         queue_cap: args.get_parse("queue-cap", 256, "integer")?,
         // 0 = auto: one shard (queue, cache, worker) per numeric-pool
         // thread. Responses are bitwise identical at every shard count
@@ -526,7 +524,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let t = Instant::now();
     let index = match args.get("index") {
         Some(path) => {
-            let ix = ChainIndexStore::from(MappedChainIndex::open(path)?);
+            let ix = MappedChainIndex::open(path)?;
             // Check here (not in the engine) so a stale index is a clean
             // CLI error instead of a panic.
             ix.check_matches(&visible)?;

@@ -116,7 +116,9 @@ COMMANDS
              close shuts down gracefully)
              --triples FILE --numerics FILE (or --store FILE) --ckpt FILE
              [--index FILE (serve retrieval from a chain index)]
-             [--port N (0 = ephemeral)] [--max-batch N] [--max-wait-us N]
+             [--port N (0 = ephemeral)]
+             [--max-batch N (a shard answers the requests already queued,
+              up to N, in one forward; it never waits for more)]
              [--queue-cap N]
              [--shards N (queues and caches; 0 = one per pool thread;
               responses are bitwise identical at every N)]

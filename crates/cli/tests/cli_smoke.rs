@@ -310,14 +310,14 @@ fn model_file_errors_are_typed_and_name_the_section() {
 }
 
 /// A flag the subcommand does not read — a typo, or the retired
-/// `--workers` — is a usage error (exit 2) naming it, before any work is
-/// done. `--threads` stays a flag of every command.
+/// `--workers` or `--max-wait-us` — is a usage error (exit 2) naming it,
+/// before any work is done. `--threads` stays a flag of every command.
 #[test]
 fn unknown_flags_are_usage_errors() {
     let dir = TempDir::new("cfkg_unknown_flag");
     let missing = dir.join("missing.cfkg");
     let missing = missing.to_str().unwrap();
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["stats", "--store", missing, "--shardz", "2"], "--shardz"),
         (
             &[
@@ -330,6 +330,18 @@ fn unknown_flags_are_usage_errors() {
                 "4",
             ],
             "--workers",
+        ),
+        (
+            &[
+                "serve",
+                "--store",
+                missing,
+                "--ckpt",
+                missing,
+                "--max-wait-us",
+                "100",
+            ],
+            "--max-wait-us",
         ),
         (
             &["train", "--quality", "--workers", "--resume"],

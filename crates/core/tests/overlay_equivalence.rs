@@ -7,7 +7,7 @@
 use cf_chains::Query;
 use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
-use cf_kg::{read_store, GraphStore, GraphView, Mutation, OverlayGraph, Split};
+use cf_kg::{read_store, GraphView, Mutation, OverlayGraph, Split};
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
 use cf_tensor::pool::set_threads;
@@ -40,7 +40,7 @@ fn overlay_and_compacted_store_predict_identically_at_every_width() {
             tail: visible.entity_name(q0.entity).to_string(),
         },
     ];
-    let mut overlay = OverlayGraph::new(GraphStore::Heap(visible.clone()));
+    let mut overlay = OverlayGraph::new(visible.clone());
     overlay.apply_all(&muts);
 
     let dir = TempDir::new("overlay_eq");

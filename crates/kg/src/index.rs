@@ -28,7 +28,6 @@
 //! A loaded index refuses to pair with a graph whose [`graph_fingerprint`]
 //! differs from the one recorded at build time.
 
-use crate::graph::KnowledgeGraph;
 use crate::ids::{AttributeId, DirRel, EntityId};
 use crate::mmapio::Mmap;
 use crate::paths::for_each_simple_path;
@@ -592,11 +591,6 @@ impl MappedChainIndex {
             entries: entries_b,
         })
     }
-
-    /// Whether the kernel zero-copy mapping is in use.
-    pub fn is_kernel_mapped(&self) -> bool {
-        self.mem.is_kernel_mapped()
-    }
 }
 
 impl ChainIndexView for MappedChainIndex {
@@ -620,68 +614,16 @@ impl ChainIndexView for MappedChainIndex {
     }
 }
 
-/// Either chain-index backend behind one concrete type.
-#[derive(Debug)]
-pub enum ChainIndexStore {
-    /// Heap-built index.
-    Built(ChainIndex),
-    /// Zero-copy mmap view over a CFCI1 file.
-    Mapped(MappedChainIndex),
-}
-
-impl From<ChainIndex> for ChainIndexStore {
-    fn from(ix: ChainIndex) -> Self {
-        ChainIndexStore::Built(ix)
-    }
-}
-
-impl From<MappedChainIndex> for ChainIndexStore {
-    fn from(ix: MappedChainIndex) -> Self {
-        ChainIndexStore::Mapped(ix)
-    }
-}
-
-impl ChainIndexView for ChainIndexStore {
-    fn num_entities(&self) -> usize {
-        match self {
-            ChainIndexStore::Built(ix) => ix.num_entities(),
-            ChainIndexStore::Mapped(ix) => ix.num_entities(),
-        }
-    }
-    fn params(&self) -> IndexParams {
-        match self {
-            ChainIndexStore::Built(ix) => ix.params(),
-            ChainIndexStore::Mapped(ix) => ix.params(),
-        }
-    }
-    fn fingerprint(&self) -> u64 {
-        match self {
-            ChainIndexStore::Built(ix) => ix.fingerprint(),
-            ChainIndexStore::Mapped(ix) => ix.fingerprint(),
-        }
-    }
-    fn entries_of(&self, e: EntityId) -> &[ChainEntry] {
-        match self {
-            ChainIndexStore::Built(ix) => ix.entries_of(e),
-            ChainIndexStore::Mapped(ix) => ix.entries_of(e),
-        }
-    }
-    fn total_entries(&self) -> usize {
-        match self {
-            ChainIndexStore::Built(ix) => ix.total_entries(),
-            ChainIndexStore::Mapped(ix) => ix.total_entries(),
-        }
-    }
-}
-
-/// Convenience: builds the index for a heap graph with default parameters.
-pub fn build_default_index(g: &KnowledgeGraph) -> ChainIndex {
-    build_chain_index(g, IndexParams::default())
-}
+/// Former name of [`MappedChainIndex`], the one index type the serving
+/// engine reads; kept only so existing callers compile. New code names
+/// [`MappedChainIndex`].
+#[doc(hidden)]
+pub type ChainIndexStore = MappedChainIndex;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::KnowledgeGraph;
     use crate::ids::RelationId;
     use crate::synth::{yago15k_sim, SynthScale};
     use cf_check::prelude::*;
@@ -916,7 +858,7 @@ mod tests {
     #[test]
     fn zero_hop_entries_are_own_facts() {
         let g = sample_graph();
-        let ix = build_default_index(&g);
+        let ix = build_chain_index(&g, IndexParams::default());
         for e in GraphView::entities(&g).take(500) {
             let zero: Vec<_> = ix.entries_of(e).iter().filter(|c| c.hops == 0).collect();
             let mut own: Vec<_> = g
@@ -936,9 +878,9 @@ mod tests {
         let g = sample_graph();
         let before = cf_tensor::pool::threads();
         cf_tensor::pool::set_threads(1);
-        let ix1 = build_default_index(&g);
+        let ix1 = build_chain_index(&g, IndexParams::default());
         cf_tensor::pool::set_threads(4);
-        let ix4 = build_default_index(&g);
+        let ix4 = build_chain_index(&g, IndexParams::default());
         cf_tensor::pool::set_threads(before);
         assert_eq!(ix1.offsets, ix4.offsets);
         assert_eq!(ix1.entries, ix4.entries);
@@ -957,7 +899,7 @@ mod tests {
     #[test]
     fn mapped_index_matches_built() {
         let g = sample_graph();
-        let ix = build_default_index(&g);
+        let ix = build_chain_index(&g, IndexParams::default());
         let (_dir, p) = tmp("mapped");
         write_index(&ix, &p).unwrap();
         let m = MappedChainIndex::open(&p).unwrap();
@@ -974,7 +916,7 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_is_rejected() {
         let g = sample_graph();
-        let ix = build_default_index(&g);
+        let ix = build_chain_index(&g, IndexParams::default());
         let (_dir, p) = tmp("fpr");
         write_index(&ix, &p).unwrap();
         let m = MappedChainIndex::open(&p).unwrap();
@@ -1004,7 +946,7 @@ mod tests {
     #[test]
     fn index_corruption_is_detected() {
         let g = sample_graph();
-        let ix = build_default_index(&g);
+        let ix = build_chain_index(&g, IndexParams::default());
         let (_dir, p) = tmp("corrupt");
         write_index(&ix, &p).unwrap();
         let clean = std::fs::read(&p).unwrap();
@@ -1043,7 +985,7 @@ mod tests {
     #[test]
     fn entry_rules_are_checked_behind_the_crc() {
         let g = sample_graph();
-        let ix = build_default_index(&g);
+        let ix = build_chain_index(&g, IndexParams::default());
         let (_dir, p) = tmp("rules");
         write_index(&ix, &p).unwrap();
         let clean = std::fs::read(&p).unwrap();
@@ -1150,7 +1092,7 @@ mod tests {
         let (_dir, p) = tmp("resident");
         write_index(&ix, &p).unwrap();
         let m = MappedChainIndex::open(&p).unwrap();
-        assert!(m.mem.len() >= 16 << 20 && m.is_kernel_mapped());
+        assert!(m.mem.len() >= 16 << 20 && m.mem.is_kernel_mapped());
         let rss = || crate::mmapio::mapping_rss_kb(m.mem.as_ptr()).unwrap() << 10;
         let opened = rss();
         assert!(
@@ -1201,7 +1143,7 @@ mod tests {
     #[test]
     fn entries_are_sorted_and_deduped() {
         let g = sample_graph();
-        let ix = build_default_index(&g);
+        let ix = build_chain_index(&g, IndexParams::default());
         for e in GraphView::entities(&g).take(500) {
             let entries = ix.entries_of(e);
             for w in entries.windows(2) {

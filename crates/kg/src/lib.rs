@@ -54,4 +54,4 @@ pub use overlay::{ApplyOutcome, OverlayGraph};
 pub use paths::for_each_simple_path;
 pub use split::Split;
 pub use store::{read_store, write_store, MappedGraph, StoreError};
-pub use view::{GraphStore, GraphView};
+pub use view::GraphView;

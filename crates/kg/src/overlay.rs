@@ -1,4 +1,4 @@
-//! Delta-capable graph view: an immutable [`GraphStore`] base plus an
+//! Delta-capable graph view: an immutable [`KnowledgeGraph`] base plus an
 //! in-memory overlay of applied [`Mutation`]s, exposed through the same
 //! [`GraphView`] trait the retrieval and model layers are generic over —
 //! so chains gathered over a mutated graph run the exact same code (and
@@ -33,7 +33,7 @@ use crate::graph::{AttrFact, AttrOwner, Edge, KnowledgeGraph, Triple};
 use crate::ids::{AttributeId, DirRel, EntityId, RelationId};
 use crate::journal::Mutation;
 use crate::store::StoreError;
-use crate::view::{GraphStore, GraphView};
+use crate::view::GraphView;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -50,10 +50,7 @@ pub struct ApplyOutcome {
 /// An immutable base graph plus an in-memory mutation overlay.
 #[derive(Debug)]
 pub struct OverlayGraph {
-    base: GraphStore,
-    base_entities: usize,
-    base_relations: usize,
-    base_attributes: usize,
+    base: KnowledgeGraph,
 
     added_entities: Vec<String>,
     added_relations: Vec<String>,
@@ -74,18 +71,10 @@ pub struct OverlayGraph {
 }
 
 impl OverlayGraph {
-    /// Wraps a base store with an empty overlay.
-    pub fn new(base: GraphStore) -> Self {
-        let (ne, nr, na) = (
-            base.num_entities(),
-            base.num_relations(),
-            base.num_attributes(),
-        );
+    /// Wraps a base graph with an empty overlay.
+    pub fn new(base: KnowledgeGraph) -> Self {
         OverlayGraph {
             base,
-            base_entities: ne,
-            base_relations: nr,
-            base_attributes: na,
             added_entities: Vec::new(),
             added_relations: Vec::new(),
             added_attributes: Vec::new(),
@@ -98,11 +87,6 @@ impl OverlayGraph {
         }
     }
 
-    /// The immutable base store.
-    pub fn base(&self) -> &GraphStore {
-        &self.base
-    }
-
     /// Number of mutations applied that changed the graph.
     pub fn mutations_applied(&self) -> u64 {
         self.mutations_applied
@@ -110,15 +94,16 @@ impl OverlayGraph {
 
     fn entity_map(&mut self) -> &mut HashMap<String, u32> {
         if self.entity_ids.is_none() {
-            let mut map = HashMap::with_capacity(self.base_entities + self.added_entities.len());
-            for i in 0..self.base_entities {
+            let n = self.base.num_entities();
+            let mut map = HashMap::with_capacity(n + self.added_entities.len());
+            for i in 0..n {
                 map.insert(
                     self.base.entity_name(EntityId(i as u32)).to_string(),
                     i as u32,
                 );
             }
             for (i, name) in self.added_entities.iter().enumerate() {
-                map.insert(name.clone(), (self.base_entities + i) as u32);
+                map.insert(name.clone(), (n + i) as u32);
             }
             self.entity_ids = Some(map);
         }
@@ -129,7 +114,7 @@ impl OverlayGraph {
         if let Some(&id) = self.entity_map().get(name) {
             return (EntityId(id), false);
         }
-        let id = (self.base_entities + self.added_entities.len()) as u32;
+        let id = self.num_entities() as u32;
         self.added_entities.push(name.to_string());
         self.entity_map().insert(name.to_string(), id);
         (EntityId(id), true)
@@ -139,7 +124,7 @@ impl OverlayGraph {
         if let Some(r) = self.relation_by_name(name) {
             return r;
         }
-        let id = (self.base_relations + self.added_relations.len()) as u32;
+        let id = self.num_relations() as u32;
         self.added_relations.push(name.to_string());
         RelationId(id)
     }
@@ -148,16 +133,15 @@ impl OverlayGraph {
         if let Some(a) = self.attribute_by_name(name) {
             return a;
         }
-        let id = (self.base_attributes + self.added_attributes.len()) as u32;
+        let id = self.num_attributes() as u32;
         self.added_attributes.push(name.to_string());
         AttributeId(id)
     }
 
     fn adj_row_mut(&mut self, e: EntityId) -> &mut Vec<Edge> {
         let base = &self.base;
-        let n = self.base_entities;
         self.adj_over.entry(e.0).or_insert_with(|| {
-            if (e.0 as usize) < n {
+            if (e.0 as usize) < base.num_entities() {
                 base.neighbors(e).to_vec()
             } else {
                 Vec::new()
@@ -167,9 +151,8 @@ impl OverlayGraph {
 
     fn num_row_mut(&mut self, e: EntityId) -> &mut Vec<AttrFact> {
         let base = &self.base;
-        let n = self.base_entities;
         self.num_over.entry(e.0).or_insert_with(|| {
-            if (e.0 as usize) < n {
+            if (e.0 as usize) < base.num_entities() {
                 base.numerics_of(e).to_vec()
             } else {
                 Vec::new()
@@ -179,9 +162,8 @@ impl OverlayGraph {
 
     fn attr_row_mut(&mut self, a: AttributeId) -> &mut Vec<AttrOwner> {
         let base = &self.base;
-        let n = self.base_attributes;
         self.attr_over.entry(a.0).or_insert_with(|| {
-            if (a.0 as usize) < n {
+            if (a.0 as usize) < base.num_attributes() {
                 base.entities_with_attribute(a).to_vec()
             } else {
                 Vec::new()
@@ -316,20 +298,7 @@ impl OverlayGraph {
         for a in 0..self.num_attributes() {
             g.add_attribute_type(self.attribute_name(AttributeId(a as u32)));
         }
-        match &self.base {
-            GraphStore::Heap(b) => {
-                for t in b.triples() {
-                    g.add_triple(t.head, t.rel, t.tail);
-                }
-            }
-            GraphStore::Mapped(m) => {
-                let (heads, rels, tails) = m.triples_cols();
-                for i in 0..heads.len() {
-                    g.add_triple(EntityId(heads[i]), RelationId(rels[i]), EntityId(tails[i]));
-                }
-            }
-        }
-        for t in &self.added_triples {
+        for t in self.base.triples().iter().chain(&self.added_triples) {
             g.add_triple(t.head, t.rel, t.tail);
         }
         for e in self.entities() {
@@ -352,22 +321,22 @@ impl OverlayGraph {
 
 impl GraphView for OverlayGraph {
     fn num_entities(&self) -> usize {
-        self.base_entities + self.added_entities.len()
+        self.base.num_entities() + self.added_entities.len()
     }
 
     fn num_relations(&self) -> usize {
-        self.base_relations + self.added_relations.len()
+        self.base.num_relations() + self.added_relations.len()
     }
 
     fn num_attributes(&self) -> usize {
-        self.base_attributes + self.added_attributes.len()
+        self.base.num_attributes() + self.added_attributes.len()
     }
 
     fn neighbors(&self, e: EntityId) -> &[Edge] {
         if let Some(row) = self.adj_over.get(&e.0) {
             return row;
         }
-        if (e.0 as usize) < self.base_entities {
+        if (e.0 as usize) < self.base.num_entities() {
             self.base.neighbors(e)
         } else {
             assert!((e.0 as usize) < self.num_entities(), "entity out of range");
@@ -379,7 +348,7 @@ impl GraphView for OverlayGraph {
         if let Some(row) = self.num_over.get(&e.0) {
             return row;
         }
-        if (e.0 as usize) < self.base_entities {
+        if (e.0 as usize) < self.base.num_entities() {
             self.base.numerics_of(e)
         } else {
             assert!((e.0 as usize) < self.num_entities(), "entity out of range");
@@ -391,7 +360,7 @@ impl GraphView for OverlayGraph {
         if let Some(row) = self.attr_over.get(&a.0) {
             return row;
         }
-        if (a.0 as usize) < self.base_attributes {
+        if (a.0 as usize) < self.base.num_attributes() {
             self.base.entities_with_attribute(a)
         } else {
             assert!(
@@ -403,26 +372,29 @@ impl GraphView for OverlayGraph {
     }
 
     fn entity_name(&self, e: EntityId) -> &str {
-        if (e.0 as usize) < self.base_entities {
+        let n = self.base.num_entities();
+        if (e.0 as usize) < n {
             self.base.entity_name(e)
         } else {
-            &self.added_entities[e.0 as usize - self.base_entities]
+            &self.added_entities[e.0 as usize - n]
         }
     }
 
     fn relation_name(&self, r: RelationId) -> &str {
-        if (r.0 as usize) < self.base_relations {
+        let n = self.base.num_relations();
+        if (r.0 as usize) < n {
             self.base.relation_name(r)
         } else {
-            &self.added_relations[r.0 as usize - self.base_relations]
+            &self.added_relations[r.0 as usize - n]
         }
     }
 
     fn attribute_name(&self, a: AttributeId) -> &str {
-        if (a.0 as usize) < self.base_attributes {
+        let n = self.base.num_attributes();
+        if (a.0 as usize) < n {
             self.base.attribute_name(a)
         } else {
-            &self.added_attributes[a.0 as usize - self.base_attributes]
+            &self.added_attributes[a.0 as usize - n]
         }
     }
 }

@@ -1188,32 +1188,11 @@ impl MappedGraph {
         Ok(MappedGraph { mem, layout })
     }
 
-    /// Whether the kernel zero-copy mapping is in use (vs heap fallback).
-    pub fn is_kernel_mapped(&self) -> bool {
-        self.mem.is_kernel_mapped()
-    }
-
-    /// Total file size in bytes.
-    pub fn file_len(&self) -> usize {
-        self.mem.bytes().len()
-    }
-
     fn str_at<'a>(&'a self, t: &StrTable, i: usize) -> &'a str {
         let offs = cast_u64s(&self.mem.bytes()[t.offsets.clone()]);
         let blob = &self.mem.bytes()[t.blob.clone()];
         let s = &blob[offs[i] as usize..offs[i + 1] as usize];
         std::str::from_utf8(s).expect("validated at open")
-    }
-
-    /// The triples section as its three id columns `(heads, rels, tails)`,
-    /// file order — the same insertion order `read_store` would replay.
-    pub(crate) fn triples_cols(&self) -> (&[u32], &[u32], &[u32]) {
-        let b = self.mem.bytes();
-        (
-            cast_u32s(&b[self.layout.heads.clone()]),
-            cast_u32s(&b[self.layout.rels.clone()]),
-            cast_u32s(&b[self.layout.tails.clone()]),
-        )
     }
 }
 

@@ -118,64 +118,3 @@ impl GraphView for KnowledgeGraph {
         KnowledgeGraph::attribute_name(self, a)
     }
 }
-
-/// Either graph backend behind one concrete type, for layers (cf-serve, the
-/// CLI) that choose the backend at runtime.
-#[derive(Debug)]
-pub enum GraphStore {
-    /// Heap-built [`KnowledgeGraph`].
-    Heap(KnowledgeGraph),
-    /// Zero-copy mmap view over a CFKG1 file.
-    Mapped(crate::store::MappedGraph),
-}
-
-impl From<KnowledgeGraph> for GraphStore {
-    fn from(g: KnowledgeGraph) -> Self {
-        GraphStore::Heap(g)
-    }
-}
-
-impl From<crate::store::MappedGraph> for GraphStore {
-    fn from(g: crate::store::MappedGraph) -> Self {
-        GraphStore::Mapped(g)
-    }
-}
-
-macro_rules! dispatch {
-    ($self:ident, $g:ident => $e:expr) => {
-        match $self {
-            GraphStore::Heap($g) => $e,
-            GraphStore::Mapped($g) => $e,
-        }
-    };
-}
-
-impl GraphView for GraphStore {
-    fn num_entities(&self) -> usize {
-        dispatch!(self, g => g.num_entities())
-    }
-    fn num_relations(&self) -> usize {
-        dispatch!(self, g => g.num_relations())
-    }
-    fn num_attributes(&self) -> usize {
-        dispatch!(self, g => g.num_attributes())
-    }
-    fn neighbors(&self, e: EntityId) -> &[Edge] {
-        dispatch!(self, g => g.neighbors(e))
-    }
-    fn numerics_of(&self, e: EntityId) -> &[AttrFact] {
-        dispatch!(self, g => g.numerics_of(e))
-    }
-    fn entities_with_attribute(&self, a: AttributeId) -> &[AttrOwner] {
-        dispatch!(self, g => g.entities_with_attribute(a))
-    }
-    fn entity_name(&self, e: EntityId) -> &str {
-        dispatch!(self, g => g.entity_name(e))
-    }
-    fn relation_name(&self, r: RelationId) -> &str {
-        dispatch!(self, g => g.relation_name(r))
-    }
-    fn attribute_name(&self, a: AttributeId) -> &str {
-        dispatch!(self, g => g.attribute_name(a))
-    }
-}

@@ -15,7 +15,7 @@
 use cf_check::fault::{append_crash_states, crash_states, FaultMode, FaultyWriter};
 use cf_check::TempDir;
 use cf_kg::{
-    graph_fingerprint, read_store, recover_file, write_store, GraphStore, GraphView, JournalWriter,
+    graph_fingerprint, read_store, recover_file, write_store, GraphView, JournalWriter,
     KnowledgeGraph, Mutation, OverlayGraph, StoreError,
 };
 use std::io::Write;
@@ -77,7 +77,7 @@ fn mutation_batch() -> Vec<Mutation> {
 /// Store bytes after applying `muts` to the base — the ground truth each
 /// crash state must land on (for some prefix of the batch).
 fn store_bytes_after(muts: &[Mutation]) -> Vec<u8> {
-    let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
+    let mut overlay = OverlayGraph::new(base_graph());
     overlay.apply_all(muts);
     let dir = TempDir::new("live_mut");
     let path = dir.join("truth.cfkg");
@@ -113,7 +113,7 @@ fn double_replay_is_idempotent_bitwise() {
 
     let once = store_bytes_after(&muts);
     let twice = {
-        let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
+        let mut overlay = OverlayGraph::new(base_graph());
         overlay.apply_all(&rec.mutations);
         overlay.apply_all(&rec.mutations); // crashed between compact and truncate
         let p = dir.join("idem.cfkg");
@@ -197,7 +197,7 @@ fn every_append_crash_state_recovers_old_or_new_store() {
                 "record {k}, {}: {applied} mutations survived",
                 state.label
             );
-            let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
+            let mut overlay = OverlayGraph::new(base_graph());
             overlay.apply_all(&rec.mutations);
             let p = dir.join("oon.cfkg");
             overlay.compact_to(&p).expect("compact");
@@ -309,7 +309,7 @@ fn byte_flip_sweep_detects_or_isolates_damage() {
 #[test]
 fn overlay_view_matches_compacted_store_row_for_row() {
     let muts = mutation_batch();
-    let mut overlay = OverlayGraph::new(GraphStore::Heap(base_graph()));
+    let mut overlay = OverlayGraph::new(base_graph());
     overlay.apply_all(&muts);
     let dir = TempDir::new("live_mut");
     let path = dir.join("rows.cfkg");

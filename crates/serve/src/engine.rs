@@ -8,10 +8,9 @@
 //! shard is a pure function of the entity, so a hot entity always lands on
 //! the same shard's cache and — because retrieval already uses a per-query
 //! deterministic RNG ([`query_rng_seed`]) — the served answer is bitwise
-//! identical at *any* shard count. A shard's worker collects up to
-//! `max_batch` queued jobs — waiting at most `max_wait_us` after the first —
-//! resolves each query's chains through the shard cache, then answers the
-//! whole batch with one tape-free
+//! identical at *any* shard count. A shard's worker takes the jobs already
+//! queued, up to `max_batch`, resolves each query's chains through the
+//! shard cache, then answers the whole batch with one tape-free
 //! [`ChainsFormer::predict_batch_with_chains`] call (bitwise identical to
 //! per-query taped prediction, pinned in `crates/core/tests/batch_parity.rs`).
 //!
@@ -26,8 +25,8 @@ use crate::cache::{CachedChains, ChainCache};
 use crate::metrics::Metrics;
 use cf_chains::Query;
 use cf_kg::{
-    collect_entity, validate_mutation, ChainEntry, ChainIndexStore, ChainIndexView, EntityId,
-    GraphStore, GraphView, JournalWriter, Mutation, OverlayGraph, StoreError,
+    collect_entity, validate_mutation, ChainEntry, ChainIndexView, EntityId, GraphView,
+    JournalWriter, KnowledgeGraph, MappedChainIndex, Mutation, OverlayGraph, StoreError,
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
@@ -80,12 +79,10 @@ impl std::fmt::Display for QuantMode {
 /// Tunables for the serving engine.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Largest batch a shard worker executes in one forward pass.
+    /// Largest batch a shard worker executes in one forward pass. A worker
+    /// never waits for a batch to fill: it takes the jobs already queued,
+    /// up to this many.
     pub max_batch: usize,
-    /// Cap on how long a worker accumulates a partial batch after the
-    /// first job, microseconds. Accumulation stops earlier the moment
-    /// arrivals go quiet (a ~100 µs slice with no new job).
-    pub max_wait_us: u64,
     /// Per-shard queue bound; submissions beyond it are shed with
     /// [`ServeError::Overloaded`]. `0` sheds everything (useful in tests).
     pub queue_cap: usize,
@@ -108,7 +105,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch: 8,
-            max_wait_us: 2000,
             queue_cap: 256,
             shards: 1,
             cache_cap: 4096,
@@ -219,7 +215,7 @@ struct LiveGraph {
 impl LiveGraph {
     /// Whether the stored index row of `e` still equals its row over the
     /// live graph.
-    fn row_is_stored(&self, index: &ChainIndexStore, e: EntityId) -> bool {
+    fn row_is_stored(&self, index: &MappedChainIndex, e: EntityId) -> bool {
         (e.0 as usize) < index.num_entities() && !self.dirty.contains(&e.0)
     }
 }
@@ -246,7 +242,7 @@ struct Shared {
     served: RwLock<Served>,
     live: RwLock<LiveGraph>,
     journal: Mutex<Option<JournalState>>,
-    index: Option<ChainIndexStore>,
+    index: Option<MappedChainIndex>,
     /// The invalidation radius: the served model's `max_hops`, or the
     /// index's when that is deeper. A cached chain set or an index row of
     /// an entity reads only the graph within this many hops of it.
@@ -475,7 +471,7 @@ fn update_ewma(cell: &AtomicU64, sample_us: u64) {
 impl Engine {
     /// Takes ownership of the model and (visible) graph and spawns the
     /// shard workers. Every shard reads this one model; nothing is cloned.
-    pub fn new(model: ChainsFormer, graph: impl Into<GraphStore>, cfg: EngineConfig) -> Self {
+    pub fn new(model: ChainsFormer, graph: KnowledgeGraph, cfg: EngineConfig) -> Self {
         Self::new_with_index(model, graph, None, cfg)
     }
 
@@ -491,11 +487,10 @@ impl Engine {
     /// index of it would give.
     pub fn new_with_index(
         model: ChainsFormer,
-        graph: impl Into<GraphStore>,
-        index: Option<ChainIndexStore>,
+        graph: KnowledgeGraph,
+        index: Option<MappedChainIndex>,
         cfg: EngineConfig,
     ) -> Self {
-        let graph = graph.into();
         if let Some(ix) = &index {
             ix.check_matches(&graph)
                 .expect("chain index does not match the serving graph");
@@ -914,11 +909,12 @@ fn worker_loop(shared: &Shared, shard_ix: usize) {
     }
 }
 
-/// Blocks for work on one shard, then micro-batches: grabs every queued job
-/// up to `max_batch`, waiting at most `max_wait_us` after the first for
-/// stragglers. Returns an empty batch only on drained shutdown.
+/// Blocks for work on one shard, then takes the jobs already queued, up to
+/// `max_batch`. It waits for no straggler: a connection has at most one
+/// request in the engine at a time, so after a lone request none comes,
+/// and a backlog is already queued. Returns an empty batch only on drained
+/// shutdown.
 fn collect_batch(shared: &Shared, shard_ix: usize) -> Vec<Job> {
-    let cfg = &shared.cfg;
     let shard = &shared.shards[shard_ix];
     let mut q = shard.queue.lock().expect("queue poisoned");
     while q.jobs.is_empty() {
@@ -927,35 +923,8 @@ fn collect_batch(shared: &Shared, shard_ix: usize) -> Vec<Job> {
         }
         q = shard.cond.wait(q).expect("queue poisoned");
     }
-    let mut batch = Vec::with_capacity(cfg.max_batch.max(1));
-    let first_at = Instant::now();
-    let budget = Duration::from_micros(cfg.max_wait_us);
-    // Straggler policy: `max_wait_us` caps how long a partial batch may
-    // accumulate, but we stop as soon as arrivals go quiet — one short
-    // slice with no new job means the remaining clients are busy or
-    // absent, and waiting out the full window would only add latency
-    // without growing the batch.
-    let quiet = budget.min(Duration::from_micros(100));
-    loop {
-        while batch.len() < cfg.max_batch.max(1) {
-            match q.jobs.pop_front() {
-                Some(j) => batch.push(j),
-                None => break,
-            }
-        }
-        if batch.len() >= cfg.max_batch.max(1) || q.shutdown {
-            break;
-        }
-        if first_at.elapsed() >= budget {
-            break;
-        }
-        let (guard, _timeout) = shard.cond.wait_timeout(q, quiet).expect("queue poisoned");
-        q = guard;
-        if q.jobs.is_empty() && !q.shutdown {
-            break;
-        }
-    }
-    batch
+    let n = q.jobs.len().min(shared.cfg.max_batch.max(1));
+    q.jobs.drain(..n).collect()
 }
 
 fn process_batch(
@@ -1136,15 +1105,19 @@ mod tests {
     }
 
     /// An engine serving `graph` with a chain index of it built under
-    /// `params`.
+    /// `params`, written to a CFCI1 file and mapped as `cfkg serve` maps it.
     fn indexed_engine(
         model: ChainsFormer,
-        graph: cf_kg::KnowledgeGraph,
+        graph: KnowledgeGraph,
         params: cf_kg::IndexParams,
         cfg: EngineConfig,
     ) -> Engine {
-        let ix = cf_kg::build_chain_index(&graph, params);
-        Engine::new_with_index(model, graph, Some(ChainIndexStore::Built(ix)), cfg)
+        let dir = TempDir::new("indexed_engine");
+        let path = dir.join("g.cfci");
+        cf_kg::write_index(&cf_kg::build_chain_index(&graph, params), &path).expect("write index");
+        // The mapping outlives the file's name, which `dir` removes on return.
+        let ix = MappedChainIndex::open(&path).expect("open index");
+        Engine::new_with_index(model, graph, Some(ix), cfg)
     }
 
     fn rows_rebuilt(e: &Engine) -> u64 {
@@ -1274,7 +1247,6 @@ mod tests {
         // projected delay (depth × EWMA) must shed it at the door.
         let (e, queries) = engine(EngineConfig {
             max_batch: 1,
-            max_wait_us: 0,
             cache_cap: 0,
             ..EngineConfig::default()
         });

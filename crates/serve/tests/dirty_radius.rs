@@ -8,7 +8,7 @@
 use cf_check::prelude::*;
 use cf_kg::{
     build_chain_index, collect_entity, for_each_simple_path, AttributeId, ChainIndexView, EntityId,
-    GraphStore, GraphView, IndexParams, KnowledgeGraph, Mutation, OverlayGraph, RelationId,
+    GraphView, IndexParams, KnowledgeGraph, Mutation, OverlayGraph, RelationId,
 };
 use cf_serve::dirty_entities;
 use std::cell::Cell;
@@ -154,7 +154,7 @@ fn rows_outside_the_dirty_set_equal_a_fresh_collect() {
                             per_entity_cap,
                         };
                         let ix = build_chain_index(&base, params);
-                        let mut g = OverlayGraph::new(GraphStore::Heap(base.clone()));
+                        let mut g = OverlayGraph::new(base.clone());
                         // Dirty sets at radius 1, 2 and 3, unioned over batches.
                         let mut dirty: [HashSet<u32>; 3] = Default::default();
                         for batch in &batches {
