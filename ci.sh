@@ -286,6 +286,20 @@ fi
 grep -q 'section "counts" failed its CRC32 check' "$KG_DIR/corrupt.log" \
     || { echo "kg_store: corruption error does not name the section:"; \
          cat "$KG_DIR/corrupt.log"; exit 1; }
+# The same for the last section: a store ends with the numerics body, so
+# `size - 40` (before the 8-byte trailer, the 16-byte end marker and the
+# 8-byte footer) is a byte of the last numeric value.
+cp "$KG_DIR/a.cfkg" "$KG_DIR/corrupt_last.cfkg"
+KG_AT=$(( $(stat -c %s "$KG_DIR/corrupt_last.cfkg") - 40 ))
+KG_BYTE=$(od -An -tu1 -j "$KG_AT" -N1 "$KG_DIR/corrupt_last.cfkg" | tr -d ' ')
+printf "\\$(printf '%03o' $(( KG_BYTE ^ 0x5A )))" \
+    | dd of="$KG_DIR/corrupt_last.cfkg" bs=1 seek="$KG_AT" conv=notrunc status=none
+if "$CFKG" stats --store "$KG_DIR/corrupt_last.cfkg" > "$KG_DIR/corrupt_last.log" 2>&1; then
+    echo "kg_store: store with a corrupt last section loaded successfully"; exit 1
+fi
+grep -q 'section "numerics" failed its CRC32 check' "$KG_DIR/corrupt_last.log" \
+    || { echo "kg_store: corruption error does not name the last section:"; \
+         cat "$KG_DIR/corrupt_last.log"; exit 1; }
 # Chain index: bitwise identical across pool widths.
 "$CFKG" index --store "$KG_DIR/a.cfkg" --full --threads 1 \
     --out "$KG_DIR/t1.cfci" >/dev/null

@@ -185,7 +185,7 @@ fn main() {
     // title must describe the union.
     let mut table = Table::new(
         "graph store + chain index: load/retrieval latency and live-mutation cost \
-         (mmap vs TSV, indexed vs walk, journal/overlay/invalidation)",
+         (store vs TSV, indexed vs walk, journal/overlay/invalidation)",
         &["scale", "metric", "value", "unit"],
     );
     for (label, scale, samples) in arms {

@@ -1,18 +1,17 @@
 //! Million-entity graph store and chain index: load + retrieval latency.
 //!
 //! Pins the ISSUE-7 performance claims (DESIGN.md §13):
-//! - loading a CFKG1 store by mmap (`MappedGraph::open`, CRC-validate then
-//!   cast — no parse, no per-edge allocation) versus re-parsing the TSV
-//!   twins and versus the owned heap load (`read_store`); the two sides of
-//!   the headline ratio are each the median of three runs;
-//! - the same open with each CRC fold the host has pinned
-//!   (`mmap_open_crc_{zmm,xmm,table}_s`, interleaved, median of three):
-//!   the evidence that the wider folds earn their code;
+//! - loading a CFKG1 store (`read_store`: CRC-validate, copy the facts,
+//!   `build_index`) versus re-parsing the TSV twins; the two sides of the
+//!   headline ratio are each the median of three runs;
 //! - chain-index build time at 1 and 4 pool threads, with the output bytes
 //!   asserted identical (the fixed-shard determinism contract);
 //! - chain-index open time (`index_open_s`, median of three) and what the
 //!   open leaves resident of the index mapping (`index_open_rss_mb`, the
 //!   mapping's `/proc/self/smaps` Rss right after open, Linux only);
+//! - the same open with each CRC fold the host has pinned
+//!   (`index_open_crc_{zmm,xmm,table}_s`, interleaved, median of three):
+//!   the evidence that the wider folds earn their code;
 //! - retrieval latency per query, walk-per-query (`retrieve`, Eq. 6's
 //!   `N_s` random walks over adjacency) versus indexed
 //!   (`retrieve_indexed`, one CSR slice + weighted sampling).
@@ -30,7 +29,7 @@ use cf_kg::mmapio::mapping_rss_kb;
 use cf_kg::synth::{large_sim, LargeScale};
 use cf_kg::{
     build_chain_index, read_store, write_index, write_store, ChainIndexView, EntityId, GraphView,
-    IndexParams, MappedChainIndex, MappedGraph,
+    IndexParams, MappedChainIndex,
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
@@ -51,7 +50,7 @@ fn secs(t: Instant) -> f64 {
 }
 
 /// Median of three timed repetitions. The two headline load metrics feed a
-/// ratio (mmap open vs TSV parse), and a single sample of either can catch
+/// ratio (store load vs TSV parse), and a single sample of either can catch
 /// a scheduler stall on a shared host; the median keeps the ratio stable.
 fn median3(mut run: impl FnMut() -> f64) -> f64 {
     let mut t = [run(), run(), run()];
@@ -156,7 +155,7 @@ fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize
     );
     drop(parsed);
 
-    // --- store write + both load paths ---
+    // --- store write + load ---
     let store_path = tmp(&format!("{label}.cfkg"));
     let t = Instant::now();
     write_store(&g, &store_path).unwrap();
@@ -166,43 +165,21 @@ fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize
         std::fs::metadata(&store_path).unwrap().len() as f64,
         "B",
     );
-    let t = Instant::now();
-    let heap = read_store(&store_path).unwrap();
-    push("heap_load_s", secs(t), "s");
-    drop(heap);
-    let mut mapped = None;
-    let mmap_open_s = median3(|| {
+    drop(g);
+    let mut loaded = None;
+    let store_load_s = median3(|| {
+        drop(loaded.take());
         let t = Instant::now();
-        mapped = Some(MappedGraph::open(&store_path).unwrap());
+        loaded = Some(read_store(&store_path).unwrap());
         secs(t)
     });
-    let mapped = mapped.unwrap();
-    push("mmap_open_s", mmap_open_s, "s");
-    push("mmap_vs_tsv_parse_speedup", tsv_parse_s / mmap_open_s, "x");
-    let detected = simd::tiers();
-    let folds: Vec<(u8, &str)> = [
-        (simd::CRC_ZMM, "zmm"),
-        (simd::CRC_XMM, "xmm"),
-        (simd::CRC_TABLE, "table"),
-    ]
-    .into_iter()
-    .filter(|&(crc, _)| crc <= detected.crc)
-    .collect();
-    let mut fold_s = vec![Vec::new(); folds.len()];
-    for _ in 0..3 {
-        for (&(crc, _), times) in folds.iter().zip(&mut fold_s) {
-            simd::pin(Some(simd::Tiers { crc, ..detected }));
-            let t = Instant::now();
-            let opened = MappedGraph::open(&store_path).unwrap();
-            times.push(secs(t));
-            drop(opened);
-        }
-    }
-    simd::pin(None);
-    for ((_, name), mut times) in folds.into_iter().zip(fold_s) {
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        push(&format!("mmap_open_crc_{name}_s"), times[1], "s");
-    }
+    let g = loaded.unwrap();
+    push("store_load_s", store_load_s, "s");
+    push(
+        "store_vs_tsv_parse_speedup",
+        tsv_parse_s / store_load_s,
+        "x",
+    );
 
     // --- chain index build: 1 vs 4 threads, bytes must match ---
     push("index_fanout", params.fanout as f64, "n");
@@ -211,13 +188,13 @@ fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize
     let ix_path_4 = tmp(&format!("{label}_t4.cfci"));
     cf_tensor::pool::set_threads(1);
     let t = Instant::now();
-    let ix = build_chain_index(&mapped, params);
+    let ix = build_chain_index(&g, params);
     push("index_build_t1_s", secs(t), "s");
     write_index(&ix, &ix_path_1).unwrap();
     drop(ix);
     cf_tensor::pool::set_threads(4);
     let t = Instant::now();
-    let ix = build_chain_index(&mapped, params);
+    let ix = build_chain_index(&g, params);
     push("index_build_t4_s", secs(t), "s");
     write_index(&ix, &ix_path_4).unwrap();
     drop(ix);
@@ -244,17 +221,41 @@ fn run_scale(label: &str, scale: LargeScale, params: IndexParams, queries: usize
     if let Some(kb) = mapping_rss_kb(at) {
         push("index_open_rss_mb", kb as f64 / 1024.0, "MB");
     }
-    index.check_matches(&mapped).unwrap();
+    index.check_matches(&g).unwrap();
+    let detected = simd::tiers();
+    let folds: Vec<(u8, &str)> = [
+        (simd::CRC_ZMM, "zmm"),
+        (simd::CRC_XMM, "xmm"),
+        (simd::CRC_TABLE, "table"),
+    ]
+    .into_iter()
+    .filter(|&(crc, _)| crc <= detected.crc)
+    .collect();
+    let mut fold_s = vec![Vec::new(); folds.len()];
+    for _ in 0..3 {
+        for (&(crc, _), times) in folds.iter().zip(&mut fold_s) {
+            simd::pin(Some(simd::Tiers { crc, ..detected }));
+            let t = Instant::now();
+            let opened = MappedChainIndex::open(&ix_path_1).unwrap();
+            times.push(secs(t));
+            drop(opened);
+        }
+    }
+    simd::pin(None);
+    for ((_, name), mut times) in folds.into_iter().zip(fold_s) {
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        push(&format!("index_open_crc_{name}_s"), times[1], "s");
+    }
 
-    // --- retrieval: walk-per-query vs indexed, same mmap backend ---
+    // --- retrieval: walk-per-query vs indexed ---
     let cfg = RetrievalConfig::default();
-    let qs = sample_queries(&mapped, queries);
+    let qs = sample_queries(&g, queries);
     assert!(!qs.is_empty(), "no evidence-bearing queries sampled");
     let mut walk_us = Vec::with_capacity(qs.len());
     for (i, q) in qs.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(0xBE7C_0000 + i as u64);
         let t = Instant::now();
-        let toc = retrieve(&mapped, *q, &cfg, &mut rng);
+        let toc = retrieve(&g, *q, &cfg, &mut rng);
         walk_us.push(secs(t) * 1e6);
         std::hint::black_box(toc.len());
     }
@@ -317,7 +318,7 @@ fn main() {
     // title must describe the union.
     let mut table = Table::new(
         "graph store + chain index: load/retrieval latency and live-mutation cost \
-         (mmap vs TSV, indexed vs walk, journal/overlay/invalidation)",
+         (store vs TSV, indexed vs walk, journal/overlay/invalidation)",
         &["scale", "metric", "value", "unit"],
     );
     for (label, scale, params, queries) in arms {

@@ -1,8 +1,9 @@
-//! Retrieval must not care where the graph bytes live: the heap-loaded and
-//! mmapped views of one CFKG1 store, and the heap-built and mmapped views
-//! of one CFCI1 index, must produce bitwise-identical Trees of Chains for
-//! the same per-query RNG seed. These tests pin the ISSUE-7 equivalence
-//! contract end to end through `cf_chains::retrieve` / `retrieve_indexed`.
+//! Retrieval must not care where the graph bytes come from: an in-memory
+//! graph and its CFKG1 store reloaded with `read_store`, and the heap-built
+//! and mmapped views of one CFCI1 index, must produce bitwise-identical
+//! Trees of Chains for the same per-query RNG seed. These tests pin that
+//! equivalence end to end through `cf_chains::retrieve` /
+//! `retrieve_indexed`.
 
 use cf_chains::{
     enumerate_chains, retrieve, retrieve_indexed, Query, RetrievalConfig, TreeOfChains,
@@ -11,7 +12,7 @@ use cf_check::TempDir;
 use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::{
     build_chain_index, read_store, write_index, write_store, ChainIndexView, IndexParams,
-    KnowledgeGraph, MappedChainIndex, MappedGraph,
+    KnowledgeGraph, MappedChainIndex,
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
@@ -59,24 +60,20 @@ fn assert_trees_identical(a: &TreeOfChains, b: &TreeOfChains, what: &str) {
 }
 
 #[test]
-fn retrieve_is_bitwise_identical_over_heap_and_mmap() {
+fn retrieve_is_bitwise_identical_over_original_and_reloaded_store() {
     let g = sample_graph();
-    let (_dir, path) = tmp("heap_vs_mmap.cfkg");
+    let (_dir, path) = tmp("reloaded.cfkg");
     write_store(&g, &path).unwrap();
-    let heap = read_store(&path).unwrap();
-    let mapped = MappedGraph::open(&path).unwrap();
+    let reloaded = read_store(&path).unwrap();
     let cfg = RetrievalConfig::default();
     for (i, q) in sample_queries(&g, 12).into_iter().enumerate() {
         // One fixed seed per query, consumed identically by both arms —
         // the serve engine's query_rng_seed discipline.
         let seed = 0x5EED_0000 + i as u64;
-        let toc_heap = retrieve(&heap, q, &cfg, &mut StdRng::seed_from_u64(seed));
-        let toc_mapped = retrieve(&mapped, q, &cfg, &mut StdRng::seed_from_u64(seed));
-        assert!(!toc_heap.is_empty(), "query {i} retrieved nothing");
-        assert_trees_identical(&toc_heap, &toc_mapped, "heap vs mmap");
-        // The original in-memory graph is a third equivalent view.
         let toc_orig = retrieve(&g, q, &cfg, &mut StdRng::seed_from_u64(seed));
-        assert_trees_identical(&toc_orig, &toc_heap, "original vs reloaded");
+        let toc_reloaded = retrieve(&reloaded, q, &cfg, &mut StdRng::seed_from_u64(seed));
+        assert!(!toc_orig.is_empty(), "query {i} retrieved nothing");
+        assert_trees_identical(&toc_orig, &toc_reloaded, "original vs reloaded");
     }
 }
 

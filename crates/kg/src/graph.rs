@@ -28,12 +28,7 @@ pub struct NumTriple {
 
 /// One traversable edge in the adjacency index (relation + direction +
 /// neighbor).
-///
-/// `repr(C)` pins the layout to 12 bytes (`rel: u32, dir: u32, to: u32`) so
-/// the CFKG1 mmap view (`crate::store`) can cast validated section bytes
-/// directly to `&[Edge]`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[repr(C)]
 pub struct Edge {
     /// Relation type and traversal direction.
     pub dr: DirRel,
@@ -42,11 +37,7 @@ pub struct Edge {
 }
 
 /// One numeric fact in the per-entity CSR index: `(attribute, value)`.
-///
-/// `repr(C)`: 16 bytes (`attr: u32`, 4 bytes padding, `value: f64`), shared
-/// between the heap index and the CFKG1 on-disk layout.
 #[derive(Copy, Clone, PartialEq, Debug)]
-#[repr(C)]
 pub struct AttrFact {
     /// Attribute type.
     pub attr: AttributeId,
@@ -55,11 +46,7 @@ pub struct AttrFact {
 }
 
 /// One owner in the per-attribute CSR index: `(entity, value)`.
-///
-/// `repr(C)`: 16 bytes (`entity: u32`, 4 bytes padding, `value: f64`),
-/// shared between the heap index and the CFKG1 on-disk layout.
 #[derive(Copy, Clone, PartialEq, Debug)]
-#[repr(C)]
 pub struct AttrOwner {
     /// Entity carrying the value.
     pub entity: EntityId,
@@ -75,8 +62,8 @@ pub struct AttrOwner {
 /// index is CSR-style: one flat edge vec plus per-entity offsets.
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeGraph {
-    // Fields are pub(crate) so `crate::store` can serialize the built
-    // indexes without re-deriving them.
+    // The facts are pub(crate) so `crate::store` can serialize them; the
+    // CSR indexes below are derived from them and never leave this file.
     pub(crate) entity_names: Vec<String>,
     pub(crate) relation_names: Vec<String>,
     pub(crate) attribute_names: Vec<String>,
@@ -84,16 +71,16 @@ pub struct KnowledgeGraph {
     pub(crate) numerics: Vec<NumTriple>,
 
     // CSR adjacency (both directions), valid after build_index.
-    pub(crate) adj_offsets: Vec<usize>,
-    pub(crate) adj_edges: Vec<Edge>,
+    adj_offsets: Vec<usize>,
+    adj_edges: Vec<Edge>,
     // Per-entity numeric facts, valid after build_index.
-    pub(crate) num_offsets: Vec<usize>,
-    pub(crate) num_facts: Vec<AttrFact>,
+    num_offsets: Vec<usize>,
+    num_facts: Vec<AttrFact>,
     // Per-attribute owners as CSR (one flat vec + offsets), valid after
-    // build_index; layout matches the CFKG1 ATTRIDX section.
-    pub(crate) attr_offsets: Vec<usize>,
-    pub(crate) attr_facts: Vec<AttrOwner>,
-    pub(crate) indexed: bool,
+    // build_index.
+    attr_offsets: Vec<usize>,
+    attr_facts: Vec<AttrOwner>,
+    indexed: bool,
 }
 
 impl KnowledgeGraph {

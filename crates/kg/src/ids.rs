@@ -22,12 +22,7 @@ pub struct AttributeId(pub u32);
 /// Traversal direction of a relation. The paper's chains freely use inverse
 /// relations (rendered `_inv` in Table V), so every edge is walkable both
 /// ways with the direction recorded.
-///
-/// `repr(u32)` with pinned discriminants: the CFKG1 graph store serializes
-/// directions as raw `u32`s and the mmap view casts validated section bytes
-/// straight back to [`crate::Edge`] slices (see `crate::store`).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[repr(u32)]
 pub enum Dir {
     /// Traverse head → tail.
     Forward,
@@ -48,7 +43,6 @@ impl Dir {
 /// A relation type together with a traversal direction — one "step token"
 /// of an RA-Chain.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[repr(C)]
 pub struct DirRel {
     /// The relation type.
     pub rel: RelationId,

@@ -426,9 +426,11 @@ impl JournalWriter {
     pub fn truncate_all(&mut self) -> Result<(), StoreError> {
         self.pending.clear();
         self.file.set_len(JOURNAL_MAGIC.len() as u64)?;
-        self.file.sync_data()?;
+        // Seek before the fsync: if the fsync fails, the next commit still
+        // appends right after the magic, never past a hole.
         use std::io::Seek;
         self.file.seek(std::io::SeekFrom::End(0))?;
+        self.file.sync_data()?;
         self.records = 0;
         Ok(())
     }

@@ -53,5 +53,5 @@ pub use norm::MinMaxNormalizer;
 pub use overlay::{ApplyOutcome, OverlayGraph};
 pub use paths::for_each_simple_path;
 pub use split::Split;
-pub use store::{read_store, write_store, MappedGraph, StoreError};
+pub use store::{read_store, write_store, StoreError};
 pub use view::GraphView;

@@ -12,10 +12,11 @@
 //! bytes stay in the shared page cache, and a later read faults them back
 //! in from the file. The process can never write through the mapping, so it
 //! never holds a private copy of a page. The CFKG1 and CFCI1 readers
-//! validate every section CRC once at open; the documented contract is that
-//! the file must not be truncated or rewritten while mapped, which also
-//! covers pages faulted back in after a release (standard mmap caveat — see
-//! DESIGN.md §13.2).
+//! validate every section CRC once at open. `read_store` copies the facts
+//! out and drops its mapping before it returns; for the chain index, which
+//! stays mapped, the documented contract is that the file must not be
+//! truncated or rewritten while mapped, which also covers pages faulted back
+//! in after a release (standard mmap caveat — see DESIGN.md §13.2).
 
 use std::fs::File;
 use std::io::Read;
@@ -36,7 +37,7 @@ enum Backing {
     )]
     Mapped,
     /// Heap fallback. `u64` backing guarantees the base pointer is 8-byte
-    /// aligned, which the CFKG1 layout relies on for zero-copy casts.
+    /// aligned, which the readers' validated slice casts rely on.
     Heap(#[allow(dead_code)] Vec<u64>),
 }
 

@@ -288,6 +288,14 @@ impl OverlayGraph {
     /// **same ids** and the same CSR row contents as this view — retrieval
     /// over the result is bitwise identical to retrieval over the overlay.
     pub fn materialize(&self) -> KnowledgeGraph {
+        let mut g = self.facts();
+        g.build_index();
+        g
+    }
+
+    /// The facts of base + overlay as an unindexed graph: what
+    /// [`Self::materialize`] indexes, and all a store needs.
+    fn facts(&self) -> KnowledgeGraph {
         let mut g = KnowledgeGraph::new();
         for e in 0..self.num_entities() {
             g.add_entity(self.entity_name(EntityId(e as u32)));
@@ -306,7 +314,6 @@ impl OverlayGraph {
                 g.add_numeric(e, f.attr, f.value);
             }
         }
-        g.build_index();
         g
     }
 
@@ -315,7 +322,7 @@ impl OverlayGraph {
     /// after a restart the compacted store replays any surviving journal
     /// records as no-ops (idempotence).
     pub fn compact_to(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        crate::store::write_store(&self.materialize(), path)
+        crate::store::write_store(&self.facts(), path)
     }
 }
 

@@ -13,8 +13,8 @@
 //! footer  := crc32(all section CRCs, LE, file order):u32  0:u32
 //! ```
 //!
-//! Sections (all counts come from COUNTS; every body length is re-derived
-//! from the counts and must match exactly):
+//! A store holds only the facts (all counts come from COUNTS; every body
+//! length is re-derived from the counts and must match exactly):
 //!
 //! | tag | section          | body                                          |
 //! |-----|------------------|-----------------------------------------------|
@@ -24,26 +24,22 @@
 //! | 4   | attribute_names  | `u64` offsets `[n_a+1]` + UTF-8 blob           |
 //! | 5   | triples          | heads `u32[n_t]`, rels `u32[n_t]`, tails …     |
 //! | 6   | numerics         | entities `u32[n_n]`, attrs `u32[n_n]`, values `f64[n_n]` |
-//! | 7   | adjacency        | offsets `u64[n_e+1]` + `Edge[2·n_t]` (12 B)    |
-//! | 8   | numeric_index    | offsets `u64[n_e+1]` + `AttrFact[n_n]` (16 B)  |
-//! | 9   | attribute_index  | offsets `u64[n_a+1]` + `AttrOwner[n_n]` (16 B) |
 //!
-//! Two load paths:
-//! - [`read_store`] copies into an owned [`KnowledgeGraph`] (for training,
-//!   splitting, anything that mutates);
-//! - [`MappedGraph::open`] validates once — every section CRC, every offset
-//!   array monotone and bounded, every id in range, every direction ∈ {0,1},
-//!   every value finite, every name UTF-8 — and then serves slices straight
-//!   out of the mapping with zero copies. The unsafe casts below are sound
-//!   *because* open refuses any file that fails those checks.
+//! Any other tag is CRC-checked and skipped. Stores written before the
+//! format dropped its derived CSR sections carry three more (tags 7–9:
+//! adjacency, numeric and attribute index); they load to the same graph,
+//! since [`read_store`] rebuilds the indexes from the facts with
+//! `build_index`.
 //!
-//! Corrupt files yield a typed [`StoreError`] naming the failing section;
-//! they can never produce a panic or a garbage graph.
+//! [`read_store`] validates once — every section CRC, every offset array
+//! monotone and bounded, every id in range, every value finite, every name
+//! UTF-8 — and only then copies into an owned [`KnowledgeGraph`]. Corrupt
+//! files yield a typed [`StoreError`] naming the failing section; they can
+//! never produce a panic or a garbage graph.
 
-use crate::graph::{AttrFact, AttrOwner, Edge, KnowledgeGraph};
+use crate::graph::KnowledgeGraph;
 use crate::ids::{AttributeId, EntityId, RelationId};
 use crate::mmapio::Mmap;
-use crate::view::GraphView;
 use cf_tensor::crc::{crc32, Crc};
 use std::io::Write;
 use std::ops::Range;
@@ -58,9 +54,6 @@ const TAG_REL_NAMES: u32 = 3;
 const TAG_ATTR_NAMES: u32 = 4;
 const TAG_TRIPLES: u32 = 5;
 const TAG_NUMERICS: u32 = 6;
-const TAG_ADJ: u32 = 7;
-const TAG_NUMIDX: u32 = 8;
-const TAG_ATTRIDX: u32 = 9;
 const TAG_END: u32 = 0xFFFF_FFFF;
 
 /// Cap on entity/relation/attribute counts (ids are u32).
@@ -81,9 +74,6 @@ fn section_name(tag: u32) -> &'static str {
         TAG_ATTR_NAMES => "attribute_names",
         TAG_TRIPLES => "triples",
         TAG_NUMERICS => "numerics",
-        TAG_ADJ => "adjacency",
-        TAG_NUMIDX => "numeric_index",
-        TAG_ATTRIDX => "attribute_index",
         TAG_END => "end",
         _ => "unknown",
     }
@@ -132,8 +122,6 @@ pub enum StoreError {
         /// Name of the offending section.
         section: &'static str,
     },
-    /// [`write_store`] was called on a graph without built indexes.
-    NotIndexed,
     /// A sound chain index built for another graph: its recorded
     /// [`graph_fingerprint`](crate::graph_fingerprint) or entity count
     /// differs from the graph it was paired with. Nothing is corrupt; the
@@ -168,12 +156,6 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::TooLarge { section } => {
                 write!(f, "section {section:?} exceeds its length cap")
-            }
-            StoreError::NotIndexed => {
-                write!(
-                    f,
-                    "graph must be indexed (build_index) before writing a store"
-                )
             }
             StoreError::IndexMismatch {
                 index,
@@ -444,31 +426,10 @@ pub(crate) fn cast_u64s(bytes: &[u8]) -> &[u64] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) }
 }
 
-pub(crate) fn cast_u32s(bytes: &[u8]) -> &[u32] {
+fn cast_u32s(bytes: &[u8]) -> &[u32] {
     assert!(bytes.as_ptr() as usize % 4 == 0 && bytes.len() % 4 == 0);
     // SAFETY: alignment and length checked above; u32 has no invalid bits.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
-}
-
-fn cast_edges(bytes: &[u8]) -> &[Edge] {
-    assert!(bytes.as_ptr() as usize % 4 == 0 && bytes.len() % 12 == 0);
-    // SAFETY: Edge is repr(C) {u32, u32 (Dir), u32}, size 12, align 4. The
-    // open-time validation accepted only dir values in {0,1}, so every
-    // 12-byte group is a valid Edge.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Edge, bytes.len() / 12) }
-}
-
-fn cast_attr_facts(bytes: &[u8]) -> &[AttrFact] {
-    assert!(bytes.as_ptr() as usize % 8 == 0 && bytes.len() % 16 == 0);
-    // SAFETY: AttrFact is repr(C) {u32, pad, f64}, size 16, align 8; all bit
-    // patterns of the fields are inhabited (padding is never read).
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const AttrFact, bytes.len() / 16) }
-}
-
-fn cast_attr_owners(bytes: &[u8]) -> &[AttrOwner] {
-    assert!(bytes.as_ptr() as usize % 8 == 0 && bytes.len() % 16 == 0);
-    // SAFETY: as cast_attr_facts; AttrOwner has the same layout.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const AttrOwner, bytes.len() / 16) }
 }
 
 // ---------------------------------------------------------------------------
@@ -499,19 +460,15 @@ fn write_names<W: Write>(w: &mut W, tag: u32, names: &[String]) -> Result<u32, S
     Ok(s.finish()?)
 }
 
-/// Serializes an indexed graph to `path` as CFKG1, atomically.
+/// Serializes a graph's facts to `path` as CFKG1, atomically.
 ///
-/// The byte output is a pure function of the graph (names, triples and
-/// numerics in insertion order, CSR indexes as built by `build_index`) —
-/// re-ingesting identical TSV input yields a byte-identical store file.
+/// The byte output is a pure function of the facts (names, triples and
+/// numerics in insertion order), indexed or not — re-ingesting identical
+/// TSV input yields a byte-identical store file.
 pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), StoreError> {
-    let path = path.as_ref();
-    if !g.indexed {
-        return Err(StoreError::NotIndexed);
-    }
-    cf_tensor::write_atomic(path, |w| {
+    cf_tensor::write_atomic(path.as_ref(), |w| {
         w.write_all(&STORE_MAGIC)?;
-        let mut crcs = Vec::with_capacity(9);
+        let mut crcs = Vec::with_capacity(6);
 
         let (n_e, n_r, n_a) = (
             g.entity_names.len() as u64,
@@ -560,40 +517,6 @@ pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), Sto
         }
         crcs.push(s.finish()?);
 
-        let n_edges = g.adj_edges.len() as u64;
-        let mut s = SectionWriter::begin(w, TAG_ADJ, 8 * (n_e + 1) + 12 * n_edges)?;
-        for &o in &g.adj_offsets {
-            s.put_u64(o as u64)?;
-        }
-        for e in &g.adj_edges {
-            s.put_u32(e.dr.rel.0)?;
-            s.put_u32(e.dr.dir as u32)?;
-            s.put_u32(e.to.0)?;
-        }
-        crcs.push(s.finish()?);
-
-        let mut s = SectionWriter::begin(w, TAG_NUMIDX, 8 * (n_e + 1) + 16 * n_n)?;
-        for &o in &g.num_offsets {
-            s.put_u64(o as u64)?;
-        }
-        for f in &g.num_facts {
-            s.put_u32(f.attr.0)?;
-            s.put_u32(0)?;
-            s.put_f64(f.value)?;
-        }
-        crcs.push(s.finish()?);
-
-        let mut s = SectionWriter::begin(w, TAG_ATTRIDX, 8 * (n_a + 1) + 16 * n_n)?;
-        for &o in &g.attr_offsets {
-            s.put_u64(o as u64)?;
-        }
-        for f in &g.attr_facts {
-            s.put_u32(f.entity.0)?;
-            s.put_u32(0)?;
-            s.put_f64(f.value)?;
-        }
-        crcs.push(s.finish()?);
-
         write_end(w, &crcs)?;
         Ok(())
     })
@@ -603,7 +526,6 @@ pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), Sto
 // layout (validated section ranges)
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug)]
 struct Counts {
     n_e: usize,
     n_r: usize,
@@ -612,13 +534,11 @@ struct Counts {
     n_n: usize,
 }
 
-#[derive(Clone, Debug)]
 struct StrTable {
     offsets: Range<usize>,
     blob: Range<usize>,
 }
 
-#[derive(Clone, Debug)]
 struct Layout {
     counts: Counts,
     ent_names: StrTable,
@@ -630,12 +550,6 @@ struct Layout {
     num_entities_col: Range<usize>,
     num_attrs_col: Range<usize>,
     num_values_col: Range<usize>,
-    adj_offsets: Range<usize>,
-    adj_edges: Range<usize>,
-    num_offsets: Range<usize>,
-    num_facts: Range<usize>,
-    attr_offsets: Range<usize>,
-    attr_facts: Range<usize>,
 }
 
 pub(crate) fn corrupt(section: &'static str, what: impl Into<String>) -> StoreError {
@@ -705,8 +619,9 @@ cf_tensor::simd_hot! {
 }
 
 /// Tile size for fused CRC+scan passes: fits in L2 next to the CRC tables,
-/// and is divisible by every record size in the format (4, 8, 12, 16), so
-/// `chunks(FUSE_TILE)` keeps every tile record-aligned.
+/// and is divisible by every record size a fused scan reads (4 and 8 here,
+/// CFCI1's 32-byte entries), so `chunks(FUSE_TILE)` keeps every tile
+/// record-aligned.
 pub(crate) const FUSE_TILE: usize = 192 << 10;
 
 /// Streams the subranges of one section body through the CRC while handing
@@ -804,57 +719,6 @@ pub(crate) fn verify_crc(
     Ok(())
 }
 
-cf_tensor::simd_hot! {
-/// Branchless scan of interleaved `[id u32 | pad][f64 bits]` pairs (the
-/// AttrFact / AttrOwner wire layout): returns the max id and whether any
-/// value word has an all-ones exponent. One pass, no per-element branches.
-fn scan_id_value_pairs(raw: &[u64]) -> (u32, bool) {
-    // Four independent accumulator lanes (8 words = 4 records per step) so
-    // the reduction is not serialized through one max/or chain.
-    let mut m = [0u32; 4];
-    let mut nf = [false; 4];
-    let mut oct = raw.chunks_exact(8);
-    for c in &mut oct {
-        m[0] = m[0].max(c[0] as u32);
-        m[1] = m[1].max(c[2] as u32);
-        m[2] = m[2].max(c[4] as u32);
-        m[3] = m[3].max(c[6] as u32);
-        nf[0] |= (c[1] >> 52) & 0x7FF == 0x7FF;
-        nf[1] |= (c[3] >> 52) & 0x7FF == 0x7FF;
-        nf[2] |= (c[5] >> 52) & 0x7FF == 0x7FF;
-        nf[3] |= (c[7] >> 52) & 0x7FF == 0x7FF;
-    }
-    let mut max_id = m[0].max(m[1]).max(m[2]).max(m[3]);
-    let mut non_finite = nf[0] | nf[1] | nf[2] | nf[3];
-    for pair in oct.remainder().chunks_exact(2) {
-        max_id = max_id.max(pair[0] as u32);
-        non_finite |= (pair[1] >> 52) & 0x7FF == 0x7FF;
-    }
-    (max_id, non_finite)
-}
-}
-
-cf_tensor::simd_hot! {
-/// Branchless 3-lane max over raw edge words `[rel, dir, tail]*` — four
-/// edges (12 words) per step so the stride-3 reductions are not serialized
-/// on one accumulator per field. `raw.len()` must be a multiple of 3.
-fn scan_edges(raw: &[u32]) -> (u32, u32, u32) {
-    let (mut mr, mut md, mut mt) = (0u32, 0u32, 0u32);
-    let mut quads = raw.chunks_exact(12);
-    for c in &mut quads {
-        mr = mr.max(c[0]).max(c[3]).max(c[6]).max(c[9]);
-        md = md.max(c[1]).max(c[4]).max(c[7]).max(c[10]);
-        mt = mt.max(c[2]).max(c[5]).max(c[8]).max(c[11]);
-    }
-    for c in quads.remainder().chunks_exact(3) {
-        mr = mr.max(c[0]);
-        md = md.max(c[1]);
-        mt = mt.max(c[2]);
-    }
-    (mr, md, mt)
-}
-}
-
 fn validate_str_table(
     bytes: &[u8],
     body: Range<usize>,
@@ -893,9 +757,9 @@ fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
     // verified below, fused with its structural scan for the big array
     // sections, so open reads the file once instead of twice.
     let sections = walk_sections(bytes, &STORE_MAGIC, section_name)?;
-    let mut found: [Option<(Range<usize>, u32)>; 10] = Default::default();
+    let mut found: [Option<(Range<usize>, u32)>; 7] = Default::default();
     for s in sections {
-        if (1..=9).contains(&s.tag) {
+        if (TAG_COUNTS..=TAG_NUMERICS).contains(&s.tag) {
             let slot = &mut found[s.tag as usize];
             if slot.is_some() {
                 return Err(StoreError::Duplicate {
@@ -904,8 +768,9 @@ fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
             }
             *slot = Some((s.body, s.crc));
         } else {
-            // Unknown tags are skipped, but still CRC-verified: forward
-            // compat must not weaken the whole-file integrity promise.
+            // Unknown tags (the CSR sections 7–9 of older stores among
+            // them) are skipped, but still CRC-verified: compatibility must
+            // not weaken the whole-file integrity promise.
             verify_crc(bytes, &s.body, s.crc, section_name(s.tag))?;
         }
     }
@@ -1000,104 +865,6 @@ fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
         }
     }
 
-    // adjacency: fused CRC + offsets monotone + 3-lane edge max scan
-    let (a, a_crc) = take(TAG_ADJ)?;
-    let off_len = 8 * (counts.n_e + 1);
-    let n_edges = 2 * counts.n_t;
-    if a.len() != off_len + 12 * n_edges {
-        return Err(corrupt("adjacency", "body length does not match counts"));
-    }
-    let adj_offsets = a.start..a.start + off_len;
-    let adj_edges = a.start + off_len..a.end;
-    {
-        let mut fused = FusedCrc::new(bytes);
-        let mut mono = MonoScan::new();
-        let (mut mr, mut md, mut mt) = (0u32, 0u32, 0u32);
-        fused.feed(&adj_offsets, &mut |t| mono.feed(cast_u64s(t)));
-        fused.feed(&adj_edges, &mut |t| {
-            let (r, d, e) = scan_edges(cast_u32s(t));
-            mr = mr.max(r);
-            md = md.max(d);
-            mt = mt.max(e);
-        });
-        fused.check(a_crc, "adjacency")?;
-        mono.check(n_edges as u64, "adjacency")?;
-        if n_edges > 0 {
-            if mr as usize >= counts.n_r {
-                return Err(corrupt("adjacency", "relation id out of range"));
-            }
-            if md > 1 {
-                return Err(corrupt("adjacency", "edge direction not in {0,1}"));
-            }
-            if mt as usize >= counts.n_e {
-                return Err(corrupt("adjacency", "neighbor id out of range"));
-            }
-        }
-    }
-
-    // numeric index: fused CRC + offsets monotone + pair scan
-    let (ni, ni_crc) = take(TAG_NUMIDX)?;
-    if ni.len() != off_len + 16 * counts.n_n {
-        return Err(corrupt(
-            "numeric_index",
-            "body length does not match counts",
-        ));
-    }
-    let num_offsets = ni.start..ni.start + off_len;
-    let num_facts = ni.start + off_len..ni.end;
-    {
-        let mut fused = FusedCrc::new(bytes);
-        let mut mono = MonoScan::new();
-        let (mut max_attr, mut non_finite) = (0u32, false);
-        fused.feed(&num_offsets, &mut |t| mono.feed(cast_u64s(t)));
-        // layout: [attr u32 | pad u32] [value f64] — even words hold the id
-        // in their low half, odd words the value bits.
-        fused.feed(&num_facts, &mut |t| {
-            let (m, nf) = scan_id_value_pairs(cast_u64s(t));
-            max_attr = max_attr.max(m);
-            non_finite |= nf;
-        });
-        fused.check(ni_crc, "numeric_index")?;
-        mono.check(counts.n_n as u64, "numeric_index")?;
-        if counts.n_n > 0 && max_attr as usize >= counts.n_a {
-            return Err(corrupt("numeric_index", "attribute id out of range"));
-        }
-        if non_finite {
-            return Err(corrupt("numeric_index", "non-finite value"));
-        }
-    }
-
-    // attribute index: fused CRC + offsets monotone + pair scan
-    let (ai, ai_crc) = take(TAG_ATTRIDX)?;
-    let aoff_len = 8 * (counts.n_a + 1);
-    if ai.len() != aoff_len + 16 * counts.n_n {
-        return Err(corrupt(
-            "attribute_index",
-            "body length does not match counts",
-        ));
-    }
-    let attr_offsets = ai.start..ai.start + aoff_len;
-    let attr_facts = ai.start + aoff_len..ai.end;
-    {
-        let mut fused = FusedCrc::new(bytes);
-        let mut mono = MonoScan::new();
-        let (mut max_ent, mut non_finite) = (0u32, false);
-        fused.feed(&attr_offsets, &mut |t| mono.feed(cast_u64s(t)));
-        fused.feed(&attr_facts, &mut |t| {
-            let (m, nf) = scan_id_value_pairs(cast_u64s(t));
-            max_ent = max_ent.max(m);
-            non_finite |= nf;
-        });
-        fused.check(ai_crc, "attribute_index")?;
-        mono.check(counts.n_n as u64, "attribute_index")?;
-        if counts.n_n > 0 && max_ent as usize >= counts.n_e {
-            return Err(corrupt("attribute_index", "entity id out of range"));
-        }
-        if non_finite {
-            return Err(corrupt("attribute_index", "non-finite value"));
-        }
-    }
-
     Ok(Layout {
         counts,
         ent_names,
@@ -1109,12 +876,6 @@ fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
         num_entities_col,
         num_attrs_col,
         num_values_col,
-        adj_offsets,
-        adj_edges,
-        num_offsets,
-        num_facts,
-        attr_offsets,
-        attr_facts,
     })
 }
 
@@ -1122,9 +883,9 @@ fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
 // owned load
 // ---------------------------------------------------------------------------
 
-/// Loads a CFKG1 file into an owned [`KnowledgeGraph`] (full validation,
-/// then a copy). The CSR sections are revalidated by rebuilding them via
-/// `build_index`, so a loaded-then-rewritten store is byte-identical.
+/// Loads a CFKG1 file into an owned [`KnowledgeGraph`]: full validation,
+/// then a copy of the facts and `build_index`, so a loaded-then-rewritten
+/// store is byte-identical.
 pub fn read_store(path: impl AsRef<Path>) -> Result<KnowledgeGraph, StoreError> {
     let mem = Mmap::open(path)?;
     let bytes = mem.bytes();
@@ -1165,89 +926,12 @@ pub fn read_store(path: impl AsRef<Path>) -> Result<KnowledgeGraph, StoreError> 
     Ok(g)
 }
 
-// ---------------------------------------------------------------------------
-// zero-copy view
-// ---------------------------------------------------------------------------
-
-/// Zero-copy graph view over an mmap'd CFKG1 file.
-///
-/// All validation happens once in [`MappedGraph::open`]; afterwards every
-/// accessor is a bounds-computed slice into the mapping with no parsing, no
-/// hashing and no allocation (except name formatting helpers).
-#[derive(Debug)]
-pub struct MappedGraph {
-    mem: Mmap,
-    layout: Layout,
-}
-
-impl MappedGraph {
-    /// Opens and fully validates a CFKG1 file.
-    pub fn open(path: impl AsRef<Path>) -> Result<MappedGraph, StoreError> {
-        let mem = Mmap::open(path)?;
-        let layout = parse_store(mem.bytes())?;
-        Ok(MappedGraph { mem, layout })
-    }
-
-    fn str_at<'a>(&'a self, t: &StrTable, i: usize) -> &'a str {
-        let offs = cast_u64s(&self.mem.bytes()[t.offsets.clone()]);
-        let blob = &self.mem.bytes()[t.blob.clone()];
-        let s = &blob[offs[i] as usize..offs[i + 1] as usize];
-        std::str::from_utf8(s).expect("validated at open")
-    }
-}
-
-impl GraphView for MappedGraph {
-    fn num_entities(&self) -> usize {
-        self.layout.counts.n_e
-    }
-
-    fn num_relations(&self) -> usize {
-        self.layout.counts.n_r
-    }
-
-    fn num_attributes(&self) -> usize {
-        self.layout.counts.n_a
-    }
-
-    fn neighbors(&self, e: EntityId) -> &[Edge] {
-        let offs = cast_u64s(&self.mem.bytes()[self.layout.adj_offsets.clone()]);
-        let i = e.0 as usize;
-        let edges = cast_edges(&self.mem.bytes()[self.layout.adj_edges.clone()]);
-        &edges[offs[i] as usize..offs[i + 1] as usize]
-    }
-
-    fn numerics_of(&self, e: EntityId) -> &[AttrFact] {
-        let offs = cast_u64s(&self.mem.bytes()[self.layout.num_offsets.clone()]);
-        let i = e.0 as usize;
-        let facts = cast_attr_facts(&self.mem.bytes()[self.layout.num_facts.clone()]);
-        &facts[offs[i] as usize..offs[i + 1] as usize]
-    }
-
-    fn entities_with_attribute(&self, a: AttributeId) -> &[AttrOwner] {
-        let offs = cast_u64s(&self.mem.bytes()[self.layout.attr_offsets.clone()]);
-        let i = a.0 as usize;
-        let owners = cast_attr_owners(&self.mem.bytes()[self.layout.attr_facts.clone()]);
-        &owners[offs[i] as usize..offs[i + 1] as usize]
-    }
-
-    fn entity_name(&self, e: EntityId) -> &str {
-        self.str_at(&self.layout.ent_names, e.0 as usize)
-    }
-
-    fn relation_name(&self, r: RelationId) -> &str {
-        self.str_at(&self.layout.rel_names, r.0 as usize)
-    }
-
-    fn attribute_name(&self, a: AttributeId) -> &str {
-        self.str_at(&self.layout.attr_names, a.0 as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::DirRel;
     use crate::synth::{yago15k_sim, SynthScale};
+    use crate::view::GraphView;
     use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
@@ -1297,24 +981,12 @@ mod tests {
                     "{len}"
                 );
                 assert!(!fold_non_finite(w), "{len}");
-                let pairs = &w[..len & !1];
-                let want_max = pairs.chunks(2).map(|p| p[0] as u32).max().unwrap_or(0);
-                assert_eq!(scan_id_value_pairs(pairs), (want_max, false), "{len}");
-                let edges = &u[..u.len() - u.len() % 3];
-                let want = (0..3)
-                    .map(|f| edges.chunks(3).map(|e| e[f]).max().unwrap_or(0))
-                    .collect::<Vec<_>>();
-                assert_eq!(scan_edges(edges), (want[0], want[1], want[2]), "{len}");
             }
             // non-finite detection: NaN planted at each lane position
             for pos in 0..9 {
                 let mut v = words[..16].to_vec();
                 v[pos] = f64::NAN.to_bits();
                 assert!(fold_non_finite(&v), "nan at {pos}");
-                if pos % 2 == 1 {
-                    let (_, nf) = scan_id_value_pairs(&v);
-                    assert!(nf, "pair nan at {pos}");
-                }
             }
             // a single inversion at each position must be caught
             for pos in 0..12 {
@@ -1333,12 +1005,27 @@ mod tests {
         write_store(&g, &p).unwrap();
         let g2 = read_store(&p).unwrap();
         assert_eq!(g.num_entities(), g2.num_entities());
+        assert_eq!(g.num_relations(), g2.num_relations());
+        assert_eq!(g.num_attributes(), g2.num_attributes());
         assert_eq!(g.triples(), g2.triples());
         assert_eq!(g.numerics(), g2.numerics());
         for e in GraphView::entities(&g) {
             assert_eq!(g.neighbors(e), g2.neighbors(e));
             assert_eq!(g.numerics_of(e), g2.numerics_of(e));
             assert_eq!(g.entity_name(e), g2.entity_name(e));
+        }
+        for a in 0..g.num_attributes() as u32 {
+            let a = AttributeId(a);
+            assert_eq!(g.entities_with_attribute(a), g2.entities_with_attribute(a));
+            assert_eq!(g.attribute_name(a), g2.attribute_name(a));
+        }
+        for r in 0..g.num_relations() as u32 {
+            let r = RelationId(r);
+            assert_eq!(g.relation_name(r), g2.relation_name(r));
+            assert_eq!(
+                g.dir_rel_name(DirRel::inverse(r)),
+                g2.dir_rel_name(DirRel::inverse(r))
+            );
         }
     }
 
@@ -1355,46 +1042,111 @@ mod tests {
         assert_eq!(b1, b2, "load→rewrite must be byte-identical");
     }
 
+    /// A store holds only the facts, so whether the CSR indexes were built
+    /// does not change a byte.
     #[test]
-    fn mapped_view_matches_heap() {
-        let g = sample_graph();
-        let (_dir, p) = tmp("mapped");
-        write_store(&g, &p).unwrap();
-        let m = MappedGraph::open(&p).unwrap();
-        assert_eq!(GraphView::num_entities(&g), m.num_entities());
-        assert_eq!(GraphView::num_relations(&g), m.num_relations());
-        assert_eq!(GraphView::num_attributes(&g), m.num_attributes());
-        for e in GraphView::entities(&g) {
-            assert_eq!(g.neighbors(e), m.neighbors(e));
-            assert_eq!(g.numerics_of(e), m.numerics_of(e));
-            assert_eq!(g.entity_name(e), m.entity_name(e));
-        }
-        for a in 0..g.num_attributes() as u32 {
-            let a = AttributeId(a);
-            assert_eq!(
-                GraphView::entities_with_attribute(&g, a),
-                m.entities_with_attribute(a)
-            );
-            assert_eq!(GraphView::attribute_name(&g, a), m.attribute_name(a));
-        }
-        for r in 0..g.num_relations() as u32 {
-            let r = RelationId(r);
-            assert_eq!(GraphView::relation_name(&g, r), m.relation_name(r));
-            assert_eq!(
-                g.dir_rel_name(DirRel::forward(r)),
-                GraphView::dir_rel_name(&m, DirRel::forward(r))
-            );
-        }
+    fn unindexed_graph_writes_the_indexed_bytes() {
+        let mut g = KnowledgeGraph::new();
+        let x = g.add_entity("x");
+        let y = g.add_entity("y");
+        let r = g.add_relation_type("r");
+        let a = g.add_attribute_type("a");
+        g.add_triple(x, r, y);
+        g.add_numeric(y, a, 2.5);
+        let (_dir, before) = tmp("unindexed");
+        write_store(&g, &before).unwrap();
+        g.build_index();
+        let after = before.with_file_name("indexed.cfkg");
+        write_store(&g, &after).unwrap();
+        assert_eq!(
+            std::fs::read(&before).unwrap(),
+            std::fs::read(&after).unwrap()
+        );
     }
 
+    /// Stores written while the format still carried its derived CSR
+    /// sections (tags 7–9, just before the end marker) load to the same
+    /// graph, and those sections stay under the whole-file CRC promise.
     #[test]
-    fn unindexed_graph_is_rejected() {
-        let mut g = KnowledgeGraph::new();
-        g.add_entity("x");
-        let (_dir, p) = tmp("unindexed");
-        match write_store(&g, &p) {
-            Err(StoreError::NotIndexed) => {}
-            other => panic!("expected NotIndexed, got {other:?}"),
+    fn legacy_index_sections_are_checked_and_skipped() {
+        let g = sample_graph();
+        let (_dir, p) = tmp("facts");
+        write_store(&g, &p).unwrap();
+        let clean = std::fs::read(&p).unwrap();
+        // Re-seal: every fact section as written, then adjacency, numeric
+        // index and attribute index in the old layout, then a new end
+        // marker and footer over all nine CRCs.
+        let mut crcs: Vec<u32> = walk_sections(&clean, &STORE_MAGIC, section_name)
+            .unwrap()
+            .iter()
+            .map(|s| s.crc)
+            .collect();
+        let mut legacy = clean[..clean.len() - 24].to_vec();
+        let (n_e, n_a) = (g.num_entities() as u64, g.num_attributes() as u64);
+        let (n_t, n_n) = (g.triples().len() as u64, g.numerics().len() as u64);
+        let mut s = SectionWriter::begin(&mut legacy, 7, 8 * (n_e + 1) + 24 * n_t).unwrap();
+        let mut off = 0u64;
+        s.put_u64(0).unwrap();
+        for e in GraphView::entities(&g) {
+            off += g.neighbors(e).len() as u64;
+            s.put_u64(off).unwrap();
+        }
+        for e in GraphView::entities(&g) {
+            for edge in g.neighbors(e) {
+                s.put_u32(edge.dr.rel.0).unwrap();
+                s.put_u32(u32::from(edge.dr.dir == crate::ids::Dir::Inverse))
+                    .unwrap();
+                s.put_u32(edge.to.0).unwrap();
+            }
+        }
+        crcs.push(s.finish().unwrap());
+        let mut s = SectionWriter::begin(&mut legacy, 8, 8 * (n_e + 1) + 16 * n_n).unwrap();
+        let mut off = 0u64;
+        s.put_u64(0).unwrap();
+        for e in GraphView::entities(&g) {
+            off += g.numerics_of(e).len() as u64;
+            s.put_u64(off).unwrap();
+        }
+        for e in GraphView::entities(&g) {
+            for f in g.numerics_of(e) {
+                s.put_u64(u64::from(f.attr.0)).unwrap();
+                s.put_f64(f.value).unwrap();
+            }
+        }
+        crcs.push(s.finish().unwrap());
+        let mut s = SectionWriter::begin(&mut legacy, 9, 8 * (n_a + 1) + 16 * n_n).unwrap();
+        let mut off = 0u64;
+        s.put_u64(0).unwrap();
+        for a in 0..n_a as u32 {
+            off += g.entities_with_attribute(AttributeId(a)).len() as u64;
+            s.put_u64(off).unwrap();
+        }
+        for a in 0..n_a as u32 {
+            for o in g.entities_with_attribute(AttributeId(a)) {
+                s.put_u64(u64::from(o.entity.0)).unwrap();
+                s.put_f64(o.value).unwrap();
+            }
+        }
+        crcs.push(s.finish().unwrap());
+        write_end(&mut legacy, &crcs).unwrap();
+        std::fs::write(&p, &legacy).unwrap();
+
+        let loaded = read_store(&p).unwrap();
+        assert_eq!(loaded.triples(), g.triples());
+        assert_eq!(loaded.numerics(), g.numerics());
+        let (_dir2, rewritten) = tmp("rewritten");
+        write_store(&loaded, &rewritten).unwrap();
+        assert_eq!(std::fs::read(&rewritten).unwrap(), clean);
+
+        let extra = walk_sections(&legacy, &STORE_MAGIC, section_name).unwrap();
+        for s in extra.iter().filter(|s| s.tag >= 7) {
+            let mut bad = legacy.clone();
+            bad[s.body.start + s.body.len() / 2] ^= 0x5A;
+            std::fs::write(&p, &bad).unwrap();
+            match read_store(&p) {
+                Err(StoreError::BadCrc { .. }) => {}
+                other => panic!("tag {}: expected BadCrc, got {other:?}", s.tag),
+            }
         }
     }
 
@@ -1411,15 +1163,12 @@ mod tests {
             let mut bad = clean.clone();
             bad[off] ^= 0xA5;
             std::fs::write(&p, &bad).unwrap();
-            let owned = read_store(&p);
-            assert!(owned.is_err(), "corruption at {off} not detected (owned)");
-            let mapped = MappedGraph::open(&p);
-            assert!(mapped.is_err(), "corruption at {off} not detected (mapped)");
+            assert!(read_store(&p).is_err(), "corruption at {off} not detected");
         }
         // Truncations at every boundary class.
         for cut in [0, 4, 8, 15, clean.len() / 2, clean.len() - 1] {
             std::fs::write(&p, &clean[..cut]).unwrap();
-            assert!(MappedGraph::open(&p).is_err(), "truncation at {cut}");
+            assert!(read_store(&p).is_err(), "truncation at {cut}");
         }
     }
 
@@ -1433,7 +1182,7 @@ mod tests {
         // header is 16 bytes): corrupting it must fail the counts CRC.
         bad[24] ^= 0xFF;
         std::fs::write(&p, &bad).unwrap();
-        match MappedGraph::open(&p) {
+        match read_store(&p) {
             Err(StoreError::BadCrc { section }) => assert_eq!(section, "counts"),
             other => panic!("expected BadCrc(counts), got {other:?}"),
         }
@@ -1445,9 +1194,8 @@ mod tests {
         g.build_index();
         let (_dir, p) = tmp("empty");
         write_store(&g, &p).unwrap();
-        let m = MappedGraph::open(&p).unwrap();
-        assert_eq!(m.num_entities(), 0);
         let g2 = read_store(&p).unwrap();
         assert_eq!(g2.num_entities(), 0);
+        assert_eq!(g2.triples().len(), 0);
     }
 }

@@ -1,21 +1,23 @@
-//! [`GraphView`]: the read-only graph-access trait shared by the heap-built
-//! [`KnowledgeGraph`] and the zero-copy [`crate::store::MappedGraph`].
+//! [`GraphView`]: the read-only graph-access trait implemented by the
+//! [`KnowledgeGraph`] and by the live [`crate::OverlayGraph`] (a base graph
+//! plus journaled mutations).
 //!
 //! Chain retrieval, enumeration and the model's gather path are generic over
 //! this trait so the exact same code (and therefore the exact same RNG
-//! consumption) runs against either backend — the bit-equality property
-//! "retrieve over heap == retrieve over mmap" is structural, not tested into
-//! existence.
+//! consumption) runs against either — the bit-equality property "retrieve
+//! over the overlay == retrieve over its compacted store" is structural, not
+//! tested into existence.
 
 use crate::graph::{AttrFact, AttrOwner, Edge, KnowledgeGraph};
 use crate::ids::{AttributeId, Dir, DirRel, EntityId, RelationId};
 
 /// Read-only access to an indexed knowledge graph.
 ///
-/// All slice-returning methods must present facts in the same canonical
-/// order as [`KnowledgeGraph::build_index`] (triple insertion order within
-/// each CSR row); the CFKG1 writer serializes exactly that order, which is
-/// what makes retrieval bitwise identical across backends.
+/// Implemented by [`KnowledgeGraph`] and [`crate::OverlayGraph`]. All
+/// slice-returning methods must present facts in the same canonical order
+/// as [`KnowledgeGraph::build_index`] (triple insertion order within each
+/// CSR row), which is what makes retrieval bitwise identical across the
+/// two.
 pub trait GraphView {
     /// Number of entities.
     fn num_entities(&self) -> usize;

@@ -307,7 +307,9 @@ pub struct MutationOutcome {
     pub invalidated: usize,
     /// Live-graph generation after this batch.
     pub generation: u64,
-    /// Whether this batch triggered a store compaction + journal truncate.
+    /// Whether this batch compacted the store and truncated the journal
+    /// (false when a compaction it triggered failed; the next batch
+    /// retries).
     pub compacted: bool,
 }
 
@@ -706,18 +708,23 @@ impl Engine {
         // Compaction under both locks: the canonical rewrite and the
         // journal truncation stay atomic with respect to other mutations.
         // A crash *between* the two is harmless — replaying the surviving
-        // journal onto the compacted store is a no-op (idempotence).
+        // journal onto the compacted store is a no-op (idempotence). The
+        // batch is durable and applied by now, so a failed compaction does
+        // not fail it: the journal keeps its records and the next batch
+        // retries.
         let mut compacted = false;
         if let Some(js) = journal.as_mut() {
             if let Some(pol) = &js.compact {
                 if pol.every > 0 && js.writer.records() >= pol.every {
-                    live.overlay
+                    compacted = live
+                        .overlay
                         .compact_to(&pol.path)
-                        .map_err(|e| format!("compaction: {e}"))?;
-                    js.writer
-                        .truncate_all()
-                        .map_err(|e| format!("journal truncate: {e}"))?;
-                    compacted = true;
+                        .and_then(|()| js.writer.truncate_all())
+                        .is_ok();
+                    if !compacted {
+                        let m = &self.shared.metrics;
+                        m.compactions_failed.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
@@ -741,7 +748,9 @@ impl Engine {
     ///
     /// With `compaction = Some((path, every))`, every `every` journaled
     /// records the live graph is compacted to a canonical CFKG1 at `path`
-    /// and the journal is truncated.
+    /// and the journal is truncated. A compaction that fails leaves its
+    /// batch applied and acknowledged and the journal as it was; it counts
+    /// in `cf_serve_compactions_failed_total`.
     pub fn attach_journal(
         &self,
         path: impl AsRef<Path>,
@@ -768,19 +777,6 @@ impl Engine {
             failed: false,
         });
         Ok(replayed)
-    }
-
-    /// Compacts the live graph (base + overlay) to a canonical CFKG1 file
-    /// via the store's atomic tmp → fsync → rename path, then truncates the
-    /// attached journal (if any) — its mutations are now in the base.
-    pub fn compact_to(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let mut journal = self.shared.journal.lock().expect("journal poisoned");
-        let live = self.shared.live.read().expect("live graph poisoned");
-        live.overlay.compact_to(path)?;
-        if let Some(js) = journal.as_mut() {
-            js.writer.truncate_all()?;
-        }
-        Ok(())
     }
 
     /// The served model (a read guard: drops cheaply, blocks a concurrent
@@ -1748,7 +1744,10 @@ mod tests {
         // A fresh engine over the same base replays the journal on attach
         // and serves identical bits.
         let (e2, _) = engine(EngineConfig::default());
-        let replayed = e2.attach_journal(&journal, None).expect("attach");
+        let store = dir.join("compacted.cfkg");
+        let replayed = e2
+            .attach_journal(&journal, Some((store.clone(), 1)))
+            .expect("attach");
         assert_eq!(replayed, muts.len());
         assert!(e2.graph().entity_by_name("mutant_0").is_some());
         let got: Vec<u64> = queries
@@ -1757,11 +1756,11 @@ mod tests {
             .collect();
         assert_eq!(want, got, "journal replay changed served bits");
 
-        // Compaction folds the overlay into a canonical store and empties
-        // the journal; an engine over the compacted store (no journal)
-        // serves the same bits again.
-        let store = dir.join("compacted.cfkg");
-        e2.compact_to(&store).expect("compact");
+        // Online compaction (`cfkg serve --compact-every 1`): the next
+        // batch, an idempotent re-apply, folds the overlay into a canonical
+        // store and empties the journal; an engine over the compacted store
+        // (no journal) serves the same bits again.
+        assert!(e2.mutate(&muts).expect("re-mutate").compacted);
         assert_eq!(cf_kg::recover_file(&journal).unwrap().mutations.len(), 0);
         e2.shutdown();
 
@@ -1778,6 +1777,46 @@ mod tests {
             .collect();
         assert_eq!(want, got, "compacted store changed served bits");
         e3.shutdown();
+    }
+
+    /// A compaction that cannot write its store must not turn a durable,
+    /// applied batch into an error reply: the batch is acked, its journal
+    /// keeps the records for a restart to replay, and the failure counts.
+    #[test]
+    fn failed_compaction_still_acks_the_batch() {
+        let dir = TempDir::new("engine_compact_fail");
+        let journal = dir.join("live.cfj");
+        let store = dir.join("missing").join("c.cfkg");
+        let (e, queries) = engine(EngineConfig::default());
+        e.attach_journal(&journal, Some((store.clone(), 1)))
+            .expect("attach");
+        let muts = mutation_batch(&*e.graph(), queries[0]);
+        let out = e
+            .mutate(&muts)
+            .expect("batch rejected after it was applied");
+        assert!(!out.compacted);
+        assert_eq!(out.applied, muts.len());
+        let added = e.graph().entity_by_name("mutant_0").expect("added");
+        e.predict(Query {
+            entity: added,
+            attr: queries[0].attr,
+        })
+        .expect("predict on the added entity");
+        let m = e.metrics();
+        assert_eq!(m.compactions_failed.load(Ordering::Relaxed), 1);
+        assert_eq!(m.mutations_ok.load(Ordering::Relaxed), 1);
+        assert_eq!(m.mutations_rejected.load(Ordering::Relaxed), 0);
+        assert!(m.render().contains("cf_serve_compactions_failed_total 1"));
+        assert!(!store.exists());
+        e.shutdown();
+
+        let (e2, _) = engine(EngineConfig::default());
+        assert_eq!(
+            e2.attach_journal(&journal, None).expect("replay"),
+            muts.len()
+        );
+        assert!(e2.graph().entity_by_name("mutant_0").is_some());
+        e2.shutdown();
     }
 
     /// Mutation batches over names of `g`: upserts on served entities, two

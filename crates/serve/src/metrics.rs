@@ -193,6 +193,11 @@ pub struct Metrics {
     /// Graph mutation batches rejected (validation or journal failure);
     /// the live graph was left untouched.
     pub mutations_rejected: AtomicU64,
+    /// Online compactions (`--compact-every`) that failed to write the
+    /// store or truncate the journal. The batch that triggered one was
+    /// still applied and acknowledged; its journal keeps the records and
+    /// the next batch retries.
+    pub compactions_failed: AtomicU64,
     /// End-to-end latency per answered request, microseconds.
     pub latency_us: Histogram,
     /// Batch sizes actually executed by the workers.
@@ -228,6 +233,7 @@ impl Metrics {
             reloads_rejected: AtomicU64::new(0),
             mutations_ok: AtomicU64::new(0),
             mutations_rejected: AtomicU64::new(0),
+            compactions_failed: AtomicU64::new(0),
             latency_us: Histogram::new(),
             batch_size: Histogram::new(),
             quantize_int8: AtomicU64::new(0),
@@ -274,6 +280,7 @@ impl Metrics {
             &self.reloads_rejected,
             &self.mutations_ok,
             &self.mutations_rejected,
+            &self.compactions_failed,
         ] {
             a.swap(0, Ordering::AcqRel);
         }
@@ -362,6 +369,11 @@ impl Metrics {
             "f32"
         };
         let _ = writeln!(s, "cf_serve_quantize_mode{{mode=\"{mode}\"}} 1");
+        let _ = writeln!(
+            s,
+            "cf_serve_compactions_failed_total {}",
+            g(&self.compactions_failed)
+        );
         // Shard-labeled rows come after every global line, so scrapers that
         // stop at the first unknown name (or match exact prefixes) keep
         // seeing the original unlabeled fields untouched.
@@ -577,6 +589,7 @@ mod tests {
         let m = Metrics::new();
         m.mutations_ok.fetch_add(2, Ordering::Relaxed);
         m.mutations_rejected.fetch_add(1, Ordering::Relaxed);
+        m.compactions_failed.fetch_add(1, Ordering::Relaxed);
         let text = m.render();
         assert!(text.contains("cf_serve_mutations_ok_total 2"), "{text}");
         assert!(
@@ -588,8 +601,12 @@ mod tests {
         let at = text.find("cf_serve_mutations_ok_total").unwrap();
         let last_global = text.find("cf_serve_batch_size_max").unwrap();
         assert!(at < last_global, "mutation rows must sit in the globals");
+        // The compaction-failure row is appended after the last global.
+        let failed = text.find("cf_serve_compactions_failed_total 1").unwrap();
+        assert!(failed > text.find("cf_serve_quantize_mode").unwrap());
         m.reset();
         assert_eq!(m.mutations_ok.load(Ordering::Relaxed), 0);
         assert_eq!(m.mutations_rejected.load(Ordering::Relaxed), 0);
+        assert_eq!(m.compactions_failed.load(Ordering::Relaxed), 0);
     }
 }

@@ -8,7 +8,7 @@
 //! - a slicing-by-8 table, the portable path and the reference;
 //! - PCLMULQDQ over eight 128-bit accumulators;
 //! - VPCLMULQDQ over four 512-bit accumulators, the one that lets
-//!   `MappedGraph::open` CRC a multi-hundred-MB store in tens of
+//!   `MappedChainIndex::open` CRC a multi-hundred-MB index in tens of
 //!   milliseconds.
 
 use crate::simd::{CRC_XMM, CRC_ZMM};
@@ -121,8 +121,8 @@ fn table_update(mut crc: u32, bytes: &[u8]) -> u32 {
 /// Carry-less-multiply CRC folding (x86_64 PCLMULQDQ), ~10× the table path.
 ///
 /// Same polynomial, same stream, bitwise-identical result — this is purely a
-/// throughput lever for `MappedGraph::open`, which must CRC every section of
-/// a multi-hundred-MB store before the zero-copy casts are allowed.
+/// throughput lever for `MappedChainIndex::open`, which must CRC every
+/// section of a multi-hundred-MB index before its entry cast is allowed.
 ///
 /// Scheme (the reflected variant of Intel's CRC folding): eight 128-bit
 /// accumulators sweep the input 128 bytes per step; each step multiplies an
