@@ -58,8 +58,8 @@ echo "== bench build + smoke (offline) =="
 # not clobbered by smoke numbers.
 cargo build --offline --benches --workspace
 CF_BENCH_SAMPLES=1 cargo bench --offline -p chainsformer-bench \
-    --bench tensor_ops --bench tensor_kernels --bench serve_throughput \
-    --bench kg_retrieval --bench kg_mutate >/dev/null
+    --bench tensor_ops --bench tensor_kernels --bench kg_retrieval \
+    --bench kg_mutate >/dev/null
 
 echo "== cfbench build + unit tests (offline) =="
 # The repository's benchmark is a cargo package of its own that links

@@ -1,7 +1,7 @@
 //! Query-guided retrieval: random walks building the Tree of Chains
 //! (§IV-B, Eq. 6).
 
-use crate::chain::{ChainInstance, ChainVocab, Query, RaChain};
+use crate::chain::{ChainInstance, Query, RaChain};
 use cf_kg::{AttributeId, ChainIndexView, DirRel, EntityId, GraphView};
 use cf_rand::seq::SliceRandom;
 use cf_rand::Rng;
@@ -64,15 +64,6 @@ impl TreeOfChains {
     /// True when no chains were retrievable.
     pub fn is_empty(&self) -> bool {
         self.chains.is_empty()
-    }
-
-    /// Longest chain (in tokens per Eq. 11) — used to size padded batches.
-    pub fn max_token_len(&self, vocab: &ChainVocab) -> usize {
-        self.chains
-            .iter()
-            .map(|c| c.chain.tokens(vocab).len())
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -481,16 +472,5 @@ mod tests {
             toc.chains.iter().all(|ci| ci.chain.hops() <= 2),
             "cycle was not removed"
         );
-    }
-
-    #[test]
-    fn max_token_len_accounts_for_framing() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let g = yago15k_sim(SynthScale::small(), &mut rng);
-        let vocab = ChainVocab::for_graph(&g);
-        let q = sample_query(&g, &mut rng);
-        let toc = retrieve(&g, q, &RetrievalConfig::default(), &mut rng);
-        let max_hops = toc.chains.iter().map(|c| c.chain.hops()).max().unwrap();
-        assert_eq!(toc.max_token_len(&vocab), max_hops + 3);
     }
 }

@@ -1,11 +1,5 @@
 //! Model and training configuration, including every ablation switch of
 //! Table VI and the experiment knobs of Figures 4, 7 and 8.
-//!
-//! Configs serialize to a flat, TOML-ish `key = value` text format
-//! ([`ChainsFormerConfig::to_toml`] / [`ChainsFormerConfig::from_toml`])
-//! implemented by hand so the workspace carries no serialization
-//! dependency. The format is stable, diffable and round-trips exactly
-//! (floats are emitted with shortest-round-trip precision).
 
 use cf_chains::RetrievalConfig;
 
@@ -240,13 +234,14 @@ impl ChainsFormerConfig {
         }
     }
 
-    /// Serializes to the flat TOML-ish `key = value` format.
-    ///
-    /// Keys appear in declaration order; the nested [`ReasoningSetting`] is
-    /// flattened to dotted keys (`setting.max_hops`); enums are written as
-    /// their variant names; floats use `{:?}` (shortest representation that
-    /// round-trips exactly).
-    pub fn to_toml(&self) -> String {
+    /// The canonical text [`fingerprint`](Self::fingerprint) hashes: one
+    /// `key = value` line per field, in declaration order; the nested
+    /// [`ReasoningSetting`] is flattened to dotted keys (`setting.max_hops`);
+    /// enums are written as their variant names; floats use `{:?}` (the
+    /// shortest representation that round-trips exactly). Its bytes are part
+    /// of every CFT2 checkpoint's identity: changing them breaks `--resume`
+    /// of checkpoints written before.
+    fn to_toml(&self) -> String {
         let mut out = String::new();
         let mut kv = |k: &str, v: String| {
             out.push_str(k);
@@ -289,102 +284,8 @@ impl ChainsFormerConfig {
         out
     }
 
-    /// Parses the format written by [`to_toml`](Self::to_toml).
-    ///
-    /// Starts from [`Default::default`], so partial configs override only
-    /// the keys they mention. Blank lines and `#` comments are ignored;
-    /// unknown keys and malformed values are errors (a silently dropped
-    /// hyperparameter is the worst failure mode for an experiment log).
-    pub fn from_toml(text: &str) -> Result<Self, String> {
-        fn scalar<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T, String> {
-            raw.parse()
-                .map_err(|_| format!("config key `{key}`: cannot parse value `{raw}`"))
-        }
-
-        let mut cfg = ChainsFormerConfig::default();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = match line.find('#') {
-                Some(i) => &line[..i],
-                None => line,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, raw) = line.split_once('=').ok_or_else(|| {
-                format!("line {}: expected `key = value`, got `{line}`", lineno + 1)
-            })?;
-            let (key, raw) = (key.trim(), raw.trim());
-            match key {
-                "dim" => cfg.dim = scalar(key, raw)?,
-                "layers" => cfg.layers = scalar(key, raw)?,
-                "heads" => cfg.heads = scalar(key, raw)?,
-                "ff_dim" => cfg.ff_dim = scalar(key, raw)?,
-                "positional" => cfg.positional = scalar(key, raw)?,
-                "encoder" => {
-                    cfg.encoder = match raw {
-                        "Transformer" => EncoderKind::Transformer,
-                        "Lstm" => EncoderKind::Lstm,
-                        "MeanPool" => EncoderKind::MeanPool,
-                        _ => return Err(format!("unknown encoder `{raw}`")),
-                    }
-                }
-                "value_encoding" => {
-                    cfg.value_encoding = match raw {
-                        "FloatBits" => ValueEncoding::FloatBits,
-                        "Log" => ValueEncoding::Log,
-                        "Disabled" => ValueEncoding::Disabled,
-                        _ => return Err(format!("unknown value_encoding `{raw}`")),
-                    }
-                }
-                "projection" => {
-                    cfg.projection = match raw {
-                        "Direct" => Projection::Direct,
-                        "Translation" => Projection::Translation,
-                        "Scaling" => Projection::Scaling,
-                        "Combined" => Projection::Combined,
-                        _ => return Err(format!("unknown projection `{raw}`")),
-                    }
-                }
-                "chain_weighting" => cfg.chain_weighting = scalar(key, raw)?,
-                "chain_quality" => cfg.chain_quality = scalar(key, raw)?,
-                "quality_prune_factor" => cfg.quality_prune_factor = scalar(key, raw)?,
-                "retrieval_walks" => cfg.retrieval_walks = scalar(key, raw)?,
-                "top_k" => cfg.top_k = scalar(key, raw)?,
-                "filter_space" => {
-                    cfg.filter_space = match raw {
-                        "Hyperbolic" => FilterSpace::Hyperbolic,
-                        "Euclidean" => FilterSpace::Euclidean,
-                        "Random" => FilterSpace::Random,
-                        _ => return Err(format!("unknown filter_space `{raw}`")),
-                    }
-                }
-                "filter_dim" => cfg.filter_dim = scalar(key, raw)?,
-                "lambda" => cfg.lambda = scalar(key, raw)?,
-                "filter_epochs" => cfg.filter_epochs = scalar(key, raw)?,
-                "setting.max_hops" => cfg.setting.max_hops = scalar(key, raw)?,
-                "setting.multi_attribute" => cfg.setting.multi_attribute = scalar(key, raw)?,
-                "lr" => cfg.lr = scalar(key, raw)?,
-                "epochs" => cfg.epochs = scalar(key, raw)?,
-                "batch_size" => cfg.batch_size = scalar(key, raw)?,
-                "loss" => {
-                    cfg.loss = match raw {
-                        "L1" => Loss::L1,
-                        "Mse" => Loss::Mse,
-                        _ => return Err(format!("unknown loss `{raw}`")),
-                    }
-                }
-                "grad_clip" => cfg.grad_clip = scalar(key, raw)?,
-                "patience" => cfg.patience = scalar(key, raw)?,
-                "seed" => cfg.seed = scalar(key, raw)?,
-                _ => return Err(format!("unknown config key `{key}`")),
-            }
-        }
-        Ok(cfg)
-    }
-
     /// A stable 64-bit fingerprint of this configuration (FNV-1a over the
-    /// canonical [`to_toml`](Self::to_toml) text). Stored in CFT2
+    /// canonical `key = value` text of every field). Stored in CFT2
     /// checkpoints so `--resume` can refuse to continue a run under a
     /// different configuration — silently mixing hyperparameters would
     /// produce a trajectory that matches neither run.
@@ -427,6 +328,12 @@ impl ChainsFormerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `default()`'s and `paper()`'s fingerprints. Training checkpoints
+    /// record the fingerprint and `--resume` compares it, so these must not
+    /// move.
+    const DEFAULT_FINGERPRINT: u64 = 0xb8ad_6dfc_5700_1982;
+    const PAPER_FINGERPRINT: u64 = 0xd8e1_22e2_cf52_3a11;
 
     #[test]
     fn default_is_valid() {
@@ -483,58 +390,67 @@ mod tests {
         assert_eq!(r.num_walks, 99);
     }
 
+    /// Every field feeds the fingerprint: an edit to any one of them changes
+    /// exactly its own line of the hashed text and moves the fingerprint, so
+    /// `--resume` refuses a checkpoint written under any other config.
     #[test]
-    fn toml_round_trips_every_preset() {
-        for cfg in [
-            ChainsFormerConfig::default(),
-            ChainsFormerConfig::paper(),
-            ChainsFormerConfig::tiny(),
-        ] {
-            let text = cfg.to_toml();
-            let back = ChainsFormerConfig::from_toml(&text).unwrap();
-            assert_eq!(cfg, back, "round trip changed the config:\n{text}");
+    fn fingerprint_moves_with_every_field() {
+        type Edit = fn(&mut ChainsFormerConfig);
+        let edits: [(&str, Edit); 26] = [
+            ("dim", |c| c.dim += 1),
+            ("layers", |c| c.layers += 1),
+            ("heads", |c| c.heads += 1),
+            ("ff_dim", |c| c.ff_dim += 1),
+            ("positional", |c| c.positional = !c.positional),
+            ("encoder", |c| c.encoder = EncoderKind::Lstm),
+            ("value_encoding", |c| c.value_encoding = ValueEncoding::Log),
+            ("projection", |c| c.projection = Projection::Combined),
+            ("chain_weighting", |c| {
+                c.chain_weighting = !c.chain_weighting
+            }),
+            ("chain_quality", |c| c.chain_quality = !c.chain_quality),
+            ("quality_prune_factor", |c| c.quality_prune_factor += 0.125),
+            ("retrieval_walks", |c| c.retrieval_walks += 1),
+            ("top_k", |c| c.top_k += 1),
+            ("filter_space", |c| c.filter_space = FilterSpace::Random),
+            ("filter_dim", |c| c.filter_dim += 1),
+            ("lambda", |c| c.lambda = 0.123456789),
+            ("filter_epochs", |c| c.filter_epochs += 1),
+            ("setting.max_hops", |c| c.setting.max_hops += 1),
+            ("setting.multi_attribute", |c| {
+                c.setting.multi_attribute = !c.setting.multi_attribute
+            }),
+            ("lr", |c| c.lr = 3.5e-4),
+            ("epochs", |c| c.epochs += 1),
+            ("batch_size", |c| c.batch_size += 1),
+            ("loss", |c| c.loss = Loss::Mse),
+            ("grad_clip", |c| c.grad_clip *= 2.0),
+            ("patience", |c| c.patience += 1),
+            ("seed", |c| c.seed = u64::MAX),
+        ];
+        let base = ChainsFormerConfig::default();
+        let text = base.to_toml();
+        assert_eq!(edits.len(), text.lines().count(), "a field has no edit");
+        let mut seen = std::collections::HashSet::from([base.fingerprint()]);
+        for (key, edit) in edits {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            let edited = cfg.to_toml();
+            let changed: Vec<&str> = edited
+                .lines()
+                .zip(text.lines())
+                .filter(|(a, b)| a != b)
+                .map(|(a, _)| a)
+                .collect();
+            assert_eq!(changed.len(), 1, "{key}: {changed:?}");
+            assert!(
+                changed[0].starts_with(&format!("{key} = ")),
+                "{key}: {changed:?}"
+            );
+            assert!(seen.insert(cfg.fingerprint()), "{key} left the fingerprint");
         }
-    }
-
-    #[test]
-    fn toml_round_trips_non_default_fields() {
-        let cfg = ChainsFormerConfig {
-            encoder: EncoderKind::Lstm,
-            value_encoding: ValueEncoding::Log,
-            projection: Projection::Combined,
-            filter_space: FilterSpace::Random,
-            loss: Loss::Mse,
-            positional: false,
-            lambda: 0.123456789,
-            lr: 3.5e-4,
-            setting: ReasoningSetting {
-                max_hops: 1,
-                multi_attribute: false,
-            },
-            seed: u64::MAX,
-            ..Default::default()
-        };
-        let back = ChainsFormerConfig::from_toml(&cfg.to_toml()).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn toml_partial_overrides_default() {
-        let cfg = ChainsFormerConfig::from_toml(
-            "# experiment override\n\ndim = 64  # wider\nsetting.max_hops = 5\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.dim, 64);
-        assert_eq!(cfg.setting.max_hops, 5);
-        assert_eq!(cfg.layers, ChainsFormerConfig::default().layers);
-    }
-
-    #[test]
-    fn toml_rejects_unknown_keys_and_bad_values() {
-        assert!(ChainsFormerConfig::from_toml("learning_rate = 0.1").is_err());
-        assert!(ChainsFormerConfig::from_toml("dim = fast").is_err());
-        assert!(ChainsFormerConfig::from_toml("loss = Huber").is_err());
-        assert!(ChainsFormerConfig::from_toml("just some words").is_err());
+        assert_eq!(base.fingerprint(), DEFAULT_FINGERPRINT);
+        assert_eq!(ChainsFormerConfig::paper().fingerprint(), PAPER_FINGERPRINT);
     }
 
     #[test]

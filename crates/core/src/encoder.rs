@@ -8,7 +8,7 @@ use crate::filter::ChainFilter;
 use crate::value_encoding::{float_bits_into, log_features_into, FLOAT_BITS, LOG_FEATURES};
 use cf_chains::{ChainInstance, ChainVocab};
 use cf_rand::Rng;
-use cf_tensor::nn::{Embedding, KeyMask, Lstm, Mlp, TransformerEncoder};
+use cf_tensor::nn::{Embedding, Lstm, Mlp, TransformerEncoder};
 use cf_tensor::{pool, Forward, ParamStore, Tensor, Var};
 
 /// Encodes a batch of RA-Chains into value-aware chain representations
@@ -196,7 +196,7 @@ impl ChainEncoder {
         let e_c = match self.kind {
             EncoderKind::Transformer => {
                 let enc = self.transformer.as_ref().expect("transformer");
-                let h = enc.forward(t, ps, x, Some(KeyMask::PrefixLens(&lens)));
+                let h = enc.forward(t, ps, x, Some(&lens[..]));
                 // e_end lives at position len-1 of each chain (Eq. 11/13).
                 let flat = t.reshape(h, [k * t_max, self.dim].into());
                 let mut idx = pool::Scratch::<usize>::with_capacity(k);

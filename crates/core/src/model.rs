@@ -333,32 +333,6 @@ impl ChainsFormer {
             .expect("one job, one prediction")
     }
 
-    /// Batched inference for several queries on the tape-free path.
-    ///
-    /// Retrieval runs sequentially (consuming `rng` exactly as `B` calls to
-    /// [`Self::predict`] would); the chain encoder then runs **once** over
-    /// the concatenation of every query's chains. Because chain encoding is
-    /// row-local and padding is softmax-inert, the result is bitwise
-    /// identical to predicting each query separately — pinned by
-    /// `predict_batch_bitwise_matches_sequential_predicts`.
-    pub fn predict_batch(
-        &self,
-        graph: &impl GraphView,
-        queries: &[Query],
-        rng: &mut impl Rng,
-    ) -> Vec<PredictionDetail> {
-        let gathered: Vec<(TreeOfChains, usize)> = queries
-            .iter()
-            .map(|&q| self.gather_chains(graph, q, rng))
-            .collect();
-        let jobs: Vec<ResolvedQuery<'_>> = queries
-            .iter()
-            .zip(&gathered)
-            .map(|(&q, (toc, retrieved))| (q, toc.chains.as_slice(), *retrieved))
-            .collect();
-        self.predict_batch_with_chains(&jobs)
-    }
-
     /// Batched tape-free inference over queries whose chains are already
     /// resolved (the serving engine resolves them through its chain cache).
     ///

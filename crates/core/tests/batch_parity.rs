@@ -1,11 +1,13 @@
-//! Bitwise parity pins for the tape-free serving path (ISSUE 3):
+//! Bitwise parity pins for the tape-free serving path:
 //!
 //! 1. the tape-free forward ([`cf_tensor::InferCtx`]) is bit-equal to the
 //!    taped forward at the full model shape;
-//! 2. `predict_batch(B)` is bit-identical to `B` sequential `predict`s.
+//! 2. a batch of `B` queries, gathered with `gather_chains` and predicted in
+//!    one `predict_batch_with_chains` call (the path serving and cfbench's
+//!    oracle run), is bit-identical to `B` sequential `predict`s.
 //!
-//! These are the contracts the serving engine relies on: micro-batching and
-//! tape elimination are pure performance moves, never accuracy moves.
+//! These are the contracts the serving engine relies on: batching and tape
+//! elimination are pure performance moves, never accuracy moves.
 
 use cf_chains::Query;
 use cf_kg::synth::{yago15k_sim, SynthScale};
@@ -103,8 +105,20 @@ fn predict_batch_bitwise_matches_sequential_predicts() {
         .map(|&q| model.predict(&visible, q, &mut rng_seq))
         .collect();
 
+    // Retrieval runs first, query by query, consuming the rng exactly as
+    // the sequential predicts did; the encoder then runs once over every
+    // query's chains.
     let mut rng_batch = StdRng::seed_from_u64(1717);
-    let batched = model.predict_batch(&visible, &queries, &mut rng_batch);
+    let gathered: Vec<_> = queries
+        .iter()
+        .map(|&q| model.gather_chains(&visible, q, &mut rng_batch))
+        .collect();
+    let jobs: Vec<_> = queries
+        .iter()
+        .zip(&gathered)
+        .map(|(&q, (toc, retrieved))| (q, toc.chains.as_slice(), *retrieved))
+        .collect();
+    let batched = model.predict_batch_with_chains(&jobs);
 
     assert_eq!(batched.len(), sequential.len());
     let mut evidenced = 0;

@@ -83,16 +83,6 @@ pub fn attribute_stats(g: &KnowledgeGraph) -> Vec<AttributeStats> {
     out
 }
 
-/// Average number of edges per entity (a proxy for the paper's "average path
-/// length" scale notes).
-pub fn mean_degree(g: &KnowledgeGraph) -> f64 {
-    if g.num_entities() == 0 {
-        return 0.0;
-    }
-    // Each triple contributes two directed edges.
-    2.0 * g.triples().len() as f64 / g.num_entities() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +119,5 @@ mod tests {
         assert_eq!(attrs[0].max, 3.0);
         assert_eq!(attrs[0].mean, 2.0);
         assert_eq!(attrs[0].range(), 2.0);
-
-        assert_eq!(mean_degree(&g), 1.0);
     }
 }

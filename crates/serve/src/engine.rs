@@ -236,6 +236,10 @@ struct JournalState {
 struct CompactionPolicy {
     path: PathBuf,
     every: u64,
+    /// Journaled records at which the next attempt runs: `every`, or after a
+    /// failed attempt `every` more than the records it saw, so a target that
+    /// keeps failing is retried at the policy's own pace, not per batch.
+    due: u64,
 }
 
 struct Shared {
@@ -307,10 +311,11 @@ pub struct MutationOutcome {
     pub invalidated: usize,
     /// Live-graph generation after this batch.
     pub generation: u64,
-    /// Whether this batch compacted the store and truncated the journal
-    /// (false when a compaction it triggered failed; the next batch
-    /// retries).
+    /// Whether this batch compacted the store and truncated the journal.
     pub compacted: bool,
+    /// Why the compaction this batch triggered failed (`None` when none
+    /// failed). The batch itself is applied and durable either way.
+    pub compaction_error: Option<String>,
 }
 
 /// The invalidation neighborhood of a mutation: every entity within `hops`
@@ -621,16 +626,6 @@ impl Engine {
         }
     }
 
-    /// Generation counter of the live graph (bumped per applied mutation
-    /// batch; 0 until the first mutation).
-    pub fn graph_generation(&self) -> u64 {
-        self.shared
-            .live
-            .read()
-            .expect("live graph poisoned")
-            .generation
-    }
-
     /// Applies a batch of live-graph mutations: validate every mutation,
     /// append + fsync them to the journal (when one is attached) **before**
     /// they become visible, then apply to the overlay, mark the touched
@@ -710,20 +705,31 @@ impl Engine {
         // A crash *between* the two is harmless — replaying the surviving
         // journal onto the compacted store is a no-op (idempotence). The
         // batch is durable and applied by now, so a failed compaction does
-        // not fail it: the journal keeps its records and the next batch
-        // retries.
+        // not fail it: the journal keeps its records, and the next attempt
+        // waits for `every` more of them (each attempt copies the whole live
+        // graph under the write lock).
         let mut compacted = false;
+        let mut compaction_error = None;
         if let Some(js) = journal.as_mut() {
-            if let Some(pol) = &js.compact {
-                if pol.every > 0 && js.writer.records() >= pol.every {
-                    compacted = live
+            if let Some(pol) = &mut js.compact {
+                let records = js.writer.records();
+                if pol.every > 0 && records >= pol.due {
+                    let done = live
                         .overlay
                         .compact_to(&pol.path)
-                        .and_then(|()| js.writer.truncate_all())
-                        .is_ok();
-                    if !compacted {
-                        let m = &self.shared.metrics;
-                        m.compactions_failed.fetch_add(1, Ordering::Relaxed);
+                        .and_then(|()| js.writer.truncate_all());
+                    match done {
+                        Ok(()) => {
+                            compacted = true;
+                            pol.due = pol.every;
+                        }
+                        Err(e) => {
+                            pol.due = records + pol.every;
+                            let m = &self.shared.metrics;
+                            m.compactions_failed.fetch_add(1, Ordering::Relaxed);
+                            compaction_error =
+                                Some(format!("compaction to {}: {e}", pol.path.display()));
+                        }
                     }
                 }
             }
@@ -735,6 +741,7 @@ impl Engine {
             invalidated,
             generation,
             compacted,
+            compaction_error,
         })
     }
 
@@ -750,7 +757,9 @@ impl Engine {
     /// records the live graph is compacted to a canonical CFKG1 at `path`
     /// and the journal is truncated. A compaction that fails leaves its
     /// batch applied and acknowledged and the journal as it was; it counts
-    /// in `cf_serve_compactions_failed_total`.
+    /// in `cf_serve_compactions_failed_total`, its error is the batch's
+    /// [`MutationOutcome::compaction_error`], and the next attempt waits
+    /// until `every` more records are journaled.
     pub fn attach_journal(
         &self,
         path: impl AsRef<Path>,
@@ -773,7 +782,11 @@ impl Engine {
         }
         *journal = Some(JournalState {
             writer,
-            compact: compaction.map(|(path, every)| CompactionPolicy { path, every }),
+            compact: compaction.map(|(path, every)| CompactionPolicy {
+                path,
+                every,
+                due: every,
+            }),
             failed: false,
         });
         Ok(replayed)
@@ -1618,7 +1631,6 @@ mod tests {
         assert!(out.dirty >= 2, "touched entities must be marked stale");
         assert!(out.invalidated >= 1, "cached entry for q must be dropped");
         assert_eq!(out.generation, 1);
-        assert_eq!(e.graph_generation(), 1);
 
         // The cached entry was invalidated: the next predict re-retrieves
         // against the mutated graph, and the upsert of this very
@@ -1678,12 +1690,16 @@ mod tests {
             }])
             .expect_err("unknown rel accepted");
         assert!(err.contains("not in the serving vocabulary"), "{err}");
-        // Nothing was applied: generation unchanged, vocabulary additions
-        // from rejected batches (the "ok" entity) never landed.
-        assert_eq!(e.graph_generation(), 0);
+        // Nothing was applied: vocabulary additions from rejected batches
+        // (the "ok" entity) never landed, and the first batch that does
+        // apply is generation 1.
         assert!(e.graph().entity_by_name("ok").is_none());
         assert_eq!(e.metrics().mutations_rejected.load(Ordering::Relaxed), 3);
         assert_eq!(e.metrics().mutations_ok.load(Ordering::Relaxed), 0);
+        let out = e
+            .mutate(&[Mutation::AddEntity { name: "ok".into() }])
+            .expect("valid batch");
+        assert_eq!(out.generation, 1);
         e.shutdown();
     }
 
@@ -1795,6 +1811,8 @@ mod tests {
             .mutate(&muts)
             .expect("batch rejected after it was applied");
         assert!(!out.compacted);
+        let err = out.compaction_error.expect("the failure is reported");
+        assert!(err.contains("c.cfkg"), "{err}");
         assert_eq!(out.applied, muts.len());
         let added = e.graph().entity_by_name("mutant_0").expect("added");
         e.predict(Query {
@@ -1817,6 +1835,41 @@ mod tests {
         );
         assert!(e2.graph().entity_by_name("mutant_0").is_some());
         e2.shutdown();
+    }
+
+    /// A compaction target that keeps failing is retried once `every` more
+    /// records are journaled, not on every later batch, and each failure's
+    /// error comes out in its batch's outcome. Five one-mutation batches at
+    /// `every = 2` attempt at records 2 and 4: two failures.
+    #[test]
+    fn failed_compaction_retries_after_every_more_records() {
+        let dir = TempDir::new("engine_compact_retry");
+        let store = dir.join("missing").join("c.cfkg");
+        let (e, _) = engine(EngineConfig::default());
+        e.attach_journal(dir.join("live.cfj"), Some((store.clone(), 2)))
+            .expect("attach");
+        let errors: Vec<Option<String>> = (0..5)
+            .map(|i| {
+                let out = e
+                    .mutate(&[Mutation::AddEntity {
+                        name: format!("retry_{i}"),
+                    }])
+                    .expect("batch rejected after it was applied");
+                assert!(!out.compacted);
+                out.compaction_error
+            })
+            .collect();
+        let attempted: Vec<bool> = errors.iter().map(Option::is_some).collect();
+        assert_eq!(attempted, [false, true, false, true, false]);
+        for err in errors.iter().flatten() {
+            assert!(err.starts_with("compaction to "), "{err}");
+            assert!(err.contains("c.cfkg"), "{err}");
+        }
+        let m = e.metrics();
+        assert_eq!(m.compactions_failed.load(Ordering::Relaxed), 2);
+        assert_eq!(m.mutations_ok.load(Ordering::Relaxed), 5);
+        assert!(!store.exists());
+        e.shutdown();
     }
 
     /// Mutation batches over names of `g`: upserts on served entities, two

@@ -220,12 +220,6 @@ pub fn mutate_ok_response(id: Option<u64>, applied: usize, changed: usize) -> St
     )
 }
 
-/// Parses one request line. Returns a human-readable error for malformed
-/// input — the server turns it into a structured `ok:false` response.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    request_of(parse_object(line)?)
-}
-
 /// Serializes a success response.
 pub fn ok_response(
     id: Option<u64>,
@@ -511,12 +505,19 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// A line that must parse as a prediction request.
+    fn predict_request(line: &str) -> Request {
+        match parse_command(line) {
+            Ok(Command::Predict(r)) => r,
+            other => panic!("{line:?} parsed as {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_full_request() {
-        let r = parse_request(
+        let r = predict_request(
             r#"{"entity": "person_0", "attr": "birth", "id": 3, "deadline_ms": 250}"#,
-        )
-        .unwrap();
+        );
         assert_eq!(r.entity, "person_0");
         assert_eq!(r.attr, "birth");
         assert_eq!(r.id, Some(3));
@@ -525,7 +526,7 @@ mod tests {
 
     #[test]
     fn optional_fields_default_to_none() {
-        let r = parse_request(r#"{"entity":"e","attr":"a"}"#).unwrap();
+        let r = predict_request(r#"{"entity":"e","attr":"a"}"#);
         assert_eq!(r.id, None);
         assert_eq!(r.deadline_ms, None);
     }
@@ -543,7 +544,7 @@ mod tests {
             r#"{"entity":"e","attr":"a"} extra"#,
             r#"{"entity":"e","attr":"a","deadline_ms":1.5}"#,
         ] {
-            assert!(parse_request(bad).is_err(), "accepted {bad:?}");
+            assert!(parse_command(bad).is_err(), "accepted {bad:?}");
         }
     }
 

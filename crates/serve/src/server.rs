@@ -198,7 +198,14 @@ fn answer(engine: &Engine, line: &str) -> String {
             // the brief write-lock window, never for journal fsync of a
             // *rejected* batch (validation precedes the append).
             return match engine.mutate(&muts) {
-                Ok(out) => protocol::mutate_ok_response(id, out.applied, out.changed),
+                Ok(out) => {
+                    // The batch is applied and durable, so it is acked; a
+                    // failed compaction is the operator's to hear about.
+                    if let Some(e) = &out.compaction_error {
+                        eprintln!("mutate: {e}");
+                    }
+                    protocol::mutate_ok_response(id, out.applied, out.changed)
+                }
                 Err(e) => protocol::err_response(id, &format!("mutate: {e}")),
             };
         }

@@ -57,7 +57,7 @@ use std::sync::Arc;
 ///
 /// The methods mirror the inherent `Tape` ops exactly — see `crate::ops` for
 /// semantics. Only the subset reachable from inference forwards is included;
-/// loss, dropout and the transpose-fused training variants stay `Tape`-only.
+/// the losses and the other training-only ops stay `Tape`-only.
 pub trait Forward {
     /// Reads the tensor behind a handle.
     fn value(&self, v: Var) -> &Tensor;
@@ -133,7 +133,7 @@ pub trait Forward {
     /// nodes and gradients. [`InferCtx`] overrides it with a copy-free
     /// version that yields the same bits, and that is where its int8 route
     /// lives.
-    fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: Option<ParamId>) -> Var {
+    fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: ParamId) -> Var {
         let shape = *self.value(x).shape();
         let flat = if shape.rank() == 2 {
             x
@@ -141,11 +141,9 @@ pub trait Forward {
             self.reshape(x, [shape.leading(), shape.last_dim()].into())
         };
         let wv = self.param(ps, w);
-        let mut y = self.matmul(flat, wv);
-        if let Some(b) = b {
-            let bv = self.param(ps, b);
-            y = self.add_bias(y, bv);
-        }
+        let y = self.matmul(flat, wv);
+        let bv = self.param(ps, b);
+        let mut y = self.add_bias(y, bv);
         if shape.rank() != 2 {
             let out_dim = self.value(y).shape().last_dim();
             y = self.reshape(y, shape.with_last(out_dim));
@@ -462,7 +460,7 @@ impl Forward for InferCtx {
     /// same GEMM and `add_bias_rows` calls, in the same order, as the
     /// default body, so the bits are identical. The GEMM is the int8 one
     /// when the weight has a twin in the attached store, else `matmul_into`.
-    fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: Option<ParamId>) -> Var {
+    fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: ParamId) -> Var {
         let xv = self.value(x);
         let shape = *xv.shape();
         let wv = ps.get(w);
@@ -479,9 +477,7 @@ impl Forward for InferCtx {
             Some(qw) => qw.matmul_rows_into(xv.data(), rows, &mut out),
             None => matmul_into(xv.data(), wv.data(), &mut out, rows, k, n),
         }
-        if let Some(b) = b {
-            add_bias_into(&mut out, ps.get(b), rows, n);
-        }
+        add_bias_into(&mut out, ps.get(b), rows, n);
         self.push(Tensor::new(shape.with_last(n), out))
     }
 }
@@ -489,7 +485,7 @@ impl Forward for InferCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::{Activation, KeyMask, Linear, Mlp, MultiHeadAttention, TransformerEncoder};
+    use crate::nn::{Activation, Linear, Mlp, MultiHeadAttention, TransformerEncoder};
     use cf_rand::rngs::StdRng;
     use cf_rand::{Rng, SeedableRng};
 
@@ -544,10 +540,8 @@ mod tests {
             f.softmax_last(a),
             f.layer_norm_last(a, 1e-5),
             f.fused_attention(a, b, a, 2, 0.5, Some(&inp.mask)),
-            f.linear(&inp.ps, x1, inp.lw, Some(inp.lb)),
-            f.linear(&inp.ps, x1, inp.lw, None),
-            f.linear(&inp.ps, a, inp.lw, Some(inp.lb)),
-            f.linear(&inp.ps, a, inp.lw, None),
+            f.linear(&inp.ps, x1, inp.lw, inp.lb),
+            f.linear(&inp.ps, a, inp.lw, inp.lb),
         ];
         let r = f.reshape(a, Shape::from([2, 4, 3]));
         vars.push(f.bmm(a, r));
@@ -591,27 +585,23 @@ mod tests {
         }
     }
 
-    /// A 2-layer Transformer encoder, a bias-free projection and an MLP
-    /// head — the ChainsFormer encoder composition, with `linear` on rank-3
-    /// and rank-2 inputs, with and without a bias — evaluated on both
+    /// A 2-layer Transformer encoder under ragged prefix-length key masks, a
+    /// projection and an MLP head — the ChainsFormer encoder composition,
+    /// with `linear` on rank-3 and rank-2 inputs — evaluated on both
     /// contexts, compared bitwise.
     #[test]
     fn transformer_stack_bitwise_equivalence() {
         let mut rng = StdRng::seed_from_u64(17);
         let mut ps = ParamStore::new();
         let enc = TransformerEncoder::new(&mut ps, "enc", 16, 4, 2, 32, &mut rng);
-        let proj = Linear::new_no_bias(&mut ps, "proj", 16, 16, &mut rng);
+        let proj = Linear::new(&mut ps, "proj", 16, 16, &mut rng);
         let head = Mlp::new(&mut ps, "head", &[16, 16, 1], Activation::Gelu, &mut rng);
         let x = rand_tensor(&[3, 5, 16], &mut rng);
-        let key_mask = vec![
-            vec![true, true, true, true, true],
-            vec![true, true, false, false, false],
-            vec![true, true, true, false, false],
-        ];
+        let lens = [5, 2, 3];
 
         let mut tape = Tape::new();
         let xv = Forward::leaf(&mut tape, x.clone());
-        let h = enc.forward(&mut tape, &ps, xv, Some(KeyMask::Rows(&key_mask)));
+        let h = enc.forward(&mut tape, &ps, xv, Some(&lens));
         let h = proj.forward(&mut tape, &ps, h);
         let flat = Forward::reshape(&mut tape, h, Shape::from([15, 16]));
         let y = head.forward(&mut tape, &ps, flat);
@@ -619,7 +609,7 @@ mod tests {
 
         let mut ctx = InferCtx::new();
         let xv = ctx.leaf(x);
-        let h = enc.forward(&mut ctx, &ps, xv, Some(KeyMask::Rows(&key_mask)));
+        let h = enc.forward(&mut ctx, &ps, xv, Some(&lens));
         let h = proj.forward(&mut ctx, &ps, h);
         let flat = ctx.reshape(h, Shape::from([15, 16]));
         let y = head.forward(&mut ctx, &ps, flat);
@@ -637,7 +627,7 @@ mod tests {
         q: &QuantizedParamStore,
         x: Var,
         w: ParamId,
-        b: Option<ParamId>,
+        b: ParamId,
     ) -> Var {
         let shape = *ctx.value(x).shape();
         let flat = if shape.rank() == 2 {
@@ -646,17 +636,15 @@ mod tests {
             ctx.reshape(x, [shape.leading(), shape.last_dim()].into())
         };
         let wv = ctx.param(ps, w);
-        let mut y = match q.entry(w.index()) {
+        let y = match q.entry(w.index()) {
             Some(qw) => {
                 let value = qw.matmul_quantized(ctx.value(flat));
                 ctx.leaf(value)
             }
             None => ctx.matmul(flat, wv),
         };
-        if let Some(b) = b {
-            let bv = ctx.param(ps, b);
-            y = ctx.add_bias(y, bv);
-        }
+        let bv = ctx.param(ps, b);
+        let mut y = ctx.add_bias(y, bv);
         if shape.rank() != 2 {
             let out_dim = ctx.value(y).shape().last_dim();
             y = ctx.reshape(y, shape.with_last(out_dim));
@@ -668,22 +656,20 @@ mod tests {
         #![config(cases = 96)]
 
         /// With weights attached, `InferCtx::linear` is the composed int8
-        /// path bit for bit: rank-2 and rank-3 inputs, with and without a
-        /// bias, weights with a twin (`n ≥ 8`) and without (`n < 8`, the
-        /// `[d, 1]` heads).
+        /// path bit for bit: rank-2 and rank-3 inputs, weights with a twin
+        /// (`n ≥ 8`) and without (`n < 8`, the `[d, 1]` heads).
         #[test]
         fn int8_linear_matches_the_composed_path(
             lead in 1usize..6,
             seq in 0usize..4,
             k in 1usize..40,
             n in 1usize..24,
-            with_bias in 0u8..2,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut ps = ParamStore::new();
             let w = ps.add("w", rand_tensor(&[k, n], &mut rng));
-            let b = (with_bias == 1).then(|| ps.add("b", rand_tensor(&[n], &mut rng)));
+            let b = ps.add("b", rand_tensor(&[n], &mut rng));
             let q = QuantizedParamStore::from_store(&ps);
             cf_check::check_assert_eq!(q.entry(w.index()).is_some(), n >= 8);
             // seq == 0: a rank-2 `[lead, k]` input; else rank-3.
@@ -714,7 +700,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut ps = ParamStore::new();
         let lin = Linear::new(&mut ps, "q", 16, 16, &mut rng);
-        let b = lin.b.expect("Linear::new has a bias");
+        let b = lin.b;
         *ps.get_mut(b) = rand_tensor(&[16], &mut rng);
         let q = Arc::new(QuantizedParamStore::from_store(&ps));
         let x = rand_tensor(&[2, 3, 16], &mut rng);
@@ -771,13 +757,11 @@ mod tests {
 
         let mut c1 = InferCtx::new();
         let xv = c1.leaf(x);
-        let mask3 = vec![vec![true; 3]];
-        let y3 = mha.forward(&mut c1, &ps, xv, Some(KeyMask::Rows(&mask3)));
+        let y3 = mha.forward(&mut c1, &ps, xv, Some(&[3]));
 
         let mut c2 = InferCtx::new();
         let xv = c2.leaf(padded);
-        let mask5 = vec![vec![true, true, true, false, false]];
-        let y5 = mha.forward(&mut c2, &ps, xv, Some(KeyMask::Rows(&mask5)));
+        let y5 = mha.forward(&mut c2, &ps, xv, Some(&[3]));
 
         let short = c1.value(y3).data();
         let long = &c2.value(y5).data()[..3 * 8];

@@ -16,7 +16,7 @@
 //!   optimizers;
 //! - [`nn`] — Linear/MLP/Embedding/LayerNorm, multi-head attention,
 //!   encoder-only Transformers, and an LSTM for the paper's ablation;
-//! - [`optim`] — Adam (paper default) and SGD with global-norm clipping;
+//! - [`optim`] — Adam (the paper's optimizer) with global-norm clipping;
 //! - [`pool`] — thread-local size-bucketed buffer pool behind every tensor
 //!   and scratch allocation (zero steady-state heap traffic per step);
 //! - [`simd`] — the one CPU-feature probe and the `simd_hot!` AVX2/AVX-512

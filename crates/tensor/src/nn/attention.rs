@@ -13,60 +13,20 @@ use cf_rand::Rng;
 /// softmax weight, small enough to stay far from f32 overflow.
 const MASK_NEG: f32 = -1e9;
 
-/// Which key positions each batch element may attend to.
-///
-/// `PrefixLens` is the padded-batch case — the first `len` keys of row `i`
-/// are valid — and borrows a plain `&[usize]`, so callers on the hot path
-/// can pass pooled storage without materialising per-row bool vectors.
-/// `Rows` keeps full generality for arbitrary masks.
-#[derive(Clone, Copy, Debug)]
-pub enum KeyMask<'a> {
-    /// One `Vec<bool>` per batch element; `true` marks a valid key.
-    Rows(&'a [Vec<bool>]),
-    /// Per batch element, the count of valid leading key positions.
-    PrefixLens(&'a [usize]),
-}
-
-impl KeyMask<'_> {
-    fn validate(&self, b: usize, seq: usize) {
-        match self {
-            KeyMask::Rows(rows) => {
-                assert_eq!(rows.len(), b, "key_mask batch mismatch");
-                for m in *rows {
-                    assert_eq!(m.len(), seq, "key_mask length mismatch");
-                }
-            }
-            KeyMask::PrefixLens(lens) => {
-                assert_eq!(lens.len(), b, "key_mask batch mismatch");
-                for &l in *lens {
-                    assert!(l <= seq, "key_mask prefix {l} exceeds seq {seq}");
-                }
-            }
+/// The `[B, seq, seq]` additive logit mask for padded batches, built in
+/// pooled storage: key `ki` of batch element `bi` is valid (0) when
+/// `ki < lens[bi]` and masked (`-1e9`) otherwise, for every query.
+fn prefix_mask(lens: &[usize], b: usize, seq: usize) -> Tensor {
+    assert_eq!(lens.len(), b, "key_mask batch mismatch");
+    let mut data = crate::pool::take_zeroed(b * seq * seq);
+    for (bi, &len) in lens.iter().enumerate() {
+        assert!(len <= seq, "key_mask prefix {len} exceeds seq {seq}");
+        for qi in 0..seq {
+            let row = (bi * seq + qi) * seq;
+            data[row + len..row + seq].fill(MASK_NEG);
         }
     }
-
-    fn is_valid(&self, bi: usize, ki: usize) -> bool {
-        match self {
-            KeyMask::Rows(rows) => rows[bi][ki],
-            KeyMask::PrefixLens(lens) => ki < lens[bi],
-        }
-    }
-
-    /// The `[B, seq, seq]` additive logit mask (0 where valid, `-1e9` where
-    /// not), built in pooled storage.
-    fn additive(&self, b: usize, seq: usize) -> Tensor {
-        let mut data = crate::pool::take_zeroed(b * seq * seq);
-        for bi in 0..b {
-            for qi in 0..seq {
-                for ki in 0..seq {
-                    if !self.is_valid(bi, ki) {
-                        data[(bi * seq + qi) * seq + ki] = MASK_NEG;
-                    }
-                }
-            }
-        }
-        Tensor::new([b, seq, seq], data)
-    }
+    Tensor::new([b, seq, seq], data)
 }
 
 /// Multi-head self-attention (Vaswani et al.), as used by the paper's Chain
@@ -111,26 +71,22 @@ impl MultiHeadAttention {
 
     /// Self-attention over `x: [B, T, d]`.
     ///
-    /// `key_mask`, when given, marks the *valid* (attendable) key positions
-    /// per batch element (see [`KeyMask`]). Padded positions receive `-1e9`
-    /// logits for every query.
+    /// `key_mask`, when given, holds per batch element the count of valid
+    /// leading key positions (the padded-batch case). Keys past it receive
+    /// `-1e9` logits for every query.
     pub fn forward<F: Forward>(
         &self,
         t: &mut F,
         ps: &ParamStore,
         x: Var,
-        key_mask: Option<KeyMask<'_>>,
+        key_mask: Option<&[usize]>,
     ) -> Var {
         let (b, seq, d) = t.value(x).shape().as_batch_matrix();
         assert_eq!(d, self.dim, "attention dim mismatch: {d} vs {}", self.dim);
-        if let Some(mask) = &key_mask {
-            mask.validate(b, seq);
-        }
         let q = self.wq.forward(t, ps, x);
         let k = self.wk.forward(t, ps, x);
         let v = self.wv.forward(t, ps, x);
-
-        let add_mask = key_mask.map(|mask| mask.additive(b, seq));
+        let add_mask = key_mask.map(|lens| prefix_mask(lens, b, seq));
 
         let dh = self.dim / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
@@ -148,14 +104,14 @@ impl MultiHeadAttention {
         t: &mut Tape,
         ps: &ParamStore,
         x: Var,
-        key_mask: Option<KeyMask<'_>>,
+        key_mask: Option<&[usize]>,
     ) -> Var {
         let (b, seq, d) = t.value(x).shape().as_batch_matrix();
         assert_eq!(d, self.dim, "attention dim mismatch: {d} vs {}", self.dim);
         let q = self.wq.forward(t, ps, x);
         let k = self.wk.forward(t, ps, x);
         let v = self.wv.forward(t, ps, x);
-        let add_mask = key_mask.map(|mask| mask.additive(b, seq));
+        let add_mask = key_mask.map(|lens| prefix_mask(lens, b, seq));
         let dh = self.dim / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut head_outputs = Vec::with_capacity(self.heads);
@@ -206,11 +162,11 @@ mod tests {
         let (a, ps) = attn(4, 1, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let base: Vec<f32> = (0..2 * 3 * 4).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mask = vec![vec![true, true, false], vec![true, true, true]];
+        let lens = [2, 3];
 
         let mut t1 = Tape::new();
         let x1 = t1.leaf(Tensor::new([2, 3, 4], base.clone()));
-        let y1 = a.forward(&mut t1, &ps, x1, Some(KeyMask::Rows(&mask)));
+        let y1 = a.forward(&mut t1, &ps, x1, Some(&lens));
 
         let mut perturbed = base.clone();
         for j in 0..4 {
@@ -218,7 +174,7 @@ mod tests {
         }
         let mut t2 = Tape::new();
         let x2 = t2.leaf(Tensor::new([2, 3, 4], perturbed));
-        let y2 = a.forward(&mut t2, &ps, x2, Some(KeyMask::Rows(&mask)));
+        let y2 = a.forward(&mut t2, &ps, x2, Some(&lens));
 
         // Batch 0, tokens 0 and 1 must match exactly (token 2 itself queries
         // with a different input so it may differ).

@@ -14,8 +14,8 @@ use cf_rand::Rng;
 pub struct Linear {
     /// Weight parameter `[in, out]`.
     pub w: ParamId,
-    /// Bias parameter `[out]`, absent for bias-free layers.
-    pub b: Option<ParamId>,
+    /// Bias parameter `[out]`.
+    pub b: ParamId,
     in_dim: usize,
     out_dim: usize,
 }
@@ -38,29 +38,7 @@ impl Linear {
         let b = ps.add(format!("{name}.b"), crate::tensor::Tensor::zeros([out_dim]));
         Linear {
             w,
-            b: Some(b),
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// A linear layer without a bias term.
-    pub fn new_no_bias(
-        ps: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let w = ps.add_init(
-            format!("{name}.w"),
-            [in_dim, out_dim],
-            Init::XavierUniform,
-            rng,
-        );
-        Linear {
-            w,
-            b: None,
+            b,
             in_dim,
             out_dim,
         }
@@ -164,7 +142,7 @@ mod tests {
             opt.step(&mut ps, &grads);
         }
         let w = ps.get(lin.w).item();
-        let b = ps.get(lin.b.unwrap()).item();
+        let b = ps.get(lin.b).item();
         assert!((w - 2.0).abs() < 0.05, "w = {w}");
         assert!((b - 1.0).abs() < 0.05, "b = {b}");
     }

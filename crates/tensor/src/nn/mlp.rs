@@ -15,8 +15,6 @@ pub enum Activation {
     Gelu,
     /// Hyperbolic tangent.
     Tanh,
-    /// No nonlinearity (a deep linear network).
-    Identity,
 }
 
 impl Activation {
@@ -26,7 +24,6 @@ impl Activation {
             Activation::Relu => t.relu(x),
             Activation::Gelu => t.gelu(x),
             Activation::Tanh => t.tanh(x),
-            Activation::Identity => x,
         }
     }
 }
@@ -110,28 +107,6 @@ mod tests {
             opt.step(&mut ps, &grads);
         }
         assert!(final_loss < 0.02, "xor loss stuck at {final_loss}");
-    }
-
-    #[test]
-    fn identity_activation_makes_network_linear() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut ps = ParamStore::new();
-        let mlp = Mlp::new(&mut ps, "lin", &[2, 3, 2], Activation::Identity, &mut rng);
-        let mut t = Tape::new();
-        let a = t.leaf(Tensor::matrix(&[&[1.0, 2.0]]));
-        let b = t.leaf(Tensor::matrix(&[&[3.0, -1.0]]));
-        let s = t.add(a, b);
-        let f_sum = mlp.forward(&mut t, &ps, s);
-        let fa = mlp.forward(&mut t, &ps, a);
-        let fb = mlp.forward(&mut t, &ps, b);
-        let fsum2 = t.add(fa, fb);
-        // Affine, not linear: f(a+b) = f(a) + f(b) - f(0)
-        let zero = t.leaf(Tensor::zeros([1, 2]));
-        let f0 = mlp.forward(&mut t, &ps, zero);
-        let rhs = t.sub(fsum2, f0);
-        for (l, r) in t.value(f_sum).data().iter().zip(t.value(rhs).data()) {
-            assert!((l - r).abs() < 1e-4, "affinity violated: {l} vs {r}");
-        }
     }
 
     #[test]

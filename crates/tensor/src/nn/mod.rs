@@ -12,7 +12,7 @@ mod lstm;
 mod mlp;
 mod transformer;
 
-pub use attention::{KeyMask, MultiHeadAttention};
+pub use attention::MultiHeadAttention;
 pub use embedding::Embedding;
 pub use linear::{LayerNorm, Linear};
 pub use lstm::Lstm;

@@ -1,7 +1,7 @@
 //! Encoder-only Transformer (post-LN, as in Vaswani et al. and the paper's
 //! Chain Encoder / Treeformer).
 
-use super::attention::{KeyMask, MultiHeadAttention};
+use super::attention::MultiHeadAttention;
 use super::linear::{LayerNorm, Linear};
 use crate::infer::Forward;
 use crate::params::ParamStore;
@@ -44,7 +44,7 @@ impl TransformerEncoderLayer {
         t: &mut F,
         ps: &ParamStore,
         x: Var,
-        key_mask: Option<KeyMask<'_>>,
+        key_mask: Option<&[usize]>,
     ) -> Var {
         let attended = self.attn.forward(t, ps, x, key_mask);
         let res1 = t.add(x, attended);
@@ -100,13 +100,14 @@ impl TransformerEncoder {
         self.layers.len()
     }
 
-    /// Encodes `x: [B, T, d]`, optionally masking padded key positions.
+    /// Encodes `x: [B, T, d]`, optionally masking padded key positions
+    /// (`key_mask` holds each batch element's count of valid leading keys).
     pub fn forward<F: Forward>(
         &self,
         t: &mut F,
         ps: &ParamStore,
         x: Var,
-        key_mask: Option<KeyMask<'_>>,
+        key_mask: Option<&[usize]>,
     ) -> Var {
         let mut h = x;
         for layer in &self.layers {

@@ -13,43 +13,12 @@ impl Tape {
         })
     }
 
-    /// `a - b`, same shape.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).zip(self.value(b), |x, y| x - y);
-        self.push_bwd(value, move |g, _t, grads| {
-            grads.accumulate_in_place(a, g);
-            grads.accumulate(b, g.map(|x| -x));
-        })
-    }
-
     /// Hadamard product `a ⊙ b`, same shape.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).zip(self.value(b), |x, y| x * y);
         self.push_bwd(value, move |g, t, grads| {
             grads.accumulate(a, g.zip(t.value(b), |gi, bi| gi * bi));
             grads.accumulate(b, g.zip(t.value(a), |gi, ai| gi * ai));
-        })
-    }
-
-    /// Elementwise `a / b`, same shape.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).zip(self.value(b), |x, y| x / y);
-        self.push_bwd(value, move |g, t, grads| {
-            let bv = t.value(b);
-            grads.accumulate(a, g.zip(bv, |gi, bi| gi / bi));
-            let av = t.value(a);
-            let mut db = g.zip(av, |gi, ai| gi * ai);
-            let db2 = db.zip(bv, |x, bi| -x / (bi * bi));
-            db = db2;
-            grads.accumulate(b, db);
-        })
-    }
-
-    /// `-a`.
-    pub fn neg(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| -x);
-        self.push_bwd(value, move |g, _t, grads| {
-            grads.accumulate(a, g.map(|x| -x));
         })
     }
 
@@ -207,33 +176,6 @@ impl Tape {
         let value = self.value(a).map(f32::ln);
         self.push_bwd(value, move |g, t, grads| {
             grads.accumulate(a, g.zip(t.value(a), |gi, x| gi / x));
-        })
-    }
-
-    /// Inverted dropout: at train time zeroes each element with probability
-    /// `p` and rescales survivors by `1/(1-p)`; identity when `p == 0`.
-    pub fn dropout(&mut self, a: Var, p: f32, rng: &mut impl cf_rand::Rng) -> Var {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout p must be in [0,1), got {p}"
-        );
-        if p == 0.0 {
-            return a;
-        }
-        let keep = 1.0 - p;
-        let av = self.value(a);
-        let mut mask = crate::pool::take(av.numel());
-        mask.extend((0..av.numel()).map(|_| {
-            if rng.gen::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        }));
-        let mask = Tensor::new(*av.shape(), mask);
-        let value = av.zip(&mask, |x, m| x * m);
-        self.push_bwd(value, move |g, _t, grads| {
-            grads.accumulate(a, g.zip(&mask, |gi, m| gi * m));
         })
     }
 }
@@ -492,18 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn div_grads() {
-        let mut t = Tape::new();
-        let a = t.leaf(single(6.0));
-        let b = t.leaf(single(2.0));
-        let c = t.div(a, b);
-        assert_eq!(t.value(c).item(), 3.0);
-        let g = t.backward(c, 0);
-        assert!((g.grad(a).unwrap().item() - 0.5).abs() < 1e-6);
-        assert!((g.grad(b).unwrap().item() + 1.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn add_bias_broadcasts_rows() {
         let mut t = Tape::new();
         let a = t.leaf(Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0]]));
@@ -605,25 +535,5 @@ mod tests {
         assert_eq!(gelu_fwd(0.0), 0.0);
         assert!((gelu_fwd(10.0) - 10.0).abs() < 1e-4);
         assert!(gelu_fwd(-10.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn dropout_zero_p_is_identity() {
-        let mut t = Tape::new();
-        let mut rng = cf_rand::rngs::mock::StepRng::new(0, 1);
-        let a = t.leaf(Tensor::vector(&[1.0, 2.0]));
-        let d = t.dropout(a, 0.0, &mut rng);
-        assert_eq!(d, a);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation_roughly() {
-        use cf_rand::SeedableRng;
-        let mut rng = cf_rand::rngs::StdRng::seed_from_u64(9);
-        let mut t = Tape::new();
-        let a = t.leaf(Tensor::full([10_000], 1.0));
-        let d = t.dropout(a, 0.3, &mut rng);
-        let m = t.value(d).mean();
-        assert!((m - 1.0).abs() < 0.05, "mean after dropout {m}");
     }
 }

@@ -33,82 +33,6 @@ impl Tape {
         })
     }
 
-    /// Transpose-fused product `AᵀB`: `a` stored `[k,m]`, `b` stored `[k,n]`,
-    /// result `[m,n]` — no materialized transpose in forward or backward.
-    pub fn matmul_at(&mut self, a: Var, b: Var) -> Var {
-        let (k, m) = self.value(a).shape().as_matrix();
-        let (k2, n) = self.value(b).shape().as_matrix();
-        assert_eq!(
-            k,
-            k2,
-            "matmul_at inner-dim mismatch {} vs {}",
-            self.value(a).shape(),
-            self.value(b).shape()
-        );
-        let mut out = crate::pool::take_zeroed(m * n);
-        matmul_into_at(
-            self.value(a).data(),
-            self.value(b).data(),
-            &mut out,
-            m,
-            k,
-            n,
-        );
-        self.push_bwd(Tensor::new([m, n], out), move |g, t, grads| {
-            let av = t.value(a);
-            let bv = t.value(b);
-            let (k, m) = av.shape().as_matrix();
-            let n = bv.shape().as_matrix().1;
-            // C = AᵀB ⇒ dA = B·Gᵀ ([k,m]), dB = A·G ([k,n]).
-            let a_shape = av.shape().clone();
-            grads.accumulate_with(a, &a_shape, |dst| {
-                matmul_into_bt(bv.data(), g.data(), dst, k, n, m)
-            });
-            let b_shape = bv.shape().clone();
-            grads.accumulate_with(b, &b_shape, |dst| {
-                matmul_into(av.data(), g.data(), dst, k, m, n)
-            });
-        })
-    }
-
-    /// Transpose-fused product `ABᵀ`: `a` stored `[m,k]`, `b` stored `[n,k]`,
-    /// result `[m,n]` — no materialized transpose in forward or backward.
-    pub fn matmul_bt(&mut self, a: Var, b: Var) -> Var {
-        let (m, k) = self.value(a).shape().as_matrix();
-        let (n, k2) = self.value(b).shape().as_matrix();
-        assert_eq!(
-            k,
-            k2,
-            "matmul_bt inner-dim mismatch {} vs {}",
-            self.value(a).shape(),
-            self.value(b).shape()
-        );
-        let mut out = crate::pool::take_zeroed(m * n);
-        matmul_into_bt(
-            self.value(a).data(),
-            self.value(b).data(),
-            &mut out,
-            m,
-            k,
-            n,
-        );
-        self.push_bwd(Tensor::new([m, n], out), move |g, t, grads| {
-            let av = t.value(a);
-            let bv = t.value(b);
-            let (m, k) = av.shape().as_matrix();
-            let n = bv.shape().as_matrix().0;
-            // C = ABᵀ ⇒ dA = G·B ([m,k]), dB = Gᵀ·A ([n,k]).
-            let a_shape = av.shape().clone();
-            grads.accumulate_with(a, &a_shape, |dst| {
-                matmul_into(g.data(), bv.data(), dst, m, n, k)
-            });
-            let b_shape = bv.shape().clone();
-            grads.accumulate_with(b, &b_shape, |dst| {
-                matmul_into_at(g.data(), av.data(), dst, n, m, k)
-            });
-        })
-    }
-
     /// Batched matrix product `[B,m,k] x [B,k,n] -> [B,m,n]`.
     pub fn bmm(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).bmm(self.value(b));
@@ -300,58 +224,6 @@ mod tests {
         (0..n)
             .map(|i| (i as f32 * 0.23 - 0.9) * scale * if i % 2 == 0 { 1.0 } else { -0.7 })
             .collect()
-    }
-
-    #[test]
-    fn matmul_at_equals_transpose_then_matmul_bitwise() {
-        // Forward value and both gradients must match the compositional
-        // transpose + matmul graph exactly, not just approximately.
-        let run = |fused: bool| {
-            let mut t = Tape::new();
-            let a = t.leaf(Tensor::new([5, 3], probe(15, 0.8)));
-            let b = t.leaf(Tensor::new([5, 4], probe(20, 1.1)));
-            let c = if fused {
-                t.matmul_at(a, b)
-            } else {
-                let at = t.transpose(a);
-                t.matmul(at, b)
-            };
-            let w = t.constant(Tensor::new([3, 4], probe(12, 0.5)));
-            let p = t.mul(c, w);
-            let l = t.sum_all(p);
-            let g = t.backward(l, 0);
-            (
-                t.value(c).data().to_vec(),
-                g.grad(a).unwrap().data().to_vec(),
-                g.grad(b).unwrap().data().to_vec(),
-            )
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn matmul_bt_equals_matmul_then_transpose_bitwise() {
-        let run = |fused: bool| {
-            let mut t = Tape::new();
-            let a = t.leaf(Tensor::new([4, 6], probe(24, 0.9)));
-            let b = t.leaf(Tensor::new([3, 6], probe(18, 1.2)));
-            let c = if fused {
-                t.matmul_bt(a, b)
-            } else {
-                let bt = t.transpose(b);
-                t.matmul(a, bt)
-            };
-            let w = t.constant(Tensor::new([4, 3], probe(12, 0.6)));
-            let p = t.mul(c, w);
-            let l = t.sum_all(p);
-            let g = t.backward(l, 0);
-            (
-                t.value(c).data().to_vec(),
-                g.grad(a).unwrap().data().to_vec(),
-                g.grad(b).unwrap().data().to_vec(),
-            )
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

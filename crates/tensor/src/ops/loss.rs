@@ -38,40 +38,6 @@ impl Tape {
             grads.accumulate(pred, dp);
         })
     }
-
-    /// Huber (smooth-L1) loss with threshold `delta`; robust alternative used
-    /// by some ablation configurations.
-    pub fn huber_loss(&mut self, pred: Var, target: &Tensor, delta: f32) -> Var {
-        let pv = self.value(pred);
-        assert_eq!(pv.shape(), target.shape(), "huber_loss shape mismatch");
-        let n = pv.numel() as f32;
-        let loss = pv
-            .zip(target, |p, t| {
-                let e = (p - t).abs();
-                if e <= delta {
-                    0.5 * e * e
-                } else {
-                    delta * (e - 0.5 * delta)
-                }
-            })
-            .sum()
-            / n;
-        let target = target.clone();
-        self.push_bwd(Tensor::scalar(loss), move |g, t, grads| {
-            let gi = g.item();
-            let n = target.numel() as f32;
-            let dp = t.value(pred).zip(&target, |p, tv| {
-                let e = p - tv;
-                let de = if e.abs() <= delta {
-                    e
-                } else {
-                    delta * e.signum()
-                };
-                gi * de / n
-            });
-            grads.accumulate(pred, dp);
-        })
-    }
 }
 
 #[cfg(test)]
@@ -108,22 +74,6 @@ mod tests {
         let l = t.l1_loss(p, &target);
         let g = t.backward(l, 0);
         assert_eq!(g.grad(p).unwrap().data(), &[0.0]);
-    }
-
-    #[test]
-    fn huber_matches_mse_inside_and_l1_outside() {
-        let mut t = Tape::new();
-        let p = t.leaf(Tensor::vector(&[0.5]));
-        let target = Tensor::vector(&[0.0]);
-        let l = t.huber_loss(p, &target, 1.0);
-        assert!((t.value(l).item() - 0.125).abs() < 1e-6);
-
-        let mut t2 = Tape::new();
-        let p2 = t2.leaf(Tensor::vector(&[3.0]));
-        let l2 = t2.huber_loss(p2, &target, 1.0);
-        assert!((t2.value(l2).item() - 2.5).abs() < 1e-6);
-        let g2 = t2.backward(l2, 0);
-        assert_eq!(g2.grad(p2).unwrap().data(), &[1.0]);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 pub(crate) mod attn;
 pub(crate) mod elementwise;
-mod extra;
 mod linalg;
 mod loss;
 pub(crate) mod reduce;

@@ -1,5 +1,5 @@
-//! Optimizers: Adam (used by the paper) and plain SGD, plus global-norm
-//! gradient clipping.
+//! The optimizer the paper trains with, Adam, plus global-norm gradient
+//! clipping.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::GradStore;
@@ -15,19 +15,17 @@ pub fn clip_global_norm(grads: &mut GradStore, max_norm: f32) -> f32 {
     norm
 }
 
-/// Adam with bias correction and optional decoupled weight decay (AdamW when
-/// `weight_decay > 0`).
+/// First-moment decay β₁.
+const BETA1: f32 = 0.9;
+/// Second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Denominator epsilon.
+const EPS: f32 = 1e-8;
+
+/// Adam with bias correction (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// First-moment decay (default 0.9).
-    pub beta1: f32,
-    /// Second-moment decay (default 0.999).
-    pub beta2: f32,
-    /// Denominator epsilon.
-    pub eps: f32,
-    /// Decoupled weight-decay coefficient (0 disables).
-    pub weight_decay: f32,
     step: u64,
     m: Vec<Option<Tensor>>,
     v: Vec<Option<Tensor>>,
@@ -38,20 +36,10 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
             step: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Enables decoupled (AdamW-style) weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Number of optimizer steps taken so far.
@@ -86,8 +74,8 @@ impl Adam {
             self.m.resize_with(params.len(), || None);
             self.v.resize_with(params.len(), || None);
         }
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
+        let bc1 = 1.0 - BETA1.powi(self.step as i32);
+        let bc2 = 1.0 - BETA2.powi(self.step as i32);
         for idx in 0..params.len() {
             let id = ParamId(idx);
             let Some(g) = grads.param_grad(id) else {
@@ -101,13 +89,9 @@ impl Adam {
                 g.data(),
                 m.data_mut(),
                 v.data_mut(),
-                self.beta1,
-                self.beta2,
                 bc1,
                 bc2,
                 self.lr,
-                self.eps,
-                self.weight_decay,
             );
         }
     }
@@ -120,19 +104,14 @@ const PAR_MIN_ELEMS: usize = 32 * 1024;
 
 /// One Adam update over a parameter's flat data, chunked across the thread
 /// pool for large tensors.
-#[allow(clippy::too_many_arguments)]
 fn adam_update_slice(
     p: &mut [f32],
     g: &[f32],
     m: &mut [f32],
     v: &mut [f32],
-    beta1: f32,
-    beta2: f32,
     bc1: f32,
     bc2: f32,
     lr: f32,
-    eps: f32,
-    weight_decay: f32,
 ) {
     let n = g.len();
     if n >= PAR_MIN_ELEMS {
@@ -151,22 +130,10 @@ fn adam_update_slice(
                     sv.get(r.start, r.len()),
                 )
             };
-            adam_update_chunk(
-                pr,
-                &g[r],
-                mr,
-                vr,
-                beta1,
-                beta2,
-                bc1,
-                bc2,
-                lr,
-                eps,
-                weight_decay,
-            );
+            adam_update_chunk(pr, &g[r], mr, vr, bc1, bc2, lr);
         });
     } else {
-        adam_update_chunk(p, g, m, v, beta1, beta2, bc1, bc2, lr, eps, weight_decay);
+        adam_update_chunk(p, g, m, v, bc1, bc2, lr);
     }
 }
 
@@ -174,33 +141,24 @@ crate::simd_hot! {
 
 /// One contiguous chunk of an Adam update: every lane is an independent
 /// exactly-rounded chain, so this vectorizes fully.
-#[allow(clippy::too_many_arguments)]
 fn adam_update_chunk(
     p: &mut [f32],
     g: &[f32],
     m: &mut [f32],
     v: &mut [f32],
-    beta1: f32,
-    beta2: f32,
     bc1: f32,
     bc2: f32,
     lr: f32,
-    eps: f32,
-    weight_decay: f32,
 ) {
     for i in 0..g.len() {
         let gi = g[i];
-        let mi = beta1 * m[i] + (1.0 - beta1) * gi;
-        let vi = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+        let mi = BETA1 * m[i] + (1.0 - BETA1) * gi;
+        let vi = BETA2 * v[i] + (1.0 - BETA2) * gi * gi;
         m[i] = mi;
         v[i] = vi;
         let m_hat = mi / bc1;
         let v_hat = vi / bc2;
-        let mut update = lr * m_hat / (v_hat.sqrt() + eps);
-        if weight_decay > 0.0 {
-            update += lr * weight_decay * p[i];
-        }
-        p[i] -= update;
+        p[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
     }
 }
 
@@ -219,29 +177,6 @@ pub struct AdamSnapshot {
     pub m: Vec<Option<Tensor>>,
     /// Second-moment estimates, indexed by parameter id.
     pub v: Vec<Option<Tensor>>,
-}
-
-/// Plain stochastic gradient descent (used by a few baselines and tests).
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies `p -= lr * grad` to every parameter with a gradient.
-    pub fn step(&self, params: &mut ParamStore, grads: &GradStore) {
-        for idx in 0..params.len() {
-            let id = ParamId(idx);
-            if let Some(g) = grads.param_grad(id) {
-                params.get_mut(id).axpy(-self.lr, g);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,21 +204,6 @@ mod tests {
         let mut opt = Adam::new(0.1);
         let w = converge(&mut opt, 300);
         assert!((w - 3.0).abs() < 0.05, "adam stopped at {w}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut ps = ParamStore::new();
-        let w = ps.add("w", Tensor::vector(&[0.0]));
-        let opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let mut t = Tape::new();
-            let wv = t.param(&ps, w);
-            let loss = t.mse_loss(wv, &Tensor::vector(&[3.0]));
-            let grads = t.backward(loss, ps.len());
-            opt.step(&mut ps, &grads);
-        }
-        assert!((ps.get(w).item() - 3.0).abs() < 1e-3);
     }
 
     #[test]
@@ -352,20 +272,5 @@ mod tests {
             ps_b.get(wb).item().to_bits(),
             "resumed Adam diverged from the uninterrupted run"
         );
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut ps = ParamStore::new();
-        let w = ps.add("w", Tensor::vector(&[5.0]));
-        let mut opt = Adam::new(0.0).with_weight_decay(0.1);
-        opt.lr = 0.1; // decay applies via lr * wd * p
-        let mut t = Tape::new();
-        let wv = t.param(&ps, w);
-        // Loss constant in w would produce no grad; use a tiny quadratic.
-        let loss = t.mse_loss(wv, &Tensor::vector(&[5.0]));
-        let grads = t.backward(loss, ps.len());
-        opt.step(&mut ps, &grads);
-        assert!(ps.get(w).item() < 5.0);
     }
 }

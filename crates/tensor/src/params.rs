@@ -76,11 +76,6 @@ impl ParamStore {
         self.tensors.is_empty()
     }
 
-    /// Total number of learnable scalars.
-    pub fn num_scalars(&self) -> usize {
-        self.tensors.iter().map(Tensor::numel).sum()
-    }
-
     /// Iterates over `(id, name, tensor)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Tensor)> {
         self.tensors
@@ -109,7 +104,6 @@ mod tests {
         assert_eq!(ps.get(id).sum(), 4.0);
         assert_eq!(ps.name(id), "w");
         assert_eq!(ps.len(), 1);
-        assert_eq!(ps.num_scalars(), 4);
     }
 
     #[test]

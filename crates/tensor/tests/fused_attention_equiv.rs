@@ -7,7 +7,7 @@
 
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
-use cf_tensor::nn::{KeyMask, MultiHeadAttention};
+use cf_tensor::nn::MultiHeadAttention;
 use cf_tensor::{ParamStore, Tape, Tensor};
 
 fn rand_input(b: usize, t: usize, d: usize, rng: &mut StdRng) -> Tensor {
@@ -17,7 +17,7 @@ fn rand_input(b: usize, t: usize, d: usize, rng: &mut StdRng) -> Tensor {
     )
 }
 
-fn run_case(b: usize, seq: usize, dim: usize, heads: usize, mask: Option<KeyMask<'_>>, seed: u64) {
+fn run_case(b: usize, seq: usize, dim: usize, heads: usize, mask: Option<&[usize]>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ps = ParamStore::new();
     let mha = MultiHeadAttention::new(&mut ps, "eq", dim, heads, &mut rng);
@@ -79,15 +79,11 @@ fn fused_attention_bitwise_matches_reference_unmasked() {
 
 #[test]
 fn fused_attention_bitwise_matches_reference_masked() {
-    let mask = vec![
-        vec![true, true, false, true, false],
-        vec![true, true, true, true, true],
-    ];
-    run_case(2, 5, 8, 2, Some(KeyMask::Rows(&mask)), 21);
-    let mask1 = vec![vec![true, false, true]];
-    run_case(1, 3, 6, 3, Some(KeyMask::Rows(&mask1)), 22);
-    // The padded-batch fast path must hit the identical additive mask.
-    run_case(2, 5, 8, 2, Some(KeyMask::PrefixLens(&[3, 5])), 23);
+    // Ragged prefix lengths, as the chain encoder's padded batches pass
+    // them: one full row beside shorter ones, down to a single valid key.
+    run_case(2, 5, 8, 2, Some(&[3, 5]), 21);
+    run_case(1, 3, 6, 3, Some(&[2]), 22);
+    run_case(3, 4, 12, 4, Some(&[1, 4, 2]), 23);
 }
 
 #[test]

@@ -32,15 +32,16 @@ fn grad_elementwise_ops() {
         t.sum_all(y)
     });
     check(6, |t, x| {
-        let y = t.neg(x);
-        let z = t.add(x, y); // zero, but exercises add/neg
+        let y = t.mul_scalar(x, -1.0);
+        let z = t.add(x, y); // zero, but exercises add/mul_scalar
         let w = t.add_scalar(z, 1.0);
         let m = t.mul(w, x);
         t.mean_all(m)
     });
+    // The gradient into one operand of a product with a constant.
     check(4, |t, x| {
-        let c = t.constant(Tensor::vector(&[2.0, 3.0, 4.0, 5.0]));
-        let y = t.div(x, c);
+        let c = t.constant(Tensor::vector(&[0.5, -2.0, 0.25, 3.0]));
+        let y = t.mul(x, c);
         t.sum_all(y)
     });
 }
@@ -87,36 +88,6 @@ fn grad_bmm() {
         let mt = t.transpose_batch(m);
         let p = t.bmm(m, mt);
         t.mean_all(p)
-    });
-}
-
-#[test]
-fn grad_transpose_fused_matmul_variants() {
-    // matmul_at: C = AᵀB with A stored [k,m].
-    check(12, |t, x| {
-        let m = t.reshape(x, [3, 4]);
-        let b = t.constant(Tensor::new(
-            [3, 2],
-            (0..6).map(|i| 0.2 * i as f32 - 0.5).collect(),
-        ));
-        let p = t.matmul_at(m, b);
-        t.sum_all(p)
-    });
-    // matmul_bt: C = ABᵀ with B stored [n,k].
-    check(12, |t, x| {
-        let m = t.reshape(x, [3, 4]);
-        let b = t.constant(Tensor::new(
-            [2, 4],
-            (0..8).map(|i| 0.3 - 0.1 * i as f32).collect(),
-        ));
-        let p = t.matmul_bt(m, b);
-        t.mean_all(p)
-    });
-    // Gradient wrt the transposed operand as well: x feeds both sides.
-    check(12, |t, x| {
-        let m = t.reshape(x, [3, 4]);
-        let gram = t.matmul_at(m, m); // [4,4] = MᵀM
-        t.sum_all(gram)
     });
 }
 
@@ -228,7 +199,7 @@ fn grad_reductions() {
 fn grad_scalar_and_const_ops() {
     check(6, |t, x| {
         let y = t.mul_scalar(x, -1.7);
-        let z = t.sub(x, y);
+        let z = t.add(x, y);
         t.sum_all(z)
     });
     check(6, |t, x| {
@@ -241,74 +212,11 @@ fn grad_scalar_and_const_ops() {
 
 #[test]
 fn grad_extra_activations() {
-    check(5, |t, x| {
-        let y = t.leaky_relu(x, 0.01);
-        t.sum_all(y)
-    });
-    check(5, |t, x| {
-        let y = t.softplus(x);
-        t.sum_all(y)
-    });
     // ln needs positive inputs: shift by +2 keeps everything >= 1.1.
     check(6, |t, x| {
         let p = t.add_scalar(x, 2.0);
         let y = t.ln(p);
         t.sum_all(y)
-    });
-    // clamp kinks at the bounds — input(6) (±0.15·k) never lands on ±0.5,
-    // so both clipped and passed-through elements are exercised away from
-    // the kink.
-    check(6, |t, x| {
-        let y = t.clamp(x, -0.5, 0.5);
-        let sq = t.mul(y, y);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_dropout_with_fixed_seed() {
-    // The mask is drawn from the rng at record time; re-seeding inside the
-    // closure keeps every finite-difference evaluation on the same mask.
-    check(8, |t, x| {
-        let mut rng = StdRng::seed_from_u64(99);
-        let y = t.dropout(x, 0.5, &mut rng);
-        t.sum_all(y)
-    });
-    // p == 0 is the identity fast path.
-    check(4, |t, x| {
-        let mut rng = StdRng::seed_from_u64(99);
-        let y = t.dropout(x, 0.0, &mut rng);
-        t.sum_all(y)
-    });
-}
-
-#[test]
-fn grad_log_softmax_and_max() {
-    check(6, |t, x| {
-        let m = t.reshape(x, [2, 3]);
-        let s = t.log_softmax_last(m);
-        let w = t.constant(Tensor::new([2, 3], vec![0.9, -1.2, 0.4, -0.3, 0.8, 0.1]));
-        let p = t.mul(s, w);
-        t.sum_all(p)
-    });
-    // max_last kinks where the arg-max changes; input(6)'s per-row gaps
-    // (≥ 0.3) dwarf the probe eps so the arg-max is stable.
-    check(6, |t, x| {
-        let m = t.reshape(x, [2, 3]);
-        let y = t.max_last(m);
-        t.sum_all(y)
-    });
-}
-
-#[test]
-fn grad_concat_rows() {
-    check(8, |t, x| {
-        let m = t.reshape(x, [2, 4]);
-        let top = t.select_rows(m, &[0]);
-        let bot = t.select_rows(m, &[1]);
-        let stacked = t.concat_rows(&[bot, top, bot]);
-        let sq = t.mul(stacked, stacked);
-        t.mean_all(sq)
     });
 }
 
@@ -338,8 +246,7 @@ fn grad_attention_forward() {
         let mut ps = ParamStore::new();
         let mha = MultiHeadAttention::new(&mut ps, "gc", 4, 2, &mut rng);
         let xs = t.reshape(x, [1, 3, 4]);
-        let mask = vec![vec![true, true, false]];
-        let y = mha.forward(t, &ps, xs, Some(cf_tensor::nn::KeyMask::Rows(&mask)));
+        let y = mha.forward(t, &ps, xs, Some(&[2]));
         t.mean_all(y)
     });
 }
@@ -348,7 +255,6 @@ fn grad_attention_forward() {
 fn grad_losses() {
     let target = Tensor::vector(&[0.1, -0.3, 0.8, 0.05]);
     check(4, |t, x| t.mse_loss(x, &target));
-    check(4, |t, x| t.huber_loss(x, &target, 0.5));
     // L1 subgradient: exact away from kinks (inputs differ from target).
     check(4, |t, x| t.l1_loss(x, &target));
 }
@@ -409,12 +315,13 @@ property! {
             let a = t.tanh(v);
             let b = t.sigmoid(a);
             let c = t.gelu(b);
-            let d = t.softplus(c);
+            let d = t.exp(c);
             t.sum_all(d)
         });
     }
 
-    /// Softmax/log-softmax/layer-norm gradients hold on random 2×3 inputs.
+    /// Softmax, log-softmax (as `ln` of the softmax) and layer-norm
+    /// gradients hold on random 2×3 inputs.
     #[test]
     fn grad_rowwise_ops_random_inputs(data in vec(-3f32..3.0, 6), w in vec(-1f32..1.0, 6)) {
         let x = Tensor::new([6], data);
@@ -422,7 +329,7 @@ property! {
         assert_grad_close(&x, EPS, TOL, |t, v| {
             let m = t.reshape(v, [2, 3]);
             let s = t.softmax_last(m);
-            let l = t.log_softmax_last(m);
+            let l = t.ln(s);
             let n = t.layer_norm_last(m, 1e-5);
             let wc = t.constant(weights.clone());
             let sw = t.mul(s, wc);
@@ -435,34 +342,22 @@ property! {
         });
     }
 
-    /// Kinked ops (relu family, clamp, max) pass gradcheck whenever the
-    /// input sits safely away from their kink points.
+    /// Kinked ops (relu and the L1 loss) pass gradcheck whenever the input
+    /// sits safely away from their kink points.
     #[test]
     fn grad_kinked_ops_away_from_kinks(data in vec(-2f32..2.0, 6)) {
-        // Keep every coordinate clear of 0 (relu kink), ±1 (clamp bounds)
-        // and keep the per-row max separated (max_last tie).
+        // Keep every coordinate clear of 0 (the relu kink) and of ±1, where
+        // the L1 target below puts its other kinks.
         let margin = 0.05;
         check_assume!(data.iter().all(|v| v.abs() > margin && (v.abs() - 1.0).abs() > margin));
-        let mut sorted = [data[0], data[1], data[2]];
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        check_assume!(sorted[2] - sorted[1] > margin);
-        let mut sorted = [data[3], data[4], data[5]];
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        check_assume!(sorted[2] - sorted[1] > margin);
+        let target = Tensor::new([6], vec![1.0, -1.0, 0.0, -1.0, 0.0, 1.0]);
         let x = Tensor::new([6], data);
         assert_grad_close(&x, EPS, TOL, |t, v| {
             let r = t.relu(v);
-            let lr = t.leaky_relu(v, 0.05);
-            let cl = t.clamp(v, -1.0, 1.0);
-            let m = t.reshape(v, [2, 3]);
-            let mx = t.max_last(m);
-            let s1 = t.sum_all(r);
-            let s2 = t.sum_all(lr);
-            let s3 = t.sum_all(cl);
-            let s4 = t.sum_all(mx);
-            let p1 = t.add(s1, s2);
-            let p2 = t.add(s3, s4);
-            t.add(p1, p2)
+            let rv = t.mul(r, v);
+            let s1 = t.sum_all(rv);
+            let s2 = t.l1_loss(v, &target);
+            t.add(s1, s2)
         });
     }
 
