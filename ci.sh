@@ -466,13 +466,12 @@ mutation_arm() { # $1 = arm name; starts the server, drives traffic + batch
     MUT_PORT="$(sed -n 's/^listening on .*://p' "$MUT_DIR/$ARM.log" | head -1)"
     [ -n "$MUT_PORT" ] || { echo "mutation gate: no listening line ($ARM)"; exit 1; }
     # Mutations mid-traffic: every 10th planned request carries an upsert.
-    # One connection keeps the mutation order identical across arms; the
-    # retry budget exercises the shed-then-resend client path.
+    # One connection keeps the mutation order identical across arms.
     "$CFKG" loadtest --addr "127.0.0.1:$MUT_PORT" \
         --triples "$SMOKE_DIR/yago15k_sim_triples.tsv" \
         --numerics "$SMOKE_DIR/yago15k_sim_numerics.tsv" \
         --rate 500 --requests 100 --warmup 0 --conns 1 --seed 7 \
-        --mutate-every 10 --retries 2 > "$MUT_DIR/load_$ARM.log" \
+        --mutate-every 10 > "$MUT_DIR/load_$ARM.log" \
         || { echo "mutation gate: loadtest failed ($ARM)"; exit 1; }
     grep -q 'mutations 10+0' "$MUT_DIR/load_$ARM.log" \
         || { echo "mutation gate: expected 10 acked mutations ($ARM):"; \

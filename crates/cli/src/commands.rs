@@ -10,8 +10,8 @@ use cf_kg::{
     IndexParams, KnowledgeGraph, MappedChainIndex, Split,
 };
 use cf_rand::rngs::StdRng;
-use cf_rand::{Rng, SeedableRng};
-use cf_serve::{Engine, EngineConfig, QuantMode, ServeError, ServedPrediction};
+use cf_rand::SeedableRng;
+use cf_serve::{Engine, EngineConfig, QuantMode};
 use chainsformer::{evaluate_model, ChainsFormer, ChainsFormerConfig, TrainOptions, Trainer};
 use std::error::Error;
 use std::io::BufReader;
@@ -47,7 +47,7 @@ const INDEX: &[&str] = &[
     "seed",
     "full",
 ];
-const PREDICT: &[&str] = &["ckpt", "entity", "attr", "retries", "quantize"];
+const PREDICT: &[&str] = &["ckpt", "entity", "attr", "quantize"];
 const SERVE: &[&str] = &[
     "ckpt",
     "index",
@@ -74,7 +74,6 @@ const LOADTEST: &[&str] = &[
     "reload",
     "reload-every",
     "mutate-every",
-    "retries",
     "dump",
 ];
 
@@ -369,42 +368,14 @@ pub fn eval(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Bounded retry with deterministic backoff for shed requests: only
-/// [`ServeError::Overloaded`] is retried (deadline and shutdown failures
-/// are final), sleeping `2^attempt · base ± jitter` between attempts with
-/// the jitter drawn from a seeded [`StdRng`] — the retry *schedule* is a
-/// pure function of the seed, so runs are reproducible.
-fn predict_with_retries(
-    engine: &Engine,
-    q: Query,
-    retries: u32,
-    rng: &mut StdRng,
-) -> Result<(ServedPrediction, u32), ServeError> {
-    let mut attempt = 0u32;
-    loop {
-        match engine.predict(q) {
-            Ok(served) => return Ok((served, attempt)),
-            Err(ServeError::Overloaded) if attempt < retries => {
-                let base_us = 1000u64 << attempt.min(10);
-                let jitter = rng.gen_range(0..=base_us / 2);
-                std::thread::sleep(std::time::Duration::from_micros(base_us + jitter));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// `cfkg predict`: answer one or more queries (comma-separated entities)
 /// with their reasoning traces, through the resident serving engine — the
 /// model loads once per process and repeated predictions share the chain
-/// cache. `--retries N` retries shed (`overloaded`) queries with
-/// deterministic backoff instead of failing.
+/// cache.
 pub fn predict(args: &Args) -> CmdResult {
     let entity_arg = args.require("entity")?.to_string();
     let attr_name = args.require("attr")?.to_string();
     let seed: u64 = args.get_parse("seed", 7, "integer")?;
-    let retries: u32 = args.get_parse("retries", 0u32, "integer")?;
     let quantize: QuantMode = args.get_parse("quantize", QuantMode::F32, "f32|int8")?;
     let Loaded { visible, model, .. } = load_model(args)?;
     let engine = Engine::new(
@@ -416,7 +387,6 @@ pub fn predict(args: &Args) -> CmdResult {
             ..EngineConfig::default()
         },
     );
-    let mut backoff_rng = StdRng::seed_from_u64(seed ^ 0xBACC_0FF5);
     for entity_name in entity_arg.split(',') {
         // Resolve names in a scope of their own: holding the live-graph
         // read guard across `predict` (which waits on a worker that takes
@@ -431,12 +401,7 @@ pub fn predict(args: &Args) -> CmdResult {
                 .ok_or_else(|| format!("attribute {attr_name:?} not found"))?;
             (entity, attr)
         };
-        let (served, retried) =
-            predict_with_retries(&engine, Query { entity, attr }, retries, &mut backoff_rng)
-                .map_err(Box::new)?;
-        if retried > 0 {
-            outln!("(shed {retried} time(s), answered on retry)");
-        }
+        let served = engine.predict(Query { entity, attr })?;
         let graph = engine.graph();
         let detail = served.detail;
         outln!("{attr_name} of {entity_name}: {:.4}", detail.value);
@@ -645,12 +610,7 @@ pub fn loadtest(args: &Args) -> CmdResult {
         conns.clamp(1, events.len().max(1)),
         plan_cfg.zipf_s,
     );
-    let retry = cf_load::RetryPolicy {
-        retries: args.get_parse("retries", 0u32, "integer")?,
-        seed: plan_cfg.seed,
-        ..cf_load::RetryPolicy::none()
-    };
-    let outcome = cf_load::run_tcp_with(&addr, &events, conns, retry)?;
+    let outcome = cf_load::run_tcp(&addr, &events, conns)?;
     outln!("{}", outcome.report.render());
     if let Some(dump) = args.get("dump") {
         std::fs::write(dump, cf_load::canonical_dump(&outcome.responses))?;

@@ -105,7 +105,6 @@ COMMANDS
   predict    answer queries with their reasoning chains (resident engine)
              --triples FILE --numerics FILE --ckpt FILE
              --entity NAME[,NAME…] --attr NAME [--seed N]
-             [--retries N (retry shed queries with deterministic backoff)]
              [--quantize f32|int8 (int8: quantized linear layers, accuracy
               pinned by the cargo-test gate)] [model flags as train]
   compact    fold a CFJ1 mutation journal into its CFKG1 store offline
@@ -140,8 +139,6 @@ COMMANDS
              [--reload CKPT --reload-every N (mix in hot-reloads)]
              [--mutate-every N (mix in live-graph mutations; needs a
               server running with --journal)]
-             [--retries N (retry shed requests with deterministic backoff;
-              reported separately as retried/retried-ok)]
              [--dump FILE (canonical response bytes, diffable across
               --shards settings)]
 ";

@@ -317,7 +317,7 @@ fn unknown_flags_are_usage_errors() {
     let dir = TempDir::new("cfkg_unknown_flag");
     let missing = dir.join("missing.cfkg");
     let missing = missing.to_str().unwrap();
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["stats", "--store", missing, "--shardz", "2"], "--shardz"),
         (
             &[
@@ -348,6 +348,34 @@ fn unknown_flags_are_usage_errors() {
             "--workers",
         ),
         (&["eval", "--store", missing, "--resume"], "--resume"),
+        (
+            &[
+                "predict",
+                "--store",
+                missing,
+                "--ckpt",
+                missing,
+                "--entity",
+                "x",
+                "--attr",
+                "y",
+                "--retries",
+                "1",
+            ],
+            "--retries",
+        ),
+        (
+            &[
+                "loadtest",
+                "--addr",
+                "127.0.0.1:1",
+                "--store",
+                missing,
+                "--retries",
+                "2",
+            ],
+            "--retries",
+        ),
     ];
     for (args, flag) in cases {
         let st = cfkg().args(args).output().unwrap();

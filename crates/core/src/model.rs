@@ -539,7 +539,7 @@ mod tests {
             attr: split.train[0].attr,
         };
         let mut tape = Tape::new();
-        let raw = tape.scalar(1234.5);
+        let raw = tape.constant(cf_tensor::Tensor::scalar(1234.5));
         let normed = model.normalize_on_tape(&mut tape, raw, q);
         let expect = model.normalizer().normalize(q.attr, 1234.5);
         assert!((tape.value(normed).item() as f64 - expect).abs() < 1e-3);

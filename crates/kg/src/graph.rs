@@ -62,8 +62,9 @@ pub struct AttrOwner {
 /// index is CSR-style: one flat edge vec plus per-entity offsets.
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeGraph {
-    // The facts are pub(crate) so `crate::store` can serialize them; the
-    // CSR indexes below are derived from them and never leave this file.
+    // The facts are pub(crate) so `crate::store` can write and read them;
+    // the CSR indexes below are derived from them and never leave this
+    // file.
     pub(crate) entity_names: Vec<String>,
     pub(crate) relation_names: Vec<String>,
     pub(crate) attribute_names: Vec<String>,

@@ -31,11 +31,9 @@
 use crate::ids::{AttributeId, DirRel, EntityId};
 use crate::mmapio::Mmap;
 use crate::paths::for_each_simple_path;
-use crate::store::{
-    cast_u64s, corrupt, verify_crc, walk_sections, FusedCrc, MonoScan, SectionWriter, StoreError,
-    FUSE_TILE,
-};
+use crate::store::{corrupt, verify_crc, walk_sections, SectionWriter, StoreError};
 use crate::view::GraphView;
+use cf_tensor::crc::Crc;
 use std::ops::{ControlFlow, Range};
 use std::path::Path;
 
@@ -426,11 +424,116 @@ pub struct MappedChainIndex {
     entries: Range<usize>,
 }
 
+// The casts below require a validated byte range (length a multiple of the
+// record size, contents in range) and an 8-byte aligned buffer base (Mmap
+// guarantees it). Alignment of the range itself is asserted: O(1) checks
+// that stay on in release builds.
+
+fn cast_u64s(bytes: &[u8]) -> &[u64] {
+    assert!(bytes.as_ptr() as usize % 8 == 0 && bytes.len() % 8 == 0);
+    // SAFETY: alignment and length checked above; u64 has no invalid bits.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) }
+}
+
 fn cast_entries(bytes: &[u8]) -> &[ChainEntry] {
     assert!(bytes.as_ptr() as usize % 8 == 0 && bytes.len() % 32 == 0);
     // SAFETY: ChainEntry is repr(C), 32 bytes, align 8, every field
     // inhabited for all bit patterns; contents were validated at open.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const ChainEntry, bytes.len() / 32) }
+}
+
+/// Tile size of the fused CRC+scan passes: fits in L2 next to the CRC
+/// tables, and is a multiple of both record sizes a scan reads (8-byte
+/// offsets, 32-byte entries), so every tile is record-aligned.
+const FUSE_TILE: usize = 192 << 10;
+
+/// Streams the subranges of one section body through the CRC while handing
+/// each cache-hot tile to a structural fold, so open validates a big
+/// section in a single pass over memory instead of a CRC sweep plus a scan
+/// sweep.
+///
+/// Feed the subranges **in body order and covering the whole body**, or the
+/// CRC will not match. The folds only accumulate; their verdicts are read
+/// after [`FusedCrc::check`], so a body is never trusted before its CRC is.
+struct FusedCrc<'a> {
+    bytes: &'a [u8],
+    crc: Crc,
+}
+
+impl<'a> FusedCrc<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        FusedCrc {
+            bytes,
+            crc: Crc::new(),
+        }
+    }
+
+    fn feed(&mut self, sub: &Range<usize>, fold: &mut dyn FnMut(&[u8])) {
+        for tile in self.bytes[sub.clone()].chunks(FUSE_TILE) {
+            self.crc.update(tile);
+            fold(tile);
+        }
+    }
+
+    fn check(self, stored: u32, section: &'static str) -> Result<(), StoreError> {
+        if self.crc.finish() != stored {
+            return Err(StoreError::BadCrc { section });
+        }
+        Ok(())
+    }
+}
+
+cf_tensor::simd_hot! {
+    /// Branchless monotonicity fold: true if any adjacent pair decreases.
+    /// No per-element early exit, so the loop vectorizes.
+    fn non_monotone_u64(vals: &[u64]) -> bool {
+        vals.windows(2).fold(false, |bad, w| bad | (w[0] > w[1]))
+    }
+}
+
+/// Offsets validation, fed tile by tile in order: the offsets must start at
+/// 0, never decrease and end at the entry count.
+struct MonoScan {
+    first: Option<u64>,
+    prev: u64,
+    ok: bool,
+}
+
+impl MonoScan {
+    fn new() -> Self {
+        MonoScan {
+            first: None,
+            prev: 0,
+            ok: true,
+        }
+    }
+
+    fn feed(&mut self, vals: &[u64]) {
+        let Some(&v0) = vals.first() else { return };
+        if self.first.is_none() {
+            self.first = Some(v0);
+        } else {
+            self.ok &= self.prev <= v0;
+        }
+        self.ok &= !non_monotone_u64(vals);
+        self.prev = *vals.last().unwrap();
+    }
+
+    fn check(&self, total: u64, section: &'static str) -> Result<(), StoreError> {
+        if self.first != Some(0) {
+            return Err(corrupt(section, "offsets do not start at 0"));
+        }
+        if !self.ok {
+            return Err(corrupt(section, "offsets are not monotone"));
+        }
+        if self.prev != total {
+            return Err(corrupt(
+                section,
+                format!("offsets end at {} expected {total}", self.prev),
+            ));
+        }
+        Ok(())
+    }
 }
 
 cf_tensor::simd_hot! {
@@ -473,13 +576,13 @@ const ENTRY_RULES: [&str; 4] = [
 ];
 
 impl MappedChainIndex {
-    /// Opens and fully validates a CFCI1 file in one pass over its bytes,
-    /// on the CFKG1 validator: each array streams through [`FusedCrc`] in
-    /// 192 KiB tiles, the offsets with their monotonicity scan and the
-    /// entries with the [`scan_entries`] rule fold, and every verdict is
-    /// read only after its section's CRC matches. So a flipped body byte is
-    /// a `BadCrc` naming its section, and an entry that breaks a rule under
-    /// a good CRC is `Corrupt { section: "entries" }`.
+    /// Opens and fully validates a CFCI1 file in one pass over its bytes:
+    /// each array streams through [`FusedCrc`] in 192 KiB tiles, the
+    /// offsets with their monotonicity scan and the entries with the
+    /// [`scan_entries`] rule fold, and every verdict is read only after its
+    /// section's CRC matches. So a flipped body byte is a `BadCrc` naming
+    /// its section, and an entry that breaks a rule under a good CRC is
+    /// `Corrupt { section: "entries" }`.
     ///
     /// Each entries tile leaves the resident set once folded
     /// ([`Mmap::release`]; each call also covers the tile before, so the
@@ -625,12 +728,12 @@ mod tests {
     use super::*;
     use crate::graph::KnowledgeGraph;
     use crate::ids::RelationId;
+    use crate::store::tests::reseal;
     use crate::synth::{yago15k_sim, SynthScale};
     use cf_check::prelude::*;
     use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
-    use cf_tensor::crc::{crc32, Crc};
     use cf_tensor::simd;
 
     /// [`collect_entity`] as first written, with a depth-first search of
@@ -962,19 +1065,37 @@ mod tests {
         }
     }
 
-    /// Rewrites every section CRC and the footer of a CFCI1 image, so an
-    /// edit inside a body passes every checksum and reaches the checks
-    /// behind them.
-    fn reseal(file: &mut [u8]) {
-        let mut footer = Crc::new();
-        for s in walk_sections(file, &INDEX_MAGIC, index_section_name).unwrap() {
-            let crc = crc32(&file[s.body.clone()]).to_le_bytes();
-            let at = s.body.start + s.body.len().next_multiple_of(8);
-            file[at..at + 4].copy_from_slice(&crc);
-            footer.update(&crc);
+    /// The monotonicity fold agrees with a plain iterator reference at
+    /// every `simd_hot!` tier the host supports, at lengths around its
+    /// unroll width and with one inversion in every position.
+    #[test]
+    fn monotone_scan_matches_reference() {
+        let mut words = vec![0u64; 1536];
+        let mut x = 0x0dd0_feed_4bad_c0deu64;
+        for w in words.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *w = x;
         }
-        let at = file.len() - 8;
-        file[at..at + 4].copy_from_slice(&footer.finish().to_le_bytes());
+        let detected = simd::tiers();
+        for vector in simd::BASELINE..=detected.vector {
+            simd::pin(Some(simd::Tiers { vector, ..detected }));
+            for len in [0usize, 1, 2, 3, 7, 8, 9, 12, 24, 36, 95, 96, 97, 1024, 1536] {
+                let w = &words[..len];
+                assert_eq!(
+                    non_monotone_u64(w),
+                    w.windows(2).any(|p| p[0] > p[1]),
+                    "{len}"
+                );
+            }
+            for pos in 0..12 {
+                let mut v: Vec<u64> = (0..13).collect();
+                v[pos] += 2;
+                assert!(non_monotone_u64(&v), "inversion at {pos}");
+            }
+        }
+        simd::pin(None);
     }
 
     /// Every entry rule fails open on its own, under good CRCs, with its

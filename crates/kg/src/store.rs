@@ -31,11 +31,11 @@
 //! since [`read_store`] rebuilds the indexes from the facts with
 //! `build_index`.
 //!
-//! [`read_store`] validates once — every section CRC, every offset array
-//! monotone and bounded, every id in range, every value finite, every name
-//! UTF-8 — and only then copies into an owned [`KnowledgeGraph`]. Corrupt
-//! files yield a typed [`StoreError`] naming the failing section; they can
-//! never produce a panic or a garbage graph.
+//! [`read_store`] checks every section CRC, then decodes the facts into an
+//! owned [`KnowledgeGraph`], checking each name (offsets monotone and
+//! bounded, UTF-8), id (in range) and value (finite) as it is added.
+//! Corrupt files yield a typed [`StoreError`] naming the failing section;
+//! they can never produce a panic or a garbage graph.
 
 use crate::graph::KnowledgeGraph;
 use crate::ids::{AttributeId, EntityId, RelationId};
@@ -285,8 +285,8 @@ pub(crate) struct RawSection {
     pub(crate) tag: u32,
     /// Byte range of the (unpadded) body within the file.
     pub(crate) body: Range<usize>,
-    /// The stored body CRC. The caller must verify it (possibly fused with
-    /// its own scan) before trusting the body.
+    /// The stored body CRC. The caller must verify it before trusting the
+    /// body.
     pub(crate) crc: u32,
 }
 
@@ -295,9 +295,9 @@ pub(crate) struct RawSection {
 /// in file order. Unknown tags are returned too (forward compat); the
 /// caller decides which tags it requires.
 ///
-/// Section bodies are not read here: the caller CRC-checks each one (the
-/// CFKG1 and CFCI1 open paths fuse the CRC with their structural scans, so
-/// the file is read once, not twice), unknown sections included.
+/// Section bodies are not read here: the caller CRC-checks each one,
+/// unknown sections included (CFKG1 with [`verify_crc`]; the CFCI1 open
+/// fuses the CRC of its two arrays with its structural scans).
 ///
 /// Every padding byte (header pad word, body zero-padding, trailer pad
 /// word, footer pad word) must be zero and trailing bytes after the footer
@@ -412,27 +412,6 @@ pub(crate) fn walk_sections(
 }
 
 // ---------------------------------------------------------------------------
-// typed slice casts
-// ---------------------------------------------------------------------------
-
-// All casts below require: the byte range was structurally validated at open
-// (length divisible by the element size, contents in range) and the buffer
-// base is 8-byte aligned (guaranteed by Mmap). Alignment of the *range* is
-// asserted — cheap O(1) checks that stay on in release builds.
-
-pub(crate) fn cast_u64s(bytes: &[u8]) -> &[u64] {
-    assert!(bytes.as_ptr() as usize % 8 == 0 && bytes.len() % 8 == 0);
-    // SAFETY: alignment and length checked above; u64 has no invalid bits.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) }
-}
-
-fn cast_u32s(bytes: &[u8]) -> &[u32] {
-    assert!(bytes.as_ptr() as usize % 4 == 0 && bytes.len() % 4 == 0);
-    // SAFETY: alignment and length checked above; u32 has no invalid bits.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
-}
-
-// ---------------------------------------------------------------------------
 // writer
 // ---------------------------------------------------------------------------
 
@@ -523,34 +502,8 @@ pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), Sto
 }
 
 // ---------------------------------------------------------------------------
-// layout (validated section ranges)
+// reader
 // ---------------------------------------------------------------------------
-
-struct Counts {
-    n_e: usize,
-    n_r: usize,
-    n_a: usize,
-    n_t: usize,
-    n_n: usize,
-}
-
-struct StrTable {
-    offsets: Range<usize>,
-    blob: Range<usize>,
-}
-
-struct Layout {
-    counts: Counts,
-    ent_names: StrTable,
-    rel_names: StrTable,
-    attr_names: StrTable,
-    heads: Range<usize>,
-    rels: Range<usize>,
-    tails: Range<usize>,
-    num_entities_col: Range<usize>,
-    num_attrs_col: Range<usize>,
-    num_values_col: Range<usize>,
-}
 
 pub(crate) fn corrupt(section: &'static str, what: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
@@ -559,154 +512,7 @@ pub(crate) fn corrupt(section: &'static str, what: impl Into<String>) -> StoreEr
     }
 }
 
-cf_tensor::simd_hot! {
-    /// Branchless monotonicity fold: true if any adjacent pair decreases.
-    /// No per-element early exit, so the loop vectorizes.
-    fn non_monotone_u64(vals: &[u64]) -> bool {
-        vals.windows(2).fold(false, |bad, w| bad | (w[0] > w[1]))
-    }
-}
-
-/// Checks `offsets` is a valid CSR offsets array: starts at 0, monotone,
-/// ends exactly at `total`.
-fn check_offsets(offsets: &[u64], total: u64, section: &'static str) -> Result<(), StoreError> {
-    if offsets.first() != Some(&0) {
-        return Err(corrupt(section, "offsets do not start at 0"));
-    }
-    if non_monotone_u64(offsets) {
-        return Err(corrupt(section, "offsets are not monotone"));
-    }
-    if offsets.last() != Some(&total) {
-        return Err(corrupt(
-            section,
-            format!(
-                "offsets end at {} expected {total}",
-                offsets.last().unwrap()
-            ),
-        ));
-    }
-    Ok(())
-}
-
-cf_tensor::simd_hot! {
-    /// Max over a u32 slice (no early exit needed — we compare once).
-    fn max_u32(s: &[u32]) -> u32 {
-        s.iter().fold(0, |m, &x| m.max(x))
-    }
-}
-
-/// Verdict half of the old per-column id check: `max` was accumulated by a
-/// fused scan, the bound comparison happens once here.
-fn check_max_id(
-    max: u32,
-    nonempty: bool,
-    bound: usize,
-    section: &'static str,
-    what: &str,
-) -> Result<(), StoreError> {
-    if nonempty && max as usize >= bound {
-        return Err(corrupt(section, format!("{what} id out of range")));
-    }
-    Ok(())
-}
-
-cf_tensor::simd_hot! {
-    /// All-ones-exponent fold over raw f64 bits (true = some non-finite value).
-    fn fold_non_finite(bits: &[u64]) -> bool {
-        bits.iter()
-            .fold(false, |acc, &b| acc | ((b >> 52) & 0x7FF == 0x7FF))
-    }
-}
-
-/// Tile size for fused CRC+scan passes: fits in L2 next to the CRC tables,
-/// and is divisible by every record size a fused scan reads (4 and 8 here,
-/// CFCI1's 32-byte entries), so `chunks(FUSE_TILE)` keeps every tile
-/// record-aligned.
-pub(crate) const FUSE_TILE: usize = 192 << 10;
-
-/// Streams the subranges of one section body through the CRC while handing
-/// each cache-hot tile to a structural fold — open validates a big section
-/// in a single pass over memory instead of a CRC sweep plus a scan sweep.
-///
-/// Feed the subranges **in body order and covering the whole body**, or the
-/// CRC will not match. The folds only accumulate (max/or reductions); their
-/// verdicts are checked after [`FusedCrc::check`], so a body is never
-/// trusted before its CRC is.
-pub(crate) struct FusedCrc<'a> {
-    bytes: &'a [u8],
-    crc: Crc,
-}
-
-impl<'a> FusedCrc<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        FusedCrc {
-            bytes,
-            crc: Crc::new(),
-        }
-    }
-
-    pub(crate) fn feed(&mut self, sub: &Range<usize>, fold: &mut dyn FnMut(&[u8])) {
-        for tile in self.bytes[sub.clone()].chunks(FUSE_TILE) {
-            self.crc.update(tile);
-            fold(tile);
-        }
-    }
-
-    pub(crate) fn check(self, stored: u32, section: &'static str) -> Result<(), StoreError> {
-        if self.crc.finish() != stored {
-            return Err(StoreError::BadCrc { section });
-        }
-        Ok(())
-    }
-}
-
-/// Incremental CSR-offsets validation, fed tile by tile in order; same
-/// verdicts and messages as [`check_offsets`].
-pub(crate) struct MonoScan {
-    first: Option<u64>,
-    prev: u64,
-    ok: bool,
-}
-
-impl MonoScan {
-    pub(crate) fn new() -> Self {
-        MonoScan {
-            first: None,
-            prev: 0,
-            ok: true,
-        }
-    }
-
-    pub(crate) fn feed(&mut self, vals: &[u64]) {
-        let Some(&v0) = vals.first() else { return };
-        if self.first.is_none() {
-            self.first = Some(v0);
-        } else {
-            self.ok &= self.prev <= v0;
-        }
-        self.ok &= !non_monotone_u64(vals);
-        self.prev = *vals.last().unwrap();
-    }
-
-    pub(crate) fn check(&self, total: u64, section: &'static str) -> Result<(), StoreError> {
-        if self.first != Some(0) {
-            return Err(corrupt(section, "offsets do not start at 0"));
-        }
-        if !self.ok {
-            return Err(corrupt(section, "offsets are not monotone"));
-        }
-        if self.prev != total {
-            return Err(corrupt(
-                section,
-                format!("offsets end at {} expected {total}", self.prev),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// One-shot CRC verification for small sections that are validated by
-/// dedicated code (counts, name tables) rather than a fused scan.
+/// Checks one section body against its stored CRC32.
 pub(crate) fn verify_crc(
     bytes: &[u8],
     body: &Range<usize>,
@@ -719,215 +525,150 @@ pub(crate) fn verify_crc(
     Ok(())
 }
 
-fn validate_str_table(
-    bytes: &[u8],
-    body: Range<usize>,
-    n: usize,
-    section: &'static str,
-) -> Result<StrTable, StoreError> {
-    let need = 8 * (n + 1);
-    if body.len() < need {
+fn u64_at(b: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(b[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+/// The little-endian `u32` column `b`, in order.
+fn u32s(b: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    b.chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+}
+
+/// The verdict naming the first of a fact's ids that is not below its
+/// count. The per-fact loops test all of a fact's ids at once, without a
+/// branch per id, and call this only when that test fails.
+#[cold]
+fn out_of_range(section: &'static str, ids: &[(u32, u64, &str)]) -> StoreError {
+    let what = ids
+        .iter()
+        .find(|&&(id, count, _)| u64::from(id) >= count)
+        .map_or("", |&(_, _, what)| what);
+    corrupt(section, format!("{what} id out of range"))
+}
+
+/// Decodes a name table of `n` names: `u64` offsets `[n+1]`, then the
+/// UTF-8 blob. The offsets must start at 0, never decrease and end at the
+/// blob's length; each name must be UTF-8 on its own.
+fn read_names(body: &[u8], n: usize, section: &'static str) -> Result<Vec<String>, StoreError> {
+    if body.len() < 8 * (n + 1) {
         return Err(corrupt(section, "body shorter than offsets table"));
     }
-    let offsets = body.start..body.start + need;
-    let blob = body.start + need..body.end;
+    let (offsets, blob) = body.split_at(8 * (n + 1));
     if blob.len() as u64 > MAX_NAME_BYTES {
         return Err(StoreError::TooLarge { section });
     }
-    let offs = cast_u64s(&bytes[offsets.clone()]);
-    check_offsets(offs, blob.len() as u64, section)?;
-    let blob_bytes = &bytes[blob.clone()];
-    // Every name must be valid UTF-8 on its own. Equivalent formulation
-    // that avoids a `from_utf8` call per name: the whole blob is valid and
-    // every offset lands on a char boundary (no name starts or ends
-    // mid-codepoint).
-    let blob_str =
-        std::str::from_utf8(blob_bytes).map_err(|_| corrupt(section, "name is not valid UTF-8"))?;
-    let boundaries_ok = offs
-        .iter()
-        .fold(true, |ok, &o| ok & blob_str.is_char_boundary(o as usize));
-    if !boundaries_ok {
-        return Err(corrupt(section, "name is not valid UTF-8"));
+    let off = |i: usize| u64_at(offsets, i);
+    if off(0) != 0 {
+        return Err(corrupt(section, "offsets do not start at 0"));
     }
-    Ok(StrTable { offsets, blob })
+    if (0..n).any(|i| off(i) > off(i + 1)) {
+        return Err(corrupt(section, "offsets are not monotone"));
+    }
+    if off(n) != blob.len() as u64 {
+        return Err(corrupt(
+            section,
+            format!("offsets end at {} expected {}", off(n), blob.len()),
+        ));
+    }
+    let mut names = Vec::with_capacity(n);
+    for i in 0..n {
+        let name = std::str::from_utf8(&blob[off(i) as usize..off(i + 1) as usize])
+            .map_err(|_| corrupt(section, "name is not valid UTF-8"))?;
+        names.push(name.to_owned());
+    }
+    Ok(names)
 }
 
-fn parse_store(bytes: &[u8]) -> Result<Layout, StoreError> {
-    // The walker leaves body CRCs to us: each known section's CRC is
-    // verified below, fused with its structural scan for the big array
-    // sections, so open reads the file once instead of twice.
-    let sections = walk_sections(bytes, &STORE_MAGIC, section_name)?;
-    let mut found: [Option<(Range<usize>, u32)>; 7] = Default::default();
-    for s in sections {
-        if (TAG_COUNTS..=TAG_NUMERICS).contains(&s.tag) {
-            let slot = &mut found[s.tag as usize];
-            if slot.is_some() {
-                return Err(StoreError::Duplicate {
-                    section: section_name(s.tag),
-                });
-            }
-            *slot = Some((s.body, s.crc));
-        } else {
-            // Unknown tags (the CSR sections 7–9 of older stores among
-            // them) are skipped, but still CRC-verified: compatibility must
-            // not weaken the whole-file integrity promise.
-            verify_crc(bytes, &s.body, s.crc, section_name(s.tag))?;
+/// Loads a CFKG1 file into an owned [`KnowledgeGraph`]. Every section's
+/// CRC is checked first, unknown tags included; then each known section is
+/// decoded, and every name, id and value is checked as it is added to the
+/// graph. `build_index` rebuilds the CSR indexes at the end, so a
+/// loaded-then-rewritten store is byte-identical.
+pub fn read_store(path: impl AsRef<Path>) -> Result<KnowledgeGraph, StoreError> {
+    let mem = Mmap::open(path)?;
+    let bytes = mem.bytes();
+    let mut found: [Option<&[u8]>; 7] = [None; 7];
+    for s in walk_sections(bytes, &STORE_MAGIC, section_name)? {
+        verify_crc(bytes, &s.body, s.crc, section_name(s.tag))?;
+        // Unknown tags (the CSR sections 7–9 of older stores among them)
+        // are skipped once their CRC holds.
+        if !(TAG_COUNTS..=TAG_NUMERICS).contains(&s.tag) {
+            continue;
+        }
+        if found[s.tag as usize].replace(&bytes[s.body]).is_some() {
+            return Err(StoreError::Duplicate {
+                section: section_name(s.tag),
+            });
         }
     }
-    let take = |tag: u32| -> Result<(Range<usize>, u32), StoreError> {
-        found[tag as usize].clone().ok_or(StoreError::Missing {
+    let take = |tag: u32| {
+        found[tag as usize].ok_or(StoreError::Missing {
             section: section_name(tag),
         })
     };
 
-    // counts
-    let (c, c_crc) = take(TAG_COUNTS)?;
-    verify_crc(bytes, &c, c_crc, "counts")?;
-    if c.len() != 48 {
+    let counts = take(TAG_COUNTS)?;
+    if counts.len() != 48 {
         return Err(corrupt("counts", "expected 48-byte body"));
     }
-    let vals = cast_u64s(&bytes[c]);
-    let (n_e, n_r, n_a, n_t, n_n) = (vals[0], vals[1], vals[2], vals[3], vals[4]);
-    if n_e > MAX_VOCAB || n_r > MAX_VOCAB || n_a > MAX_VOCAB {
+    let [n_e, n_r, n_a, n_t, n_n] = std::array::from_fn(|i| u64_at(counts, i));
+    if n_e.max(n_r).max(n_a) > MAX_VOCAB || n_t.max(n_n) > MAX_FACTS {
         return Err(StoreError::TooLarge { section: "counts" });
     }
-    if n_t > MAX_FACTS || n_n > MAX_FACTS {
-        return Err(StoreError::TooLarge { section: "counts" });
-    }
-    let counts = Counts {
-        n_e: n_e as usize,
-        n_r: n_r as usize,
-        n_a: n_a as usize,
-        n_t: n_t as usize,
-        n_n: n_n as usize,
-    };
 
-    // name tables (~5% of the file: plain CRC, then the dedicated
-    // offsets+UTF-8 validation — fusing the UTF-8 walk isn't worth the
-    // chunk-boundary carry logic)
-    let (b, crc) = take(TAG_ENTITY_NAMES)?;
-    verify_crc(bytes, &b, crc, "entity_names")?;
-    let ent_names = validate_str_table(bytes, b, counts.n_e, "entity_names")?;
-    let (b, crc) = take(TAG_REL_NAMES)?;
-    verify_crc(bytes, &b, crc, "relation_names")?;
-    let rel_names = validate_str_table(bytes, b, counts.n_r, "relation_names")?;
-    let (b, crc) = take(TAG_ATTR_NAMES)?;
-    verify_crc(bytes, &b, crc, "attribute_names")?;
-    let attr_names = validate_str_table(bytes, b, counts.n_a, "attribute_names")?;
+    let mut g = KnowledgeGraph::new();
+    g.entity_names = read_names(take(TAG_ENTITY_NAMES)?, n_e as usize, "entity_names")?;
+    g.relation_names = read_names(take(TAG_REL_NAMES)?, n_r as usize, "relation_names")?;
+    g.attribute_names = read_names(take(TAG_ATTR_NAMES)?, n_a as usize, "attribute_names")?;
 
-    // triples: fused CRC + per-column max-id scan
-    let (t, t_crc) = take(TAG_TRIPLES)?;
-    if t.len() != 12 * counts.n_t {
+    // Three u32 columns: heads, relations, tails.
+    let body = take(TAG_TRIPLES)?;
+    if body.len() as u64 != 12 * n_t {
         return Err(corrupt("triples", "body length does not match counts"));
     }
-    let col = 4 * counts.n_t;
-    let heads = t.start..t.start + col;
-    let rels = t.start + col..t.start + 2 * col;
-    let tails = t.start + 2 * col..t.end;
-    {
-        let mut fused = FusedCrc::new(bytes);
-        let (mut mh, mut mr, mut mt) = (0u32, 0u32, 0u32);
-        fused.feed(&heads, &mut |t| mh = mh.max(max_u32(cast_u32s(t))));
-        fused.feed(&rels, &mut |t| mr = mr.max(max_u32(cast_u32s(t))));
-        fused.feed(&tails, &mut |t| mt = mt.max(max_u32(cast_u32s(t))));
-        fused.check(t_crc, "triples")?;
-        let nonempty = counts.n_t > 0;
-        check_max_id(mh, nonempty, counts.n_e, "triples", "head")?;
-        check_max_id(mr, nonempty, counts.n_r, "triples", "relation")?;
-        check_max_id(mt, nonempty, counts.n_e, "triples", "tail")?;
+    g.triples.reserve_exact(n_t as usize);
+    let (heads, rest) = body.split_at(4 * n_t as usize);
+    let (rels, tails) = rest.split_at(4 * n_t as usize);
+    for ((head, rel), tail) in u32s(heads).zip(u32s(rels)).zip(u32s(tails)) {
+        if !((u64::from(head) < n_e) & (u64::from(rel) < n_r) & (u64::from(tail) < n_e)) {
+            let ids = [
+                (head, n_e, "head"),
+                (rel, n_r, "relation"),
+                (tail, n_e, "tail"),
+            ];
+            return Err(out_of_range("triples", &ids));
+        }
+        g.add_triple(EntityId(head), RelationId(rel), EntityId(tail));
     }
 
-    // numerics: fused CRC + id columns + finite values
-    let (nm, nm_crc) = take(TAG_NUMERICS)?;
-    if nm.len() != 16 * counts.n_n {
+    // Two u32 columns, entities and attributes, then the f64 values.
+    let body = take(TAG_NUMERICS)?;
+    if body.len() as u64 != 16 * n_n {
         return Err(corrupt("numerics", "body length does not match counts"));
     }
-    let col = 4 * counts.n_n;
-    let num_entities_col = nm.start..nm.start + col;
-    let num_attrs_col = nm.start + col..nm.start + 2 * col;
-    let num_values_col = nm.start + 2 * col..nm.end;
-    {
-        let mut fused = FusedCrc::new(bytes);
-        let (mut me, mut ma, mut nf) = (0u32, 0u32, false);
-        fused.feed(&num_entities_col, &mut |t| {
-            me = me.max(max_u32(cast_u32s(t)))
-        });
-        fused.feed(&num_attrs_col, &mut |t| ma = ma.max(max_u32(cast_u32s(t))));
-        fused.feed(&num_values_col, &mut |t| {
-            nf |= fold_non_finite(cast_u64s(t))
-        });
-        fused.check(nm_crc, "numerics")?;
-        let nonempty = counts.n_n > 0;
-        check_max_id(me, nonempty, counts.n_e, "numerics", "entity")?;
-        check_max_id(ma, nonempty, counts.n_a, "numerics", "attribute")?;
-        if nf {
+    g.numerics.reserve_exact(n_n as usize);
+    let (entities, rest) = body.split_at(4 * n_n as usize);
+    let (attrs, values) = rest.split_at(4 * n_n as usize);
+    let values = values
+        .chunks_exact(8)
+        .map(|w| f64::from_le_bytes(w.try_into().unwrap()));
+    for ((entity, attr), value) in u32s(entities).zip(u32s(attrs)).zip(values) {
+        if !((u64::from(entity) < n_e) & (u64::from(attr) < n_a)) {
+            let ids = [(entity, n_e, "entity"), (attr, n_a, "attribute")];
+            return Err(out_of_range("numerics", &ids));
+        }
+        if !value.is_finite() {
             return Err(corrupt("numerics", "non-finite value"));
         }
-    }
-
-    Ok(Layout {
-        counts,
-        ent_names,
-        rel_names,
-        attr_names,
-        heads,
-        rels,
-        tails,
-        num_entities_col,
-        num_attrs_col,
-        num_values_col,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// owned load
-// ---------------------------------------------------------------------------
-
-/// Loads a CFKG1 file into an owned [`KnowledgeGraph`]: full validation,
-/// then a copy of the facts and `build_index`, so a loaded-then-rewritten
-/// store is byte-identical.
-pub fn read_store(path: impl AsRef<Path>) -> Result<KnowledgeGraph, StoreError> {
-    let mem = Mmap::open(path)?;
-    let bytes = mem.bytes();
-    let layout = parse_store(bytes)?;
-    let mut g = KnowledgeGraph::new();
-    let name_at = |t: &StrTable, i: usize| -> &str {
-        let offs = cast_u64s(&bytes[t.offsets.clone()]);
-        let blob = &bytes[t.blob.clone()];
-        let s = &blob[offs[i] as usize..offs[i + 1] as usize];
-        std::str::from_utf8(s).expect("validated at open")
-    };
-    for i in 0..layout.counts.n_e {
-        g.add_entity(name_at(&layout.ent_names, i));
-    }
-    for i in 0..layout.counts.n_r {
-        g.add_relation_type(name_at(&layout.rel_names, i));
-    }
-    for i in 0..layout.counts.n_a {
-        g.add_attribute_type(name_at(&layout.attr_names, i));
-    }
-    let heads = cast_u32s(&bytes[layout.heads.clone()]);
-    let rels = cast_u32s(&bytes[layout.rels.clone()]);
-    let tails = cast_u32s(&bytes[layout.tails.clone()]);
-    for i in 0..layout.counts.n_t {
-        g.add_triple(EntityId(heads[i]), RelationId(rels[i]), EntityId(tails[i]));
-    }
-    let nent = cast_u32s(&bytes[layout.num_entities_col.clone()]);
-    let nattr = cast_u32s(&bytes[layout.num_attrs_col.clone()]);
-    let nval = cast_u64s(&bytes[layout.num_values_col.clone()]);
-    for i in 0..layout.counts.n_n {
-        g.add_numeric(
-            EntityId(nent[i]),
-            AttributeId(nattr[i]),
-            f64::from_bits(nval[i]),
-        );
+        g.add_numeric(EntityId(entity), AttributeId(attr), value);
     }
     g.build_index();
     Ok(g)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ids::DirRel;
     use crate::synth::{yago15k_sim, SynthScale};
@@ -935,7 +676,6 @@ mod tests {
     use cf_check::TempDir;
     use cf_rand::rngs::StdRng;
     use cf_rand::SeedableRng;
-    use cf_tensor::simd;
 
     /// A fresh directory (removed on drop) and a file path inside it.
     fn tmp(name: &str) -> (TempDir, std::path::PathBuf) {
@@ -947,55 +687,6 @@ mod tests {
     fn sample_graph() -> KnowledgeGraph {
         let mut rng = StdRng::seed_from_u64(7);
         yago15k_sim(SynthScale::small(), &mut rng)
-    }
-
-    /// Every `simd_hot!` tier the host supports must agree with plain
-    /// iterator reference implementations, at lengths around each fold's
-    /// unroll width and with the extremum in every position class.
-    #[test]
-    fn wide_scans_match_reference() {
-        let mut words = vec![0u64; 1536];
-        let mut x = 0x0dd0_feed_4bad_c0deu64;
-        for w in words.iter_mut() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // keep exponents non-all-ones so fold_non_finite defaults false
-            *w = x & 0x7FEF_FFFF_FFFF_FFFF;
-        }
-        let u32s: Vec<u32> = words
-            .iter()
-            .flat_map(|w| [*w as u32, (*w >> 32) as u32])
-            .collect();
-
-        let detected = simd::tiers();
-        for vector in simd::BASELINE..=detected.vector {
-            simd::pin(Some(simd::Tiers { vector, ..detected }));
-            for len in [0usize, 1, 2, 3, 7, 8, 9, 12, 24, 36, 95, 96, 97, 1024, 1536] {
-                let w = &words[..len];
-                let u = &u32s[..len.min(u32s.len())];
-                assert_eq!(max_u32(u), u.iter().copied().max().unwrap_or(0), "{len}");
-                assert_eq!(
-                    non_monotone_u64(w),
-                    w.windows(2).any(|p| p[0] > p[1]),
-                    "{len}"
-                );
-                assert!(!fold_non_finite(w), "{len}");
-            }
-            // non-finite detection: NaN planted at each lane position
-            for pos in 0..9 {
-                let mut v = words[..16].to_vec();
-                v[pos] = f64::NAN.to_bits();
-                assert!(fold_non_finite(&v), "nan at {pos}");
-            }
-            // a single inversion at each position must be caught
-            for pos in 0..12 {
-                let mut v: Vec<u64> = (0..13).collect();
-                v[pos] += 2;
-                assert!(non_monotone_u64(&v), "inversion at {pos}");
-            }
-        }
-        simd::pin(None);
     }
 
     #[test]
@@ -1170,6 +861,139 @@ mod tests {
             std::fs::write(&p, &clean[..cut]).unwrap();
             assert!(read_store(&p).is_err(), "truncation at {cut}");
         }
+    }
+
+    /// Rewrites every section CRC and the footer of a sectioned image
+    /// (CFKG1 or CFCI1), so an edit inside a body passes every checksum and
+    /// reaches the checks behind them.
+    pub(crate) fn reseal(file: &mut [u8]) {
+        let magic: [u8; 8] = file[..8].try_into().unwrap();
+        let mut footer = Crc::new();
+        for s in walk_sections(file, &magic, section_name).unwrap() {
+            let crc = crc32(&file[s.body.clone()]).to_le_bytes();
+            let at = s.body.start + s.body.len().next_multiple_of(8);
+            file[at..at + 4].copy_from_slice(&crc);
+            footer.update(&crc);
+        }
+        let at = file.len() - 8;
+        file[at..at + 4].copy_from_slice(&footer.finish().to_le_bytes());
+    }
+
+    /// Every structural rule fails on its own, under good CRCs, with its
+    /// own verdict naming its section: one broken field per case. A
+    /// single flipped byte never gets this far (it fails a CRC or the
+    /// section walk first), so only resealed edits reach these rules.
+    #[test]
+    fn structural_rules_are_checked_behind_the_crc() {
+        let mut g = KnowledgeGraph::new();
+        let x = g.add_entity("x");
+        let e = g.add_entity("é"); // two UTF-8 bytes
+        let y = g.add_entity("y");
+        let r = g.add_relation_type("r");
+        let a = g.add_attribute_type("a");
+        g.add_triple(x, r, e);
+        g.add_triple(e, r, y);
+        g.add_numeric(e, a, 2.5);
+        g.add_numeric(y, a, -1.0);
+        let (_dir, p) = tmp("rules");
+        write_store(&g, &p).unwrap();
+        let clean = std::fs::read(&p).unwrap();
+        let sections = walk_sections(&clean, &STORE_MAGIC, section_name).unwrap();
+        let body = |tag: u32| sections.iter().find(|s| s.tag == tag).unwrap().body.start;
+        let counts = body(TAG_COUNTS);
+        // Offsets [0, 1, 3, 4], then the blob "xéy".
+        let names = body(TAG_ENTITY_NAMES);
+        let blob = names + 32;
+        // Two triples: heads, relations, tails; two numerics: entities,
+        // attributes, values.
+        let (triples, numerics) = (body(TAG_TRIPLES), body(TAG_NUMERICS));
+        let word = |v: u32| v.to_le_bytes().to_vec();
+        let wide = |v: u64| v.to_le_bytes().to_vec();
+        let corrupt = |s: &str, what: &str| format!("section {s:?} is corrupt: {what}");
+        let too_large = "section \"counts\" exceeds its length cap".to_string();
+        let cases = [
+            (triples, word(3), corrupt("triples", "head id out of range")),
+            (
+                triples + 12,
+                word(1),
+                corrupt("triples", "relation id out of range"),
+            ),
+            (
+                triples + 16,
+                word(3),
+                corrupt("triples", "tail id out of range"),
+            ),
+            (
+                numerics + 4,
+                word(3),
+                corrupt("numerics", "entity id out of range"),
+            ),
+            (
+                numerics + 8,
+                word(1),
+                corrupt("numerics", "attribute id out of range"),
+            ),
+            (
+                numerics + 16,
+                wide(f64::NAN.to_bits()),
+                corrupt("numerics", "non-finite value"),
+            ),
+            (
+                numerics + 24,
+                wide(f64::INFINITY.to_bits()),
+                corrupt("numerics", "non-finite value"),
+            ),
+            (
+                names,
+                wide(1),
+                corrupt("entity_names", "offsets do not start at 0"),
+            ),
+            (
+                names + 16,
+                wide(0),
+                corrupt("entity_names", "offsets are not monotone"),
+            ),
+            (
+                names + 24,
+                wide(5),
+                corrupt("entity_names", "offsets end at 5 expected 4"),
+            ),
+            (
+                blob,
+                vec![0xFF],
+                corrupt("entity_names", "name is not valid UTF-8"),
+            ),
+            (
+                names + 16,
+                wide(2),
+                corrupt("entity_names", "name is not valid UTF-8"),
+            ),
+            (
+                counts + 24,
+                wide(3),
+                corrupt("triples", "body length does not match counts"),
+            ),
+            (
+                counts + 32,
+                wide(3),
+                corrupt("numerics", "body length does not match counts"),
+            ),
+            (counts, wide(MAX_VOCAB + 1), too_large.clone()),
+            (counts + 32, wide(MAX_FACTS + 1), too_large),
+        ];
+        for (at, field, want) in cases {
+            let mut bad = clean.clone();
+            bad[at..at + field.len()].copy_from_slice(&field);
+            reseal(&mut bad);
+            std::fs::write(&p, &bad).unwrap();
+            match read_store(&p) {
+                Err(err) if err.to_string() == want => {}
+                other => panic!("byte {at}: want {want:?}, got {other:?}"),
+            }
+        }
+        let mut same = clean.clone();
+        reseal(&mut same);
+        assert_eq!(same, clean, "resealing a clean store changes nothing");
     }
 
     #[test]

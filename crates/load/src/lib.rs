@@ -30,7 +30,7 @@ pub mod zipf;
 pub use arrival::{arrival_offsets_us, check_rate, ArrivalProcess};
 pub use plan::{build_plan, Event, EventKind, PlanConfig};
 pub use runner::{
-    canonical_dump, fold_report, render_events, run_tcp, run_tcp_with, sleep_until, LoadReport,
-    PreparedEvent, RetryPolicy, RunOutcome,
+    canonical_dump, fold_report, render_events, run_tcp, sleep_until, LoadReport, PreparedEvent,
+    RunOutcome,
 };
 pub use zipf::{check_exponent, ZipfSampler};

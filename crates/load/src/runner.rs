@@ -10,13 +10,10 @@
 
 use crate::plan::{Event, EventKind};
 use cf_kg::GraphView;
-use cf_rand::rngs::StdRng;
-use cf_rand::{Rng, SeedableRng};
 use cf_serve::protocol::{escape, parse_json, Json};
 use cf_serve::Histogram;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One plan event rendered to its wire line. The line carries the event's
@@ -121,12 +118,6 @@ pub struct LoadReport {
     pub mutations_ok: u64,
     /// Mutate admin requests rejected.
     pub mutations_rejected: u64,
-    /// Shed requests re-sent under the retry policy (total resends).
-    pub retried: u64,
-    /// Requests that were shed at least once and then answered `ok` on a
-    /// retry — counted separately from `ok` requests that never shed, so
-    /// the report distinguishes clean capacity from recovered-by-retry.
-    pub retried_ok: u64,
     /// Measured-window queries that were answered (any outcome).
     pub measured: u64,
     /// Seconds from the first measured request's scheduled instant to the
@@ -148,7 +139,6 @@ impl LoadReport {
     pub fn render(&self) -> String {
         format!(
             "sent {} · ok {} · shed {} · deadline_missed {} · errors {} · reloads {}+{} · mutations {}+{}\n\
-             retried {} resend(s) · {} recovered by retry\n\
              measured {} in {:.3} s → {:.1} qps\n\
              latency µs (scheduled→reply): p50 {} · p95 {} · p99 {} · max {}",
             self.sent,
@@ -160,8 +150,6 @@ impl LoadReport {
             self.reloads_rejected,
             self.mutations_ok,
             self.mutations_rejected,
-            self.retried,
-            self.retried_ok,
             self.measured,
             self.elapsed_s,
             self.qps,
@@ -183,96 +171,15 @@ pub struct RunOutcome {
     pub responses: Vec<Option<String>>,
 }
 
-/// Client-side handling of shed (`overloaded`) replies.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Resend a shed request up to this many times (`0` = never).
-    pub retries: u32,
-    /// Base backoff before the first resend; doubles per attempt.
-    pub base_us: u64,
-    /// Seed for the backoff jitter — the retry *schedule* is a pure
-    /// function of `(seed, event id, attempt)`, so a rerun with the same
-    /// plan and policy resends at the same offsets.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// No retries: every shed reply is final (the open-loop default).
-    pub fn none() -> Self {
-        RetryPolicy {
-            retries: 0,
-            base_us: 2000,
-            seed: 0,
-        }
-    }
-
-    /// Deterministic backoff before resend `attempt` (1-based) of event
-    /// `id`: `base · 2^(attempt-1)` plus up to 50% seeded jitter, so
-    /// synchronized shed bursts don't resend in lockstep.
-    pub fn backoff_us(&self, id: usize, attempt: u32) -> u64 {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt) << 56,
-        );
-        let base = self.base_us << (attempt - 1).min(10);
-        base + rng.gen_range(0..=base / 2)
-    }
-}
-
-/// What one in-flight request on a connection is: which event, when it was
-/// originally scheduled, and how many resends it has behind it.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    id: usize,
-    at_us: u64,
-    attempt: u32,
-}
-
-/// The write half of one connection. Every line write pushes its
-/// [`InFlight`] under the same lock, so the order queue mirrors the byte
-/// order on the socket exactly — the server answers strictly in order per
-/// connection, so the reader pops one entry per reply line.
-struct ConnWriter {
-    stream: TcpStream,
-    order: std::collections::VecDeque<InFlight>,
-}
-
-impl ConnWriter {
-    fn send(&mut self, line: &str, meta: InFlight) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.order.push_back(meta);
-        Ok(())
-    }
-}
-
-/// Drives `addr` with the rendered plan over `conns` connections, without
-/// retries. See [`run_tcp_with`].
-pub fn run_tcp(addr: &str, events: &[PreparedEvent], conns: usize) -> std::io::Result<RunOutcome> {
-    run_tcp_with(addr, events, conns, RetryPolicy::none())
-}
-
 /// Drives `addr` with the rendered plan over `conns` connections.
 ///
 /// Events are assigned round-robin by index, so each connection's share
 /// preserves the schedule order. Per connection, a sender thread writes
 /// each line at its scheduled instant — never waiting for replies (the
 /// open-loop property; the kernel's socket buffer absorbs bursts) — while
-/// a reader thread timestamps replies as they land.
-///
-/// With a non-zero [`RetryPolicy`], a query shed with `overloaded` is
-/// resent after a deterministic backoff (a per-connection retry thread
-/// replays it down the same connection) up to `retries` times. A retried
-/// request keeps its original scheduled instant for latency accounting —
-/// the backoff wait is part of the price of being shed — and its *final*
-/// reply is the one that lands in [`RunOutcome::responses`], so a dump
-/// from a retried run stays diffable against one that never shed. Admin
-/// lines (reload/mutate) are answered inline by the server and are never
-/// shed, so they are never retried.
-pub fn run_tcp_with(
-    addr: &str,
-    events: &[PreparedEvent],
-    conns: usize,
-    policy: RetryPolicy,
-) -> std::io::Result<RunOutcome> {
+/// a reader thread timestamps replies as they land, pairing the k-th reply
+/// with the connection's k-th line.
+pub fn run_tcp(addr: &str, events: &[PreparedEvent], conns: usize) -> std::io::Result<RunOutcome> {
     let conns = conns.clamp(1, events.len().max(1));
     let mut streams = Vec::with_capacity(conns);
     for _ in 0..conns {
@@ -283,127 +190,47 @@ pub fn run_tcp_with(
     // A short lead so every sender sees the epoch in its future.
     let start = Instant::now() + Duration::from_millis(5);
 
-    type ReaderOut = Vec<(usize, u64, String, u32)>;
     let mut join = Vec::with_capacity(conns);
-    for (c, stream) in streams.into_iter().enumerate() {
-        let assigned: Arc<Vec<(usize, u64, String)>> = Arc::new(
-            events
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % conns == c)
-                .map(|(i, e)| (i, e.at_us, format!("{}\n", e.line)))
-                .collect(),
-        );
+    for (c, mut stream) in streams.into_iter().enumerate() {
+        let assigned: Vec<(usize, u64, String)> = events
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % conns == c)
+            .map(|(i, e)| (i, e.at_us, format!("{}\n", e.line)))
+            .collect();
+        // Each line's id and scheduled instant, in send order.
+        let sent: Vec<(usize, u64)> = assigned.iter().map(|(id, at, _)| (*id, *at)).collect();
         let reader_stream = stream.try_clone()?;
-        let writer = Arc::new(Mutex::new(ConnWriter {
-            stream,
-            order: std::collections::VecDeque::new(),
-        }));
-        let expect = assigned.len();
-
-        let sender = {
-            let assigned = Arc::clone(&assigned);
-            let writer = Arc::clone(&writer);
-            std::thread::spawn(move || -> std::io::Result<()> {
-                for (id, at_us, line) in assigned.iter() {
-                    sleep_until(start + Duration::from_micros(*at_us));
-                    writer.lock().expect("conn writer poisoned").send(
-                        line,
-                        InFlight {
-                            id: *id,
-                            at_us: *at_us,
-                            attempt: 0,
-                        },
-                    )?;
-                }
-                Ok(())
-            })
-        };
-
-        // The retry lane: the reader hands over (meta, resend instant);
-        // this thread sleeps and replays the original line down the same
-        // connection. Processing is FIFO — with exponential backoff a
-        // long earlier sleep can briefly delay a later resend, which only
-        // makes the measured retry latency *more* honest, never less.
-        let (retry_tx, retry_rx) = mpsc::channel::<(InFlight, Instant)>();
-        let retry = {
-            let assigned = Arc::clone(&assigned);
-            let writer = Arc::clone(&writer);
-            std::thread::spawn(move || -> std::io::Result<()> {
-                let by_id: std::collections::HashMap<usize, usize> = assigned
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, (id, _, _))| (*id, pos))
-                    .collect();
-                while let Ok((meta, resend_at)) = retry_rx.recv() {
-                    sleep_until(resend_at);
-                    let line = &assigned[by_id[&meta.id]].2;
-                    writer
-                        .lock()
-                        .expect("conn writer poisoned")
-                        .send(line, meta)?;
-                }
-                Ok(())
-            })
-        };
-
-        let reader = {
-            let writer = Arc::clone(&writer);
-            std::thread::spawn(move || -> ReaderOut {
-                let mut got: ReaderOut = Vec::with_capacity(expect);
-                let mut lines = BufReader::new(reader_stream).lines();
-                while got.len() < expect {
-                    let Some(Ok(line)) = lines.next() else { break };
-                    let arrived_us = start.elapsed().as_micros() as u64;
-                    let meta = writer
-                        .lock()
-                        .expect("conn writer poisoned")
-                        .order
-                        .pop_front()
-                        .expect("reply without a matching request");
-                    let shed = line.contains("\"error\":\"overloaded\"");
-                    if shed && meta.attempt < policy.retries {
-                        let next = InFlight {
-                            attempt: meta.attempt + 1,
-                            ..meta
-                        };
-                        let wait = policy.backoff_us(meta.id, next.attempt);
-                        let _ = retry_tx.send((next, Instant::now() + Duration::from_micros(wait)));
-                        continue;
-                    }
-                    got.push((
-                        meta.id,
-                        arrived_us.saturating_sub(meta.at_us),
-                        line,
-                        meta.attempt,
-                    ));
-                }
-                drop(retry_tx); // closes the retry lane
-                got
-            })
-        };
-        join.push((sender, retry, reader));
+        let sender = std::thread::spawn(move || -> std::io::Result<()> {
+            for (_, at_us, line) in &assigned {
+                sleep_until(start + Duration::from_micros(*at_us));
+                stream.write_all(line.as_bytes())?;
+            }
+            Ok(())
+        });
+        let reader = std::thread::spawn(move || -> Vec<(usize, u64, String)> {
+            let mut got = Vec::with_capacity(sent.len());
+            let mut lines = BufReader::new(reader_stream).lines();
+            for &(id, at_us) in &sent {
+                let Some(Ok(line)) = lines.next() else { break };
+                let arrived_us = start.elapsed().as_micros() as u64;
+                got.push((id, arrived_us.saturating_sub(at_us), line));
+            }
+            got
+        });
+        join.push((sender, reader));
     }
 
     let mut responses: Vec<Option<String>> = vec![None; events.len()];
     let mut latencies: Vec<Option<u64>> = vec![None; events.len()];
-    let mut retried = 0u64;
-    let mut retried_ok = 0u64;
-    for (sender, retry, reader) in join {
+    for (sender, reader) in join {
         sender.join().expect("load sender panicked")?;
-        for (id, lat_us, line, attempts) in reader.join().expect("load reader panicked") {
+        for (id, lat_us, line) in reader.join().expect("load reader panicked") {
             latencies[id] = Some(lat_us);
-            retried += u64::from(attempts);
-            if attempts > 0 && line.contains("\"ok\":true") {
-                retried_ok += 1;
-            }
             responses[id] = Some(line);
         }
-        retry.join().expect("load retry thread panicked")?;
     }
-    let mut report = fold_report(events, &responses, &latencies);
-    report.retried = retried;
-    report.retried_ok = retried_ok;
+    let report = fold_report(events, &responses, &latencies);
     Ok(RunOutcome { report, responses })
 }
 
@@ -444,8 +271,6 @@ pub fn fold_report(
         reloads_rejected: 0,
         mutations_ok: 0,
         mutations_rejected: 0,
-        retried: 0,
-        retried_ok: 0,
         measured: 0,
         elapsed_s: 0.0,
         qps: 0.0,
@@ -584,27 +409,6 @@ mod tests {
         let no_reload = render_events(&plan, &g, None, None);
         assert!(no_reload.iter().all(|e| !e.is_reload));
         assert!(no_reload.iter().all(|e| !e.line.contains("deadline_ms")));
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_and_grows() {
-        let p = RetryPolicy {
-            retries: 3,
-            base_us: 1000,
-            seed: 9,
-        };
-        for id in [0usize, 17, 4096] {
-            let a: Vec<u64> = (1..=3).map(|k| p.backoff_us(id, k)).collect();
-            let b: Vec<u64> = (1..=3).map(|k| p.backoff_us(id, k)).collect();
-            assert_eq!(a, b, "backoff schedule must be reproducible");
-            for (k, &w) in a.iter().enumerate() {
-                let base = p.base_us << k;
-                assert!(w >= base && w <= base + base / 2, "attempt {k}: {w}");
-            }
-        }
-        // Different seeds jitter differently (else thundering herds sync).
-        let q = RetryPolicy { seed: 10, ..p };
-        assert!((1..=3).any(|k| p.backoff_us(17, k) != q.backoff_us(17, k)));
     }
 
     #[test]

@@ -72,25 +72,6 @@ impl Histogram {
         }
     }
 
-    /// Drains every bucket, the sum, and the max back to zero, returning
-    /// the number of samples drained.
-    ///
-    /// Each bucket is drained with an atomic `swap`, so a sample recorded
-    /// concurrently is observed exactly once — either by this drain or by
-    /// a later reader — never lost in a load-then-store window and never
-    /// double-counted. (The `sum` and `max` cells are separate atomics, so
-    /// a sample racing the drain may land its count and sum on opposite
-    /// sides of the boundary; counts themselves are exact.)
-    pub fn reset(&self) -> u64 {
-        let mut drained = 0;
-        for c in &self.counts {
-            drained += c.swap(0, Ordering::AcqRel);
-        }
-        self.sum.swap(0, Ordering::AcqRel);
-        self.max.swap(0, Ordering::AcqRel);
-        drained
-    }
-
     /// Approximate quantile `q ∈ [0, 1]`: the lower bound of the bucket
     /// containing the q-th sample (0 when empty).
     pub fn quantile(&self, q: f64) -> u64 {
@@ -145,18 +126,6 @@ impl ShardMetrics {
             ewma_service_us: AtomicU64::new(0),
         }
     }
-
-    fn reset(&self) {
-        for a in [
-            &self.requests,
-            &self.shed,
-            &self.cache_hits,
-            &self.cache_misses,
-            &self.ewma_service_us,
-        ] {
-            a.swap(0, Ordering::AcqRel);
-        }
-    }
 }
 
 /// All serving counters and histograms. One instance lives in the engine
@@ -195,16 +164,15 @@ pub struct Metrics {
     pub mutations_rejected: AtomicU64,
     /// Online compactions (`--compact-every`) that failed to write the
     /// store or truncate the journal. The batch that triggered one was
-    /// still applied and acknowledged; its journal keeps the records and
-    /// the next batch retries.
+    /// still applied and acknowledged; its journal keeps the records, and
+    /// the next attempt waits for `--compact-every` more of them.
     pub compactions_failed: AtomicU64,
     /// End-to-end latency per answered request, microseconds.
     pub latency_us: Histogram,
     /// Batch sizes actually executed by the workers.
     pub batch_size: Histogram,
     /// Inference mode gauge: 1 when the engine serves the int8 quantized
-    /// path, 0 for f32. Config state, not a counter — [`Self::reset`]
-    /// leaves it alone so a drained benchmark window still reports its mode.
+    /// path, 0 for f32. Config state, not a counter.
     quantize_int8: AtomicU64,
     /// Per-shard counters (empty for non-sharded users of the type).
     shards: Vec<ShardMetrics>,
@@ -256,40 +224,6 @@ impl Metrics {
     /// Number of per-shard counter rows.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Drains every counter and histogram back to zero, returning the
-    /// number of requests drained. For benchmarks that warm the engine up
-    /// and then measure a clean window.
-    ///
-    /// Like [`Histogram::reset`], every cell is drained with an atomic
-    /// `swap`, so concurrent increments are never lost — each one is seen
-    /// exactly once, by this drain or by a later reader.
-    pub fn reset(&self) -> u64 {
-        let drained = self.requests.swap(0, Ordering::AcqRel);
-        for a in [
-            &self.ok,
-            &self.errors,
-            &self.shed,
-            &self.deadline_missed,
-            &self.fallbacks,
-            &self.cache_hits,
-            &self.cache_misses,
-            &self.index_rows_rebuilt,
-            &self.reloads_ok,
-            &self.reloads_rejected,
-            &self.mutations_ok,
-            &self.mutations_rejected,
-            &self.compactions_failed,
-        ] {
-            a.swap(0, Ordering::AcqRel);
-        }
-        self.latency_us.reset();
-        self.batch_size.reset();
-        for s in &self.shards {
-            s.reset();
-        }
-        drained
     }
 
     /// Cache hit rate in `[0, 1]` (0 when no lookups happened).
@@ -446,70 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_returns_metrics_to_zero() {
-        let m = Metrics::new();
-        m.requests.fetch_add(3, Ordering::Relaxed);
-        m.cache_hits.fetch_add(2, Ordering::Relaxed);
-        m.latency_us.record(500);
-        m.batch_size.record(4);
-        m.reset();
-        assert_eq!(m.requests.load(Ordering::Relaxed), 0);
-        assert_eq!(m.cache_hit_rate(), 0.0);
-        assert_eq!(m.latency_us.count(), 0);
-        assert_eq!(m.latency_us.max(), 0);
-        assert_eq!(m.batch_size.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn concurrent_reset_never_loses_or_double_counts_samples() {
-        // Recording threads hammer the histogram while a drainer resets it
-        // in a tight loop. The swap-based drain guarantees every sample is
-        // counted exactly once: the drained totals plus whatever remains
-        // equal exactly what was recorded. (The old store(0) reset lost
-        // samples recorded between its load and its store.)
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 20_000;
-        let m = Arc::new(Metrics::new());
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let drainer = {
-            let m = Arc::clone(&m);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut drained = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    drained += m.latency_us.reset();
-                }
-                drained
-            })
-        };
-        let recorders: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for i in 0..PER_THREAD {
-                        m.latency_us.record((t as u64 * 31 + i) % 512);
-                    }
-                })
-            })
-            .collect();
-        for r in recorders {
-            r.join().unwrap();
-        }
-        stop.store(true, Ordering::Release);
-        let drained = drainer.join().unwrap();
-        assert_eq!(
-            drained + m.latency_us.count(),
-            THREADS as u64 * PER_THREAD,
-            "samples lost or double-counted across concurrent resets"
-        );
-    }
-
-    #[test]
-    fn shard_rows_render_after_globals_and_reset_drains_them() {
+    fn shard_rows_render_after_globals() {
         let m = Metrics::with_shards(2);
         assert_eq!(m.shard_count(), 2);
         m.requests.fetch_add(3, Ordering::Relaxed);
@@ -541,10 +412,6 @@ mod tests {
         let global_at = text.find("cf_serve_batch_size_max").unwrap();
         let shard_at = text.find("cf_serve_shard_requests_total").unwrap();
         assert!(shard_at > global_at, "shard rows interleaved with globals");
-        m.reset();
-        assert_eq!(m.shard(0).requests.load(Ordering::Relaxed), 0);
-        assert_eq!(m.shard(1).shed.load(Ordering::Relaxed), 0);
-        assert_eq!(m.shard(0).ewma_service_us.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -555,17 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn quantize_mode_gauge_renders_and_survives_reset() {
+    fn quantize_mode_gauge_renders() {
         let m = Metrics::new();
         assert!(m
             .render()
             .contains("cf_serve_quantize_mode{mode=\"f32\"} 1"));
         m.set_quantize_int8(true);
-        assert!(m
-            .render()
-            .contains("cf_serve_quantize_mode{mode=\"int8\"} 1"));
-        m.reset();
-        // Mode is config state: a drained bench window still reports it.
         assert!(m
             .render()
             .contains("cf_serve_quantize_mode{mode=\"int8\"} 1"));
@@ -585,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn mutation_counters_render_and_reset() {
+    fn mutation_counters_render() {
         let m = Metrics::new();
         m.mutations_ok.fetch_add(2, Ordering::Relaxed);
         m.mutations_rejected.fetch_add(1, Ordering::Relaxed);
@@ -604,9 +466,5 @@ mod tests {
         // The compaction-failure row is appended after the last global.
         let failed = text.find("cf_serve_compactions_failed_total 1").unwrap();
         assert!(failed > text.find("cf_serve_quantize_mode").unwrap());
-        m.reset();
-        assert_eq!(m.mutations_ok.load(Ordering::Relaxed), 0);
-        assert_eq!(m.mutations_rejected.load(Ordering::Relaxed), 0);
-        assert_eq!(m.compactions_failed.load(Ordering::Relaxed), 0);
     }
 }

@@ -99,15 +99,22 @@ mod tests {
 
     #[test]
     fn detects_wrong_gradient() {
-        // exp has gradient exp(x); a deliberately-wrong composition whose
-        // finite difference disagrees is x.exp() forward with relu backward —
-        // emulate by checking a function against a different tolerance.
+        // At its kink relu's backward rule takes the subgradient 0, while
+        // the central difference reads the slope 0.5: a gradient that
+        // disagrees with the function must be reported, and one that
+        // agrees must not.
+        let x = Tensor::vector(&[0.0]);
+        let worst = check_grad(&x, 1e-3, |t, v| {
+            let r = t.relu(v);
+            t.sum_all(r)
+        });
+        assert!((worst - 0.5).abs() < 1e-3, "kink not detected: {worst}");
         let x = Tensor::vector(&[0.5]);
         let worst = check_grad(&x, 1e-3, |t, v| {
-            let e = t.exp(v);
-            t.sum_all(e)
+            let s = t.sigmoid(v);
+            t.sum_all(s)
         });
-        assert!(worst < 1e-2, "exp grad should pass, got {worst}");
+        assert!(worst < 1e-2, "sigmoid grad should pass, got {worst}");
     }
 
     #[test]
@@ -115,8 +122,7 @@ mod tests {
         let x = Tensor::vector(&[0.3, 0.7, -0.2, 0.1]);
         assert_grad_close(&x, 1e-3, 2e-2, |t, v| {
             let m = t.reshape(v, [2, 2]);
-            let mt = t.transpose(m);
-            let p = t.matmul(m, mt);
+            let p = t.matmul(m, m);
             let sm = t.softmax_last(p);
             let tanh = t.tanh(sm);
             t.mean_all(tanh)

@@ -160,24 +160,6 @@ impl Tape {
         });
         out
     }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::exp);
-        let out = self.push_value(value);
-        self.set_bwd(out, move |g, t, grads| {
-            grads.accumulate(a, g.zip(t.value(out), |gi, y| gi * y));
-        });
-        out
-    }
-
-    /// Elementwise natural log (inputs must be positive).
-    pub fn ln(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::ln);
-        self.push_bwd(value, move |g, t, grads| {
-            grads.accumulate(a, g.zip(t.value(a), |gi, x| gi / x));
-        })
-    }
 }
 
 /// Forward value of [`Tape::add_bias`]: `a` with `b` added to every row.

@@ -151,22 +151,6 @@ impl Tape {
             });
         })
     }
-
-    /// Rank-2 transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let value = self.value(a).transpose();
-        self.push_bwd(value, move |g, _t, grads| {
-            grads.accumulate(a, g.transpose());
-        })
-    }
-
-    /// Batched transpose of the trailing two dims.
-    pub fn transpose_batch(&mut self, a: Var) -> Var {
-        let value = self.value(a).transpose_batch();
-        self.push_bwd(value, move |g, _t, grads| {
-            grads.accumulate(a, g.transpose_batch());
-        })
-    }
 }
 
 #[cfg(test)]
@@ -187,18 +171,6 @@ mod tests {
         assert_eq!(g.grad(a).unwrap().data(), &[11.0, 15.0, 11.0, 15.0]);
         // col sums of A give dB rows: dB[j][k] = sum_i A[i][j]
         assert_eq!(g.grad(b).unwrap().data(), &[4.0, 4.0, 6.0, 6.0]);
-    }
-
-    #[test]
-    fn transpose_grad_round_trips() {
-        let mut t = Tape::new();
-        let a = t.leaf(Tensor::matrix(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]));
-        let tr = t.transpose(a);
-        assert_eq!(t.value(tr).shape().as_matrix(), (3, 2));
-        let s = t.sum_all(tr);
-        let g = t.backward(s, 0);
-        assert_eq!(g.grad(a).unwrap().shape().as_matrix(), (2, 3));
-        assert!(g.grad(a).unwrap().data().iter().all(|&x| x == 1.0));
     }
 
     #[test]
@@ -226,26 +198,48 @@ mod tests {
             .collect()
     }
 
+    /// `[b, m, n] -> [b, n, m]`, each matrix transposed on its own.
+    fn transpose_batch(x: &Tensor) -> Tensor {
+        let (b, m, n) = x.shape().as_batch_matrix();
+        let data = (0..b)
+            .flat_map(|i| {
+                Tensor::new([m, n], x.data()[i * m * n..(i + 1) * m * n].to_vec())
+                    .transpose()
+                    .data()
+                    .to_vec()
+            })
+            .collect();
+        Tensor::new([b, n, m], data)
+    }
+
+    /// The fused `bmm_bt` equals `bmm` against the explicitly transposed
+    /// operand, in the value and in both gradients, bit for bit.
     #[test]
     fn bmm_bt_equals_bmm_of_transpose_batch_bitwise() {
+        let b_val = Tensor::new([2, 5, 4], probe(40, 0.7));
         let run = |fused: bool| {
             let mut t = Tape::new();
             let a = t.leaf(Tensor::new([2, 3, 4], probe(24, 1.0)));
-            let b = t.leaf(Tensor::new([2, 5, 4], probe(40, 0.7)));
-            let c = if fused {
-                t.bmm_bt(a, b)
+            let b = t.leaf(if fused {
+                b_val.clone()
             } else {
-                let bt = t.transpose_batch(b);
-                t.bmm(a, bt)
-            };
+                transpose_batch(&b_val)
+            });
+            let c = if fused { t.bmm_bt(a, b) } else { t.bmm(a, b) };
             let w = t.constant(Tensor::new([2, 3, 5], probe(30, 0.4)));
             let p = t.mul(c, w);
             let l = t.sum_all(p);
             let g = t.backward(l, 0);
+            let gb = g.grad(b).unwrap();
+            let gb = if fused {
+                gb.clone()
+            } else {
+                transpose_batch(gb)
+            };
             (
                 t.value(c).data().to_vec(),
                 g.grad(a).unwrap().data().to_vec(),
-                g.grad(b).unwrap().data().to_vec(),
+                gb.data().to_vec(),
             )
         };
         assert_eq!(run(true), run(false));

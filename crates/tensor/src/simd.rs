@@ -199,13 +199,6 @@ simd_hot! {
             *x *= alpha;
         }
     }
-
-    /// `dst[i] += alpha * src[i]` over one contiguous chunk.
-    fn axpy_chunk(dst: &mut [f32], alpha: f32, src: &[f32]) {
-        for (o, s) in dst.iter_mut().zip(src) {
-            *o += alpha * *s;
-        }
-    }
 }
 
 /// `dst[i] += src[i]` — the gradient-accumulation workhorse. Large slices
@@ -239,21 +232,6 @@ pub(crate) fn scale_slice(dst: &mut [f32], alpha: f32) {
     }
 }
 
-/// `dst[i] += alpha * src[i]`.
-pub(crate) fn axpy_slice(dst: &mut [f32], alpha: f32, src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    if dst.len() >= PAR_MIN_ELEMS {
-        let d = crate::pool::SharedMut::new(dst);
-        crate::pool::parallel_for(src.len(), |r| {
-            // SAFETY: partition ranges are disjoint.
-            let dr = unsafe { d.get(r.start, r.len()) };
-            axpy_chunk(dr, alpha, &src[r]);
-        });
-    } else {
-        axpy_chunk(dst, alpha, src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,12 +260,6 @@ mod tests {
         scale_slice(&mut got, 0.731);
         for i in 0..n {
             assert_eq!(got[i].to_bits(), (a[i] * 0.731f32).to_bits());
-        }
-
-        let mut got = a.clone();
-        axpy_slice(&mut got, -1.93, &b);
-        for i in 0..n {
-            assert_eq!(got[i].to_bits(), (a[i] + (-1.93f32) * b[i]).to_bits());
         }
     }
 }

@@ -226,11 +226,6 @@ impl Tape {
         self.leaf(value)
     }
 
-    /// Records a scalar constant.
-    pub fn scalar(&mut self, value: f32) -> Var {
-        self.leaf(Tensor::scalar(value))
-    }
-
     /// Copies a parameter onto the tape; its gradient lands in
     /// [`GradStore::param_grad`] after backward.
     pub fn param(&mut self, store: &crate::params::ParamStore, id: ParamId) -> Var {

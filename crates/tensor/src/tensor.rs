@@ -192,12 +192,6 @@ impl Tensor {
         crate::simd::add_assign_slice(&mut self.data, &other.data);
     }
 
-    /// In-place `self += alpha * other` (same shape).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        crate::simd::axpy_slice(&mut self.data, alpha, &other.data);
-    }
-
     /// Scales every element in place.
     pub fn scale_in_place(&mut self, alpha: f32) {
         crate::simd::scale_slice(&mut self.data, alpha);
@@ -287,22 +281,6 @@ impl Tensor {
             }
         }
         Tensor::new([n, m], out)
-    }
-
-    /// Batched transpose of the last two dims `[b,m,n] -> [b,n,m]`.
-    pub fn transpose_batch(&self) -> Tensor {
-        let (b, m, n) = self.shape.as_batch_matrix();
-        let mut out = pool::take_zeroed(b * m * n);
-        for i in 0..b {
-            let src = &self.data[i * m * n..(i + 1) * m * n];
-            let dst = &mut out[i * m * n..(i + 1) * m * n];
-            for r in 0..m {
-                for c in 0..n {
-                    dst[c * m + r] = src[r * n + c];
-                }
-            }
-        }
-        Tensor::new([b, n, m], out)
     }
 }
 
@@ -903,20 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_batch_matches_loop() {
-        let a = Tensor::new([2, 2, 3], (0..12).map(|x| x as f32).collect());
-        let t = a.transpose_batch();
-        assert_eq!(t.shape().as_batch_matrix(), (2, 3, 2));
-        for b in 0..2 {
-            for r in 0..2 {
-                for c in 0..3 {
-                    assert_eq!(t.data()[b * 6 + c * 2 + r], a.data()[b * 6 + r * 3 + c]);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn reductions() {
         let a = Tensor::vector(&[1.0, 2.0, 3.0]);
         assert_eq!(a.sum(), 6.0);
@@ -932,12 +896,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn add_assign_and_scale() {
         let mut a = Tensor::vector(&[1.0, 2.0]);
         let b = Tensor::vector(&[10.0, 20.0]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[6.0, 12.0]);
+        a.add_assign(&b);
+        assert_eq!(a.data(), &[11.0, 22.0]);
         a.scale_in_place(2.0);
-        assert_eq!(a.data(), &[12.0, 24.0]);
+        assert_eq!(a.data(), &[22.0, 44.0]);
     }
 }
