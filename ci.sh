@@ -73,8 +73,9 @@ cargo test -q --offline --manifest-path "$CFBENCH"
 echo "== zero-allocation gate (offline) =="
 # The buffer pool's steady-state contract on the real model: after warm-up,
 # a train step (tape forward + loss + backward + Adam) and a served predict
-# (warm InferCtx forward, f32 and quantized int8) must perform exactly 0
-# heap allocations. The gate binary runs under a counting global allocator
+# (warm InferCtx forward, f32 and quantized int8, and the engine's path
+# through a warm pattern cache) must perform exactly 0 heap allocations.
+# The gate binary runs under a counting global allocator
 # and starts with a 2-epoch toy training run, so "training still converges
 # with recycled buffers" is covered on the way to the counters. It also
 # holds each walk retrieval to one allocation per retrieved chain plus

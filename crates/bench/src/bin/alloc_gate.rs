@@ -31,6 +31,14 @@
 //!    [`PoincareEmbeddings::train_epoch`] call at the filter's table size
 //!    may allocate at most 8 times (DESIGN.md §6.2, §10.2).
 //!
+//! A warm `cf-serve` worker answers through its pattern cache, so its path
+//! gets a gate of its own:
+//!
+//! 6. per **cached served predict** — [`ChainsFormer::forward_batch`] over
+//!    the same batch with every pattern already in the worker's
+//!    [`PatternCache`], f32 and int8: the engine's predict path minus the
+//!    explanation payload. It may allocate no more than Gate 2's forward.
+//!
 //! Runs a 2-epoch toy training first so the gate also covers "training still
 //! converges end to end with the pool on". Exits non-zero on any violation.
 
@@ -42,7 +50,7 @@ use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
 use cf_tensor::optim::{clip_global_norm, Adam};
 use cf_tensor::{Forward, InferCtx, QuantizedParamStore, Tape, Tensor};
-use chainsformer::{ChainsFormer, ChainsFormerConfig, Trainer};
+use chainsformer::{ChainsFormer, ChainsFormerConfig, PatternCache, ResolvedQuery, Trainer};
 use chainsformer_bench::alloc::{measure, CountingAlloc};
 use std::sync::Arc;
 
@@ -153,7 +161,7 @@ fn main() {
     // --- Gate 3: steady-state allocations per quantized served predict ----
     let quant = Arc::new(QuantizedParamStore::from_store(&model.params));
     let mut qctx = InferCtx::new();
-    qctx.set_weights(quant);
+    qctx.set_weights(Arc::clone(&quant));
     let quant_forward = |qctx: &mut InferCtx| {
         qctx.clear();
         for &(query, chains) in &jobs {
@@ -224,7 +232,45 @@ fn main() {
             .join(", ")
     );
 
+    // --- Gate 6: allocations per served predict through a warm pattern cache
+    let resolved: Vec<ResolvedQuery<'_>> = batch
+        .iter()
+        .map(|(q, toc, _)| (*q, toc.chains.as_slice(), toc.len()))
+        .collect();
+    let mut cached_allocs = 0;
+    for weights in [None, Some(Arc::clone(&quant))] {
+        let mut ctx = InferCtx::new();
+        ctx.set_weights(weights);
+        let mut cache = PatternCache::new();
+        let mut cached_forward = || {
+            model.forward_batch(&resolved, &mut ctx, &mut cache, |_, ctx, out| {
+                std::hint::black_box(ctx.value(out.prediction).item());
+            });
+        };
+        for _ in 0..3 {
+            cached_forward(); // the first call fills the cache
+        }
+        let (_, delta) = measure(|| {
+            for _ in 0..rounds {
+                cached_forward();
+            }
+        });
+        cached_allocs = cached_allocs.max(delta.allocs / rounds);
+    }
+    println!(
+        "cached served predict: {cached_allocs} allocs/batch at steady state, f32 and int8 \
+         ({rounds} batches of {} jobs, every pattern cached)",
+        resolved.len()
+    );
+
     let mut failed = false;
+    if cached_allocs > serve_allocs {
+        eprintln!(
+            "FAIL: cached served predict allocated {cached_allocs}/batch, more than the \
+             uncached forward's {serve_allocs}"
+        );
+        failed = true;
+    }
     if worst_epoch > EPOCH_ALLOCS {
         eprintln!(
             "FAIL: a filter pre-training epoch allocated {worst_epoch} times \
@@ -258,7 +304,7 @@ fn main() {
     }
     println!(
         "alloc gate: PASS (0 steady-state allocations per train step and per served predict, \
-         f32 and int8; walk retrieval within retrieved + {RETRIEVE_BUFFERS}; \
-         filter epochs within {EPOCH_ALLOCS})"
+         f32 and int8, with and without a warm pattern cache; walk retrieval within \
+         retrieved + {RETRIEVE_BUFFERS}; filter epochs within {EPOCH_ALLOCS})"
     );
 }

@@ -715,6 +715,20 @@ pub fn ingest(args: &Args) -> CmdResult {
 /// `--seed` — exactly the graph `serve --index` runs retrieval against. With
 /// `--full` it covers the raw graph as loaded (the bench / determinism
 /// path; such an index pairs with the store itself, not with a split).
+/// Fails when the directory `out` would be written in is missing, so a
+/// command refuses before a long build rather than at its final write.
+fn check_out_dir(out: &str) -> CmdResult {
+    let dir = match Path::new(out).parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    match std::fs::metadata(dir) {
+        Ok(m) if m.is_dir() => Ok(()),
+        Ok(_) => Err(format!("--out {out}: {} is not a directory", dir.display()).into()),
+        Err(e) => Err(format!("--out {out}: {e}").into()),
+    }
+}
+
 pub fn index(args: &Args) -> CmdResult {
     let out = args.require("out")?;
     let params = IndexParams {
@@ -727,6 +741,7 @@ pub fn index(args: &Args) -> CmdResult {
         )?,
     };
     params.check()?;
+    check_out_dir(out)?;
     let graph = load_graph(args)?;
     let graph = if args.switch("full") {
         graph

@@ -393,6 +393,52 @@ fn unknown_flags_are_usage_errors() {
     assert!(!String::from_utf8_lossy(&st.stderr).contains("unknown flag"));
 }
 
+/// A file that cannot be read or written is an `error:` line naming it,
+/// exit 1. `index` checks `--out`'s directory before it reads the graph,
+/// so a missing one fails at once, not after the whole build.
+#[test]
+fn missing_files_are_named() {
+    let dir = TempDir::new("cfkg_missing_files");
+    let store = dir.join("g.cfkg");
+    let mut g = cf_kg::KnowledgeGraph::new();
+    let (a, b) = (g.add_entity("a"), g.add_entity("b"));
+    let r = g.add_relation_type("r");
+    let n = g.add_attribute_type("n");
+    g.add_triple(a, r, b);
+    g.add_numeric(b, n, 1.5);
+    g.build_index();
+    cf_kg::write_store(&g, &store).unwrap();
+    let store = store.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["stats", "--store", "/nonexistent_dir/x.cfkg"],
+            "/nonexistent_dir/x.cfkg",
+        ),
+        (
+            &[
+                "index",
+                "--store",
+                store,
+                "--out",
+                "/nonexistent_dir/x.cfci",
+                "--full",
+            ],
+            "/nonexistent_dir/x.cfci",
+        ),
+    ];
+    for (args, path) in cases {
+        let out = cfkg().args(*args).output().expect("run cfkg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(path),
+            "{args:?} does not name {path}: {stderr}"
+        );
+        assert!(stderr.contains("No such file or directory"), "{stderr}");
+    }
+}
+
 /// `serve` refuses an index built for another graph — here the split
 /// under another `--seed` — with an error of its own: both fingerprints and
 /// the fix, not a claim that the index is corrupt.

@@ -6,10 +6,11 @@
 use crate::config::{ChainsFormerConfig, EncoderKind, ValueEncoding};
 use crate::filter::ChainFilter;
 use crate::value_encoding::{float_bits_into, log_features_into, FLOAT_BITS, LOG_FEATURES};
-use cf_chains::{ChainInstance, ChainVocab};
+use cf_chains::{ChainInstance, ChainVocab, RaChain};
 use cf_rand::Rng;
 use cf_tensor::nn::{Embedding, Lstm, Mlp, TransformerEncoder};
-use cf_tensor::{pool, Forward, ParamStore, Tensor, Var};
+use cf_tensor::{pool, Forward, InferCtx, ParamStore, Tensor, Var};
+use std::collections::HashMap;
 
 /// Encodes a batch of RA-Chains into value-aware chain representations
 /// `ẽ_c ∈ R^d` (one row per chain).
@@ -130,14 +131,16 @@ impl ChainEncoder {
         self.max_len
     }
 
-    /// Encodes `chains` into `[k, d]` value-aware representations `ẽ_c`.
+    /// Encodes `chains` into `[k, d]` value-aware representations `ẽ_c`:
+    /// [`Self::encode_patterns`] over the chains' patterns, then
+    /// [`Self::affine_transfer`] with their values.
     ///
     /// Generic over the evaluation context: a [`cf_tensor::Tape`] for
     /// training or an [`cf_tensor::InferCtx`] for the tape-free serving
     /// path. The batch may concatenate the chains of several queries —
-    /// every row's encoding depends only on that chain's own tokens (padded
-    /// keys are softmax-inert), so per-query rows can be `select_rows`'d
-    /// back out bitwise-unchanged.
+    /// every row's encoding depends only on that chain's own tokens and
+    /// value (padded keys are softmax-inert), so per-query rows can be
+    /// `select_rows`'d back out bitwise-unchanged.
     ///
     /// Panics on an empty batch — the caller (the model) handles empty
     /// Enhanced ToCs with a fallback predictor.
@@ -146,12 +149,33 @@ impl ChainEncoder {
             !chains.is_empty(),
             "ChainEncoder::forward on an empty batch"
         );
-        let k = chains.len();
+        let e_c = self.encode_patterns(t, ps, chains.len(), |i| &chains[i].chain);
+        self.affine_transfer(t, ps, e_c, chains.iter().map(|c| c.value))
+    }
+
+    /// The In-Context Chain Representation (Eq. 11–13) of `k` patterns,
+    /// `pattern(i)` for `i < k`, as `[k, d]` rows `e_c`: token and
+    /// positional embeddings, the sequence encoder, and the `e_end` row.
+    ///
+    /// A row reads its own pattern's tokens and the weights, nothing else:
+    /// no chain value, no other row. Every op is row-local or masks padded
+    /// keys to an exact `+0` softmax weight, each GEMM output element has one
+    /// reduction order whatever the row count, and int8 activation scales
+    /// are per row; so a pattern's row has the same bits in any batch, which
+    /// is what lets [`PatternCache`] keep it.
+    pub fn encode_patterns<'c, F: Forward>(
+        &self,
+        t: &mut F,
+        ps: &ParamStore,
+        k: usize,
+        pattern: impl Fn(usize) -> &'c RaChain + Sync,
+    ) -> Var {
+        assert!(k > 0, "ChainEncoder::encode_patterns on an empty batch");
         // Tokenize with padding, straight into pooled flat buffers — the
         // steady-state training loop re-enters here every step, so no
         // per-chain or per-row vectors.
         let mut lens = pool::Scratch::<usize>::with_capacity(k);
-        lens.extend(chains.iter().map(|c| c.chain.token_len()));
+        lens.extend((0..k).map(|i| pattern(i).token_len()));
         let t_max = lens.iter().copied().max().expect("non-empty");
         assert!(
             t_max <= self.max_len,
@@ -170,10 +194,8 @@ impl ChainEncoder {
                 for i in r {
                     // SAFETY: row `i` belongs to this slice alone.
                     let row = unsafe { shared.get(i * t_max, t_max) };
-                    let len = chains[i].chain.token_len();
-                    chains[i]
-                        .chain
-                        .tokens_into_slice(&self.vocab, &mut row[..len]);
+                    let chain = pattern(i);
+                    chain.tokens_into_slice(&self.vocab, &mut row[..chain.token_len()]);
                 }
             });
         }
@@ -193,7 +215,7 @@ impl ChainEncoder {
 
         // Sequence encoding -> [k, d]. The padding mask is prefix-shaped by
         // construction, so `lens` itself is the mask.
-        let e_c = match self.kind {
+        match self.kind {
             EncoderKind::Transformer => {
                 let enc = self.transformer.as_ref().expect("transformer");
                 let h = enc.forward(t, ps, x, Some(&lens[..]));
@@ -221,33 +243,62 @@ impl ChainEncoder {
                 let invv = t.constant(Tensor::new([k], inv));
                 t.scale_rows(summed, invv)
             }
-        };
-
-        // Numerical-Aware Affine Transfer (Eq. 14–16).
-        self.affine_transfer(t, ps, e_c, chains, k)
+        }
     }
 
-    fn affine_transfer<F: Forward>(
+    /// [`Self::encode_patterns`] of `patterns` (`k` of them) through
+    /// `cache`, on the tape-free path: the patterns the cache lacks are
+    /// encoded once each, deduplicated, in one padded batch and kept; every
+    /// row is then copied out of the cache into a `[k, d]` constant. The
+    /// rows are bit for bit the ones `encode_patterns` gives (see there).
+    pub fn encode_cached<'c>(
+        &self,
+        ctx: &mut InferCtx,
+        ps: &ParamStore,
+        cache: &mut PatternCache,
+        k: usize,
+        patterns: impl Iterator<Item = &'c RaChain> + Clone,
+    ) -> Var {
+        assert!(k > 0, "ChainEncoder::encode_cached on an empty batch");
+        let d = self.dim;
+        let mut slots = pool::Scratch::<usize>::with_capacity(k);
+        let missing = cache.resolve(d, patterns, &mut slots);
+        assert_eq!(slots.len(), k, "encode_cached: pattern count");
+        if !missing.is_empty() {
+            let fresh = self.encode_patterns(ctx, ps, missing.len(), |i| missing[i]);
+            cache.rows.extend_from_slice(ctx.value(fresh).data());
+        }
+        let mut rows = pool::take(k * d);
+        for &s in slots.iter() {
+            rows.extend_from_slice(&cache.rows[s * d..(s + 1) * d]);
+        }
+        ctx.constant(Tensor::new([k, d], rows))
+    }
+
+    /// The Numerical-Aware Affine Transfer (Eq. 14–16) of `e_c: [k, d]`
+    /// with the `k` chains' known values: `ẽ_c = E_α(n)ᵀ e_c + E_β(n) + e_c`.
+    /// Row-local, so it may run over any batch of rows.
+    pub fn affine_transfer<F: Forward>(
         &self,
         t: &mut F,
         ps: &ParamStore,
         e_c: Var,
-        chains: &[ChainInstance],
-        k: usize,
+        values: impl Iterator<Item = f64>,
     ) -> Var {
         let (Some(mlp_a), Some(mlp_b)) = (&self.mlp_alpha, &self.mlp_beta) else {
             return e_c; // ValueEncoding::Disabled
         };
+        let k = t.value(e_c).shape().leading();
         let feat_dim = match self.value_encoding {
             ValueEncoding::FloatBits => FLOAT_BITS,
             ValueEncoding::Log => LOG_FEATURES,
             ValueEncoding::Disabled => unreachable!("guarded above"),
         };
         let mut feats = pool::take(k * feat_dim);
-        for c in chains {
+        for value in values {
             match self.value_encoding {
-                ValueEncoding::FloatBits => float_bits_into(c.value, &mut feats),
-                ValueEncoding::Log => log_features_into(c.value, &mut feats),
+                ValueEncoding::FloatBits => float_bits_into(value, &mut feats),
+                ValueEncoding::Log => log_features_into(value, &mut feats),
                 ValueEncoding::Disabled => unreachable!("guarded above"),
             }
         }
@@ -263,6 +314,129 @@ impl ChainEncoder {
         // Residual keeps the un-transferred representation reachable, which
         // stabilises early training (the affine net starts near-random).
         t.add(affine, e_c)
+    }
+}
+
+/// Bytes of encoder rows a [`PatternCache`] holds before it empties: 4 MiB,
+/// 21,845 rows at `d = 48`.
+pub const PATTERN_CACHE_BYTES: usize = 4 << 20;
+
+/// The Chain Encoder's `e_c` rows ([`ChainEncoder::encode_patterns`]) kept by
+/// chain pattern across tape-free batches: one row of a flat `[n, d]` buffer
+/// per [`RaChain`] seen.
+///
+/// A row depends on the pattern's tokens and on the encoder weights the
+/// context ran with — its own f32 parameters, or the int8 twin attached to
+/// the context — and on nothing else: not the chain's value (that enters in
+/// the affine transfer), not the graph, not the batch. So a cache stays
+/// valid across graph mutations, and must be [`cleared`](Self::clear)
+/// whenever the weights change (a reload, another model, another numeric
+/// mode). Its rows are bounded by a byte budget: when an insert would pass
+/// it, the cache is emptied first, and one batch's own patterns are always
+/// kept.
+#[derive(Debug)]
+pub struct PatternCache {
+    slot: HashMap<RaChain, usize>,
+    /// `[slot.len(), dim]`, row `slot[p]` for pattern `p`.
+    rows: Vec<f32>,
+    dim: usize,
+    budget: usize,
+    cached: u64,
+    encoded: u64,
+}
+
+impl Default for PatternCache {
+    fn default() -> Self {
+        Self::with_budget(PATTERN_CACHE_BYTES)
+    }
+}
+
+impl PatternCache {
+    /// An empty cache with the [`PATTERN_CACHE_BYTES`] budget.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty cache that holds at most `bytes` of rows (or one batch's
+    /// rows, if more).
+    pub fn with_budget(bytes: usize) -> Self {
+        PatternCache {
+            slot: HashMap::new(),
+            rows: Vec::new(),
+            dim: 0,
+            budget: bytes,
+            cached: 0,
+            encoded: 0,
+        }
+    }
+
+    /// Patterns held.
+    pub fn len(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// True when no pattern is held.
+    pub fn is_empty(&self) -> bool {
+        self.slot.is_empty()
+    }
+
+    /// Drops every row; the counters keep counting.
+    pub fn clear(&mut self) {
+        self.slot.clear();
+        self.rows.clear();
+    }
+
+    /// Chain rows answered from a held row, and pattern rows encoded, since
+    /// the last call. Every chain row of a batch is one or the other.
+    pub fn take_counts(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.cached),
+            std::mem::take(&mut self.encoded),
+        )
+    }
+
+    /// Pushes the row slot of every pattern onto `slots`, reserving a slot
+    /// after the held rows for each pattern not held yet, and returns those
+    /// patterns in slot order: the caller encodes them and appends their
+    /// rows. When a reservation would pass the budget while rows from
+    /// earlier batches are held, the cache is emptied and resolution starts
+    /// over.
+    fn resolve<'c>(
+        &mut self,
+        dim: usize,
+        patterns: impl Iterator<Item = &'c RaChain> + Clone,
+        slots: &mut Vec<usize>,
+    ) -> Vec<&'c RaChain> {
+        // A new width, or rows a panicking batch reserved but never filled.
+        if dim != self.dim || self.rows.len() != self.slot.len() * dim {
+            self.clear();
+            self.dim = dim;
+        }
+        let row_bytes = dim * std::mem::size_of::<f32>();
+        'attempt: loop {
+            let held = self.slot.len();
+            let mut missing = Vec::new();
+            slots.clear();
+            for p in patterns.clone() {
+                let s = match self.slot.get(p) {
+                    Some(&s) => s,
+                    None => {
+                        let s = self.slot.len();
+                        if held > 0 && (s + 1) * row_bytes > self.budget {
+                            self.clear();
+                            continue 'attempt;
+                        }
+                        self.slot.insert(p.clone(), s);
+                        missing.push(p);
+                        s
+                    }
+                };
+                slots.push(s);
+            }
+            self.encoded += missing.len() as u64;
+            self.cached += (slots.len() - missing.len()) as u64;
+            return missing;
+        }
     }
 }
 

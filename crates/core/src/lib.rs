@@ -51,6 +51,7 @@ pub use ablation::Variant;
 pub use config::{
     ChainsFormerConfig, EncoderKind, FilterSpace, Loss, Projection, ReasoningSetting, ValueEncoding,
 };
+pub use encoder::PatternCache;
 pub use filter::ChainFilter;
 pub use model::{ChainsFormer, ExplainedChain, PredictionDetail, ResolvedQuery};
 pub use quality::ChainQualityTracker;

@@ -2,7 +2,7 @@
 //! Chain Encoder → Numerical Reasoner (Figure 3).
 
 use crate::config::ChainsFormerConfig;
-use crate::encoder::ChainEncoder;
+use crate::encoder::{ChainEncoder, PatternCache};
 use crate::filter::ChainFilter;
 use crate::fitted::Fitted;
 use crate::quality::ChainQualityTracker;
@@ -351,70 +351,105 @@ impl ChainsFormer {
     /// is cleared on entry; its value arena (and, through the tensor buffer
     /// pool, every op's scratch) is reused across calls, so a warm worker
     /// serves predictions without touching the heap in the model forward.
+    ///
+    /// Runs [`Self::predict_batch_cached`] on a throwaway [`PatternCache`],
+    /// so a pattern is encoded once per call.
     pub fn predict_batch_with_chains_in(
         &self,
         jobs: &[ResolvedQuery<'_>],
         ctx: &mut InferCtx,
     ) -> Vec<PredictionDetail> {
-        ctx.clear();
-        let mut all_chains: Vec<ChainInstance> = Vec::new();
-        // Per job: start row of its chains in the concatenated batch.
-        let mut starts = cf_tensor::pool::Scratch::<usize>::with_capacity(jobs.len());
-        for (_, chains, _) in jobs {
-            starts.push(all_chains.len());
-            all_chains.extend_from_slice(chains);
-        }
-        let e_all = if all_chains.is_empty() {
-            None
-        } else {
-            Some(self.encoder.forward(ctx, &self.params, &all_chains))
-        };
-        jobs.iter()
-            .zip(starts.iter())
-            .map(|(&(query, chains, retrieved), &start)| {
-                if chains.is_empty() {
-                    return PredictionDetail {
-                        query,
-                        value: self.fallback_value(query),
-                        used_fallback: true,
-                        retrieved,
-                        chains: Vec::new(),
-                    };
-                }
-                let mut idx = cf_tensor::pool::Scratch::<usize>::with_capacity(chains.len());
-                idx.extend(start..start + chains.len());
-                let e_q = ctx.select_rows(e_all.expect("non-empty batch"), &idx);
-                let out = self.reasoner.forward(
-                    ctx,
-                    &self.params,
-                    e_q,
-                    chains,
-                    &self.fitted.norm,
-                    query.attr,
-                );
-                let value = ctx.value(out.prediction).item() as f64;
-                let weights = ctx.value(out.weights).data();
-                let chain_preds = ctx.value(out.chain_predictions).data();
-                let explained = chains
-                    .iter()
-                    .zip(weights.iter().zip(chain_preds))
-                    .map(|(ci, (&weight, &prediction))| ExplainedChain {
-                        chain: ci.chain.clone(),
-                        source: ci.source,
-                        known_value: ci.value,
-                        weight,
-                        prediction,
-                    })
-                    .collect();
-                PredictionDetail {
-                    query,
-                    value,
-                    used_fallback: false,
-                    retrieved,
-                    chains: explained,
-                }
+        self.predict_batch_cached(jobs, ctx, &mut PatternCache::new())
+    }
+
+    /// [`Self::predict_batch_with_chains_in`] with the Chain Encoder's rows
+    /// kept in `cache` across calls: only the patterns it lacks are
+    /// encoded. The answers are bit for bit those of
+    /// [`Self::forward`] on a fresh context. `cache` must have been filled
+    /// by this model with the weights `ctx` carries now (see
+    /// [`PatternCache`]).
+    pub fn predict_batch_cached(
+        &self,
+        jobs: &[ResolvedQuery<'_>],
+        ctx: &mut InferCtx,
+        cache: &mut PatternCache,
+    ) -> Vec<PredictionDetail> {
+        let mut details: Vec<PredictionDetail> = jobs
+            .iter()
+            .map(|&(query, _, retrieved)| PredictionDetail {
+                query,
+                value: self.fallback_value(query),
+                used_fallback: true,
+                retrieved,
+                chains: Vec::new(),
             })
-            .collect()
+            .collect();
+        self.forward_batch(jobs, ctx, cache, |i, ctx, out| {
+            let weights = ctx.value(out.weights).data();
+            let chain_preds = ctx.value(out.chain_predictions).data();
+            let detail = &mut details[i];
+            detail.value = ctx.value(out.prediction).item() as f64;
+            detail.used_fallback = false;
+            detail.chains = jobs[i]
+                .1
+                .iter()
+                .zip(weights.iter().zip(chain_preds))
+                .map(|(ci, (&weight, &prediction))| ExplainedChain {
+                    chain: ci.chain.clone(),
+                    source: ci.source,
+                    known_value: ci.value,
+                    weight,
+                    prediction,
+                })
+                .collect();
+        });
+        details
+    }
+
+    /// The tape-free forward behind [`Self::predict_batch_cached`], without
+    /// the explanation payload: the `e_c` rows of every chain of every job
+    /// through `cache` ([`ChainEncoder::encode_cached`]), the affine
+    /// transfer over all of them at once, then the reasoner per job. Hands
+    /// each job that has chains to `each` as (job index, context, output);
+    /// a job without chains is skipped. Clears `ctx` on entry.
+    pub fn forward_batch(
+        &self,
+        jobs: &[ResolvedQuery<'_>],
+        ctx: &mut InferCtx,
+        cache: &mut PatternCache,
+        mut each: impl FnMut(usize, &InferCtx, &ReasonerOutput),
+    ) {
+        ctx.clear();
+        let batch = || jobs.iter().flat_map(|job| job.1);
+        let n = batch().count();
+        if n == 0 {
+            return;
+        }
+        let e_c =
+            self.encoder
+                .encode_cached(ctx, &self.params, cache, n, batch().map(|c| &c.chain));
+        let e_all = self
+            .encoder
+            .affine_transfer(ctx, &self.params, e_c, batch().map(|c| c.value));
+        let mut start = 0;
+        for (i, &(query, chains, _)) in jobs.iter().enumerate() {
+            if chains.is_empty() {
+                continue;
+            }
+            let mut idx = cf_tensor::pool::Scratch::<usize>::with_capacity(chains.len());
+            idx.extend(start..start + chains.len());
+            start += chains.len();
+            let e_q = ctx.select_rows(e_all, &idx);
+            let out = self.reasoner.forward(
+                ctx,
+                &self.params,
+                e_q,
+                chains,
+                &self.fitted.norm,
+                query.attr,
+            );
+            each(i, ctx, &out);
+        }
     }
 }
 

@@ -191,3 +191,44 @@ fn quantized_batch_is_bitwise_deterministic_run_to_run() {
     let bits: Vec<u64> = details.iter().map(|d| d.value.to_bits()).collect();
     assert_eq!(runs[0], bits, "re-quantized store changed prediction bits");
 }
+
+/// The int8 twin of the default model packs exactly the weights a `linear`
+/// reads with at least one register tile of columns: per Transformer layer
+/// (two in the encoder, two in the Treeformer) the four attention
+/// projections and both feed-forward weights, both layers of the affine
+/// transfer's α and β nets, and the first layer of the projection and
+/// weight heads — 30 of them. The three embedding tables (`encoder.tokens`,
+/// `encoder.positions`, `reasoner.len`) only feed `select_rows` and get no
+/// twin.
+#[test]
+fn default_model_packs_only_linear_weights() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let g = yago15k_sim(SynthScale::small(), &mut rng);
+    let split = Split::paper_811(&g, &mut rng);
+    let visible = split.visible_graph(&g);
+    let model = ChainsFormer::new(
+        &visible,
+        &split.train,
+        ChainsFormerConfig::default(),
+        &mut rng,
+    );
+    let q = QuantizedParamStore::from_store(&model.params);
+    assert_eq!(q.num_quantized(), 30);
+    for (id, name, _) in model.params.iter() {
+        if q.entry(id.index()).is_some() {
+            let linear = name.ends_with(".w") && !model.params.is_table(id);
+            assert!(linear, "{name} is not a linear weight");
+        }
+    }
+    for table in ["encoder.tokens", "encoder.positions", "reasoner.len"] {
+        let (id, _, _) = model
+            .params
+            .iter()
+            .find(|(_, name, _)| *name == table)
+            .expect(table);
+        assert!(
+            model.params.is_table(id) && q.entry(id.index()).is_none(),
+            "{table}"
+        );
+    }
+}

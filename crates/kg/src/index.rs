@@ -409,6 +409,7 @@ pub fn write_index(ix: &ChainIndex, path: impl AsRef<Path>) -> Result<(), StoreE
         crate::store::write_end(w, &crcs)?;
         Ok(())
     })
+    .map_err(|e: StoreError| e.on(path))
 }
 
 use std::io::Write as _;
@@ -590,7 +591,8 @@ impl MappedChainIndex {
     /// offsets resident, plus the rows [`ChainIndexView::entries_of`] has
     /// read since.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedChainIndex, StoreError> {
-        let mem = Mmap::open(path)?;
+        let path = path.as_ref();
+        let mem = Mmap::open(path).map_err(|e| StoreError::from(e).on(path))?;
         let bytes = mem.bytes();
         let sections = walk_sections(bytes, &INDEX_MAGIC, index_section_name)?;
         let mut params_r = None;

@@ -35,7 +35,7 @@ use crate::store::StoreError;
 use cf_tensor::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic for the mutation journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"CFJ1\x00\x00\x00\x00";
@@ -336,10 +336,11 @@ pub fn recover_bytes(bytes: &[u8]) -> Result<Recovery, StoreError> {
 /// Recovers a journal file (see [`recover_bytes`]). A missing file is an
 /// empty journal.
 pub fn recover_file(path: impl AsRef<Path>) -> Result<Recovery, StoreError> {
+    let path = path.as_ref();
     match std::fs::read(path) {
         Ok(bytes) => recover_bytes(&bytes),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Recovery::default()),
-        Err(e) => Err(StoreError::Io(e)),
+        Err(e) => Err(StoreError::from(e).on(path)),
     }
 }
 
@@ -351,6 +352,8 @@ pub fn recover_file(path: impl AsRef<Path>) -> Result<Recovery, StoreError> {
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
+    /// The journal's path, named by every I/O error.
+    path: PathBuf,
     pending: Vec<u8>,
     records: u64,
 }
@@ -361,6 +364,10 @@ impl JournalWriter {
     /// subsequent appends extend a valid prefix.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, Recovery), StoreError> {
         let path = path.as_ref();
+        Self::open_at(path).map_err(|e| e.on(path))
+    }
+
+    fn open_at(path: &Path) -> Result<(Self, Recovery), StoreError> {
         let file_len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         let recovery = if file_len == 0 {
             Recovery::default()
@@ -383,6 +390,7 @@ impl JournalWriter {
         }
         let mut w = JournalWriter {
             file,
+            path: path.to_path_buf(),
             pending: Vec::new(),
             records: recovery.mutations.len() as u64,
         };
@@ -410,8 +418,10 @@ impl JournalWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
-        self.file.write_all(&self.pending)?;
-        self.file.sync_data()?;
+        self.file
+            .write_all(&self.pending)
+            .and_then(|()| self.file.sync_data())
+            .map_err(|e| StoreError::from(e).on(&self.path))?;
         self.pending.clear();
         Ok(())
     }
@@ -425,12 +435,14 @@ impl JournalWriter {
     /// base store). Keeps the magic so the file stays a valid journal.
     pub fn truncate_all(&mut self) -> Result<(), StoreError> {
         self.pending.clear();
-        self.file.set_len(JOURNAL_MAGIC.len() as u64)?;
         // Seek before the fsync: if the fsync fails, the next commit still
         // appends right after the magic, never past a hole.
         use std::io::Seek;
-        self.file.seek(std::io::SeekFrom::End(0))?;
-        self.file.sync_data()?;
+        let file = &mut self.file;
+        file.set_len(JOURNAL_MAGIC.len() as u64)
+            .and_then(|()| file.seek(std::io::SeekFrom::End(0)))
+            .and_then(|_| file.sync_data())
+            .map_err(|e| StoreError::from(e).on(&self.path))?;
         self.records = 0;
         Ok(())
     }

@@ -43,7 +43,7 @@ use crate::mmapio::Mmap;
 use cf_tensor::crc::{crc32, Crc};
 use std::io::Write;
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic for the graph store.
 pub const STORE_MAGIC: [u8; 8] = *b"CFKG1\x00\x00\x00";
@@ -87,7 +87,13 @@ fn section_name(tag: u32) -> &'static str {
 #[derive(Debug)]
 pub enum StoreError {
     /// Underlying I/O failure.
-    Io(std::io::Error),
+    Io {
+        /// The file the failing call named; `None` only where the error
+        /// has not yet reached the public function that knows it.
+        path: Option<PathBuf>,
+        /// What the operating system reported.
+        source: std::io::Error,
+    },
     /// The file does not start with the expected magic.
     BadMagic,
     /// The file ends in the middle of the named structure.
@@ -141,7 +147,11 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "io error: {e}"),
+            StoreError::Io {
+                path: Some(path),
+                source,
+            } => write!(f, "io error on {}: {source}", path.display()),
+            StoreError::Io { path: None, source } => write!(f, "io error: {source}"),
             StoreError::BadMagic => write!(f, "bad magic: not a CFKG1/CFCI1 file"),
             StoreError::Truncated { what } => write!(f, "truncated file while reading {what}"),
             StoreError::BadCrc { section } => {
@@ -176,8 +186,22 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
+    fn from(source: std::io::Error) -> Self {
+        StoreError::Io { path: None, source }
+    }
+}
+
+impl StoreError {
+    /// This error with `path` named as the file of an I/O failure that does
+    /// not name one yet; every other error is returned unchanged.
+    pub(crate) fn on(self, path: &Path) -> Self {
+        match self {
+            StoreError::Io { path: None, source } => StoreError::Io {
+                path: Some(path.to_path_buf()),
+                source,
+            },
+            other => other,
+        }
     }
 }
 
@@ -445,7 +469,8 @@ fn write_names<W: Write>(w: &mut W, tag: u32, names: &[String]) -> Result<u32, S
 /// numerics in insertion order), indexed or not — re-ingesting identical
 /// TSV input yields a byte-identical store file.
 pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), StoreError> {
-    cf_tensor::write_atomic(path.as_ref(), |w| {
+    let path = path.as_ref();
+    cf_tensor::write_atomic(path, |w| {
         w.write_all(&STORE_MAGIC)?;
         let mut crcs = Vec::with_capacity(6);
 
@@ -499,6 +524,7 @@ pub fn write_store(g: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<(), Sto
         write_end(w, &crcs)?;
         Ok(())
     })
+    .map_err(|e: StoreError| e.on(path))
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +612,8 @@ fn read_names(body: &[u8], n: usize, section: &'static str) -> Result<Vec<String
 /// graph. `build_index` rebuilds the CSR indexes at the end, so a
 /// loaded-then-rewritten store is byte-identical.
 pub fn read_store(path: impl AsRef<Path>) -> Result<KnowledgeGraph, StoreError> {
-    let mem = Mmap::open(path)?;
+    let path = path.as_ref();
+    let mem = Mmap::open(path).map_err(|e| StoreError::from(e).on(path))?;
     let bytes = mem.bytes();
     let mut found: [Option<&[u8]>; 7] = [None; 7];
     for s in walk_sections(bytes, &STORE_MAGIC, section_name)? {

@@ -11,8 +11,9 @@
 //! identical at *any* shard count. A shard's worker takes the jobs already
 //! queued, up to `max_batch`, resolves each query's chains through the
 //! shard cache, then answers the whole batch with one tape-free
-//! [`ChainsFormer::predict_batch_with_chains`] call (bitwise identical to
-//! per-query taped prediction, pinned in `crates/core/tests/batch_parity.rs`).
+//! [`ChainsFormer::predict_batch_cached`] call through the worker's own
+//! pattern cache of Chain Encoder rows (bitwise identical to per-query taped
+//! prediction, pinned in `crates/core/tests/batch_parity.rs`).
 //!
 //! Admission is latency-aware: beyond the hard per-shard `queue_cap`, a
 //! request carrying a deadline is shed when its *projected queue delay*
@@ -31,7 +32,7 @@ use cf_kg::{
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
 use cf_tensor::{InferCtx, QuantizedParamStore};
-use chainsformer::{ChainsFormer, PredictionDetail, ResolvedQuery};
+use chainsformer::{ChainsFormer, PatternCache, PredictionDetail, ResolvedQuery};
 use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,6 +187,9 @@ struct Shard {
 struct Served {
     model: ChainsFormer,
     quant: Option<Arc<QuantizedParamStore>>,
+    /// Bumped by every reload. A worker whose pattern cache was filled
+    /// under another generation empties it before its next batch.
+    generation: u64,
 }
 
 /// The mutable serving graph: the immutable base store wrapped in a
@@ -530,7 +534,11 @@ impl Engine {
         let metrics = Metrics::with_shards(nshards);
         metrics.set_quantize_int8(cfg.quantize == QuantMode::Int8);
         let shared = Arc::new(Shared {
-            served: RwLock::new(Served { model, quant }),
+            served: RwLock::new(Served {
+                model,
+                quant,
+                generation: 0,
+            }),
             metrics,
             live: RwLock::new(LiveGraph {
                 overlay: OverlayGraph::new(graph),
@@ -817,8 +825,10 @@ impl Engine {
     /// Cached chains are the filter's top-k, so every shard's cache is
     /// emptied under the same write lock when the new filter differs from
     /// the old one in any bit. A reload that keeps the filter (new weights
-    /// from the same fit) keeps the caches: retrieval reads the filter and
-    /// the per-query RNG, not the swapped parameters.
+    /// from the same fit) keeps the chain caches: retrieval reads the filter
+    /// and the per-query RNG, not the swapped parameters. Every reload
+    /// empties each worker's pattern cache: its rows are encoder outputs of
+    /// the old weights.
     ///
     /// Counted in `cf_serve_reloads_ok_total` / `cf_serve_reloads_rejected_total`.
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<(), cf_tensor::CheckpointError> {
@@ -835,7 +845,12 @@ impl Engine {
                     shard.cache.lock().expect("cache poisoned").clear();
                 }
             }
-            *served = Served { model, quant };
+            let generation = served.generation + 1;
+            *served = Served {
+                model,
+                quant,
+                generation,
+            };
             Ok(())
         })();
         let m = &self.shared.metrics;
@@ -901,20 +916,35 @@ impl Shared {
     }
 }
 
+/// What a shard worker keeps across batches, owned by its thread alone.
+struct Worker {
+    /// One inference context, reused across batches: after the first batch
+    /// its value arena and the thread's tensor buffer pool are warm, so
+    /// steady-state forwards never touch the global allocator.
+    ctx: InferCtx,
+    /// The Chain Encoder's rows by pattern, filled under the model
+    /// generation `generation`. Graph mutations leave it valid: a pattern's
+    /// row reads no graph fact.
+    patterns: PatternCache,
+    generation: u64,
+    /// The one buffer for index rows recomputed against the live graph; it
+    /// grows to at most 16 × `per_entity_cap` entries.
+    row: Vec<ChainEntry>,
+}
+
 fn worker_loop(shared: &Shared, shard_ix: usize) {
-    // One inference context per worker, reused across batches: after the
-    // first batch its value arena and the thread's tensor buffer pool are
-    // warm, so steady-state forwards never touch the global allocator.
-    let mut ctx = InferCtx::new();
-    // The worker's one buffer for index rows recomputed against the live
-    // graph; it grows to at most 16 × `per_entity_cap` entries.
-    let mut row: Vec<ChainEntry> = Vec::new();
+    let mut worker = Worker {
+        ctx: InferCtx::new(),
+        patterns: PatternCache::new(),
+        generation: 0,
+        row: Vec::new(),
+    };
     loop {
         let batch = collect_batch(shared, shard_ix);
         if batch.is_empty() {
             return; // shutdown requested and the shard queue is drained
         }
-        process_batch(shared, shard_ix, batch, &mut ctx, &mut row);
+        process_batch(shared, shard_ix, batch, &mut worker);
     }
 }
 
@@ -936,13 +966,7 @@ fn collect_batch(shared: &Shared, shard_ix: usize) -> Vec<Job> {
     q.jobs.drain(..n).collect()
 }
 
-fn process_batch(
-    shared: &Shared,
-    shard_ix: usize,
-    batch: Vec<Job>,
-    ctx: &mut InferCtx,
-    row: &mut Vec<ChainEntry>,
-) {
+fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, worker: &mut Worker) {
     let m = &shared.metrics;
     let shard = &shared.shards[shard_ix];
     m.batch_size.record(batch.len() as u64);
@@ -1005,6 +1029,7 @@ fn process_batch(
                             model.gather_chains_indexed(ix, q, &mut rng)
                         }
                         Some(ix) => {
+                            let row = &mut worker.row;
                             collect_entity(&live_graph.overlay, q.entity, &ix.params(), row);
                             m.index_rows_rebuilt.fetch_add(1, Ordering::Relaxed);
                             model.gather_chains_row(row, q, &mut rng)
@@ -1035,11 +1060,20 @@ fn process_batch(
     // The twin is attached for this batch only (an Arc clone, `None` in
     // f32 mode), read under the model read lock: a batch never pairs
     // parameters and twin of different generations, and an idle worker
-    // keeps no twin alive past a reload.
+    // keeps no twin alive past a reload. Pattern rows of another
+    // generation are dropped first.
+    if worker.generation != served.generation {
+        worker.patterns.clear();
+        worker.generation = served.generation;
+    }
+    let ctx = &mut worker.ctx;
     ctx.set_weights(served.quant.clone());
-    let details = model.predict_batch_with_chains_in(&jobs_view, ctx);
+    let details = model.predict_batch_cached(&jobs_view, ctx, &mut worker.patterns);
     ctx.set_weights(None);
     drop(served);
+    let (cached, encoded) = worker.patterns.take_counts();
+    m.pattern_rows_cached.fetch_add(cached, Ordering::Relaxed);
+    m.pattern_rows_encoded.fetch_add(encoded, Ordering::Relaxed);
 
     // Feed admission control: per-request service time (retrieval +
     // forward, amortized over the batch) folded into this shard's EWMA.
@@ -1458,6 +1492,63 @@ mod tests {
                 engine_cfg,
             );
             let at = format!("{quantize}, {shards} shard(s)");
+            assert_eq!(after, answers(&fresh, &queries), "{at}");
+            assert_ne!(after, before, "{at}: reload changed nothing");
+            e.shutdown();
+            fresh.shutdown();
+        }
+    }
+
+    /// A reload whose filter has the same bits keeps every chain cache, but
+    /// its new encoder weights must reach the answers: no worker may keep
+    /// the Chain Encoder rows of the old ones. B is A with the encoder
+    /// Transformer's weights scaled, so a kept pattern cache would serve A's
+    /// rows under B's affine transfer and reasoner.
+    #[test]
+    fn same_filter_reload_serves_the_new_encoder_weights() {
+        let dir = TempDir::new("reload_same_filter");
+        let (visible, model_a, queries) = fixture(3);
+        let mut model_b = model_a.clone();
+        let encoder: Vec<cf_tensor::ParamId> = model_b
+            .params
+            .iter()
+            .filter(|(_, name, _)| name.starts_with("encoder.tf."))
+            .map(|(id, _, _)| id)
+            .collect();
+        assert!(!encoder.is_empty());
+        for id in encoder {
+            for x in model_b.params.get_mut(id).data_mut() {
+                *x *= 1.25;
+            }
+        }
+        assert!(model_a.filter().same_bits(model_b.filter()));
+        let b_ckpt = dir.join("b.ckpt");
+        model_b.save_params_to(&b_ckpt).unwrap();
+        for (quantize, shards) in [QuantMode::F32, QuantMode::Int8]
+            .into_iter()
+            .flat_map(|q| [(q, 1usize), (q, 4)])
+        {
+            let at = format!("{quantize}, {shards} shard(s)");
+            let engine_cfg = EngineConfig {
+                shards,
+                quantize,
+                ..EngineConfig::default()
+            };
+            let e = Engine::new(model_a.clone(), visible.clone(), engine_cfg.clone());
+            let before = answers(&e, &queries); // warms chain and pattern caches
+            e.reload(&b_ckpt).expect("reload B");
+            let hits = e.metrics().cache_hits.load(Ordering::Relaxed);
+            let after = answers(&e, &queries);
+            assert_eq!(
+                e.metrics().cache_hits.load(Ordering::Relaxed),
+                hits + queries.len() as u64,
+                "{at}: the reload dropped chain caches"
+            );
+            let fresh = Engine::new(
+                ChainsFormer::load(&b_ckpt, model_a.cfg.clone(), &visible).expect("load B"),
+                visible.clone(),
+                engine_cfg,
+            );
             assert_eq!(after, answers(&fresh, &queries), "{at}");
             assert_ne!(after, before, "{at}: reload changed nothing");
             e.shutdown();
@@ -2034,6 +2125,65 @@ mod tests {
             .contains("cf_serve_index_rows_rebuilt_total 0\n"));
         indexed.shutdown();
         plain.shutdown();
+    }
+
+    /// Serves `queries` once; returns the chain rows served and how many of
+    /// their patterns were new to `seen`, the patterns each shard has met.
+    fn serve_patterns(
+        e: &Engine,
+        queries: &[Query],
+        seen: &mut [HashSet<cf_chains::RaChain>],
+    ) -> (u64, u64) {
+        let (mut rows, mut new) = (0, 0);
+        for &q in queries {
+            let d = e.predict(q).expect("predict").detail;
+            rows += d.chains.len() as u64;
+            let shard = &mut seen[shard_of(q.entity, seen.len())];
+            for c in d.chains {
+                new += u64::from(shard.insert(c.chain));
+            }
+        }
+        (rows, new)
+    }
+
+    /// `cf_serve_pattern_rows_encoded_total` counts one row per distinct
+    /// pattern a shard's worker meets, and `cf_serve_pattern_rows_cached_total`
+    /// every other chain row served: repeats hit, a mutation keeps the rows
+    /// (only the new patterns it brings are encoded), and a reload drops
+    /// them (each pattern is encoded again), at shards 1 and 4.
+    #[test]
+    fn pattern_rows_are_counted_exactly() {
+        let dir = TempDir::new("pattern_rows");
+        for shards in [1usize, 4] {
+            let (e, queries) = engine(EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            });
+            let mut seen = vec![HashSet::new(); shards];
+            let (rows, encoded) = serve_patterns(&e, &queries, &mut seen);
+            assert!(encoded > 0 && encoded < rows, "{encoded} of {rows} encoded");
+            let mut total = (rows, encoded);
+            let mut add = |(rows, new): (u64, u64)| {
+                total.0 += rows;
+                total.1 += new;
+            };
+            add(serve_patterns(&e, &queries, &mut seen)); // every pattern held
+            let muts = mutation_batch(&*e.graph(), queries[0]);
+            e.mutate(&muts).expect("mutate");
+            add(serve_patterns(&e, &queries, &mut seen)); // rows kept across it
+            let ckpt = dir.join(format!("m{shards}.ckpt"));
+            e.model().save_params_to(&ckpt).unwrap();
+            e.reload(&ckpt).expect("reload");
+            seen.iter_mut().for_each(HashSet::clear);
+            add(serve_patterns(&e, &queries, &mut seen)); // rows dropped by it
+            let (rows, encoded) = total;
+            let text = e.metrics_text();
+            for (name, want) in [("cached", rows - encoded), ("encoded", encoded)] {
+                let line = format!("cf_serve_pattern_rows_{name}_total {want}\n");
+                assert!(text.contains(&line), "{shards} shard(s): want {line}{text}");
+            }
+            e.shutdown();
+        }
     }
 
     /// A mutation that adds evidence moves an indexed answer: giving a

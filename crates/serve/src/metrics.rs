@@ -167,6 +167,12 @@ pub struct Metrics {
     /// still applied and acknowledged; its journal keeps the records, and
     /// the next attempt waits for `--compact-every` more of them.
     pub compactions_failed: AtomicU64,
+    /// Chain rows whose Chain Encoder row a worker's pattern cache already
+    /// held (or that repeat a pattern encoded earlier in the same batch).
+    pub pattern_rows_cached: AtomicU64,
+    /// Pattern rows the Chain Encoder's Transformer encoded: one per
+    /// distinct pattern a batch's worker cache lacked.
+    pub pattern_rows_encoded: AtomicU64,
     /// End-to-end latency per answered request, microseconds.
     pub latency_us: Histogram,
     /// Batch sizes actually executed by the workers.
@@ -202,6 +208,8 @@ impl Metrics {
             mutations_ok: AtomicU64::new(0),
             mutations_rejected: AtomicU64::new(0),
             compactions_failed: AtomicU64::new(0),
+            pattern_rows_cached: AtomicU64::new(0),
+            pattern_rows_encoded: AtomicU64::new(0),
             latency_us: Histogram::new(),
             batch_size: Histogram::new(),
             quantize_int8: AtomicU64::new(0),
@@ -307,6 +315,16 @@ impl Metrics {
             s,
             "cf_serve_compactions_failed_total {}",
             g(&self.compactions_failed)
+        );
+        let _ = writeln!(
+            s,
+            "cf_serve_pattern_rows_cached_total {}",
+            g(&self.pattern_rows_cached)
+        );
+        let _ = writeln!(
+            s,
+            "cf_serve_pattern_rows_encoded_total {}",
+            g(&self.pattern_rows_encoded)
         );
         // Shard-labeled rows come after every global line, so scrapers that
         // stop at the first unknown name (or match exact prefixes) keep

@@ -25,7 +25,7 @@ impl Embedding {
         rng: &mut impl Rng,
     ) -> Self {
         // Small-norm init keeps early softmax/attention temperatures sane.
-        let table = ps.add_init(name, [vocab, dim], Init::Normal(0.02), rng);
+        let table = ps.add_table(name, [vocab, dim], Init::Normal(0.02), rng);
         Embedding { table, vocab, dim }
     }
 

@@ -25,6 +25,9 @@ impl ParamId {
 pub struct ParamStore {
     tensors: Vec<Tensor>,
     names: Vec<String>,
+    /// Per parameter: a row-lookup table ([`Self::add_table`]) that no GEMM
+    /// reads.
+    tables: Vec<bool>,
 }
 
 impl ParamStore {
@@ -37,6 +40,7 @@ impl ParamStore {
     pub fn add(&mut self, name: impl Into<String>, tensor: Tensor) -> ParamId {
         self.tensors.push(tensor);
         self.names.push(name.into());
+        self.tables.push(false);
         ParamId(self.tensors.len() - 1)
     }
 
@@ -49,6 +53,26 @@ impl ParamStore {
         rng: &mut impl Rng,
     ) -> ParamId {
         self.add(name, init.sample(shape, rng))
+    }
+
+    /// Registers a row-lookup table drawn from an initializer: an embedding
+    /// that only `select_rows` reads, so [`crate::QuantizedParamStore`]
+    /// packs no int8 twin of it.
+    pub fn add_table(
+        &mut self,
+        name: impl Into<String>,
+        shape: impl Into<crate::shape::Shape>,
+        init: Init,
+        rng: &mut impl Rng,
+    ) -> ParamId {
+        let id = self.add_init(name, shape, init, rng);
+        self.tables[id.0] = true;
+        id
+    }
+
+    /// Whether a parameter was registered by [`Self::add_table`].
+    pub fn is_table(&self, id: ParamId) -> bool {
+        self.tables[id.0]
     }
 
     /// Borrow of a parameter's tensor.

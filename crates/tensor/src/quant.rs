@@ -429,12 +429,20 @@ pub struct QuantizedParamStore {
 }
 
 impl QuantizedParamStore {
-    /// Quantizes every eligible parameter of `store` (see
-    /// [`QuantizedTensor::from_tensor`] for the eligibility rule).
+    /// Quantizes every eligible parameter of `store` that a `linear` may
+    /// read: each one but the row-lookup tables
+    /// ([`ParamStore::add_table`]), under [`QuantizedTensor::from_tensor`]'s
+    /// eligibility rule.
     pub fn from_store(store: &ParamStore) -> QuantizedParamStore {
         let entries = store
             .iter()
-            .map(|(_, _, t)| QuantizedTensor::from_tensor(t))
+            .map(|(id, _, t)| {
+                if store.is_table(id) {
+                    None
+                } else {
+                    QuantizedTensor::from_tensor(t)
+                }
+            })
             .collect();
         QuantizedParamStore { entries }
     }
