@@ -16,6 +16,16 @@ PROBES="$(grep -rl --exclude-dir=target 'is_x86_feature_detected!' crates \
     || { echo "is_x86_feature_detected! outside crates/tensor/src/simd.rs:"; \
          echo "$PROBES"; exit 1; }
 
+echo "== every bench writes rows =="
+# A bench under crates/bench/benches/ records its numbers as
+# results/BENCH_*.json rows through report::write_json_merged, directly or
+# through report::report_kg (the BENCH_kg writer kg_retrieval and kg_mutate
+# share). Numbers that only reach a console are not evidence: rows or
+# nothing.
+SILENT="$(grep -L 'write_json_merged\|report_kg(' crates/bench/benches/*.rs || true)"
+[ -z "$SILENT" ] \
+    || { echo "benches that never call write_json_merged:"; echo "$SILENT"; exit 1; }
+
 echo "== cargo build --release (offline) =="
 # --workspace selects what the root manifest's default-members already do
 # (every crate, including crates/cli and the bench binaries); it stays
@@ -52,14 +62,13 @@ echo "== quantized accuracy gate (offline, release) =="
 cargo test -q --release --offline -p chainsformer --test quant_accuracy
 
 echo "== bench build + smoke (offline) =="
-# Keep the micro-benchmarks compiling and runnable: a 1-sample pass of the
-# tensor benches catches kernel regressions that only manifest in release
+# Keep the micro-benchmarks compiling and runnable: a 1-sample pass of
+# every bench catches kernel regressions that only manifest in release
 # bench binaries. CF_BENCH_JSON stays unset so results/BENCH_*.json are
 # not clobbered by smoke numbers.
 cargo build --offline --benches --workspace
 CF_BENCH_SAMPLES=1 cargo bench --offline -p chainsformer-bench \
-    --bench tensor_ops --bench tensor_kernels --bench kg_retrieval \
-    --bench kg_mutate >/dev/null
+    --bench tensor_kernels --bench kg_retrieval --bench kg_mutate >/dev/null
 
 echo "== cfbench build + unit tests (offline) =="
 # The repository's benchmark is a cargo package of its own that links

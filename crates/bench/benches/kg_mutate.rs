@@ -17,9 +17,10 @@
 //! `cfkg serve` loads it.
 //!
 //! The 15K-entity arm always runs; the 1M-entity arm is gated behind
-//! `CF_BENCH_KG_LARGE=1` (same convention as `kg_retrieval`). Rows merge
-//! into `results/BENCH_kg.json` keyed on scale+metric, so this bench and
-//! `kg_retrieval` share the file without clobbering each other.
+//! `CF_BENCH_KG_LARGE=1` (same convention as `kg_retrieval`). With
+//! `CF_BENCH_JSON=1` rows merge into `results/BENCH_kg.json` keyed on
+//! scale+metric (`report::report_kg`), so this bench and `kg_retrieval`
+//! share the file without clobbering each other.
 
 use cf_kg::journal::{recover_file, JournalWriter};
 use cf_kg::synth::{large_sim, LargeScale};
@@ -27,8 +28,9 @@ use cf_kg::{read_store, write_store, EntityId, GraphView, Mutation, OverlayGraph
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
 use cf_serve::dirty_entities;
-use chainsformer_bench::report::{write_json_merged, Table};
-use std::path::{Path, PathBuf};
+use chainsformer_bench::micro::{percentiles, secs};
+use chainsformer_bench::report::report_kg;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Hops for the invalidation BFS — the paper's chain-length budget
@@ -40,17 +42,6 @@ fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("cf_bench_mut_{}_{}", std::process::id(), name));
     p
-}
-
-fn secs(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64()
-}
-
-/// Per-op latencies in microseconds, sorted; (p50, p99) picked by rank.
-fn percentiles(mut lat_us: Vec<f64>) -> (f64, f64) {
-    lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pick = |q: f64| lat_us[((lat_us.len() - 1) as f64 * q).round() as usize];
-    (pick(0.50), pick(0.99))
 }
 
 /// One upsert per sampled evidence-bearing entity, spread across the id
@@ -180,17 +171,10 @@ fn main() {
         println!("CF_BENCH_KG_LARGE not set: skipping the 1M-entity arm");
     }
 
-    // Shared with `kg_retrieval` — both benches merge rows into
-    // `BENCH_kg.json`, and the merge stamps the last writer's title, so the
-    // title must describe the union.
-    let mut table = Table::new(
-        "graph store + chain index: load/retrieval latency and live-mutation cost \
-         (store vs TSV, indexed vs walk, journal/overlay/invalidation)",
-        &["scale", "metric", "value", "unit"],
-    );
+    let mut rows = Vec::new();
     for (label, scale, samples) in arms {
         for (metric, value, unit) in run_scale(label, scale, samples) {
-            table.row(vec![
+            rows.push(vec![
                 label.to_string(),
                 metric,
                 if unit == "n" || unit == "B" {
@@ -202,11 +186,5 @@ fn main() {
             ]);
         }
     }
-    table.print();
-
-    if std::env::var("CF_BENCH_JSON").is_ok() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let path = write_json_merged(&table, &dir, "BENCH_kg", 2).expect("write BENCH_kg.json");
-        println!("wrote {}", path.display());
-    }
+    report_kg(rows);
 }

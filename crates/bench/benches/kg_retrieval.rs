@@ -19,9 +19,10 @@
 //! The 15K-entity arm always runs. The 1M-entity arm needs a few GB of
 //! temp space and minutes of CPU, so it is gated behind
 //! `CF_BENCH_KG_LARGE=1`. Set `CF_BENCH_JSON=1` to write
-//! `results/BENCH_kg.json`; partial runs *merge* into the existing file
-//! (keyed on scale+metric), so a small-only run never erases the large
-//! rows. `CF_BENCH_SAMPLES` scales the query count (CI smoke uses 1).
+//! `results/BENCH_kg.json` (`report::report_kg`); partial runs *merge*
+//! into the existing file (keyed on scale+metric), so a small-only run
+//! never erases the large rows. `CF_BENCH_SAMPLES` scales the query count
+//! (CI smoke uses 1).
 
 use cf_chains::{retrieve, retrieve_indexed, Query, RetrievalConfig};
 use cf_kg::io::{write_numerics, write_triples, TsvLoader};
@@ -34,19 +35,16 @@ use cf_kg::{
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
 use cf_tensor::simd;
-use chainsformer_bench::report::{write_json_merged, Table};
+use chainsformer_bench::micro::{percentiles, secs};
+use chainsformer_bench::report::report_kg;
 use std::io::BufReader;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("cf_bench_kg_{}_{}", std::process::id(), name));
     p
-}
-
-fn secs(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64()
 }
 
 /// Median of three timed repetitions. The two headline load metrics feed a
@@ -56,13 +54,6 @@ fn median3(mut run: impl FnMut() -> f64) -> f64 {
     let mut t = [run(), run(), run()];
     t.sort_by(|a, b| a.partial_cmp(b).unwrap());
     t[1]
-}
-
-/// Per-query latencies in microseconds, sorted; (p50, p99) picked by rank.
-fn percentiles(mut lat_us: Vec<f64>) -> (f64, f64) {
-    lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pick = |q: f64| lat_us[((lat_us.len() - 1) as f64 * q).round() as usize];
-    (pick(0.50), pick(0.99))
 }
 
 /// Queries with evidence, spread across the entity range.
@@ -313,18 +304,11 @@ fn main() {
         println!("CF_BENCH_KG_LARGE not set: skipping the 1M-entity arm");
     }
 
-    // Shared with `kg_mutate` — both benches merge rows into
-    // `BENCH_kg.json`, and the merge stamps the last writer's title, so the
-    // title must describe the union.
-    let mut table = Table::new(
-        "graph store + chain index: load/retrieval latency and live-mutation cost \
-         (store vs TSV, indexed vs walk, journal/overlay/invalidation)",
-        &["scale", "metric", "value", "unit"],
-    );
+    let mut rows = Vec::new();
     for (label, scale, params, queries) in arms {
         let r = run_scale(label, scale, params, queries);
         for (metric, value, unit) in r.rows {
-            table.row(vec![
+            rows.push(vec![
                 label.to_string(),
                 metric,
                 fmt_value(value, unit),
@@ -332,11 +316,5 @@ fn main() {
             ]);
         }
     }
-    table.print();
-
-    if std::env::var("CF_BENCH_JSON").is_ok() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let path = write_json_merged(&table, &dir, "BENCH_kg", 2).expect("write BENCH_kg.json");
-        println!("wrote {}", path.display());
-    }
+    report_kg(rows);
 }

@@ -1,18 +1,17 @@
 //! Minimal micro-benchmark harness (offline replacement for Criterion).
 //!
-//! Implements the slice of the Criterion API the `benches/` programs use —
-//! [`Criterion::sample_size`], [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`] /
-//! [`Bencher::iter_batched`] and the [`criterion_group!`] /
-//! [`criterion_main!`] macros — so a bench ports with an import swap.
-//!
-//! Methodology: each benchmark is calibrated once to pick an iteration
-//! count whose wall time is ≈[`SAMPLE_BUDGET_NS`], then timed for
-//! `sample_size` samples; the report prints min / median / mean per-call
-//! time. No outlier analysis or statistics files — these numbers guide
-//! optimization work, they are not a measurement paper. Set
-//! `CF_BENCH_SAMPLES` to override every sample count (e.g. `=5` for a
+//! One timing loop: [`Criterion::bench_function`] drives a [`Bencher`],
+//! and [`Bencher::iter`] picks once an iteration count whose wall time is
+//! ≈[`SAMPLE_BUDGET_NS`], then times `sample_size` samples of it. Each
+//! benchmark prints its min / median / mean per-call time and keeps a
+//! [`BenchStats`] for the bench to write. No outlier analysis: these
+//! numbers guide optimization work, they are not a measurement paper. Set
+//! `CF_BENCH_SAMPLES` to override every sample count (e.g. `=1` for a
 //! smoke run in CI).
+//!
+//! Every bench under `benches/` writes its numbers as `results/BENCH_*.json`
+//! rows (`tensor_kernels` through this loop; `kg_retrieval` and `kg_mutate`
+//! time single operations with [`secs`] and [`percentiles`]).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -20,20 +19,24 @@ use std::time::Instant;
 /// Wall-time target for one calibrated sample.
 const SAMPLE_BUDGET_NS: f64 = 2_000_000.0;
 
-/// Controls how `iter_batched` amortizes setup; only small-input batching
-/// is implemented because that is the only mode the benches use.
-#[derive(Copy, Clone, Debug)]
-pub enum BatchSize {
-    /// Inputs are cheap to hold: pre-build one batch per sample.
-    SmallInput,
+/// Seconds since `t`.
+pub fn secs(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64()
+}
+
+/// The (p50, p99) of per-operation latencies, picked by rank.
+pub fn percentiles(mut lat: Vec<f64>) -> (f64, f64) {
+    lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let pick = |q: f64| lat[((lat.len() - 1) as f64 * q).round() as usize];
+    (pick(0.50), pick(0.99))
 }
 
 /// Summary statistics of one finished benchmark, in nanoseconds per call.
 /// Collected by [`Criterion`] so bench binaries can persist a machine-readable
-/// report (see `report::write_json`) next to the console output.
+/// report (see `report::write_json_merged`) next to the console output.
 #[derive(Clone, Debug)]
 pub struct BenchStats {
-    /// Benchmark id (`group/member` for grouped benches).
+    /// Benchmark id.
     pub name: String,
     /// Median per-call time.
     pub median_ns: f64,
@@ -99,36 +102,6 @@ impl Criterion {
     pub fn results(&self) -> &[BenchStats] {
         &self.results
     }
-
-    /// Starts a named group; member benchmarks are reported as
-    /// `group/member`.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.into(),
-        }
-    }
-}
-
-/// A named collection of related benchmarks.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one member benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.name, id.into());
-        self.criterion.bench_function(full, f);
-        self
-    }
-
-    /// Ends the group (kept for API parity; reporting is immediate).
-    pub fn finish(self) {}
 }
 
 /// Collects timing samples for one benchmark.
@@ -148,29 +121,6 @@ impl Bencher {
             let t0 = Instant::now();
             for _ in 0..iters {
                 black_box(routine());
-            }
-            self.samples
-                .push(t0.elapsed().as_nanos() as f64 / iters as f64);
-        }
-    }
-
-    /// Times `routine` on fresh inputs from `setup`, excluding setup time.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        let iters = {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(routine(input));
-            iters_for(t0.elapsed().as_nanos() as f64)
-        };
-        for _ in 0..self.sample_size {
-            let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
-            let t0 = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
             }
             self.samples
                 .push(t0.elapsed().as_nanos() as f64 / iters as f64);
@@ -226,40 +176,6 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Declares a bench group function, mirroring Criterion's macro grammar.
-#[macro_export]
-macro_rules! criterion_group {
-    (
-        name = $name:ident;
-        config = $config:expr;
-        targets = $($target:path),+ $(,)?
-    ) => {
-        fn $name() {
-            let mut c = $config;
-            $( $target(&mut c); )+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group! {
-            name = $name;
-            config = $crate::micro::Criterion::default();
-            targets = $($target),+
-        }
-    };
-}
-
-/// Declares the bench binary's `main`, running each group in order.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
-pub use crate::{criterion_group, criterion_main};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,29 +189,6 @@ mod tests {
             seen = 5;
         });
         assert_eq!(seen, 5);
-    }
-
-    #[test]
-    fn iter_batched_consumes_fresh_inputs() {
-        let mut c = Criterion::default().sample_size(3);
-        c.bench_function("batched", |b| {
-            b.iter_batched(
-                || vec![1u8, 2, 3],
-                |v| {
-                    assert_eq!(v, [1, 2, 3]);
-                    v.len()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-
-    #[test]
-    fn groups_prefix_names_and_finish() {
-        let mut c = Criterion::default().sample_size(2);
-        let mut g = c.benchmark_group("grp");
-        g.bench_function("member", |b| b.iter(|| 0));
-        g.finish();
     }
 
     #[test]

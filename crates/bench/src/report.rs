@@ -1,9 +1,10 @@
 //! Console tables and CSV/JSON persistence for experiment outputs.
 //!
-//! The JSON writer is hand-rolled (escaping per RFC 8259) so the harness
-//! needs no serialization dependency; tables are small and the schema is
-//! fixed, so a few lines of careful escaping beat a crate.
+//! JSON goes through the workspace's one JSON codec, cf-serve's wire
+//! protocol: cells are rendered with [`escape`] and tables read back with
+//! [`parse_json`].
 
+use cf_serve::protocol::{escape, parse_json, Json};
 use std::io::Write;
 use std::path::Path;
 
@@ -107,8 +108,9 @@ impl Table {
     /// JSON rendering: `{"title", "host_cores", "headers", "rows"}` with
     /// all cells as strings, matching the CSV contents exactly.
     pub fn to_json(&self) -> String {
+        let quote = |s: &str| format!("\"{}\"", escape(s));
         let str_array = |items: &[String]| {
-            let parts: Vec<String> = items.iter().map(|s| json_string(s)).collect();
+            let parts: Vec<String> = items.iter().map(|s| quote(s)).collect();
             format!("[{}]", parts.join(", "))
         };
         let rows: Vec<String> = self
@@ -118,32 +120,12 @@ impl Table {
             .collect();
         format!(
             "{{\n  \"title\": {},\n  \"host_cores\": \"{}\",\n  \"headers\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            json_string(&self.title),
+            quote(&self.title),
             self.host_cores,
             str_array(&self.headers),
             rows.join(",\n")
         )
     }
-}
-
-/// Escapes `s` as a JSON string literal (RFC 8259 §7: quote, backslash and
-/// control characters; everything else passes through as UTF-8).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Writes a table as CSV under `dir/name.csv` (directory created on demand).
@@ -222,126 +204,55 @@ pub fn write_json_merged(
     Ok(path)
 }
 
-/// Parses the fixed `{"title", "host_cores", "headers", "rows"}` JSON shape
-/// produced by [`Table::to_json`]. Returns `None` on anything else — the
-/// merge writer then falls back to replacing the file. (Pre-`host_cores`
-/// files fail here and are replaced wholesale on the next write.)
+/// The `BENCH_kg` table that `kg_retrieval` and `kg_mutate` share: prints
+/// `rows` (`[scale, metric, value, unit]`, each value formatted by its
+/// bench) and, when `CF_BENCH_JSON` is set, merges them into
+/// `results/BENCH_kg.json` keyed on scale and metric. A merge stamps its
+/// own title, so this one title describes both benches' rows.
+pub fn report_kg(rows: Vec<Vec<String>>) {
+    let mut table = Table::new(
+        "graph store + chain index: load/retrieval latency and live-mutation cost \
+         (store vs TSV, indexed vs walk, journal/overlay/invalidation)",
+        &["scale", "metric", "value", "unit"],
+    );
+    for row in rows {
+        table.row(row);
+    }
+    table.print();
+    if std::env::var("CF_BENCH_JSON").is_ok() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let path = write_json_merged(&table, &dir, "BENCH_kg", 2).expect("write BENCH_kg.json");
+        println!("wrote {}", path.display());
+    }
+}
+
+/// Reads back the `{"title", "host_cores", "headers", "rows"}` table
+/// [`Table::to_json`] writes, through cf-serve's JSON parser. Anything else
+/// (another shape, an extra key, a row of another width, a pre-`host_cores`
+/// file) is `None`, and the merge writer then replaces the file.
 fn parse_table_json(text: &str) -> Option<Table> {
-    let mut p = JsonParser {
-        chars: text.chars().peekable(),
+    let Ok(Json::Obj(obj)) = parse_json(text) else {
+        return None;
     };
-    p.expect('{')?;
-    p.key("title")?;
-    let title = p.string()?;
-    p.expect(',')?;
-    p.key("host_cores")?;
-    let host_cores: usize = p.string()?.parse().ok()?;
-    p.expect(',')?;
-    p.key("headers")?;
-    let headers = p.string_array()?;
-    p.expect(',')?;
-    p.key("rows")?;
-    p.expect('[')?;
-    let mut rows = Vec::new();
-    if p.peek()? == ']' {
-        p.expect(']')?;
-    } else {
-        loop {
-            let row = p.string_array()?;
-            if row.len() != headers.len() {
-                return None;
-            }
-            rows.push(row);
-            match p.next_non_ws()? {
-                ',' => continue,
-                ']' => break,
-                _ => return None,
-            }
-        }
-    }
-    p.expect('}')?;
-    Some(Table {
-        title,
-        host_cores,
-        headers,
-        rows,
-    })
-}
-
-/// Minimal recursive-descent reader for [`parse_table_json`]; any deviation
-/// from the expected shape surfaces as `None`.
-struct JsonParser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl JsonParser<'_> {
-    fn peek(&mut self) -> Option<char> {
-        while self.chars.peek().is_some_and(|c| c.is_whitespace()) {
-            self.chars.next();
-        }
-        self.chars.peek().copied()
-    }
-
-    fn next_non_ws(&mut self) -> Option<char> {
-        self.peek()?;
-        self.chars.next()
-    }
-
-    fn expect(&mut self, want: char) -> Option<()> {
-        (self.next_non_ws()? == want).then_some(())
-    }
-
-    /// `"name":` with the exact given name.
-    fn key(&mut self, name: &str) -> Option<()> {
-        (self.string()? == name).then_some(())?;
-        self.expect(':')
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next()? {
-                '"' => return Some(out),
-                '\\' => match self.chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let mut v = 0u32;
-                        for _ in 0..4 {
-                            v = v * 16 + self.chars.next()?.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(v)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn string_array(&mut self) -> Option<Vec<String>> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        if self.peek()? == ']' {
-            self.expect(']')?;
-            return Some(out);
-        }
-        loop {
-            out.push(self.string()?);
-            match self.next_non_ws()? {
-                ',' => continue,
-                ']' => return Some(out),
-                _ => return None,
-            }
-        }
-    }
+    let string = |v: &Json| match v {
+        Json::Str(s) => Some(s.clone()),
+        _ => None,
+    };
+    let strings = |v: &Json| match v {
+        Json::Arr(items) => items.iter().map(string).collect::<Option<Vec<_>>>(),
+        _ => None,
+    };
+    let Json::Arr(rows) = obj.get("rows")? else {
+        return None;
+    };
+    let table = Table {
+        title: string(obj.get("title")?)?,
+        host_cores: string(obj.get("host_cores")?)?.parse().ok()?,
+        headers: strings(obj.get("headers")?)?,
+        rows: rows.iter().map(strings).collect::<Option<_>>()?,
+    };
+    let rows_fit = table.rows.iter().all(|r| r.len() == table.headers.len());
+    (obj.len() == 4 && rows_fit).then_some(table)
 }
 
 /// Formats an error the way the paper's tables do: sensible precision for
@@ -510,6 +421,21 @@ mod tests {
         write_json_merged(&t, dir.path(), "unit_corrupt", 1).unwrap();
         let got = parse_table_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(got.rows, vec![vec!["1".to_string()]]);
+    }
+
+    /// The checked-in bench tables read back and render to the same bytes,
+    /// so a merge into them rewrites only the rows it replaces.
+    #[test]
+    fn checked_in_bench_tables_round_trip_byte_for_byte() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for name in ["BENCH_tensor.json", "BENCH_kg.json"] {
+            let text = std::fs::read_to_string(results.join(name)).unwrap();
+            let table = parse_table_json(&text).unwrap_or_else(|| panic!("{name} does not parse"));
+            assert!(
+                table.to_json() == text,
+                "{name} does not re-render byte for byte"
+            );
+        }
     }
 
     #[test]

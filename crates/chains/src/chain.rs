@@ -36,36 +36,17 @@ impl RaChain {
         self.rels.len()
     }
 
-    /// Token sequence per Eq. 11: `[a_p, r_l, …, r_1, a_q, end]`, where
-    /// `r_l` is the step adjacent to the query entity. Padding is appended
-    /// by the encoder, not here.
-    pub fn tokens(&self, vocab: &ChainVocab) -> Vec<usize> {
-        let mut toks = Vec::with_capacity(self.token_len());
-        self.tokens_into(vocab, &mut toks);
-        toks
-    }
-
-    /// Number of tokens [`Self::tokens`] produces: `hops + 3` framing.
+    /// Number of tokens [`Self::tokens_into_slice`] writes: `hops + 3`
+    /// framing.
     pub fn token_len(&self) -> usize {
         self.rels.len() + 3
     }
 
-    /// Appends the token sequence to `out` without allocating — the
-    /// steady-state encoder path writes straight into a pooled flat buffer.
-    pub fn tokens_into(&self, vocab: &ChainVocab, out: &mut Vec<usize>) {
-        out.push(vocab.attr_token(self.known_attr));
-        for dr in &self.rels {
-            out.push(vocab.rel_token(*dr));
-        }
-        out.push(vocab.attr_token(self.query_attr));
-        out.push(vocab.end_token());
-    }
-
-    /// Writes the token sequence into `out`, which must be exactly
-    /// [`Self::token_len`] long. Unlike [`Self::tokens_into`] this never
-    /// grows the destination, so the encoder can hand each chain its own
-    /// pre-padded row of a shared flat buffer and tokenize chains in
-    /// parallel.
+    /// Writes the token sequence per Eq. 11, `[a_p, r_l, …, r_1, a_q, end]`
+    /// (`r_l` is the step adjacent to the query entity), into `out`, which
+    /// must be exactly [`Self::token_len`] long. Padding is the encoder's:
+    /// it hands each chain its own pre-padded row of a shared flat buffer
+    /// and tokenizes chains in parallel.
     pub fn tokens_into_slice(&self, vocab: &ChainVocab, out: &mut [usize]) {
         assert_eq!(out.len(), self.token_len(), "tokens_into_slice length");
         out[0] = vocab.attr_token(self.known_attr);
@@ -216,11 +197,17 @@ mod tests {
         );
     }
 
+    fn tokens(c: &RaChain, v: &ChainVocab) -> Vec<usize> {
+        let mut toks = vec![0; c.token_len()];
+        c.tokens_into_slice(v, &mut toks);
+        toks
+    }
+
     #[test]
     fn tokens_follow_eq11_order() {
         let v = vocab();
         let c = chain(2);
-        let toks = c.tokens(&v);
+        let toks = tokens(&c, &v);
         assert_eq!(toks.len(), 5);
         assert_eq!(toks[0], v.attr_token(AttributeId(0)));
         assert_eq!(toks[3], v.attr_token(AttributeId(1)));
@@ -232,7 +219,7 @@ mod tests {
         let v = vocab();
         let c = chain(0);
         assert_eq!(c.hops(), 0);
-        assert_eq!(c.tokens(&v).len(), 3);
+        assert_eq!(tokens(&c, &v).len(), 3);
     }
 
     #[test]

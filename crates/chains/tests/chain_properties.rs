@@ -278,7 +278,8 @@ property! {
             rels: (0..hops).map(|i| DirRel::forward(RelationId((i % rels) as u32))).collect(),
             query_attr: AttributeId((attrs - 1) as u32),
         };
-        let toks = chain.tokens(&v);
+        let mut toks = vec![0; chain.token_len()];
+        chain.tokens_into_slice(&v, &mut toks);
         check_assert_eq!(toks.len(), hops + 3);
         check_assert!(toks[0] >= 2 * rels && toks[0] < 2 * rels + attrs, "first token not an attr");
         check_assert_eq!(toks[toks.len() - 1], v.end_token());

@@ -34,10 +34,10 @@ pub struct Command {
 
 /// Flags of [`load_graph`].
 const GRAPH: &[&str] = &["store", "triples", "numerics"];
-/// Flags of [`config_from`].
-const MODEL: &[&str] = &[
-    "epochs", "dim", "layers", "walks", "top-k", "quality", "seed",
-];
+/// Flags of [`config_from`] but `quality`, which only `train` reads: no
+/// checkpoint holds the chain-quality tracker, so a loaded model never
+/// prunes by it.
+const MODEL: &[&str] = &["epochs", "dim", "layers", "walks", "top-k", "seed"];
 // Flags only `index`, `predict`, `serve` and `loadtest` read.
 const INDEX: &[&str] = &[
     "out",
@@ -52,10 +52,8 @@ const SERVE: &[&str] = &[
     "ckpt",
     "index",
     "port",
-    "max-batch",
     "queue-cap",
     "shards",
-    "cache-cap",
     "quantize",
     "journal",
     "compact-to",
@@ -85,7 +83,7 @@ pub fn lookup(name: &str) -> Option<Command> {
         "ingest" => (ingest, &[GRAPH, &["out"]]),
         "index" => (index, &[GRAPH, INDEX]),
         "stats" => (stats, &[GRAPH]),
-        "train" => (train, &[GRAPH, MODEL, &["ckpt", "resume"]]),
+        "train" => (train, &[GRAPH, MODEL, &["quality", "ckpt", "resume"]]),
         "eval" => (eval, &[GRAPH, MODEL, &["ckpt"]]),
         "predict" => (predict, &[GRAPH, MODEL, PREDICT]),
         "compact" => (compact, &[&["store", "journal", "out"]]),
@@ -147,15 +145,26 @@ pub fn generate(args: &Args) -> CmdResult {
 
 /// Loads the working graph: either a CFKG1 binary store (`--store`, one
 /// mmap-validated read) or the MMKG TSV pair (`--triples`/`--numerics`).
+/// A TSV that cannot be opened or parsed is an error naming its flag and
+/// path.
 fn load_graph(args: &Args) -> Result<KnowledgeGraph, Box<dyn Error>> {
     if let Some(store) = args.get("store") {
         return Ok(read_store(store)?);
     }
     let triples = args.require("triples")?;
     let numerics = args.require("numerics")?;
+    let open = |flag: &str, path: &str| {
+        std::fs::File::open(path)
+            .map(BufReader::new)
+            .map_err(|e| format!("--{flag} {path}: {e}"))
+    };
     let mut loader = TsvLoader::new();
-    loader.load_triples(BufReader::new(std::fs::File::open(triples)?))?;
-    loader.load_numerics(BufReader::new(std::fs::File::open(numerics)?))?;
+    loader
+        .load_triples(open("triples", triples)?)
+        .map_err(|e| format!("--triples {triples}: {e}"))?;
+    loader
+        .load_numerics(open("numerics", numerics)?)
+        .map_err(|e| format!("--numerics {numerics}: {e}"))?;
     Ok(loader.finish())
 }
 
@@ -233,6 +242,7 @@ fn setup(args: &Args) -> Result<(KnowledgeGraph, Split, ChainsFormer, StdRng), B
 pub fn train(args: &Args) -> CmdResult {
     let ckpt = args.require("ckpt")?.to_string();
     let resume = args.switch("resume");
+    check_out_dir("ckpt", &ckpt)?;
     let (visible, split, mut model, mut rng) = setup(args)?;
     outln!(
         "{} on {} queries ({} validation) for up to {} epochs …",
@@ -451,12 +461,7 @@ pub fn compact(args: &Args) -> CmdResult {
             d.bytes
         );
     }
-    let mut changed = 0usize;
-    for m in &rec.mutations {
-        if overlay.apply(m).changed {
-            changed += 1;
-        }
-    }
+    let (changed, _) = overlay.apply_all(&rec.mutations);
     overlay.compact_to(out)?;
     outln!(
         "compacted {} journaled mutation(s) ({} effective) into {}",
@@ -473,16 +478,15 @@ pub fn compact(args: &Args) -> CmdResult {
 pub fn serve(args: &Args) -> CmdResult {
     let port: u16 = args.get_parse("port", 0, "integer")?;
     let cfg = EngineConfig {
-        max_batch: args.get_parse("max-batch", 8, "integer")?,
         queue_cap: args.get_parse("queue-cap", 256, "integer")?,
         // 0 = auto: one shard (queue, cache, worker) per numeric-pool
         // thread. Responses are bitwise identical at every shard count
         // (entity-hash routing + per-query retrieval RNG), so this is
         // purely a throughput knob.
         shards: args.get_parse("shards", 0, "integer")?,
-        cache_cap: args.get_parse("cache-cap", 4096, "integer")?,
         seed: args.get_parse("seed", 7, "integer")?,
         quantize: args.get_parse("quantize", QuantMode::F32, "f32|int8")?,
+        ..EngineConfig::default()
     };
     let loaded = load_model(args)?;
     let (visible, model) = (loaded.visible, loaded.model);
@@ -709,26 +713,27 @@ pub fn ingest(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// Fails, naming `--flag` and `path`, when the directory `path` would be
+/// written in is missing, so a command refuses before a long build or
+/// training run rather than at its first write.
+fn check_out_dir(flag: &str, path: &str) -> CmdResult {
+    let dir = match Path::new(path).parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    match std::fs::metadata(dir) {
+        Ok(m) if m.is_dir() => Ok(()),
+        Ok(_) => Err(format!("--{flag} {path}: {} is not a directory", dir.display()).into()),
+        Err(e) => Err(format!("--{flag} {path}: {e}").into()),
+    }
+}
+
 /// `cfkg index`: precompute the per-entity chain index (CFCI1).
 ///
 /// By default the index covers the *visible* graph of the 8:1:1 split for
 /// `--seed` — exactly the graph `serve --index` runs retrieval against. With
 /// `--full` it covers the raw graph as loaded (the bench / determinism
 /// path; such an index pairs with the store itself, not with a split).
-/// Fails when the directory `out` would be written in is missing, so a
-/// command refuses before a long build rather than at its final write.
-fn check_out_dir(out: &str) -> CmdResult {
-    let dir = match Path::new(out).parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    match std::fs::metadata(dir) {
-        Ok(m) if m.is_dir() => Ok(()),
-        Ok(_) => Err(format!("--out {out}: {} is not a directory", dir.display()).into()),
-        Err(e) => Err(format!("--out {out}: {e}").into()),
-    }
-}
-
 pub fn index(args: &Args) -> CmdResult {
     let out = args.require("out")?;
     let params = IndexParams {
@@ -741,15 +746,12 @@ pub fn index(args: &Args) -> CmdResult {
         )?,
     };
     params.check()?;
-    check_out_dir(out)?;
+    check_out_dir("out", out)?;
     let graph = load_graph(args)?;
     let graph = if args.switch("full") {
         graph
     } else {
-        let seed: u64 = args.get_parse("seed", 7, "integer")?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let split = Split::paper_811(&graph, &mut rng);
-        split.visible_graph(&graph)
+        split_graph(&graph, args.get_parse("seed", 7, "integer")?).0
     };
     let t0 = std::time::Instant::now();
     let ix = build_chain_index(&graph, params);

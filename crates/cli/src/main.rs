@@ -98,15 +98,18 @@ COMMANDS
              --triples FILE --numerics FILE (or --store FILE) --ckpt FILE
              [--resume (continue a killed run bit-for-bit from --ckpt)]
              [--epochs N] [--dim N] [--layers N] [--walks N] [--top-k N]
-             [--seed N] [--quality]
+             [--seed N]
+             [--quality (prune chains by their tracked error while
+              training; no checkpoint holds the tracker, so not with
+              --resume, and a loaded model does not prune)]
   eval       evaluate a checkpoint on the held-out test split
              --triples FILE --numerics FILE --ckpt FILE [--seed N]
-             [model flags as train]
+             [model flags as train but --quality]
   predict    answer queries with their reasoning chains (resident engine)
              --triples FILE --numerics FILE --ckpt FILE
              --entity NAME[,NAME…] --attr NAME [--seed N]
              [--quantize f32|int8 (int8: quantized linear layers, accuracy
-              pinned by the cargo-test gate)] [model flags as train]
+              pinned by the cargo-test gate)] [model flags as train but --quality]
   compact    fold a CFJ1 mutation journal into its CFKG1 store offline
              (torn tails dropped, replay idempotent; journal left intact)
              --store FILE --journal FILE --out FILE
@@ -116,19 +119,17 @@ COMMANDS
              --triples FILE --numerics FILE (or --store FILE) --ckpt FILE
              [--index FILE (serve retrieval from a chain index)]
              [--port N (0 = ephemeral)]
-             [--max-batch N (a shard answers the requests already queued,
-              up to N, in one forward; it never waits for more)]
              [--queue-cap N]
              [--shards N (queues and caches; 0 = one per pool thread;
               responses are bitwise identical at every N)]
-             [--cache-cap N (per shard)] [--seed N]
+             [--seed N]
              [--quantize f32|int8 (int8: one int8 weight twin, rebuilt on
               hot-reload; responses stay deterministic)]
              [--journal FILE (CFJ1 crash-safe mutation journal: {\"mutate\":…}
               requests are fsynced before visible and replayed on restart)]
              [--compact-to FILE --compact-every N (fold the journal into a
               canonical store every N records; atomic tmp+fsync+rename)]
-             [model flags as train]
+             [model flags as train but --quality]
   loadtest   open-loop load generator against a running serve (fixed
              arrival schedule: overload sheds instead of throttling the
              client; identical --seed ⇒ identical request stream)

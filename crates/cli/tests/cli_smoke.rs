@@ -317,7 +317,7 @@ fn unknown_flags_are_usage_errors() {
     let dir = TempDir::new("cfkg_unknown_flag");
     let missing = dir.join("missing.cfkg");
     let missing = missing.to_str().unwrap();
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["stats", "--store", missing, "--shardz", "2"], "--shardz"),
         (
             &[
@@ -344,8 +344,36 @@ fn unknown_flags_are_usage_errors() {
             "--max-wait-us",
         ),
         (
+            &[
+                "serve",
+                "--store",
+                missing,
+                "--ckpt",
+                missing,
+                "--max-batch",
+                "8",
+            ],
+            "--max-batch",
+        ),
+        (
+            &[
+                "serve",
+                "--store",
+                missing,
+                "--ckpt",
+                missing,
+                "--cache-cap",
+                "4096",
+            ],
+            "--cache-cap",
+        ),
+        (
             &["train", "--quality", "--workers", "--resume"],
             "--workers",
+        ),
+        (
+            &["eval", "--store", missing, "--ckpt", missing, "--quality"],
+            "--quality",
         ),
         (&["eval", "--store", missing, "--resume"], "--resume"),
         (
@@ -394,8 +422,9 @@ fn unknown_flags_are_usage_errors() {
 }
 
 /// A file that cannot be read or written is an `error:` line naming it,
-/// exit 1. `index` checks `--out`'s directory before it reads the graph,
-/// so a missing one fails at once, not after the whole build.
+/// exit 1. `index` checks `--out`'s directory and `train` its `--ckpt`'s
+/// before they read the graph, so a missing one fails at once, not after
+/// the whole build or the first epoch.
 #[test]
 fn missing_files_are_named() {
     let dir = TempDir::new("cfkg_missing_files");
@@ -409,11 +438,36 @@ fn missing_files_are_named() {
     g.build_index();
     cf_kg::write_store(&g, &store).unwrap();
     let store = store.to_str().unwrap();
+    let to_missing_ckpt = |command| {
+        let model = [
+            "--dim", "16", "--layers", "1", "--walks", "32", "--top-k", "8",
+        ];
+        let ckpt = ["--ckpt", "/nonexistent_dir/m.ckpt"];
+        [command, "--store", store]
+            .into_iter()
+            .chain(ckpt)
+            .chain(model)
+            .collect::<Vec<_>>()
+    };
+    let (train, eval) = (to_missing_ckpt("train"), to_missing_ckpt("eval"));
     let cases: &[(&[&str], &str)] = &[
         (
             &["stats", "--store", "/nonexistent_dir/x.cfkg"],
             "/nonexistent_dir/x.cfkg",
         ),
+        (
+            &[
+                "stats",
+                "--triples",
+                "/nonexistent_dir/t.tsv",
+                "--numerics",
+                "/nonexistent_dir/n.tsv",
+            ],
+            "--triples /nonexistent_dir/t.tsv",
+        ),
+        (&eval, "/nonexistent_dir/m.ckpt"),
+        // Refused before the graph loads: no epoch runs first.
+        (&train, "--ckpt /nonexistent_dir/m.ckpt"),
         (
             &[
                 "index",
@@ -436,6 +490,8 @@ fn missing_files_are_named() {
             "{args:?} does not name {path}: {stderr}"
         );
         assert!(stderr.contains("No such file or directory"), "{stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("training on"), "{args:?}: {stdout}");
     }
 }
 

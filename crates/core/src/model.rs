@@ -461,8 +461,8 @@ fn read_model(
     cfg: &ChainsFormerConfig,
     vocab: ChainVocab,
 ) -> Result<(Fitted, cf_tensor::Checkpoint), cf_tensor::CheckpointError> {
-    let f = std::fs::File::open(path)?;
-    let ck = cf_tensor::Checkpoint::read(std::io::BufReader::new(f))?;
+    let read = || cf_tensor::Checkpoint::read(std::io::BufReader::new(std::fs::File::open(path)?));
+    let ck = read().map_err(|e| e.on(path))?;
     let body = ck
         .model()
         .ok_or(cf_tensor::CheckpointError::Missing { section: "model" })?;

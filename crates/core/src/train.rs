@@ -77,9 +77,8 @@ pub struct TrainResult {
 /// Errors from checkpointed training ([`Trainer::train_opts`]).
 #[derive(Debug)]
 pub enum TrainError {
-    /// Writing or reading the checkpoint file failed.
-    Io(std::io::Error),
-    /// The checkpoint exists but is rejected (corrupt, CRC failure, or
+    /// Reading or writing the checkpoint file failed (an I/O error names
+    /// the file), or the checkpoint is rejected (corrupt, CRC failure, or
     /// shape/name mismatch against the freshly built model).
     Checkpoint(CheckpointError),
     /// The checkpoint was written under a different configuration; resuming
@@ -93,12 +92,16 @@ pub enum TrainError {
     /// `resume` was requested but the checkpoint carries no training state
     /// (a finished params-only artifact).
     NotResumable,
+    /// `resume` was requested with `chain_quality` on. No checkpoint holds
+    /// the chain-quality tracker, so a resumed run would restart it empty
+    /// and diverge from the uninterrupted run.
+    QualityNotResumable,
 }
 
 impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TrainError::Io(e) => write!(f, "checkpoint io error: {e}"),
+            TrainError::Checkpoint(e @ CheckpointError::Io { .. }) => write!(f, "checkpoint {e}"),
             TrainError::Checkpoint(e) => write!(f, "checkpoint rejected: {e}"),
             TrainError::ConfigMismatch { expected, found } => write!(
                 f,
@@ -110,17 +113,16 @@ impl std::fmt::Display for TrainError {
                 "checkpoint has no training state (a finished params-only artifact) — \
                  it can be served, not resumed"
             ),
+            TrainError::QualityNotResumable => write!(
+                f,
+                "chain-quality training cannot resume: no checkpoint holds the \
+                 chain-quality tracker, so a resumed run would restart it empty"
+            ),
         }
     }
 }
 
 impl std::error::Error for TrainError {}
-
-impl From<std::io::Error> for TrainError {
-    fn from(e: std::io::Error) -> Self {
-        TrainError::Io(e)
-    }
-}
 
 impl From<CheckpointError> for TrainError {
     fn from(e: CheckpointError) -> Self {
@@ -141,7 +143,9 @@ pub struct TrainOptions {
     /// Resume from `checkpoint_path` instead of starting at epoch 0. The
     /// checkpoint must carry training state and match the live config's
     /// fingerprint; the caller's RNG is rewound to the stored state, so the
-    /// resumed trajectory is bit-identical to the uninterrupted one.
+    /// resumed trajectory is bit-identical to the uninterrupted one. A run
+    /// with `chain_quality` on cannot resume
+    /// ([`TrainError::QualityNotResumable`]).
     pub resume: bool,
     /// Cooperative interrupt flag (set from a SIGINT handler): checked at
     /// every batch boundary; when raised, training stops, the best params
@@ -190,6 +194,9 @@ impl<'a> Trainer<'a> {
         opts: &TrainOptions,
     ) -> Result<TrainResult, TrainError> {
         let cfg = self.model.cfg.clone();
+        if opts.resume && cfg.chain_quality {
+            return Err(TrainError::QualityNotResumable);
+        }
         if cfg.chain_quality && self.model.quality.is_none() {
             self.model.quality = Some(crate::quality::ChainQualityTracker::default());
         }
@@ -460,12 +467,7 @@ impl<'a> Trainer<'a> {
                     config_fingerprint: fingerprint,
                     best_params: best_params.clone(),
                 };
-                cf_tensor::save_checkpoint_atomic(
-                    &self.model.params,
-                    Some(&section),
-                    Some(&state),
-                    path,
-                )?;
+                save(&self.model.params, &section, Some(&state), path)?;
             }
 
             if out_of_patience {
@@ -494,7 +496,7 @@ impl<'a> Trainer<'a> {
         // rejected with `TrainError::NotResumable` rather than silently
         // retraining from a non-boundary state.
         if let Some(path) = &opts.checkpoint_path {
-            cf_tensor::save_checkpoint_atomic(&self.model.params, Some(&section), None, path)?;
+            save(&self.model.params, &section, None, path)?;
         }
         Ok(TrainResult {
             epochs,
@@ -508,6 +510,18 @@ impl<'a> Trainer<'a> {
     pub fn evaluate(&self, triples: &[NumTriple], rng: &mut impl Rng) -> RegressionReport {
         evaluate_model(self.model, self.visible, triples, rng)
     }
+}
+
+/// Writes one CFT2 checkpoint of the run atomically to `path`; an I/O
+/// failure names the file.
+fn save(
+    params: &cf_tensor::ParamStore,
+    section: &[u8],
+    state: Option<&TrainState>,
+    path: &std::path::Path,
+) -> Result<(), CheckpointError> {
+    cf_tensor::save_checkpoint_atomic(params, Some(section), state, path)
+        .map_err(|e| CheckpointError::from(e).on(path))
 }
 
 /// Evaluation without holding a mutable trainer borrow.

@@ -186,6 +186,45 @@ fn resume_refuses_config_mismatch_and_finished_runs() {
     assert!(matches!(err, TrainError::NotResumable), "{err}");
 }
 
+/// No checkpoint holds the chain-quality tracker, so a resumed
+/// `chain_quality` run would restart it empty and leave the uninterrupted
+/// trajectory: the trainer refuses to resume one, naming the tracker.
+#[test]
+fn resume_refuses_chain_quality_runs() {
+    let (_dir, ckpt) = tmp_ckpt("quality");
+    let cfg = ChainsFormerConfig {
+        chain_quality: true,
+        ..cfg(3)
+    };
+    let (visible, split, mut model, mut rng) = setup(&cfg, 11);
+    Trainer::new(&mut model, &visible)
+        .train_opts(
+            &split,
+            &mut rng,
+            &TrainOptions {
+                checkpoint_path: Some(ckpt.clone()),
+                stop_after_epochs: Some(1),
+                ..TrainOptions::default()
+            },
+        )
+        .unwrap();
+
+    let (visible2, split2, mut model2, mut rng2) = setup(&cfg, 11);
+    let err = Trainer::new(&mut model2, &visible2)
+        .train_opts(
+            &split2,
+            &mut rng2,
+            &TrainOptions {
+                checkpoint_path: Some(ckpt.clone()),
+                resume: true,
+                ..TrainOptions::default()
+            },
+        )
+        .unwrap_err();
+    assert!(matches!(err, TrainError::QualityNotResumable), "{err}");
+    assert!(err.to_string().contains("chain-quality tracker"), "{err}");
+}
+
 #[test]
 fn interrupt_flag_stops_training_and_ships_best_params() {
     use std::sync::atomic::{AtomicBool, Ordering};

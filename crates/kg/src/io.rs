@@ -77,74 +77,9 @@ impl TsvLoader {
         id
     }
 
-    /// Reads one line into `buf` with the [`MAX_LINE_BYTES`] cap applied
-    /// before buffering. Returns false at EOF.
-    fn read_capped_line(
-        reader: &mut impl BufRead,
-        buf: &mut String,
-        lineno: usize,
-    ) -> Result<bool, LoadError> {
-        buf.clear();
-        // Reading through a Take means an overlong line stops growing the
-        // buffer at the cap instead of allocating without bound.
-        let n = reader
-            .by_ref()
-            .take(MAX_LINE_BYTES as u64 + 1)
-            .read_line(buf)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::InvalidData {
-                    LoadError::Malformed(lineno, "line is not valid UTF-8".into())
-                } else {
-                    LoadError::Io(e)
-                }
-            })?;
-        if n > MAX_LINE_BYTES {
-            return Err(LoadError::Malformed(
-                lineno,
-                format!("line exceeds {MAX_LINE_BYTES} bytes"),
-            ));
-        }
-        Ok(n > 0)
-    }
-
-    /// Checks a token against [`MAX_TOKEN_BYTES`] before it is interned.
-    fn check_token(tok: &str, lineno: usize) -> Result<&str, LoadError> {
-        if tok.len() > MAX_TOKEN_BYTES {
-            return Err(LoadError::Malformed(
-                lineno,
-                format!("token exceeds {MAX_TOKEN_BYTES} bytes"),
-            ));
-        }
-        Ok(tok)
-    }
-
     /// Reads relational triples from a TSV reader.
-    pub fn load_triples(&mut self, mut reader: impl BufRead) -> Result<usize, LoadError> {
-        let mut n = 0;
-        let mut buf = String::new();
-        let mut lineno = 0usize;
-        loop {
-            lineno += 1;
-            if !Self::read_capped_line(&mut reader, &mut buf, lineno)? {
-                break;
-            }
-            let line = buf.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split('\t');
-            let (h, r, t) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(h), Some(r), Some(t)) => (h, r, t),
-                _ => {
-                    return Err(LoadError::Malformed(
-                        lineno,
-                        format!("expected 3 fields, got {line:?}"),
-                    ))
-                }
-            };
-            let h = Self::check_token(h, lineno)?;
-            let r = Self::check_token(r, lineno)?;
-            let t = Self::check_token(t, lineno)?;
+    pub fn load_triples(&mut self, reader: impl BufRead) -> Result<usize, LoadError> {
+        for_each_row(reader, |_, [h, r, t]| {
             let h = self.entity(h);
             let rel = if let Some(&id) = self.relations.get(r) {
                 id
@@ -155,38 +90,13 @@ impl TsvLoader {
             };
             let t = self.entity(t);
             self.graph.add_triple(h, rel, t);
-            n += 1;
-        }
-        Ok(n)
+            Ok(())
+        })
     }
 
     /// Reads numeric triples from a TSV reader.
-    pub fn load_numerics(&mut self, mut reader: impl BufRead) -> Result<usize, LoadError> {
-        let mut n = 0;
-        let mut buf = String::new();
-        let mut lineno = 0usize;
-        loop {
-            lineno += 1;
-            if !Self::read_capped_line(&mut reader, &mut buf, lineno)? {
-                break;
-            }
-            let line = buf.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split('\t');
-            let (e, a, v) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(e), Some(a), Some(v)) => (e, a, v),
-                _ => {
-                    return Err(LoadError::Malformed(
-                        lineno,
-                        format!("expected 3 fields, got {line:?}"),
-                    ))
-                }
-            };
-            let e = Self::check_token(e, lineno)?;
-            let a = Self::check_token(a, lineno)?;
-            let v = Self::check_token(v, lineno)?;
+    pub fn load_numerics(&mut self, reader: impl BufRead) -> Result<usize, LoadError> {
+        for_each_row(reader, |lineno, [e, a, v]| {
             let value: f64 = v
                 .parse()
                 .map_err(|_| LoadError::Malformed(lineno, format!("bad number {v:?}")))?;
@@ -205,15 +115,76 @@ impl TsvLoader {
                 id
             };
             self.graph.add_numeric(e, attr, value);
-            n += 1;
-        }
-        Ok(n)
+            Ok(())
+        })
     }
 
     /// Finishes loading: builds indexes and returns the graph.
     pub fn finish(mut self) -> KnowledgeGraph {
         self.graph.build_index();
         self.graph
+    }
+}
+
+/// The TSV row loop both loaders share: reads each line under the
+/// [`MAX_LINE_BYTES`] cap (applied before buffering), trims it, skips blank
+/// and `#` lines, splits the first three tab fields, checks each against
+/// [`MAX_TOKEN_BYTES`] and hands them to `row` with the line's 1-based
+/// number. Returns how many rows `row` accepted.
+fn for_each_row(
+    mut reader: impl BufRead,
+    mut row: impl FnMut(usize, [&str; 3]) -> Result<(), LoadError>,
+) -> Result<usize, LoadError> {
+    let mut rows = 0;
+    let mut buf = String::new();
+    let mut lineno = 0usize;
+    loop {
+        lineno += 1;
+        buf.clear();
+        // Reading through a Take means an overlong line stops growing the
+        // buffer at the cap instead of allocating without bound.
+        let n = reader
+            .by_ref()
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_line(&mut buf)
+            .map_err(|e| {
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    LoadError::Malformed(lineno, "line is not valid UTF-8".into())
+                } else {
+                    LoadError::Io(e)
+                }
+            })?;
+        if n > MAX_LINE_BYTES {
+            return Err(LoadError::Malformed(
+                lineno,
+                format!("line exceeds {MAX_LINE_BYTES} bytes"),
+            ));
+        }
+        if n == 0 {
+            return Ok(rows);
+        }
+        let line = buf.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.split('\t');
+        let fields = match (parts.next(), parts.next(), parts.next()) {
+            (Some(a), Some(b), Some(c)) => [a, b, c],
+            _ => {
+                return Err(LoadError::Malformed(
+                    lineno,
+                    format!("expected 3 fields, got {line:?}"),
+                ))
+            }
+        };
+        if fields.iter().any(|tok| tok.len() > MAX_TOKEN_BYTES) {
+            return Err(LoadError::Malformed(
+                lineno,
+                format!("token exceeds {MAX_TOKEN_BYTES} bytes"),
+            ));
+        }
+        row(lineno, fields)?;
+        rows += 1;
     }
 }
 

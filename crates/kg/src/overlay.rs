@@ -269,19 +269,23 @@ impl OverlayGraph {
         outcome
     }
 
-    /// Applies a batch (journal replay), returning the union of touched
-    /// entities in first-touch order.
-    pub fn apply_all(&mut self, muts: &[Mutation]) -> Vec<EntityId> {
+    /// Applies a batch in order: a served mutation batch, a journal replay
+    /// or an offline compaction. Returns how many mutations changed the
+    /// graph and the union of touched entities in first-touch order.
+    pub fn apply_all(&mut self, muts: &[Mutation]) -> (usize, Vec<EntityId>) {
+        let mut changed = 0;
         let mut touched = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for m in muts {
-            for e in self.apply(m).touched {
+            let out = self.apply(m);
+            changed += usize::from(out.changed);
+            for e in out.touched {
                 if seen.insert(e) {
                     touched.push(e);
                 }
             }
         }
-        touched
+        (changed, touched)
     }
 
     /// Materializes base + overlay into an indexed heap graph with the

@@ -693,18 +693,7 @@ impl Engine {
             }
         }
         let mut live = self.shared.live.write().expect("live graph poisoned");
-        let mut changed = 0usize;
-        let mut touched: Vec<EntityId> = Vec::new();
-        let mut seen = HashSet::new();
-        for mu in muts {
-            let out = live.overlay.apply(mu);
-            changed += usize::from(out.changed);
-            for e in out.touched {
-                if seen.insert(e.0) {
-                    touched.push(e);
-                }
-            }
-        }
+        let (changed, touched) = live.overlay.apply_all(muts);
         let (dirty, invalidated) = self.shared.invalidate(&mut live, &touched);
         live.generation += 1;
         let generation = live.generation;
@@ -754,12 +743,14 @@ impl Engine {
     }
 
     /// Attaches a CFJ1 mutation journal, replaying any mutations it already
-    /// holds onto the live graph (with the same dirty-marking and cache
-    /// invalidation a fresh [`Self::mutate`] performs — the chain index was
-    /// built against the pristine base, so rows in replayed neighborhoods
-    /// are recomputed against the live graph too). A torn tail left by a
-    /// crash mid-append is truncated by [`JournalWriter::open`]; returns how
-    /// many committed mutations were replayed.
+    /// holds onto the live graph as one batch, with the same dirty-marking
+    /// and cache invalidation a fresh [`Self::mutate`] performs (the chain
+    /// index was built against the pristine base, so rows in replayed
+    /// neighborhoods are recomputed against the live graph too). Every
+    /// record's vocabulary is checked before any applies, so a rejected
+    /// journal leaves the graph as it was. A torn tail left by a crash
+    /// mid-append is truncated by [`JournalWriter::open`]; returns how many
+    /// committed mutations were replayed.
     ///
     /// With `compaction = Some((path, every))`, every `every` journaled
     /// records the live graph is compacted to a canonical CFKG1 at `path`
@@ -778,14 +769,16 @@ impl Engine {
         let replayed = recovery.mutations.len();
         if replayed > 0 {
             let mut live = self.shared.live.write().expect("live graph poisoned");
+            // Applying a record never adds vocabulary, so every record is
+            // checked against the graph as it stands, before any applies.
             for (i, mu) in recovery.mutations.iter().enumerate() {
                 check_vocab(&live.overlay, mu).map_err(|what| StoreError::Corrupt {
                     section: "journal",
                     what: format!("record {i}: {what}"),
                 })?;
-                let touched = live.overlay.apply(mu).touched;
-                self.shared.invalidate(&mut live, &touched);
             }
+            let (_, touched) = live.overlay.apply_all(&recovery.mutations);
+            self.shared.invalidate(&mut live, &touched);
             live.generation += 1;
         }
         *journal = Some(JournalState {
@@ -1884,6 +1877,32 @@ mod tests {
             .collect();
         assert_eq!(want, got, "compacted store changed served bits");
         e3.shutdown();
+    }
+
+    /// A journal whose record names an attribute outside the serving
+    /// vocabulary is refused by name, and the records before it are not
+    /// applied either: a failed replay leaves the graph as it was.
+    #[test]
+    fn rejected_journal_replay_applies_nothing() {
+        let dir = TempDir::new("engine_journal_vocab");
+        let journal = dir.join("live.cfj");
+        let (mut writer, _) = JournalWriter::open(&journal).expect("open");
+        writer.append(&Mutation::AddEntity {
+            name: "before_bad".into(),
+        });
+        writer.append(&Mutation::UpsertNumeric {
+            entity: "before_bad".into(),
+            attr: "no_such_attr".into(),
+            value: 1.0,
+        });
+        writer.commit().expect("commit");
+        drop(writer);
+        let (e, _) = engine(EngineConfig::default());
+        let err = e.attach_journal(&journal, None).unwrap_err().to_string();
+        assert!(err.contains("record 1"), "{err}");
+        assert!(err.contains("no_such_attr"), "{err}");
+        assert!(e.graph().entity_by_name("before_bad").is_none());
+        e.shutdown();
     }
 
     /// A compaction that cannot write its store must not turn a durable,

@@ -36,7 +36,7 @@ use crate::optim::AdamSnapshot;
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use std::io::{self, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const MAGIC2: &[u8; 4] = b"CFT2";
 
@@ -66,7 +66,13 @@ const MAX_SECTION_LEN: u64 = 1 << 31;
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying I/O failure (including unexpected end of stream).
-    Io(io::Error),
+    Io {
+        /// The checkpoint file; `None` for a stream the reader or writer
+        /// was handed without one.
+        path: Option<PathBuf>,
+        /// What the operating system or the stream reported.
+        source: io::Error,
+    },
     /// The stream does not start with a known checkpoint magic.
     BadMagic,
     /// Parameter count/name/shape disagrees with the receiving store.
@@ -89,7 +95,11 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "io error: {e}"),
+            CheckpointError::Io {
+                path: Some(path),
+                source,
+            } => write!(f, "io error on {}: {source}", path.display()),
+            CheckpointError::Io { path: None, source } => write!(f, "io error: {source}"),
             CheckpointError::BadMagic => write!(f, "not a ChainsFormer checkpoint (bad magic)"),
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
             CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
@@ -109,8 +119,22 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
+    fn from(source: io::Error) -> Self {
+        CheckpointError::Io { path: None, source }
+    }
+}
+
+impl CheckpointError {
+    /// This error with `path` named as the file of an I/O failure that does
+    /// not name one yet; every other error is returned unchanged.
+    pub fn on(self, path: &Path) -> Self {
+        match self {
+            CheckpointError::Io { path: None, source } => CheckpointError::Io {
+                path: Some(path.to_path_buf()),
+                source,
+            },
+            other => other,
+        }
     }
 }
 
@@ -696,10 +720,7 @@ impl Checkpoint {
 
 /// An early end of stream, reported as `Io` with the place it happened.
 fn ended_in(e: io::Error, place: &str) -> CheckpointError {
-    CheckpointError::Io(io::Error::new(
-        e.kind(),
-        format!("stream ends {place}: {e}"),
-    ))
+    io::Error::new(e.kind(), format!("stream ends {place}: {e}")).into()
 }
 
 /// Loads a CFT2 checkpoint into an identically structured store
@@ -1006,7 +1027,7 @@ mod tests {
             let mut dst = store();
             let err = load_params(&mut dst, &buf[..cut]).unwrap_err();
             assert!(
-                matches!(err, CheckpointError::Io(_)),
+                matches!(err, CheckpointError::Io { .. }),
                 "cut at {cut}: unexpected {err}"
             );
         }
@@ -1024,7 +1045,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    CheckpointError::Io(_)
+                    CheckpointError::Io { .. }
                         | CheckpointError::Corrupt(_)
                         | CheckpointError::BadCrc { .. }
                         | CheckpointError::BadMagic

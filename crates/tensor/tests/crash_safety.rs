@@ -171,7 +171,7 @@ fn save_survives_write_faults_at_every_offset() {
         assert!(
             matches!(
                 err,
-                CheckpointError::Io(_)
+                CheckpointError::Io { .. }
                     | CheckpointError::Corrupt(_)
                     | CheckpointError::BadCrc { .. }
                     | CheckpointError::BadMagic
@@ -289,7 +289,7 @@ fn adversarial_length_fields_fail_fast_not_oom() {
     b.extend_from_slice(&(1u64 << 30).to_le_bytes());
     b.extend_from_slice(&[0u8; 64]);
     let err = load_checkpoint(&mut dst, &b[..]).unwrap_err();
-    assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
 }
 
 /// The receiving store, the load's error, and that error's text.
@@ -319,7 +319,10 @@ fn truncation_inside_the_model_section_names_it() {
     // ends the stream inside (or right after) the model section.
     for cut in range.start + 1..=range.end {
         let (bits, err) = load_into_fresh(&full[..cut]);
-        assert!(matches!(err, CheckpointError::Io(_)), "cut {cut}: {err}");
+        assert!(
+            matches!(err, CheckpointError::Io { .. }),
+            "cut {cut}: {err}"
+        );
         assert!(err.to_string().contains("\"model\""), "cut {cut}: {err}");
         assert_eq!(bits, untouched, "cut {cut}: store was tainted");
     }
@@ -348,7 +351,7 @@ fn byte_flips_in_the_model_section_are_typed_errors_naming_it() {
             assert!(
                 matches!(
                     err,
-                    CheckpointError::Io(_)
+                    CheckpointError::Io { .. }
                         | CheckpointError::Corrupt(_)
                         | CheckpointError::BadCrc { section: "model" }
                 ),
@@ -387,7 +390,7 @@ fn hostile_model_section_lengths_fail_fast() {
         if absurd {
             assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
         } else {
-            assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+            assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
         }
         assert!(largest < 1 << 20, "a {largest}-byte allocation for {err}");
     }
