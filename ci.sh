@@ -61,6 +61,14 @@ echo "== quantized accuracy gate (offline, release) =="
 # the gate exercises the same SIMD dispatch tiers production serving uses.
 cargo test -q --release --offline -p chainsformer --test quant_accuracy
 
+echo "== bitwise serving suites (offline, release) =="
+# The packed weight twins (DESIGN.md §8, §15.3) and the contracted affine
+# transfer (§9.7) claim the bits of the per-call, materialized path. The
+# debug runs above check that claim in debug codegen; these check it in
+# the optimized codegen `cfkg` serves with, at every SIMD tier the host has.
+cargo test -q --release --offline -p cf-tensor --test packed_twin
+cargo test -q --release --offline -p chainsformer --test batch_parity
+
 echo "== bench build + smoke (offline) =="
 # Keep the micro-benchmarks compiling and runnable: a 1-sample pass of
 # every bench catches kernel regressions that only manifest in release

@@ -9,13 +9,18 @@
 //! The binary runs under [`CountingAlloc`], so next to the timings it
 //! records `allocs_per_step`/`frees_per_step` — steady-state allocator calls
 //! per iteration, measured after a warm-up. The pooled substrate (PR 4) must
-//! hold these at 0 for every arm that runs with the pool enabled.
+//! hold these at 0 for every arm that runs with the pool enabled. The
+//! affine-transfer arms also record `peak_scratch_bytes`: the most heap one
+//! call holds at once with the pool disabled, its working memory.
 
+use cf_chains::ChainVocab;
 use cf_rand::rngs::StdRng;
 use cf_rand::{Rng, SeedableRng};
 use cf_tensor::nn::{Linear, TransformerEncoder};
-use cf_tensor::{ParamStore, Tape, Tensor};
-use chainsformer_bench::alloc::{measure, AllocCounts, CountingAlloc};
+use cf_tensor::{Forward, InferCtx, PackedMatrix, ParamStore, Tape, Tensor};
+use chainsformer::encoder::ChainEncoder;
+use chainsformer::ChainsFormerConfig;
+use chainsformer_bench::alloc::{measure, peak_bytes, AllocCounts, CountingAlloc};
 use chainsformer_bench::micro::Criterion;
 use chainsformer_bench::report::{write_json_merged, Table};
 use std::collections::HashMap;
@@ -173,6 +178,135 @@ fn bench_gemm_i8(c: &mut Criterion, allocs: &mut HashMap<String, AllocCounts>) {
     }
 }
 
+/// The f32 GEMM with `B` packed on every call (`matmul_into`: training,
+/// fresh contexts, an engine before the f32 twin) against `B` packed once
+/// (`PackedMatrix`, the f32 serving twin), at the served model's
+/// `encoder.alpha` output layer (`[32,48]×[48,2304]`), its square layers
+/// (`[32,48]×[48,48]`) and the paper shape's `encoder.alpha` output layer
+/// (`[128,256]×[256,65536]`). Both arms write the same bits; the bench
+/// asserts it once per shape.
+fn bench_gemm_packed_once(c: &mut Criterion, allocs: &mut HashMap<String, AllocCounts>) {
+    let mut rng = StdRng::seed_from_u64(5);
+    for &(m, k, n) in &[
+        (32usize, 48usize, 2304usize),
+        (32, 48, 48),
+        (128, 256, 65536),
+    ] {
+        let a = rand_tensor(&[m, k], &mut rng);
+        let b = rand_tensor(&[k, n], &mut rng);
+        let packed = PackedMatrix::from_tensor(&b);
+        let mut want = vec![0.0f32; m * n];
+        cf_tensor::matmul_into(a.data(), b.data(), &mut want, m, k, n);
+        let mut got = vec![0.0f32; m * n];
+        packed.matmul_rows_into(a.data(), m, &mut got);
+        assert!(
+            want.iter()
+                .zip(&got)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "packed-once GEMM differs at {m}x{k}x{n}"
+        );
+        let mut out = vec![0.0f32; m * n];
+        let name = format!("gemm_per_call/{m}x{k}x{n}");
+        c.bench_function(name.clone(), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                cf_tensor::matmul_into(a.data(), b.data(), &mut out, m, k, n);
+                black_box(out[0])
+            });
+        });
+        steady_state_allocs(allocs, &name, || {
+            cf_tensor::matmul_into(a.data(), b.data(), &mut out, m, k, n);
+        });
+        let name = format!("gemm_packed_once/{m}x{k}x{n}");
+        c.bench_function(name.clone(), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                packed.matmul_rows_into(a.data(), m, &mut out);
+                black_box(out[0])
+            });
+        });
+        steady_state_allocs(allocs, &name, || {
+            packed.matmul_rows_into(a.data(), m, &mut out);
+        });
+    }
+}
+
+/// The Numerical-Aware Affine Transfer (Eq. 14–16) of `k` chain rows on the
+/// tape-free path, with the f32 twin attached: materialized (the composed
+/// graph, `[k, d²]` `E_α` then `bmm`) against contracted tile by tile
+/// (`affine_transfer_distinct`), at the served `d = 48, k = 32` and the
+/// paper's `d = 256, k = 128`. Every chain has its own value, so the
+/// contracted arm gains nothing from deduplication; `_dup` arms give a
+/// third of the chains a value another chain has. Records the peak working
+/// memory of one call next to its time.
+fn bench_affine(
+    c: &mut Criterion,
+    allocs: &mut HashMap<String, AllocCounts>,
+    peaks: &mut HashMap<String, u64>,
+) {
+    let mut rng = StdRng::seed_from_u64(6);
+    for &(d, k) in &[(48usize, 32usize), (256, 128)] {
+        let cfg = ChainsFormerConfig {
+            dim: d,
+            ..ChainsFormerConfig::default()
+        };
+        let mut ps = ParamStore::new();
+        let enc = ChainEncoder::new(&mut ps, &cfg, ChainVocab::new(2, 2), None, &mut rng);
+        let twin = std::sync::Arc::new(cf_tensor::WeightTwin::f32(&ps));
+        let e_c = rand_tensor(&[k, d], &mut rng);
+        let distinct: Vec<f64> = (0..k).map(|i| i as f64 * 1.7 - 3.0).collect();
+        let dup: Vec<f64> = (0..k).map(|i| (i - i / 3) as f64 * 1.7 - 3.0).collect();
+        let mut ctx = InferCtx::new();
+        ctx.set_weights(twin);
+        type Arm<'a> = (&'a str, &'a [f64], bool);
+        let arms: [Arm; 3] = [
+            ("affine_materialized", &distinct, false),
+            ("affine_contracted", &distinct, true),
+            ("affine_contracted_dup", &dup, true),
+        ];
+        let mut outputs = Vec::new();
+        for (arm, values, contracted) in arms {
+            let run = |ctx: &mut InferCtx| {
+                ctx.clear();
+                let e = ctx.constant(e_c.clone());
+                let v = values.iter().copied();
+                let y = if contracted {
+                    enc.affine_transfer_distinct(ctx, &ps, e, v)
+                } else {
+                    enc.affine_transfer(ctx, &ps, e, v)
+                };
+                black_box(ctx.value(y).data()[0]);
+                y
+            };
+            let name = format!("{arm}/d{d}_k{k}");
+            c.bench_function(name.clone(), |bch| bch.iter(|| run(&mut ctx)));
+            steady_state_allocs(allocs, &name, || {
+                run(&mut ctx);
+            });
+            let prev = cf_tensor::pool::set_enabled(false);
+            ctx.clear();
+            let (_, peak) = peak_bytes(|| {
+                run(&mut ctx);
+            });
+            peaks.insert(name, peak);
+            cf_tensor::pool::set_enabled(prev);
+            let y = run(&mut ctx);
+            outputs.push(
+                ctx.value(y)
+                    .data()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(
+            outputs[0], outputs[1],
+            "contracted transfer differs at d={d}"
+        );
+        ctx.clear();
+    }
+}
+
 /// Forward and forward+backward of a matmul through the tape: measures the
 /// backward kernels (dA = G·Bᵀ, dB = Aᵀ·G) on top of the forward.
 fn bench_gemm_tape(c: &mut Criterion) {
@@ -324,6 +458,9 @@ fn main() {
     let mut allocs: HashMap<String, AllocCounts> = HashMap::new();
     bench_gemm(&mut c, &mut allocs);
     bench_gemm_i8(&mut c, &mut allocs);
+    bench_gemm_packed_once(&mut c, &mut allocs);
+    let mut peaks: HashMap<String, u64> = HashMap::new();
+    bench_affine(&mut c, &mut allocs, &mut peaks);
     bench_gemm_tape(&mut c);
     bench_attention(&mut c);
     bench_train_step(&mut c, &mut allocs);
@@ -359,6 +496,7 @@ fn main() {
                 "samples",
                 "allocs_per_step",
                 "frees_per_step",
+                "peak_scratch_bytes",
             ],
         );
         for s in c.results() {
@@ -375,6 +513,9 @@ fn main() {
                 s.samples.to_string(),
                 allocs_col,
                 frees_col,
+                peaks
+                    .get(&s.name)
+                    .map_or("-".to_string(), |p| p.to_string()),
             ]);
         }
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");

@@ -315,6 +315,153 @@ impl ChainEncoder {
         // stabilises early training (the affine net starts near-random).
         t.add(affine, e_c)
     }
+
+    /// [`Self::affine_transfer`] on the tape-free serving path: the same
+    /// bits, with each piece of arithmetic done once.
+    ///
+    /// - `E_α(n)` and `E_β(n)` read the value's features alone, so both MLPs
+    ///   run over the batch's distinct feature rows only (rows are
+    ///   row-local, so a row's bits do not depend on its batch-mates).
+    /// - `e_cᵀ E_α` is contracted while `encoder.alpha`'s last layer hands
+    ///   out its output in column tiles ([`InferCtx::linear_tiles`]), so no
+    ///   `[k, d²]` matrix is materialized, copied or multiplied: a tile
+    ///   holds whole rows `p` of every distinct `E_α`, and each chain adds
+    ///   `e_c[p]·E_α[p, j]` into its `j`-th output in increasing `p` from
+    ///   `+0`, the serial chain the composed path's `bmm` runs.
+    ///
+    /// Distinct values are found per batch, not across batches: one batch's
+    /// tiles are all the working memory the transfer needs, while a cache
+    /// across batches would hold `d²` floats per value (about 72 MB at
+    /// `d = 48` over 2,000 served queries).
+    pub fn affine_transfer_distinct(
+        &self,
+        ctx: &mut InferCtx,
+        ps: &ParamStore,
+        e_c: Var,
+        values: impl Iterator<Item = f64>,
+    ) -> Var {
+        let (Some(mlp_a), Some(mlp_b)) = (&self.mlp_alpha, &self.mlp_beta) else {
+            return e_c; // ValueEncoding::Disabled
+        };
+        let (k, d) = ctx.value(e_c).shape().as_matrix();
+        let feat_dim = match self.value_encoding {
+            ValueEncoding::FloatBits => FLOAT_BITS,
+            ValueEncoding::Log => LOG_FEATURES,
+            ValueEncoding::Disabled => unreachable!("guarded above"),
+        };
+        // The distinct feature rows in first-seen order, and each chain's
+        // row among them, through an open-addressing table of row indices.
+        let mut feats = pool::take(k * feat_dim);
+        let mut which = pool::Scratch::<usize>::with_capacity(k);
+        let mut slots = pool::Scratch::<usize>::with_capacity((2 * k).next_power_of_two());
+        slots.resize((2 * k).next_power_of_two(), usize::MAX);
+        let mask = slots.len() - 1;
+        for value in values {
+            let start = feats.len();
+            match self.value_encoding {
+                ValueEncoding::FloatBits => float_bits_into(value, &mut feats),
+                ValueEncoding::Log => log_features_into(value, &mut feats),
+                ValueEncoding::Disabled => unreachable!("guarded above"),
+            }
+            let (held, row) = feats.split_at(start);
+            let mut slot = feature_hash(row) as usize & mask;
+            let u = loop {
+                match slots[slot] {
+                    usize::MAX => {
+                        slots[slot] = start / feat_dim;
+                        break start / feat_dim;
+                    }
+                    u if same_bits(&held[u * feat_dim..(u + 1) * feat_dim], row) => {
+                        feats.truncate(start);
+                        break u;
+                    }
+                    _ => slot = (slot + 1) & mask,
+                }
+            };
+            which.push(u);
+        }
+        assert_eq!(which.len(), k, "affine_transfer_distinct: value count");
+        let distinct = feats.len() / feat_dim;
+        let fv = ctx.constant(Tensor::new([distinct, feat_dim], feats));
+        let beta = mlp_b.forward(ctx, ps, fv); // [u, d]
+        let hidden = mlp_a.forward_hidden(ctx, ps, fv);
+        let alpha = mlp_a.last();
+
+        let ctx_ref = &*ctx;
+        let e = ctx_ref.value(e_c).data();
+        let mut rotated = pool::Scratch::<f32>::zeroed(k * d);
+        let cols = tile_cols(d);
+        ctx_ref.linear_tiles(ps, hidden, alpha.w, alpha.b, cols, |c0, tile| {
+            let w = cols.min(d * d - c0);
+            contract_tile(e, tile, &which, &mut rotated, d, c0 / d, w);
+        });
+        // ẽ_c = (rotated + E_β) + e_c, the composed path's two adds.
+        let beta = ctx_ref.value(beta).data();
+        let mut out = pool::take(k * d);
+        for (i, &u) in which.iter().enumerate() {
+            let (r, b, x) = (&rotated[i * d..], &beta[u * d..], &e[i * d..]);
+            out.extend((0..d).map(|j| (r[j] + b[j]) + x[j]));
+        }
+        ctx.constant(Tensor::new([k, d], out))
+    }
+}
+
+/// Output columns per [`InferCtx::linear_tiles`] tile of `encoder.alpha`'s
+/// last layer: whole rows of `E_α` (multiples of `d`) and whole packed
+/// panels, about 256 columns.
+fn tile_cols(d: usize) -> usize {
+    let align = cf_tensor::infer::LINEAR_TILE_ALIGN;
+    let (mut a, mut b) = (d, align);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    let lcm = d / a * align;
+    lcm * (256 / lcm).max(1)
+}
+
+/// Multiply-xorshift hash of a feature row's bits. Fixed, so the probe
+/// sequence does not vary from process to process; it never affects which
+/// rows are found equal.
+fn feature_hash(row: &[f32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = 0u64;
+    for x in row {
+        h = (h ^ (h >> 29)).wrapping_mul(K) ^ u64::from(x.to_bits());
+    }
+    h = (h ^ (h >> 32)).wrapping_mul(K);
+    h ^ (h >> 29)
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+cf_tensor::simd_hot! {
+    /// Folds one column tile of `encoder.alpha`'s output into `rotated`:
+    /// `tile` is `[u, w]`, rows `p0 .. p0 + w/d` of every distinct `E_α`,
+    /// and chain `i` adds `e[i, p]·E_α[which[i]][p, j]` into `rotated[i, j]`
+    /// in increasing `p`. The `j` lanes are independent, so they vectorize
+    /// without touching any element's order.
+    fn contract_tile(
+        e: &[f32],
+        tile: &[f32],
+        which: &[usize],
+        rotated: &mut [f32],
+        d: usize,
+        p0: usize,
+        w: usize,
+    ) {
+        for (i, &u) in which.iter().enumerate() {
+            let er = &e[i * d..(i + 1) * d];
+            let rr = &mut rotated[i * d..(i + 1) * d];
+            for (q, arow) in tile[u * w..(u + 1) * w].chunks_exact(d).enumerate() {
+                let ep = er[p0 + q];
+                for (r, &a) in rr.iter_mut().zip(arow) {
+                    *r += ep * a;
+                }
+            }
+        }
+    }
 }
 
 /// Bytes of encoder rows a [`PatternCache`] holds before it empties: 4 MiB,

@@ -12,9 +12,9 @@
 //! this as a typo and keep the k *smallest* (closest, most relevant).
 
 use crate::config::FilterSpace;
-use cf_chains::{ChainInstance, ChainVocab, Query, TreeOfChains};
+use cf_chains::{ChainInstance, ChainVocab, Query, RaChain, TreeOfChains};
 use cf_hyperbolic::{euclidean_distance, PoincareEmbeddings};
-use cf_kg::KnowledgeGraph;
+use cf_kg::{AttributeId, KnowledgeGraph};
 use cf_rand::seq::SliceRandom;
 use cf_rand::Rng;
 
@@ -215,20 +215,33 @@ impl ChainFilter {
     /// The hyperbolic affinity score `s_c^H` (Eq. 9); *lower is more
     /// relevant*. Returns 0 for `Random` (scores unused there).
     pub fn score(&self, chain: &ChainInstance, query: Query) -> f64 {
-        let aq = self.vocab.attr_token(query.attr);
-        let ap = self.vocab.attr_token(chain.chain.known_attr);
+        self.score_pattern(&chain.chain, query.attr, &mut Vec::new())
+    }
+
+    /// [`Self::score`] of a chain with `pattern`'s known attribute and
+    /// relations under the query attribute `query_attr`: all a score reads.
+    /// `points` is the caller's buffer for the relations' embeddings.
+    fn score_pattern<'a>(
+        &'a self,
+        pattern: &RaChain,
+        query_attr: AttributeId,
+        points: &mut Vec<&'a [f64]>,
+    ) -> f64 {
+        let aq = self.vocab.attr_token(query_attr);
+        let ap = self.vocab.attr_token(pattern.known_attr);
         match self.space {
             FilterSpace::Random => 0.0,
             FilterSpace::Hyperbolic => {
                 let emb = self.hyper.as_ref().expect("hyperbolic table");
                 let ball = *emb.ball();
-                let points: Vec<&[f64]> = chain
-                    .chain
-                    .rels
-                    .iter()
-                    .map(|dr| emb.point(self.vocab.rel_token(*dr)))
-                    .collect();
-                let h_c = ball.mobius_chain(&points, self.dim);
+                points.clear();
+                points.extend(
+                    pattern
+                        .rels
+                        .iter()
+                        .map(|dr| emb.point(self.vocab.rel_token(*dr))),
+                );
+                let h_c = ball.mobius_chain(points, self.dim);
                 let inter = ball.distance_arcosh(&h_c, emb.point(aq));
                 let intra = ball.distance_arcosh(emb.point(ap), emb.point(aq));
                 self.lambda * intra + (1.0 - self.lambda) * inter
@@ -236,7 +249,7 @@ impl ChainFilter {
             FilterSpace::Euclidean => {
                 let table = self.eucl.as_ref().expect("euclidean table");
                 let mut h_c = vec![0.0; self.dim];
-                for dr in &chain.chain.rels {
+                for dr in &pattern.rels {
                     for (acc, v) in h_c.iter_mut().zip(&table[self.vocab.rel_token(*dr)]) {
                         *acc += v;
                     }
@@ -246,6 +259,37 @@ impl ChainFilter {
                 self.lambda * intra + (1.0 - self.lambda) * inter
             }
         }
+    }
+
+    /// `(score, retrieval index)` of every chain of `toc`, each distinct
+    /// pattern scored once. Every chain of one call shares the query
+    /// attribute and a score reads only the pattern besides it, so a chain
+    /// whose `(known_attr, rels)` an earlier chain had copies that chain's
+    /// f64: the same value [`Self::score`] gives it. The earlier chains are
+    /// found through an open-addressing table of chain indices in pooled
+    /// scratch.
+    fn scores(&self, toc: &TreeOfChains) -> Vec<(f64, usize)> {
+        let n = toc.chains.len();
+        let size = (2 * n).max(16).next_power_of_two();
+        let mut first = cf_tensor::pool::Scratch::<usize>::with_capacity(size);
+        first.resize(size, usize::MAX);
+        let mut points = Vec::new();
+        let mut scored: Vec<(f64, usize)> = Vec::with_capacity(n);
+        for (i, c) in toc.chains.iter().enumerate() {
+            let mut slot = pattern_hash(&c.chain) as usize & (size - 1);
+            let score = loop {
+                match first[slot] {
+                    usize::MAX => {
+                        first[slot] = i;
+                        break self.score_pattern(&c.chain, toc.query.attr, &mut points);
+                    }
+                    f if same_pattern(&toc.chains[f].chain, &c.chain) => break scored[f].0,
+                    _ => slot = (slot + 1) & (size - 1),
+                }
+            };
+            scored.push((score, i));
+        }
+        scored
     }
 
     /// Builds the Enhanced ToC `T_q^k`: the `k` most relevant chains
@@ -260,12 +304,7 @@ impl ChainFilter {
                 order.into_iter().take(k).map(kept).collect()
             }
             _ => {
-                let mut scored: Vec<(f64, usize)> = toc
-                    .chains
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (self.score(c, toc.query), i))
-                    .collect();
+                let mut scored = self.scores(toc);
                 // Score, then retrieval index: a total order, so the unstable
                 // selection and sort give exactly a stable sort by score.
                 let by_score = |a: &(f64, usize), b: &(f64, usize)| {
@@ -299,6 +338,23 @@ impl ChainFilter {
         v.resize(out_dim, 0.0);
         v
     }
+}
+
+/// Multiply-xorshift hash of a pattern's `(known_attr, rels)`, the part of
+/// a chain [`ChainFilter::score`] reads. Fixed, so the probe sequence does
+/// not vary from process to process; it never affects a score.
+fn pattern_hash(p: &RaChain) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = u64::from(p.known_attr.0);
+    for dr in &p.rels {
+        h = (h ^ (h >> 29)).wrapping_mul(K) ^ dr.token() as u64;
+    }
+    h = (h ^ (h >> 32)).wrapping_mul(K);
+    h ^ (h >> 29)
+}
+
+fn same_pattern(a: &RaChain, b: &RaChain) -> bool {
+    a.known_attr == b.known_attr && a.rels == b.rels
 }
 
 /// Euclidean analogue of the Poincaré pair training (negative-sampling
@@ -541,6 +597,95 @@ mod tests {
             if space != FilterSpace::Random {
                 assert!(ties > 0, "{space:?}: no tied scores exercised");
             }
+        }
+    }
+
+    /// The scoring loop `select_top_k` ran before patterns were
+    /// deduplicated: every chain scored from scratch.
+    fn scores_reference(f: &ChainFilter, toc: &TreeOfChains) -> Vec<(f64, usize)> {
+        toc.chains
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (f.score(c, toc.query), i))
+            .collect()
+    }
+
+    /// One fitted filter per space, fitted once for every case.
+    fn fitted(space: usize) -> &'static ChainFilter {
+        static FILTERS: std::sync::OnceLock<Vec<ChainFilter>> = std::sync::OnceLock::new();
+        &FILTERS.get_or_init(|| {
+            [
+                FilterSpace::Hyperbolic,
+                FilterSpace::Euclidean,
+                FilterSpace::Random,
+            ]
+            .into_iter()
+            .map(|space| setup(space).1)
+            .collect()
+        })[space]
+    }
+
+    cf_check::property! {
+        #![config(cases = 64)]
+
+        /// Over random trees whose chains repeat a few patterns, so that
+        /// many scores tie, every chain's score is the per-chain loop's
+        /// f64, and `select_top_k` keeps the reference selection's chains
+        /// in its order (ties by retrieval index) and draws the same RNG.
+        #[test]
+        fn distinct_pattern_scores_match_the_per_chain_loop(
+            patterns in cf_check::prelude::vec(
+                (0u32..16, cf_check::prelude::vec((0u32..64, 0u32..2), 0..4)),
+                1..6,
+            ),
+            picks in cf_check::prelude::vec((0usize..64, 0u32..500), 0..80),
+            k in 0usize..40,
+            space in 0usize..3,
+            query_attr in 0u32..16,
+            seed in 0u64..u64::MAX,
+        ) {
+            use cf_kg::{Dir, DirRel, EntityId, RelationId};
+            let f = fitted(space);
+            let (nr, na) = (f.vocab.num_relations() as u32, f.vocab.num_attributes() as u32);
+            let patterns: Vec<RaChain> = patterns
+                .into_iter()
+                .map(|(a, rels)| RaChain {
+                    known_attr: AttributeId(a % na),
+                    rels: rels
+                        .into_iter()
+                        .map(|(r, d)| DirRel {
+                            rel: RelationId(r % nr),
+                            dir: if d == 0 { Dir::Forward } else { Dir::Inverse },
+                        })
+                        .collect(),
+                    query_attr: AttributeId(query_attr % na),
+                })
+                .collect();
+            let toc = TreeOfChains {
+                query: Query {
+                    entity: EntityId(0),
+                    attr: AttributeId(query_attr % na),
+                },
+                chains: picks
+                    .iter()
+                    .map(|&(p, source)| ChainInstance {
+                        chain: patterns[p % patterns.len()].clone(),
+                        source: EntityId(source),
+                        value: source as f64 * 0.5,
+                    })
+                    .collect(),
+            };
+            let bits = |v: Vec<(f64, usize)>| {
+                v.into_iter().map(|(s, i)| (s.to_bits(), i)).collect::<Vec<_>>()
+            };
+            cf_check::check_assert_eq!(bits(f.scores(&toc)), bits(scores_reference(f, &toc)));
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let got = f.select_top_k(&toc, k, &mut a);
+            let want = select_top_k_reference(f, &toc, k, &mut b);
+            cf_check::check_assert_eq!(got.chains, want.chains);
+            use cf_rand::SnapshotRng;
+            cf_check::check_assert_eq!(a.state_words(), b.state_words());
         }
     }
 

@@ -409,7 +409,9 @@ impl ChainsFormer {
     /// The tape-free forward behind [`Self::predict_batch_cached`], without
     /// the explanation payload: the `e_c` rows of every chain of every job
     /// through `cache` ([`ChainEncoder::encode_cached`]), the affine
-    /// transfer over all of them at once, then the reasoner per job. Hands
+    /// transfer over all of them at once, once per distinct value
+    /// ([`ChainEncoder::affine_transfer_distinct`]), then the reasoner per
+    /// job. Hands
     /// each job that has chains to `each` as (job index, context, output);
     /// a job without chains is skipped. Clears `ctx` on entry.
     pub fn forward_batch(
@@ -428,9 +430,9 @@ impl ChainsFormer {
         let e_c =
             self.encoder
                 .encode_cached(ctx, &self.params, cache, n, batch().map(|c| &c.chain));
-        let e_all = self
-            .encoder
-            .affine_transfer(ctx, &self.params, e_c, batch().map(|c| c.value));
+        let e_all =
+            self.encoder
+                .affine_transfer_distinct(ctx, &self.params, e_c, batch().map(|c| c.value));
         let mut start = 0;
         for (i, &(query, chains, _)) in jobs.iter().enumerate() {
             if chains.is_empty() {

@@ -8,7 +8,10 @@
 //! 3. a batch predicted through a [`PatternCache`] — empty, warmed by other
 //!    queries, warmed by the same ones, or just emptied at its budget — is
 //!    bit-identical to each query's uncached `forward` on a fresh context,
-//!    in f32 and in int8.
+//!    with no weight twin, with the f32 twin (against a fresh context
+//!    without one) and with the int8 twin, including batches whose chains
+//!    repeat values across patterns and queries (the affine transfer runs
+//!    once per distinct value).
 //!
 //! These are the contracts the serving engine relies on: batching, tape
 //! elimination and pattern caching are pure performance moves, never
@@ -20,7 +23,7 @@ use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::{AttributeId, Dir, DirRel, EntityId, RelationId, Split};
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
-use cf_tensor::{Forward, InferCtx, QuantizedParamStore, Tape};
+use cf_tensor::{Forward, InferCtx, Tape, WeightTwin};
 use chainsformer::{ChainsFormer, ChainsFormerConfig, PatternCache, ResolvedQuery};
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -157,10 +160,12 @@ fn predict_batch_bitwise_matches_sequential_predicts() {
     );
 }
 
-/// The served configuration's model (d = 48, two layers) and its int8 twin,
-/// built once for every case.
-fn served_model() -> &'static (ChainsFormer, Arc<QuantizedParamStore>) {
-    static MODEL: OnceLock<(ChainsFormer, Arc<QuantizedParamStore>)> = OnceLock::new();
+/// The served configuration's model (d = 48, two layers) and its f32 and
+/// int8 twins, built once for every case.
+type Served = (ChainsFormer, Arc<WeightTwin>, Arc<WeightTwin>);
+
+fn served_model() -> &'static Served {
+    static MODEL: OnceLock<Served> = OnceLock::new();
     MODEL.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(29);
         let g = yago15k_sim(SynthScale::small(), &mut rng);
@@ -172,8 +177,9 @@ fn served_model() -> &'static (ChainsFormer, Arc<QuantizedParamStore>) {
             ChainsFormerConfig::default(),
             &mut rng,
         );
-        let quant = Arc::new(QuantizedParamStore::from_store(&model.params));
-        (model, quant)
+        let f32_twin = Arc::new(WeightTwin::f32(&model.params));
+        let int8_twin = Arc::new(WeightTwin::int8(&model.params));
+        (model, f32_twin, int8_twin)
     })
 }
 
@@ -244,10 +250,11 @@ fn patterns_of(jobs: &[(Query, Vec<ChainInstance>)]) -> HashSet<RaChain> {
 
 /// Predicts `jobs` through `cache` and requires every query's value,
 /// chain weights and chain predictions to carry the bits of its uncached
-/// `forward` on a fresh context with the same weights.
+/// `forward` on a fresh context with `reference` attached: the same int8
+/// twin as `ctx`, or none when `ctx` carries the f32 twin or none.
 fn check_cached(
     jobs: &[(Query, Vec<ChainInstance>)],
-    quant: Option<&Arc<QuantizedParamStore>>,
+    reference: Option<&Arc<WeightTwin>>,
     ctx: &mut InferCtx,
     cache: &mut PatternCache,
 ) -> CaseResult {
@@ -265,7 +272,7 @@ fn check_cached(
             continue;
         }
         let mut fresh = InferCtx::new();
-        fresh.set_weights(quant.cloned());
+        fresh.set_weights(reference.cloned());
         let out = model.forward(&mut fresh, chains, *q);
         let want = fresh.value(out.prediction).item() as f64;
         check_assert!(d.value.to_bits() == want.to_bits(), "value of {q:?}");
@@ -284,9 +291,11 @@ property! {
     #![config(cases = 24)]
 
     /// Cached predict equals uncached predict bit for bit, at every cache
-    /// state, in f32 and int8; and the cache encodes exactly the batch's
-    /// distinct patterns it lacks, counting every other chain row as
-    /// cached.
+    /// state, with no twin, the f32 twin and the int8 twin; and the cache
+    /// encodes exactly the batch's distinct patterns it lacks, counting
+    /// every other chain row as cached. In half the cases the chains' values
+    /// come from a pool of a few, so they repeat across patterns and
+    /// queries.
     #[test]
     fn cached_predict_equals_uncached_forward(
         pool in vec((0usize..4, 0u32..u32::MAX, 0u32..4096), 1..12),
@@ -294,9 +303,21 @@ property! {
         picks in vec((0usize..64, -1e6f64..1e6), 1..=64),
         warm_picks in vec((0usize..64, -1e6f64..1e6), 1..=32),
         cuts in vec(1usize..20, 1..6),
-        empty_first in 0usize..3,
+        flags in (0usize..3, 0usize..2, vec(-1e6f64..1e6, 1..5)),
     ) {
-        let (model, quant) = served_model();
+        let (empty_first, shared_values, values) = flags;
+        let (model, f32_twin, int8_twin) = served_model();
+        let share = |picks: Vec<(usize, f64)>| -> Vec<(usize, f64)> {
+            if shared_values == 0 {
+                return picks;
+            }
+            picks
+                .into_iter()
+                .enumerate()
+                .map(|(i, (p, _))| (p, values[(i * 7 + p) % values.len()]))
+                .collect()
+        };
+        let (picks, warm_picks) = (share(picks), share(warm_picks));
         let pool: Vec<RaChain> = pool.into_iter().map(|p| pattern(model, p)).collect();
         let other: Vec<RaChain> = other.into_iter().map(|p| pattern(model, p)).collect();
         let jobs = jobs_of(&pool, &picks, &cuts, empty_first == 0);
@@ -308,32 +329,36 @@ property! {
         let distinct = want.len() as u64;
         let lacking = want.difference(&warm_set).count() as u64;
         let row_bytes = model.cfg.dim * std::mem::size_of::<f32>();
-        for quant in [None, Some(quant)] {
+        for (twin, reference) in [
+            (None, None),
+            (Some(f32_twin), None),
+            (Some(int8_twin), Some(int8_twin)),
+        ] {
             let mut ctx = InferCtx::new();
-            ctx.set_weights(quant.cloned());
+            ctx.set_weights(twin.cloned());
 
             // Empty.
             let mut cache = PatternCache::new();
-            check_cached(&jobs, quant, &mut ctx, &mut cache)?;
+            check_cached(&jobs, reference, &mut ctx, &mut cache)?;
             check_assert_eq!(cache.take_counts(), (rows - distinct, distinct));
             // Warmed by the same queries.
-            check_cached(&jobs, quant, &mut ctx, &mut cache)?;
+            check_cached(&jobs, reference, &mut ctx, &mut cache)?;
             check_assert_eq!(cache.take_counts(), (rows, 0));
 
             // Warmed by other queries.
             let mut cache = PatternCache::new();
-            check_cached(&warm, quant, &mut ctx, &mut cache)?;
+            check_cached(&warm, reference, &mut ctx, &mut cache)?;
             cache.take_counts();
-            check_cached(&jobs, quant, &mut ctx, &mut cache)?;
+            check_cached(&jobs, reference, &mut ctx, &mut cache)?;
             check_assert_eq!(cache.take_counts(), (rows - lacking, lacking));
 
             // A budget the warm batch fills: the first pattern it lacks
             // empties the cache, which then holds this batch alone.
             let mut cache = PatternCache::with_budget(warm_set.len() * row_bytes);
-            check_cached(&warm, quant, &mut ctx, &mut cache)?;
+            check_cached(&warm, reference, &mut ctx, &mut cache)?;
             check_assert_eq!(cache.len(), warm_set.len());
             cache.take_counts();
-            check_cached(&jobs, quant, &mut ctx, &mut cache)?;
+            check_cached(&jobs, reference, &mut ctx, &mut cache)?;
             let (held, encoded) = if lacking > 0 {
                 (want.len(), distinct)
             } else {

@@ -5,7 +5,7 @@
 //! assumed. This gate trains a small model on the simulated twins, resolves
 //! one shared set of evidence chains, runs the identical batch through the
 //! f32 path (an [`InferCtx`]) and the quantized path (an `InferCtx` with the
-//! int8 [`QuantizedParamStore`] attached), and
+//! int8 [`WeightTwin`] attached), and
 //! asserts the *per-attribute* MAE drift — measured in each attribute's
 //! normalized [0, 1] training scale so attributes with wildly different units
 //! are comparable — stays under a fixed threshold.
@@ -22,7 +22,7 @@ use cf_kg::synth::{yago15k_sim, SynthScale};
 use cf_kg::Split;
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
-use cf_tensor::{InferCtx, QuantizedParamStore};
+use cf_tensor::{InferCtx, WeightTwin};
 use chainsformer::{ChainsFormer, ChainsFormerConfig, ResolvedQuery, Trainer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -96,11 +96,11 @@ fn quantized_per_attribute_mae_drift_is_under_gate() {
     let mut fctx = InferCtx::new();
     let f32_details = model.predict_batch_with_chains_in(&jobs, &mut fctx);
 
-    let q = Arc::new(QuantizedParamStore::from_store(&model.params));
+    let q = Arc::new(WeightTwin::int8(&model.params));
     assert!(
-        q.num_quantized() >= 4,
+        q.num_packed() >= 4,
         "expected the encoder/reasoner weight matrices to quantize, got {}",
-        q.num_quantized()
+        q.num_packed()
     );
     let mut qctx = InferCtx::new();
     qctx.set_weights(q);
@@ -149,7 +149,7 @@ fn quantized_predictions_are_independent_of_batch_composition() {
     let jobs_with_truth = resolve_jobs(&model, &visible, &split, &mut storage);
     let jobs: Vec<ResolvedQuery<'_>> = jobs_with_truth.iter().map(|(j, _)| *j).collect();
 
-    let q = Arc::new(QuantizedParamStore::from_store(&model.params));
+    let q = Arc::new(WeightTwin::int8(&model.params));
     let mut ctx = InferCtx::new();
     ctx.set_weights(Arc::clone(&q));
     let together = model.predict_batch_with_chains_in(&jobs, &mut ctx);
@@ -170,7 +170,7 @@ fn quantized_batch_is_bitwise_deterministic_run_to_run() {
     let jobs_with_truth = resolve_jobs(&model, &visible, &split, &mut storage);
     let jobs: Vec<ResolvedQuery<'_>> = jobs_with_truth.iter().map(|(j, _)| *j).collect();
 
-    let q = Arc::new(QuantizedParamStore::from_store(&model.params));
+    let q = Arc::new(WeightTwin::int8(&model.params));
     let mut runs: Vec<Vec<u64>> = Vec::new();
     for _ in 0..2 {
         // Fresh context each run: determinism must not depend on arena warmth.
@@ -184,7 +184,7 @@ fn quantized_batch_is_bitwise_deterministic_run_to_run() {
     // Rebuilding the quantized store from the same params is also bitwise
     // stable — the property reload rests on (a reload of the same file
     // packs a new twin).
-    let q2 = Arc::new(QuantizedParamStore::from_store(&model.params));
+    let q2 = Arc::new(WeightTwin::int8(&model.params));
     let mut ctx = InferCtx::new();
     ctx.set_weights(q2);
     let details = model.predict_batch_with_chains_in(&jobs, &mut ctx);
@@ -212,8 +212,8 @@ fn default_model_packs_only_linear_weights() {
         ChainsFormerConfig::default(),
         &mut rng,
     );
-    let q = QuantizedParamStore::from_store(&model.params);
-    assert_eq!(q.num_quantized(), 30);
+    let q = WeightTwin::int8(&model.params);
+    assert_eq!(q.num_packed(), 30);
     for (id, name, _) in model.params.iter() {
         if q.entry(id.index()).is_some() {
             let linear = name.ends_with(".w") && !model.params.is_table(id);

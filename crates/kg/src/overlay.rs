@@ -34,8 +34,11 @@ use crate::ids::{AttributeId, DirRel, EntityId, RelationId};
 use crate::journal::Mutation;
 use crate::store::StoreError;
 use crate::view::GraphView;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// What applying one mutation changed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -62,10 +65,10 @@ pub struct OverlayGraph {
     num_over: HashMap<u32, Vec<AttrFact>>,
     attr_over: HashMap<u32, Vec<AttrOwner>>,
 
-    // Lazy name → id map covering base + added entities, built on the
-    // first mutation so the apply path is O(1) in the entity count after
-    // a one-time scan (the base store itself only supports linear lookup).
-    entity_ids: Option<HashMap<String, u32>>,
+    // Name → id over base + added entities, built on the first lookup (a
+    // request's name resolution or a mutation's) and kept current by
+    // `ensure_entity`; the base store itself only scans.
+    entity_ids: OnceLock<NameIndex>,
 
     mutations_applied: u64,
 }
@@ -82,7 +85,7 @@ impl OverlayGraph {
             adj_over: HashMap::new(),
             num_over: HashMap::new(),
             attr_over: HashMap::new(),
-            entity_ids: None,
+            entity_ids: OnceLock::new(),
             mutations_applied: 0,
         }
     }
@@ -92,31 +95,17 @@ impl OverlayGraph {
         self.mutations_applied
     }
 
-    fn entity_map(&mut self) -> &mut HashMap<String, u32> {
-        if self.entity_ids.is_none() {
-            let n = self.base.num_entities();
-            let mut map = HashMap::with_capacity(n + self.added_entities.len());
-            for i in 0..n {
-                map.insert(
-                    self.base.entity_name(EntityId(i as u32)).to_string(),
-                    i as u32,
-                );
-            }
-            for (i, name) in self.added_entities.iter().enumerate() {
-                map.insert(name.clone(), (n + i) as u32);
-            }
-            self.entity_ids = Some(map);
-        }
-        self.entity_ids.as_mut().unwrap()
-    }
-
     fn ensure_entity(&mut self, name: &str) -> (EntityId, bool) {
-        if let Some(&id) = self.entity_map().get(name) {
-            return (EntityId(id), false);
+        if let Some(e) = self.entity_by_name(name) {
+            return (e, false);
         }
         let id = self.num_entities() as u32;
         self.added_entities.push(name.to_string());
-        self.entity_map().insert(name.to_string(), id);
+        let (base, added) = (&self.base, &self.added_entities);
+        self.entity_ids
+            .get_mut()
+            .expect("built by the lookup above")
+            .insert(id, &|i| entity_name_in(base, added, i));
         (EntityId(id), true)
     }
 
@@ -383,12 +372,16 @@ impl GraphView for OverlayGraph {
     }
 
     fn entity_name(&self, e: EntityId) -> &str {
-        let n = self.base.num_entities();
-        if (e.0 as usize) < n {
-            self.base.entity_name(e)
-        } else {
-            &self.added_entities[e.0 as usize - n]
-        }
+        entity_name_in(&self.base, &self.added_entities, e.0)
+    }
+
+    /// Through the name index: the first id with `name`, as the scan finds.
+    fn entity_by_name(&self, name: &str) -> Option<EntityId> {
+        let name_of = |i| entity_name_in(&self.base, &self.added_entities, i);
+        self.entity_ids
+            .get_or_init(|| NameIndex::build(self.num_entities(), &name_of))
+            .get(name, &name_of)
+            .map(EntityId)
     }
 
     fn relation_name(&self, r: RelationId) -> &str {
@@ -407,5 +400,141 @@ impl GraphView for OverlayGraph {
         } else {
             &self.added_attributes[a.0 as usize - n]
         }
+    }
+}
+
+/// The name of entity `id` among `base`'s entities followed by `added`.
+fn entity_name_in<'a>(base: &'a KnowledgeGraph, added: &'a [String], id: u32) -> &'a str {
+    let n = base.num_entities();
+    if (id as usize) < n {
+        base.entity_name(EntityId(id))
+    } else {
+        &added[id as usize - n]
+    }
+}
+
+/// Name → entity id lookups without a copy of any name: a power-of-two
+/// open-addressing table of ids, at most half full, whose probes compare
+/// against the graph's own names (`name_of`). About 128 KB at 15k entities.
+/// A repeated name keeps the first id's slot, so lookups agree with the
+/// [`GraphView::entity_by_name`] scan. Names arrive from clients (requests
+/// and mutations), so they are hashed with the standard library's randomly
+/// keyed hasher, which no client can make collide on purpose; the hash
+/// only orders probes and never decides which id a name finds.
+#[derive(Debug)]
+struct NameIndex {
+    slots: Vec<u32>,
+    len: usize,
+    hasher: RandomState,
+}
+
+impl NameIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// The index of ids `0..n`.
+    fn build<'a>(n: usize, name_of: &dyn Fn(u32) -> &'a str) -> NameIndex {
+        let mut index = NameIndex {
+            slots: vec![Self::EMPTY; (2 * n).max(16).next_power_of_two()],
+            len: 0,
+            hasher: RandomState::new(),
+        };
+        for id in 0..n as u32 {
+            index.insert(id, name_of);
+        }
+        index
+    }
+
+    fn get<'a>(&self, name: &str, name_of: &dyn Fn(u32) -> &'a str) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => return None,
+                id if name_of(id) == name => return Some(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds `id` under its name unless an earlier id holds that name.
+    fn insert<'a>(&mut self, id: u32, name_of: &dyn Fn(u32) -> &'a str) {
+        assert_ne!(id, Self::EMPTY, "fewer than 2^32 - 1 entities");
+        let name = name_of(id);
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => break,
+                held if name_of(held) == name => return,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        self.slots[slot] = id;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            // Re-inserting in id order keeps each repeated name's first id.
+            let mut ids: Vec<u32> = self
+                .slots
+                .iter()
+                .copied()
+                .filter(|&i| i != Self::EMPTY)
+                .collect();
+            ids.sort_unstable();
+            self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
+            self.len = 0;
+            for i in ids {
+                self.insert(i, name_of);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A store may repeat an entity name. A request's name resolution and
+    /// a mutation's must agree on the entity it names: the first id, as
+    /// the scan finds it, whichever of the two builds the index.
+    #[test]
+    fn repeated_name_resolves_and_mutates_the_first_id() {
+        let mut g = KnowledgeGraph::new();
+        let x0 = g.add_entity("x");
+        let x1 = g.add_entity("x");
+        g.add_entity("y");
+        let a = g.add_attribute_type("a");
+        g.build_index();
+        let upsert = |value| Mutation::UpsertNumeric {
+            entity: "x".into(),
+            attr: "a".into(),
+            value,
+        };
+
+        // Looked up first.
+        let mut o = OverlayGraph::new(g.clone());
+        assert_eq!(o.entity_by_name("x"), Some(x0));
+        assert_eq!(o.apply(&upsert(2.5)).touched, vec![x0]);
+        assert_eq!(o.value_of(x0, a), Some(2.5));
+        assert_eq!(o.value_of(x1, a), None);
+
+        // Mutated first.
+        let mut o = OverlayGraph::new(g);
+        assert_eq!(o.apply(&upsert(4.0)).touched, vec![x0]);
+        assert_eq!(o.entity_by_name("x"), Some(x0));
+        assert_eq!(o.value_of(x1, a), None);
+
+        // Added names resolve through every growth of the table, and a
+        // re-added name is no new entity.
+        for i in 0..100 {
+            let name = format!("n{i}");
+            let out = o.apply(&Mutation::AddEntity { name: name.clone() });
+            assert!(out.changed);
+            assert_eq!(o.entity_by_name(&name), Some(EntityId(3 + i)));
+        }
+        assert!(!o.apply(&Mutation::AddEntity { name: "x".into() }).changed);
+        assert_eq!(o.entity_by_name("x"), Some(x0));
+        assert_eq!(o.entity_by_name("y"), Some(EntityId(2)));
+        assert_eq!(o.entity_by_name("absent"), None);
+        assert_eq!(o.num_entities(), 103);
     }
 }

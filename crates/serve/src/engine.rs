@@ -31,7 +31,7 @@ use cf_kg::{
 };
 use cf_rand::rngs::StdRng;
 use cf_rand::SeedableRng;
-use cf_tensor::{InferCtx, QuantizedParamStore};
+use cf_tensor::{InferCtx, WeightTwin};
 use chainsformer::{ChainsFormer, PatternCache, PredictionDetail, ResolvedQuery};
 use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -42,8 +42,9 @@ use std::time::{Duration, Instant};
 
 /// Numeric mode the shard workers run linear layers in.
 ///
-/// `Int8` packs every eligible weight matrix to per-tensor symmetric int8
-/// once per engine (at construction and again at each hot reload);
+/// Either mode packs every eligible weight matrix once per engine (at
+/// construction and again at each hot reload): `F32` in the f32 GEMM's
+/// panel layout, which changes no bit, `Int8` to per-tensor symmetric int8;
 /// activations are quantized per batch and accumulation stays i32 → f32,
 /// so attention softmax and the numeric heads keep full precision.
 /// Accuracy drift vs `F32` is pinned by `crates/core/tests/quant_accuracy.rs`.
@@ -54,6 +55,18 @@ pub enum QuantMode {
     F32,
     /// Int8 weights with f32 activations/accumulate on linear layers.
     Int8,
+}
+
+impl QuantMode {
+    /// The weight twin an engine in this mode serves `model` with: its f32
+    /// weights packed once in the GEMM's panel layout (the bits a fresh
+    /// context computes, without packing per call), or quantized to int8.
+    fn twin(self, model: &ChainsFormer) -> Arc<WeightTwin> {
+        Arc::new(match self {
+            QuantMode::F32 => WeightTwin::f32(&model.params),
+            QuantMode::Int8 => WeightTwin::int8(&model.params),
+        })
+    }
 }
 
 impl std::str::FromStr for QuantMode {
@@ -179,14 +192,14 @@ struct Shard {
     cache: Mutex<ChainCache>,
 }
 
-/// The served model and its int8 twin (`None` in f32 mode), one pair per
-/// engine. They sit behind one `RwLock`: workers hold the read lock for the
-/// duration of a batch, and [`Engine::reload`] replaces both under the
-/// write lock, so a batch always sees parameters and twin of the same
-/// generation.
+/// The served model and its weight twin (f32 or int8, per the engine's
+/// mode), one pair per engine. They sit behind one `RwLock`: workers hold
+/// the read lock for the duration of a batch, and [`Engine::reload`]
+/// replaces both under the write lock, so a batch always sees parameters
+/// and twin of the same generation.
 struct Served {
     model: ChainsFormer,
-    quant: Option<Arc<QuantizedParamStore>>,
+    twin: Arc<WeightTwin>,
     /// Bumped by every reload. A worker whose pattern cache was filled
     /// under another generation empties it before its next batch.
     generation: u64,
@@ -525,8 +538,7 @@ impl Engine {
                 cache: Mutex::new(ChainCache::new(cfg.cache_cap)),
             })
             .collect();
-        let quant = (cfg.quantize == QuantMode::Int8)
-            .then(|| Arc::new(QuantizedParamStore::from_store(&model.params)));
+        let twin = cfg.quantize.twin(&model);
         let cfg = EngineConfig {
             shards: nshards,
             ..cfg
@@ -536,7 +548,7 @@ impl Engine {
         let shared = Arc::new(Shared {
             served: RwLock::new(Served {
                 model,
-                quant,
+                twin,
                 generation: 0,
             }),
             metrics,
@@ -828,8 +840,7 @@ impl Engine {
         let result = (|| {
             let model = self.model().reloaded(path)?;
             // Validation is complete: nothing below this line can fail.
-            let quant = (self.shared.cfg.quantize == QuantMode::Int8)
-                .then(|| Arc::new(QuantizedParamStore::from_store(&model.params)));
+            let twin = self.shared.cfg.quantize.twin(&model);
             let mut served = self.shared.served.write().expect("model poisoned");
             // Batches insert into the caches under the model read lock, so
             // none can cache the old filter's chains after this.
@@ -841,7 +852,7 @@ impl Engine {
             let generation = served.generation + 1;
             *served = Served {
                 model,
-                quant,
+                twin,
                 generation,
             };
             Ok(())
@@ -1050,17 +1061,16 @@ fn process_batch(shared: &Shared, shard_ix: usize, batch: Vec<Job>, worker: &mut
         .zip(&resolved)
         .map(|(job, (c, _))| (job.query, c.chains.as_slice(), c.retrieved))
         .collect();
-    // The twin is attached for this batch only (an Arc clone, `None` in
-    // f32 mode), read under the model read lock: a batch never pairs
-    // parameters and twin of different generations, and an idle worker
-    // keeps no twin alive past a reload. Pattern rows of another
-    // generation are dropped first.
+    // The twin is attached for this batch only (an Arc clone), read under
+    // the model read lock: a batch never pairs parameters and twin of
+    // different generations, and an idle worker keeps no twin alive past a
+    // reload. Pattern rows of another generation are dropped first.
     if worker.generation != served.generation {
         worker.patterns.clear();
         worker.generation = served.generation;
     }
     let ctx = &mut worker.ctx;
-    ctx.set_weights(served.quant.clone());
+    ctx.set_weights(Arc::clone(&served.twin));
     let details = model.predict_batch_cached(&jobs_view, ctx, &mut worker.patterns);
     ctx.set_weights(None);
     drop(served);
@@ -1676,6 +1686,55 @@ mod tests {
             .collect();
         assert_eq!(baseline, restored, "requantization is not reproducible");
         e.shutdown();
+    }
+
+    #[test]
+    fn f32_engine_serves_fresh_context_bits_across_reloads() {
+        // An f32 engine attaches its packed f32 twin to every batch. Its
+        // answers must carry the bits `predict_batch_with_chains` computes
+        // on a fresh context with no twin, at 1 and 4 shards, before and
+        // after a reload to other weights repacks the twin.
+        let dir = TempDir::new("f32twin");
+        let mut rng = StdRng::seed_from_u64(4242);
+        let g = yago15k_sim(SynthScale::small(), &mut rng);
+        let split = Split::paper_811(&g, &mut rng);
+        let visible = split.visible_graph(&g);
+        let other = ChainsFormer::new(&visible, &split.train, ChainsFormerConfig::tiny(), &mut rng);
+        let ckpt = dir.join("other.ckpt");
+        other.save_params_to(&ckpt).unwrap();
+        for shards in [1, 4] {
+            let (e, queries) = engine(EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            });
+            let served_bits = |at: &str| -> Vec<u64> {
+                queries
+                    .iter()
+                    .map(|&q| {
+                        let served = e.predict(q).expect("served").detail;
+                        let model = e.model();
+                        let mut rng = StdRng::seed_from_u64(query_rng_seed(7, q));
+                        let (toc, retrieved) = model.gather_chains(&*e.graph(), q, &mut rng);
+                        let want = model
+                            .predict_batch_with_chains(&[(q, &toc.chains, retrieved)])
+                            .remove(0);
+                        let bits = |d: &PredictionDetail| {
+                            let chains = d.chains.iter();
+                            let w: Vec<u32> = chains.clone().map(|c| c.weight.to_bits()).collect();
+                            let p: Vec<u32> = chains.map(|c| c.prediction.to_bits()).collect();
+                            (d.value.to_bits(), w, p)
+                        };
+                        assert_eq!(bits(&served), bits(&want), "{q:?} {at}, {shards} shard(s)");
+                        served.value.to_bits()
+                    })
+                    .collect()
+            };
+            let before = served_bits("before the reload");
+            e.reload(&ckpt).expect("reload other weights");
+            let after = served_bits("after the reload");
+            assert_ne!(before, after, "the reload changed no answer");
+            e.shutdown();
+        }
     }
 
     /// A mutation batch exercising every op: a numeric upsert on a served

@@ -27,29 +27,38 @@
 //! copies. The equivalence tests below and the model-shape test in
 //! `chainsformer` pin this.
 //!
-//! ## Int8
+//! ## Weight twins
 //!
-//! With a [`QuantizedParamStore`] attached ([`InferCtx::set_weights`]),
-//! `linear` runs every weight that has a packed int8 twin through
-//! [`QuantizedTensor::matmul_rows_into`](crate::quant::QuantizedTensor::matmul_rows_into)
-//! instead of `matmul_into`, then adds the bias the same way. Every other op,
-//! and every weight without a twin, stays f32; `crate::quant` has the scale
-//! scheme.
+//! With a [`WeightTwin`] attached ([`InferCtx::set_weights`]), `linear` runs
+//! every weight that has a packed twin through
+//! [`PackedWeight::matmul_rows_into`] instead of `matmul_into`, packing only
+//! the input rows, then adds the bias the same way. An f32 twin holds the
+//! GEMM's own `B` panels, so its products are `matmul_into`'s bits; an int8
+//! twin runs the int8 GEMM (`crate::quant` has the scale scheme). Every other
+//! op, and every weight without a twin, stays f32.
+//! [`InferCtx::linear_tiles`] is the same product handed out one column tile
+//! at a time, for a consumer that folds each tile away.
 
 use crate::ops::attn::fused_attention_fwd;
 use crate::ops::elementwise::{
-    add_bias_fwd, add_bias_into, gelu_in_place, mul_bcast_row_fwd, scale_rows_fwd, sigmoid, tanh,
+    add_bias_fwd, add_bias_into, add_bias_rows, gelu_in_place, mul_bcast_row_fwd, scale_rows_fwd,
+    sigmoid, tanh,
 };
 use crate::ops::reduce::{layer_norm_last_fwd, softmax_last_fwd, sum_all_fwd, sum_dim1_fwd};
 use crate::ops::shape_ops::{
     concat_last_fwd, row_fwd, select_rows_fwd, slice_last_fwd, stack_rows_fwd,
 };
 use crate::params::{ParamId, ParamStore};
-use crate::quant::QuantizedParamStore;
 use crate::shape::Shape;
 use crate::tape::{Tape, Var};
-use crate::tensor::{matmul_into, Tensor};
+use crate::tensor::{matmul_into, PackedRows, Tensor};
+use crate::twin::{PackedWeight, WeightTwin};
 use std::sync::Arc;
+
+/// Column tiles of [`InferCtx::linear_tiles`] start at multiples of this
+/// width: a whole number of packed panels in either numeric mode.
+pub const LINEAR_TILE_ALIGN: usize = crate::tensor::NR;
+const _: () = assert!(LINEAR_TILE_ALIGN.is_multiple_of(crate::quant::NR));
 
 /// The forward-only op set shared by [`Tape`] (training) and [`InferCtx`]
 /// (serving). Layer `forward` methods are generic over this trait, so one
@@ -252,12 +261,12 @@ impl Forward for Tape {
 /// Holds one [`Tensor`] per op output and nothing else — no backward
 /// closures, no parent bookkeeping, no `GradStore`. `Var` handles index into
 /// this arena exactly as they index into a `Tape`, so layer code is oblivious
-/// to which one it is running on. An attached [`QuantizedParamStore`] sends
-/// `linear` layers through the int8 kernel (see the module docs).
+/// to which one it is running on. An attached [`WeightTwin`] sends `linear`
+/// layers through its packed weights (see the module docs).
 #[derive(Default)]
 pub struct InferCtx {
     vals: Vec<Tensor>,
-    weights: Option<Arc<QuantizedParamStore>>,
+    weights: Option<Arc<WeightTwin>>,
 }
 
 impl InferCtx {
@@ -266,11 +275,83 @@ impl InferCtx {
         Self::default()
     }
 
-    /// Attaches the int8 twin of the `ParamStore` later `linear` calls read
-    /// (`None` detaches it: every op runs f32 again). Call between
-    /// forwards, not mid-forward.
-    pub fn set_weights(&mut self, weights: impl Into<Option<Arc<QuantizedParamStore>>>) {
+    /// Attaches the twin of the `ParamStore` later `linear` calls read, f32
+    /// or int8 (`None` detaches it: every weight is packed per call again).
+    /// Call between forwards, not mid-forward.
+    pub fn set_weights(&mut self, weights: impl Into<Option<Arc<WeightTwin>>>) {
         self.weights = weights.into();
+    }
+
+    fn twin(&self, w: ParamId) -> Option<&PackedWeight> {
+        self.weights.as_deref().and_then(|t| t.entry(w.index()))
+    }
+
+    /// [`Forward::linear`] of `x` handed out one column tile at a time, for a
+    /// consumer that folds each tile away instead of keeping the `[rows, n]`
+    /// output: calls `each(c0, tile)` for `c0 = 0, cols, 2·cols, …` with
+    /// `tile` the `[rows, w]` block of output columns `c0..c0 + w`, `w =
+    /// min(cols, n - c0)`, bias added. Every element is bit for bit the one
+    /// `linear` computes: the same packed rows (quantized once per row in
+    /// int8), the same panels, micro-kernel and bias add, so only the
+    /// working memory differs — one tile instead of the whole output.
+    /// Nothing is recorded in the arena. `cols` must be a positive multiple
+    /// of [`LINEAR_TILE_ALIGN`].
+    pub fn linear_tiles(
+        &self,
+        ps: &ParamStore,
+        x: Var,
+        w: ParamId,
+        b: ParamId,
+        cols: usize,
+        mut each: impl FnMut(usize, &[f32]),
+    ) {
+        assert!(
+            cols > 0 && cols.is_multiple_of(LINEAR_TILE_ALIGN),
+            "linear_tiles: {cols} columns is not a positive multiple of {LINEAR_TILE_ALIGN}"
+        );
+        let xv = self.value(x);
+        let wv = ps.get(w);
+        let (k, n) = wv.shape().as_matrix();
+        assert_eq!(
+            xv.shape().last_dim(),
+            k,
+            "linear_tiles: input last dim {} != weight rows {k}",
+            xv.shape().last_dim()
+        );
+        let bias = ps.get(b).data();
+        assert_eq!(
+            bias.len(),
+            n,
+            "linear_tiles: bias length {} != {n}",
+            bias.len()
+        );
+        let rows = xv.shape().leading();
+        let mut tile = crate::pool::Scratch::<f32>::with_capacity(rows * cols.min(n));
+        let mut run = |c0: usize, product: &mut dyn FnMut(usize, &mut [f32])| {
+            let c1 = (c0 + cols).min(n);
+            tile.clear();
+            tile.resize(rows * (c1 - c0), 0.0);
+            product(c1, &mut tile);
+            add_bias_rows(&mut tile, &bias[c0..c1], rows, c1 - c0);
+            each(c0, &tile);
+        };
+        match self.twin(w) {
+            Some(PackedWeight::Int8(qw)) => {
+                let a = qw.quantize_rows(xv.data(), rows);
+                for c0 in (0..n).step_by(cols) {
+                    run(c0, &mut |c1, t| qw.matmul_cols_into(&a, c0, c1, t));
+                }
+            }
+            twin => {
+                let a = PackedRows::new(xv.data(), rows, k);
+                for c0 in (0..n).step_by(cols) {
+                    run(c0, &mut |c1, t| match twin {
+                        Some(PackedWeight::F32(pw)) => pw.matmul_cols_into(&a, c0, c1, t),
+                        _ => a.matmul_cols_into(wv.data(), n, c0, c1, t),
+                    });
+                }
+            }
+        }
     }
 
     /// Number of recorded values.
@@ -458,8 +539,9 @@ impl Forward for InferCtx {
     /// reshape copies, no clone-then-add bias pass. The GEMM writes a zeroed
     /// buffer and the bias is then added into that buffer row by row — the
     /// same GEMM and `add_bias_rows` calls, in the same order, as the
-    /// default body, so the bits are identical. The GEMM is the int8 one
-    /// when the weight has a twin in the attached store, else `matmul_into`.
+    /// default body, so the bits are identical. A weight with a twin in the
+    /// attached store packs only `x` and runs the twin's tiles (f32: the
+    /// same bits; int8: the int8 GEMM); any other packs both per call.
     fn linear(&mut self, ps: &ParamStore, x: Var, w: ParamId, b: ParamId) -> Var {
         let xv = self.value(x);
         let shape = *xv.shape();
@@ -473,8 +555,8 @@ impl Forward for InferCtx {
         );
         let rows = shape.leading();
         let mut out = crate::pool::take_zeroed(rows * n);
-        match self.weights.as_deref().and_then(|q| q.entry(w.index())) {
-            Some(qw) => qw.matmul_rows_into(xv.data(), rows, &mut out),
+        match self.twin(w) {
+            Some(tw) => tw.matmul_rows_into(xv.data(), rows, &mut out),
             None => matmul_into(xv.data(), wv.data(), &mut out, rows, k, n),
         }
         add_bias_into(&mut out, ps.get(b), rows, n);
@@ -624,7 +706,7 @@ mod tests {
     fn composed_int8_linear(
         ctx: &mut InferCtx,
         ps: &ParamStore,
-        q: &QuantizedParamStore,
+        q: &WeightTwin,
         x: Var,
         w: ParamId,
         b: ParamId,
@@ -637,11 +719,11 @@ mod tests {
         };
         let wv = ctx.param(ps, w);
         let y = match q.entry(w.index()) {
-            Some(qw) => {
+            Some(PackedWeight::Int8(qw)) => {
                 let value = qw.matmul_quantized(ctx.value(flat));
                 ctx.leaf(value)
             }
-            None => ctx.matmul(flat, wv),
+            _ => ctx.matmul(flat, wv),
         };
         let bv = ctx.param(ps, b);
         let mut y = ctx.add_bias(y, bv);
@@ -670,7 +752,7 @@ mod tests {
             let mut ps = ParamStore::new();
             let w = ps.add("w", rand_tensor(&[k, n], &mut rng));
             let b = ps.add("b", rand_tensor(&[n], &mut rng));
-            let q = QuantizedParamStore::from_store(&ps);
+            let q = WeightTwin::int8(&ps);
             cf_check::check_assert_eq!(q.entry(w.index()).is_some(), n >= 8);
             // seq == 0: a rank-2 `[lead, k]` input; else rank-3.
             let x = if seq == 0 {
@@ -702,13 +784,13 @@ mod tests {
         let lin = Linear::new(&mut ps, "q", 16, 16, &mut rng);
         let b = lin.b;
         *ps.get_mut(b) = rand_tensor(&[16], &mut rng);
-        let q = Arc::new(QuantizedParamStore::from_store(&ps));
+        let q = Arc::new(WeightTwin::int8(&ps));
         let x = rand_tensor(&[2, 3, 16], &mut rng);
 
-        let mut want = q
-            .entry(lin.w.index())
-            .expect("a [16, 16] weight is eligible")
-            .matmul_quantized(&x.reshape([6, 16]));
+        let Some(PackedWeight::Int8(qw)) = q.entry(lin.w.index()) else {
+            panic!("a [16, 16] weight is eligible");
+        };
+        let mut want = qw.matmul_quantized(&x.reshape([6, 16]));
         crate::ops::elementwise::add_bias_rows(want.data_mut(), ps.get(b).data(), 6, 16);
 
         let mut qctx = InferCtx::new();
@@ -733,7 +815,7 @@ mod tests {
         let mut ps = ParamStore::new();
         let lin = Linear::new(&mut ps, "q", 16, 24, &mut rng);
         let mut ctx = InferCtx::new();
-        ctx.set_weights(Arc::new(QuantizedParamStore::from_store(&ps)));
+        ctx.set_weights(Arc::new(WeightTwin::int8(&ps)));
         let xv = ctx.leaf(rand_tensor(&[2, 3, 16], &mut rng));
         lin.forward(&mut ctx, &ps, xv);
         let before = ctx.len();

@@ -17,6 +17,8 @@
 //! - [`nn`] — Linear/MLP/Embedding/LayerNorm, multi-head attention,
 //!   encoder-only Transformers, and an LSTM for the paper's ablation;
 //! - [`optim`] — Adam (the paper's optimizer) with global-norm clipping;
+//! - [`twin`] — serving weight twins: every `Linear` weight packed once,
+//!   f32 ([`PackedMatrix`]) or int8 ([`quant`]), for [`InferCtx`];
 //! - [`pool`] — thread-local size-bucketed buffer pool behind every tensor
 //!   and scratch allocation (zero steady-state heap traffic per step);
 //! - [`simd`] — the one CPU-feature probe and the `simd_hot!` AVX2/AVX-512
@@ -62,17 +64,19 @@ pub mod tape;
 pub mod tensor;
 #[cfg(test)]
 mod test_alloc;
+pub mod twin;
 
 pub use crc::crc32;
 pub use infer::{Forward, InferCtx};
 pub use init::Init;
 pub use optim::AdamSnapshot;
 pub use params::{ParamId, ParamStore};
-pub use quant::{QuantInferCtx, QuantizedParamStore, QuantizedTensor};
+pub use quant::{QuantInferCtx, QuantizedTensor};
 pub use serialize::{
     load_checkpoint, load_params, save_checkpoint, save_checkpoint_atomic, write_atomic,
     Checkpoint, CheckpointError, SectionReader, TrainState,
 };
 pub use shape::Shape;
 pub use tape::{GradStore, Tape, Var};
-pub use tensor::{matmul_into, matmul_into_at, matmul_into_bt, Tensor};
+pub use tensor::{matmul_into, matmul_into_at, matmul_into_bt, PackedMatrix, Tensor};
+pub use twin::{PackedWeight, QuantizedParamStore, WeightTwin};

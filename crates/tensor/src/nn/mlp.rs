@@ -57,7 +57,7 @@ impl Mlp {
 
     /// Output width of the final layer.
     pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
+        self.last().out_dim()
     }
 
     /// Input width of the first layer.
@@ -67,15 +67,24 @@ impl Mlp {
 
     /// Runs the stack; the activation sits between layers, not after the last.
     pub fn forward<F: Forward>(&self, t: &mut F, ps: &ParamStore, x: Var) -> Var {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(t, ps, h);
-            if i != last {
-                h = self.activation.apply(t, h);
-            }
-        }
-        h
+        let h = self.forward_hidden(t, ps, x);
+        self.last().forward(t, ps, h)
+    }
+
+    /// Every layer but the last, each followed by the activation: the input
+    /// [`Self::last`] reads. A caller that consumes the last layer's output
+    /// in column tiles (`InferCtx::linear_tiles`) runs this, then that.
+    pub fn forward_hidden<F: Forward>(&self, t: &mut F, ps: &ParamStore, x: Var) -> Var {
+        let (_, hidden) = self.layers.split_last().expect("non-empty");
+        hidden.iter().fold(x, |h, layer| {
+            let h = layer.forward(t, ps, h);
+            self.activation.apply(t, h)
+        })
+    }
+
+    /// The output layer.
+    pub fn last(&self) -> &Linear {
+        self.layers.last().expect("non-empty")
     }
 }
 

@@ -276,6 +276,11 @@ crate::simd_hot! {
 
 /// The probabilities of [`fused_attention_fwd`] over batches `b0..b1`;
 /// `probs` is that batch band's contiguous `[(b1-b0)·H, T, T]` block.
+///
+/// Each head band's keys are first transposed into pooled `[d_h, T]`
+/// scratch, so one vector op advances several keys' scores by one term:
+/// score `j` is still the serial chain `Σ_p q[p]·k_j[p]` in increasing `p`,
+/// started from `+0` — the dot product one key at a time, bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn attn_probs_range(
     qd: &[f32],
@@ -290,23 +295,38 @@ fn attn_probs_range(
     scale: f32,
 ) {
     let dh = d / heads;
+    let mut kt = crate::pool::Scratch::<f32>::zeroed(dh * seq);
     for bi in b0..b1 {
         for h in 0..heads {
             let off = h * dh;
+            for j in 0..seq {
+                let krow = &kd[(bi * seq + j) * d + off..][..dh];
+                for (p, &v) in krow.iter().enumerate() {
+                    kt[p * seq + j] = v;
+                }
+            }
             for i in 0..seq {
                 let qrow = &qd[(bi * seq + i) * d + off..][..dh];
                 let row = &mut probs[(((bi - b0) * heads + h) * seq + i) * seq..][..seq];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    let krow = &kd[(bi * seq + j) * d + off..][..dh];
-                    let mut s = 0.0f32;
-                    for p in 0..dh {
-                        s += qrow[p] * krow[p];
+                row.fill(0.0);
+                for (p, &qp) in qrow.iter().enumerate() {
+                    let ktp = &kt[p * seq..(p + 1) * seq];
+                    for j in 0..seq {
+                        row[j] += qp * ktp[j];
                     }
-                    let mut val = scale * s;
-                    if let Some(m) = add_mask {
-                        val += m.data()[(bi * seq + i) * seq + j];
+                }
+                match add_mask {
+                    Some(m) => {
+                        let mrow = &m.data()[(bi * seq + i) * seq..][..seq];
+                        for j in 0..seq {
+                            row[j] = scale * row[j] + mrow[j];
+                        }
                     }
-                    *slot = val;
+                    None => {
+                        for s in row.iter_mut() {
+                            *s *= scale;
+                        }
+                    }
                 }
                 softmax_row(row);
             }

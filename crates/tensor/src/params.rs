@@ -56,8 +56,8 @@ impl ParamStore {
     }
 
     /// Registers a row-lookup table drawn from an initializer: an embedding
-    /// that only `select_rows` reads, so [`crate::QuantizedParamStore`]
-    /// packs no int8 twin of it.
+    /// that only `select_rows` reads, so a [`crate::WeightTwin`] packs no
+    /// twin of it.
     pub fn add_table(
         &mut self,
         name: impl Into<String>,

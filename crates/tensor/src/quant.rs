@@ -1,14 +1,15 @@
 //! Int8 inference path: per-tensor symmetric quantization, an int8×int8→i32
 //! GEMM sharing the pack/register-tile machinery of [`crate::tensor`], and
-//! the [`QuantizedParamStore`] whose packed weights [`InferCtx`]'s `linear`
-//! runs once the store is attached ([`InferCtx::set_weights`]); everything
-//! else (softmax, layer norm, attention, the numeric heads) stays in f32.
+//! the [`QuantizedTensor`]s an int8 [`WeightTwin`](crate::WeightTwin) holds,
+//! which [`InferCtx`]'s `linear` runs once the twin is attached
+//! ([`InferCtx::set_weights`]); everything else (softmax, layer norm,
+//! attention, the numeric heads) stays in f32.
 //!
 //! ## Scale scheme
 //!
 //! Quantization is symmetric: `scale = max|x| / 127`, `q = round(x / scale)`
 //! clamped to `[-127, 127]`. Weights are quantized once at checkpoint-load
-//! time with one *per-tensor* scale ([`QuantizedParamStore::from_store`],
+//! time with one *per-tensor* scale ([`WeightTwin::int8`](crate::WeightTwin::int8),
 //! which also pre-packs the NR-column panels); activations are quantized
 //! dynamically per GEMM with one scale *per row*. Per-row matters for more
 //! than accuracy: serving concatenates the chains of every query in a
@@ -48,14 +49,14 @@
 //! [`MAX_K`] cannot overflow the i32 accumulator.
 
 use crate::infer::InferCtx;
-use crate::params::ParamStore;
 use crate::pool;
 use crate::tensor::Tensor;
 
-/// Register tile height (matches the f32 GEMM).
+/// Register tile height.
 const MR: usize = 4;
-/// Register tile width (matches the f32 GEMM).
-const NR: usize = 8;
+/// Register tile width and packed panel width: 8 i32 lanes, one AVX2
+/// vector.
+pub(crate) const NR: usize = 8;
 
 /// Largest supported reduction depth: `127² · 2·ceil(k/2) ≤ i32::MAX` holds
 /// for every `k ≤ 131072`, with headroom (the true bound is 133152).
@@ -315,6 +316,7 @@ pub fn matmul_q8_into(aq: &[i16], bq: &[i16], out: &mut [i32], m: usize, k: usiz
 }
 
 /// One weight matrix quantized and pre-packed for the int8 GEMM.
+#[derive(Debug)]
 pub struct QuantizedTensor {
     /// NR-column pair-interleaved panels of the quantized `[k, n]` weight.
     packed: Vec<i16>,
@@ -387,13 +389,18 @@ impl QuantizedTensor {
     /// lets a rank-3 input run without a reshape copy. All scratch is
     /// pooled — zero heap traffic in the steady state.
     pub fn matmul_rows_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        self.matmul_cols_into(&self.quantize_rows(a, m), 0, self.n, out);
+    }
+
+    /// Quantizes `a` (`m` row-major rows of `k`) with one scale per row and
+    /// packs it, once for any number of column ranges.
+    pub(crate) fn quantize_rows(&self, a: &[f32], m: usize) -> QuantizedRows {
         let k = self.k;
         assert_eq!(
             a.len(),
             m * k,
             "quantized matmul: input is not {m} rows of {k}"
         );
-        assert_eq!(out.len(), m * self.n, "quantized matmul: out size mismatch");
         let mut scales = pool::Scratch::<f32>::with_capacity(m);
         let mut aq = pool::Scratch::<i16>::with_capacity(m * k);
         for row in a.chunks_exact(k) {
@@ -402,15 +409,33 @@ impl QuantizedTensor {
             quantize_slice_into(row, 1.0 / s, &mut aq);
         }
         let kp = k.div_ceil(2);
-        let mp = m.div_ceil(MR);
-        let mut ap = pool::Scratch::<i16>::zeroed(mp * MR * 2 * kp);
-        pack_a_q8(&aq, &mut ap, m, k);
-        let mut acc = pool::Scratch::<i32>::zeroed(m * self.n);
-        gemm_q8_packed(&ap, &self.packed, &mut acc, m, kp, self.n);
+        let mut panels = pool::Scratch::<i16>::zeroed(m.div_ceil(MR) * MR * 2 * kp);
+        pack_a_q8(&aq, &mut panels, m, k);
+        QuantizedRows { scales, panels }
+    }
+
+    /// Overwrites `out[m, c1-c0]` with the dequantized product of `a`'s rows
+    /// and columns `c0..c1` of the weight. `c0` must be a multiple of the
+    /// panel width. Integer accumulation is exact, so every element equals
+    /// the one a full-width product computes.
+    pub(crate) fn matmul_cols_into(
+        &self,
+        a: &QuantizedRows,
+        c0: usize,
+        c1: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(c0.is_multiple_of(NR) && c0 <= c1 && c1 <= self.n);
+        let (m, w) = (a.scales.len(), c1 - c0);
+        assert_eq!(out.len(), m * w, "quantized matmul: out size mismatch");
+        let kp = self.k.div_ceil(2);
+        let bp = &self.packed[c0 * 2 * kp..c1.div_ceil(NR) * NR * 2 * kp];
+        let mut acc = pool::Scratch::<i32>::zeroed(m * w);
+        gemm_q8_packed(&a.panels, bp, &mut acc, m, kp, w);
         for ((orow, arow), &s) in out
-            .chunks_exact_mut(self.n)
-            .zip(acc.chunks_exact(self.n))
-            .zip(scales.iter())
+            .chunks_exact_mut(w)
+            .zip(acc.chunks_exact(w))
+            .zip(a.scales.iter())
         {
             let combined = s * self.scale;
             for (o, &v) in orow.iter_mut().zip(arow) {
@@ -420,57 +445,15 @@ impl QuantizedTensor {
     }
 }
 
-/// A [`ParamStore`] companion holding the quantized, pre-packed form of
-/// every eligible weight matrix, indexed by [`ParamId`](crate::ParamId).
-/// Built once per checkpoint load / hot reload; immutable afterwards (a
-/// serving engine's shards share one through `Arc`).
-pub struct QuantizedParamStore {
-    entries: Vec<Option<QuantizedTensor>>,
+/// Activation rows quantized with one scale each and packed into the int8
+/// GEMM's row panels ([`QuantizedTensor::quantize_rows`]).
+pub(crate) struct QuantizedRows {
+    scales: pool::Scratch<f32>,
+    panels: pool::Scratch<i16>,
 }
 
-impl QuantizedParamStore {
-    /// Quantizes every eligible parameter of `store` that a `linear` may
-    /// read: each one but the row-lookup tables
-    /// ([`ParamStore::add_table`]), under [`QuantizedTensor::from_tensor`]'s
-    /// eligibility rule.
-    pub fn from_store(store: &ParamStore) -> QuantizedParamStore {
-        let entries = store
-            .iter()
-            .map(|(id, _, t)| {
-                if store.is_table(id) {
-                    None
-                } else {
-                    QuantizedTensor::from_tensor(t)
-                }
-            })
-            .collect();
-        QuantizedParamStore { entries }
-    }
-
-    /// The quantized form of parameter `index` (`ParamId::index()`), if that
-    /// parameter was eligible.
-    pub fn entry(&self, index: usize) -> Option<&QuantizedTensor> {
-        self.entries.get(index).and_then(Option::as_ref)
-    }
-
-    /// Number of parameters that were quantized.
-    pub fn num_quantized(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Number of parameter slots tracked (equals the source store's `len`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no parameters are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// The int8 forward context is [`InferCtx`] with a [`QuantizedParamStore`]
-/// attached ([`InferCtx::set_weights`]). The name stays for the benchmark
+/// The int8 forward context is [`InferCtx`] with an int8
+/// [`WeightTwin`](crate::WeightTwin) attached ([`InferCtx::set_weights`]). The name stays for the benchmark
 /// sources (`crates/bench/src/bin/cfbench`) that still spell it.
 pub type QuantInferCtx = InferCtx;
 
@@ -478,6 +461,8 @@ pub type QuantInferCtx = InferCtx;
 mod tests {
     use super::*;
     use crate::infer::Forward;
+    use crate::params::ParamStore;
+    use crate::twin::WeightTwin;
     use std::sync::Arc;
 
     /// Naive triple-loop reference over the same quantized inputs.
@@ -568,11 +553,11 @@ mod tests {
         let wide = ps.add("wide", Tensor::ones([16, 16]));
         let narrow = ps.add("narrow.w", Tensor::ones([16, 1])); // numeric head
         let vector = ps.add("bias", Tensor::ones([16]));
-        let q = QuantizedParamStore::from_store(&ps);
+        let q = WeightTwin::int8(&ps);
         assert!(q.entry(wide.index()).is_some());
         assert!(q.entry(narrow.index()).is_none(), "n < NR must stay f32");
         assert!(q.entry(vector.index()).is_none(), "rank-1 must stay f32");
-        assert_eq!(q.num_quantized(), 1);
+        assert_eq!(q.num_packed(), 1);
         assert_eq!(q.len(), 3);
     }
 
@@ -653,8 +638,8 @@ mod tests {
         let mut rng = cf_rand::rngs::StdRng::seed_from_u64(11);
         let mut ps = ParamStore::new();
         let mlp = Mlp::new(&mut ps, "f", &[12, 32, 32], Activation::Gelu, &mut rng);
-        let q = Arc::new(QuantizedParamStore::from_store(&ps));
-        assert!(q.num_quantized() >= 2, "MLP weights should quantize");
+        let q = Arc::new(WeightTwin::int8(&ps));
+        assert!(q.num_packed() >= 2, "MLP weights should quantize");
         let x = Tensor::new([4, 12], (0..48).map(|i| (i as f32) * 0.07 - 1.5).collect());
 
         let mut fctx = InferCtx::new();
@@ -693,7 +678,7 @@ mod tests {
         let mut rng = cf_rand::rngs::StdRng::seed_from_u64(3);
         let mut ps = ParamStore::new();
         let mlp = Mlp::new(&mut ps, "f", &[8, 16, 16], Activation::Tanh, &mut rng);
-        let q = Arc::new(QuantizedParamStore::from_store(&ps));
+        let q = Arc::new(WeightTwin::int8(&ps));
         let x = Tensor::new([3, 8], (0..24).map(|i| (i as f32) * 0.11 - 1.0).collect());
         let mut ctx = InferCtx::new();
         ctx.set_weights(q);

@@ -297,10 +297,15 @@ impl Tensor {
 // results are bitwise-stable across kernel rewrites — the bitwise
 // loss-trajectory test depends on it.
 //
-// Shapes above `BLOCKED_MIN_FLOPS` take the register-tiled path: A and B
-// are packed into pooled MR-row / NR-column panels and a 4×8 micro-kernel
-// keeps the output tile in registers for the entire reduction, so each
-// loaded panel value feeds 8 (resp. 4) multiplies instead of 1. The
+// Shapes above `BLOCKED_MIN_FLOPS` take the register-tiled path: A is
+// packed into pooled MR-row panels, B into NR-column panels, and an MR×NR
+// micro-kernel keeps the output tile in registers for the entire
+// reduction. NR = 16 columns give each row one AVX-512 vector (two AVX2
+// ones): four or eight independent accumulators per tile, which hide the
+// add latency the no-FMA contract leaves exposed better than the 4×8
+// tile's four AVX2 ones did. B is packed per call into pooled scratch,
+// or once per model ([`PackedMatrix`], the f32 serving twin); either way
+// the panels and the micro-kernel are the same, so are the bits. The
 // reduction is deliberately *not* split into Kc chunks spilled through
 // memory: with `+=`-into-out semantics that would re-associate the
 // per-element chain (`(out + s1) + s2 ≠ out + (s1 + s2)` in f32). The
@@ -310,8 +315,9 @@ impl Tensor {
 
 /// Register tile height: rows of `out` carried per micro-kernel.
 const MR: usize = 4;
-/// Register tile width: columns of `out` carried per micro-kernel.
-const NR: usize = 8;
+/// Register tile width: columns of `out` carried per micro-kernel, and the
+/// width of one packed `B` panel.
+pub(crate) const NR: usize = 16;
 /// Problem-volume floor (`m·k·n`) below which the scalar kernels win
 /// (packing overhead dominates tiny GEMMs like per-head attention bmm).
 const BLOCKED_MIN_FLOPS: usize = 8 * 1024;
@@ -350,14 +356,16 @@ fn pack_a<const AT: bool>(a: &[f32], ap: &mut [f32], m: usize, k: usize) {
     }
 }
 
-/// Packs `b` (either `[k,n]` or, when `BT`, `[n,k]`) into NR-column panels:
-/// `bp[jp*NR*k + p*NR + c] = B[p, j0+c]`. Columns past `n` stay zero.
+/// Packs columns `c0..c1` of `b` (either `[k,n]` or, when `BT`, `[n,k]`)
+/// into NR-column panels: `bp[jp*NR*k + p*NR + c] = B[p, c0 + jp*NR + c]`.
+/// Columns past `c1` stay zero. Panel `jp` of a full pack (`c0 = 0`) is
+/// panel `jp - c0/NR` of a pack from any NR-aligned `c0`.
 #[inline(always)]
-fn pack_b<const BT: bool>(b: &[f32], bp: &mut [f32], k: usize, n: usize) {
-    let np = n.div_ceil(NR);
+fn pack_b<const BT: bool>(b: &[f32], bp: &mut [f32], k: usize, n: usize, c0: usize, c1: usize) {
+    let np = (c1 - c0).div_ceil(NR);
     for jp in 0..np {
-        let j0 = jp * NR;
-        let cols = NR.min(n - j0);
+        let j0 = c0 + jp * NR;
+        let cols = NR.min(c1 - j0);
         let panel = &mut bp[jp * NR * k..(jp + 1) * NR * k];
         if BT {
             for c in 0..cols {
@@ -369,45 +377,53 @@ fn pack_b<const BT: bool>(b: &[f32], bp: &mut [f32], k: usize, n: usize) {
         } else {
             for p in 0..k {
                 let b_row = &b[p * n + j0..p * n + j0 + cols];
-                for (c, &v) in b_row.iter().enumerate() {
-                    panel[p * NR + c] = v;
-                }
+                panel[p * NR..p * NR + cols].copy_from_slice(b_row);
             }
         }
     }
 }
 
-/// MR×NR micro-kernel for a *full* output tile: constant-size loads and
-/// stores only, so LLVM promotes the whole accumulator tile to vector
-/// registers (SROA fails the moment `acc` is borrowed at a runtime-length
-/// slice, which is why edge tiles take the generic kernel below).
+/// `R`×NR micro-kernel (`R ≤ MR`) for a tile whose NR columns are all
+/// valid: constant-size loads and stores only, so LLVM promotes the whole
+/// accumulator tile to vector registers (SROA fails the moment `acc` is
+/// borrowed at a runtime-length slice, which is why column-edge tiles take
+/// the generic kernel below). A short last row panel runs the kernel of
+/// its own height rather than computing zero rows.
 #[inline(always)]
-fn micro_full(a_panel: &[f32], b_panel: &[f32], out: &mut [f32], i0: usize, j0: usize, n: usize) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..MR {
+fn micro_full<const R: usize>(
+    a_panel: &[f32],
+    b_panel: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    n: usize,
+) {
+    let mut acc = [[0.0f32; NR]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
         let o = (i0 + r) * n + j0;
-        acc[r].copy_from_slice(&out[o..o + NR]);
+        row.copy_from_slice(&out[o..o + NR]);
     }
     for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
         let bn: &[f32; NR] = bv.try_into().unwrap();
-        for r in 0..MR {
+        for (r, row) in acc.iter_mut().enumerate() {
             let ar = av[r];
             for c in 0..NR {
-                acc[r][c] += ar * bn[c];
+                row[c] += ar * bn[c];
             }
         }
     }
-    for r in 0..MR {
+    for (r, row) in acc.iter().enumerate() {
         let o = (i0 + r) * n + j0;
-        out[o..o + NR].copy_from_slice(&acc[r]);
+        out[o..o + NR].copy_from_slice(row);
     }
 }
 
-/// Generic micro-kernel for edge tiles (`rows < MR` or `cols < NR`): same
-/// accumulation chain, but load/store only the valid rectangle. `acc` spills
-/// to the stack here, which is fine — edge tiles are at most one strip per
-/// dimension.
+/// Generic micro-kernel for column-edge tiles (`cols < NR`): same
+/// accumulation chain, but load/store only the valid rectangle. `acc`
+/// spills to the stack here, which is fine — edge tiles are at most one
+/// strip per product.
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 fn micro_edge(
     a_panel: &[f32],
     b_panel: &[f32],
@@ -424,7 +440,7 @@ fn micro_edge(
         acc_row[..cols].copy_from_slice(&out[o..o + cols]);
     }
     for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
+        for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
             let ar = av[r];
             for c in 0..NR {
                 acc_row[c] += ar * bv[c];
@@ -437,7 +453,8 @@ fn micro_edge(
     }
 }
 
-/// Register-tiled `out += A·B` over pooled packed panels.
+/// `out += A·B` over packed panels: `ap` holds `m` rows of A as MR-row
+/// panels, `bp` the `n` columns of B as NR-column panels, `k` deep.
 ///
 /// Each MR×NR output tile is loaded once, accumulated in registers across
 /// the **whole** reduction (increasing p, one add per product — bitwise
@@ -445,25 +462,12 @@ fn micro_edge(
 /// the valid edge are zero-padded; their accumulator lanes are discarded,
 /// never stored.
 ///
-/// Packing runs once on the caller; large problems then split their *row
-/// panels* across the thread pool. Every output element's accumulation chain
-/// is confined to one tile computed by one thread, so the split cannot
-/// change bits — the serial path runs the exact same tiles in a different
-/// interleaving (see `DESIGN.md` §12).
-fn gemm_blocked<const AT: bool, const BT: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
+/// Large problems split their *row panels* across the thread pool. Every
+/// output element's accumulation chain is confined to one tile computed by
+/// one thread, so the split cannot change bits — the serial path runs the
+/// exact same tiles in a different interleaving (see `DESIGN.md` §12).
+fn gemm_packed(ap: &[f32], bp: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let mp = m.div_ceil(MR);
-    let np = n.div_ceil(NR);
-    let mut ap = pool::Scratch::<f32>::zeroed(mp * MR * k);
-    let mut bp = pool::Scratch::<f32>::zeroed(np * NR * k);
-    pack_a::<AT>(a, &mut ap, m, k);
-    pack_b::<BT>(b, &mut bp, k, n);
     if m * k * n >= PAR_MIN_FLOPS {
         let shared = pool::SharedMut::new(out);
         pool::parallel_for(mp, |r| {
@@ -475,10 +479,119 @@ fn gemm_blocked<const AT: bool, const BT: bool>(
             // SAFETY: panel ranges from the static partition map to disjoint
             // row bands of `out`, and the borrow outlives the scoped run.
             let band = unsafe { shared.get(row0 * n, (row1 - row0) * n) };
-            gemm_tiles(&ap, &bp, band, m, k, n, r.start, r.end);
+            gemm_tiles(ap, bp, band, m, k, n, r.start, r.end);
         });
     } else {
-        gemm_tiles(&ap, &bp, out, m, k, n, 0, mp);
+        gemm_tiles(ap, bp, out, m, k, n, 0, mp);
+    }
+}
+
+/// Register-tiled `out += A·B`, packing both operands into pooled scratch.
+fn gemm_blocked<const AT: bool, const BT: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut ap = pool::Scratch::<f32>::zeroed(m.div_ceil(MR) * MR * k);
+    pack_a::<AT>(a, &mut ap, m, k);
+    let mut bp = pool::Scratch::<f32>::zeroed(n.div_ceil(NR) * NR * k);
+    pack_b::<BT>(b, &mut bp, k, n, 0, n);
+    gemm_packed(&ap, &bp, out, m, k, n);
+}
+
+/// The rows of a left operand `A[m, k]` packed once into the blocked GEMM's
+/// pooled row panels, for products against several column ranges of one
+/// right operand (a linear layer computed one column tile at a time).
+pub(crate) struct PackedRows {
+    panels: pool::Scratch<f32>,
+    m: usize,
+    k: usize,
+}
+
+impl PackedRows {
+    /// Packs `a`, read as `m` row-major rows of `k`.
+    pub(crate) fn new(a: &[f32], m: usize, k: usize) -> PackedRows {
+        assert_eq!(a.len(), m * k, "packed rows: input is not {m} rows of {k}");
+        let mut panels = pool::Scratch::<f32>::zeroed(m.div_ceil(MR) * MR * k);
+        pack_a::<false>(a, &mut panels, m, k);
+        PackedRows { panels, m, k }
+    }
+
+    /// `out[m, c1-c0] += A · B[:, c0..c1]` for an unpacked `b: [k, n]`,
+    /// packing just those columns. `c0` must be a multiple of the panel
+    /// width.
+    pub(crate) fn matmul_cols_into(
+        &self,
+        b: &[f32],
+        n: usize,
+        c0: usize,
+        c1: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert_eq!(c0 % NR, 0);
+        let k = self.k;
+        debug_assert_eq!(b.len(), k * n);
+        let mut bp = pool::Scratch::<f32>::zeroed((c1 - c0).div_ceil(NR) * NR * k);
+        pack_b::<false>(b, &mut bp, k, n, c0, c1);
+        gemm_packed(&self.panels, &bp, out, self.m, k, c1 - c0);
+    }
+}
+
+/// A `[k, n]` right operand in the blocked GEMM's panel layout, packed once:
+/// the f32 half of a serving [`WeightTwin`](crate::WeightTwin). A product
+/// against it packs only the left operand and runs the same micro-kernel
+/// over the same panels [`matmul_into`] packs per call, so it yields the
+/// same bits at any row count (the small-shape loop included: every path
+/// keeps each element's one serial chain).
+#[derive(Debug)]
+pub struct PackedMatrix {
+    panels: Vec<f32>,
+    k: usize,
+    n: usize,
+}
+
+impl PackedMatrix {
+    /// Packs a rank-2 `[k, n]` tensor.
+    pub fn from_tensor(t: &Tensor) -> PackedMatrix {
+        let (k, n) = t.shape().as_matrix();
+        // Owned (not pooled): lives as long as the model, not one request.
+        let mut panels = vec![0.0f32; n.div_ceil(NR) * NR * k];
+        pack_b::<false>(t.data(), &mut panels, k, n, 0, n);
+        PackedMatrix { panels, k, n }
+    }
+
+    /// Input dimension (`k`) of the packed matrix.
+    pub fn in_dim(&self) -> usize {
+        self.k
+    }
+
+    /// Output dimension (`n`) of the packed matrix.
+    pub fn out_dim(&self) -> usize {
+        self.n
+    }
+
+    /// `out[m, n] += a[m, k] · B`, reading `a` as `m` row-major rows:
+    /// bitwise [`matmul_into`] with `B` unpacked.
+    pub fn matmul_rows_into(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), m * self.n, "packed matmul: out size mismatch");
+        self.matmul_cols_into(&PackedRows::new(a, m, self.k), 0, self.n, out);
+    }
+
+    /// `out[m, c1-c0] += A · B[:, c0..c1]` over the held panels. `c0` must
+    /// be a multiple of the panel width.
+    pub(crate) fn matmul_cols_into(&self, a: &PackedRows, c0: usize, c1: usize, out: &mut [f32]) {
+        assert_eq!(
+            a.k, self.k,
+            "packed matmul: input width {} != {}",
+            a.k, self.k
+        );
+        debug_assert!(c0.is_multiple_of(NR) && c0 <= c1 && c1 <= self.n);
+        let k = self.k;
+        let bp = &self.panels[c0 * k..c1.div_ceil(NR) * NR * k];
+        gemm_packed(&a.panels, bp, out, a.m, k, c1 - c0);
     }
 }
 
@@ -506,6 +619,7 @@ crate::simd_hot! {
 /// output rows `ip0*MR .. min(ip1*MR, m)`. `out_rows` is exactly that row
 /// band (callers slice it out of the full matrix, so concurrent bands never
 /// alias); indices are band-relative while panel lookups stay absolute.
+#[allow(clippy::too_many_arguments)]
 fn gemm_tiles(
     ap: &[f32],
     bp: &[f32],
@@ -526,10 +640,16 @@ fn gemm_tiles(
             let i0 = ip * MR;
             let rows = MR.min(m - i0);
             let a_panel = &ap[ip * MR * k..(ip + 1) * MR * k];
-            if rows == MR && cols == NR {
-                micro_full(a_panel, b_panel, out_rows, i0 - row0, j0, n);
-            } else {
-                micro_edge(a_panel, b_panel, out_rows, i0 - row0, j0, n, rows, cols);
+            let (out, i) = (&mut *out_rows, i0 - row0);
+            if cols < NR {
+                micro_edge(a_panel, b_panel, out, i, j0, n, rows, cols);
+                continue;
+            }
+            match rows {
+                1 => micro_full::<1>(a_panel, b_panel, out, i, j0, n),
+                2 => micro_full::<2>(a_panel, b_panel, out, i, j0, n),
+                3 => micro_full::<3>(a_panel, b_panel, out, i, j0, n),
+                _ => micro_full::<MR>(a_panel, b_panel, out, i, j0, n),
             }
         }
     }

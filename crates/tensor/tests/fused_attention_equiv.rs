@@ -91,3 +91,16 @@ fn fused_attention_bitwise_matches_reference_at_model_shape() {
     // The paper's Chain-Encoder shape: B=8, T=16, d=64, h=4.
     run_case(8, 16, 64, 4, None, 31);
 }
+
+#[test]
+fn fused_attention_bitwise_matches_reference_around_vector_widths() {
+    // The scores run several keys per vector (8 lanes under AVX2, 16 under
+    // AVX-512, 4 at the baseline): sequence lengths at, below and above
+    // each width, with and without ragged key masks.
+    for (i, seq) in [1usize, 7, 8, 9, 15, 16, 17, 33].into_iter().enumerate() {
+        let seed = 41 + i as u64;
+        run_case(2, seq, 12, 3, None, seed);
+        let lens = [seq, (seq / 2).max(1)];
+        run_case(2, seq, 12, 3, Some(&lens), seed + 100);
+    }
+}
